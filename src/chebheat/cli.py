@@ -20,7 +20,8 @@ from .bounds import AUTO, BoundKind, SignalStats, min_order, true_min_order
 from .chebyshev import build_basis, cheb_coefficients, combine
 from .diffusion import DEFAULT_SEED, estimate_lambda_max, expm_multiscale, make_plan
 from .errors import NumericalError
-from .graphs import build_laplacian, erdos_renyi, load_graph, load_signal, save_edge_list
+from .graphs import (build_laplacian, erdos_renyi, load_graph, load_signal, save_edge_list,
+                     write_rows)
 
 __all__ = ["main", "entry"]
 
@@ -84,9 +85,8 @@ def cmd_diffuse(args) -> None:
                  f" bound={_fmt(max(r.bound for _, r in results))} tol={_fmt(rep.tol)}"
                  f" matvecs={rep.matvecs} setup_matvecs={rep.setup_matvecs}\n")
         fh.write("node," + ",".join(f"tau={_fmt(t)}" for t in scales) + "\n")
-        cols = [y for y, _ in results]
-        for i in range(n):
-            fh.write(str(i) + "," + ",".join(_fmt(c[i]) for c in cols) + "\n")
+        write_rows(fh, "%d," + ",".join(["%.17g"] * len(results)) + "\n",
+                   [np.arange(n)] + [y for y, _ in results])
 
 
 def bound_table_data(n: int, p: float, trials: int, taus, tol: float,

@@ -31,6 +31,9 @@ DEFAULT_SEED = 0
 _POWER_MIN_ITER = 10
 _POWER_MAX_ITER = 10000
 _POWER_INFLATE = 1.01
+# relative rounding allowance of _lambda_floor: a given lambda_max
+# this close to it may be the exact spectral radius
+_FLOOR_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,27 @@ def estimate_lambda_max(op: SparseSymMatrix, rel_tol: float = 1e-4,
     return rho * _POWER_INFLATE
 
 
+def _lambda_floor(op: SparseSymMatrix) -> float:
+    """A lower bound on the largest eigenvalue, free of matvecs.
+
+    By eigenvalue interlacing, the largest eigenvalue is at least every
+    diagonal entry and the largest eigenvalue of every 2x2 principal
+    submatrix; this takes the maximum over the diagonal and over the
+    submatrices of the stored off-diagonal entries.
+    """
+    if op.nnz == 0:
+        return 0.0
+    rows = np.repeat(np.arange(op.n), np.diff(op.row_ptr))
+    on_diag = rows == op.col_idx
+    diag = np.zeros(op.n)
+    diag[rows[on_diag]] = op.values[on_diag]
+    off = ~on_diag
+    a = diag[rows[off]]
+    b = diag[op.col_idx[off]]
+    pair = 0.5 * (a + b) + np.hypot(0.5 * (a - b), op.values[off])
+    return float(max(diag.max(), pair.max(initial=-math.inf)))
+
+
 def _as_signal(x) -> GraphSignal:
     return x if isinstance(x, GraphSignal) else GraphSignal(x)
 
@@ -134,6 +158,15 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     The order is chosen once, at the largest effective scale, so a
     shared basis serves every scale. `kind=AUTO` resolves to whichever
     new-bound variant is sharper for this signal at that scale.
+
+    The spectral radius is, in order of preference, the given
+    ``lambda_max``, the operator's ``spectral_bound`` (2 for a normalized
+    Laplacian, at no matvec cost), or an inflated power-iteration
+    estimate. A given ``lambda_max`` below a free lower bound on the
+    spectral radius (the largest diagonal entry, or the largest
+    eigenvalue of a stored edge's 2x2 principal submatrix), or 0 for a
+    nonzero operator, raises ``ValueError``. The check is one-sided: a
+    value that passes it is not thereby proven to bound the spectrum.
     """
     sig = _as_signal(signal)
     if sig.n != op.n:
@@ -148,16 +181,22 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
         raise ValueError("tol must be positive")
 
     setup = 0
-    if lambda_max is None:
+    estimated = False
+    if lambda_max is not None:
+        lam_hat = float(lambda_max)
+        if not math.isfinite(lam_hat) or lam_hat < 0.0:
+            raise ValueError("lambda_max must be finite and non-negative")
+        floor = _lambda_floor(op)
+        if lam_hat < floor * (1.0 - _FLOOR_SLACK) or (lam_hat == 0.0 and op.nnz > 0):
+            raise ValueError(f"lambda_max={lam_hat!r} is below the spectral radius: an "
+                             f"eigenvalue of at least {floor!r} exists")
+    elif op.spectral_bound is not None:
+        lam_hat = op.spectral_bound
+    else:
         lam, iters = _power_iteration(op, 1e-4, seed, _POWER_MAX_ITER)
         lam_hat = lam * _POWER_INFLATE if lam > 0.0 else 0.0
         setup = iters
         estimated = True
-    else:
-        lam_hat = float(lambda_max)
-        if not math.isfinite(lam_hat) or lam_hat < 0.0:
-            raise ValueError("lambda_max must be finite and non-negative")
-        estimated = False
 
     tau_effs = tuple(lam_hat * t / 2.0 for t in scales)
     tau_top = max(tau_effs)
@@ -241,7 +280,8 @@ def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
     kind : BoundKind or "auto", optional
         Which certificate selects the order.
     lambda_max : float, optional
-        Known spectral radius; skips power iteration when given.
+        Known spectral radius; skips power iteration when given. A value
+        provably below the spectral radius raises ValueError.
     seed : int, optional
         Seed for the power-iteration start vector.
 

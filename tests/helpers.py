@@ -1,11 +1,18 @@
 """Shared oracles and small graph builders for the test suite.
 
 The Bessel oracle goes through mpmath at 50 digits so library output
-can be checked against an implementation it shares no code with.
+can be checked against an implementation it shares no code with. The
+``reference_*`` functions are the line-by-line graph reader, edge
+assembly and edge writer that the array code must match exactly.
 """
+
+import re
 
 import mpmath as mp
 import numpy as np
+
+from chebheat.errors import ParseError
+from chebheat.graphs import SparseSymMatrix
 
 mp.mp.dps = 50
 
@@ -33,3 +40,157 @@ def dense_diffusion(dense_l: np.ndarray, x: np.ndarray, tau: float) -> np.ndarra
     """Reference exp(-tau L) x via numpy's eigensolver, not ours."""
     lam, u = np.linalg.eigh(dense_l)
     return u @ (np.exp(-tau * lam) * (u.T @ x))
+
+
+# ---------------------------------------------------------------------------
+# Line-by-line references for the bulk graph reader and the array assembly:
+# the loops chebheat used before both were vectorized, kept verbatim so the
+# array code can be held to the same results, bytes and errors.
+_N_TOKEN = re.compile(r"(?:^|\s)n=(\d+)(?:\s|$)")
+
+
+def reference_parse_edge_list(path, lines):
+    edges = []
+    declared_n = None
+    max_idx = -1
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _N_TOKEN.search(line[1:])
+            if m and declared_n is None:
+                declared_n = int(m.group(1))
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(path, line_no, f"expected 'i j [w]', got {line!r}")
+        try:
+            i = int(parts[0])
+            j = int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise ParseError(path, line_no, f"could not parse edge fields in {line!r}") from None
+        if i < 0 or j < 0:
+            raise ParseError(path, line_no, "node indices must be non-negative")
+        if i == j:
+            raise ParseError(path, line_no, f"self-loop at node {i} is not allowed")
+        max_idx = max(max_idx, i, j)
+        edges.append((i, j, w))
+    n = declared_n if declared_n is not None else max_idx + 1
+    if n < 1:
+        raise ParseError(path, 1, "file declares no nodes")
+    if max_idx >= n:
+        raise ParseError(path, 1, f"node index {max_idx} exceeds declared n={n}")
+    return edges, n
+
+
+def reference_parse_matrix_market(path, lines):
+    it = iter(enumerate(lines, start=1))
+    try:
+        line_no, header = next(it)
+    except StopIteration:
+        raise ParseError(path, 1, "empty file") from None
+    fields = header.strip().lower().split()
+    if (
+        len(fields) < 5
+        or fields[0] != "%%matrixmarket"
+        or fields[1] != "matrix"
+        or fields[2] != "coordinate"
+    ):
+        raise ParseError(path, line_no, "expected '%%MatrixMarket matrix coordinate ...' header")
+    if fields[3] not in ("real", "integer", "pattern"):
+        raise ParseError(path, line_no, f"unsupported field type {fields[3]!r}")
+    if fields[4] != "symmetric":
+        raise ParseError(path, line_no, "only symmetric matrices describe graphs here")
+    pattern = fields[3] == "pattern"
+    dims = None
+    edges = []
+    for line_no, raw in it:
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        parts = line.split()
+        if dims is None:
+            if len(parts) != 3:
+                raise ParseError(path, line_no, "expected 'rows cols nnz' size line")
+            r, c, _ = (int(p) for p in parts)
+            if r != c:
+                raise ParseError(path, line_no, f"matrix must be square, got {r}x{c}")
+            dims = r
+            continue
+        expected = 2 if pattern else 3
+        if len(parts) != expected:
+            raise ParseError(path, line_no, f"expected {expected} fields, got {len(parts)}")
+        i = int(parts[0]) - 1
+        j = int(parts[1]) - 1
+        w = 1.0 if pattern else float(parts[2])
+        if i == j:
+            raise ParseError(
+                path, line_no, "diagonal entries are not edges; supply an adjacency pattern"
+            )
+        if not (0 <= i < dims and 0 <= j < dims):
+            raise ParseError(path, line_no, "entry index out of declared range")
+        edges.append((i, j, w))
+    if dims is None:
+        raise ParseError(path, 1, "missing size line")
+    return edges, dims
+
+
+def reference_load_graph(path):
+    """(edges, n) of a graph file, read line by line with the format sniffed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    first = next((raw.strip() for raw in lines if raw.strip()), "")
+    if first.lower().startswith("%%matrixmarket"):
+        return reference_parse_matrix_market(path, lines)
+    return reference_parse_edge_list(path, lines)
+
+
+def reference_laplacian(edges, n, kind="combinatorial"):
+    """Laplacian assembled edge by edge, with add.at degrees and a lexsort."""
+    ii, jj, ww = [], [], []
+    for edge in edges:
+        i, j, w = edge if len(edge) == 3 else (*edge, 1.0)
+        i, j, w = int(i), int(j), float(w)
+        ii.append(min(i, j))
+        jj.append(max(i, j))
+        ww.append(w)
+    lo = np.asarray(ii, dtype=np.int64)
+    hi = np.asarray(jj, dtype=np.int64)
+    w = np.asarray(ww, dtype=np.float64)
+    uniq, inverse = np.unique(lo * n + hi, return_inverse=True)
+    w = np.bincount(inverse, weights=w, minlength=uniq.size)
+    lo, hi = uniq // n, uniq % n
+    deg = np.zeros(n)
+    np.add.at(deg, lo, w)
+    np.add.at(deg, hi, w)
+    if kind == "normalized":
+        off = -w / np.sqrt(deg[lo] * deg[hi])
+        diag_idx = np.arange(n, dtype=np.int64)
+        diag_vals = np.ones(n)
+    else:
+        off = -w
+        diag_idx = np.nonzero(deg > 0.0)[0].astype(np.int64)
+        diag_vals = deg[diag_idx]
+    rows = np.concatenate([lo, hi, diag_idx])
+    cols = np.concatenate([hi, lo, diag_idx])
+    vals = np.concatenate([off, off, diag_vals])
+    order = np.lexsort((cols, rows))
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+    return SparseSymMatrix(n, row_ptr, cols[order], vals[order])
+
+
+def reference_save_edge_list(path, edges, n, comment=None):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# n={int(n)}\n")
+        if comment:
+            fh.write(f"# {comment}\n")
+        for edge in edges:
+            if len(edge) == 2:
+                i, j = edge
+                w = 1.0
+            else:
+                i, j, w = edge
+            fh.write(f"{int(i)} {int(j)} {float(w):.17g}\n")

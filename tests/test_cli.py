@@ -1,10 +1,15 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import os
+
 import numpy as np
 import pytest
 
 from chebheat.cli import main
-from chebheat.graphs import build_laplacian, load_graph
+from chebheat.diffusion import expm_multiscale
+from chebheat.graphs import build_laplacian, erdos_renyi, load_graph, load_signal
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run(capsys, *argv):
@@ -103,6 +108,47 @@ class TestDiffuse:
         code, _, err = run(capsys, "diffuse", "--graph", "er:20:0.3:1",
                            "--signal", "dirac:0", "--scales", "lin:1:2")
         assert code == 2 and "--scales" in err
+
+
+    def test_normalized_skips_power_iteration(self, capsys):
+        code, out, _ = run(capsys, "diffuse", "--graph", "er:20:0.3:2",
+                           "--signal", "dirac:0", "--scales", "1.0", "--laplacian", "normalized")
+        assert code == 0
+        assert "lambda_max=2 " in out and "setup_matvecs=0" in out
+
+    @pytest.mark.parametrize("lam", ["18.742", "0"])
+    def test_too_small_lambda_exit_2(self, capsys, lam):
+        # er:200:0.05:7 has lambda_max 20.824; 18.742 is 0.9 times that
+        code, _, err = run(capsys, "diffuse", "--graph", "er:200:0.05:7", "--signal", "normal:1",
+                           "--scales", "5", "--tol", "1e-8", "--lambda-max", lam)
+        assert code == 2 and "lambda_max" in err
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("diffuse_combinatorial.csv",
+         ["--graph", os.path.join(DATA, "weighted.txt"), "--signal", "normal:5",
+          "--scales", "log:1e-2:10:6", "--tol", "1e-8"]),
+        ("diffuse_normalized.csv",
+         ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--lambda-max", "2",
+          "--signal", "dirac:0", "--scales", "lin:0:4:5", "--tol", "1e-10"]),
+    ])
+    def test_bytes_match_golden_file(self, tmp_path, golden, argv):
+        # the golden files were written by the per-value writer that the
+        # block writer replaced
+        out = tmp_path / "out.csv"
+        assert main(["diffuse", *argv, "--out", str(out)]) == 0
+        with open(os.path.join(DATA, golden), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+    def test_rows_match_per_value_format_across_blocks(self, tmp_path):
+        n, scales = 9000, [0.01, 0.3, 4.0]
+        out = tmp_path / "out.csv"
+        assert main(["diffuse", "--graph", "er:9000:0.001:1", "--signal", "normal:2",
+                     "--scales", "0.01,0.3,4.0", "--tol", "1e-6", "--out", str(out)]) == 0
+        op = build_laplacian(erdos_renyi(n, 0.001, seed=1), n)
+        cols = [y for y, _ in expm_multiscale(op, load_signal("normal:2", n), scales, tol=1e-6)]
+        expected = [str(i) + "," + ",".join(format(float(c[i]), ".17g") for c in cols)
+                    for i in range(n)]
+        assert data_lines(out.read_text())[1:] == expected
 
 
 class TestBoundTable:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from chebheat.bounds import BoundKind
-from chebheat.diffusion import (_apply_streaming, estimate_lambda_max, expm_multiply,
-                                expm_multiscale, make_plan, measure_errors)
+from chebheat.diffusion import (_apply_streaming, _lambda_floor, estimate_lambda_max,
+                                expm_multiply, expm_multiscale, make_plan, measure_errors)
 from chebheat.errors import ConvergenceError
 from chebheat.graphs import GraphSignal, build_laplacian, erdos_renyi
 
@@ -15,6 +15,15 @@ from helpers import complete_edges
 
 P2 = build_laplacian([(0, 1)], 2)
 DIRAC2 = GraphSignal([1.0, 0.0])
+
+
+def lattice_3d_edges(side):
+    idx = np.arange(side ** 3).reshape(side, side, side)
+    edges = []
+    for axis in range(3):
+        a = np.moveaxis(idx, axis, 0)
+        edges += list(zip(a[:-1].ravel().tolist(), a[1:].ravel().tolist()))
+    return edges
 
 
 class TestEstimateLambdaMax:
@@ -37,6 +46,45 @@ class TestEstimateLambdaMax:
         L = build_laplacian(erdos_renyi(30, 0.2, seed=1), 30)
         with pytest.raises(ConvergenceError):
             estimate_lambda_max(L, rel_tol=0.0, max_iter=20)
+
+
+class TestSpectralRadiusSource:
+    def test_normalized_lattice_uses_exact_bound(self):
+        # power iteration estimated 1.99211 (seed 1) and 1.99810 (seed 4)
+        # here, below the true value 2
+        n = 12 ** 3
+        L = build_laplacian(lattice_3d_edges(12), n, kind="normalized")
+        for seed in (1, 4):
+            plan = make_plan(L, np.ones(n), [1.0], 1e-8, seed=seed)
+            assert plan.lambda_max >= 2.0
+            assert plan.setup_matvecs == 0
+
+    def test_too_small_lambda_rejected(self):
+        # true lambda_max 20.824, free lower bound 19.162
+        L = build_laplacian(erdos_renyi(200, 0.05, seed=7), 200)
+        true = float(np.linalg.eigvalsh(L.to_dense()).max())
+        x = GraphSignal(np.random.default_rng(0).standard_normal(200))
+        for lam in (0.9 * true, 0.0):
+            with pytest.raises(ValueError, match="lambda_max"):
+                expm_multiply(L, x, 5.0, tol=1e-8, lambda_max=lam)
+            with pytest.raises(ValueError, match="lambda_max"):
+                expm_multiscale(L, x, [0.5, 5.0], tol=1e-8, lambda_max=lam)
+        _, rep = expm_multiply(L, x, 5.0, tol=1e-8, lambda_max=true)
+        assert rep.lambda_max == true
+
+    def test_lower_bound_is_below_true_radius(self):
+        graphs = [build_laplacian(erdos_renyi(60, 0.1, seed=s), 60, kind=k)
+                  for s in range(3) for k in ("combinatorial", "normalized")]
+        graphs.append(build_laplacian([(0, 1, 0.3), (1, 2, 2.0)], 4))
+        for L in graphs:
+            assert _lambda_floor(L) <= float(np.linalg.eigvalsh(L.to_dense()).max()) + 1e-12
+        # sharp on a single edge: the 2x2 block is the whole matrix
+        assert _lambda_floor(P2) == 2.0
+
+    def test_zero_lambda_allowed_on_zero_operator(self):
+        L = build_laplacian([], 3)
+        y, rep = expm_multiply(L, GraphSignal([1.0, 2.0, 3.0]), 1.0, lambda_max=0.0)
+        np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
 
 
 class TestSingleScale:

@@ -1,13 +1,19 @@
 """Sparse matrix layer: construction, validation, matvec, file formats."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebheat.errors import ParseError
 from chebheat.graphs import (GraphSignal, SparseSymMatrix, build_laplacian, erdos_renyi,
                              load_graph, load_signal, save_edge_list)
 
-from helpers import complete_edges, path_edges, star_edges
+from helpers import (complete_edges, path_edges, reference_laplacian, reference_load_graph,
+                     reference_save_edge_list, star_edges)
 
 
 class TestBuildLaplacian:
@@ -65,6 +71,48 @@ class TestBuildLaplacian:
         L = build_laplacian([], 4)
         assert L.nnz == 0
         np.testing.assert_array_equal(L.matvec(np.arange(4.0)), np.zeros(4))
+
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    def test_matches_edge_by_edge_assembly(self, kind):
+        # non-dyadic weights and duplicates in both orientations: the
+        # degree and duplicate sums must add in the same order as before
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            n = 40
+            base = [(i, (i + 1) % n) for i in range(n)]  # a cycle: nobody isolated
+            pairs = rng.integers(0, n, size=(300, 2))
+            extra = [(int(a), int(b)) for a, b in pairs if a != b]
+            extra += [(j, i) for i, j in extra[:100]]
+            edges = [(i, j, float(w)) for (i, j), w in
+                     zip(base + extra, rng.uniform(0.01, 3.0, len(base) + len(extra)))]
+            ref = reference_laplacian(edges, n, kind)
+            assert build_laplacian(edges, n, kind).fingerprint == ref.fingerprint
+            assert build_laplacian(np.array(edges), n, kind).fingerprint == ref.fingerprint
+
+    def test_array_and_mixed_edges(self):
+        ref = build_laplacian([(0, 1, 1.0), (1, 2, 0.5)], 3)
+        for edges in ([(0, 1), (1, 2, 0.5)], np.array([[0, 1, 1.0], [1, 2, 0.5]])):
+            assert build_laplacian(edges, 3).fingerprint == ref.fingerprint
+        two = build_laplacian(np.array([[0, 1], [1, 2]]), 3)
+        assert two.fingerprint == build_laplacian([(0, 1), (1, 2)], 3).fingerprint
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (0, 1, 2.0, 3.0)], "edge #1: expected"),
+        ([(0, 1), (0, 1, 1.0), (3, 0)], r"edge #2: endpoint out of range for n=3: \(3, 0\)"),
+        ([(0, 1), (2, 2), (0, 5)], "edge #1: self-loop at node 2"),
+        ([(0, 1), (1, 2, 0.0), (2, 2)], "edge #1: weight must be positive and finite, got 0.0"),
+        ([(0, 1, float("inf"))], "edge #0: weight must be positive and finite, got inf"),
+        ([(0, -1)], r"edge #0: endpoint out of range for n=3: \(0, -1\)"),
+    ])
+    def test_errors_name_first_bad_edge(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            build_laplacian(edges, 3)
+
+    def test_normalized_carries_spectral_bound(self):
+        L = build_laplacian(complete_edges(4), 4, kind="normalized")
+        assert L.spectral_bound == 2.0
+        assert L.scaled(0.5).spectral_bound == 1.0
+        assert build_laplacian(complete_edges(4), 4).spectral_bound is None
 
 
 class TestSparseSymMatrix:
@@ -191,7 +239,23 @@ class TestFileFormats:
             "2 1\n"
         )
         edges, n = load_graph(path)
-        assert edges == [(1, 0, 1.0)] or edges == [(0, 1, 1.0)]
+        assert edges.tolist() in ([[1, 0, 1.0]], [[0, 1, 1.0]])
+
+    def test_edge_list_round_trip_weighted(self, tmp_path):
+        path = tmp_path / "g.txt"
+        rng = np.random.default_rng(3)
+        edges = [(i, i + 1, float(w)) for i, w in enumerate(rng.uniform(0.1, 2.0, 50))]
+        save_edge_list(path, edges, 60)
+        loaded, n = load_graph(path)
+        assert n == 60
+        np.testing.assert_array_equal(loaded, np.array(edges))
+
+    def test_committed_weighted_file(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "weighted.txt")
+        edges, n = load_graph(path)
+        ref_edges, ref_n = reference_load_graph(path)
+        assert n == ref_n == 13
+        np.testing.assert_array_equal(edges, np.array(ref_edges))
 
     def test_matrix_market_general_rejected(self, tmp_path):
         path = tmp_path / "g.mtx"
@@ -227,3 +291,146 @@ class TestLoadSignal:
         path.write_text("1.0\n")
         with pytest.raises(ValueError):
             load_signal(path, 3)
+
+
+class TestSaveEdgeList:
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (3, 0)],
+        [(0, 1, 1.0), (2, 1, 0.5), (3, 2, 7.0)],
+        [(0, 1, 0.1), (1, 2, 1 / 3), (2, 3, 1e-300), (0, 3, 2.0 ** 60 + 0.5)],
+        [(0, 1), (1, 2, 0.30000000000000004)],
+    ])
+    @pytest.mark.parametrize("comment", [None, "p=0.1 seed=4"])
+    def test_bytes_match_line_writer(self, tmp_path, edges, comment):
+        ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+        save_edge_list(ours, edges, 5, comment=comment)
+        reference_save_edge_list(ref, edges, 5, comment=comment)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_array_input_and_many_blocks(self, tmp_path):
+        edges = erdos_renyi(400, 0.1, seed=3)  # about 8000 edges: several blocks
+        rng = np.random.default_rng(1)
+        edges = [(i, j, float(w)) for (i, j, _), w in zip(edges, rng.uniform(0, 5, len(edges)))]
+        ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+        save_edge_list(ours, np.array(edges), 400)
+        reference_save_edge_list(ref, edges, 400)
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+# --------------------------------------------------- bulk reader equivalence
+
+_ODD_INDEX = st.sampled_from([
+    "+3", "1e0", "1.5", "3_0", "-1", "007", "0", "3", "\u0663", "", "x",
+    "99999999999999999999", "1" * 18, "+-1", "--2", "."])
+_ODD_WEIGHT = st.one_of(
+    st.integers(0, 10 ** 20).map(str),
+    st.sampled_from(["+2", ".5", "5.", "1e-1", "1E+2", "1e", "inf", "nan", "-1", "0",
+                     "1_0", "0x1", "-", "e5", "1.5.2", "+.5e-3"]),
+)
+_PLAIN_WEIGHT = st.one_of(st.integers(1, 99).map(str),
+                          st.floats(min_value=1e-9, max_value=1e9).map(repr))
+_SEPS = st.sampled_from([" ", "\t", "  ", " \t "])
+_ODD_SEPS = st.sampled_from(["\x0b", "\xa0", "\x0c"])
+_PAD = st.sampled_from(["", "", " ", "\t", " \t"])
+
+
+@st.composite
+def _edge_line(draw, third, odd):
+    """One ``i j [w]`` line; with ``odd``, any token or separator may be irregular."""
+    i = draw(st.integers(0, 12))
+    tokens = [str(i), str((i + draw(st.integers(1, 12))) % 13)]
+    if third:
+        tokens.append(draw(_PLAIN_WEIGHT))
+    seps = _SEPS
+    if odd:
+        k = draw(st.integers(0, len(tokens) - 1))
+        tokens[k] = draw(_ODD_WEIGHT if k == 2 else _ODD_INDEX)
+        if draw(st.integers(0, 4)) == 0:
+            tokens.append(draw(_PLAIN_WEIGHT))
+        seps = st.one_of(_SEPS, _ODD_SEPS)
+    line = tokens[0]
+    for tok in tokens[1:]:
+        line += draw(seps) + tok
+    return draw(_PAD) + line + draw(_PAD)
+
+
+_OTHER_LINES = st.sampled_from([
+    "", "  ", "\t", "# n=13", "#n=15", "# p=0.1 n=14", "# comment", "  # n=20", "# n=x",
+])
+_ODD_LINES = st.sampled_from(["% percent", "0 1 # trailing", "0\x0c1", "# n=3", "7", "4 4",
+                             "4\t4 0.5"])
+
+
+def _lines(draw, third, odd_rate, extra_lines):
+    """Mostly regular lines; each is irregular with probability about ``odd_rate``."""
+    def one(_):
+        roll = draw(st.floats(0.0, 1.0))
+        if roll < odd_rate / 2:
+            return draw(_ODD_LINES | extra_lines)
+        if roll < 0.15:
+            return draw(_OTHER_LINES)
+        line_third = third if draw(st.floats(0.0, 1.0)) >= odd_rate else not third
+        return draw(_edge_line(line_third, roll < odd_rate))
+    return [one(k) for k in range(draw(st.integers(0, 30)))]
+
+
+def _graph_text(draw, lines):
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+@st.composite
+def edge_list_texts(draw):
+    odd_rate = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5]))
+    return _graph_text(draw, _lines(draw, draw(st.booleans()), odd_rate, _OTHER_LINES))
+
+
+@st.composite
+def matrix_market_texts(draw):
+    kind = draw(st.sampled_from(["pattern", "real", "integer"]))
+    header = f"%%MatrixMarket matrix coordinate {kind} symmetric"
+    odd_rate = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5]))
+    if draw(st.floats(0.0, 1.0)) < odd_rate:
+        header = draw(st.sampled_from([
+            "", "%%MatrixMarket matrix array real symmetric",
+            "%%MatrixMarket matrix coordinate complex symmetric",
+            "%%MatrixMarket matrix coordinate real general"]))
+    size = "14 14 3"
+    if draw(st.floats(0.0, 1.0)) < odd_rate:
+        size = draw(st.sampled_from(["14 13 3", "14 14", "% size next", "", "+14 14 0"]))
+    extra = st.sampled_from(["% c", "15 1 1", "0 1 1", "1 1 1", "14 14", "14 1"])
+    # Matrix Market indices are 1-based: add one to every short number
+    lines = [" ".join(str(int(t) + 1) if t.isdigit() and len(t) < 3 else t
+                      for t in line.split(" "))
+             for line in _lines(draw, kind != "pattern", odd_rate, extra)]
+    return _graph_text(draw, [header, size] + lines)
+
+
+def _outcome(load, path):
+    try:
+        edges, n = load(path)
+    except (ParseError, ValueError) as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line_no", None))
+    return ("ok", np.asarray(edges, dtype=np.float64).reshape(-1, 3).tolist(), n)
+
+
+def _same_as_line_wise(text):
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        assert _outcome(load_graph, path) == _outcome(reference_load_graph, path)
+    finally:
+        os.remove(path)
+
+
+@given(edge_list_texts())
+@settings(max_examples=300, deadline=None)
+def test_bulk_edge_list_reads_like_line_wise(text):
+    _same_as_line_wise(text)
+
+
+@given(matrix_market_texts())
+@settings(max_examples=200, deadline=None)
+def test_bulk_matrix_market_reads_like_line_wise(text):
+    _same_as_line_wise(text)
