@@ -6,33 +6,17 @@ certified error bound, and amortizes the recurrence basis across many
 diffusion scales.
 """
 
-from .bessel import ORDER_CAP, bessel_ie_scaled, log_factorial
-from .bounds import (AUTO, BoundKind, SignalStats, baseline_error_term, bound_value,
-                     input_relative_bound, min_order, select_bound, sup_error_bound,
-                     true_min_order)
-from .chebyshev import (ChebBasisCache, CoefficientSet, build_basis, cheb_coefficients,
-                        combine, eval_scalar)
-from .diffusion import (DEFAULT_SEED, DiffusionPlan, DiffusionReport, estimate_lambda_max,
-                        expm_multiply, expm_multiscale, make_plan, measure_errors)
+from .bounds import BoundKind, SignalStats, min_order, true_min_order
+from .diffusion import expm_multiply, expm_multiscale, measure_errors
 from .errors import ConvergenceError, NumericalError, OrderCapError, ParseError
-from .graphs import (GraphSignal, SparseSymMatrix, build_laplacian, erdos_renyi,
-                     load_graph, load_signal, save_edge_list)
-from .oracle import coeff_integral, dense_spectrum, exact_diffusion, jacobi_eigh, tail_sum
+from .graphs import GraphSignal, build_laplacian, erdos_renyi, load_graph, save_edge_list
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ORDER_CAP", "bessel_ie_scaled", "log_factorial",
-    "AUTO", "BoundKind", "SignalStats", "baseline_error_term", "bound_value",
-    "input_relative_bound", "min_order", "select_bound", "sup_error_bound",
-    "true_min_order",
-    "ChebBasisCache", "CoefficientSet", "build_basis", "cheb_coefficients",
-    "combine", "eval_scalar",
-    "DEFAULT_SEED", "DiffusionPlan", "DiffusionReport", "estimate_lambda_max",
-    "expm_multiply", "expm_multiscale", "make_plan", "measure_errors",
+    "GraphSignal", "build_laplacian", "erdos_renyi", "load_graph", "save_edge_list",
+    "expm_multiply", "expm_multiscale", "measure_errors",
+    "BoundKind", "SignalStats", "min_order", "true_min_order",
     "ConvergenceError", "NumericalError", "OrderCapError", "ParseError",
-    "GraphSignal", "SparseSymMatrix", "build_laplacian", "erdos_renyi",
-    "load_graph", "load_signal", "save_edge_list",
-    "coeff_integral", "dense_spectrum", "exact_diffusion", "jacobi_eigh", "tail_sum",
     "__version__",
 ]

@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .bessel import ORDER_CAP, log_factorial
+from .chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
 from .errors import OrderCapError
 from .graphs import GraphSignal
 
@@ -235,16 +236,30 @@ def min_order(kind: BoundKind, tau_eff: float, tol: float,
     )
 
 
+def _growing_coefficients(tau_eff: float, cap: int):
+    # c[0], c[1], ... up to order cap; the vector is recomputed at double
+    # the length whenever the scan runs past it, and each order takes its
+    # coefficient from the first vector long enough to hold it
+    done, size = 0, min(cap, 64)
+    while True:
+        yield from cheb_coefficients(tau_eff, size).coefficients[done:]
+        if size == cap:
+            return
+        done, size = size + 1, min(cap, 2 * size)
+
+
 def true_min_order(op, signal, tau: float, tol: float,
                    lambda_max: float | None = None, cap: int = ORDER_CAP) -> int:
     """Smallest order whose *measured* error meets ``tol``.
 
-    Measured against the dense oracle in the spectral domain, using the
-    same rescaling convention as the production pipeline, so the result
-    is directly comparable with :func:`min_order` outputs. Limited to
-    oracle-sized operators.
+    Measured against the dense oracle in the spectral domain: the
+    production recurrence and sum run with the rescaled operator applied
+    as the diagonal ``clip(2 lambda / lambda_hat, 0, 2)`` in the
+    eigenbasis, and ``lambda_hat`` is chosen and checked by the same rule
+    as a diffusion run, so the result is directly comparable with
+    :func:`min_order` outputs. Limited to oracle-sized operators.
     """
-    from .diffusion import estimate_lambda_max
+    from .diffusion import DEFAULT_SEED, _resolve_lambda
     from .oracle import dense_spectrum
 
     tau = float(tau)
@@ -256,36 +271,17 @@ def true_min_order(op, signal, tau: float, tol: float,
     spec = dense_spectrum(op)
     if x.shape != spec.eigenvalues.shape:
         raise ValueError("signal length does not match operator size")
-    lam_hat = estimate_lambda_max(op) if lambda_max is None else float(lambda_max)
-    if lam_hat < 0.0:
-        raise ValueError("lambda_max must be non-negative")
+    lam_hat, _ = _resolve_lambda(op, lambda_max, DEFAULT_SEED)
     xhat = spec.vectors.T @ x
     target = np.exp(-tau * spec.eigenvalues) * xhat
     denom = float(target @ target)
     if denom == 0.0:
         raise ValueError("diffused signal underflowed to zero; relative error undefined")
     scale = 2.0 / lam_hat if lam_hat > 0.0 else 0.0
-    t = np.clip(scale * spec.eigenvalues, 0.0, 2.0) - 1.0
-    tau_eff = lam_hat * tau / 2.0
-
-    from .chebyshev import cheb_coefficients
-
-    c = cheb_coefficients(tau_eff, min(cap, 64)).coefficients
-    approx = (0.5 * c[0]) * xhat
-    diff = target - approx
-    if float(diff @ diff) <= tol * denom:
-        return 0
-    t_prev = np.ones_like(t)
-    t_cur = t.copy()
-    for order in range(1, cap + 1):
-        if order >= c.size:
-            c = cheb_coefficients(tau_eff, min(cap, 2 * (c.size - 1))).coefficients
-        if order == 1:
-            term = c[1] * t_cur
-        else:
-            t_prev, t_cur = t_cur, 2.0 * t * t_cur - t_prev
-            term = c[order] * t_cur
-        approx = approx + term * xhat
+    d = np.clip(scale * spec.eigenvalues, 0.0, 2.0)
+    sums = cheb_partial_sums(_growing_coefficients(lam_hat * tau / 2.0, cap),
+                             cheb_terms(lambda v: d * v, xhat))
+    for order, approx in enumerate(sums):
         diff = target - approx
         if float(diff @ diff) <= tol * denom:
             return order

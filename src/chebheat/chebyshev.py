@@ -14,14 +14,15 @@ signal only, so one basis serves every diffusion scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .bessel import bessel_ie_scaled
-from .graphs import GraphSignal, SparseSymMatrix, _digest
+from .graphs import GraphSignal, SparseSymMatrix
 
-__all__ = ["CoefficientSet", "ChebBasisCache", "cheb_coefficients", "build_basis",
-           "combine", "eval_scalar"]
+__all__ = ["CoefficientSet", "ChebBasisCache", "cheb_coefficients", "cheb_terms",
+           "cheb_partial_sums", "cheb_sum", "build_basis", "combine", "eval_scalar"]
 
 _DOMAIN_SLACK = 1e-12
 
@@ -43,14 +44,11 @@ class CoefficientSet:
 class ChebBasisCache:
     """Stacked basis vectors ``T_k(op - I) x`` for ``k = 0..order``.
 
-    Row ``k`` of ``vectors`` is the k-th basis vector. Fingerprints
-    identify the operator and signal the basis was built from.
+    Row ``k`` of ``vectors`` is the k-th basis vector.
     """
 
     order: int
     vectors: np.ndarray
-    operator_fingerprint: str
-    signal_fingerprint: str
 
 
 def cheb_coefficients(tau_eff: float, order: int) -> CoefficientSet:
@@ -72,13 +70,40 @@ def cheb_coefficients(tau_eff: float, order: int) -> CoefficientSet:
     return CoefficientSet(tau_eff=float(tau_eff), order=order, coefficients=c)
 
 
-def _signal_values_and_fp(signal):
-    if isinstance(signal, GraphSignal):
-        return signal.values, signal.fingerprint
-    x = np.ascontiguousarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("signal must be 1-d")
-    return x, _digest(x)
+def cheb_terms(apply, x):
+    """Yield ``T_k(A - I) x`` for ``k = 0, 1, 2, ...``, where ``apply(v) = A v``.
+
+    This is the one three-term recurrence of the package. It is lazy:
+    taking ``K + 1`` terms calls ``apply`` exactly ``K`` times.
+    """
+    yield x
+    t_prev, t_cur = x, apply(x) - x
+    while True:
+        yield t_cur
+        t_prev, t_cur = t_cur, 2.0 * (apply(t_cur) - t_cur) - t_prev
+
+
+def cheb_partial_sums(coefficients, terms):
+    """Yield ``c[0]/2 t_0 + c[1] t_1 + ... + c[k] t_k`` for ``k = 0, 1, ...``.
+
+    Terms are added in ascending ``k``, one per coefficient, so every
+    path that sums a series gives the same bits for the same terms. The
+    running sum is updated in place; a caller that keeps one must copy it.
+    """
+    c = iter(coefficients)
+    terms = iter(terms)
+    y = (0.5 * next(c)) * next(terms)
+    yield y
+    for ck, t in zip(c, terms):  # c first: no term is drawn past the last coefficient
+        y += ck * t
+        yield y
+
+
+def cheb_sum(coefficients, terms):
+    """The full sum of :func:`cheb_partial_sums`."""
+    for y in cheb_partial_sums(coefficients, terms):
+        pass
+    return y
 
 
 def build_basis(op: SparseSymMatrix, signal, order: int) -> ChebBasisCache:
@@ -91,50 +116,33 @@ def build_basis(op: SparseSymMatrix, signal, order: int) -> ChebBasisCache:
     order = int(order)
     if order < 0:
         raise ValueError("order must be non-negative")
-    x, sig_fp = _signal_values_and_fp(signal)
+    if isinstance(signal, GraphSignal):
+        x = signal.values
+    else:
+        x = np.ascontiguousarray(signal, dtype=np.float64)
+        if x.ndim != 1:
+            raise ValueError("signal must be 1-d")
     if x.size != op.n:
         raise ValueError(f"signal length {x.size} does not match operator size {op.n}")
     vectors = np.empty((order + 1, op.n))
-    vectors[0] = x
-    if order >= 1:
-        vectors[1] = op.matvec(vectors[0]) - vectors[0]
-    for k in range(2, order + 1):
-        vectors[k] = 2.0 * (op.matvec(vectors[k - 1]) - vectors[k - 1]) - vectors[k - 2]
+    for k, t in enumerate(islice(cheb_terms(op.matvec, x), order + 1)):
+        vectors[k] = t
     vectors.flags.writeable = False
-    return ChebBasisCache(
-        order=order,
-        vectors=vectors,
-        operator_fingerprint=op.fingerprint,
-        signal_fingerprint=sig_fp,
-    )
+    return ChebBasisCache(order=order, vectors=vectors)
 
 
-def combine(cache: ChebBasisCache, coeffs: CoefficientSet, compensated: bool = False):
+def combine(cache: ChebBasisCache, coeffs: CoefficientSet):
     """Contract a coefficient set against a cached basis.
 
-    Terms are added in ascending ``k``, matching the streaming
-    single-scale path exactly so both produce bit-identical output.
-    ``compensated`` switches on Kahan accumulation; plain summation is
-    the default and is already well below bound tolerances.
+    The stored rows go through :func:`cheb_sum`, the same ascending-``k``
+    sum the streaming single-scale path runs, so both give bit-identical
+    output.
     """
     if coeffs.order > cache.order:
         raise ValueError(
             f"basis of order {cache.order} cannot serve coefficients of order {coeffs.order}"
         )
-    c = coeffs.coefficients
-    v = cache.vectors
-    y = (0.5 * c[0]) * v[0]
-    if not compensated:
-        for k in range(1, coeffs.order + 1):
-            y += c[k] * v[k]
-        return y
-    carry = np.zeros_like(y)
-    for k in range(1, coeffs.order + 1):
-        term = c[k] * v[k] - carry
-        tmp = y + term
-        carry = (tmp - y) - term
-        y = tmp
-    return y
+    return cheb_sum(coeffs.coefficients, cache.vectors)
 
 
 def eval_scalar(tau_eff: float, order: int, lam):
@@ -146,15 +154,7 @@ def eval_scalar(tau_eff: float, order: int, lam):
     if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > 2.0 + _DOMAIN_SLACK):
         raise ValueError("lambda outside the rescaled spectral interval [0, 2]")
     c = cheb_coefficients(tau_eff, order).coefficients
-    t = arr - 1.0
-    p = np.full_like(arr, 0.5 * c[0])
-    if order >= 1:
-        t_prev = np.ones_like(arr)
-        t_cur = t
-        p = p + c[1] * t_cur
-        for k in range(2, order + 1):
-            t_prev, t_cur = t_cur, 2.0 * t * t_cur - t_prev
-            p = p + c[k] * t_cur
+    p = cheb_sum(c, cheb_terms(lambda v: arr * v, np.ones_like(arr)))
     if np.isscalar(lam) or getattr(lam, "ndim", 0) == 0:
         return float(p)
     return p

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import ORDER_CAP
 from .bounds import AUTO, BoundKind, SignalStats, log_bound_value, min_order, select_bound
-from .chebyshev import build_basis, cheb_coefficients, combine
+from .chebyshev import build_basis, cheb_coefficients, cheb_sum, cheb_terms, combine
 from .errors import ConvergenceError
 from .graphs import GraphSignal, SparseSymMatrix
 
@@ -26,8 +25,9 @@ __all__ = ["DEFAULT_SEED", "DiffusionPlan", "DiffusionReport", "estimate_lambda_
 
 DEFAULT_SEED = 0
 
-# power-iteration controls; rel_tol 1e-4 is plenty, the estimate is
-# inflated afterwards anyway
+# power-iteration controls; a relative change of 1e-4 is plenty, the
+# estimate is inflated afterwards anyway
+_POWER_REL_TOL = 1e-4
 _POWER_MIN_ITER = 10
 _POWER_MAX_ITER = 10000
 _POWER_INFLATE = 1.01
@@ -67,14 +67,13 @@ class DiffusionReport:
     setup_matvecs: int
 
 
-def _power_iteration(op: SparseSymMatrix, rel_tol: float, seed: int,
-                     max_iter: int) -> tuple[float, int]:
+def _power_iteration(op: SparseSymMatrix, seed: int) -> tuple[float, int]:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.n)
     v /= np.linalg.norm(v)
     rho_prev = math.inf
     hits = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_MAX_ITER + 1):
         w = op.matvec(v)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
@@ -83,7 +82,7 @@ def _power_iteration(op: SparseSymMatrix, rel_tol: float, seed: int,
         rho = float(v @ w)
         v = w / norm_w
         if it >= _POWER_MIN_ITER and rho > 0.0:
-            if abs(rho - rho_prev) <= rel_tol * rho:
+            if abs(rho - rho_prev) <= _POWER_REL_TOL * rho:
                 hits += 1
                 if hits >= 2:  # two consecutive passes; one can be a fluke
                     return rho, it
@@ -91,38 +90,21 @@ def _power_iteration(op: SparseSymMatrix, rel_tol: float, seed: int,
                 hits = 0
         rho_prev = rho
     raise ConvergenceError(
-        f"power iteration did not settle within {max_iter} iterations"
+        f"power iteration did not settle within {_POWER_MAX_ITER} iterations"
     )
 
 
-def estimate_lambda_max(op: SparseSymMatrix, rel_tol: float = 1e-4,
-                        seed: int = DEFAULT_SEED, max_iter: int = _POWER_MAX_ITER) -> float:
-    """Upper estimate of the largest eigenvalue by power iteration.
+def estimate_lambda_max(op: SparseSymMatrix, seed: int = DEFAULT_SEED) -> float:
+    """The spectral-radius value a diffusion run on ``op`` rescales by.
 
-    The Rayleigh quotient is inflated by 1% so the rescaled spectrum
-    stays inside [0, 2] even though the iterate only approaches the
-    true value from below. Deterministic for a fixed seed.
-
-    Parameters
-    ----------
-    op : SparseSymMatrix
-        Symmetric positive-semidefinite operator.
-    rel_tol : float, optional
-        Relative change of the Rayleigh quotient at which to stop.
-    seed : int, optional
-        Seed for the starting vector.
-    max_iter : int, optional
-        Iteration budget; exceeding it raises ConvergenceError.
-
-    Returns
-    -------
-    float
-        Inflated eigenvalue estimate; exactly 0.0 for the zero operator.
+    The operator's ``spectral_bound`` when it carries one (2 for a
+    normalized Laplacian), otherwise the power-iteration Rayleigh
+    quotient inflated by 1%, so the rescaled spectrum stays inside
+    [0, 2] even though the iterate only approaches the true value from
+    below. Deterministic for a fixed seed; exactly 0.0 for the zero
+    operator. Raises ConvergenceError if the iteration does not settle.
     """
-    rho, _ = _power_iteration(op, rel_tol, seed, max_iter)
-    if rho == 0.0:
-        return 0.0
-    return rho * _POWER_INFLATE
+    return _resolve_lambda(op, None, seed)[0]
 
 
 def _lambda_floor(op: SparseSymMatrix) -> float:
@@ -144,6 +126,30 @@ def _lambda_floor(op: SparseSymMatrix) -> float:
     b = diag[op.col_idx[off]]
     pair = 0.5 * (a + b) + np.hypot(0.5 * (a - b), op.values[off])
     return float(max(diag.max(), pair.max(initial=-math.inf)))
+
+
+def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None,
+                    seed: int) -> tuple[float, int]:
+    """The rescaling value lambda_hat and the matvecs spent choosing it.
+
+    In order of preference: the given ``lambda_max``, checked against
+    :func:`_lambda_floor`; the operator's ``spectral_bound``; the inflated
+    power-iteration estimate. Every path that rescales an operator gets
+    its value here.
+    """
+    if lambda_max is not None:
+        lam_hat = float(lambda_max)
+        if not math.isfinite(lam_hat) or lam_hat < 0.0:
+            raise ValueError("lambda_max must be finite and non-negative")
+        floor = _lambda_floor(op)
+        if lam_hat < floor * (1.0 - _FLOOR_SLACK) or (lam_hat == 0.0 and op.nnz > 0):
+            raise ValueError(f"lambda_max={lam_hat!r} is below the spectral radius: an "
+                             f"eigenvalue of at least {floor!r} exists")
+        return lam_hat, 0
+    if op.spectral_bound is not None:
+        return op.spectral_bound, 0
+    rho, iters = _power_iteration(op, seed)
+    return (rho * _POWER_INFLATE if rho > 0.0 else 0.0), iters
 
 
 def _as_signal(x) -> GraphSignal:
@@ -180,24 +186,7 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    setup = 0
-    estimated = False
-    if lambda_max is not None:
-        lam_hat = float(lambda_max)
-        if not math.isfinite(lam_hat) or lam_hat < 0.0:
-            raise ValueError("lambda_max must be finite and non-negative")
-        floor = _lambda_floor(op)
-        if lam_hat < floor * (1.0 - _FLOOR_SLACK) or (lam_hat == 0.0 and op.nnz > 0):
-            raise ValueError(f"lambda_max={lam_hat!r} is below the spectral radius: an "
-                             f"eigenvalue of at least {floor!r} exists")
-    elif op.spectral_bound is not None:
-        lam_hat = op.spectral_bound
-    else:
-        lam, iters = _power_iteration(op, 1e-4, seed, _POWER_MAX_ITER)
-        lam_hat = lam * _POWER_INFLATE if lam > 0.0 else 0.0
-        setup = iters
-        estimated = True
-
+    lam_hat, setup = _resolve_lambda(op, lambda_max, seed)
     tau_effs = tuple(lam_hat * t / 2.0 for t in scales)
     tau_top = max(tau_effs)
     stats = SignalStats.from_signal(sig)
@@ -214,7 +203,7 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     bound = math.exp(log_bound_value(resolved, order, tau_top, stats)) if tau_top > 0.0 else 0.0
     return DiffusionPlan(
         lambda_max=lam_hat,
-        lambda_estimated=estimated,
+        lambda_estimated=setup > 0,
         scales=scales,
         tau_effs=tau_effs,
         order=order,
@@ -226,21 +215,13 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     )
 
 
-def _apply_streaming(op_scaled: SparseSymMatrix, x: np.ndarray, order: int,
-                     tau_eff: float) -> np.ndarray:
-    # identical operation order to build_basis + combine: the multiscale
-    # path must agree with this one bitwise
-    c = cheb_coefficients(tau_eff, order).coefficients
-    y = (0.5 * c[0]) * x
-    if order == 0:
-        return y
-    t_prev = x
-    t_cur = op_scaled.matvec(x) - x
-    y += c[1] * t_cur
-    for k in range(2, order + 1):
-        t_prev, t_cur = t_cur, 2.0 * (op_scaled.matvec(t_cur) - t_cur) - t_prev
-        y += c[k] * t_cur
-    return y
+def _stream(op: SparseSymMatrix, lam_hat: float, x: np.ndarray, order: int,
+            tau_eff: float) -> np.ndarray:
+    # the rows build_basis would store, summed as combine sums them, so
+    # the single-scale and multiscale paths agree bitwise
+    op_scaled = op.scaled(2.0 / lam_hat)
+    return cheb_sum(cheb_coefficients(tau_eff, order).coefficients,
+                    cheb_terms(op_scaled.matvec, x))
 
 
 def _report_for(plan: DiffusionPlan, idx: int, matvecs: int) -> DiffusionReport:
@@ -294,8 +275,7 @@ def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
     plan = make_plan(op, sig, [tau], tol, kind=kind, lambda_max=lambda_max, seed=seed)
     if plan.lambda_max == 0.0:
         return sig.values.copy(), _report_for(plan, 0, 0)
-    op_scaled = op.scaled(2.0 / plan.lambda_max)
-    y = _apply_streaming(op_scaled, sig.values, plan.order, plan.tau_effs[0])
+    y = _stream(op, plan.lambda_max, sig.values, plan.order, plan.tau_effs[0])
     return y, _report_for(plan, 0, plan.order)
 
 
@@ -328,8 +308,10 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     """Measured squared relative errors of the rank-``order`` truncation.
 
     Computed against the dense spectral oracle, so only operators small
-    enough for it are accepted. Returns the pair (input-relative,
-    output-relative).
+    enough for it are accepted. ``lambda_max`` is chosen and checked by
+    the same rule as :func:`make_plan`, so the audit measures the
+    expansion a run with the same arguments computes. Returns the pair
+    (input-relative, output-relative).
     """
     from .oracle import exact_diffusion
 
@@ -337,14 +319,11 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     tau = float(tau)
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
-    lam_hat = estimate_lambda_max(op, seed=seed) if lambda_max is None else float(lambda_max)
-    if lam_hat < 0.0:
-        raise ValueError("lambda_max must be non-negative")
+    lam_hat, _ = _resolve_lambda(op, lambda_max, seed)
     if lam_hat == 0.0:
         y = sig.values.copy()
     else:
-        op_scaled = op.scaled(2.0 / lam_hat)
-        y = _apply_streaming(op_scaled, sig.values, int(order), lam_hat * tau / 2.0)
+        y = _stream(op, lam_hat, sig.values, int(order), lam_hat * tau / 2.0)
     w = exact_diffusion(op, sig.values, tau)
     diff = y - w
     err = float(diff @ diff)

@@ -198,7 +198,7 @@ class GraphSignal:
     once at construction and reused by the error-bound machinery.
     """
 
-    __slots__ = ("values", "norm_sq", "component_sum", "_fp")
+    __slots__ = ("values", "norm_sq", "component_sum")
 
     def __init__(self, values):
         v = np.array(values, dtype=np.float64)
@@ -210,17 +210,10 @@ class GraphSignal:
         self.values = v
         self.norm_sq = float(v @ v)
         self.component_sum = float(np.sum(v))
-        self._fp = None
 
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-    @property
-    def fingerprint(self) -> str:
-        if self._fp is None:
-            self._fp = _digest(self.values)
-        return self._fp
 
     def __repr__(self):
         return f"GraphSignal(n={self.n}, norm_sq={self.norm_sq:.6g})"

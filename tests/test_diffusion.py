@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from chebheat.bounds import BoundKind
-from chebheat.diffusion import (_apply_streaming, _lambda_floor, estimate_lambda_max,
-                                expm_multiply, expm_multiscale, make_plan, measure_errors)
+import chebheat.diffusion
+from chebheat.bounds import BoundKind, true_min_order
+from chebheat.diffusion import (_lambda_floor, _stream, estimate_lambda_max, expm_multiply,
+                                expm_multiscale, make_plan, measure_errors)
 from chebheat.errors import ConvergenceError
 from chebheat.graphs import GraphSignal, build_laplacian, erdos_renyi
 
@@ -42,10 +43,13 @@ class TestEstimateLambdaMax:
         L = build_laplacian([], 3)
         assert estimate_lambda_max(L) == 0.0
 
-    def test_budget_raises(self):
+    def test_budget_raises(self, monkeypatch):
+        # two settled passes are needed from iteration 10 on, so a budget
+        # of 10 can never be met
+        monkeypatch.setattr(chebheat.diffusion, "_POWER_MAX_ITER", 10)
         L = build_laplacian(erdos_renyi(30, 0.2, seed=1), 30)
         with pytest.raises(ConvergenceError):
-            estimate_lambda_max(L, rel_tol=0.0, max_iter=20)
+            estimate_lambda_max(L)
 
 
 class TestSpectralRadiusSource:
@@ -58,6 +62,8 @@ class TestSpectralRadiusSource:
             plan = make_plan(L, np.ones(n), [1.0], 1e-8, seed=seed)
             assert plan.lambda_max >= 2.0
             assert plan.setup_matvecs == 0
+            # the audit helpers rescale by the same value as the run
+            assert estimate_lambda_max(L, seed=seed) == 2.0
 
     def test_too_small_lambda_rejected(self):
         # true lambda_max 20.824, free lower bound 19.162
@@ -69,6 +75,13 @@ class TestSpectralRadiusSource:
                 expm_multiply(L, x, 5.0, tol=1e-8, lambda_max=lam)
             with pytest.raises(ValueError, match="lambda_max"):
                 expm_multiscale(L, x, [0.5, 5.0], tol=1e-8, lambda_max=lam)
+            # unchecked, measure_errors gave 7.8e7 at 0.9 x true and measured
+            # the unchanged input at 0; true_min_order gave 32 and ran to
+            # the order cap
+            with pytest.raises(ValueError, match="lambda_max"):
+                measure_errors(L, x, 5.0, 30, lambda_max=lam)
+            with pytest.raises(ValueError, match="lambda_max"):
+                true_min_order(L, x, 5.0, 1e-8, lambda_max=lam)
         _, rep = expm_multiply(L, x, 5.0, tol=1e-8, lambda_max=true)
         assert rep.lambda_max == true
 
@@ -184,9 +197,8 @@ class TestMultiscale:
         scales = [0.01, 0.1, 0.7, 2.0]
         results = expm_multiscale(L, x, scales, tol=1e-5, seed=5)
         plan = make_plan(L, x, scales, 1e-5, seed=5)
-        scaled = L.scaled(2.0 / plan.lambda_max)
         for (y, rep), tau_eff in zip(results, plan.tau_effs):
-            ref = _apply_streaming(scaled, x.values, plan.order, tau_eff)
+            ref = _stream(L, plan.lambda_max, x.values, plan.order, tau_eff)
             np.testing.assert_array_equal(y, ref)
             assert rep.order == plan.order
 
