@@ -158,6 +158,23 @@ def _ratio_log(stats: SignalStats | None, kind: BoundKind) -> float:
     return math.log(stats.energy_ratio)
 
 
+_NEW_KINDS = (BoundKind.NEW_GENERIC, BoundKind.NEW_SPECIFIC)
+
+
+def _log_signal_term(kind: BoundKind, tau_eff: float, stats: SignalStats | None) -> float:
+    # the factor a certificate pays for the signal: exp(4 tau) generic, the energy ratio specific
+    if kind in (BoundKind.NEW_GENERIC, BoundKind.BASELINE_GENERIC):
+        return 4.0 * tau_eff
+    return _ratio_log(stats, kind)
+
+
+def _log_sq(new: bool, order: int, tau_eff: float) -> float:
+    # log of the squared remainder factor of the new (sup-norm) or the baseline family
+    if new:
+        return 2.0 * _log_sup_error_bound(order, tau_eff)
+    return _LN4 + 2.0 * _log_baseline_error_term(order, tau_eff)
+
+
 def log_bound_value(kind: BoundKind, order: int, tau_eff: float,
                     stats: SignalStats | None = None) -> float:
     """Natural log of the output-relative error bound.
@@ -169,21 +186,16 @@ def log_bound_value(kind: BoundKind, order: int, tau_eff: float,
     tau_eff = float(tau_eff)
     if tau_eff < 0.0:
         raise ValueError("tau_eff must be non-negative")
-    if kind in (BoundKind.NEW_GENERIC, BoundKind.NEW_SPECIFIC):
+    new = kind in _NEW_KINDS
+    if new:
         order = _check_order(order, tau_eff)
-        log_sq = 2.0 * _log_sup_error_bound(order, tau_eff)
-        if kind is BoundKind.NEW_GENERIC:
-            return log_sq + 4.0 * tau_eff
-        return log_sq + _ratio_log(stats, kind)
-    order = int(order)
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    log_sq = _LN4 + 2.0 * _log_baseline_error_term(order, tau_eff)
-    if tau_eff / 2.0 == 0.0:
-        return -math.inf  # zero scale: truncation error is identically zero
-    if kind is BoundKind.BASELINE_GENERIC:
-        return log_sq + 4.0 * tau_eff
-    return log_sq + _ratio_log(stats, kind)
+    else:
+        order = int(order)
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        if tau_eff / 2.0 == 0.0:
+            return -math.inf  # zero scale: truncation error is identically zero
+    return _log_sq(new, order, tau_eff) + _log_signal_term(kind, tau_eff, stats)
 
 
 def bound_value(kind: BoundKind, order: int, tau_eff: float,
@@ -206,14 +218,48 @@ def select_bound(tau_eff: float, stats: SignalStats) -> BoundKind:
     return BoundKind.NEW_GENERIC
 
 
+def _first_true(pred, start: int) -> int:
+    """Smallest ``k >= start`` with ``pred(k)``, for a ``pred`` that stays true once true.
+
+    Brackets the answer by doubling the step from ``start``, then
+    bisects: about ``2 log2(k - start)`` calls of ``pred``.
+    """
+    lo, hi = start - 1, start  # pred fails at every order through lo
+    while not pred(hi):
+        lo, hi = hi, 2 * hi - start + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def min_order(kind: BoundKind, tau_eff: float, tol: float,
               stats: SignalStats | None = None, cap: int = ORDER_CAP) -> int:
     """Smallest order whose certificate meets ``tol``.
 
-    A linear scan from the first valid order; the bounds are eventually
-    monotone but not unimodal enough near the start to trust bisection.
     Zero scale short-circuits to 0 for every kind (the truncation is
-    exact there, whatever the certificate says).
+    exact there, whatever the certificate says). Otherwise the search
+    starts at the first valid order and relies on each family being
+    non-increasing in the order ``k`` from there on:
+
+    * new family, ``k + 1 > tau_eff / 2``: from ``k`` to ``k + 1`` every
+      term of the log sup bound falls: ``half^2 / (k + 2)`` falls,
+      ``(k + 1) log(half) - log k!`` changes by ``log(half / (k + 1)) < 0``
+      and ``-log(k + 1 - half)`` falls;
+    * baseline family: up to ``k = 2 tau_eff`` it is the ``logaddexp`` of
+      a Gaussian term that falls with ``k`` and the geometric term at
+      ``2 tau_eff``, so it does not rise and stays at least that term;
+      beyond, it is the geometric term ``k log D - log(1 - D)``, affine
+      with slope ``log D < 0``, so it starts below that term and falls.
+
+    So the first certified order is bracketed by doubling and then
+    bisected. Each order is evaluated with the scalar operations of
+    :func:`log_bound_value`, so every value compared with ``log(tol)``
+    has the bits a linear scan would compare; the steps between orders
+    dwarf rounding, and the tests hold the result to a linear scan.
     """
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
@@ -223,17 +269,20 @@ def min_order(kind: BoundKind, tau_eff: float, tol: float,
         raise ValueError("tol must be positive")
     if tau_eff / 2.0 == 0.0:
         return 0
-    if kind in (BoundKind.NEW_GENERIC, BoundKind.NEW_SPECIFIC):
-        start = max(0, int(math.floor(tau_eff / 2.0)) + 1)
-    else:
-        start = 0
-    log_tol = math.log(tol)
-    for order in range(start, cap + 1):
-        if log_bound_value(kind, order, tau_eff, stats) <= log_tol:
-            return order
-    raise OrderCapError(
-        f"no order up to {cap} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"
-    )
+    new = kind in _NEW_KINDS
+    start = int(math.floor(tau_eff / 2.0)) + 1 if new else 0
+    order = cap + 1
+    if start <= cap:  # with no valid order to try, the signal statistics are never read
+        signal = _log_signal_term(kind, tau_eff, stats)
+        log_tol = math.log(tol)
+        # orders past the cap count as certified so that the search ends there
+        order = _first_true(
+            lambda k: k > cap or _log_sq(new, k, tau_eff) + signal <= log_tol, start)
+    if order > cap:
+        raise OrderCapError(
+            f"no order up to {cap} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"
+        )
+    return order
 
 
 def _growing_coefficients(tau_eff: float, cap: int):

@@ -41,7 +41,6 @@ class DiffusionPlan:
     """Everything decided before the first matvec of a diffusion run."""
 
     lambda_max: float
-    lambda_estimated: bool
     scales: tuple[float, ...]
     tau_effs: tuple[float, ...]
     order: int
@@ -203,7 +202,6 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     bound = math.exp(log_bound_value(resolved, order, tau_top, stats)) if tau_top > 0.0 else 0.0
     return DiffusionPlan(
         lambda_max=lam_hat,
-        lambda_estimated=setup > 0,
         scales=scales,
         tau_effs=tau_effs,
         order=order,

@@ -645,6 +645,9 @@ def save_edge_list(path, edges, n: int, comment: str | None = None):
                    [a[:, 0].astype(np.int64), a[:, 1].astype(np.int64), a[:, 2]])
 
 
+_PLAIN_SIGNAL_BYTES = b"0123456789.eE+-\n"  # all a signal file read in bulk may hold
+
+
 def load_signal(source, n: int | None = None) -> GraphSignal:
     """Build a signal from a generator spec or a text file.
 
@@ -652,6 +655,9 @@ def load_signal(source, n: int | None = None) -> GraphSignal:
     (standard normal entries), ``const:v``. Anything else is read as a
     one-value-per-line file (``#`` comments and blank lines skipped).
     ``n`` is required for specs and, when given, validated against files.
+    A file whose lines are all blank or one plain number (``0-9 . e E +
+    -``, no spaces) is read in bulk; any other file is read line by line,
+    so each ``ParseError`` carries its line number.
     """
     if isinstance(source, str) and ":" in source:
         head, _, arg = source.partition(":")
@@ -669,9 +675,19 @@ def load_signal(source, n: int | None = None) -> GraphSignal:
                 rng = np.random.default_rng(int(arg))
                 return GraphSignal(rng.standard_normal(n))
             return GraphSignal(np.full(n, float(arg)))
-    values = []
     with open(source, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        text = fh.read()
+    values = None
+    data = text.encode("utf-8")
+    if not data.translate(None, _PLAIN_SIGNAL_BYTES):
+        # every line is blank or one token, which float reads as the line-wise pass does
+        try:
+            values = list(map(float, data.split()))
+        except ValueError:
+            pass  # the line-wise pass names the line
+    if values is None:
+        values = []
+        for line_no, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -1,9 +1,11 @@
 """Dense reference paths used to validate the sparse pipeline.
 
 Everything here is deliberately independent of the fast code: the
-eigendecomposition is an in-house cyclic Jacobi, the coefficient
-integral is plain composite Simpson quadrature. Sizes are capped so the
-dense work stays cheap.
+eigendecomposition is LAPACK's (``numpy.linalg.eigh``), which shares no
+code with the Chebyshev path, and the coefficient integral is plain
+composite Simpson quadrature. Sizes are capped so the dense work stays
+cheap. The cyclic Jacobi eigensolver is kept as a second, in-house
+witness of the LAPACK spectrum.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def dense_spectrum(op: SparseSymMatrix) -> DenseSpectrum:
     hit = _spectrum_cache.get(key)
     if hit is not None:
         return hit
-    eig, vec = jacobi_eigh(op.to_dense())
+    eig, vec = np.linalg.eigh(op.to_dense())  # eigenvalues ascending
     spec = DenseSpectrum(eigenvalues=eig, vectors=vec, fingerprint=key)
     if len(_spectrum_cache) >= _CACHE_SIZE:
         _spectrum_cache.pop(next(iter(_spectrum_cache)))

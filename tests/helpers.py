@@ -2,16 +2,20 @@
 
 The Bessel oracle goes through mpmath at 50 digits so library output
 can be checked against an implementation it shares no code with. The
-``reference_*`` functions are the line-by-line graph reader, edge
-assembly and edge writer that the array code must match exactly.
+``reference_*`` functions are the line-by-line graph and signal readers,
+edge assembly, edge writer and linear order scan that the array and
+bisection code must match exactly.
 """
 
+import math
 import re
 
 import mpmath as mp
 import numpy as np
 
-from chebheat.errors import ParseError
+from chebheat.bessel import ORDER_CAP
+from chebheat.bounds import BoundKind, log_bound_value
+from chebheat.errors import OrderCapError, ParseError
 from chebheat.graphs import SparseSymMatrix
 
 mp.mp.dps = 50
@@ -194,3 +198,45 @@ def reference_save_edge_list(path, edges, n, comment=None):
             else:
                 i, j, w = edge
             fh.write(f"{int(i)} {int(j)} {float(w):.17g}\n")
+
+
+def reference_load_signal(source):
+    """Values of a one-value-per-line signal file, read line by line."""
+    values = []
+    with open(source, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ParseError(source, line_no, f"not a number: {line!r}") from None
+    if not values:
+        raise ParseError(source, 1, "signal file holds no values")
+    return values
+
+
+# ---------------------------------------------------------------------------
+# The linear order scan min_order ran before it bisected: one public
+# log_bound_value call per order from the first valid one.
+def reference_min_order(kind, tau_eff, tol, stats=None, cap=ORDER_CAP):
+    kind = BoundKind(kind)
+    tau_eff = float(tau_eff)
+    if tau_eff < 0.0:
+        raise ValueError("tau_eff must be non-negative")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if tau_eff / 2.0 == 0.0:
+        return 0
+    if kind in (BoundKind.NEW_GENERIC, BoundKind.NEW_SPECIFIC):
+        start = max(0, int(math.floor(tau_eff / 2.0)) + 1)
+    else:
+        start = 0
+    log_tol = math.log(tol)
+    for order in range(start, cap + 1):
+        if log_bound_value(kind, order, tau_eff, stats) <= log_tol:
+            return order
+    raise OrderCapError(
+        f"no order up to {cap} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"
+    )

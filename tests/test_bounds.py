@@ -9,12 +9,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chebheat.bessel import ORDER_CAP
 from chebheat.bounds import (AUTO, BoundKind, SignalStats, baseline_error_term,
                              bound_value, input_relative_bound, min_order, select_bound,
                              sup_error_bound, true_min_order)
 from chebheat.errors import OrderCapError
 from chebheat.graphs import GraphSignal, build_laplacian, erdos_renyi
+
+from helpers import reference_min_order
 
 # mpmath: 2 exp(1/12 - 1) (1/2)^2 / (1! * 3/2)
 G_1_1 = 0.13328321811494912
@@ -24,6 +29,7 @@ G_10_20 = 0.47260466835715895
 E_0_0 = 1.7792691352989108
 
 RATIO_200 = SignalStats(n=200, norm_sq=1.0, component_sum=1.0)  # energy ratio 200
+ZERO_SUM = SignalStats(n=5, norm_sq=1.0, component_sum=0.0)  # no energy ratio
 
 
 class TestSupErrorBound:
@@ -168,6 +174,58 @@ class TestMinOrder:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             min_order(BoundKind.NEW_GENERIC, 1.0, 0.0)
+
+
+def _order_or_error(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (ValueError, OrderCapError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMinOrderMatchesLinearScan:
+    """The bracketing search returns what the linear scan returned, or raises as it did."""
+
+    @pytest.mark.parametrize("kind", list(BoundKind))
+    def test_grid(self, kind):
+        taus = [0.0, 5e-324, 20.0, math.nextafter(20.0, 0.0)]
+        taus += np.logspace(-3.0, math.log10(2e3), 40).tolist()
+        for tau in taus:
+            for tol in np.logspace(-14.0, -1.0, 14).tolist():
+                got = _order_or_error(min_order, kind, tau, tol, stats=RATIO_200)
+                assert got == reference_min_order(kind, tau, tol, stats=RATIO_200), (tau, tol)
+
+    @pytest.mark.parametrize("kind, tau_eff, tol, stats, cap, expected", [
+        # unreachable tolerances
+        (BoundKind.NEW_GENERIC, 9.0, 1e-8, None, 10, OrderCapError),
+        (BoundKind.BASELINE_SPECIFIC, 50.0, 1e-300, RATIO_200, 30, OrderCapError),
+        # floor(tau_eff / 2) + 1 > cap: no valid order, so the statistics are never read
+        (BoundKind.NEW_GENERIC, 45.0, 1e-5, None, 20, OrderCapError),
+        (BoundKind.NEW_SPECIFIC, 1e5, 1e-5, None, ORDER_CAP, OrderCapError),
+        (BoundKind.NEW_SPECIFIC, 1e5, 1e-5, ZERO_SUM, ORDER_CAP, OrderCapError),
+        # a specific kind without a usable energy ratio
+        (BoundKind.NEW_SPECIFIC, 5.0, 1e-5, ZERO_SUM, ORDER_CAP, ValueError),
+        (BoundKind.BASELINE_SPECIFIC, 5.0, 1e-5, ZERO_SUM, ORDER_CAP, ValueError),
+        (BoundKind.NEW_SPECIFIC, 5.0, 1e-5, None, ORDER_CAP, ValueError),
+        (BoundKind.BASELINE_SPECIFIC, 5.0, 1e-5, None, ORDER_CAP, ValueError),
+        # the first order certifies, and the cap is that order
+        (BoundKind.BASELINE_GENERIC, 1e-3, 0.1, None, 3, 3),
+        (BoundKind.NEW_GENERIC, 1e-3, 0.1, None, 1, 1),
+    ])
+    def test_edge_cases(self, kind, tau_eff, tol, stats, cap, expected):
+        got = _order_or_error(min_order, kind, tau_eff, tol, stats=stats, cap=cap)
+        assert got == _order_or_error(reference_min_order, kind, tau_eff, tol, stats=stats, cap=cap)
+        assert (got[0] if isinstance(got, tuple) else got) == expected
+
+    @given(st.sampled_from(list(BoundKind)),
+           st.one_of(st.floats(min_value=1e-3, max_value=2e3), st.sampled_from([0.0, 5e-324])),
+           st.floats(min_value=1e-14, max_value=1e-1),
+           st.sampled_from([None, RATIO_200, ZERO_SUM, SignalStats(7, 2.5, 0.75)]),
+           st.one_of(st.just(ORDER_CAP), st.integers(min_value=0, max_value=60)))
+    @settings(max_examples=300, deadline=None)
+    def test_random(self, kind, tau_eff, tol, stats, cap):
+        assert (_order_or_error(min_order, kind, tau_eff, tol, stats=stats, cap=cap)
+                == _order_or_error(reference_min_order, kind, tau_eff, tol, stats=stats, cap=cap))
 
 
 class TestTrueMinOrder:

@@ -179,6 +179,17 @@ class TestBoundTable:
         assert code == 0
         assert "k_true" not in out
 
+    def test_true_table_bytes_match_golden_file(self, tmp_path):
+        # the golden file was written when the oracle diagonalized by cyclic
+        # Jacobi and min_order scanned every order: LAPACK and the
+        # bracketing search must give the same orders, byte for byte
+        out = tmp_path / "table.csv"
+        assert main(["bound-table", "--n", "60", "--p", "0.1", "--trials", "2",
+                     "--scales", "log:1e-2:1e2:9", "--tol", "1e-5", "--seed", "3", "--true",
+                     "--out", str(out)]) == 0
+        with open(os.path.join(DATA, "bound_table_true.csv"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
     def test_oracle_cap_exit_2(self, capsys):
         code, _, err = run(capsys, "bound-table", "--n", "501", "--p", "0.01",
                            "--trials", "1", "--scales", "1.0")

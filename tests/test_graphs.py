@@ -5,7 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebheat.errors import ParseError
@@ -13,7 +13,7 @@ from chebheat.graphs import (GraphSignal, SparseSymMatrix, build_laplacian, erdo
                              load_graph, load_signal, save_edge_list)
 
 from helpers import (complete_edges, path_edges, reference_laplacian, reference_load_graph,
-                     reference_save_edge_list, star_edges)
+                     reference_load_signal, reference_save_edge_list, star_edges)
 
 
 class TestBuildLaplacian:
@@ -434,3 +434,56 @@ def test_bulk_edge_list_reads_like_line_wise(text):
 @settings(max_examples=200, deadline=None)
 def test_bulk_matrix_market_reads_like_line_wise(text):
     _same_as_line_wise(text)
+
+
+# signal lines: plain numbers, tokens of the plain alphabet that float
+# rejects, and lines the bulk reader must leave to the line-wise pass
+_SIGNAL_VALUE = st.one_of(st.floats(min_value=-1e100, max_value=1e100).map(repr),
+                          st.integers(-10 ** 20, 10 ** 20).map(str),
+                          st.sampled_from(["1e5", "-0.5", "+.5", ".5e-3", "1.", "-0", "1E+3"]))
+_SIGNAL_BAD = st.sampled_from(["1e", "--1", ".", "e5", "1.2.3", "+", "-", "1e+", "1-2"])
+_SIGNAL_OTHER = st.sampled_from([
+    "", "  ", "# c", "  # n=3", "#1.5", "inf", "-Infinity", "nan", "1_000", "0x10", "1 2",
+    "1\t2", "1\x0c2", "2\x0b-3", "\xa01.5", "1.5\x0b", "\u0661\u0662", "abc", "1.5 # note",
+    "\x0c",
+])
+
+
+@st.composite
+def signal_texts(draw):
+    odd_rate = draw(st.sampled_from([0.0, 0.05, 0.3]))
+
+    def one(_):
+        roll = draw(st.floats(0.0, 1.0))
+        if roll < odd_rate / 3:
+            return draw(_SIGNAL_BAD)
+        if roll < odd_rate:
+            return draw(_SIGNAL_OTHER)
+        return draw(_PAD) + draw(_SIGNAL_VALUE) + draw(_PAD)
+
+    lines = [one(k) for k in range(draw(st.integers(0, 30)))]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def _signal_outcome(load, path):
+    try:
+        return ("ok", GraphSignal(load(path)).values.tolist())
+    except (ParseError, ValueError) as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line_no", None))
+
+
+@given(signal_texts())
+@example("1.5\n1 2\n3\n")  # two numbers on one line
+@example("1.5\n1\x0c2\n3\n")  # bytes.split would see two numbers here too
+@example("0.25\n1_000\n-3\n")
+@settings(max_examples=300, deadline=None)
+def test_bulk_signal_reads_like_line_wise(text):
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        got = _signal_outcome(lambda p: load_signal(p).values, path)
+        assert got == _signal_outcome(reference_load_signal, path)
+    finally:
+        os.remove(path)

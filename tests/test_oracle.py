@@ -1,4 +1,4 @@
-"""Dense reference paths: Jacobi eigensolver, exact diffusion, quadrature."""
+"""Dense reference paths: LAPACK and Jacobi spectra, exact diffusion, quadrature."""
 
 import math
 
@@ -11,7 +11,7 @@ from chebheat.graphs import build_laplacian, erdos_renyi
 from chebheat.oracle import (DENSE_CAP, coeff_integral, dense_spectrum, exact_diffusion,
                              jacobi_eigh, tail_sum)
 
-from helpers import complete_edges, dense_diffusion
+from helpers import complete_edges, dense_diffusion, path_edges
 
 
 class TestJacobi:
@@ -50,7 +50,38 @@ class TestJacobi:
             jacobi_eigh(L, max_sweeps=1)
 
 
+def _lattice_edges(*shape):
+    """Edges of the grid graph on ``shape``, nodes numbered in C order."""
+    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    edges = []
+    for axis in range(len(shape)):
+        lo = np.delete(idx, -1, axis=axis).ravel()
+        hi = np.delete(idx, 0, axis=axis).ravel()
+        edges += list(zip(lo.tolist(), hi.tolist()))
+    return edges
+
+
 class TestDenseSpectrum:
+    @pytest.mark.parametrize("edges, n", [
+        (path_edges(30), 30),
+        (path_edges(30) + [(29, 0)], 30),  # cycle
+        (_lattice_edges(6, 7), 42),
+        (_lattice_edges(4, 4, 4), 64),
+        (erdos_renyi(100, 0.1, seed=1), 100),
+    ])
+    def test_lapack_agrees_with_jacobi(self, edges, n):
+        # the Jacobi solver shares no code with LAPACK: an independent witness
+        L = build_laplacian(edges, n)
+        dense = L.to_dense()
+        scale = np.linalg.norm(dense)
+        spec = dense_spectrum(L)
+        eig, vec = jacobi_eigh(dense)
+        assert np.max(np.abs(spec.eigenvalues - eig)) <= 1e-10 * scale
+        assert (np.diff(spec.eigenvalues) >= 0.0).all()
+        for lam, u in ((spec.eigenvalues, spec.vectors), (eig, vec)):
+            assert np.linalg.norm((u * lam) @ u.T - dense) <= 1e-10 * scale
+            assert np.linalg.norm(u.T @ u - np.eye(n)) <= 1e-10 * np.sqrt(n)
+
     def test_cache_returns_same_object(self):
         L = build_laplacian([(0, 1), (1, 2)], 3)
         assert dense_spectrum(L) is dense_spectrum(L)
