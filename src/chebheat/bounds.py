@@ -26,9 +26,8 @@ from .chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
 from .errors import OrderCapError
 from .graphs import GraphSignal
 
-__all__ = ["BoundKind", "AUTO", "SignalStats", "sup_error_bound", "input_relative_bound",
-           "baseline_error_term", "bound_value", "log_bound_value", "select_bound",
-           "min_order", "true_min_order"]
+__all__ = ["BoundKind", "AUTO", "SignalStats", "sup_error_bound", "baseline_error_term",
+           "log_bound_value", "select_bound", "min_order", "true_min_order"]
 
 
 class BoundKind(str, Enum):
@@ -54,7 +53,14 @@ _LOG_1MD = math.log1p(-_D)
 
 @dataclass(frozen=True)
 class SignalStats:
-    """The aggregates of a signal that the specific bounds consume."""
+    """The aggregates of a signal that the specific bounds consume.
+
+    :meth:`from_signal` takes ``norm_sq`` and ``component_sum`` of
+    ``2^-e x`` with ``2^e`` just above ``max|x|``. The energy ratio does
+    not depend on scale, and a power-of-two scaling is exact, so it gets
+    the bits the plain sums would give wherever those are finite and
+    normal, and stays defined where they would overflow or underflow.
+    """
 
     n: int
     norm_sq: float
@@ -62,7 +68,9 @@ class SignalStats:
 
     @classmethod
     def from_signal(cls, signal: GraphSignal) -> "SignalStats":
-        return cls(n=signal.n, norm_sq=signal.norm_sq, component_sum=signal.component_sum)
+        x = signal.values
+        x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+        return cls(n=signal.n, norm_sq=float(x @ x), component_sum=float(np.sum(x)))
 
     @classmethod
     def from_values(cls, values) -> "SignalStats":
@@ -73,7 +81,10 @@ class SignalStats:
         """``n * ||x||^2 / (sum x)^2``; at least 1 by Cauchy-Schwarz."""
         if self.component_sum == 0.0:
             raise ValueError("energy ratio undefined: signal components sum to zero")
-        return self.n * self.norm_sq / (self.component_sum * self.component_sum)
+        sum_sq = self.component_sum * self.component_sum
+        # a sum cancelled to below about 1e-154 of the largest entry squares
+        # to zero; the ratio is then past the float range
+        return self.n * self.norm_sq / sum_sq if sum_sq > 0.0 else math.inf
 
 
 def _check_order(order: int, tau_eff: float) -> int:
@@ -113,15 +124,6 @@ def sup_error_bound(order: int, tau_eff: float) -> float:
         raise ValueError("tau_eff must be non-negative")
     order = _check_order(order, tau_eff)
     return math.exp(_log_sup_error_bound(order, tau_eff))
-
-
-def input_relative_bound(order: int, tau_eff: float) -> float:
-    """Bound on the squared error relative to the input energy."""
-    tau_eff = float(tau_eff)
-    if tau_eff < 0.0:
-        raise ValueError("tau_eff must be non-negative")
-    order = _check_order(order, tau_eff)
-    return math.exp(2.0 * _log_sup_error_bound(order, tau_eff))
 
 
 def _log_baseline_error_term(order: int, tau_eff: float) -> float:
@@ -196,12 +198,6 @@ def log_bound_value(kind: BoundKind, order: int, tau_eff: float,
         if tau_eff / 2.0 == 0.0:
             return -math.inf  # zero scale: truncation error is identically zero
     return _log_sq(new, order, tau_eff) + _log_signal_term(kind, tau_eff, stats)
-
-
-def bound_value(kind: BoundKind, order: int, tau_eff: float,
-                stats: SignalStats | None = None) -> float:
-    """Output-relative squared-error bound for one certificate kind."""
-    return math.exp(log_bound_value(kind, order, tau_eff, stats))
 
 
 def select_bound(tau_eff: float, stats: SignalStats) -> BoundKind:
@@ -291,7 +287,7 @@ def _growing_coefficients(tau_eff: float, cap: int):
     # coefficient from the first vector long enough to hold it
     done, size = 0, min(cap, 64)
     while True:
-        yield from cheb_coefficients(tau_eff, size).coefficients[done:]
+        yield from cheb_coefficients(tau_eff, size)[done:]
         if size == cap:
             return
         done, size = size + 1, min(cap, 2 * size)

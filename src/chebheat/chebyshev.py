@@ -13,53 +13,30 @@ signal only, so one basis serves every diffusion scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .bessel import bessel_ie_scaled
-from .graphs import GraphSignal, SparseSymMatrix
+from .graphs import SparseSymMatrix
 
-__all__ = ["CoefficientSet", "ChebBasisCache", "cheb_coefficients", "cheb_terms",
-           "cheb_partial_sums", "cheb_sum", "build_basis", "combine", "eval_scalar"]
-
-_DOMAIN_SLACK = 1e-12
+__all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "cheb_sum",
+           "build_basis", "combine"]
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientSet:
-    """Chebyshev coefficients of the heat kernel at one effective scale.
-
-    ``coefficients[0]`` is stored unhalved. Signs alternate: entry ``k``
-    carries the sign ``(-1)^k`` for any positive scale.
-    """
-
-    tau_eff: float
-    order: int
-    coefficients: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ChebBasisCache:
-    """Stacked basis vectors ``T_k(op - I) x`` for ``k = 0..order``.
-
-    Row ``k`` of ``vectors`` is the k-th basis vector.
-    """
-
-    order: int
-    vectors: np.ndarray
-
-
-def cheb_coefficients(tau_eff: float, order: int) -> CoefficientSet:
+def cheb_coefficients(tau_eff: float, order: int) -> np.ndarray:
     """Expansion coefficients of ``exp(-tau_eff * lam)`` up to ``order``.
+
+    A read-only vector of ``order + 1`` entries; ``c[0]`` is stored
+    unhalved, and entry ``k`` carries the sign ``(-1)^k`` for any
+    positive scale.
 
     Parameters
     ----------
     tau_eff : float
         Effective (rescaled) diffusion scale, non-negative.
     order : int
-        Truncation order; ``order + 1`` coefficients are returned.
+        Truncation order.
     """
     order = int(order)
     if order < 0:
@@ -67,7 +44,7 @@ def cheb_coefficients(tau_eff: float, order: int) -> CoefficientSet:
     c = 2.0 * bessel_ie_scaled(order, tau_eff)
     c[1::2] *= -1.0
     c.flags.writeable = False
-    return CoefficientSet(tau_eff=float(tau_eff), order=order, coefficients=c)
+    return c
 
 
 def cheb_terms(apply, x):
@@ -106,8 +83,8 @@ def cheb_sum(coefficients, terms):
     return y
 
 
-def build_basis(op: SparseSymMatrix, signal, order: int) -> ChebBasisCache:
-    """Build all basis vectors for ``signal`` under ``op``.
+def build_basis(op: SparseSymMatrix, x, order: int) -> np.ndarray:
+    """The read-only ``(order + 1) x n`` basis: row ``k`` is ``T_k(op - I) x``.
 
     ``op`` must already be rescaled so its spectrum sits inside
     ``[0, 2]``. Costs exactly ``order`` matrix-vector products; every
@@ -116,45 +93,25 @@ def build_basis(op: SparseSymMatrix, signal, order: int) -> ChebBasisCache:
     order = int(order)
     if order < 0:
         raise ValueError("order must be non-negative")
-    if isinstance(signal, GraphSignal):
-        x = signal.values
-    else:
-        x = np.ascontiguousarray(signal, dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError("signal must be 1-d")
-    if x.size != op.n:
-        raise ValueError(f"signal length {x.size} does not match operator size {op.n}")
-    vectors = np.empty((order + 1, op.n))
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (op.n,):
+        raise ValueError(f"signal of shape {x.shape} does not match operator size {op.n}")
+    basis = np.empty((order + 1, op.n))
     for k, t in enumerate(islice(cheb_terms(op.matvec, x), order + 1)):
-        vectors[k] = t
-    vectors.flags.writeable = False
-    return ChebBasisCache(order=order, vectors=vectors)
+        basis[k] = t
+    basis.flags.writeable = False
+    return basis
 
 
-def combine(cache: ChebBasisCache, coeffs: CoefficientSet):
-    """Contract a coefficient set against a cached basis.
+def combine(basis: np.ndarray, c) -> np.ndarray:
+    """Contract a coefficient vector against a stored basis.
 
-    The stored rows go through :func:`cheb_sum`, the same ascending-``k``
-    sum the streaming single-scale path runs, so both give bit-identical
+    The rows go through :func:`cheb_sum`, the same ascending-``k`` sum
+    the streaming single-scale path runs, so both give bit-identical
     output.
     """
-    if coeffs.order > cache.order:
+    if len(c) > len(basis):
         raise ValueError(
-            f"basis of order {cache.order} cannot serve coefficients of order {coeffs.order}"
+            f"basis of order {len(basis) - 1} cannot serve coefficients of order {len(c) - 1}"
         )
-    return cheb_sum(coeffs.coefficients, cache.vectors)
-
-
-def eval_scalar(tau_eff: float, order: int, lam):
-    """Evaluate the truncated expansion at scalar points in ``[0, 2]``.
-
-    Accepts a float or an array; the return matches the input shape.
-    """
-    arr = np.asarray(lam, dtype=np.float64)
-    if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > 2.0 + _DOMAIN_SLACK):
-        raise ValueError("lambda outside the rescaled spectral interval [0, 2]")
-    c = cheb_coefficients(tau_eff, order).coefficients
-    p = cheb_sum(c, cheb_terms(lambda v: arr * v, np.ones_like(arr)))
-    if np.isscalar(lam) or getattr(lam, "ndim", 0) == 0:
-        return float(p)
-    return p
+    return cheb_sum(c, basis)

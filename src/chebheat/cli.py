@@ -1,4 +1,4 @@
-"""Command-line front end: diffusion runs, bound tables, benchmarks.
+"""Command-line front end: diffusion runs, bound tables, random graphs.
 
 All commands emit CSV with ``#``-prefixed metadata lines, one header
 row, then data rows. Floats are written with 17 significant digits so
@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from contextlib import nullcontext
 
 import numpy as np
 
 from .bounds import AUTO, BoundKind, SignalStats, min_order, true_min_order
-from .chebyshev import build_basis, cheb_coefficients, combine
-from .diffusion import DEFAULT_SEED, estimate_lambda_max, expm_multiscale, make_plan
+from .diffusion import DEFAULT_SEED, estimate_lambda_max, expm_multiscale
 from .errors import NumericalError
 from .graphs import (build_laplacian, erdos_renyi, load_graph, load_signal, save_edge_list,
                      write_rows)
@@ -145,44 +143,6 @@ def cmd_bound_table(args) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def cmd_bench(args) -> None:
-    op, n = _resolve_graph(args.graph, args.laplacian)
-    sig = load_signal(args.signal, n)
-    scales = _parse_scales(args.scales)
-    m = len(scales)
-
-    def one_run():
-        t0 = time.perf_counter()
-        plan = make_plan(op, sig, scales, args.tol, kind=args.bound,
-                         lambda_max=args.lambda_max, seed=args.seed)
-        t1 = time.perf_counter()
-        if plan.lambda_max > 0.0:
-            op_scaled = op.scaled(2.0 / plan.lambda_max)
-            cache = build_basis(op_scaled, sig, plan.order)
-        else:
-            cache = None
-        t2 = time.perf_counter()
-        combine_s = 0.0
-        for tau_eff in plan.tau_effs:
-            tc = time.perf_counter()
-            if cache is not None:
-                combine(cache, cheb_coefficients(tau_eff, plan.order))
-            combine_s += time.perf_counter() - tc
-        return plan, t1 - t0, t2 - t1, combine_s
-
-    one_run()  # warm-up, not reported
-    with _out_stream(args.out) as fh:
-        fh.write("# command=bench\n")
-        fh.write(f"# n={n} nnz={op.nnz} m={m} tol={_fmt(args.tol)} seed={args.seed}\n")
-        fh.write("trial,K,matvecs,setup_matvecs,setup_s,basis_s,combine_total_s,combine_per_scale_s\n")
-        for trial in range(args.trials):
-            plan, setup_s, basis_s, combine_s = one_run()
-            fh.write(",".join([
-                str(trial), str(plan.order), str(plan.order), str(plan.setup_matvecs),
-                _fmt(setup_s), _fmt(basis_s), _fmt(combine_s), _fmt(combine_s / m),
-            ]) + "\n")
-
-
 def cmd_gen_graph(args) -> None:
     edges = erdos_renyi(args.n, args.p, args.seed)
     save_edge_list(args.out, edges, args.n,
@@ -194,24 +154,21 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Graph heat diffusion via Chebyshev expansions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_graph_flags(p):
-        p.add_argument("--graph", required=True,
-                       help="graph file (edge list or Matrix Market) or er:n:p:seed")
-        p.add_argument("--signal", required=True,
-                       help="signal file or dirac:k / normal:seed / const:v")
-        p.add_argument("--laplacian", choices=["combinatorial", "normalized"],
-                       default="combinatorial")
-        p.add_argument("--lambda-max", type=float, default=None,
-                       help="known spectral radius; skips power iteration")
-        p.add_argument("--bound", choices=_KIND_CHOICES, default=AUTO)
-
     def add_common(p):
         p.add_argument("--tol", type=float, default=1e-5)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("diffuse", help="apply the heat kernel at one or more scales")
-    add_graph_flags(p)
+    p.add_argument("--graph", required=True,
+                   help="graph file (edge list or Matrix Market) or er:n:p:seed")
+    p.add_argument("--signal", required=True,
+                   help="signal file or dirac:k / normal:seed / const:v")
+    p.add_argument("--laplacian", choices=["combinatorial", "normalized"],
+                   default="combinatorial")
+    p.add_argument("--lambda-max", type=float, default=None,
+                   help="known spectral radius; skips power iteration")
+    p.add_argument("--bound", choices=_KIND_CHOICES, default=AUTO)
     p.add_argument("--scales", required=True,
                    help="lin:a:b:m, log:a:b:m or comma-separated values")
     add_common(p)
@@ -228,13 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "for the dense oracle)")
     add_common(p)
     p.set_defaults(func=cmd_bound_table)
-
-    p = sub.add_parser("bench", help="time basis build vs per-scale recombination")
-    add_graph_flags(p)
-    p.add_argument("--scales", required=True)
-    p.add_argument("--trials", type=int, default=5)
-    add_common(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen-graph", help="write a reproducible random graph")
     p.add_argument("--n", type=int, required=True)

@@ -46,7 +46,6 @@ class DiffusionPlan:
     order: int
     kind: BoundKind
     tol: float
-    bound: float
     setup_matvecs: int
     stats: SignalStats
 
@@ -198,16 +197,13 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
             raise ValueError(
                 f"{resolved.value} bound is undefined for a signal whose components sum to zero"
             )
-    order = min_order(resolved, tau_top, tol, stats=stats)
-    bound = math.exp(log_bound_value(resolved, order, tau_top, stats)) if tau_top > 0.0 else 0.0
     return DiffusionPlan(
         lambda_max=lam_hat,
         scales=scales,
         tau_effs=tau_effs,
-        order=order,
+        order=min_order(resolved, tau_top, tol, stats=stats),
         kind=resolved,
         tol=float(tol),
-        bound=bound,
         setup_matvecs=setup,
         stats=stats,
     )
@@ -218,8 +214,7 @@ def _stream(op: SparseSymMatrix, lam_hat: float, x: np.ndarray, order: int,
     # the rows build_basis would store, summed as combine sums them, so
     # the single-scale and multiscale paths agree bitwise
     op_scaled = op.scaled(2.0 / lam_hat)
-    return cheb_sum(cheb_coefficients(tau_eff, order).coefficients,
-                    cheb_terms(op_scaled.matvec, x))
+    return cheb_sum(cheb_coefficients(tau_eff, order), cheb_terms(op_scaled.matvec, x))
 
 
 def _report_for(plan: DiffusionPlan, idx: int, matvecs: int) -> DiffusionReport:
@@ -291,13 +286,10 @@ def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
     if plan.lambda_max == 0.0:
         return [(sig.values.copy(), _report_for(plan, i, 0)) for i in range(len(plan.scales))]
     op_scaled = op.scaled(2.0 / plan.lambda_max)
-    cache = build_basis(op_scaled, sig, plan.order)
-    out = []
-    for i, tau_eff in enumerate(plan.tau_effs):
-        coeffs = cheb_coefficients(tau_eff, plan.order)
-        y = combine(cache, coeffs)
-        out.append((y, _report_for(plan, i, plan.order)))
-    return out
+    basis = build_basis(op_scaled, sig.values, plan.order)
+    return [(combine(basis, cheb_coefficients(tau_eff, plan.order)),
+             _report_for(plan, i, plan.order))
+            for i, tau_eff in enumerate(plan.tau_effs)]
 
 
 def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
@@ -325,7 +317,7 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     w = exact_diffusion(op, sig.values, tau)
     diff = y - w
     err = float(diff @ diff)
-    denom_in = sig.norm_sq
+    denom_in = float(sig.values @ sig.values)
     denom_out = float(w @ w)
     if denom_out == 0.0:
         raise ValueError("exact diffusion is zero; output-relative error undefined")

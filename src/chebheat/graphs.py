@@ -192,13 +192,9 @@ class SparseSymMatrix:
 
 
 class GraphSignal:
-    """Dense vertex signal with cached aggregate statistics.
+    """Dense vertex signal: a read-only, finite, non-empty 1-d array."""
 
-    The squared Euclidean norm and the plain component sum are computed
-    once at construction and reused by the error-bound machinery.
-    """
-
-    __slots__ = ("values", "norm_sq", "component_sum")
+    __slots__ = ("values",)
 
     def __init__(self, values):
         v = np.array(values, dtype=np.float64)
@@ -208,15 +204,13 @@ class GraphSignal:
             raise ValueError("signal contains non-finite values")
         v.flags.writeable = False
         self.values = v
-        self.norm_sq = float(v @ v)
-        self.component_sum = float(np.sum(v))
 
     @property
     def n(self) -> int:
         return int(self.values.size)
 
     def __repr__(self):
-        return f"GraphSignal(n={self.n}, norm_sq={self.norm_sq:.6g})"
+        return f"GraphSignal(n={self.n})"
 
 
 def _edge_array(edges) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared oracles and small graph builders for the test suite.
 
 The Bessel oracle goes through mpmath at 50 digits so library output
-can be checked against an implementation it shares no code with. The
+can be checked against an implementation it shares no code with.
+``eval_scalar`` evaluates the truncated series at scalar points. The
 ``reference_*`` functions are the line-by-line graph and signal readers,
 edge assembly, edge writer and linear order scan that the array and
 bisection code must match exactly.
@@ -15,6 +16,7 @@ import numpy as np
 
 from chebheat.bessel import ORDER_CAP
 from chebheat.bounds import BoundKind, log_bound_value
+from chebheat.chebyshev import cheb_coefficients, cheb_sum, cheb_terms
 from chebheat.errors import OrderCapError, ParseError
 from chebheat.graphs import SparseSymMatrix
 
@@ -38,6 +40,23 @@ def complete_edges(n: int):
 def star_edges(n: int):
     # hub is node 0
     return [(0, i) for i in range(1, n)]
+
+
+_DOMAIN_SLACK = 1e-12
+
+
+def eval_scalar(tau_eff: float, order: int, lam):
+    """The order-``order`` truncation of ``exp(-tau_eff * lam)`` at points of [0, 2].
+
+    Runs the package's recurrence and series sum with the operator
+    replaced by scalars; returns a float for a scalar ``lam``.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    if np.any(lam < -_DOMAIN_SLACK) or np.any(lam > 2.0 + _DOMAIN_SLACK):
+        raise ValueError("lambda outside the rescaled spectral interval [0, 2]")
+    p = cheb_sum(cheb_coefficients(tau_eff, order),
+                 cheb_terms(lambda v: lam * v, np.ones_like(lam)))
+    return p if lam.ndim else float(p)
 
 
 def dense_diffusion(dense_l: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:

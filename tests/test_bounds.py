@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from chebheat.bessel import ORDER_CAP
 from chebheat.bounds import (AUTO, BoundKind, SignalStats, baseline_error_term,
-                             bound_value, input_relative_bound, min_order, select_bound,
-                             sup_error_bound, true_min_order)
+                             log_bound_value, min_order, select_bound, sup_error_bound,
+                             true_min_order)
 from chebheat.errors import OrderCapError
 from chebheat.graphs import GraphSignal, build_laplacian, erdos_renyi
 
@@ -49,10 +49,6 @@ class TestSupErrorBound:
     def test_decreasing_in_order(self):
         vals = [sup_error_bound(k, 8.0) for k in range(4, 40)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_input_relative_is_square(self):
-        g = sup_error_bound(6, 3.0)
-        assert input_relative_bound(6, 3.0) == pytest.approx(g * g, rel=1e-13)
 
 
 class TestBaselineErrorTerm:
@@ -98,21 +94,37 @@ class TestSignalStats:
                 continue
             assert SignalStats.from_values(v).energy_ratio >= 1.0
 
+    @pytest.mark.parametrize("factor", [2.0 ** 600, 2.0 ** -600, 1e-200, 1e160, 1e300])
+    def test_energy_ratio_ignores_magnitude(self, factor):
+        x = np.random.default_rng(3).standard_normal(50)
+        ratio = SignalStats.from_values(x).energy_ratio
+        scaled = SignalStats.from_values(factor * x).energy_ratio
+        if math.frexp(factor)[0] == 0.5:  # a power of two scales exactly
+            assert scaled == ratio
+        else:
+            assert scaled == pytest.approx(ratio, rel=1e-12)
+
+    def test_energy_ratio_past_float_range_is_infinite(self):
+        # the sum cancels to 1e-170 of the largest entry; its square underflows
+        s = SignalStats.from_values([1.0, -1.0, 1e-170])
+        assert s.component_sum > 0.0 and s.energy_ratio == math.inf
+        assert select_bound(50.0, s) is BoundKind.NEW_GENERIC
+
 
 class TestBoundValue:
     def test_specific_needs_stats(self):
         with pytest.raises(ValueError):
-            bound_value(BoundKind.NEW_SPECIFIC, 8, 4.0)
+            log_bound_value(BoundKind.NEW_SPECIFIC, 8, 4.0)
 
     def test_generic_exceeds_specific_past_crossover(self):
         # tau' above ln(ratio)/4, so the signal factor beats exp(4 tau')
         tau = 3.0
-        gen = bound_value(BoundKind.NEW_GENERIC, 8, tau)
-        spec = bound_value(BoundKind.NEW_SPECIFIC, 8, tau, stats=RATIO_200)
+        gen = log_bound_value(BoundKind.NEW_GENERIC, 8, tau)
+        spec = log_bound_value(BoundKind.NEW_SPECIFIC, 8, tau, stats=RATIO_200)
         assert spec < gen
 
     def test_baseline_kinds_finite_at_large_tau(self):
-        v = bound_value(BoundKind.BASELINE_SPECIFIC, 300, 900.0, stats=RATIO_200)
+        v = math.exp(log_bound_value(BoundKind.BASELINE_SPECIFIC, 300, 900.0, stats=RATIO_200))
         assert math.isfinite(v) and v > 0.0
 
 
@@ -143,12 +155,12 @@ class TestMinOrder:
     def test_certified_at_returned_order(self):
         for kind in BoundKind:
             k = min_order(kind, 7.0, 1e-6, stats=RATIO_200)
-            assert bound_value(kind, k, 7.0, stats=RATIO_200) <= 1e-6
+            assert log_bound_value(kind, k, 7.0, stats=RATIO_200) <= math.log(1e-6)
             if k > 0:
-                prev = bound_value(kind, k - 1, 7.0, stats=RATIO_200) \
+                prev = log_bound_value(kind, k - 1, 7.0, stats=RATIO_200) \
                     if kind in (BoundKind.BASELINE_GENERIC, BoundKind.BASELINE_SPECIFIC) \
                     or k - 1 > 7.0 / 2.0 - 1.0 else math.inf
-                assert prev > 1e-6
+                assert prev > math.log(1e-6)
 
     def test_tau_zero_is_order_zero(self):
         for kind in BoundKind:
@@ -158,7 +170,7 @@ class TestMinOrder:
         # tau_eff/2 underflows to zero; treated as the zero-scale case
         for kind in BoundKind:
             assert min_order(kind, 5e-324, 1e-12, stats=RATIO_200) == 0
-            assert bound_value(kind, 0, 5e-324, stats=RATIO_200) == 0.0
+            assert log_bound_value(kind, 0, 5e-324, stats=RATIO_200) == -math.inf
 
     def test_monotone_in_tol(self):
         ks = [min_order(BoundKind.NEW_GENERIC, 5.0, tol) for tol in (1e-2, 1e-6, 1e-10)]

@@ -189,6 +189,19 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             make_plan(P2, DIRAC2, [], 1e-5, lambda_max=2.0)
 
+    @pytest.mark.parametrize("kind", ["new-specific", "auto"])
+    @pytest.mark.parametrize("factor", [2.0 ** 600, 2.0 ** -600, 1e-200, 1e160, 1e300])
+    def test_signal_magnitude_keeps_order(self, kind, factor):
+        L = build_laplacian(erdos_renyi(50, 0.2, seed=3), 50)
+        x = np.random.default_rng(0).standard_normal(50)
+        ref = make_plan(L, x, [1.0, 3.0], 1e-8, kind=kind)
+        plan = make_plan(L, factor * x, [1.0, 3.0], 1e-8, kind=kind)
+        assert ref.kind is BoundKind.NEW_SPECIFIC
+        assert (plan.order, plan.kind) == (ref.order, ref.kind)
+        y, _ = expm_multiply(L, factor * x, 3.0, tol=1e-8, kind=kind)
+        y_ref, _ = expm_multiply(L, x, 3.0, tol=1e-8, kind=kind)
+        np.testing.assert_allclose(y / factor, y_ref, rtol=0.0, atol=1e-12 * np.abs(y_ref).max())
+
 
 class TestMultiscale:
     def test_matches_single_scale_at_same_order(self):

@@ -151,9 +151,10 @@ class TestSparseSymMatrix:
 class TestGraphSignal:
     def test_stats(self):
         s = GraphSignal([3.0, 4.0])
-        assert s.norm_sq == 25.0
-        assert s.component_sum == 7.0
         assert s.n == 2
+        np.testing.assert_array_equal(s.values, [3.0, 4.0])
+        with pytest.raises(ValueError):
+            s.values[0] = 1.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

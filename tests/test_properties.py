@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from chebheat.bessel import bessel_ie_scaled
 from chebheat.bounds import BoundKind, min_order, sup_error_bound
-from chebheat.chebyshev import eval_scalar
 from chebheat.graphs import erdos_renyi
+
+from helpers import eval_scalar
 
 
 @given(st.floats(min_value=0.0, max_value=500.0), st.integers(min_value=0, max_value=150))
