@@ -72,18 +72,14 @@ class SignalStats:
         x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
         return cls(n=signal.n, norm_sq=float(x @ x), component_sum=float(np.sum(x)))
 
-    @classmethod
-    def from_values(cls, values) -> "SignalStats":
-        return cls.from_signal(GraphSignal(values))
-
     @property
     def energy_ratio(self) -> float:
-        """``n * ||x||^2 / (sum x)^2``; at least 1 by Cauchy-Schwarz."""
-        if self.component_sum == 0.0:
-            raise ValueError("energy ratio undefined: signal components sum to zero")
+        """``n * ||x||^2 / (sum x)^2``; at least 1 by Cauchy-Schwarz.
+
+        ``inf`` when ``(sum x)^2`` is zero: the sum is exactly zero, or it
+        cancelled to below about 1e-154 of the largest entry.
+        """
         sum_sq = self.component_sum * self.component_sum
-        # a sum cancelled to below about 1e-154 of the largest entry squares
-        # to zero; the ratio is then past the float range
         return self.n * self.norm_sq / sum_sq if sum_sq > 0.0 else math.inf
 
 
@@ -157,6 +153,9 @@ def baseline_error_term(order: int, tau_eff: float) -> float:
 def _ratio_log(stats: SignalStats | None, kind: BoundKind) -> float:
     if stats is None:
         raise ValueError(f"{kind.value} bound needs signal statistics")
+    if stats.energy_ratio == math.inf:
+        raise ValueError(f"{kind.value} bound is undefined for a signal whose components "
+                         f"sum to zero (or cancel past the float range)")
     return math.log(stats.energy_ratio)
 
 
@@ -204,11 +203,9 @@ def select_bound(tau_eff: float, stats: SignalStats) -> BoundKind:
     """Pick the sharper of the two new certificates for this signal.
 
     The specific variant wins exactly when ``tau_eff`` reaches a quarter
-    of the log energy ratio (ties go to specific); a zero component sum
-    forces the generic one.
+    of the log energy ratio (ties go to specific); an infinite ratio, from
+    a sum that is zero or cancels, forces the generic one.
     """
-    if stats.component_sum == 0.0:
-        return BoundKind.NEW_GENERIC
     if float(tau_eff) >= 0.25 * math.log(stats.energy_ratio):
         return BoundKind.NEW_SPECIFIC
     return BoundKind.NEW_GENERIC
@@ -302,9 +299,10 @@ def true_min_order(op, signal, tau: float, tol: float,
     as the diagonal ``clip(2 lambda / lambda_hat, 0, 2)`` in the
     eigenbasis, and ``lambda_hat`` is chosen and checked by the same rule
     as a diffusion run, so the result is directly comparable with
-    :func:`min_order` outputs. Limited to oracle-sized operators.
+    :func:`min_order` outputs. The signal is checked as a diffusion run
+    checks it, before any dense work. Limited to oracle-sized operators.
     """
-    from .diffusion import DEFAULT_SEED, _resolve_lambda
+    from .diffusion import _as_signal, _resolve_lambda
     from .oracle import dense_spectrum
 
     tau = float(tau)
@@ -312,11 +310,11 @@ def true_min_order(op, signal, tau: float, tol: float,
         raise ValueError("tau must be non-negative")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    x = signal.values if isinstance(signal, GraphSignal) else np.asarray(signal, dtype=np.float64)
+    x = _as_signal(signal).values
     spec = dense_spectrum(op)
     if x.shape != spec.eigenvalues.shape:
         raise ValueError("signal length does not match operator size")
-    lam_hat, _ = _resolve_lambda(op, lambda_max, DEFAULT_SEED)
+    lam_hat, _ = _resolve_lambda(op, lambda_max)
     xhat = spec.vectors.T @ x
     target = np.exp(-tau * spec.eigenvalues) * xhat
     denom = float(target @ target)

@@ -16,7 +16,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .bounds import AUTO, BoundKind, SignalStats, min_order, true_min_order
-from .diffusion import DEFAULT_SEED, estimate_lambda_max, expm_multiscale
+from .diffusion import estimate_lambda_max, expm_multiscale
 from .errors import NumericalError
 from .graphs import (build_laplacian, erdos_renyi, load_graph, load_signal, save_edge_list,
                      write_rows)
@@ -74,7 +74,7 @@ def cmd_diffuse(args) -> None:
     sig = load_signal(args.signal, n)
     scales = _parse_scales(args.scales)
     results = expm_multiscale(op, sig, scales, tol=args.tol, kind=args.bound,
-                              lambda_max=args.lambda_max, seed=args.seed)
+                              lambda_max=args.lambda_max)
     rep = results[0][1]
     with _out_stream(args.out) as fh:
         fh.write("# command=diffuse\n")
@@ -156,7 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--tol", type=float, default=1e-5)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("diffuse", help="apply the heat kernel at one or more scales")
@@ -183,13 +182,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--true", action=argparse.BooleanOptionalAction, default=True,
                    help="include the measured minimum order (needs n small enough "
                         "for the dense oracle)")
+    p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(func=cmd_bound_table)
 
     p = sub.add_parser("gen-graph", help="write a reproducible random graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_graph)
 

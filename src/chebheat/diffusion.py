@@ -20,13 +20,13 @@ from .chebyshev import build_basis, cheb_coefficients, cheb_sum, cheb_terms, com
 from .errors import ConvergenceError
 from .graphs import GraphSignal, SparseSymMatrix
 
-__all__ = ["DEFAULT_SEED", "DiffusionPlan", "DiffusionReport", "estimate_lambda_max",
+__all__ = ["DiffusionPlan", "DiffusionReport", "estimate_lambda_max",
            "make_plan", "expm_multiply", "expm_multiscale", "measure_errors"]
 
-DEFAULT_SEED = 0
-
 # power-iteration controls; a relative change of 1e-4 is plenty, the
-# estimate is inflated afterwards anyway
+# estimate is inflated afterwards anyway. A fixed start vector makes it
+# a function of the operator alone.
+_POWER_SEED = 0
 _POWER_REL_TOL = 1e-4
 _POWER_MIN_ITER = 10
 _POWER_MAX_ITER = 10000
@@ -65,8 +65,8 @@ class DiffusionReport:
     setup_matvecs: int
 
 
-def _power_iteration(op: SparseSymMatrix, seed: int) -> tuple[float, int]:
-    rng = np.random.default_rng(seed)
+def _power_iteration(op: SparseSymMatrix) -> tuple[float, int]:
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(op.n)
     v /= np.linalg.norm(v)
     rho_prev = math.inf
@@ -92,17 +92,18 @@ def _power_iteration(op: SparseSymMatrix, seed: int) -> tuple[float, int]:
     )
 
 
-def estimate_lambda_max(op: SparseSymMatrix, seed: int = DEFAULT_SEED) -> float:
+def estimate_lambda_max(op: SparseSymMatrix) -> float:
     """The spectral-radius value a diffusion run on ``op`` rescales by.
 
     The operator's ``spectral_bound`` when it carries one (2 for a
     normalized Laplacian), otherwise the power-iteration Rayleigh
     quotient inflated by 1%, so the rescaled spectrum stays inside
     [0, 2] even though the iterate only approaches the true value from
-    below. Deterministic for a fixed seed; exactly 0.0 for the zero
-    operator. Raises ConvergenceError if the iteration does not settle.
+    below. The iteration starts from a fixed vector, so the value depends
+    on the operator alone; exactly 0.0 for the zero operator. Raises
+    ConvergenceError if the iteration does not settle.
     """
-    return _resolve_lambda(op, None, seed)[0]
+    return _resolve_lambda(op, None)[0]
 
 
 def _lambda_floor(op: SparseSymMatrix) -> float:
@@ -126,8 +127,7 @@ def _lambda_floor(op: SparseSymMatrix) -> float:
     return float(max(diag.max(), pair.max(initial=-math.inf)))
 
 
-def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None,
-                    seed: int) -> tuple[float, int]:
+def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[float, int]:
     """The rescaling value lambda_hat and the matvecs spent choosing it.
 
     In order of preference: the given ``lambda_max``, checked against
@@ -146,7 +146,7 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None,
         return lam_hat, 0
     if op.spectral_bound is not None:
         return op.spectral_bound, 0
-    rho, iters = _power_iteration(op, seed)
+    rho, iters = _power_iteration(op)
     return (rho * _POWER_INFLATE if rho > 0.0 else 0.0), iters
 
 
@@ -155,21 +155,23 @@ def _as_signal(x) -> GraphSignal:
 
 
 def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
-              kind: BoundKind | str = AUTO, lambda_max: float | None = None,
-              seed: int = DEFAULT_SEED) -> DiffusionPlan:
+              kind: BoundKind | str = AUTO, lambda_max: float | None = None) -> DiffusionPlan:
     """Resolve order, bound kind and rescaling for a set of scales.
 
     The order is chosen once, at the largest effective scale, so a
     shared basis serves every scale. `kind=AUTO` resolves to whichever
-    new-bound variant is sharper for this signal at that scale.
+    new-bound variant is sharper for this signal at that scale. For a
+    signal whose components sum to zero, or cancel past the float range,
+    a specific kind raises ``ValueError`` and AUTO picks the generic one.
 
     The spectral radius is, in order of preference, the given
     ``lambda_max``, the operator's ``spectral_bound`` (2 for a normalized
     Laplacian, at no matvec cost), or an inflated power-iteration
-    estimate. A given ``lambda_max`` below a free lower bound on the
-    spectral radius (the largest diagonal entry, or the largest
-    eigenvalue of a stored edge's 2x2 principal submatrix), or 0 for a
-    nonzero operator, raises ``ValueError``. The check is one-sided: a
+    estimate from a fixed start vector, so it depends on nothing else.
+    A given ``lambda_max`` below a free lower bound on the spectral
+    radius (the largest diagonal entry, or the largest eigenvalue of a
+    stored edge's 2x2 principal submatrix), or 0 for a nonzero
+    operator, raises ``ValueError``. The check is one-sided: a
     value that passes it is not thereby proven to bound the spectrum.
     """
     sig = _as_signal(signal)
@@ -184,19 +186,11 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    lam_hat, setup = _resolve_lambda(op, lambda_max, seed)
+    lam_hat, setup = _resolve_lambda(op, lambda_max)
     tau_effs = tuple(lam_hat * t / 2.0 for t in scales)
     tau_top = max(tau_effs)
     stats = SignalStats.from_signal(sig)
-    if kind == AUTO:
-        resolved = select_bound(tau_top, stats)
-    else:
-        resolved = BoundKind(kind)
-        if resolved in (BoundKind.NEW_SPECIFIC, BoundKind.BASELINE_SPECIFIC) \
-                and stats.component_sum == 0.0:
-            raise ValueError(
-                f"{resolved.value} bound is undefined for a signal whose components sum to zero"
-            )
+    resolved = select_bound(tau_top, stats) if kind == AUTO else BoundKind(kind)
     return DiffusionPlan(
         lambda_max=lam_hat,
         scales=scales,
@@ -237,8 +231,8 @@ def _report_for(plan: DiffusionPlan, idx: int, matvecs: int) -> DiffusionReport:
 
 
 def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
-                  kind: BoundKind | str = AUTO, lambda_max: float | None = None,
-                  seed: int = DEFAULT_SEED) -> tuple[np.ndarray, DiffusionReport]:
+                  kind: BoundKind | str = AUTO,
+                  lambda_max: float | None = None) -> tuple[np.ndarray, DiffusionReport]:
     """Apply the heat kernel at one scale with a certified order.
 
     Parameters
@@ -255,9 +249,8 @@ def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
         Which certificate selects the order.
     lambda_max : float, optional
         Known spectral radius; skips power iteration when given. A value
-        provably below the spectral radius raises ValueError.
-    seed : int, optional
-        Seed for the power-iteration start vector.
+        provably below the spectral radius raises ValueError; otherwise
+        chosen from the operator alone, as in :func:`make_plan`.
 
     Returns
     -------
@@ -265,7 +258,7 @@ def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
         The diffused signal and the run record.
     """
     sig = _as_signal(x)
-    plan = make_plan(op, sig, [tau], tol, kind=kind, lambda_max=lambda_max, seed=seed)
+    plan = make_plan(op, sig, [tau], tol, kind=kind, lambda_max=lambda_max)
     if plan.lambda_max == 0.0:
         return sig.values.copy(), _report_for(plan, 0, 0)
     y = _stream(op, plan.lambda_max, sig.values, plan.order, plan.tau_effs[0])
@@ -273,8 +266,8 @@ def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
 
 
 def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
-                    kind: BoundKind | str = AUTO, lambda_max: float | None = None,
-                    seed: int = DEFAULT_SEED) -> list[tuple[np.ndarray, DiffusionReport]]:
+                    kind: BoundKind | str = AUTO,
+                    lambda_max: float | None = None) -> list[tuple[np.ndarray, DiffusionReport]]:
     """Apply the heat kernel at many scales off one shared basis.
 
     The basis is built for the largest effective scale; every other
@@ -282,7 +275,7 @@ def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
     Results match the single-scale path bitwise, in input order.
     """
     sig = _as_signal(x)
-    plan = make_plan(op, sig, scales, tol, kind=kind, lambda_max=lambda_max, seed=seed)
+    plan = make_plan(op, sig, scales, tol, kind=kind, lambda_max=lambda_max)
     if plan.lambda_max == 0.0:
         return [(sig.values.copy(), _report_for(plan, i, 0)) for i in range(len(plan.scales))]
     op_scaled = op.scaled(2.0 / plan.lambda_max)
@@ -293,8 +286,7 @@ def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
 
 
 def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
-                   lambda_max: float | None = None,
-                   seed: int = DEFAULT_SEED) -> tuple[float, float]:
+                   lambda_max: float | None = None) -> tuple[float, float]:
     """Measured squared relative errors of the rank-``order`` truncation.
 
     Computed against the dense spectral oracle, so only operators small
@@ -309,7 +301,7 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     tau = float(tau)
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
-    lam_hat, _ = _resolve_lambda(op, lambda_max, seed)
+    lam_hat, _ = _resolve_lambda(op, lambda_max)
     if lam_hat == 0.0:
         y = sig.values.copy()
     else:

@@ -14,7 +14,6 @@ as ``dirac:3``, ``normal:42``, ``const:0.5``.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import re
@@ -34,13 +33,6 @@ __all__ = [
 ]
 
 
-def _digest(*arrays) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
 class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form.
 
@@ -54,10 +46,13 @@ class SparseSymMatrix:
         Column indices, strictly increasing within each row.
     values : array_like of float
         Stored entries; explicit zeros are rejected.
-    spectral_bound : float, optional
-        A known upper bound on the largest eigenvalue, such as 2 for a
-        normalized Laplacian. It is trusted as given, carried through
-        :meth:`scaled`, and spares diffusion runs the power iteration.
+
+    Attributes
+    ----------
+    spectral_bound : float or None
+        A known upper bound on the largest eigenvalue. Only
+        :func:`build_laplacian` sets it (2, normalized); :meth:`scaled`
+        carries it. Diffusion runs estimate the radius of any other matrix.
 
     Notes
     -----
@@ -66,9 +61,9 @@ class SparseSymMatrix:
     equal value. The backing arrays are marked read-only afterwards.
     """
 
-    __slots__ = ("n", "row_ptr", "col_idx", "values", "spectral_bound", "_fp")
+    __slots__ = ("n", "row_ptr", "col_idx", "values", "spectral_bound")
 
-    def __init__(self, n, row_ptr, col_idx, values, spectral_bound=None):
+    def __init__(self, n, row_ptr, col_idx, values):
         n = int(n)
         row_ptr = np.array(row_ptr, dtype=np.int64)
         col_idx = np.array(col_idx, dtype=np.int64)
@@ -101,11 +96,10 @@ class SparseSymMatrix:
         self.row_ptr = row_ptr
         self.col_idx = col_idx
         self.values = values
-        self.spectral_bound = None if spectral_bound is None else float(spectral_bound)
+        self.spectral_bound = None
         self._check_symmetry()
         for a in (row_ptr, col_idx, values):
             a.flags.writeable = False
-        self._fp = None
 
     def _check_symmetry(self):
         rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_ptr))
@@ -129,24 +123,11 @@ class SparseSymMatrix:
         m.spectral_bound = spectral_bound
         for a in (row_ptr, col_idx, values):
             a.flags.writeable = False
-        m._fp = None
         return m
 
     @property
     def nnz(self) -> int:
         return int(self.values.size)
-
-    @property
-    def fingerprint(self) -> str:
-        """Hex digest of the full stored content (structure and values)."""
-        if self._fp is None:
-            self._fp = _digest(
-                np.asarray([self.n], dtype=np.int64),
-                self.row_ptr,
-                self.col_idx,
-                self.values,
-            )
-        return self._fp
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Multiply by a dense vector.
@@ -301,7 +282,6 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
     lo, hi, w = _accumulate_edges(edges, n)
     # one bincount over lo then hi adds in the order add.at(lo), add.at(hi) would
     deg = np.bincount(np.concatenate([lo, hi]), weights=np.concatenate([w, w]), minlength=n)
-    bound = None
     if kind == "normalized":
         isolated = np.nonzero(deg == 0.0)[0]
         if isolated.size:
@@ -311,7 +291,6 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
         off = -w / np.sqrt(deg[lo] * deg[hi])
         diag_vals = np.ones(n)
         diag_idx = np.arange(n, dtype=np.int64)
-        bound = 2.0
     else:
         off = -w
         diag_idx = np.nonzero(deg > 0.0)[0].astype(np.int64)
@@ -325,7 +304,9 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
     vals = vals[order]
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
-    return SparseSymMatrix(n, row_ptr, cols, vals, spectral_bound=bound)
+    op = SparseSymMatrix(n, row_ptr, cols, vals)
+    op.spectral_bound = 2.0 if kind == "normalized" else None
+    return op
 
 
 def erdos_renyi(n: int, p: float, seed: int):
@@ -566,17 +547,15 @@ def _parse_matrix_market(path, lines):
     return _merge_rows(line_no, i, j, w, extra), dims
 
 
-def load_graph(path, fmt: str | None = None):
+def load_graph(path):
     """Load an undirected graph file.
 
     Parameters
     ----------
     path : str or Path
-        Edge-list or Matrix Market file. The format is sniffed from the
-        first line unless ``fmt`` is one of ``"edge-list"`` /
-        ``"matrix-market"``.
-    fmt : str, optional
-        Force a specific parser.
+        Edge-list or Matrix Market file. A file whose first non-blank line
+        starts with ``%%MatrixMarket`` is read as Matrix Market, any other
+        as an edge list.
 
     Returns
     -------
@@ -593,18 +572,14 @@ def load_graph(path, fmt: str | None = None):
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = _TextLines(fh.read().encode("utf-8"))
-    if fmt is None:
-        first = ""
-        for k in range(1, lines.size + 1):
-            first = lines.line(k).strip()
-            if first:
-                break
-        fmt = "matrix-market" if first.lower().startswith("%%matrixmarket") else "edge-list"
-    if fmt == "matrix-market":
+    first = ""
+    for k in range(1, lines.size + 1):
+        first = lines.line(k).strip()
+        if first:
+            break
+    if first.lower().startswith("%%matrixmarket"):
         return _parse_matrix_market(path, lines)
-    if fmt == "edge-list":
-        return _parse_edge_list(path, lines)
-    raise ValueError(f"unknown graph format: {fmt!r}")
+    return _parse_edge_list(path, lines)
 
 
 _BLOCK_ROWS = 4096  # rows formatted per write; keeps the value lists small

@@ -10,6 +10,7 @@ witness of the LAPACK spectrum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ class DenseSpectrum:
 
     eigenvalues: np.ndarray  # ascending
     vectors: np.ndarray  # orthonormal columns, one per eigenvalue
-    fingerprint: str
 
 
 def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = 30):
@@ -98,24 +98,19 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = 30):
     return eig[order], np.ascontiguousarray(ut[order].T)
 
 
-_spectrum_cache: dict[str, DenseSpectrum] = {}
-_CACHE_SIZE = 32
-
-
+@functools.lru_cache(maxsize=32)
 def dense_spectrum(op: SparseSymMatrix) -> DenseSpectrum:
-    """Eigendecomposition of a sparse operator, memoized by fingerprint."""
+    """Eigendecomposition of a sparse operator, memoized per operator object.
+
+    Operators are immutable, so an object's spectrum never goes stale;
+    callers share the read-only arrays.
+    """
     if op.n > DENSE_CAP:
         raise ValueError(f"dense oracle is limited to n <= {DENSE_CAP}, got {op.n}")
-    key = op.fingerprint
-    hit = _spectrum_cache.get(key)
-    if hit is not None:
-        return hit
     eig, vec = np.linalg.eigh(op.to_dense())  # eigenvalues ascending
-    spec = DenseSpectrum(eigenvalues=eig, vectors=vec, fingerprint=key)
-    if len(_spectrum_cache) >= _CACHE_SIZE:
-        _spectrum_cache.pop(next(iter(_spectrum_cache)))
-    _spectrum_cache[key] = spec
-    return spec
+    for a in (eig, vec):
+        a.flags.writeable = False
+    return DenseSpectrum(eigenvalues=eig, vectors=vec)
 
 
 def exact_diffusion(op: SparseSymMatrix, x: np.ndarray, tau: float) -> np.ndarray:

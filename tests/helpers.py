@@ -2,7 +2,8 @@
 
 The Bessel oracle goes through mpmath at 50 digits so library output
 can be checked against an implementation it shares no code with.
-``eval_scalar`` evaluates the truncated series at scalar points. The
+``eval_scalar`` evaluates the truncated series at scalar points, and
+``same_operator`` compares operators bit for bit. The
 ``reference_*`` functions are the line-by-line graph and signal readers,
 edge assembly, edge writer and linear order scan that the array and
 bisection code must match exactly.
@@ -57,6 +58,13 @@ def eval_scalar(tau_eff: float, order: int, lam):
     p = cheb_sum(cheb_coefficients(tau_eff, order),
                  cheb_terms(lambda v: lam * v, np.ones_like(lam)))
     return p if lam.ndim else float(p)
+
+
+def same_operator(a: SparseSymMatrix, b: SparseSymMatrix) -> bool:
+    """Whether two operators hold the same CSR arrays, bit for bit."""
+    return a.n == b.n and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.row_ptr, b.row_ptr), (a.col_idx, b.col_idx), (a.values, b.values)))
 
 
 def dense_diffusion(dense_l: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chebheat.bounds
+import chebheat.oracle
 from chebheat.bessel import ORDER_CAP
 from chebheat.bounds import (AUTO, BoundKind, SignalStats, baseline_error_term,
                              log_bound_value, min_order, select_bound, sup_error_bound,
@@ -30,6 +32,10 @@ E_0_0 = 1.7792691352989108
 
 RATIO_200 = SignalStats(n=200, norm_sq=1.0, component_sum=1.0)  # energy ratio 200
 ZERO_SUM = SignalStats(n=5, norm_sq=1.0, component_sum=0.0)  # no energy ratio
+
+
+def _stats(values) -> SignalStats:
+    return SignalStats.from_signal(GraphSignal(values))
 
 
 class TestSupErrorBound:
@@ -81,10 +87,16 @@ class TestSignalStats:
         s = SignalStats.from_signal(GraphSignal([1.0, 1.0, 1.0, 1.0]))
         assert s.energy_ratio == pytest.approx(1.0)
 
-    def test_zero_sum_raises(self):
-        s = SignalStats.from_values([1.0, -1.0])
-        with pytest.raises(ValueError):
-            s.energy_ratio
+    @pytest.mark.parametrize("values", [[1.0, -1.0], [1.0, -1.0, 1e-170]])
+    def test_zero_sum_leaves_no_specific_certificate(self, values):
+        # an exact zero sum and one whose square underflows follow one rule
+        s = _stats(values)
+        assert s.energy_ratio == math.inf
+        for kind in (BoundKind.NEW_SPECIFIC, BoundKind.BASELINE_SPECIFIC):
+            with pytest.raises(ValueError, match="sum to zero"):
+                min_order(kind, 5.0, 1e-8, stats=s)
+            with pytest.raises(ValueError, match="sum to zero"):
+                log_bound_value(kind, 30, 5.0, stats=s)
 
     def test_cauchy_schwarz_floor(self):
         rng = np.random.default_rng(12)
@@ -92,13 +104,13 @@ class TestSignalStats:
             v = rng.standard_normal(30)
             if abs(v.sum()) < 1e-9:
                 continue
-            assert SignalStats.from_values(v).energy_ratio >= 1.0
+            assert _stats(v).energy_ratio >= 1.0
 
     @pytest.mark.parametrize("factor", [2.0 ** 600, 2.0 ** -600, 1e-200, 1e160, 1e300])
     def test_energy_ratio_ignores_magnitude(self, factor):
         x = np.random.default_rng(3).standard_normal(50)
-        ratio = SignalStats.from_values(x).energy_ratio
-        scaled = SignalStats.from_values(factor * x).energy_ratio
+        ratio = _stats(x).energy_ratio
+        scaled = _stats(factor * x).energy_ratio
         if math.frexp(factor)[0] == 0.5:  # a power of two scales exactly
             assert scaled == ratio
         else:
@@ -106,7 +118,7 @@ class TestSignalStats:
 
     def test_energy_ratio_past_float_range_is_infinite(self):
         # the sum cancels to 1e-170 of the largest entry; its square underflows
-        s = SignalStats.from_values([1.0, -1.0, 1e-170])
+        s = _stats([1.0, -1.0, 1e-170])
         assert s.component_sum > 0.0 and s.energy_ratio == math.inf
         assert select_bound(50.0, s) is BoundKind.NEW_GENERIC
 
@@ -137,7 +149,7 @@ class TestSelectBound:
         assert select_bound(thr + 1e-6, RATIO_200) is BoundKind.NEW_SPECIFIC
 
     def test_zero_sum_forces_generic(self):
-        s = SignalStats.from_values([1.0, -1.0])
+        s = _stats([1.0, -1.0])
         assert select_bound(50.0, s) is BoundKind.NEW_GENERIC
 
 
@@ -260,3 +272,17 @@ class TestTrueMinOrder:
     def test_tau_zero(self):
         L = build_laplacian([(0, 1)], 2)
         assert true_min_order(L, GraphSignal([1.0, 2.0]), 0.0, 1e-12, lambda_max=2.0) == 0
+
+    def test_rejects_non_finite_signal_before_any_work(self, monkeypatch):
+        # unchecked, a NaN entry ran all 20000 orders and raised OrderCapError
+        def no_work(*args):
+            raise AssertionError("dense or recurrence work on an invalid signal")
+
+        monkeypatch.setattr(chebheat.oracle, "dense_spectrum", no_work)
+        monkeypatch.setattr(chebheat.bounds, "cheb_partial_sums", no_work)
+        L = build_laplacian(erdos_renyi(50, 0.2, seed=3), 50)
+        x = np.random.default_rng(0).standard_normal(50)
+        for bad in (np.nan, np.inf):
+            x[7] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                true_min_order(L, x, 1.0, 1e-8)

@@ -9,6 +9,8 @@ from chebheat.cli import main
 from chebheat.diffusion import expm_multiscale
 from chebheat.graphs import build_laplacian, erdos_renyi, load_graph, load_signal
 
+from helpers import same_operator
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -41,7 +43,7 @@ class TestGenGraph:
         edges, n = load_graph(out)
         from chebheat.graphs import erdos_renyi
         direct = build_laplacian(erdos_renyi(40, 0.1, seed=2), 40)
-        assert build_laplacian(edges, n).fingerprint == direct.fingerprint
+        assert same_operator(build_laplacian(edges, n), direct)
 
 
 class TestDiffuse:
@@ -79,11 +81,15 @@ class TestDiffuse:
         assert len(header_cols) == 8  # node + 7 scales
 
     def test_deterministic(self, capsys):
+        # power iteration runs here, from a fixed start vector
         args = ("diffuse", "--graph", "er:30:0.2:5", "--signal", "normal:8",
-                "--scales", "0.2,2.0", "--seed", "3")
+                "--scales", "0.2,2.0")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
-        assert out1 == out2
+        assert out1 == out2 and "setup_matvecs=0" not in out1
+        # --seed seeds graphs only: gen-graph and bound-table take it, diffuse does not
+        with pytest.raises(SystemExit):
+            main([*args, "--seed", "3"])
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "diffuse", "--graph", "nope.txt",
@@ -96,6 +102,18 @@ class TestDiffuse:
         code, _, err = run(capsys, "diffuse", "--graph", str(g), "--signal", "const:0",
                            "--scales", "1", "--bound", "new-specific")
         assert code == 2 and "sum to zero" in err
+
+    def test_cancelled_sum_signal_with_specific_bound_exit_2(self, capsys, tmp_path):
+        # the sum is 1e-170, whose square underflows: the same rule as an exact
+        # zero sum, not "no order up to 20000 certifies" and exit 3
+        g, x = tmp_path / "g.txt", tmp_path / "x.txt"
+        g.write_text("0 1\n1 2\n")
+        x.write_text("1\n-1\n1e-170\n")
+        argv = ("diffuse", "--graph", str(g), "--signal", str(x), "--scales", "1")
+        code, _, err = run(capsys, *argv, "--bound", "new-specific")
+        assert code == 2 and "sum to zero" in err
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "kind=new-generic" in out
 
     def test_tiny_signal_certifies_like_unit_signal(self, capsys, tmp_path):
         # (sum x)^2 of a 1e-200 signal underflows in plain floats
