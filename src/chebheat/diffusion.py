@@ -10,6 +10,7 @@ one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,13 +107,16 @@ def estimate_lambda_max(op: SparseSymMatrix) -> float:
     return _resolve_lambda(op, None)[0]
 
 
+@functools.lru_cache(maxsize=1)
 def _lambda_floor(op: SparseSymMatrix) -> float:
     """A lower bound on the largest eigenvalue, free of matvecs.
 
     By eigenvalue interlacing, the largest eigenvalue is at least every
     diagonal entry and the largest eigenvalue of every 2x2 principal
     submatrix; this takes the maximum over the diagonal and over the
-    submatrices of the stored off-diagonal entries.
+    submatrices of the stored off-diagonal entries. Memoized for the last
+    operator object (operators are read-only): an order table checks one
+    given value against one operator at every scale.
     """
     if op.nnz == 0:
         return 0.0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 
@@ -49,8 +50,10 @@ class SparseSymMatrix:
 
     Attributes
     ----------
+    n, row_ptr, col_idx, values
+        The arguments, read-only.
     spectral_bound : float or None
-        A known upper bound on the largest eigenvalue. Only
+        A known upper bound on the largest eigenvalue, read-only. Only
         :func:`build_laplacian` sets it (2, normalized); :meth:`scaled`
         carries it. Diffusion runs estimate the radius of any other matrix.
 
@@ -61,7 +64,7 @@ class SparseSymMatrix:
     equal value. The backing arrays are marked read-only afterwards.
     """
 
-    __slots__ = ("n", "row_ptr", "col_idx", "values", "spectral_bound")
+    __slots__ = ("_n", "_row_ptr", "_col_idx", "_values", "_spectral_bound")
 
     def __init__(self, n, row_ptr, col_idx, values):
         n = int(n)
@@ -92,11 +95,11 @@ class SparseSymMatrix:
                     raise ValueError("column indices must be strictly increasing within a row")
             if np.any(values == 0.0):
                 raise ValueError("explicit zero entries are not allowed")
-        self.n = n
-        self.row_ptr = row_ptr
-        self.col_idx = col_idx
-        self.values = values
-        self.spectral_bound = None
+        self._n = n
+        self._row_ptr = row_ptr
+        self._col_idx = col_idx
+        self._values = values
+        self._spectral_bound = None
         self._check_symmetry()
         for a in (row_ptr, col_idx, values):
             a.flags.writeable = False
@@ -116,14 +119,34 @@ class SparseSymMatrix:
                               spectral_bound=None) -> "SparseSymMatrix":
         # internal fast path: caller guarantees the invariants
         m = object.__new__(cls)
-        m.n = int(n)
-        m.row_ptr = row_ptr
-        m.col_idx = col_idx
-        m.values = values
-        m.spectral_bound = spectral_bound
+        m._n = int(n)
+        m._row_ptr = row_ptr
+        m._col_idx = col_idx
+        m._values = values
+        m._spectral_bound = spectral_bound
         for a in (row_ptr, col_idx, values):
             a.flags.writeable = False
         return m
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        return self._row_ptr
+
+    @property
+    def col_idx(self) -> np.ndarray:
+        return self._col_idx
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values
+
+    @property
+    def spectral_bound(self) -> float | None:
+        return self._spectral_bound
 
     @property
     def nnz(self) -> int:
@@ -305,7 +328,7 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
     op = SparseSymMatrix(n, row_ptr, cols, vals)
-    op.spectral_bound = 2.0 if kind == "normalized" else None
+    op._spectral_bound = 2.0 if kind == "normalized" else None
     return op
 
 
@@ -333,115 +356,48 @@ def erdos_renyi(n: int, p: float, seed: int):
 
 _N_TOKEN = re.compile(r"(?:^|\s)n=(\d+)(?:\s|$)")
 
-# bytes a token may hold on a line the bulk reader reads
-_NUMERIC_BYTES = np.zeros(256, dtype=bool)
-_NUMERIC_BYTES[list(b"0123456789.eE+-")] = True
-_MAX_DIGITS = 18  # every 18-digit decimal fits in an int64
+# one record per line: a graph file's 2 or 3 fields, a signal file's 1
+_EDGE_DTYPES = {2: np.dtype([("i", np.int64), ("j", np.int64)]),
+                3: np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])}
+_SIGNAL_DTYPE = np.dtype([("x", np.float64)])
 
 
-def _digit_values(buf, starts, ends):
-    """Values of the all-digit tokens ``buf[starts:ends]`` as int64."""
-    length = ends - starts
-    out = np.zeros(starts.size, dtype=np.int64)
-    for width in np.flatnonzero(np.bincount(length)).tolist():
-        sel = np.flatnonzero(length == width)
-        at = starts[sel]
-        acc = np.zeros(sel.size, dtype=np.int64)
-        for d in range(width):
-            acc = acc * 10 + (buf[at + d] - 48)
-        out[sel] = acc
-    return out
+def _bulk_rows(path, head, dtype):
+    """The records after the first ``head`` lines of ``path``, read in one numpy call.
 
-
-class _TextLines:
-    """Line and token positions of a text file, for reading it in bulk.
-
-    ``data`` holds the file's bytes after universal-newline translation,
-    so its lines are what ``readlines`` gives. Line numbers are 1-based.
+    numpy splits on the whitespace ``str.split`` splits on and reads each
+    token to the value ``int`` or ``float`` gives, or rejects it. None when
+    any line there is not a ``dtype`` record (a comment, another field
+    count, a token numpy rejects): the caller then reads the file line by
+    line, so each ``ParseError`` names its line. Older numpy reads an int
+    field such as ``1.5`` through float with only a DeprecationWarning,
+    which counts as a rejection here.
     """
-
-    def __init__(self, data: bytes):
-        self.text = b"\n" + data + b"\n"
-        buf = np.frombuffer(self.text, dtype=np.uint8)
-        self.buf = buf
-        # line k lies between newline[k - 1] and newline[k]
-        self.newline = np.flatnonzero(buf == 10)
-        is_tok = (buf != 32) & (buf != 10) & (buf != 9)
-        self.starts = np.flatnonzero(is_tok[1:] & ~is_tok[:-1]) + 1
-        self.ends = np.flatnonzero(is_tok[:-1] & ~is_tok[1:]) + 1
-        self.counts = np.diff(np.searchsorted(self.starts, self.newline))
-        nondigit = np.flatnonzero(is_tok & ((buf - 48) > 9))
-        self.nondigit_tok = np.zeros(self.starts.size, dtype=bool)
-        self.nondigit_tok[np.searchsorted(self.starts, nondigit, side="right") - 1] = True
-        self.odd_line = np.zeros(self.counts.size, dtype=bool)
-        odd = nondigit[~_NUMERIC_BYTES[buf[nondigit]]]
-        self.odd_line[np.searchsorted(self.newline, odd) - 1] = True
-
-    @property
-    def size(self) -> int:
-        return int(self.counts.size)
-
-    def line(self, k: int) -> str:
-        return self.text[self.newline[k - 1] + 1:self.newline[k]].decode("utf-8")
-
-    def rows(self, fields: int | None = None):
-        """Read every line that is a plain numeric record, without a per-line loop.
-
-        A record is ``fields`` tokens (2 or 3; ``None`` takes the count
-        more lines have) separated by spaces or tabs: two runs of at most
-        18 ASCII digits, then a token of ``0-9 . e E + -`` that ``float``
-        accepts. ``int`` and ``float`` read such a line to the values
-        computed here, so the result is what a line-wise parser gives.
-
-        Returns
-        -------
-        (line_no, i, j, w, slow)
-            Line numbers and int64 columns ``i``, ``j`` of the records, and
-            their float64 weights (ones for two fields), then the sorted
-            numbers of the other non-blank lines, left to the line-wise
-            parser.
-        """
-        counts = self.counts
-        if fields is None:
-            fields = 2 if np.count_nonzero(counts == 2) > np.count_nonzero(counts == 3) else 3
-        good = (counts == fields) & ~self.odd_line
-        tok = np.repeat(good, counts)
-        s = self.starts[tok].reshape(-1, fields)
-        e = self.ends[tok].reshape(-1, fields)
-        irregular = self.nondigit_tok[tok].reshape(-1, fields) | (e - s > _MAX_DIGITS)
-        keep = ~irregular[:, 0] & ~irregular[:, 1]
-        i = _digit_values(self.buf, s[:, 0], e[:, 0])
-        j = _digit_values(self.buf, s[:, 1], e[:, 1])
-        w = np.ones(s.shape[0])
-        if fields == 3:
-            plain = ~irregular[:, 2]
-            w[plain] = _digit_values(self.buf, s[plain, 2], e[plain, 2])
-            other = np.flatnonzero(~plain)
-            for r, a, b in zip(other.tolist(), s[other, 2].tolist(), e[other, 2].tolist()):
-                try:
-                    w[r] = float(self.text[a:b])
-                except ValueError:
-                    keep[r] = False
-        line_no = np.flatnonzero(good)[keep] + 1
-        read = np.zeros(counts.size, dtype=bool)
-        read[line_no - 1] = True
-        slow = np.flatnonzero((counts > 0) & ~read) + 1
-        return line_no, i[keep], j[keep], w[keep], slow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(path, dtype=dtype, comments=None, skiprows=head,
+                              encoding="utf-8", ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
 
 
-def _merge_rows(line_no, i, j, w, extra):
-    """(m, 3) edge array of bulk rows and line-wise ``(line_no, i, j, w)`` rows, in file order."""
-    edges = np.column_stack([i, j, w])
-    if not extra:
-        return edges
-    extra_lines, *extra_cols = zip(*extra)
-    edges = np.concatenate([edges, np.array(extra_cols, dtype=np.float64).T])
-    return edges[np.argsort(np.concatenate([line_no, extra_lines]))]
+def _bulk_edges(path, head, fields, base, dims=None):
+    """Columns ``i, j, w`` of the records after the head, 0-based, or None.
 
-
-def _flagged(slow, line_no, mask):
-    """``slow`` with the bulk rows under ``mask`` added: the line-wise parser reports them."""
-    return np.union1d(slow, line_no[mask]).astype(np.int64)
+    Indices are read ``base``-based. None also when an edge breaks a rule
+    (a self-loop, an index below 0 or at least ``dims``): the line-wise
+    parser reports it.
+    """
+    rows = _bulk_rows(path, head, _EDGE_DTYPES[fields]) if fields in _EDGE_DTYPES else None
+    if rows is None:
+        return None
+    i, j = rows["i"] - base, rows["j"] - base
+    if np.any(i == j) or np.any(np.minimum(i, j) < 0):
+        return None
+    if dims is not None and np.any(np.maximum(i, j) >= dims):
+        return None
+    return i, j, rows["w"] if fields == 3 else np.ones(i.size)
 
 
 def _edge_fields(path, line_no, line):
@@ -462,27 +418,34 @@ def _edge_fields(path, line_no, line):
     return i, j, w
 
 
-def _parse_edge_list(path, lines):
-    line_no, i, j, w, slow = lines.rows()
-    slow = _flagged(slow, line_no, i == j)
+def _parse_edge_list(path):
     declared_n = None
-    extra = []
-    for k in slow.tolist():
-        line = lines.line(k).strip()
-        if line.startswith("#"):
-            m = _N_TOKEN.search(line[1:])
-            if m and declared_n is None:
-                declared_n = int(m.group(1))
-        elif line:
-            extra.append((k, *_edge_fields(path, k, line)))
-    max_idx = max([-1] + [int(c.max()) for c in (i, j) if c.size]
-                  + [max(e[1], e[2]) for e in extra])
+    edges = []  # line-wise (i, j, w) records
+    bulk = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                m = _N_TOKEN.search(line[1:])
+                if m and declared_n is None:
+                    declared_n = int(m.group(1))
+            elif line:
+                if not edges:  # the first record ends the head
+                    bulk = _bulk_edges(path, line_no - 1, len(line.split()), 0)
+                    if bulk is not None:
+                        break
+                edges.append(_edge_fields(path, line_no, line))
+    if bulk is None:
+        max_idx = max((max(i, j) for i, j, _ in edges), default=-1)
+    else:
+        max_idx = int(max(bulk[0].max(), bulk[1].max()))
+        edges = np.column_stack(bulk)
     n = declared_n if declared_n is not None else max_idx + 1
     if n < 1:
         raise ParseError(path, 1, "file declares no nodes")
     if max_idx >= n:
         raise ParseError(path, 1, f"node index {max_idx} exceeds declared n={n}")
-    return _merge_rows(line_no, i, j, w, extra), n
+    return np.asarray(edges, dtype=np.float64).reshape(-1, 3), n
 
 
 def _mm_entry(path, line_no, line, pattern, dims):
@@ -503,48 +466,47 @@ def _mm_entry(path, line_no, line, pattern, dims):
     return i, j, w
 
 
-def _parse_matrix_market(path, lines):
-    if lines.text == b"\n\n":  # nothing between the two sentinel newlines
-        raise ParseError(path, 1, "empty file")
-    fields = lines.line(1).strip().lower().split()
-    if (
-        len(fields) < 5
-        or fields[0] != "%%matrixmarket"
-        or fields[1] != "matrix"
-        or fields[2] != "coordinate"
-    ):
-        raise ParseError(path, 1, "expected '%%MatrixMarket matrix coordinate ...' header")
-    if fields[3] not in ("real", "integer", "pattern"):
-        raise ParseError(path, 1, f"unsupported field type {fields[3]!r}")
-    if fields[4] != "symmetric":
-        raise ParseError(path, 1, "only symmetric matrices describe graphs here")
-    pattern = fields[3] == "pattern"
-    dims = None
-    for size_line in range(2, lines.size + 1):
-        line = lines.line(size_line).strip()
-        if not line or line.startswith("%"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(path, size_line, "expected 'rows cols nnz' size line")
-        r, c, _ = (int(p) for p in parts)
-        if r != c:
-            raise ParseError(path, size_line, f"matrix must be square, got {r}x{c}")
-        dims = r
-        break
+def _parse_matrix_market(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        fields = fh.readline().strip().lower().split()
+        if (
+            len(fields) < 5
+            or fields[0] != "%%matrixmarket"
+            or fields[1] != "matrix"
+            or fields[2] != "coordinate"
+        ):
+            raise ParseError(path, 1, "expected '%%MatrixMarket matrix coordinate ...' header")
+        if fields[3] not in ("real", "integer", "pattern"):
+            raise ParseError(path, 1, f"unsupported field type {fields[3]!r}")
+        if fields[4] != "symmetric":
+            raise ParseError(path, 1, "only symmetric matrices describe graphs here")
+        pattern = fields[3] == "pattern"
+        dims = None
+        edges = []  # line-wise (i, j, w) entries
+        bulk = None
+        for line_no, raw in enumerate(fh, start=2):
+            line = raw.strip()
+            if not line or line.startswith("%"):
+                continue
+            if dims is None:
+                parts = line.split()
+                if len(parts) != 3:
+                    raise ParseError(path, line_no, "expected 'rows cols nnz' size line")
+                r, c, _ = (int(p) for p in parts)
+                if r != c:
+                    raise ParseError(path, line_no, f"matrix must be square, got {r}x{c}")
+                dims = r
+                continue
+            if not edges:  # the first entry ends the head
+                bulk = _bulk_edges(path, line_no - 1, 2 if pattern else 3, 1, dims)
+                if bulk is not None:
+                    break
+            edges.append(_mm_entry(path, line_no, line, pattern, dims))
     if dims is None:
         raise ParseError(path, 1, "missing size line")
-    line_no, i, j, w, slow = lines.rows(2 if pattern else 3)
-    body = line_no > size_line
-    line_no, i, j, w = line_no[body], i[body] - 1, j[body] - 1, w[body]
-    slow = _flagged(slow[slow > size_line], line_no,
-                    (i == j) | (i < 0) | (i >= dims) | (j < 0) | (j >= dims))
-    extra = []
-    for k in slow.tolist():
-        line = lines.line(k).strip()
-        if line and not line.startswith("%"):
-            extra.append((k, *_mm_entry(path, k, line, pattern, dims)))
-    return _merge_rows(line_no, i, j, w, extra), dims
+    if bulk is not None:
+        edges = np.column_stack(bulk)
+    return np.asarray(edges, dtype=np.float64).reshape(-1, 3), dims
 
 
 def load_graph(path):
@@ -566,20 +528,19 @@ def load_graph(path):
 
     Notes
     -----
-    Lines that are plain numeric records are read in bulk; every other
-    line, and every line that breaks a rule, goes through the line-wise
-    parser, which raises each ``ParseError`` with its line number.
+    The head of the file is its leading blank and comment lines, and for
+    Matrix Market also the header and size lines. When every line after
+    the head is a plain record with the first record's field count and no
+    rule is broken, numpy reads them all in one call. Any other file (a
+    comment after the head, a mix of 2- and 3-field lines, a self-loop,
+    an index out of range, a token such as ``1_0`` that numpy rejects) is
+    read line by line, and each ``ParseError`` carries its line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = _TextLines(fh.read().encode("utf-8"))
-    first = ""
-    for k in range(1, lines.size + 1):
-        first = lines.line(k).strip()
-        if first:
-            break
+        first = next((line for line in map(str.strip, fh) if line), "")
     if first.lower().startswith("%%matrixmarket"):
-        return _parse_matrix_market(path, lines)
-    return _parse_edge_list(path, lines)
+        return _parse_matrix_market(path)
+    return _parse_edge_list(path)
 
 
 _BLOCK_ROWS = 4096  # rows formatted per write; keeps the value lists small
@@ -614,7 +575,12 @@ def save_edge_list(path, edges, n: int, comment: str | None = None):
                    [a[:, 0].astype(np.int64), a[:, 1].astype(np.int64), a[:, 2]])
 
 
-_PLAIN_SIGNAL_BYTES = b"0123456789.eE+-\n"  # all a signal file read in bulk may hold
+def _signal_value(path, line_no, line):
+    """Parse one stripped, non-comment signal line; the reference for every error."""
+    try:
+        return float(line)
+    except ValueError:
+        raise ParseError(path, line_no, f"not a number: {line!r}") from None
 
 
 def load_signal(source, n: int | None = None) -> GraphSignal:
@@ -624,9 +590,10 @@ def load_signal(source, n: int | None = None) -> GraphSignal:
     (standard normal entries), ``const:v``. Anything else is read as a
     one-value-per-line file (``#`` comments and blank lines skipped).
     ``n`` is required for specs and, when given, validated against files.
-    A file whose lines are all blank or one plain number (``0-9 . e E +
-    -``, no spaces) is read in bulk; any other file is read line by line,
-    so each ``ParseError`` carries its line number.
+    When every line after the leading blank and comment lines holds one
+    number that numpy reads, numpy reads them all in one call; any other
+    file is read line by line, so each ``ParseError`` carries its line
+    number.
     """
     if isinstance(source, str) and ":" in source:
         head, _, arg = source.partition(":")
@@ -644,27 +611,19 @@ def load_signal(source, n: int | None = None) -> GraphSignal:
                 rng = np.random.default_rng(int(arg))
                 return GraphSignal(rng.standard_normal(n))
             return GraphSignal(np.full(n, float(arg)))
+    values = []
     with open(source, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    values = None
-    data = text.encode("utf-8")
-    if not data.translate(None, _PLAIN_SIGNAL_BYTES):
-        # every line is blank or one token, which float reads as the line-wise pass does
-        try:
-            values = list(map(float, data.split()))
-        except ValueError:
-            pass  # the line-wise pass names the line
-    if values is None:
-        values = []
-        for line_no, raw in enumerate(text.split("\n"), start=1):
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise ParseError(source, line_no, f"not a number: {line!r}") from None
-    if not values:
+            if not values:  # the first value ends the head
+                bulk = _bulk_rows(source, line_no - 1, _SIGNAL_DTYPE)
+                if bulk is not None:
+                    values = bulk["x"]
+                    break
+            values.append(_signal_value(source, line_no, line))
+    if len(values) == 0:
         raise ParseError(source, 1, "signal file holds no values")
     if n is not None and len(values) != n:
         raise ValueError(f"signal length {len(values)} does not match graph size {n}")

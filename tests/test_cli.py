@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from chebheat.cli import main
-from chebheat.diffusion import expm_multiscale
+from chebheat.cli import bound_table_data, main
+from chebheat.diffusion import _lambda_floor, expm_multiscale
 from chebheat.graphs import build_laplacian, erdos_renyi, load_graph, load_signal
 
 from helpers import same_operator
@@ -220,6 +220,14 @@ class TestBoundTable:
                      "--out", str(out)]) == 0
         with open(os.path.join(DATA, "bound_table_true.csv"), "rb") as fh:
             assert out.read_bytes() == fh.read()
+
+    def test_trial_computes_lambda_floor_once(self):
+        # every scale's true order checks the trial's lambda against the
+        # floor; it ran once per scale, 25 times a trial on the benchmark
+        _lambda_floor.cache_clear()
+        bound_table_data(30, 0.2, 1, [0.1, 1.0, 10.0], 1e-8, 0, with_true=True)
+        info = _lambda_floor.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_oracle_cap_exit_2(self, capsys):
         code, _, err = run(capsys, "bound-table", "--n", "501", "--p", "0.01",

@@ -79,6 +79,17 @@ class TestSpectralRadiusSource:
         _, eta = measure_errors(op, DIRAC2, 1.0, rep.order, lambda_max=rep.lambda_max)
         assert eta <= rep.bound <= 1e-8
 
+    def test_spectral_bound_is_read_only(self):
+        # assigning 0.5 on the 2-node path once reported a bound of 5.4e-10
+        # for a measured relative squared error of 0.047
+        op = SparseSymMatrix(2, [0, 2, 4], [0, 1, 0, 1], [1.0, -1.0, -1.0, 1.0])
+        with pytest.raises(AttributeError):
+            op.spectral_bound = 0.5
+        L = build_laplacian([(0, 1)], 2, kind="normalized")
+        with pytest.raises(AttributeError):
+            L.spectral_bound = 0.5
+        assert op.spectral_bound is None and L.spectral_bound == 2.0
+
     def test_too_small_lambda_rejected(self):
         # true lambda_max 20.824, free lower bound 19.162
         L = build_laplacian(erdos_renyi(200, 0.05, seed=7), 200)
