@@ -104,14 +104,24 @@ def build_basis(op: SparseSymMatrix, x, order: int) -> np.ndarray:
 
 
 def combine(basis: np.ndarray, c) -> np.ndarray:
-    """Contract a coefficient vector against a stored basis.
+    """Contract coefficient vectors against a stored basis in one pass.
 
-    The rows go through :func:`cheb_sum`, the same ascending-``k`` sum
-    the streaming single-scale path runs, so both give bit-identical
-    output.
+    ``c`` is one coefficient vector, giving one output of shape ``(n,)``,
+    or an ``(m, K + 1)`` array with a vector per row, giving ``(m, n)``.
+    Row ``k`` of the basis is read once and added to every output before
+    row ``k + 1``; each output still gets ``c[0]/2 t_0``, then
+    ``+= c[k] * t_k`` in ascending ``k``, the sum :func:`cheb_sum` forms,
+    so it is bit-identical to the streaming single-scale path.
     """
-    if len(c) > len(basis):
-        raise ValueError(
-            f"basis of order {len(basis) - 1} cannot serve coefficients of order {len(c) - 1}"
-        )
-    return cheb_sum(c, basis)
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape[-1] > len(basis):
+        raise ValueError(f"basis of order {len(basis) - 1} cannot serve coefficients "
+                         f"of order {c.shape[-1] - 1}")
+    rows = c.reshape(-1, c.shape[-1])
+    out = np.multiply.outer(0.5 * rows[:, 0], basis[0])
+    scratch = np.empty(basis.shape[1])
+    for t, column in zip(basis[1:], rows[:, 1:].T.tolist()):
+        for y, ck in zip(out, column):
+            np.multiply(t, ck, out=scratch)
+            y += scratch
+    return out.reshape(c.shape[:-1] + basis.shape[1:])

@@ -36,6 +36,11 @@ _POWER_INFLATE = 1.01
 # this close to it may be the exact spectral radius
 _FLOOR_SLACK = 1e-12
 
+# (operator, inflated estimate) of the last power iteration. The operator
+# itself is held, not its id(), so a new operator that reuses a freed
+# object's address can never be served that object's estimate.
+_last_power: tuple[SparseSymMatrix, float] | None = None
+
 
 @dataclass(frozen=True)
 class DiffusionPlan:
@@ -101,8 +106,9 @@ def estimate_lambda_max(op: SparseSymMatrix) -> float:
     quotient inflated by 1%, so the rescaled spectrum stays inside
     [0, 2] even though the iterate only approaches the true value from
     below. The iteration starts from a fixed vector, so the value depends
-    on the operator alone; exactly 0.0 for the zero operator. Raises
-    ConvergenceError if the iteration does not settle.
+    on the operator alone; exactly 0.0 for the zero operator. It is kept
+    for the last operator object, so asking again about that object costs
+    no matvecs. Raises ConvergenceError if the iteration does not settle.
     """
     return _resolve_lambda(op, None)[0]
 
@@ -137,7 +143,10 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[floa
     In order of preference: the given ``lambda_max``, checked against
     :func:`_lambda_floor`; the operator's ``spectral_bound``; the inflated
     power-iteration estimate. Every path that rescales an operator gets
-    its value here.
+    its value here. The estimate is a function of the (read-only)
+    operator alone, so it is memoized for the last operator object: a
+    repeat on that object returns the same bits at 0 matvecs. A failed
+    iteration stores nothing.
     """
     if lambda_max is not None:
         lam_hat = float(lambda_max)
@@ -150,8 +159,14 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[floa
         return lam_hat, 0
     if op.spectral_bound is not None:
         return op.spectral_bound, 0
+    global _last_power
+    last = _last_power
+    if last is not None and last[0] is op:
+        return last[1], 0
     rho, iters = _power_iteration(op)
-    return (rho * _POWER_INFLATE if rho > 0.0 else 0.0), iters
+    lam_hat = rho * _POWER_INFLATE if rho > 0.0 else 0.0
+    _last_power = (op, lam_hat)
+    return lam_hat, iters
 
 
 def _as_signal(x) -> GraphSignal:
@@ -172,6 +187,8 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     ``lambda_max``, the operator's ``spectral_bound`` (2 for a normalized
     Laplacian, at no matvec cost), or an inflated power-iteration
     estimate from a fixed start vector, so it depends on nothing else.
+    That estimate is kept for the last operator object: a repeat plan on
+    the same object reuses it and reports ``setup_matvecs = 0``.
     A given ``lambda_max`` below a free lower bound on the spectral
     radius (the largest diagonal entry, or the largest eigenvalue of a
     stored edge's 2x2 principal submatrix), or 0 for a nonzero
@@ -276,7 +293,9 @@ def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
 
     The basis is built for the largest effective scale; every other
     scale reuses it with its own coefficient vector, adding no matvecs.
-    Results match the single-scale path bitwise, in input order.
+    All scales are recombined in one pass over the basis (one
+    :func:`combine` call). Results match the single-scale path bitwise,
+    in input order; the outputs are the rows of one ``(m, n)`` array.
     """
     sig = _as_signal(x)
     plan = make_plan(op, sig, scales, tol, kind=kind, lambda_max=lambda_max)
@@ -284,9 +303,9 @@ def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
         return [(sig.values.copy(), _report_for(plan, i, 0)) for i in range(len(plan.scales))]
     op_scaled = op.scaled(2.0 / plan.lambda_max)
     basis = build_basis(op_scaled, sig.values, plan.order)
-    return [(combine(basis, cheb_coefficients(tau_eff, plan.order)),
-             _report_for(plan, i, plan.order))
-            for i, tau_eff in enumerate(plan.tau_effs)]
+    ys = combine(basis, np.stack([cheb_coefficients(tau_eff, plan.order)
+                                  for tau_eff in plan.tau_effs]))
+    return [(y, _report_for(plan, i, plan.order)) for i, y in enumerate(ys)]
 
 
 def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,

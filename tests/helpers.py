@@ -145,7 +145,10 @@ def reference_parse_matrix_market(path, lines):
         if dims is None:
             if len(parts) != 3:
                 raise ParseError(path, line_no, "expected 'rows cols nnz' size line")
-            r, c, _ = (int(p) for p in parts)
+            try:
+                r, c, _ = (int(p) for p in parts)
+            except ValueError:
+                raise ParseError(path, line_no, f"could not parse size line {line!r}") from None
             if r != c:
                 raise ParseError(path, line_no, f"matrix must be square, got {r}x{c}")
             dims = r
@@ -153,9 +156,12 @@ def reference_parse_matrix_market(path, lines):
         expected = 2 if pattern else 3
         if len(parts) != expected:
             raise ParseError(path, line_no, f"expected {expected} fields, got {len(parts)}")
-        i = int(parts[0]) - 1
-        j = int(parts[1]) - 1
-        w = 1.0 if pattern else float(parts[2])
+        try:
+            i = int(parts[0]) - 1
+            j = int(parts[1]) - 1
+            w = 1.0 if pattern else float(parts[2])
+        except ValueError:
+            raise ParseError(path, line_no, f"could not parse entry fields in {line!r}") from None
         if i == j:
             raise ParseError(
                 path, line_no, "diagonal entries are not edges; supply an adjacency pattern"

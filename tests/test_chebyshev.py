@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chebheat.chebyshev import build_basis, cheb_coefficients, combine
+from chebheat.chebyshev import build_basis, cheb_coefficients, cheb_sum, combine
 from chebheat.graphs import build_laplacian, erdos_renyi
 
 from helpers import eval_scalar
@@ -81,6 +81,23 @@ def test_combine_rejects_higher_order():
     basis = build_basis(L, [1.0, 0.0], 2)
     with pytest.raises(ValueError):
         combine(basis, cheb_coefficients(1.0, 3))
+
+
+def test_combine_many_scales_matches_one_at_a_time():
+    n = 50
+    rng = np.random.default_rng(4)
+    edges = np.array(erdos_renyi(n, 0.15, seed=4), dtype=np.float64)
+    edges[:, 2] = rng.uniform(0.2, 2.0, len(edges))
+    L = build_laplacian(edges, n)
+    lam = float(np.linalg.eigvalsh(L.to_dense()).max()) * 1.01
+    basis = build_basis(L.scaled(2.0 / lam), rng.standard_normal(n), 60)
+    for order in (60, 35, 0):  # a basis deeper than the coefficients serves them too
+        C = np.stack([cheb_coefficients(t, order) for t in (0.0, 0.05, 1.0, 4.0, 25.0)])
+        together = combine(basis, C)
+        assert together.shape == (5, n)
+        for c, y in zip(C, together):
+            assert y.tobytes() == combine(basis, c).tobytes()
+            assert y.tobytes() == cheb_sum(c, basis).tobytes()
 
 
 def test_combine_matches_dense_exponential():

@@ -1,5 +1,6 @@
 """End-to-end diffusion paths: planning, single scale, multiscale, audit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -52,6 +53,83 @@ class TestEstimateLambdaMax:
         L = build_laplacian(erdos_renyi(30, 0.2, seed=1), 30)
         with pytest.raises(ConvergenceError):
             estimate_lambda_max(L)
+
+
+def weighted_er(n, p, seed):
+    edges = np.array(erdos_renyi(n, p, seed=seed), dtype=np.float64)
+    edges[:, 2] = np.random.default_rng(seed).uniform(0.1, 3.0, len(edges))
+    return build_laplacian(edges, n)
+
+
+class TestPowerMemo:
+    """The power-iteration estimate is kept for the last operator object."""
+
+    SCALES = [0.01, 0.3, 2.0, 9.0]
+
+    def _counted_multiscale(self, monkeypatch, op, x):
+        counts = {"matvecs": 0}
+        inner = SparseSymMatrix.matvec
+
+        def counting_matvec(self, v):
+            counts["matvecs"] += 1
+            return inner(self, v)
+
+        with monkeypatch.context() as m:
+            m.setattr(SparseSymMatrix, "matvec", counting_matvec)
+            results = expm_multiscale(op, x, self.SCALES, tol=1e-8)
+        return results, counts["matvecs"]
+
+    def test_repeat_is_bitwise_equal_and_pays_only_the_basis(self, monkeypatch):
+        op = weighted_er(90, 0.08, seed=5)
+        x = np.random.default_rng(6).standard_normal(90)
+        first, first_count = self._counted_multiscale(monkeypatch, op, x)
+        repeat, repeat_count = self._counted_multiscale(monkeypatch, op, x)
+        assert first[0][1].setup_matvecs > 0
+        assert first_count == first[0][1].setup_matvecs + first[0][1].order
+        assert all(rep.setup_matvecs == 0 for _, rep in repeat)
+        assert repeat_count == repeat[0][1].order
+        for results in (first, repeat):
+            for (y, rep), tau in zip(results, self.SCALES):
+                assert rep.tau == tau
+                ref = _stream(op, rep.lambda_max, x, rep.order, rep.tau_eff)
+                assert y.tobytes() == ref.tobytes()
+        for (y, rep), (y_first, rep_first) in zip(repeat, first):
+            assert rep == dataclasses.replace(rep_first, setup_matvecs=0)
+            assert y.tobytes() == y_first.tobytes()
+
+    def test_equal_operator_recomputes_same_bits(self):
+        a = weighted_er(70, 0.1, seed=8)
+        b = weighted_er(70, 0.1, seed=8)
+        x = GraphSignal(np.random.default_rng(9).standard_normal(70))
+        plan_a = make_plan(a, x, [1.0], 1e-6)
+        plan_b = make_plan(b, x, [1.0], 1e-6)
+        assert plan_a.setup_matvecs == plan_b.setup_matvecs > 0
+        assert plan_a.lambda_max.hex() == plan_b.lambda_max.hex()
+        # b displaced a: the next plan on a pays the iteration again
+        assert make_plan(a, x, [1.0], 1e-6).setup_matvecs == plan_a.setup_matvecs
+
+    def test_convergence_error_not_memoized(self, monkeypatch):
+        op = build_laplacian(erdos_renyi(30, 0.2, seed=1), 30)
+        x = np.ones(30)
+        with monkeypatch.context() as m:
+            m.setattr(chebheat.diffusion, "_POWER_MAX_ITER", 10)
+            for _ in range(2):
+                with pytest.raises(ConvergenceError):
+                    make_plan(op, x, [1.0], 1e-6)
+        plan = make_plan(op, x, [1.0], 1e-6)
+        assert plan.setup_matvecs > 0
+        fresh = build_laplacian(erdos_renyi(30, 0.2, seed=1), 30)
+        assert plan.lambda_max == estimate_lambda_max(fresh)
+
+    def test_given_and_exact_values_bypass_memo(self):
+        op = weighted_er(40, 0.2, seed=3)
+        x = np.ones(40)
+        lam = estimate_lambda_max(op)
+        plan = make_plan(op, x, [1.0], 1e-6, lambda_max=2.0 * lam)
+        assert (plan.lambda_max, plan.setup_matvecs) == (2.0 * lam, 0)
+        norm = build_laplacian(erdos_renyi(40, 0.3, seed=3), 40, kind="normalized")
+        plan = make_plan(norm, x, [1.0], 1e-6)
+        assert (plan.lambda_max, plan.setup_matvecs) == (2.0, 0)
 
 
 class TestSpectralRadiusSource:

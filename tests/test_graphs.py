@@ -281,6 +281,24 @@ class TestFileFormats:
                 load_graph(path)
         assert exc.value.line_no == 1
 
+    def test_matrix_market_bad_entry_reports_position(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "3 3 2\n2 1 1.0\n3 x 2.0\n")
+        with pytest.raises(ParseError, match="could not parse entry fields in '3 x 2.0'") as exc:
+            load_graph(path)
+        assert exc.value.line_no == 4
+        assert str(path) in str(exc.value)
+
+    def test_matrix_market_bad_size_line_reports_position(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "% a comment\n3 y 2\n2 1 1.0\n")
+        with pytest.raises(ParseError, match="could not parse size line '3 y 2'") as exc:
+            load_graph(path)
+        assert exc.value.line_no == 3
+        assert str(path) in str(exc.value)
+
     def test_matrix_market_general_rejected(self, tmp_path):
         path = tmp_path / "g.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 0\n")
