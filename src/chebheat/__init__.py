@@ -2,8 +2,9 @@
 
 The package computes ``exp(-tau * L) x`` for sparse graph Laplacians by
 a three-term Chebyshev recurrence whose order is chosen a priori from a
-certified error bound, and amortizes the recurrence basis across many
-diffusion scales.
+certified error bound, and streams each recurrence vector into every
+diffusion scale at once, so m scales share one recurrence and no basis
+is stored.
 """
 
 from .bounds import BoundKind, SignalStats, min_order, true_min_order

@@ -8,7 +8,9 @@ For an operator whose spectrum lives in ``[0, 2]`` the scalar function
 with ``c[k] = (-1)^k * 2 * exp(-tau) * I_k(tau)``. The coefficient vector
 stores ``c[0]`` unhalved; the halving happens wherever the series is
 evaluated. Basis vectors ``T_k(op - I) x`` depend on the operator and the
-signal only, so one basis serves every diffusion scale.
+signal only, so one basis serves every diffusion scale. A scale needs
+only its coefficient vector, so each basis vector is added to every
+output as soon as the recurrence yields it, and none is stored.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import numpy as np
 from .bessel import bessel_ie_scaled
 from .graphs import SparseSymMatrix
 
-__all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "cheb_sum",
-           "build_basis", "combine"]
+__all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "build_basis", "combine"]
 
 
 def cheb_coefficients(tau_eff: float, order: int) -> np.ndarray:
@@ -76,19 +77,12 @@ def cheb_partial_sums(coefficients, terms):
         yield y
 
 
-def cheb_sum(coefficients, terms):
-    """The full sum of :func:`cheb_partial_sums`."""
-    for y in cheb_partial_sums(coefficients, terms):
-        pass
-    return y
-
-
-def build_basis(op: SparseSymMatrix, x, order: int) -> np.ndarray:
-    """The read-only ``(order + 1) x n`` basis: row ``k`` is ``T_k(op - I) x``.
+def build_basis(op: SparseSymMatrix, x, order: int):
+    """The ``order + 1`` basis rows ``T_k(op - I) x``, drawn lazily.
 
     ``op`` must already be rescaled so its spectrum sits inside
-    ``[0, 2]``. Costs exactly ``order`` matrix-vector products; every
-    intermediate vector is kept so later recombinations are matvec-free.
+    ``[0, 2]``. Drawing every row costs exactly ``order`` matrix-vector
+    products; the order and the signal shape are checked at the call.
     """
     order = int(order)
     if order < 0:
@@ -96,32 +90,32 @@ def build_basis(op: SparseSymMatrix, x, order: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.n,):
         raise ValueError(f"signal of shape {x.shape} does not match operator size {op.n}")
-    basis = np.empty((order + 1, op.n))
-    for k, t in enumerate(islice(cheb_terms(op.matvec, x), order + 1)):
-        basis[k] = t
-    basis.flags.writeable = False
-    return basis
+    return islice(cheb_terms(op.matvec, x), order + 1)
 
 
-def combine(basis: np.ndarray, c) -> np.ndarray:
-    """Contract coefficient vectors against a stored basis in one pass.
+def combine(basis, c) -> np.ndarray:
+    """Contract coefficient vectors against basis rows in one pass.
 
-    ``c`` is one coefficient vector, giving one output of shape ``(n,)``,
-    or an ``(m, K + 1)`` array with a vector per row, giving ``(m, n)``.
-    Row ``k`` of the basis is read once and added to every output before
-    row ``k + 1``; each output still gets ``c[0]/2 t_0``, then
-    ``+= c[k] * t_k`` in ascending ``k``, the sum :func:`cheb_sum` forms,
-    so it is bit-identical to the streaming single-scale path.
+    ``basis`` is any iterable of rows ``t_0, t_1, ...``, such as
+    :func:`build_basis`; ``c`` is one coefficient vector, giving an output
+    of shape ``(n,)``, or an ``(m, K + 1)`` array, giving ``(m, n)``. Row
+    ``k`` is drawn only once column ``k`` exists, added to every output
+    and dropped: each output gets ``c[0]/2 t_0``, then ``+= c[k] * t_k``
+    in ascending ``k``, as :func:`cheb_partial_sums` sums them. Rows that
+    run out before the coefficients raise ``ValueError``.
     """
     c = np.asarray(c, dtype=np.float64)
-    if c.shape[-1] > len(basis):
-        raise ValueError(f"basis of order {len(basis) - 1} cannot serve coefficients "
-                         f"of order {c.shape[-1] - 1}")
-    rows = c.reshape(-1, c.shape[-1])
-    out = np.multiply.outer(0.5 * rows[:, 0], basis[0])
-    scratch = np.empty(basis.shape[1])
-    for t, column in zip(basis[1:], rows[:, 1:].T.tolist()):
+    coeffs = c.reshape(-1, c.shape[-1])
+    rows = iter(basis)
+    for k, column in enumerate(coeffs.T.tolist()):
+        t = next(rows, None)
+        if t is None:
+            raise ValueError(f"basis of order {k - 1} cannot serve coefficients "
+                             f"of order {c.shape[-1] - 1}")
+        if k == 0:
+            out, scratch = np.multiply.outer(0.5 * coeffs[:, 0], t), np.empty_like(t)
+            continue
         for y, ck in zip(out, column):
             np.multiply(t, ck, out=scratch)
             y += scratch
-    return out.reshape(c.shape[:-1] + basis.shape[1:])
+    return out.reshape(c.shape[:-1] + t.shape)

@@ -97,6 +97,8 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
     with ``seed + t`` and the standard-normal signal with
     ``seed + t + 10000``.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     taus = [float(t) for t in taus]
     m = len(taus)
     tau_effs = np.zeros((trials, m))

@@ -2,10 +2,10 @@
 
 The pipeline is: estimate the spectral radius, rescale the operator to
 [0, 2], choose the truncation order from a certified bound at the
-largest effective scale, then run the three-term recurrence. The
-multiscale entry point builds the recurrence basis once and recombines
-it per scale, so m scales cost the same matvecs as the single largest
-one.
+largest effective scale, then run the three-term recurrence once. Every
+run takes one path: each recurrence vector goes into all m outputs as it
+is drawn, so m scales cost the matvecs of the largest one and no basis
+is stored. A single scale is the case m = 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import AUTO, BoundKind, SignalStats, log_bound_value, min_order, select_bound
-from .chebyshev import build_basis, cheb_coefficients, cheb_sum, cheb_terms, combine
+from .chebyshev import build_basis, cheb_coefficients, combine
 from .errors import ConvergenceError
 from .graphs import GraphSignal, SparseSymMatrix
 
@@ -224,15 +224,21 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     )
 
 
-def _stream(op: SparseSymMatrix, lam_hat: float, x: np.ndarray, order: int,
-            tau_eff: float) -> np.ndarray:
-    # the rows build_basis would store, summed as combine sums them, so
-    # the single-scale and multiscale paths agree bitwise
-    op_scaled = op.scaled(2.0 / lam_hat)
-    return cheb_sum(cheb_coefficients(tau_eff, order), cheb_terms(op_scaled.matvec, x))
+def _diffuse(op: SparseSymMatrix, lam_hat: float, x: np.ndarray, order: int,
+             tau_effs) -> np.ndarray:
+    """The order-``order`` expansions of ``x``, one row per effective scale.
+
+    ``order`` matvecs on ``op`` rescaled by ``2 / lam_hat``, for every
+    scale together; ``lam_hat == 0`` (the zero operator) returns copies.
+    """
+    # before the zero-operator shortcut, so a negative order raises on every operator
+    coeffs = np.stack([cheb_coefficients(t, order) for t in tau_effs])
+    if lam_hat == 0.0:
+        return np.tile(x, (len(tau_effs), 1))
+    return combine(build_basis(op.scaled(2.0 / lam_hat), x, order), coeffs)
 
 
-def _report_for(plan: DiffusionPlan, idx: int, matvecs: int) -> DiffusionReport:
+def _report_for(plan: DiffusionPlan, idx: int) -> DiffusionReport:
     tau_eff = plan.tau_effs[idx]
     if tau_eff > 0.0:
         bound = math.exp(log_bound_value(plan.kind, plan.order, tau_eff, plan.stats))
@@ -246,7 +252,7 @@ def _report_for(plan: DiffusionPlan, idx: int, matvecs: int) -> DiffusionReport:
         kind=plan.kind,
         bound=bound,
         tol=plan.tol,
-        matvecs=matvecs,
+        matvecs=plan.order,
         setup_matvecs=plan.setup_matvecs,
     )
 
@@ -255,6 +261,8 @@ def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
                   kind: BoundKind | str = AUTO,
                   lambda_max: float | None = None) -> tuple[np.ndarray, DiffusionReport]:
     """Apply the heat kernel at one scale with a certified order.
+
+    The one-scale case of :func:`expm_multiscale`.
 
     Parameters
     ----------
@@ -278,12 +286,7 @@ def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
     (ndarray, DiffusionReport)
         The diffused signal and the run record.
     """
-    sig = _as_signal(x)
-    plan = make_plan(op, sig, [tau], tol, kind=kind, lambda_max=lambda_max)
-    if plan.lambda_max == 0.0:
-        return sig.values.copy(), _report_for(plan, 0, 0)
-    y = _stream(op, plan.lambda_max, sig.values, plan.order, plan.tau_effs[0])
-    return y, _report_for(plan, 0, plan.order)
+    return expm_multiscale(op, x, [tau], tol, kind=kind, lambda_max=lambda_max)[0]
 
 
 def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
@@ -291,21 +294,16 @@ def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
                     lambda_max: float | None = None) -> list[tuple[np.ndarray, DiffusionReport]]:
     """Apply the heat kernel at many scales off one shared basis.
 
-    The basis is built for the largest effective scale; every other
-    scale reuses it with its own coefficient vector, adding no matvecs.
-    All scales are recombined in one pass over the basis (one
-    :func:`combine` call). Results match the single-scale path bitwise,
-    in input order; the outputs are the rows of one ``(m, n)`` array.
+    The order is chosen for the largest effective scale; every scale
+    takes the same basis vectors with its own coefficient vector, adding
+    no matvecs, and each vector is dropped once it is in every output:
+    memory holds the m outputs, never the basis. Results come in input
+    order; the outputs are the rows of one ``(m, n)`` array.
     """
     sig = _as_signal(x)
     plan = make_plan(op, sig, scales, tol, kind=kind, lambda_max=lambda_max)
-    if plan.lambda_max == 0.0:
-        return [(sig.values.copy(), _report_for(plan, i, 0)) for i in range(len(plan.scales))]
-    op_scaled = op.scaled(2.0 / plan.lambda_max)
-    basis = build_basis(op_scaled, sig.values, plan.order)
-    ys = combine(basis, np.stack([cheb_coefficients(tau_eff, plan.order)
-                                  for tau_eff in plan.tau_effs]))
-    return [(y, _report_for(plan, i, plan.order)) for i, y in enumerate(ys)]
+    ys = _diffuse(op, plan.lambda_max, sig.values, plan.order, plan.tau_effs)
+    return [(y, _report_for(plan, i)) for i, y in enumerate(ys)]
 
 
 def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
@@ -325,10 +323,7 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
     lam_hat, _ = _resolve_lambda(op, lambda_max)
-    if lam_hat == 0.0:
-        y = sig.values.copy()
-    else:
-        y = _stream(op, lam_hat, sig.values, int(order), lam_hat * tau / 2.0)
+    [y] = _diffuse(op, lam_hat, sig.values, int(order), [lam_hat * tau / 2.0])
     w = exact_diffusion(op, sig.values, tau)
     diff = y - w
     err = float(diff @ diff)

@@ -2,11 +2,11 @@
 
 The Bessel oracle goes through mpmath at 50 digits so library output
 can be checked against an implementation it shares no code with.
-``eval_scalar`` evaluates the truncated series at scalar points, and
-``same_operator`` compares operators bit for bit. The
-``reference_*`` functions are the line-by-line graph and signal readers,
-edge assembly, edge writer and linear order scan that the array and
-bisection code must match exactly.
+``series_sum`` sums a truncated series term by term, ``eval_scalar``
+evaluates it at scalar points, and ``same_operator`` compares operators
+bit for bit. The ``reference_*`` functions are the line-by-line graph
+and signal readers, edge assembly, edge writer and linear order scan
+that the array and bisection code must match exactly.
 """
 
 import math
@@ -17,7 +17,7 @@ import numpy as np
 
 from chebheat.bessel import ORDER_CAP
 from chebheat.bounds import BoundKind, log_bound_value
-from chebheat.chebyshev import cheb_coefficients, cheb_sum, cheb_terms
+from chebheat.chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
 from chebheat.errors import OrderCapError, ParseError
 from chebheat.graphs import SparseSymMatrix
 
@@ -46,6 +46,17 @@ def star_edges(n: int):
 _DOMAIN_SLACK = 1e-12
 
 
+def series_sum(coefficients, terms):
+    """The last of :func:`cheb_partial_sums`: the whole series, summed term by term.
+
+    The summation the true-order scan runs, one coefficient at a time,
+    so it shares no loop with ``combine``.
+    """
+    for y in cheb_partial_sums(coefficients, terms):
+        pass
+    return y
+
+
 def eval_scalar(tau_eff: float, order: int, lam):
     """The order-``order`` truncation of ``exp(-tau_eff * lam)`` at points of [0, 2].
 
@@ -55,8 +66,8 @@ def eval_scalar(tau_eff: float, order: int, lam):
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam < -_DOMAIN_SLACK) or np.any(lam > 2.0 + _DOMAIN_SLACK):
         raise ValueError("lambda outside the rescaled spectral interval [0, 2]")
-    p = cheb_sum(cheb_coefficients(tau_eff, order),
-                 cheb_terms(lambda v: lam * v, np.ones_like(lam)))
+    p = series_sum(cheb_coefficients(tau_eff, order),
+                   cheb_terms(lambda v: lam * v, np.ones_like(lam)))
     return p if lam.ndim else float(p)
 
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from chebheat.chebyshev import build_basis, cheb_coefficients, cheb_sum, combine
+from chebheat.chebyshev import build_basis, cheb_coefficients, cheb_terms, combine
 from chebheat.graphs import build_laplacian, erdos_renyi
 
-from helpers import eval_scalar
+from helpers import eval_scalar, series_sum
 
 # mpmath at 50 digits: +-2 exp(-tau) I_k(tau)
 C0_TAU1 = 0.93151921518728087
@@ -24,6 +24,8 @@ def test_frozen_coefficients():
     c2 = cheb_coefficients(2.0, 2)
     assert c2[0] == pytest.approx(C0_TAU2, rel=1e-14)
     assert c2[2] == pytest.approx(C2_TAU2, rel=1e-14)
+    with pytest.raises(ValueError):
+        c2[0] = 5.0
 
 
 def test_signs_alternate():
@@ -57,8 +59,8 @@ def test_basis_satisfies_recurrence():
     lam = 14.0  # any upper estimate works for the recurrence identity
     op = L.scaled(2.0 / lam)
     x = np.random.default_rng(0).standard_normal(50)
-    v = build_basis(op, x, 12)
-    assert v.shape == (13, 50)
+    v = list(build_basis(op, x, 12))
+    assert len(v) == 13
     np.testing.assert_array_equal(v[0], x)
     scale = np.linalg.norm(x)
     # T_{k+1} = 2(A - I)T_k - T_{k-1} with A the scaled operator
@@ -67,20 +69,33 @@ def test_basis_satisfies_recurrence():
         assert np.max(np.abs(resid)) <= 1e-12 * scale
 
 
-def test_basis_vectors_locked():
-    L = build_laplacian([(0, 1)], 2).scaled(1.0)
-    basis = build_basis(L, [1.0, 0.0], 2)
-    with pytest.raises(ValueError):
-        basis[0][0] = 5.0
-    with pytest.raises(ValueError):
-        cheb_coefficients(1.0, 2)[0] = 5.0
-
-
 def test_combine_rejects_higher_order():
     L = build_laplacian([(0, 1)], 2).scaled(1.0)
-    basis = build_basis(L, [1.0, 0.0], 2)
-    with pytest.raises(ValueError):
-        combine(basis, cheb_coefficients(1.0, 3))
+    with pytest.raises(ValueError, match="basis of order 2 cannot serve coefficients of order 3"):
+        combine(build_basis(L, [1.0, 0.0], 2), cheb_coefficients(1.0, 3))
+    # a row stream that ends early, before or after its first row
+    for rows in ([], [np.array([1.0, 0.0])]):
+        with pytest.raises(ValueError, match="cannot serve"):
+            combine(rows, np.stack([cheb_coefficients(1.0, 3)] * 2))
+
+
+def test_combine_draws_no_row_past_the_last_coefficient():
+    L = build_laplacian(erdos_renyi(40, 0.2, seed=2), 40)
+    op = L.scaled(2.0 / 17.0)
+    x = np.random.default_rng(1).standard_normal(40)
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return op.matvec(v)
+
+    for order in (0, 1, 25):
+        C = np.stack([cheb_coefficients(t, order) for t in (0.2, 3.0)])
+        calls.clear()
+        # an endless row stream: only the coefficients stop it
+        y = combine(cheb_terms(apply, x), C)
+        assert len(calls) == order
+        assert y.tobytes() == combine(build_basis(op, x, order), C).tobytes()
 
 
 def test_combine_many_scales_matches_one_at_a_time():
@@ -90,14 +105,14 @@ def test_combine_many_scales_matches_one_at_a_time():
     edges[:, 2] = rng.uniform(0.2, 2.0, len(edges))
     L = build_laplacian(edges, n)
     lam = float(np.linalg.eigvalsh(L.to_dense()).max()) * 1.01
-    basis = build_basis(L.scaled(2.0 / lam), rng.standard_normal(n), 60)
+    basis = list(build_basis(L.scaled(2.0 / lam), rng.standard_normal(n), 60))
     for order in (60, 35, 0):  # a basis deeper than the coefficients serves them too
         C = np.stack([cheb_coefficients(t, order) for t in (0.0, 0.05, 1.0, 4.0, 25.0)])
         together = combine(basis, C)
         assert together.shape == (5, n)
         for c, y in zip(C, together):
             assert y.tobytes() == combine(basis, c).tobytes()
-            assert y.tobytes() == cheb_sum(c, basis).tobytes()
+            assert y.tobytes() == series_sum(c, basis).tobytes()
 
 
 def test_combine_matches_dense_exponential():

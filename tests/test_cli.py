@@ -229,6 +229,14 @@ class TestBoundTable:
         info = _lambda_floor.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_exit_2_before_output(self, capsys, trials):
+        # 0 trials once wrote the header, then crashed in np.percentile (exit 1)
+        code, out, err = run(capsys, "bound-table", "--n", "20", "--p", "0.3",
+                             "--trials", trials, "--scales", "1.0")
+        assert (code, out) == (2, "")
+        assert "trials must be >= 1" in err
+
     def test_oracle_cap_exit_2(self, capsys):
         code, _, err = run(capsys, "bound-table", "--n", "501", "--p", "0.01",
                            "--trials", "1", "--scales", "1.0")

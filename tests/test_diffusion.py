@@ -2,21 +2,29 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import chebheat.diffusion
 from chebheat.bounds import BoundKind, true_min_order
-from chebheat.diffusion import (_lambda_floor, _stream, estimate_lambda_max, expm_multiply,
+from chebheat.chebyshev import cheb_coefficients, cheb_terms
+from chebheat.diffusion import (_lambda_floor, estimate_lambda_max, expm_multiply,
                                 expm_multiscale, make_plan, measure_errors)
 from chebheat.errors import ConvergenceError
 from chebheat.graphs import GraphSignal, SparseSymMatrix, build_laplacian, erdos_renyi
 
-from helpers import complete_edges
+from helpers import complete_edges, series_sum
 
 P2 = build_laplacian([(0, 1)], 2)
 DIRAC2 = GraphSignal([1.0, 0.0])
+
+
+def summed_term_by_term(op, lam_hat, x, order, tau_eff):
+    """The order-``order`` expansion at ``tau_eff``, one partial sum at a time."""
+    scaled = op.scaled(2.0 / lam_hat)
+    return series_sum(cheb_coefficients(tau_eff, order), cheb_terms(scaled.matvec, x))
 
 
 def lattice_3d_edges(side):
@@ -91,7 +99,7 @@ class TestPowerMemo:
         for results in (first, repeat):
             for (y, rep), tau in zip(results, self.SCALES):
                 assert rep.tau == tau
-                ref = _stream(op, rep.lambda_max, x, rep.order, rep.tau_eff)
+                ref = summed_term_by_term(op, rep.lambda_max, x, rep.order, rep.tau_eff)
                 assert y.tobytes() == ref.tobytes()
         for (y, rep), (y_first, rep_first) in zip(repeat, first):
             assert rep == dataclasses.replace(rep_first, setup_matvecs=0)
@@ -233,6 +241,9 @@ class TestSingleScale:
         y, rep = expm_multiply(L, x, 5.0)
         np.testing.assert_array_equal(y, x.values)
         assert rep.matvecs == 0
+        # a negative order once measured (0.0, 0.0) here and raised on any other operator
+        with pytest.raises(ValueError, match="order"):
+            measure_errors(L, x, 5.0, -1)
 
     def test_explicit_lambda_skips_estimation(self):
         y, rep = expm_multiply(P2, DIRAC2, 1.0, lambda_max=2.0)
@@ -314,9 +325,28 @@ class TestMultiscale:
         results = expm_multiscale(L, x, scales, tol=1e-5)
         plan = make_plan(L, x, scales, 1e-5)
         for (y, rep), tau_eff in zip(results, plan.tau_effs):
-            ref = _stream(L, plan.lambda_max, x.values, plan.order, tau_eff)
+            ref = summed_term_by_term(L, plan.lambda_max, x.values, plan.order, tau_eff)
             np.testing.assert_array_equal(y, ref)
             assert rep.order == plan.order
+
+    def test_memory_holds_the_outputs_not_the_basis(self):
+        # each basis row goes into every output as it is drawn: the peak is
+        # the m outputs, three recurrence vectors and the scaled operator's
+        # values with one matvec's gathered inputs and products (nnz each),
+        # whatever the order
+        n = 4000
+        L = build_laplacian([(i, (i + 1) % n) for i in range(n)], n, kind="normalized")
+        x = np.random.default_rng(0).standard_normal(n)
+        scales = [0.5, 200.0]
+        tracemalloc.start()
+        try:
+            results = expm_multiscale(L, x, scales, tol=1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vectors = 2 * (len(scales) + 3 + 3 * L.nnz / n)
+        assert results[0][1].order > vectors  # a stored basis alone would not fit
+        assert peak <= vectors * n * 8, (peak, results[0][1].order)
 
     def test_duplicate_scales_identical(self):
         results = expm_multiscale(P2, DIRAC2, [1.5, 1.5], tol=1e-6, lambda_max=2.0)
