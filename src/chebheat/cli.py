@@ -118,7 +118,7 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
             for kind in BoundKind:
                 orders[kind][t, j] = min_order(kind, te, tol, stats=stats)
             if with_true:
-                true_orders[t, j] = true_min_order(op, sig, tau, tol, lambda_max=lam)
+                true_orders[t, j] = true_min_order(op, sig, tau, tol)
     return {"taus": taus, "tau_effs": tau_effs, "orders": orders, "true": true_orders,
             "ratios": ratios}
 

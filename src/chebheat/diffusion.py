@@ -10,7 +10,6 @@ is stored. A single scale is the case m = 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,11 +34,6 @@ _POWER_INFLATE = 1.01
 # relative rounding allowance of _lambda_floor: a given lambda_max
 # this close to it may be the exact spectral radius
 _FLOOR_SLACK = 1e-12
-
-# (operator, inflated estimate) of the last power iteration. The operator
-# itself is held, not its id(), so a new operator that reuses a freed
-# object's address can never be served that object's estimate.
-_last_power: tuple[SparseSymMatrix, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -107,22 +101,20 @@ def estimate_lambda_max(op: SparseSymMatrix) -> float:
     [0, 2] even though the iterate only approaches the true value from
     below. The iteration starts from a fixed vector, so the value depends
     on the operator alone; exactly 0.0 for the zero operator. It is kept
-    for the last operator object, so asking again about that object costs
-    no matvecs. Raises ConvergenceError if the iteration does not settle.
+    on the operator object, so asking again about that object costs no
+    matvecs. Raises ConvergenceError if the iteration does not settle.
     """
     return _resolve_lambda(op, None)[0]
 
 
-@functools.lru_cache(maxsize=1)
 def _lambda_floor(op: SparseSymMatrix) -> float:
     """A lower bound on the largest eigenvalue, free of matvecs.
 
     By eigenvalue interlacing, the largest eigenvalue is at least every
     diagonal entry and the largest eigenvalue of every 2x2 principal
     submatrix; this takes the maximum over the diagonal and over the
-    submatrices of the stored off-diagonal entries. Memoized for the last
-    operator object (operators are read-only): an order table checks one
-    given value against one operator at every scale.
+    submatrices of the stored off-diagonal entries. Computed afresh for
+    each given ``lambda_max``, one pass over the stored entries.
     """
     if op.nnz == 0:
         return 0.0
@@ -144,9 +136,9 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[floa
     :func:`_lambda_floor`; the operator's ``spectral_bound``; the inflated
     power-iteration estimate. Every path that rescales an operator gets
     its value here. The estimate is a function of the (read-only)
-    operator alone, so it is memoized for the last operator object: a
-    repeat on that object returns the same bits at 0 matvecs. A failed
-    iteration stores nothing.
+    operator alone, so it is kept on the operator object: every repeat
+    on that object returns the same bits at 0 matvecs, whatever other
+    operators were used in between. A failed iteration stores nothing.
     """
     if lambda_max is not None:
         lam_hat = float(lambda_max)
@@ -159,13 +151,11 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[floa
         return lam_hat, 0
     if op.spectral_bound is not None:
         return op.spectral_bound, 0
-    global _last_power
-    last = _last_power
-    if last is not None and last[0] is op:
-        return last[1], 0
+    if "lambda_hat" in op._facts:
+        return op._facts["lambda_hat"], 0
     rho, iters = _power_iteration(op)
     lam_hat = rho * _POWER_INFLATE if rho > 0.0 else 0.0
-    _last_power = (op, lam_hat)
+    op._facts["lambda_hat"] = lam_hat
     return lam_hat, iters
 
 
@@ -187,8 +177,8 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     ``lambda_max``, the operator's ``spectral_bound`` (2 for a normalized
     Laplacian, at no matvec cost), or an inflated power-iteration
     estimate from a fixed start vector, so it depends on nothing else.
-    That estimate is kept for the last operator object: a repeat plan on
-    the same object reuses it and reports ``setup_matvecs = 0``.
+    That estimate is kept on the operator object: every later plan on the
+    same object reuses it and reports ``setup_matvecs = 0``.
     A given ``lambda_max`` below a free lower bound on the spectral
     radius (the largest diagonal entry, or the largest eigenvalue of a
     stored edge's 2x2 principal submatrix), or 0 for a nonzero

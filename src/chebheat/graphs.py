@@ -62,9 +62,16 @@ class SparseSymMatrix:
     Symmetry is checked at construction by a transpose compare, so every
     stored ``(i, j)`` entry must have a mirror ``(j, i)`` with a bitwise
     equal value. The backing arrays are marked read-only afterwards.
+
+    Facts derived from the operator alone (the power-iteration estimate
+    of its spectral radius, its dense eigendecomposition) are kept in a
+    private per-object dict that starts empty, also on a :meth:`scaled`
+    copy, and lives and dies with the operator. Only the function that
+    computes a fact reads and fills its entry. Two threads that miss
+    together both compute it, and both get the same bits.
     """
 
-    __slots__ = ("_n", "_row_ptr", "_col_idx", "_values", "_spectral_bound")
+    __slots__ = ("_n", "_row_ptr", "_col_idx", "_values", "_spectral_bound", "_facts")
 
     def __init__(self, n, row_ptr, col_idx, values):
         n = int(n)
@@ -81,18 +88,13 @@ class SparseSymMatrix:
             raise ValueError("row_ptr must be non-decreasing")
         if col_idx.shape != values.shape or col_idx.ndim != 1:
             raise ValueError("col_idx and values must be 1-d and equal length")
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_ptr))
         if values.size:
             if col_idx.min() < 0 or col_idx.max() >= n:
                 raise ValueError("column index out of range")
-            if values.size > 1:
-                # strictly increasing inside each row; row boundaries exempt
-                inc = np.diff(col_idx) > 0
-                starts = row_ptr[1:-1]
-                starts = starts[(starts > 0) & (starts < values.size)]
-                boundary = np.zeros(values.size - 1, dtype=bool)
-                boundary[starts - 1] = True
-                if np.any(~inc & ~boundary):
-                    raise ValueError("column indices must be strictly increasing within a row")
+            # with columns in range, a new row adds at least n to the entry key
+            if np.any(np.diff(rows * n + col_idx) <= 0):
+                raise ValueError("column indices must be strictly increasing within a row")
             if np.any(values == 0.0):
                 raise ValueError("explicit zero entries are not allowed")
         self._n = n
@@ -100,12 +102,12 @@ class SparseSymMatrix:
         self._col_idx = col_idx
         self._values = values
         self._spectral_bound = None
-        self._check_symmetry()
+        self._facts = {}
+        self._check_symmetry(rows)
         for a in (row_ptr, col_idx, values):
             a.flags.writeable = False
 
-    def _check_symmetry(self):
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.row_ptr))
+    def _check_symmetry(self, rows):
         order = _csr_order(self.col_idx, rows, self.n)  # the transpose's (row, col) order
         if not (
             np.array_equal(self.col_idx[order], rows)
@@ -124,6 +126,7 @@ class SparseSymMatrix:
         m._col_idx = col_idx
         m._values = values
         m._spectral_bound = spectral_bound
+        m._facts = {}
         for a in (row_ptr, col_idx, values):
             a.flags.writeable = False
         return m

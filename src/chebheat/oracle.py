@@ -2,29 +2,23 @@
 
 Everything here is deliberately independent of the fast code: the
 eigendecomposition is LAPACK's (``numpy.linalg.eigh``), which shares no
-code with the Chebyshev path, and the coefficient integral is plain
-composite Simpson quadrature. Sizes are capped so the dense work stays
+code with the Chebyshev path. Sizes are capped so the dense work stays
 cheap. The cyclic Jacobi eigensolver is kept as a second, in-house
 witness of the LAPACK spectrum.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import ORDER_CAP, bessel_ie_scaled
 from .errors import ConvergenceError
 from .graphs import SparseSymMatrix
 
-__all__ = ["DenseSpectrum", "jacobi_eigh", "dense_spectrum", "exact_diffusion",
-           "coeff_integral", "tail_sum"]
+__all__ = ["DenseSpectrum", "jacobi_eigh", "dense_spectrum", "exact_diffusion"]
 
 DENSE_CAP = 500
-_SIMPSON_PANELS = 20000
-_TAIL_TERMS = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,19 +92,21 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = 30):
     return eig[order], np.ascontiguousarray(ut[order].T)
 
 
-@functools.lru_cache(maxsize=32)
 def dense_spectrum(op: SparseSymMatrix) -> DenseSpectrum:
-    """Eigendecomposition of a sparse operator, memoized per operator object.
+    """Eigendecomposition of a sparse operator, kept on the operator object.
 
     Operators are immutable, so an object's spectrum never goes stale;
-    callers share the read-only arrays.
+    callers share the read-only arrays. The spectrum lives as long as
+    its operator, and no longer.
     """
     if op.n > DENSE_CAP:
         raise ValueError(f"dense oracle is limited to n <= {DENSE_CAP}, got {op.n}")
-    eig, vec = np.linalg.eigh(op.to_dense())  # eigenvalues ascending
-    for a in (eig, vec):
-        a.flags.writeable = False
-    return DenseSpectrum(eigenvalues=eig, vectors=vec)
+    if "dense_spectrum" not in op._facts:
+        eig, vec = np.linalg.eigh(op.to_dense())  # eigenvalues ascending
+        for a in (eig, vec):
+            a.flags.writeable = False
+        op._facts["dense_spectrum"] = DenseSpectrum(eigenvalues=eig, vectors=vec)
+    return op._facts["dense_spectrum"]
 
 
 def exact_diffusion(op: SparseSymMatrix, x: np.ndarray, tau: float) -> np.ndarray:
@@ -124,42 +120,3 @@ def exact_diffusion(op: SparseSymMatrix, x: np.ndarray, tau: float) -> np.ndarra
     spec = dense_spectrum(op)
     xhat = spec.vectors.T @ x
     return spec.vectors @ (np.exp(-tau * spec.eigenvalues) * xhat)
-
-
-def coeff_integral(k: int, tau: float) -> float:
-    """Chebyshev coefficient via direct quadrature.
-
-    Composite Simpson on ``(2/pi) * cos(k t) * exp(-tau (cos t + 1))``
-    over ``[0, pi]`` with a fixed panel count. Slow but entirely
-    independent of the Bessel route.
-    """
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    tau = float(tau)
-    if tau < 0.0:
-        raise ValueError("tau must be non-negative")
-    theta = np.linspace(0.0, np.pi, _SIMPSON_PANELS + 1)
-    f = np.cos(k * theta) * np.exp(-tau * (np.cos(theta) + 1.0))
-    w = np.ones(_SIMPSON_PANELS + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = np.pi / _SIMPSON_PANELS
-    return float((2.0 / np.pi) * (h / 3.0) * (w @ f))
-
-
-def tail_sum(order: int, tau_eff: float) -> float:
-    """Sum of coefficient magnitudes just past the truncation order.
-
-    Adds ``|c_k|`` for ``k = order+1 .. order+2000``; by coefficient
-    decay this is an effective stand-in for the full tail.
-    """
-    order = int(order)
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if order + _TAIL_TERMS > ORDER_CAP:
-        raise ValueError(f"order too large: tail window exceeds cap {ORDER_CAP}")
-    if tau_eff == 0.0:
-        return 0.0
-    ie = bessel_ie_scaled(order + _TAIL_TERMS, tau_eff)
-    return float(2.0 * np.sum(ie[order + 1 :]))

@@ -4,9 +4,12 @@ The Bessel oracle goes through mpmath at 50 digits so library output
 can be checked against an implementation it shares no code with.
 ``series_sum`` sums a truncated series term by term, ``eval_scalar``
 evaluates it at scalar points, and ``same_operator`` compares operators
-bit for bit. The ``reference_*`` functions are the line-by-line graph
-and signal readers, edge assembly, edge writer and linear order scan
-that the array and bisection code must match exactly.
+bit for bit. ``coeff_integral`` (Simpson quadrature of the defining
+integral) and ``tail_sum`` (a windowed coefficient tail) are the
+coefficient oracles. The ``reference_*`` functions are the CSR
+validator, line-by-line graph and signal readers, edge assembly, edge
+writer and linear order scan that the array and bisection code must
+match exactly.
 """
 
 import math
@@ -15,7 +18,7 @@ import re
 import mpmath as mp
 import numpy as np
 
-from chebheat.bessel import ORDER_CAP
+from chebheat.bessel import ORDER_CAP, bessel_ie_scaled
 from chebheat.bounds import BoundKind, log_bound_value
 from chebheat.chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
 from chebheat.errors import OrderCapError, ParseError
@@ -76,6 +79,90 @@ def same_operator(a: SparseSymMatrix, b: SparseSymMatrix) -> bool:
     return a.n == b.n and all(
         x.dtype == y.dtype and x.tobytes() == y.tobytes()
         for x, y in ((a.row_ptr, b.row_ptr), (a.col_idx, b.col_idx), (a.values, b.values)))
+
+
+_SIMPSON_PANELS = 20000
+_TAIL_TERMS = 2000
+
+
+def coeff_integral(k: int, tau: float) -> float:
+    """Chebyshev coefficient via direct quadrature.
+
+    Composite Simpson on ``(2/pi) * cos(k t) * exp(-tau (cos t + 1))``
+    over ``[0, pi]`` with a fixed panel count. Slow but entirely
+    independent of the Bessel route.
+    """
+    k = int(k)
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    tau = float(tau)
+    if tau < 0.0:
+        raise ValueError("tau must be non-negative")
+    theta = np.linspace(0.0, np.pi, _SIMPSON_PANELS + 1)
+    f = np.cos(k * theta) * np.exp(-tau * (np.cos(theta) + 1.0))
+    w = np.ones(_SIMPSON_PANELS + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    h = np.pi / _SIMPSON_PANELS
+    return float((2.0 / np.pi) * (h / 3.0) * (w @ f))
+
+
+def tail_sum(order: int, tau_eff: float) -> float:
+    """Sum of coefficient magnitudes just past the truncation order.
+
+    Adds ``|c_k|`` for ``k = order+1 .. order+2000``; by coefficient
+    decay this is an effective stand-in for the full tail.
+    """
+    order = int(order)
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if order + _TAIL_TERMS > ORDER_CAP:
+        raise ValueError(f"order too large: tail window exceeds cap {ORDER_CAP}")
+    if tau_eff == 0.0:
+        return 0.0
+    ie = bessel_ie_scaled(order + _TAIL_TERMS, tau_eff)
+    return float(2.0 * np.sum(ie[order + 1 :]))
+
+
+def reference_csr_check(n, row_ptr, col_idx, values):
+    """Raise the ValueError ``SparseSymMatrix`` raises for these arrays, if any.
+
+    Increasing columns are checked with a row-boundary mask, and symmetry
+    by a lexsort into transpose order.
+    """
+    n = int(n)
+    row_ptr = np.array(row_ptr, dtype=np.int64)
+    col_idx = np.array(col_idx, dtype=np.int64)
+    values = np.array(values, dtype=np.float64)
+    if n < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    if row_ptr.shape != (n + 1,):
+        raise ValueError("row_ptr must have length n + 1")
+    if row_ptr[0] != 0 or row_ptr[-1] != values.size:
+        raise ValueError("row_ptr must start at 0 and end at nnz")
+    if np.any(np.diff(row_ptr) < 0):
+        raise ValueError("row_ptr must be non-decreasing")
+    if col_idx.shape != values.shape or col_idx.ndim != 1:
+        raise ValueError("col_idx and values must be 1-d and equal length")
+    if values.size:
+        if col_idx.min() < 0 or col_idx.max() >= n:
+            raise ValueError("column index out of range")
+        if values.size > 1:
+            # strictly increasing inside each row; row boundaries exempt
+            inc = np.diff(col_idx) > 0
+            starts = row_ptr[1:-1]
+            starts = starts[(starts > 0) & (starts < values.size)]
+            boundary = np.zeros(values.size - 1, dtype=bool)
+            boundary[starts - 1] = True
+            if np.any(~inc & ~boundary):
+                raise ValueError("column indices must be strictly increasing within a row")
+        if np.any(values == 0.0):
+            raise ValueError("explicit zero entries are not allowed")
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_ptr))
+    order = np.lexsort((rows, col_idx))
+    if not (np.array_equal(col_idx[order], rows) and np.array_equal(rows[order], col_idx)
+            and np.array_equal(values[order], values)):
+        raise ValueError("matrix is not symmetric")
 
 
 def dense_diffusion(dense_l: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:

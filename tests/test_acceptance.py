@@ -19,7 +19,9 @@ from chebheat.cli import bound_table_data
 from chebheat.diffusion import (estimate_lambda_max, expm_multiply, expm_multiscale,
                                 make_plan, measure_errors)
 from chebheat.graphs import GraphSignal, SparseSymMatrix, build_laplacian, erdos_renyi
-from chebheat.oracle import coeff_integral, exact_diffusion, tail_sum
+from chebheat.oracle import exact_diffusion
+
+from helpers import coeff_integral, tail_sum
 
 BASE_SEED = 7
 TAU_GRID = (0.1, 1.0, 5.0, 20.0)

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
+import chebheat.diffusion
 from chebheat.cli import bound_table_data, main
-from chebheat.diffusion import _lambda_floor, expm_multiscale
+from chebheat.diffusion import expm_multiscale
 from chebheat.graphs import build_laplacian, erdos_renyi, load_graph, load_signal
 
 from helpers import same_operator
@@ -221,13 +222,18 @@ class TestBoundTable:
         with open(os.path.join(DATA, "bound_table_true.csv"), "rb") as fh:
             assert out.read_bytes() == fh.read()
 
-    def test_trial_computes_lambda_floor_once(self):
-        # every scale's true order checks the trial's lambda against the
-        # floor; it ran once per scale, 25 times a trial on the benchmark
-        _lambda_floor.cache_clear()
-        bound_table_data(30, 0.2, 1, [0.1, 1.0, 10.0], 1e-8, 0, with_true=True)
-        info = _lambda_floor.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+    def test_trial_computes_no_lambda_floor_and_one_power_iteration(self, monkeypatch):
+        # the true orders take the trial's estimate from its operator, so no
+        # given value is checked against the floor; passing the estimate back
+        # as lambda_max once checked it at every scale
+        calls = {"_lambda_floor": 0, "_power_iteration": 0}
+        for name in calls:
+            def counted(op, inner=getattr(chebheat.diffusion, name), name=name):
+                calls[name] += 1
+                return inner(op)
+            monkeypatch.setattr(chebheat.diffusion, name, counted)
+        bound_table_data(30, 0.2, 2, [0.1, 1.0, 10.0], 1e-8, 0, with_true=True)
+        assert calls == {"_lambda_floor": 0, "_power_iteration": 2}
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_no_trials_exit_2_before_output(self, capsys, trials):

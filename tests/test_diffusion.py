@@ -70,7 +70,7 @@ def weighted_er(n, p, seed):
 
 
 class TestPowerMemo:
-    """The power-iteration estimate is kept for the last operator object."""
+    """The power-iteration estimate is kept on each operator object."""
 
     SCALES = [0.01, 0.3, 2.0, 9.0]
 
@@ -113,8 +113,23 @@ class TestPowerMemo:
         plan_b = make_plan(b, x, [1.0], 1e-6)
         assert plan_a.setup_matvecs == plan_b.setup_matvecs > 0
         assert plan_a.lambda_max.hex() == plan_b.lambda_max.hex()
-        # b displaced a: the next plan on a pays the iteration again
-        assert make_plan(a, x, [1.0], 1e-6).setup_matvecs == plan_a.setup_matvecs
+        # a kept its estimate while b computed its own
+        assert make_plan(a, x, [1.0], 1e-6).setup_matvecs == 0
+
+    def test_alternating_operators_keep_their_estimates(self, monkeypatch):
+        a = weighted_er(80, 0.08, seed=11)
+        b = weighted_er(60, 0.1, seed=12)
+        xa = np.random.default_rng(13).standard_normal(80)
+        xb = np.random.default_rng(14).standard_normal(60)
+        first, _ = self._counted_multiscale(monkeypatch, a, xa)
+        between, _ = self._counted_multiscale(monkeypatch, b, xb)
+        third, third_count = self._counted_multiscale(monkeypatch, a, xa)
+        assert first[0][1].setup_matvecs > 0 and between[0][1].setup_matvecs > 0
+        assert all(rep.setup_matvecs == 0 for _, rep in third)
+        assert third_count == third[0][1].order
+        for (y, rep), (y_first, rep_first) in zip(third, first):
+            assert rep == dataclasses.replace(rep_first, setup_matvecs=0)
+            assert y.tobytes() == y_first.tobytes()
 
     def test_convergence_error_not_memoized(self, monkeypatch):
         op = build_laplacian(erdos_renyi(30, 0.2, seed=1), 30)

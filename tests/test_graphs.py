@@ -15,9 +15,9 @@ from chebheat.errors import ParseError
 from chebheat.graphs import (GraphSignal, SparseSymMatrix, build_laplacian, erdos_renyi,
                              load_graph, load_signal, save_edge_list)
 
-from helpers import (complete_edges, path_edges, reference_laplacian, reference_load_graph,
-                     reference_load_signal, reference_save_edge_list, same_operator,
-                     star_edges)
+from helpers import (complete_edges, path_edges, reference_csr_check, reference_laplacian,
+                     reference_load_graph, reference_load_signal, reference_save_edge_list,
+                     same_operator, star_edges)
 
 
 class TestBuildLaplacian:
@@ -151,6 +151,63 @@ class TestSparseSymMatrix:
         # hand-built CSR with a one-sided entry
         with pytest.raises(ValueError):
             SparseSymMatrix(2, np.array([0, 1, 1]), np.array([1]), np.array([1.0]))
+
+    def test_column_descent_across_row_boundary_accepted(self):
+        # row 0 ends at column 2, row 1 starts at column 0
+        op = SparseSymMatrix(3, [0, 2, 4, 6], [1, 2, 0, 2, 0, 1], [1.0] * 6)
+        assert op.nnz == 6
+
+    def test_repeated_column_within_row_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing within a row"):
+            SparseSymMatrix(2, [0, 2, 4], [1, 1, 0, 0], [1.0] * 4)
+
+    def test_validation_matches_row_boundary_mask(self):
+        # the entry-key check accepts and rejects exactly what the
+        # row-boundary mask did, with the same message, on small CSR inputs
+        # built from symmetric matrices and then perturbed
+        rng = np.random.default_rng(21)
+        verdicts = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 6))
+            dense = np.triu(rng.choice([0.0, 0.0, 1.0, -2.0], size=(n, n)))
+            dense = dense + np.triu(dense, 1).T
+            rows, cols = np.nonzero(dense)
+            vals = dense[rows, cols]
+            row_ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+            cols = cols.astype(np.int64)
+            mutation = int(rng.integers(0, 7)) if cols.size else 0
+            at = int(rng.integers(0, cols.size)) if cols.size else 0
+            if mutation == 1:  # swap two neighbouring columns
+                k = min(at, cols.size - 2)
+                if k >= 0:
+                    cols[[k, k + 1]] = cols[[k + 1, k]]
+            elif mutation == 2:  # repeat the previous column
+                cols[at] = cols[at - 1] if at else cols[at]
+            elif mutation == 3:  # move a row boundary
+                r = int(rng.integers(1, n + 1))
+                row_ptr[r] = max(0, row_ptr[r] + int(rng.choice([-1, 1])))
+            elif mutation == 4:  # any column, in range or just outside it
+                cols[at] = int(rng.integers(-1, n + 1))
+            elif mutation == 5:  # an explicit zero
+                vals[at] = 0.0
+            elif mutation == 6:  # a one-sided value change
+                vals[at] = 3.0
+            try:
+                reference_csr_check(n, row_ptr, cols, vals)
+                expected = None
+            except ValueError as exc:
+                expected = str(exc)
+            try:
+                SparseSymMatrix(n, row_ptr, cols, vals)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, (n, row_ptr, cols, vals)
+            verdicts.add(expected)
+        assert None in verdicts
+        assert "column indices must be strictly increasing within a row" in verdicts
+        assert "matrix is not symmetric" in verdicts
 
 
 class TestGraphSignal:

@@ -8,10 +8,9 @@ import pytest
 from chebheat.chebyshev import cheb_coefficients
 from chebheat.errors import ConvergenceError
 from chebheat.graphs import build_laplacian, erdos_renyi
-from chebheat.oracle import (DENSE_CAP, coeff_integral, dense_spectrum, exact_diffusion,
-                             jacobi_eigh, tail_sum)
+from chebheat.oracle import DENSE_CAP, dense_spectrum, exact_diffusion, jacobi_eigh
 
-from helpers import complete_edges, dense_diffusion, path_edges
+from helpers import coeff_integral, complete_edges, dense_diffusion, path_edges, tail_sum
 
 
 class TestJacobi:
@@ -85,6 +84,18 @@ class TestDenseSpectrum:
     def test_cache_returns_same_object(self):
         L = build_laplacian([(0, 1), (1, 2)], 3)
         assert dense_spectrum(L) is dense_spectrum(L)
+
+    def test_spectrum_kept_while_other_operators_are_diagonalized(self):
+        # each operator keeps its own spectrum: 32 others, all still alive,
+        # do not push it out (a 32-entry cache evicted it)
+        first = build_laplacian(path_edges(6), 6)
+        spec = dense_spectrum(first)
+        others = [build_laplacian(path_edges(k + 2), k + 2) for k in range(32)]
+        for op in others:
+            dense_spectrum(op)
+        assert dense_spectrum(first) is spec
+        assert all(dense_spectrum(op) is dense_spectrum(op) for op in others)
+        assert dense_spectrum(first.scaled(2.0)) is not spec
 
     def test_size_cap(self):
         big = build_laplacian([(0, 1)], DENSE_CAP + 1)
