@@ -10,11 +10,24 @@ stores ``c[0]`` unhalved; the halving happens wherever the series is
 evaluated. Basis vectors ``T_k(op - I) x`` depend on the operator and the
 signal only, so one basis serves every diffusion scale. A scale needs
 only its coefficient vector, so each basis vector is added to every
-output as soon as the recurrence yields it, and none is stored.
+output soon after the recurrence yields it, and none is stored.
+
+Recombination is a two-stage pipeline. The calling thread runs the
+recurrence, and so every matvec; one helper thread per :func:`combine`
+call adds each row into every output, in ascending order, while the next
+rows are drawn. numpy releases the GIL inside those array operations, so
+the two stages overlap. At most ``_IN_FLIGHT`` rows are between the two
+stages, and the helper starts off the CPU the calling thread is on. With
+a single CPU available, or on runs too small to repay a thread, the
+additions run inline, in the same order, so the output bits never depend
+on the thread count.
 """
 
 from __future__ import annotations
 
+import collections
+import os
+import threading
 from itertools import islice
 
 import numpy as np
@@ -23,6 +36,17 @@ from .bessel import bessel_ie_scaled
 from .graphs import SparseSymMatrix
 
 __all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "build_basis", "combine"]
+
+# rows drawn by the recurrence but not yet added to every output
+_IN_FLIGHT = 4
+# The smallest runs that combine hands to a helper thread. Each row moves
+# once to the helper's core, which a few outputs' additions do not repay,
+# and numpy dispatches every addition under the GIL, which short rows do
+# not repay. On 2 vCPUs (ER graphs of mean degree 10, K about 75) runs
+# below either limit were up to 3 times slower with the helper, and runs
+# above both were up to 29% faster.
+_OVERLAP_MIN_SCALES = 8
+_OVERLAP_MIN_LENGTH = 4096
 
 
 def cheb_coefficients(tau_eff: float, order: int) -> np.ndarray:
@@ -52,7 +76,9 @@ def cheb_terms(apply, x):
     """Yield ``T_k(A - I) x`` for ``k = 0, 1, 2, ...``, where ``apply(v) = A v``.
 
     This is the one three-term recurrence of the package. It is lazy:
-    taking ``K + 1`` terms calls ``apply`` exactly ``K`` times.
+    taking ``K + 1`` terms calls ``apply`` exactly ``K`` times. Every term
+    after ``x`` is a new array that is never written once yielded, so a
+    consumer may still read it while later terms are computed.
     """
     yield x
     t_prev, t_cur = x, apply(x) - x
@@ -93,29 +119,127 @@ def build_basis(op: SparseSymMatrix, x, order: int):
     return islice(cheb_terms(op.matvec, x), order + 1)
 
 
+def _helper_cpus():
+    """Where a helper thread should run, or None to add on the calling thread.
+
+    None when the calling thread may use fewer than two CPUs. Otherwise
+    the CPUs it may use except the one it runs on now: a helper started
+    on the caller's CPU can share it for seconds before the scheduler
+    moves either thread (measured on a 2-vCPU Linux guest, where the
+    first jobs of a process then took as long as serial additions). An
+    empty set leaves the placement to the system.
+    """
+    if not hasattr(os, "sched_getaffinity"):  # no affinity interface on this platform
+        return set() if (os.cpu_count() or 1) >= 2 else None
+    allowed = os.sched_getaffinity(0)
+    if len(allowed) < 2:
+        return None
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            # field 39, the CPU this thread last ran on; the name in field 2 may hold ")"
+            here = int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return set()
+    return allowed - {here}
+
+
+def _overlapped(feed, work, cpus) -> None:
+    """Call ``feed(put)`` here while one helper thread, kept to ``cpus``
+    if that is not empty, runs ``work(*item)`` for each item put, in order.
+
+    ``put`` blocks while ``_IN_FLIGHT`` items are queued or in work. If
+    ``work`` raises, the helper drops the items after it and the next
+    ``put`` re-raises that exception here. The helper is joined before
+    this returns or raises.
+    """
+    items = collections.deque()
+    free, ready = threading.Semaphore(_IN_FLIGHT), threading.Semaphore(0)
+    failed = []
+
+    def helper():
+        if cpus:
+            try:
+                os.sched_setaffinity(0, cpus)
+            except OSError:  # placement is only a hint
+                pass
+        while True:
+            ready.acquire()
+            item = items.popleft()
+            if item is None:
+                return
+            if not failed:
+                try:
+                    work(*item)
+                except BaseException as exc:  # handed to the calling thread
+                    failed.append(exc)
+            del item  # its slot frees only once its row is let go
+            free.release()
+
+    def put(*item):
+        if failed:
+            raise failed[0]
+        free.acquire()
+        items.append(item)
+        ready.release()
+
+    # joined below on every path; daemon only so that a stuck helper cannot stall exit
+    thread = threading.Thread(target=helper, name="chebheat-combine", daemon=True)
+    thread.start()
+    try:
+        feed(put)
+    finally:
+        free.acquire()
+        items.append(None)
+        ready.release()
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
 def combine(basis, c) -> np.ndarray:
     """Contract coefficient vectors against basis rows in one pass.
 
     ``basis`` is any iterable of rows ``t_0, t_1, ...``, such as
     :func:`build_basis`; ``c`` is one coefficient vector, giving an output
     of shape ``(n,)``, or an ``(m, K + 1)`` array, giving ``(m, n)``. Row
-    ``k`` is drawn only once column ``k`` exists, added to every output
-    and dropped: each output gets ``c[0]/2 t_0``, then ``+= c[k] * t_k``
-    in ascending ``k``, as :func:`cheb_partial_sums` sums them. Rows that
-    run out before the coefficients raise ``ValueError``.
+    ``k`` is drawn only once column ``k`` exists, on the calling thread;
+    each output gets ``c[0]/2 t_0``, then ``+= c[k] * t_k`` in ascending
+    ``k``, as :func:`cheb_partial_sums` sums them. With two CPUs or more,
+    at least ``_OVERLAP_MIN_SCALES`` outputs and rows of at least
+    ``_OVERLAP_MIN_LENGTH`` entries, one helper thread does those
+    additions while later rows are drawn; the rows must not change after
+    they are yielded. Rows that run out before the coefficients raise
+    ``ValueError``; any error is raised here once the helper has stopped.
     """
     c = np.asarray(c, dtype=np.float64)
     coeffs = c.reshape(-1, c.shape[-1])
+    columns = coeffs.T.tolist()
     rows = iter(basis)
-    for k, column in enumerate(coeffs.T.tolist()):
+
+    def next_row(k):
         t = next(rows, None)
         if t is None:
             raise ValueError(f"basis of order {k - 1} cannot serve coefficients "
                              f"of order {c.shape[-1] - 1}")
-        if k == 0:
-            out, scratch = np.multiply.outer(0.5 * coeffs[:, 0], t), np.empty_like(t)
-            continue
+        return t
+
+    t0 = next_row(0)
+    out, scratch = np.multiply.outer(0.5 * coeffs[:, 0], t0), np.empty_like(t0)
+
+    def add(t, column):
         for y, ck in zip(out, column):
             np.multiply(t, ck, out=scratch)
             y += scratch
-    return out.reshape(c.shape[:-1] + t.shape)
+
+    def feed(put):
+        for k in range(1, len(columns)):
+            put(next_row(k), columns[k])
+
+    overlap = (len(columns) > 1 and len(coeffs) >= _OVERLAP_MIN_SCALES
+               and t0.size >= _OVERLAP_MIN_LENGTH)
+    cpus = _helper_cpus() if overlap else None
+    if cpus is None:
+        feed(add)
+    else:
+        _overlapped(feed, add, cpus)
+    return out.reshape(c.shape[:-1] + t0.shape)

@@ -3,9 +3,12 @@
 The pipeline is: estimate the spectral radius, rescale the operator to
 [0, 2], choose the truncation order from a certified bound at the
 largest effective scale, then run the three-term recurrence once. Every
-run takes one path: each recurrence vector goes into all m outputs as it
-is drawn, so m scales cost the matvecs of the largest one and no basis
-is stored. A single scale is the case m = 1.
+run takes one path: each recurrence vector goes into all m outputs soon
+after it is drawn, so m scales cost the matvecs of the largest one and
+no basis is stored. A single scale is the case m = 1. On runs large
+enough to repay it, the additions run on one helper thread per run,
+overlapped with the recurrence, which stays on the calling thread with
+every matvec (see :mod:`chebheat.chebyshev`).
 """
 
 from __future__ import annotations
@@ -287,8 +290,9 @@ def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
     The order is chosen for the largest effective scale; every scale
     takes the same basis vectors with its own coefficient vector, adding
     no matvecs, and each vector is dropped once it is in every output:
-    memory holds the m outputs, never the basis. Results come in input
-    order; the outputs are the rows of one ``(m, n)`` array.
+    memory holds the m outputs and at most a few basis vectors, never the
+    basis. Results come in input order; the outputs are the rows of one
+    ``(m, n)`` array.
     """
     sig = _as_signal(x)
     plan = make_plan(op, sig, scales, tol, kind=kind, lambda_max=lambda_max)

@@ -71,7 +71,8 @@ class SparseSymMatrix:
     together both compute it, and both get the same bits.
     """
 
-    __slots__ = ("_n", "_row_ptr", "_col_idx", "_values", "_spectral_bound", "_facts")
+    __slots__ = ("_n", "_row_ptr", "_col_idx", "_values", "_spectral_bound", "_facts",
+                 "_row_starts", "_nonempty")
 
     def __init__(self, n, row_ptr, col_idx, values):
         n = int(n)
@@ -84,11 +85,12 @@ class SparseSymMatrix:
             raise ValueError("row_ptr must have length n + 1")
         if row_ptr[0] != 0 or row_ptr[-1] != values.size:
             raise ValueError("row_ptr must start at 0 and end at nnz")
-        if np.any(np.diff(row_ptr) < 0):
+        counts = np.diff(row_ptr)
+        if np.any(counts < 0):
             raise ValueError("row_ptr must be non-decreasing")
         if col_idx.shape != values.shape or col_idx.ndim != 1:
             raise ValueError("col_idx and values must be 1-d and equal length")
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_ptr))
+        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
         if values.size:
             if col_idx.min() < 0 or col_idx.max() >= n:
                 raise ValueError("column index out of range")
@@ -104,7 +106,12 @@ class SparseSymMatrix:
         self._spectral_bound = None
         self._facts = {}
         self._check_symmetry(rows)
-        for a in (row_ptr, col_idx, values):
+        # matvec's reduction layout: the start of every non-empty row, and
+        # which rows those are (None when no row is empty)
+        nonempty = counts > 0
+        self._nonempty = None if nonempty.all() else nonempty
+        self._row_starts = row_ptr[:-1] if self._nonempty is None else row_ptr[:-1][nonempty]
+        for a in (row_ptr, col_idx, values, self._row_starts, nonempty):
             a.flags.writeable = False
 
     def _check_symmetry(self, rows):
@@ -116,19 +123,15 @@ class SparseSymMatrix:
         ):
             raise ValueError("matrix is not symmetric")
 
-    @classmethod
-    def _from_parts_unchecked(cls, n, row_ptr, col_idx, values,
-                              spectral_bound=None) -> "SparseSymMatrix":
-        # internal fast path: caller guarantees the invariants
-        m = object.__new__(cls)
-        m._n = int(n)
-        m._row_ptr = row_ptr
-        m._col_idx = col_idx
+    def _with_values(self, values, spectral_bound) -> "SparseSymMatrix":
+        # same structure, new stored values: the invariants hold by construction
+        m = object.__new__(type(self))
+        for name in ("_n", "_row_ptr", "_col_idx", "_row_starts", "_nonempty"):
+            setattr(m, name, getattr(self, name))
         m._values = values
         m._spectral_bound = spectral_bound
         m._facts = {}
-        for a in (row_ptr, col_idx, values):
-            a.flags.writeable = False
+        values.flags.writeable = False
         return m
 
     @property
@@ -164,13 +167,13 @@ class SparseSymMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        out = np.zeros(self.n)
         if self.values.size == 0:
-            return out
-        prod = self.values * x[self.col_idx]
-        counts = np.diff(self.row_ptr)
-        nonempty = counts > 0
-        out[nonempty] = np.add.reduceat(prod, self.row_ptr[:-1][nonempty])
+            return np.zeros(self.n)
+        sums = np.add.reduceat(self.values * x[self.col_idx], self._row_starts)
+        if self._nonempty is None:
+            return sums
+        out = np.zeros(self.n)
+        out[self._nonempty] = sums
         return out
 
     def scaled(self, alpha: float) -> "SparseSymMatrix":
@@ -184,9 +187,7 @@ class SparseSymMatrix:
         if alpha == 1.0:
             return self
         bound = None if self.spectral_bound is None else self.spectral_bound * alpha
-        return SparseSymMatrix._from_parts_unchecked(
-            self.n, self.row_ptr, self.col_idx, self.values * alpha, bound
-        )
+        return self._with_values(self.values * alpha, bound)
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))

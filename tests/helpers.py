@@ -3,8 +3,9 @@
 The Bessel oracle goes through mpmath at 50 digits so library output
 can be checked against an implementation it shares no code with.
 ``series_sum`` sums a truncated series term by term, ``eval_scalar``
-evaluates it at scalar points, and ``same_operator`` compares operators
-bit for bit. ``coeff_integral`` (Simpson quadrature of the defining
+evaluates it at scalar points, ``same_operator`` compares operators
+bit for bit, and ``force_combine_helper`` sends every ``combine`` call
+through its helper thread. ``coeff_integral`` (Simpson quadrature of the defining
 integral) and ``tail_sum`` (a windowed coefficient tail) are the
 coefficient oracles. The ``reference_*`` functions are the CSR
 validator, line-by-line graph and signal readers, edge assembly, edge
@@ -13,11 +14,13 @@ match exactly.
 """
 
 import math
+import os
 import re
 
 import mpmath as mp
 import numpy as np
 
+from chebheat import chebyshev
 from chebheat.bessel import ORDER_CAP, bessel_ie_scaled
 from chebheat.bounds import BoundKind, log_bound_value
 from chebheat.chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
@@ -46,6 +49,17 @@ def star_edges(n: int):
     return [(0, i) for i in range(1, n)]
 
 
+def lattice_edges(*shape):
+    """Edges of the grid graph on ``shape``, nodes numbered in C order."""
+    idx = np.arange(int(np.prod(shape))).reshape(shape)
+    edges = []
+    for axis in range(len(shape)):
+        lo = np.delete(idx, -1, axis=axis).ravel()
+        hi = np.delete(idx, 0, axis=axis).ravel()
+        edges += list(zip(lo.tolist(), hi.tolist()))
+    return edges
+
+
 _DOMAIN_SLACK = 1e-12
 
 
@@ -58,6 +72,13 @@ def series_sum(coefficients, terms):
     for y in cheb_partial_sums(coefficients, terms):
         pass
     return y
+
+
+def force_combine_helper(monkeypatch):
+    """Make ``combine`` hand its additions to a helper thread on any run, any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(chebyshev, "_OVERLAP_MIN_SCALES", 1)
+    monkeypatch.setattr(chebyshev, "_OVERLAP_MIN_LENGTH", 1)
 
 
 def eval_scalar(tau_eff: float, order: int, lam):

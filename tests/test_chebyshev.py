@@ -1,14 +1,20 @@
 """Coefficients, basis recurrence, recombination, scalar evaluation."""
 
 import math
+import os
+import sys
+import threading
+import time
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from chebheat.chebyshev import build_basis, cheb_coefficients, cheb_terms, combine
+from chebheat.chebyshev import _IN_FLIGHT, build_basis, cheb_coefficients, cheb_terms, combine
+from chebheat.diffusion import estimate_lambda_max
 from chebheat.graphs import build_laplacian, erdos_renyi
 
-from helpers import eval_scalar, series_sum
+from helpers import eval_scalar, force_combine_helper, lattice_edges, series_sum
 
 # mpmath at 50 digits: +-2 exp(-tau) I_k(tau)
 C0_TAU1 = 0.93151921518728087
@@ -147,3 +153,148 @@ def test_eval_scalar_vectorized_and_domain():
     np.testing.assert_allclose(vals, ref, atol=1e-13)
     with pytest.raises(ValueError):
         eval_scalar(1.0, 5, 2.5)
+
+
+@pytest.fixture(params=["helper", "inline"])
+def cpus(request, monkeypatch):
+    """``combine`` with its helper thread, or with the additions inline on one CPU."""
+    if request.param == "helper":
+        force_combine_helper(monkeypatch)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    return request.param
+
+
+def _rescaled(edges, n):
+    L = build_laplacian(edges, n)
+    return L.scaled(2.0 / estimate_lambda_max(L))
+
+
+GRAPHS = {
+    "lattice-20x20": lambda: _rescaled(lattice_edges(20, 20), 400),
+    "er:200:0.05:1": lambda: _rescaled(erdos_renyi(200, 0.05, seed=1), 200),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 32])
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_combine_bitwise_equals_partial_sums(cpus, graph, m):
+    op = GRAPHS[graph]()
+    x = np.random.default_rng(m).standard_normal(op.n)
+    order = 70
+    C = np.stack([cheb_coefficients(t, order) for t in np.logspace(-2.0, 1.5, m)])
+    together = combine(build_basis(op, x, order), C)
+    assert together.shape == (m, op.n)
+    for c, y in zip(C, together):
+        # the serial reference: one scale, one partial sum at a time
+        assert y.tobytes() == series_sum(c, build_basis(op, x, order)).tobytes()
+    if m == 1:
+        assert combine(build_basis(op, x, order), C[0]).tobytes() == together[0].tobytes()
+
+
+def test_terms_are_not_written_after_they_are_yielded():
+    # combine adds a row on its helper thread while later rows are drawn
+    op = GRAPHS["lattice-20x20"]()
+    terms = cheb_terms(op.matvec, np.random.default_rng(0).standard_normal(op.n))
+    drawn = [(t, t.copy()) for t in islice(terms, 30)]
+    for _ in range(20):
+        next(terms)
+    assert len({id(t) for t, _ in drawn}) == len(drawn)  # no buffer is reused
+    for k, (t, copy) in enumerate(drawn):
+        assert t.tobytes() == copy.tobytes(), k
+
+
+def _series_case():
+    op = GRAPHS["er:200:0.05:1"]()
+    x = np.random.default_rng(5).standard_normal(op.n)
+    return op, x, np.stack([cheb_coefficients(t, 30) for t in (0.5, 2.0, 8.0)])
+
+
+def test_combine_reraises_row_stream_error(cpus):
+    op, x, C = _series_case()
+    boom = RuntimeError("row stream failed")
+
+    def rows():
+        yield from islice(cheb_terms(op.matvec, x), 6)
+        raise boom
+
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError) as info:
+        combine(rows(), C)
+    assert info.value is boom
+    assert threading.enumerate() == before
+
+
+def test_combine_reraises_addition_error_and_stops_drawing(cpus):
+    op, x, C = _series_case()
+    drawn = []
+
+    def rows():  # endless, with one row of the wrong shape
+        for k, t in enumerate(cheb_terms(op.matvec, x)):
+            drawn.append(k)
+            yield np.append(t, 0.0) if k == 3 else t
+
+    before = threading.enumerate()
+    with pytest.raises(ValueError, match="broadcast"):
+        combine(rows(), C)
+    assert threading.enumerate() == before
+    # rows 0 to 3, the rows queued behind row 3, and one drawn before the
+    # failure shows: no further matvecs once the helper has failed
+    assert len(drawn) <= 4 + _IN_FLIGHT + 1
+
+
+def test_combine_short_stream_leaves_no_thread(cpus):
+    op, x, C = _series_case()
+    before = threading.enumerate()
+    with pytest.raises(ValueError, match="basis of order 12 cannot serve coefficients of order 30"):
+        combine(build_basis(op, x, 12), C)
+    assert threading.enumerate() == before
+
+
+def test_concurrent_combines_keep_their_bits(cpus):
+    # more callers than cores, each with its own helper, switching often
+    op, x, C = _series_case()
+    signals = [np.roll(x, s) for s in range(6)]
+    expected = [combine(build_basis(op, v, 30), C).tobytes() for v in signals]
+    got = [None] * len(signals)
+
+    def run(i):
+        for _ in range(5):
+            got[i] = combine(build_basis(op, signals[i], 30), C).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,), daemon=True)
+                   for i in range(len(signals))]
+        for t in callers:
+            t.start()
+        deadline = time.monotonic() + 30.0
+        for t in callers:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == expected
+
+
+@pytest.mark.parametrize("n, m, helper", [
+    (4096, 8, True),  # the smallest run that gets a helper
+    (4095, 8, False),
+    (4096, 7, False),
+])
+def test_helper_only_on_runs_that_repay_it(monkeypatch, n, m, helper):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    x = np.random.default_rng(2).standard_normal(n)
+    threads = []
+
+    def rows():  # a scaled shift stands in for the recurrence
+        t = x
+        while True:
+            threads.append(threading.active_count())
+            yield t
+            t = 0.5 * np.roll(t, 1)
+
+    before = threading.active_count()
+    combine(rows(), np.stack([cheb_coefficients(t, 10) for t in np.linspace(0.1, 3.0, m)]))
+    assert max(threads) == before + helper

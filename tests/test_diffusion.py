@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from chebheat.diffusion import (_lambda_floor, estimate_lambda_max, expm_multipl
 from chebheat.errors import ConvergenceError
 from chebheat.graphs import GraphSignal, SparseSymMatrix, build_laplacian, erdos_renyi
 
-from helpers import complete_edges, series_sum
+from helpers import complete_edges, force_combine_helper, series_sum
 
 P2 = build_laplacian([(0, 1)], 2)
 DIRAC2 = GraphSignal([1.0, 0.0])
@@ -389,3 +390,30 @@ class TestMultiscale:
         results = expm_multiscale(L, x, [0.1, 0.5, 2.0, 8.0], tol=1e-9)
         variances = [float(np.var(y)) for y, _ in results]
         assert all(a > b for a, b in zip(variances, variances[1:]))
+
+
+class TestThreads:
+    def test_matvecs_run_on_the_calling_thread(self, monkeypatch):
+        # the helper thread of combine only adds rows: every matvec, and so
+        # every count or span a wrapper around it keeps, stays on the caller
+        force_combine_helper(monkeypatch)
+        seen = []
+        matvec = SparseSymMatrix.matvec
+
+        def recorded(self, v):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return matvec(self, v)
+
+        monkeypatch.setattr(SparseSymMatrix, "matvec", recorded)
+        L = build_laplacian(erdos_renyi(60, 0.1, seed=3), 60)
+        x = np.random.default_rng(3).standard_normal(60)
+        before = threading.enumerate()
+        for call in (lambda: expm_multiscale(L, x, [0.1, 1.0, 5.0], tol=1e-8),
+                     lambda: expm_multiply(L, x, 2.0, tol=1e-8),
+                     lambda: measure_errors(L, x, 2.0, 30)):
+            seen.clear()
+            call()
+            assert {ident for ident, _ in seen} == {threading.get_ident()}
+            # the helper was alive beside the basis matvecs, and is gone
+            assert max(count for _, count in seen) == len(before) + 1
+            assert threading.enumerate() == before

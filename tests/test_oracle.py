@@ -10,7 +10,8 @@ from chebheat.errors import ConvergenceError
 from chebheat.graphs import build_laplacian, erdos_renyi
 from chebheat.oracle import DENSE_CAP, dense_spectrum, exact_diffusion, jacobi_eigh
 
-from helpers import coeff_integral, complete_edges, dense_diffusion, path_edges, tail_sum
+from helpers import (coeff_integral, complete_edges, dense_diffusion, lattice_edges, path_edges,
+                     tail_sum)
 
 
 class TestJacobi:
@@ -49,23 +50,12 @@ class TestJacobi:
             jacobi_eigh(L, max_sweeps=1)
 
 
-def _lattice_edges(*shape):
-    """Edges of the grid graph on ``shape``, nodes numbered in C order."""
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
-    edges = []
-    for axis in range(len(shape)):
-        lo = np.delete(idx, -1, axis=axis).ravel()
-        hi = np.delete(idx, 0, axis=axis).ravel()
-        edges += list(zip(lo.tolist(), hi.tolist()))
-    return edges
-
-
 class TestDenseSpectrum:
     @pytest.mark.parametrize("edges, n", [
         (path_edges(30), 30),
         (path_edges(30) + [(29, 0)], 30),  # cycle
-        (_lattice_edges(6, 7), 42),
-        (_lattice_edges(4, 4, 4), 64),
+        (lattice_edges(6, 7), 42),
+        (lattice_edges(4, 4, 4), 64),
         (erdos_renyi(100, 0.1, seed=1), 100),
     ])
     def test_lapack_agrees_with_jacobi(self, edges, n):
