@@ -12,21 +12,25 @@ signal only, so one basis serves every diffusion scale. A scale needs
 only its coefficient vector, so each basis vector is added to every
 output soon after the recurrence yields it, and none is stored.
 
-Recombination is a two-stage pipeline. The calling thread runs the
-recurrence, and so every matvec; one helper thread per :func:`combine`
-call adds each row into every output, in ascending order, while the next
-rows are drawn. numpy releases the GIL inside those array operations, so
-the two stages overlap. At most ``_IN_FLIGHT`` rows are between the two
-stages, and the helper starts off the CPU the calling thread is on. With
-a single CPU available, or on runs too small to repay a thread, the
+Recombination is two stages joined by two queues. The calling thread
+runs the recurrence, and so every matvec, and puts each row on the first
+queue; one helper thread per :func:`combine` call adds each row into
+every output, in ascending order, and answers each row on the second
+queue with ``None`` or the exception that ended it. numpy releases the
+GIL inside those array operations, so the two stages overlap. A row is
+drawn only once a slot is free, that is while fewer than ``_IN_FLIGHT``
+rows are unanswered, and every answer already waiting is read first, so
+a helper error re-raises at the next row and no matvec is spent after
+it. The helper starts off the CPU the calling thread is on. With a
+single CPU available, or on runs too small to repay a thread, the
 additions run inline, in the same order, so the output bits never depend
 on the thread count.
 """
 
 from __future__ import annotations
 
-import collections
 import os
+import queue
 import threading
 from itertools import islice
 
@@ -37,7 +41,7 @@ from .graphs import SparseSymMatrix
 
 __all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "build_basis", "combine"]
 
-# rows drawn by the recurrence but not yet added to every output
+# rows handed to the helper thread and not yet answered
 _IN_FLIGHT = 4
 # The smallest runs that combine hands to a helper thread. Each row moves
 # once to the helper's core, which a few outputs' additions do not repay,
@@ -143,59 +147,6 @@ def _helper_cpus():
     return allowed - {here}
 
 
-def _overlapped(feed, work, cpus) -> None:
-    """Call ``feed(put)`` here while one helper thread, kept to ``cpus``
-    if that is not empty, runs ``work(*item)`` for each item put, in order.
-
-    ``put`` blocks while ``_IN_FLIGHT`` items are queued or in work. If
-    ``work`` raises, the helper drops the items after it and the next
-    ``put`` re-raises that exception here. The helper is joined before
-    this returns or raises.
-    """
-    items = collections.deque()
-    free, ready = threading.Semaphore(_IN_FLIGHT), threading.Semaphore(0)
-    failed = []
-
-    def helper():
-        if cpus:
-            try:
-                os.sched_setaffinity(0, cpus)
-            except OSError:  # placement is only a hint
-                pass
-        while True:
-            ready.acquire()
-            item = items.popleft()
-            if item is None:
-                return
-            if not failed:
-                try:
-                    work(*item)
-                except BaseException as exc:  # handed to the calling thread
-                    failed.append(exc)
-            del item  # its slot frees only once its row is let go
-            free.release()
-
-    def put(*item):
-        if failed:
-            raise failed[0]
-        free.acquire()
-        items.append(item)
-        ready.release()
-
-    # joined below on every path; daemon only so that a stuck helper cannot stall exit
-    thread = threading.Thread(target=helper, name="chebheat-combine", daemon=True)
-    thread.start()
-    try:
-        feed(put)
-    finally:
-        free.acquire()
-        items.append(None)
-        ready.release()
-        thread.join()
-    if failed:
-        raise failed[0]
-
-
 def combine(basis, c) -> np.ndarray:
     """Contract coefficient vectors against basis rows in one pass.
 
@@ -208,8 +159,11 @@ def combine(basis, c) -> np.ndarray:
     at least ``_OVERLAP_MIN_SCALES`` outputs and rows of at least
     ``_OVERLAP_MIN_LENGTH`` entries, one helper thread does those
     additions while later rows are drawn; the rows must not change after
-    they are yielded. Rows that run out before the coefficients raise
-    ``ValueError``; any error is raised here once the helper has stopped.
+    they are yielded. A row is drawn only once fewer than ``_IN_FLIGHT``
+    rows wait on the helper, and an error of the helper re-raises here
+    before the next row is drawn. Rows that run out before the
+    coefficients raise ``ValueError``; any error is raised here once the
+    helper has been joined.
     """
     c = np.asarray(c, dtype=np.float64)
     coeffs = c.reshape(-1, c.shape[-1])
@@ -231,15 +185,50 @@ def combine(basis, c) -> np.ndarray:
             np.multiply(t, ck, out=scratch)
             y += scratch
 
-    def feed(put):
-        for k in range(1, len(columns)):
-            put(next_row(k), columns[k])
-
     overlap = (len(columns) > 1 and len(coeffs) >= _OVERLAP_MIN_SCALES
                and t0.size >= _OVERLAP_MIN_LENGTH)
     cpus = _helper_cpus() if overlap else None
     if cpus is None:
-        feed(add)
-    else:
-        _overlapped(feed, add, cpus)
+        for k in range(1, len(columns)):
+            add(next_row(k), columns[k])
+        return out.reshape(c.shape[:-1] + t0.shape)
+
+    rows_out, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def helper():
+        if cpus:
+            try:
+                os.sched_setaffinity(0, cpus)
+            except OSError:  # placement is only a hint
+                pass
+        for item in iter(rows_out.get, None):
+            try:
+                add(*item)
+                token = None
+            except BaseException as exc:  # handed to the calling thread
+                token = exc
+            del item  # a row settles only once the helper lets it go
+            done.put(token)
+
+    def settle():
+        token = done.get()
+        if token is not None:
+            raise token
+
+    # joined below on every path; daemon only so that a stuck helper cannot stall exit
+    thread = threading.Thread(target=helper, name="chebheat-combine", daemon=True)
+    thread.start()
+    unsettled = 0
+    try:
+        for k in range(1, len(columns)):
+            while unsettled == _IN_FLIGHT or (unsettled and not done.empty()):
+                settle()
+                unsettled -= 1
+            rows_out.put((next_row(k), columns[k]))
+            unsettled += 1
+    finally:
+        rows_out.put(None)
+        thread.join()
+    while not done.empty():
+        settle()
     return out.reshape(c.shape[:-1] + t0.shape)

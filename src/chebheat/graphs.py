@@ -500,12 +500,12 @@ def _parse_matrix_market(path):
                 if len(parts) != 3:
                     raise ParseError(path, line_no, "expected 'rows cols nnz' size line")
                 try:
-                    r, c, _ = (int(p) for p in parts)
+                    r, c, nnz = (int(p) for p in parts)
                 except ValueError:
                     raise ParseError(path, line_no, f"could not parse size line {line!r}") from None
                 if r != c:
                     raise ParseError(path, line_no, f"matrix must be square, got {r}x{c}")
-                dims = r
+                dims, size_line_no = r, line_no
                 continue
             if not edges:  # the first entry ends the head
                 bulk = _bulk_edges(path, line_no - 1, 2 if pattern else 3, 1, dims)
@@ -516,6 +516,9 @@ def _parse_matrix_market(path):
         raise ParseError(path, 1, "missing size line")
     if bulk is not None:
         edges = np.column_stack(bulk)
+    if len(edges) != nnz:
+        raise ParseError(path, size_line_no,
+                         f"size line declares {nnz} entries, file holds {len(edges)}")
     return np.asarray(edges, dtype=np.float64).reshape(-1, 3), dims
 
 

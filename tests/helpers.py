@@ -265,12 +265,12 @@ def reference_parse_matrix_market(path, lines):
             if len(parts) != 3:
                 raise ParseError(path, line_no, "expected 'rows cols nnz' size line")
             try:
-                r, c, _ = (int(p) for p in parts)
+                r, c, nnz = (int(p) for p in parts)
             except ValueError:
                 raise ParseError(path, line_no, f"could not parse size line {line!r}") from None
             if r != c:
                 raise ParseError(path, line_no, f"matrix must be square, got {r}x{c}")
-            dims = r
+            dims, size_line_no = r, line_no
             continue
         expected = 2 if pattern else 3
         if len(parts) != expected:
@@ -290,6 +290,9 @@ def reference_parse_matrix_market(path, lines):
         edges.append((i, j, w))
     if dims is None:
         raise ParseError(path, 1, "missing size line")
+    if len(edges) != nnz:
+        raise ParseError(path, size_line_no,
+                         f"size line declares {nnz} entries, file holds {len(edges)}")
     return edges, dims
 
 

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 from itertools import islice
 
 import numpy as np
@@ -210,37 +211,92 @@ def _series_case():
     return op, x, np.stack([cheb_coefficients(t, 30) for t in (0.5, 2.0, 8.0)])
 
 
-def test_combine_reraises_row_stream_error(cpus):
+class Abort(BaseException):
+    """Not an ``Exception``: ``combine`` must hand it on all the same."""
+
+
+class _AbortingRow:
+    """A row that numpy hands every ufunc to, and that raises ``abort`` in each."""
+
+    def __init__(self, abort):
+        self.abort = abort
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise self.abort
+
+
+@pytest.mark.parametrize("error", [RuntimeError, Abort])
+def test_combine_reraises_row_stream_error(cpus, error):
     op, x, C = _series_case()
-    boom = RuntimeError("row stream failed")
+    boom = error("row stream failed")
 
     def rows():
         yield from islice(cheb_terms(op.matvec, x), 6)
         raise boom
 
     before = threading.enumerate()
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(error) as info:
         combine(rows(), C)
     assert info.value is boom
     assert threading.enumerate() == before
 
 
-def test_combine_reraises_addition_error_and_stops_drawing(cpus):
+@pytest.mark.parametrize("error", [ValueError, Abort])
+def test_combine_reraises_addition_error_and_stops_drawing(cpus, error):
     op, x, C = _series_case()
     drawn = []
+    abort = Abort("addition aborted")
 
-    def rows():  # endless, with one row of the wrong shape
+    def bad(t):  # a row of the wrong shape, or one that aborts every ufunc
+        return np.append(t, 0.0) if error is ValueError else _AbortingRow(abort)
+
+    def rows():  # endless, with one row that cannot be added
         for k, t in enumerate(cheb_terms(op.matvec, x)):
             drawn.append(k)
-            yield np.append(t, 0.0) if k == 3 else t
+            yield bad(t) if k == 3 else t
 
     before = threading.enumerate()
-    with pytest.raises(ValueError, match="broadcast"):
+    with pytest.raises(error, match="broadcast" if error is ValueError else "aborted") as info:
         combine(rows(), C)
+    assert error is ValueError or info.value is abort
     assert threading.enumerate() == before
     # rows 0 to 3, the rows queued behind row 3, and one drawn before the
     # failure shows: no further matvecs once the helper has failed
     assert len(drawn) <= 4 + _IN_FLIGHT + 1
+
+
+def test_combine_reraises_error_in_the_last_row(cpus):
+    # no row is drawn after the last one fails, so its error is read after the join
+    op, x, C = _series_case()
+    rows = list(build_basis(op, x, 30))
+    rows[-1] = np.append(rows[-1], 0.0)
+    before = threading.enumerate()
+    with pytest.raises(ValueError, match="broadcast"):
+        combine(rows, C)
+    assert threading.enumerate() == before
+
+
+def test_rows_in_flight_stay_bounded(monkeypatch):
+    # a row is drawn only once a slot is free, so at each draw the rows
+    # alive are the new row, the signal and at most _IN_FLIGHT - 1 more:
+    # those the helper has yet to answer, or the recurrence's last row
+    force_combine_helper(monkeypatch)
+    L = build_laplacian(lattice_edges(60, 60), 3600)
+    op = L.scaled(2.0 / estimate_lambda_max(L))
+    C = np.stack([cheb_coefficients(t, 80) for t in np.logspace(-2.0, 1.5, 32)])
+    for seed in range(20):
+        x = np.random.default_rng(seed).standard_normal(op.n)
+        refs, alive = [], []
+
+        def rows():
+            for t in cheb_terms(op.matvec, x):
+                refs.append(weakref.ref(t))
+                alive.append(sum(r() is not None for r in refs))
+                yield t
+
+        combine(rows(), C)
+        assert len(alive) == 81
+        assert max(alive) <= _IN_FLIGHT + 1, seed
 
 
 def test_combine_short_stream_leaves_no_thread(cpus):

@@ -382,6 +382,21 @@ class TestFileFormats:
         assert exc.value.line_no == 3
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("declared, held", [(3, 2), (1, 3)])
+    @pytest.mark.parametrize("line_wise", [False, True])
+    def test_matrix_market_entry_count_must_match(self, tmp_path, declared, held, line_wise):
+        entries = ["2 1 1.0", "3 2 2.0", "3 1 0.5"][:held]
+        if line_wise:  # a comment after the head: the body is read line by line
+            entries.insert(1, "% between entries")
+        path = tmp_path / "g.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n% c\n"
+                        f"3 3 {declared}\n" + "".join(e + "\n" for e in entries))
+        message = f"size line declares {declared} entries, file holds {held}"
+        for load in (load_graph, reference_load_graph):
+            with pytest.raises(ParseError, match=message) as exc:
+                load(path)
+            assert exc.value.line_no == 3
+
     def test_matrix_market_general_rejected(self, tmp_path):
         path = tmp_path / "g.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 0\n")
@@ -485,7 +500,7 @@ class TestBulkPath:
         np.testing.assert_array_equal(load_signal(path, 500).values, values)
 
     @pytest.mark.parametrize("text, n", [
-        ("%%MatrixMarket matrix coordinate pattern symmetric\n14 14 3", 14),
+        ("%%MatrixMarket matrix coordinate pattern symmetric\n14 14 0", 14),
         ("%%MatrixMarket matrix coordinate real symmetric\n% c\n5 5 0\n\n% end\n", 5),
         ("# n=4\n\n# no edges\n", 4),
     ])
@@ -594,15 +609,19 @@ def matrix_market_texts(draw):
             "", "%%MatrixMarket matrix array real symmetric",
             "%%MatrixMarket matrix coordinate complex symmetric",
             "%%MatrixMarket matrix coordinate real general"]))
-    size = "14 14 3"
-    if draw(st.floats(0.0, 1.0)) < odd_rate:
-        size = draw(st.sampled_from(["14 13 3", "14 14", "% size next", "", "+14 14 0"]))
     extra = st.sampled_from(["% c", "15 1 1", "0 1 1", "1 1 1", "14 14", "14 1"])
     # Matrix Market indices are 1-based: add one to every short number
     lines = [" ".join(str(int(t) + 1) if t.isdigit() and len(t) < 3 else t
                       for t in line.split(" "))
              for line in _lines(draw, kind != "pattern", odd_rate, extra)]
-    return _graph_text(draw, [header, size] + _comments_first(draw, lines, "%"))
+    lines = _comments_first(draw, lines, "%")
+    count = sum(1 for line in map(str.strip, lines) if line and not line.startswith("%"))
+    size = f"14 14 {count}"
+    if draw(st.floats(0.0, 1.0)) < odd_rate:
+        # count ^ 1: a wrong count, one more or one fewer than the file holds
+        size = draw(st.sampled_from(["14 13 3", "14 14", "% size next", "", "+14 14 0",
+                                     f"14 14 {count ^ 1}"]))
+    return _graph_text(draw, [header, size] + lines)
 
 
 def _outcome(load, path):
