@@ -230,8 +230,11 @@ def _first_true(pred, start: int) -> int:
 
 
 def min_order(kind: BoundKind, tau_eff: float, tol: float,
-              stats: SignalStats | None = None, cap: int = ORDER_CAP) -> int:
+              stats: SignalStats | None = None) -> int:
     """Smallest order whose certificate meets ``tol``.
+
+    Raises ``OrderCapError`` when no order up to ``ORDER_CAP``, read at
+    each call, does.
 
     Zero scale short-circuits to 0 for every kind (the truncation is
     exact there, whatever the certificate says). Otherwise the search
@@ -264,34 +267,34 @@ def min_order(kind: BoundKind, tau_eff: float, tol: float,
         return 0
     new = kind in _NEW_KINDS
     start = int(math.floor(tau_eff / 2.0)) + 1 if new else 0
-    order = cap + 1
-    if start <= cap:  # with no valid order to try, the signal statistics are never read
+    order = ORDER_CAP + 1
+    if start <= ORDER_CAP:  # with no valid order to try, the signal statistics are never read
         signal = _log_signal_term(kind, tau_eff, stats)
         log_tol = math.log(tol)
         # orders past the cap count as certified so that the search ends there
         order = _first_true(
-            lambda k: k > cap or _log_sq(new, k, tau_eff) + signal <= log_tol, start)
-    if order > cap:
+            lambda k: k > ORDER_CAP or _log_sq(new, k, tau_eff) + signal <= log_tol, start)
+    if order > ORDER_CAP:
         raise OrderCapError(
-            f"no order up to {cap} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"
+            f"no order up to {ORDER_CAP} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"
         )
     return order
 
 
-def _growing_coefficients(tau_eff: float, cap: int):
-    # c[0], c[1], ... up to order cap; the vector is recomputed at double
-    # the length whenever the scan runs past it, and each order takes its
-    # coefficient from the first vector long enough to hold it
-    done, size = 0, min(cap, 64)
+def _growing_coefficients(tau_eff: float):
+    # c[0], c[1], ... up to order ORDER_CAP; the vector is recomputed at
+    # double the length whenever the scan runs past it, and each order takes
+    # its coefficient from the first vector long enough to hold it
+    done, size = 0, min(ORDER_CAP, 64)
     while True:
         yield from cheb_coefficients(tau_eff, size)[done:]
-        if size == cap:
+        if size == ORDER_CAP:
             return
-        done, size = size + 1, min(cap, 2 * size)
+        done, size = size + 1, min(ORDER_CAP, 2 * size)
 
 
 def true_min_order(op, signal, tau: float, tol: float,
-                   lambda_max: float | None = None, cap: int = ORDER_CAP) -> int:
+                   lambda_max: float | None = None) -> int:
     """Smallest order whose *measured* error meets ``tol``.
 
     Measured against the dense oracle in the spectral domain: the
@@ -322,12 +325,12 @@ def true_min_order(op, signal, tau: float, tol: float,
         raise ValueError("diffused signal underflowed to zero; relative error undefined")
     scale = 2.0 / lam_hat if lam_hat > 0.0 else 0.0
     d = np.clip(scale * spec.eigenvalues, 0.0, 2.0)
-    sums = cheb_partial_sums(_growing_coefficients(lam_hat * tau / 2.0, cap),
+    sums = cheb_partial_sums(_growing_coefficients(lam_hat * tau / 2.0),
                              cheb_terms(lambda v: d * v, xhat))
     for order, approx in enumerate(sums):
         diff = target - approx
         if float(diff @ diff) <= tol * denom:
             return order
     raise OrderCapError(
-        f"no order up to {cap} reaches measured tol={tol} at tau={tau}"
+        f"no order up to {ORDER_CAP} reaches measured tol={tol} at tau={tau}"
     )

@@ -110,6 +110,15 @@ def estimate_lambda_max(op: SparseSymMatrix) -> float:
     return _resolve_lambda(op, None)[0]
 
 
+def _diagonal(op: SparseSymMatrix):
+    """Each stored entry's row, whether it is on the diagonal, and the diagonal."""
+    rows = np.repeat(np.arange(op.n), np.diff(op.row_ptr))
+    on_diag = rows == op.col_idx
+    diag = np.zeros(op.n)
+    diag[rows[on_diag]] = op.values[on_diag]
+    return rows, on_diag, diag
+
+
 def _lambda_floor(op: SparseSymMatrix) -> float:
     """A lower bound on the largest eigenvalue, free of matvecs.
 
@@ -121,15 +130,34 @@ def _lambda_floor(op: SparseSymMatrix) -> float:
     """
     if op.nnz == 0:
         return 0.0
-    rows = np.repeat(np.arange(op.n), np.diff(op.row_ptr))
-    on_diag = rows == op.col_idx
-    diag = np.zeros(op.n)
-    diag[rows[on_diag]] = op.values[on_diag]
+    rows, on_diag, diag = _diagonal(op)
     off = ~on_diag
     a = diag[rows[off]]
     b = diag[op.col_idx[off]]
     pair = 0.5 * (a + b) + np.hypot(0.5 * (a - b), op.values[off])
     return float(max(diag.max(), pair.max(initial=-math.inf)))
+
+
+def _require_psd(op: SparseSymMatrix) -> None:
+    """Raise ValueError unless ``op`` is known to be positive semidefinite.
+
+    A Laplacian from :func:`build_laplacian`, or a ``scaled`` copy of one,
+    is marked so. Any other operator must have ``a_ii >= sum_{j != i}
+    |a_ij|`` on every row, compared with no slack: then every Gershgorin
+    disc, and so every eigenvalue, lies in [0, inf). One pass over the
+    stored entries, no matvecs.
+    """
+    if op._psd:
+        return
+    rows, on_diag, diag = _diagonal(op)
+    off = np.bincount(rows[~on_diag], weights=np.abs(op.values[~on_diag]), minlength=op.n)
+    bad = np.flatnonzero(diag < off)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"cannot certify a bound on an operator not known to be positive semidefinite: "
+            f"row {i} has diagonal {float(diag[i])!r} below {float(off[i])!r}, the sum of its "
+            f"off-diagonal magnitudes (build_laplacian marks its Laplacians)")
 
 
 def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[float, int]:
@@ -187,6 +215,11 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     stored edge's 2x2 principal submatrix), or 0 for a nonzero
     operator, raises ``ValueError``. The check is one-sided: a
     value that passes it is not thereby proven to bound the spectrum.
+
+    The bounds hold only for a positive semidefinite operator. A Laplacian
+    from :func:`~chebheat.graphs.build_laplacian` is marked so; any other
+    operator must be diagonally dominant with a non-negative diagonal, or
+    ``ValueError`` names its first row that is not.
     """
     sig = _as_signal(signal)
     if sig.n != op.n:
@@ -200,6 +233,7 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
+    _require_psd(op)
     lam_hat, setup = _resolve_lambda(op, lambda_max)
     tau_effs = tuple(lam_hat * t / 2.0 for t in scales)
     tau_top = max(tau_effs)

@@ -9,7 +9,10 @@ to share across threads.
 Graph files come in two flavours: a whitespace edge list (``i j [w]``,
 0-based, ``#`` comments) and Matrix Market coordinate format (symmetric,
 real). Signals are one-value-per-line text files or generator specs such
-as ``dirac:3``, ``normal:42``, ``const:0.5``.
+as ``dirac:3``, ``normal:42``, ``const:0.5``. All three file readers
+share one record loop, :func:`_body`: it skips the head, tries one
+numpy read of every record at the first one, and otherwise parses the
+file line by line, so each ``ParseError`` names its line.
 """
 
 from __future__ import annotations
@@ -63,6 +66,12 @@ class SparseSymMatrix:
     stored ``(i, j)`` entry must have a mirror ``(j, i)`` with a bitwise
     equal value. The backing arrays are marked read-only afterwards.
 
+    The certified bounds need a positive semidefinite operator. Only
+    :func:`build_laplacian` marks its output so, and :meth:`scaled`
+    carries the mark; a diffusion run checks any other matrix by
+    Gershgorin and refuses one it cannot show to be semidefinite (see
+    :func:`chebheat.diffusion.make_plan`).
+
     Facts derived from the operator alone (the power-iteration estimate
     of its spectral radius, its dense eigendecomposition) are kept in a
     private per-object dict that starts empty, also on a :meth:`scaled`
@@ -71,8 +80,8 @@ class SparseSymMatrix:
     together both compute it, and both get the same bits.
     """
 
-    __slots__ = ("_n", "_row_ptr", "_col_idx", "_values", "_spectral_bound", "_facts",
-                 "_row_starts", "_nonempty")
+    __slots__ = ("_n", "_row_ptr", "_col_idx", "_values", "_spectral_bound", "_psd",
+                 "_facts", "_row_starts", "_nonempty")
 
     def __init__(self, n, row_ptr, col_idx, values):
         n = int(n)
@@ -104,6 +113,7 @@ class SparseSymMatrix:
         self._col_idx = col_idx
         self._values = values
         self._spectral_bound = None
+        self._psd = False
         self._facts = {}
         self._check_symmetry(rows)
         # matvec's reduction layout: the start of every non-empty row, and
@@ -122,17 +132,6 @@ class SparseSymMatrix:
             and np.array_equal(self.values[order], self.values)
         ):
             raise ValueError("matrix is not symmetric")
-
-    def _with_values(self, values, spectral_bound) -> "SparseSymMatrix":
-        # same structure, new stored values: the invariants hold by construction
-        m = object.__new__(type(self))
-        for name in ("_n", "_row_ptr", "_col_idx", "_row_starts", "_nonempty"):
-            setattr(m, name, getattr(self, name))
-        m._values = values
-        m._spectral_bound = spectral_bound
-        m._facts = {}
-        values.flags.writeable = False
-        return m
 
     @property
     def n(self) -> int:
@@ -180,14 +179,23 @@ class SparseSymMatrix:
         """Return a copy with every stored value multiplied by ``alpha``.
 
         ``alpha`` must be positive; structure is shared with the parent,
-        and a spectral bound is scaled with the values.
+        a spectral bound is scaled with the values, and a positive
+        semidefinite mark is kept.
         """
         if not alpha > 0.0:
             raise ValueError("scale factor must be positive")
         if alpha == 1.0:
             return self
-        bound = None if self.spectral_bound is None else self.spectral_bound * alpha
-        return self._with_values(self.values * alpha, bound)
+        # same structure, new stored values: the invariants hold by construction,
+        # and alpha > 0 keeps the positive semidefinite mark
+        m = object.__new__(type(self))
+        for name in ("_n", "_row_ptr", "_col_idx", "_row_starts", "_nonempty", "_psd"):
+            setattr(m, name, getattr(self, name))
+        m._values = self.values * alpha
+        m._values.flags.writeable = False
+        m._spectral_bound = None if self.spectral_bound is None else self.spectral_bound * alpha
+        m._facts = {}
+        return m
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -296,7 +304,8 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
     Returns
     -------
     SparseSymMatrix
-        Positive semi-definite operator. Rows of isolated nodes are empty
+        Positive semi-definite operator, marked so for the certified
+        bounds (see :class:`SparseSymMatrix`). Rows of isolated nodes are empty
         under ``combinatorial`` (no explicit zeros are stored). The
         normalized operator carries ``spectral_bound = 2``: its spectrum
         lies in [0, 2].
@@ -333,6 +342,7 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
     np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
     op = SparseSymMatrix(n, row_ptr, cols, vals)
     op._spectral_bound = 2.0 if kind == "normalized" else None
+    op._psd = True
     return op
 
 
@@ -386,22 +396,45 @@ def _bulk_rows(path, head, dtype):
             return None
 
 
-def _bulk_edges(path, head, fields, base, dims=None):
-    """Columns ``i, j, w`` of the records after the head, 0-based, or None.
+def _bulk_edges(path, head, fields, base, dims=2 ** 53):
+    """The records after the head as one (m, 3) float array of ``i, j, w``, or None.
 
-    Indices are read ``base``-based. None also when an edge breaks a rule
-    (a self-loop, an index below 0 or at least ``dims``): the line-wise
-    parser reports it.
+    Indices are read ``base``-based and returned 0-based. None also when an
+    edge breaks a rule (a self-loop, an index below 0 or at least ``dims``,
+    by default 2**53, from where a float may round an index): the
+    line-wise parser then reads or reports it.
     """
     rows = _bulk_rows(path, head, _EDGE_DTYPES[fields]) if fields in _EDGE_DTYPES else None
     if rows is None:
         return None
     i, j = rows["i"] - base, rows["j"] - base
-    if np.any(i == j) or np.any(np.minimum(i, j) < 0):
+    if np.any(i == j) or np.any(np.minimum(i, j) < 0) or np.any(np.maximum(i, j) >= dims):
         return None
-    if dims is not None and np.any(np.maximum(i, j) >= dims):
-        return None
-    return i, j, rows["w"] if fields == 3 else np.ones(i.size)
+    return np.column_stack([i, j, rows["w"] if fields == 3 else np.ones(i.size)])
+
+
+def _body(fh, path, line_no, comment, bulk, parse, *args, on_comment=None):
+    """The records of ``fh`` after its first ``line_no`` lines: every reader's one loop.
+
+    Blank lines are skipped, and so are lines that start with ``comment``,
+    each handed to ``on_comment`` when given. At the first record, with
+    ``head`` lines before it, returns ``bulk(head, line)`` unless that is
+    None; otherwise returns the list of ``parse(path, line_no, line, *args)``
+    of every record in file order, so each ``ParseError`` names its line.
+    """
+    records = []
+    for line_no, raw in enumerate(fh, start=line_no + 1):
+        line = raw.strip()
+        if line.startswith(comment):
+            if on_comment is not None:
+                on_comment(line)
+        elif line:
+            if not records:  # the first record ends the head
+                rows = bulk(line_no - 1, line)
+                if rows is not None:
+                    return rows
+            records.append(parse(path, line_no, line, *args))
+    return records
 
 
 def _edge_fields(path, line_no, line):
@@ -423,27 +456,17 @@ def _edge_fields(path, line_no, line):
 
 
 def _parse_edge_list(path):
-    declared_n = None
-    edges = []  # line-wise (i, j, w) records
-    bulk = None
+    comments = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                m = _N_TOKEN.search(line[1:])
-                if m and declared_n is None:
-                    declared_n = int(m.group(1))
-            elif line:
-                if not edges:  # the first record ends the head
-                    bulk = _bulk_edges(path, line_no - 1, len(line.split()), 0)
-                    if bulk is not None:
-                        break
-                edges.append(_edge_fields(path, line_no, line))
-    if bulk is None:
+        edges = _body(fh, path, 0, "#",
+                      lambda head, line: _bulk_edges(path, head, len(line.split()), 0),
+                      _edge_fields, on_comment=comments.append)
+    declared = (_N_TOKEN.search(line[1:]) for line in comments)
+    declared_n = next((int(m.group(1)) for m in declared if m), None)
+    if isinstance(edges, list):  # exact ints, also past 2**53 where a float rounds
         max_idx = max((max(i, j) for i, j, _ in edges), default=-1)
     else:
-        max_idx = int(max(bulk[0].max(), bulk[1].max()))
-        edges = np.column_stack(bulk)
+        max_idx = int(edges[:, :2].max())
     n = declared_n if declared_n is not None else max_idx + 1
     if n < 1:
         raise ParseError(path, 1, "file declares no nodes")
@@ -488,36 +511,25 @@ def _parse_matrix_market(path):
         if fields[4] != "symmetric":
             raise ParseError(path, 1, "only symmetric matrices describe graphs here")
         pattern = fields[3] == "pattern"
-        dims = None
-        edges = []  # line-wise (i, j, w) entries
-        bulk = None
-        for line_no, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            if dims is None:
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ParseError(path, line_no, "expected 'rows cols nnz' size line")
-                try:
-                    r, c, nnz = (int(p) for p in parts)
-                except ValueError:
-                    raise ParseError(path, line_no, f"could not parse size line {line!r}") from None
-                if r != c:
-                    raise ParseError(path, line_no, f"matrix must be square, got {r}x{c}")
-                dims, size_line_no = r, line_no
-                continue
-            if not edges:  # the first entry ends the head
-                bulk = _bulk_edges(path, line_no - 1, 2 if pattern else 3, 1, dims)
-                if bulk is not None:
-                    break
-            edges.append(_mm_entry(path, line_no, line, pattern, dims))
-    if dims is None:
-        raise ParseError(path, 1, "missing size line")
-    if bulk is not None:
-        edges = np.column_stack(bulk)
+        lines = enumerate(map(str.strip, fh), start=2)
+        size_no, size = next(((k, line) for k, line in lines
+                              if line and not line.startswith("%")), (None, None))
+        if size is None:
+            raise ParseError(path, 1, "missing size line")
+        parts = size.split()
+        if len(parts) != 3:
+            raise ParseError(path, size_no, "expected 'rows cols nnz' size line")
+        try:
+            dims, cols, nnz = (int(p) for p in parts)
+        except ValueError:
+            raise ParseError(path, size_no, f"could not parse size line {size!r}") from None
+        if dims != cols:
+            raise ParseError(path, size_no, f"matrix must be square, got {dims}x{cols}")
+        edges = _body(fh, path, size_no, "%",
+                      lambda head, line: _bulk_edges(path, head, 2 if pattern else 3, 1, dims),
+                      _mm_entry, pattern, dims)
     if len(edges) != nnz:
-        raise ParseError(path, size_line_no,
+        raise ParseError(path, size_no,
                          f"size line declares {nnz} entries, file holds {len(edges)}")
     return np.asarray(edges, dtype=np.float64).reshape(-1, 3), dims
 
@@ -541,13 +553,15 @@ def load_graph(path):
 
     Notes
     -----
-    The head of the file is its leading blank and comment lines, and for
-    Matrix Market also the header and size lines. When every line after
-    the head is a plain record with the first record's field count and no
-    rule is broken, numpy reads them all in one call. Any other file (a
-    comment after the head, a mix of 2- and 3-field lines, a self-loop,
-    an index out of range, a token such as ``1_0`` that numpy rejects) is
-    read line by line, and each ``ParseError`` carries its line number.
+    Both formats go through the one record loop of every reader. The
+    head of the file is its leading blank and comment lines, and for
+    Matrix Market also the header and size lines, read before the loop.
+    At the first record, when every line after the head is a plain
+    record with that record's field count and no rule is broken, numpy
+    reads them all in one call. Any other file (a comment after the head,
+    a mix of 2- and 3-field lines, a self-loop, an index out of range or
+    past 2**53, a token such as ``1_0`` that numpy rejects) is read line
+    by line, and each ``ParseError`` carries its line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = next((line for line in map(str.strip, fh) if line), "")
@@ -603,10 +617,10 @@ def load_signal(source, n: int | None = None) -> GraphSignal:
     (standard normal entries), ``const:v``. Anything else is read as a
     one-value-per-line file (``#`` comments and blank lines skipped).
     ``n`` is required for specs and, when given, validated against files.
-    When every line after the leading blank and comment lines holds one
-    number that numpy reads, numpy reads them all in one call; any other
-    file is read line by line, so each ``ParseError`` carries its line
-    number.
+    Files go through the record loop :func:`load_graph` uses: when every
+    line after the leading blank and comment lines holds one number that
+    numpy reads, numpy reads them all in one call; any other file is read
+    line by line, so each ``ParseError`` carries its line number.
     """
     if isinstance(source, str) and ":" in source:
         head, _, arg = source.partition(":")
@@ -624,18 +638,10 @@ def load_signal(source, n: int | None = None) -> GraphSignal:
                 rng = np.random.default_rng(int(arg))
                 return GraphSignal(rng.standard_normal(n))
             return GraphSignal(np.full(n, float(arg)))
-    values = []
     with open(source, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not values:  # the first value ends the head
-                bulk = _bulk_rows(source, line_no - 1, _SIGNAL_DTYPE)
-                if bulk is not None:
-                    values = bulk["x"]
-                    break
-            values.append(_signal_value(source, line_no, line))
+        # bulk rows have the one field "x", which GraphSignal casts to floats
+        values = _body(fh, source, 0, "#",
+                       lambda head, line: _bulk_rows(source, head, _SIGNAL_DTYPE), _signal_value)
     if len(values) == 0:
         raise ParseError(source, 1, "signal file holds no values")
     if n is not None and len(values) != n:

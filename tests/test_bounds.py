@@ -6,6 +6,7 @@ formulas.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -193,7 +194,8 @@ class TestMinOrder:
 
     def test_cap_raises(self):
         with pytest.raises(OrderCapError):
-            min_order(BoundKind.NEW_GENERIC, 9.0, 1e-8, cap=10)
+            with mock.patch.object(chebheat.bounds, "ORDER_CAP", 10):
+                min_order(BoundKind.NEW_GENERIC, 9.0, 1e-8)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -237,7 +239,8 @@ class TestMinOrderMatchesLinearScan:
         (BoundKind.NEW_GENERIC, 1e-3, 0.1, None, 1, 1),
     ])
     def test_edge_cases(self, kind, tau_eff, tol, stats, cap, expected):
-        got = _order_or_error(min_order, kind, tau_eff, tol, stats=stats, cap=cap)
+        with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap):
+            got = _order_or_error(min_order, kind, tau_eff, tol, stats=stats)
         assert got == _order_or_error(reference_min_order, kind, tau_eff, tol, stats=stats, cap=cap)
         assert (got[0] if isinstance(got, tuple) else got) == expected
 
@@ -248,8 +251,9 @@ class TestMinOrderMatchesLinearScan:
            st.one_of(st.just(ORDER_CAP), st.integers(min_value=0, max_value=60)))
     @settings(max_examples=300, deadline=None)
     def test_random(self, kind, tau_eff, tol, stats, cap):
-        assert (_order_or_error(min_order, kind, tau_eff, tol, stats=stats, cap=cap)
-                == _order_or_error(reference_min_order, kind, tau_eff, tol, stats=stats, cap=cap))
+        with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap):
+            got = _order_or_error(min_order, kind, tau_eff, tol, stats=stats)
+        assert got == _order_or_error(reference_min_order, kind, tau_eff, tol, stats=stats, cap=cap)
 
 
 class TestTrueMinOrder:
@@ -268,6 +272,14 @@ class TestTrueMinOrder:
             k_true = true_min_order(L, x, tau, 1e-5, lambda_max=lam)
             for kind in BoundKind:
                 assert k_true <= min_order(kind, lam * tau / 2.0, 1e-5, stats=stats)
+
+    def test_cap_raises(self):
+        L = build_laplacian([(0, 1)], 2)
+        x = GraphSignal([1.0, 0.0])
+        with mock.patch.object(chebheat.bounds, "ORDER_CAP", 5):
+            with pytest.raises(OrderCapError, match="no order up to 5"):
+                true_min_order(L, x, 1.0, 1e-10, lambda_max=2.0)
+        assert true_min_order(L, x, 1.0, 1e-10, lambda_max=2.0) == 6
 
     def test_tau_zero(self):
         L = build_laplacian([(0, 1)], 2)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import threading
 import tracemalloc
 
@@ -14,7 +15,8 @@ from chebheat.chebyshev import cheb_coefficients, cheb_terms
 from chebheat.diffusion import (_lambda_floor, estimate_lambda_max, expm_multiply,
                                 expm_multiscale, make_plan, measure_errors)
 from chebheat.errors import ConvergenceError
-from chebheat.graphs import GraphSignal, SparseSymMatrix, build_laplacian, erdos_renyi
+from chebheat.graphs import (GraphSignal, SparseSymMatrix, build_laplacian, erdos_renyi,
+                             load_graph)
 
 from helpers import complete_edges, force_combine_helper, series_sum
 
@@ -331,6 +333,32 @@ class TestMakePlan:
         y, _ = expm_multiply(L, factor * x, 3.0, tol=1e-8, kind=kind)
         y_ref, _ = expm_multiply(L, x, 3.0, tol=1e-8, kind=kind)
         np.testing.assert_allclose(y / factor, y_ref, rtol=0.0, atol=1e-12 * np.abs(y_ref).max())
+
+    @pytest.mark.parametrize("kind", ["auto", *BoundKind])
+    def test_operator_not_known_psd_refused(self, kind):
+        # path Laplacian minus 0.6 I, eigenvalues -0.6, 0.4 and 2.4. Unchecked,
+        # auto at tau 20 reported a bound of 6.5e-9 for a measured squared
+        # error of 0.67, and new-generic at tau 1 2.1e-9 for 8.5e-7
+        a = build_laplacian([(0, 1), (1, 2)], 3).to_dense() - 0.6 * np.eye(3)
+        op = SparseSymMatrix(3, [0, 2, 5, 7], [0, 1, 0, 1, 2, 1, 2], a[a != 0.0])
+        for tau in (1.0, 20.0):
+            with pytest.raises(ValueError, match="row 0 has diagonal 0.4 below 1.0"):
+                expm_multiply(op, [1.0, 0.3, -0.2], tau, tol=1e-8, kind=kind)
+
+    def test_psd_operators_accepted(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "weighted.txt")
+        weighted = build_laplacian(*load_graph(path))
+        star = build_laplacian([(0, 1), (0, 2), (0, 3)], 4, kind="normalized")
+        # the normalized star is not diagonally dominant: only its mark admits it
+        with pytest.raises(ValueError, match="row 0 has diagonal 1.0 below"):
+            make_plan(SparseSymMatrix(4, star.row_ptr, star.col_idx, star.values),
+                      np.ones(4), [1.0], 1e-8)
+        direct = SparseSymMatrix(2, [0, 2, 4], [0, 1, 0, 1], [1.0, -1.0, -1.0, 1.0])
+        ops = [weighted, star, direct]
+        for op in ops + [op.scaled(0.3) for op in ops]:
+            x = np.arange(1.0, op.n + 1.0)
+            for kind in ["auto", *BoundKind]:
+                make_plan(op, x, [1.0], 1e-8, kind=kind)
 
 
 class TestMultiscale:

@@ -364,6 +364,19 @@ class TestFileFormats:
                 load_graph(path)
         assert exc.value.line_no == 1
 
+    @pytest.mark.parametrize("head", ["", "# n=13\n"])
+    @pytest.mark.parametrize("index", [2 ** 53 + 1, int("1" * 18), 10 ** 20 - 1])
+    def test_index_past_float_precision_is_exact(self, tmp_path, head, index):
+        # a float rounds these indices; n and the error carry the exact int
+        path = tmp_path / "g.txt"
+        path.write_text(f"{head}0 {index} 2.0\n3 1 0.5\n")
+        assert _outcome(load_graph, path) == _outcome(reference_load_graph, path)
+        if head:
+            with pytest.raises(ParseError, match=f"node index {index} exceeds declared n=13"):
+                load_graph(path)
+        else:
+            assert load_graph(path)[1] == index + 1
+
     def test_matrix_market_bad_entry_reports_position(self, tmp_path):
         path = tmp_path / "g.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
