@@ -6,7 +6,11 @@ coefficients; the second is the classical spectral-projection estimate
 built from a fixed geometric rate. Each family comes in a *generic*
 variant (worst case over signals, carries an ``exp(4 tau)`` factor) and
 a *specific* variant that replaces that factor with the measured energy
-ratio ``n ||x||^2 / (sum x)^2`` of the actual input signal.
+ratio ``||k||^2 ||x||^2 / <x, k>^2`` of the actual input signal, for a
+vector ``k`` in the operator's kernel: the output keeps the input's
+component along ``k``, so ``||exp(-tau L) x||^2 >= <x, k>^2 / ||k||^2``.
+On a combinatorial Laplacian ``k`` is the constant vector and the ratio
+is ``n ||x||^2 / (sum x)^2``.
 
 All bound arithmetic runs in the log domain so that extreme scales
 neither overflow nor collapse to NaN; only the final value is
@@ -24,7 +28,7 @@ import numpy as np
 from .bessel import ORDER_CAP, log_factorial
 from .chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
 from .errors import OrderCapError
-from .graphs import GraphSignal
+from .graphs import _signal
 
 __all__ = ["BoundKind", "AUTO", "SignalStats", "sup_error_bound", "baseline_error_term",
            "log_bound_value", "select_bound", "min_order", "true_min_order"]
@@ -53,34 +57,35 @@ _LOG_1MD = math.log1p(-_D)
 
 @dataclass(frozen=True)
 class SignalStats:
-    """The aggregates of a signal that the specific bounds consume.
+    """The one number of a signal that the specific bounds consume.
 
-    :meth:`from_signal` takes ``norm_sq`` and ``component_sum`` of
-    ``2^-e x`` with ``2^e`` just above ``max|x|``. The energy ratio does
-    not depend on scale, and a power-of-two scaling is exact, so it gets
-    the bits the plain sums would give wherever those are finite and
-    normal, and stays defined where they would overflow or underflow.
+    :meth:`from_signal` sets ``energy_ratio = ||k||^2 ||x||^2 / <x, k>^2``
+    for the operator's ``kernel_vector`` ``k``, at least 1 by
+    Cauchy-Schwarz; on the constant ``k`` of a combinatorial Laplacian
+    that is ``n ||x||^2 / (sum x)^2``, bit for bit. The sums are taken
+    on ``2^-e x`` with ``2^e`` just above ``max|x|``. The ratio does not
+    depend on scale, and a power-of-two scaling is exact, so it gets the
+    bits the plain sums would give wherever those are finite and normal,
+    and stays defined where they would overflow or underflow. It is
+    ``inf`` when the operator has no kernel vector, or when
+    ``<x, k>^2`` is zero: the inner product is exactly zero, or it
+    cancelled to below about 1e-154 of the largest entry.
     """
 
-    n: int
-    norm_sq: float
-    component_sum: float
+    energy_ratio: float
 
     @classmethod
-    def from_signal(cls, signal: GraphSignal) -> "SignalStats":
-        x = signal.values
+    def from_signal(cls, signal, op) -> "SignalStats":
+        x = _signal(signal)
+        if x.size != op.n:
+            raise ValueError(f"signal length {x.size} does not match operator size {op.n}")
+        k = op.kernel_vector
+        if k is None:
+            return cls(math.inf)
         x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
-        return cls(n=signal.n, norm_sq=float(x @ x), component_sum=float(np.sum(x)))
-
-    @property
-    def energy_ratio(self) -> float:
-        """``n * ||x||^2 / (sum x)^2``; at least 1 by Cauchy-Schwarz.
-
-        ``inf`` when ``(sum x)^2`` is zero: the sum is exactly zero, or it
-        cancelled to below about 1e-154 of the largest entry.
-        """
-        sum_sq = self.component_sum * self.component_sum
-        return self.n * self.norm_sq / sum_sq if sum_sq > 0.0 else math.inf
+        dot = float(np.sum(x * k))
+        dot_sq = dot * dot
+        return cls(float(np.sum(k * k)) * float(x @ x) / dot_sq if dot_sq > 0.0 else math.inf)
 
 
 def _check_order(order: int, tau_eff: float) -> int:
@@ -150,15 +155,6 @@ def baseline_error_term(order: int, tau_eff: float) -> float:
     return math.exp(_log_baseline_error_term(order, tau_eff))
 
 
-def _ratio_log(stats: SignalStats | None, kind: BoundKind) -> float:
-    if stats is None:
-        raise ValueError(f"{kind.value} bound needs signal statistics")
-    if stats.energy_ratio == math.inf:
-        raise ValueError(f"{kind.value} bound is undefined for a signal whose components "
-                         f"sum to zero (or cancel past the float range)")
-    return math.log(stats.energy_ratio)
-
-
 _NEW_KINDS = (BoundKind.NEW_GENERIC, BoundKind.NEW_SPECIFIC)
 
 
@@ -166,7 +162,14 @@ def _log_signal_term(kind: BoundKind, tau_eff: float, stats: SignalStats | None)
     # the factor a certificate pays for the signal: exp(4 tau) generic, the energy ratio specific
     if kind in (BoundKind.NEW_GENERIC, BoundKind.BASELINE_GENERIC):
         return 4.0 * tau_eff
-    return _ratio_log(stats, kind)
+    if stats is None:
+        raise ValueError(f"{kind.value} bound needs signal statistics")
+    if stats.energy_ratio == math.inf:
+        raise ValueError(f"{kind.value} bound is undefined: the operator has no known kernel "
+                         f"vector, or the signal has no component along it (its components "
+                         f"sum to zero on a combinatorial Laplacian, or cancel past the "
+                         f"float range)")
+    return math.log(stats.energy_ratio)
 
 
 def _log_sq(new: bool, order: int, tau_eff: float) -> float:
@@ -204,7 +207,8 @@ def select_bound(tau_eff: float, stats: SignalStats) -> BoundKind:
 
     The specific variant wins exactly when ``tau_eff`` reaches a quarter
     of the log energy ratio (ties go to specific); an infinite ratio, from
-    a sum that is zero or cancels, forces the generic one.
+    an operator with no kernel vector or a signal with no component along
+    it, forces the generic one.
     """
     if float(tau_eff) >= 0.25 * math.log(stats.energy_ratio):
         return BoundKind.NEW_SPECIFIC
@@ -305,7 +309,7 @@ def true_min_order(op, signal, tau: float, tol: float,
     :func:`min_order` outputs. The signal is checked as a diffusion run
     checks it, before any dense work. Limited to oracle-sized operators.
     """
-    from .diffusion import _as_signal, _resolve_lambda
+    from .diffusion import _resolve_lambda
     from .oracle import dense_spectrum
 
     tau = float(tau)
@@ -313,7 +317,7 @@ def true_min_order(op, signal, tau: float, tol: float,
         raise ValueError("tau must be non-negative")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    x = _as_signal(signal).values
+    x = _signal(signal)
     spec = dense_spectrum(op)
     if x.shape != spec.eigenvalues.shape:
         raise ValueError("signal length does not match operator size")

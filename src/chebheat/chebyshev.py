@@ -151,9 +151,9 @@ def combine(basis, c) -> np.ndarray:
     """Contract coefficient vectors against basis rows in one pass.
 
     ``basis`` is any iterable of rows ``t_0, t_1, ...``, such as
-    :func:`build_basis`; ``c`` is one coefficient vector, giving an output
-    of shape ``(n,)``, or an ``(m, K + 1)`` array, giving ``(m, n)``. Row
-    ``k`` is drawn only once column ``k`` exists, on the calling thread;
+    :func:`build_basis`; ``c`` is an ``(m, K + 1)`` array, one coefficient
+    vector per output, giving an ``(m, n)`` array. Row ``k`` is drawn
+    only once column ``k`` exists, on the calling thread;
     each output gets ``c[0]/2 t_0``, then ``+= c[k] * t_k`` in ascending
     ``k``, as :func:`cheb_partial_sums` sums them. With two CPUs or more,
     at least ``_OVERLAP_MIN_SCALES`` outputs and rows of at least
@@ -166,32 +166,31 @@ def combine(basis, c) -> np.ndarray:
     helper has been joined.
     """
     c = np.asarray(c, dtype=np.float64)
-    coeffs = c.reshape(-1, c.shape[-1])
-    columns = coeffs.T.tolist()
+    columns = c.T.tolist()
     rows = iter(basis)
 
     def next_row(k):
         t = next(rows, None)
         if t is None:
             raise ValueError(f"basis of order {k - 1} cannot serve coefficients "
-                             f"of order {c.shape[-1] - 1}")
+                             f"of order {c.shape[1] - 1}")
         return t
 
     t0 = next_row(0)
-    out, scratch = np.multiply.outer(0.5 * coeffs[:, 0], t0), np.empty_like(t0)
+    out, scratch = np.multiply.outer(0.5 * c[:, 0], t0), np.empty_like(t0)
 
     def add(t, column):
         for y, ck in zip(out, column):
             np.multiply(t, ck, out=scratch)
             y += scratch
 
-    overlap = (len(columns) > 1 and len(coeffs) >= _OVERLAP_MIN_SCALES
+    overlap = (len(columns) > 1 and len(c) >= _OVERLAP_MIN_SCALES
                and t0.size >= _OVERLAP_MIN_LENGTH)
     cpus = _helper_cpus() if overlap else None
     if cpus is None:
         for k in range(1, len(columns)):
             add(next_row(k), columns[k])
-        return out.reshape(c.shape[:-1] + t0.shape)
+        return out
 
     rows_out, done = queue.SimpleQueue(), queue.SimpleQueue()
 
@@ -231,4 +230,4 @@ def combine(basis, c) -> np.ndarray:
         thread.join()
     while not done.empty():
         settle()
-    return out.reshape(c.shape[:-1] + t0.shape)
+    return out

@@ -109,7 +109,7 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
         edges = erdos_renyi(n, p, seed + t)
         op = build_laplacian(edges, n)
         sig = load_signal(f"normal:{seed + t + 10000}", n)
-        stats = SignalStats.from_signal(sig)
+        stats = SignalStats.from_signal(sig, op)
         ratios[t] = stats.energy_ratio
         lam = estimate_lambda_max(op)
         for j, tau in enumerate(taus):

@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import AUTO, BoundKind, SignalStats, log_bound_value, min_order, select_bound
 from .chebyshev import build_basis, cheb_coefficients, combine
 from .errors import ConvergenceError
-from .graphs import GraphSignal, SparseSymMatrix
+from .graphs import SparseSymMatrix, _signal
 
 __all__ = ["DiffusionPlan", "DiffusionReport", "estimate_lambda_max",
            "make_plan", "expm_multiply", "expm_multiscale", "measure_errors"]
@@ -141,13 +141,14 @@ def _lambda_floor(op: SparseSymMatrix) -> float:
 def _require_psd(op: SparseSymMatrix) -> None:
     """Raise ValueError unless ``op`` is known to be positive semidefinite.
 
-    A Laplacian from :func:`build_laplacian`, or a ``scaled`` copy of one,
-    is marked so. Any other operator must have ``a_ii >= sum_{j != i}
+    An operator with a kernel vector is a Laplacian from
+    :func:`build_laplacian`, or a ``scaled`` copy of one, and so is
+    semidefinite. Any other operator must have ``a_ii >= sum_{j != i}
     |a_ij|`` on every row, compared with no slack: then every Gershgorin
     disc, and so every eigenvalue, lies in [0, inf). One pass over the
     stored entries, no matvecs.
     """
-    if op._psd:
+    if op.kernel_vector is not None:
         return
     rows, on_diag, diag = _diagonal(op)
     off = np.bincount(rows[~on_diag], weights=np.abs(op.values[~on_diag]), minlength=op.n)
@@ -157,7 +158,7 @@ def _require_psd(op: SparseSymMatrix) -> None:
         raise ValueError(
             f"cannot certify a bound on an operator not known to be positive semidefinite: "
             f"row {i} has diagonal {float(diag[i])!r} below {float(off[i])!r}, the sum of its "
-            f"off-diagonal magnitudes (build_laplacian marks its Laplacians)")
+            f"off-diagonal magnitudes (build_laplacian's Laplacians need no check)")
 
 
 def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[float, int]:
@@ -190,19 +191,23 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[floa
     return lam_hat, iters
 
 
-def _as_signal(x) -> GraphSignal:
-    return x if isinstance(x, GraphSignal) else GraphSignal(x)
-
-
 def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
               kind: BoundKind | str = AUTO, lambda_max: float | None = None) -> DiffusionPlan:
     """Resolve order, bound kind and rescaling for a set of scales.
 
     The order is chosen once, at the largest effective scale, so a
     shared basis serves every scale. `kind=AUTO` resolves to whichever
-    new-bound variant is sharper for this signal at that scale. For a
-    signal whose components sum to zero, or cancel past the float range,
-    a specific kind raises ``ValueError`` and AUTO picks the generic one.
+    new-bound variant is sharper for this signal at that scale. The
+    specific kinds read the signal's energy over its energy along the
+    operator's ``kernel_vector`` (:class:`~chebheat.bounds.SignalStats`).
+    When the operator has no kernel vector, or the signal has no
+    component along it (its components sum to zero, on a combinatorial
+    Laplacian) or one that cancels past the float range, a specific kind
+    raises ``ValueError`` and AUTO picks the generic one.
+
+    ``signal`` is any finite, non-empty 1-d array_like of length
+    ``op.n``; like every function that takes a signal, this one checks
+    it and works on a read-only float64 copy.
 
     The spectral radius is, in order of preference, the given
     ``lambda_max``, the operator's ``spectral_bound`` (2 for a normalized
@@ -217,13 +222,11 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     value that passes it is not thereby proven to bound the spectrum.
 
     The bounds hold only for a positive semidefinite operator. A Laplacian
-    from :func:`~chebheat.graphs.build_laplacian` is marked so; any other
+    from :func:`~chebheat.graphs.build_laplacian` is one; any other
     operator must be diagonally dominant with a non-negative diagonal, or
     ``ValueError`` names its first row that is not.
     """
-    sig = _as_signal(signal)
-    if sig.n != op.n:
-        raise ValueError(f"signal length {sig.n} does not match operator size {op.n}")
+    stats = SignalStats.from_signal(signal, op)
     scales = tuple(float(t) for t in scales)
     if not scales:
         raise ValueError("need at least one scale")
@@ -237,7 +240,6 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     lam_hat, setup = _resolve_lambda(op, lambda_max)
     tau_effs = tuple(lam_hat * t / 2.0 for t in scales)
     tau_top = max(tau_effs)
-    stats = SignalStats.from_signal(sig)
     resolved = select_bound(tau_top, stats) if kind == AUTO else BoundKind(kind)
     return DiffusionPlan(
         lambda_max=lam_hat,
@@ -295,8 +297,8 @@ def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
     ----------
     op : SparseSymMatrix
         Graph Laplacian (combinatorial or normalized).
-    x : GraphSignal or array_like
-        Input signal.
+    x : array_like
+        Input signal, 1-d, finite and non-empty.
     tau : float
         Diffusion scale, >= 0.
     tol : float, optional
@@ -328,9 +330,9 @@ def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
     basis. Results come in input order; the outputs are the rows of one
     ``(m, n)`` array.
     """
-    sig = _as_signal(x)
-    plan = make_plan(op, sig, scales, tol, kind=kind, lambda_max=lambda_max)
-    ys = _diffuse(op, plan.lambda_max, sig.values, plan.order, plan.tau_effs)
+    x = _signal(x)
+    plan = make_plan(op, x, scales, tol, kind=kind, lambda_max=lambda_max)
+    ys = _diffuse(op, plan.lambda_max, x, plan.order, plan.tau_effs)
     return [(y, _report_for(plan, i)) for i, y in enumerate(ys)]
 
 
@@ -346,16 +348,16 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     """
     from .oracle import exact_diffusion
 
-    sig = _as_signal(x)
+    x = _signal(x)
     tau = float(tau)
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
     lam_hat, _ = _resolve_lambda(op, lambda_max)
-    [y] = _diffuse(op, lam_hat, sig.values, int(order), [lam_hat * tau / 2.0])
-    w = exact_diffusion(op, sig.values, tau)
+    [y] = _diffuse(op, lam_hat, x, int(order), [lam_hat * tau / 2.0])
+    w = exact_diffusion(op, x, tau)
     diff = y - w
     err = float(diff @ diff)
-    denom_in = float(sig.values @ sig.values)
+    denom_in = float(x @ x)
     denom_out = float(w @ w)
     if denom_out == 0.0:
         raise ValueError("exact diffusion is zero; output-relative error undefined")

@@ -4,15 +4,19 @@ The operator type is a plain CSR matrix restricted to the symmetric case:
 both triangles are stored explicitly, column indices are strictly
 increasing within each row, and no explicit zeros are kept. Construction
 validates all of that once, after which instances are immutable and safe
-to share across threads.
+to share across threads. :func:`build_laplacian` also gives each
+Laplacian its kernel vector, which the specific certificates read.
 
 Graph files come in two flavours: a whitespace edge list (``i j [w]``,
 0-based, ``#`` comments) and Matrix Market coordinate format (symmetric,
-real). Signals are one-value-per-line text files or generator specs such
-as ``dirac:3``, ``normal:42``, ``const:0.5``. All three file readers
-share one record loop, :func:`_body`: it skips the head, tries one
-numpy read of every record at the first one, and otherwise parses the
-file line by line, so each ``ParseError`` names its line.
+real). A signal is a plain array: every function that takes one checks
+and copies it with :func:`_signal` into a read-only, finite, non-empty
+1-d float64 array. Signals come from one-value-per-line text files or
+generator specs such as ``dirac:3``, ``normal:42``, ``const:0.5``. All
+three file readers share one record loop, :func:`_body`: it skips the
+head, tries one numpy read of every record at the first one, and
+otherwise parses the file line by line, so each ``ParseError`` names its
+line.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .errors import ParseError
 
 __all__ = [
     "SparseSymMatrix",
-    "GraphSignal",
     "build_laplacian",
     "erdos_renyi",
     "load_graph",
@@ -59,6 +62,11 @@ class SparseSymMatrix:
         A known upper bound on the largest eigenvalue, read-only. Only
         :func:`build_laplacian` sets it (2, normalized); :meth:`scaled`
         carries it. Diffusion runs estimate the radius of any other matrix.
+    kernel_vector : ndarray or None
+        A known nonzero vector ``k`` with ``A k = 0``, read-only. Only
+        :func:`build_laplacian` sets it: ``ones(n)`` for a combinatorial
+        Laplacian, ``sqrt(deg)`` for a normalized one; :meth:`scaled`
+        carries it. ``None`` for every matrix built directly.
 
     Notes
     -----
@@ -66,10 +74,12 @@ class SparseSymMatrix:
     stored ``(i, j)`` entry must have a mirror ``(j, i)`` with a bitwise
     equal value. The backing arrays are marked read-only afterwards.
 
-    The certified bounds need a positive semidefinite operator. Only
-    :func:`build_laplacian` marks its output so, and :meth:`scaled`
-    carries the mark; a diffusion run checks any other matrix by
-    Gershgorin and refuses one it cannot show to be semidefinite (see
+    The certified bounds need a positive semidefinite operator, and the
+    specific ones also a kernel vector. An operator with a kernel vector
+    comes from :func:`build_laplacian` (or :meth:`scaled`), so it is
+    positive semidefinite; a diffusion run checks any other matrix by
+    Gershgorin and refuses one it cannot show to be semidefinite, and
+    certifies it with the generic bounds only (see
     :func:`chebheat.diffusion.make_plan`).
 
     Facts derived from the operator alone (the power-iteration estimate
@@ -80,7 +90,7 @@ class SparseSymMatrix:
     together both compute it, and both get the same bits.
     """
 
-    __slots__ = ("_n", "_row_ptr", "_col_idx", "_values", "_spectral_bound", "_psd",
+    __slots__ = ("_n", "_row_ptr", "_col_idx", "_values", "_spectral_bound", "_kernel",
                  "_facts", "_row_starts", "_nonempty")
 
     def __init__(self, n, row_ptr, col_idx, values):
@@ -113,7 +123,7 @@ class SparseSymMatrix:
         self._col_idx = col_idx
         self._values = values
         self._spectral_bound = None
-        self._psd = False
+        self._kernel = None
         self._facts = {}
         self._check_symmetry(rows)
         # matvec's reduction layout: the start of every non-empty row, and
@@ -154,6 +164,10 @@ class SparseSymMatrix:
         return self._spectral_bound
 
     @property
+    def kernel_vector(self) -> np.ndarray | None:
+        return self._kernel
+
+    @property
     def nnz(self) -> int:
         return int(self.values.size)
 
@@ -178,18 +192,18 @@ class SparseSymMatrix:
     def scaled(self, alpha: float) -> "SparseSymMatrix":
         """Return a copy with every stored value multiplied by ``alpha``.
 
-        ``alpha`` must be positive; structure is shared with the parent,
-        a spectral bound is scaled with the values, and a positive
-        semidefinite mark is kept.
+        ``alpha`` must be positive; structure and kernel vector are
+        shared with the parent, and a spectral bound is scaled with the
+        values.
         """
         if not alpha > 0.0:
             raise ValueError("scale factor must be positive")
         if alpha == 1.0:
             return self
         # same structure, new stored values: the invariants hold by construction,
-        # and alpha > 0 keeps the positive semidefinite mark
+        # and alpha > 0 keeps the kernel and positive semidefiniteness
         m = object.__new__(type(self))
-        for name in ("_n", "_row_ptr", "_col_idx", "_row_starts", "_nonempty", "_psd"):
+        for name in ("_n", "_row_ptr", "_col_idx", "_row_starts", "_nonempty", "_kernel"):
             setattr(m, name, getattr(self, name))
         m._values = self.values * alpha
         m._values.flags.writeable = False
@@ -207,26 +221,15 @@ class SparseSymMatrix:
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz})"
 
 
-class GraphSignal:
-    """Dense vertex signal: a read-only, finite, non-empty 1-d array."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        v = np.array(values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("signal must be a non-empty 1-d array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("signal contains non-finite values")
-        v.flags.writeable = False
-        self.values = v
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    def __repr__(self):
-        return f"GraphSignal(n={self.n})"
+def _signal(values) -> np.ndarray:
+    """A signal: a read-only, finite, non-empty 1-d float64 copy of ``values``."""
+    v = np.array(values, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("signal must be a non-empty 1-d array")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("signal contains non-finite values")
+    v.flags.writeable = False
+    return v
 
 
 def _edge_array(edges) -> np.ndarray:
@@ -304,11 +307,12 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
     Returns
     -------
     SparseSymMatrix
-        Positive semi-definite operator, marked so for the certified
-        bounds (see :class:`SparseSymMatrix`). Rows of isolated nodes are empty
-        under ``combinatorial`` (no explicit zeros are stored). The
-        normalized operator carries ``spectral_bound = 2``: its spectrum
-        lies in [0, 2].
+        Positive semi-definite operator with its ``kernel_vector``:
+        ``ones(n)`` (isolated nodes included) for ``combinatorial``,
+        ``sqrt(deg)`` for ``normalized`` (see :class:`SparseSymMatrix`).
+        Rows of isolated nodes are empty under ``combinatorial`` (no
+        explicit zeros are stored). The normalized operator carries
+        ``spectral_bound = 2``: its spectrum lies in [0, 2].
     """
     if kind not in ("combinatorial", "normalized"):
         raise ValueError(f"unknown laplacian kind: {kind!r}")
@@ -342,7 +346,8 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
     np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
     op = SparseSymMatrix(n, row_ptr, cols, vals)
     op._spectral_bound = 2.0 if kind == "normalized" else None
-    op._psd = True
+    op._kernel = np.sqrt(deg) if kind == "normalized" else np.ones(n)
+    op._kernel.flags.writeable = False
     return op
 
 
@@ -610,7 +615,7 @@ def _signal_value(path, line_no, line):
         raise ParseError(path, line_no, f"not a number: {line!r}") from None
 
 
-def load_signal(source, n: int | None = None) -> GraphSignal:
+def load_signal(source, n: int | None = None) -> np.ndarray:
     """Build a signal from a generator spec or a text file.
 
     Specs: ``dirac:k`` (unit impulse at node ``k``), ``normal:seed``
@@ -620,7 +625,9 @@ def load_signal(source, n: int | None = None) -> GraphSignal:
     Files go through the record loop :func:`load_graph` uses: when every
     line after the leading blank and comment lines holds one number that
     numpy reads, numpy reads them all in one call; any other file is read
-    line by line, so each ``ParseError`` carries its line number.
+    line by line, so each ``ParseError`` carries its line number. The
+    signal comes back as :func:`_signal` makes every signal: a read-only,
+    finite, non-empty 1-d float64 array.
     """
     if isinstance(source, str) and ":" in source:
         head, _, arg = source.partition(":")
@@ -633,17 +640,17 @@ def load_signal(source, n: int | None = None) -> GraphSignal:
                     raise ValueError(f"dirac node {k} out of range for n={n}")
                 v = np.zeros(n)
                 v[k] = 1.0
-                return GraphSignal(v)
+                return _signal(v)
             if head == "normal":
                 rng = np.random.default_rng(int(arg))
-                return GraphSignal(rng.standard_normal(n))
-            return GraphSignal(np.full(n, float(arg)))
+                return _signal(rng.standard_normal(n))
+            return _signal(np.full(n, float(arg)))
     with open(source, "r", encoding="utf-8") as fh:
-        # bulk rows have the one field "x", which GraphSignal casts to floats
+        # bulk rows have the one field "x", which _signal casts to floats
         values = _body(fh, source, 0, "#",
                        lambda head, line: _bulk_rows(source, head, _SIGNAL_DTYPE), _signal_value)
     if len(values) == 0:
         raise ParseError(source, 1, "signal file holds no values")
     if n is not None and len(values) != n:
         raise ValueError(f"signal length {len(values)} does not match graph size {n}")
-    return GraphSignal(values)
+    return _signal(values)

@@ -18,7 +18,7 @@ from chebheat.chebyshev import cheb_coefficients
 from chebheat.cli import bound_table_data
 from chebheat.diffusion import (estimate_lambda_max, expm_multiply, expm_multiscale,
                                 make_plan, measure_errors)
-from chebheat.graphs import GraphSignal, SparseSymMatrix, build_laplacian, erdos_renyi
+from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi
 from chebheat.oracle import exact_diffusion
 
 from helpers import coeff_integral, tail_sum
@@ -47,7 +47,7 @@ def trial_graph(t, n=200, p=0.05):
 
 def trial_signal(t, n=200):
     rng = np.random.default_rng(BASE_SEED + t + 10000)
-    return GraphSignal(rng.standard_normal(n))
+    return rng.standard_normal(n)
 
 
 def fig_table():
@@ -159,7 +159,7 @@ def test_7_multiscale_factorization(monkeypatch):
     with criterion(7, "multiscale factorization", 120.0):
         n = 2500
         op = build_laplacian(erdos_renyi(n, 0.02, BASE_SEED), n)
-        sig = GraphSignal(np.eye(1, n, 0)[0])
+        sig = np.eye(1, n, 0)[0]
         lam = estimate_lambda_max(op)
         rng = np.random.default_rng(BASE_SEED)
         scales = [float(s) for s in 10.0 ** rng.uniform(-3.0, 1.0, 20)]
@@ -169,14 +169,14 @@ def test_7_multiscale_factorization(monkeypatch):
         scaled = op.scaled(2.0 / lam)
         # the K matvecs alone: draw every row, recombine nothing
         t0 = time.perf_counter()
-        for _ in build_basis(scaled, sig.values, plan.order):
+        for _ in build_basis(scaled, sig, plan.order):
             pass
         basis_s = time.perf_counter() - t0
         # the path expm_multiscale runs: every row goes into all scales as it
         # is drawn; what it costs beyond the bare rows is the recombination
         coeffs = np.stack([cheb_coefficients(tau_eff, plan.order) for tau_eff in plan.tau_effs])
         t0 = time.perf_counter()
-        combine(build_basis(scaled, sig.values, plan.order), coeffs)
+        combine(build_basis(scaled, sig, plan.order), coeffs)
         per_scale_s = (time.perf_counter() - t0 - basis_s) / len(scales)
         assert per_scale_s <= 0.15 * basis_s, (per_scale_s, basis_s)
 
@@ -201,7 +201,7 @@ def test_8_order_robust_to_tolerance():
             n = 500
             op = build_laplacian(erdos_renyi(n, 0.02, BASE_SEED + t), n)
             tau_eff = estimate_lambda_max(op) * 4.5 / 2.0  # deep-diffusion regime
-            stats = SignalStats.from_signal(trial_signal(t, n))
+            stats = SignalStats.from_signal(trial_signal(t, n), op)
             for kind in (BoundKind.NEW_SPECIFIC, BoundKind.NEW_GENERIC):
                 k_tight = min_order(kind, tau_eff, 2.0 ** -24, stats=stats)
                 k_loose = min_order(kind, tau_eff, 1e-3, stats=stats)
@@ -217,10 +217,10 @@ def test_9_oracle_equivalence():
             n = int(rng.integers(10, 51))
             p = float(rng.uniform(0.1, 0.35))
             op = build_laplacian(erdos_renyi(n, p, 100 + i), n)
-            x = GraphSignal(np.random.default_rng(200 + i).standard_normal(n))
+            x = np.random.default_rng(200 + i).standard_normal(n)
             tau = float(rng.uniform(0.1, 3.0))
             y, rep = expm_multiply(op, x, tau, tol=1e-12)
-            w = exact_diffusion(op, x.values, tau)
+            w = exact_diffusion(op, x, tau)
             diff = y - w
             eta = float(diff @ diff) / float(w @ w)
             assert eta <= 1e-10, (i, n, tau, eta)

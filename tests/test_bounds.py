@@ -20,7 +20,7 @@ from chebheat.bounds import (AUTO, BoundKind, SignalStats, baseline_error_term,
                              log_bound_value, min_order, select_bound, sup_error_bound,
                              true_min_order)
 from chebheat.errors import OrderCapError
-from chebheat.graphs import GraphSignal, build_laplacian, erdos_renyi
+from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi
 
 from helpers import reference_min_order
 
@@ -31,12 +31,13 @@ G_10_20 = 0.47260466835715895
 # 1 / (1 - exp(b) / (2 + sqrt(5))) with b = 2 / (1 + sqrt(5))
 E_0_0 = 1.7792691352989108
 
-RATIO_200 = SignalStats(n=200, norm_sq=1.0, component_sum=1.0)  # energy ratio 200
-ZERO_SUM = SignalStats(n=5, norm_sq=1.0, component_sum=0.0)  # no energy ratio
+RATIO_200 = SignalStats(200.0)
+ZERO_SUM = SignalStats(math.inf)  # no energy ratio
 
 
 def _stats(values) -> SignalStats:
-    return SignalStats.from_signal(GraphSignal(values))
+    # on an edgeless combinatorial Laplacian, whose kernel vector is ones(n)
+    return SignalStats.from_signal(values, build_laplacian([], len(values)))
 
 
 class TestSupErrorBound:
@@ -85,7 +86,7 @@ class TestBaselineErrorTerm:
 
 class TestSignalStats:
     def test_energy_ratio(self):
-        s = SignalStats.from_signal(GraphSignal([1.0, 1.0, 1.0, 1.0]))
+        s = _stats([1.0, 1.0, 1.0, 1.0])
         assert s.energy_ratio == pytest.approx(1.0)
 
     @pytest.mark.parametrize("values", [[1.0, -1.0], [1.0, -1.0, 1e-170]])
@@ -98,6 +99,34 @@ class TestSignalStats:
                 min_order(kind, 5.0, 1e-8, stats=s)
             with pytest.raises(ValueError, match="sum to zero"):
                 log_bound_value(kind, 30, 5.0, stats=s)
+
+    def test_combinatorial_ratio_is_the_constant_kernel_expression(self):
+        # n ||x||^2 / (sum x)^2 on the power-of-two scaled signal, bit for bit,
+        # also with isolated nodes, whose entries of the constant kernel are 1 too
+        L = build_laplacian(erdos_renyi(60, 0.05, seed=4), 64)
+        rng = np.random.default_rng(8)
+        signals = [rng.standard_normal(64), np.eye(1, 64, 5)[0], 1.0 + rng.standard_normal(64),
+                   1e-200 * rng.standard_normal(64), 3e250 * rng.standard_normal(64)]
+        for x in signals:
+            xs = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+            s = float(np.sum(xs))
+            expected = 64 * float(xs @ xs) / (s * s)
+            assert SignalStats.from_signal(x, L).energy_ratio.hex() == expected.hex()
+
+    def test_unknown_kernel_leaves_no_specific_certificate(self):
+        direct = SparseSymMatrix(2, [0, 2, 4], [0, 1, 0, 1], [1.0, -1.0, -1.0, 1.0])
+        s = SignalStats.from_signal([1.0, 0.0], direct)
+        assert s.energy_ratio == math.inf
+        assert select_bound(50.0, s) is BoundKind.NEW_GENERIC
+        with pytest.raises(ValueError, match="no known kernel vector"):
+            min_order(BoundKind.NEW_SPECIFIC, 5.0, 1e-8, stats=s)
+
+    def test_normalized_ratio_reads_the_degree_kernel(self):
+        # a Dirac at node i: ||sqrt(d)||^2 / d_i = sum(d) / d_i, not n
+        edges = [(0, 1), (0, 2), (0, 3), (3, 4)]
+        L = build_laplacian(edges, 5, kind="normalized")
+        assert SignalStats.from_signal(np.eye(1, 5, 0)[0], L).energy_ratio == pytest.approx(8 / 3)
+        assert SignalStats.from_signal(np.eye(1, 5, 1)[0], L).energy_ratio == pytest.approx(8.0)
 
     def test_cauchy_schwarz_floor(self):
         rng = np.random.default_rng(12)
@@ -119,8 +148,9 @@ class TestSignalStats:
 
     def test_energy_ratio_past_float_range_is_infinite(self):
         # the sum cancels to 1e-170 of the largest entry; its square underflows
-        s = _stats([1.0, -1.0, 1e-170])
-        assert s.component_sum > 0.0 and s.energy_ratio == math.inf
+        x = [1.0, -1.0, 1e-170]
+        s = _stats(x)
+        assert sum(x) > 0.0 and s.energy_ratio == math.inf
         assert select_bound(50.0, s) is BoundKind.NEW_GENERIC
 
 
@@ -247,7 +277,7 @@ class TestMinOrderMatchesLinearScan:
     @given(st.sampled_from(list(BoundKind)),
            st.one_of(st.floats(min_value=1e-3, max_value=2e3), st.sampled_from([0.0, 5e-324])),
            st.floats(min_value=1e-14, max_value=1e-1),
-           st.sampled_from([None, RATIO_200, ZERO_SUM, SignalStats(7, 2.5, 0.75)]),
+           st.sampled_from([None, RATIO_200, ZERO_SUM, SignalStats(7 * 2.5 / (0.75 * 0.75))]),
            st.one_of(st.just(ORDER_CAP), st.integers(min_value=0, max_value=60)))
     @settings(max_examples=300, deadline=None)
     def test_random(self, kind, tau_eff, tol, stats, cap):
@@ -259,14 +289,14 @@ class TestMinOrderMatchesLinearScan:
 class TestTrueMinOrder:
     def test_path_two_frozen(self):
         L = build_laplacian([(0, 1)], 2)
-        x = GraphSignal([1.0, 0.0])
+        x = np.array([1.0, 0.0])
         assert true_min_order(L, x, 1.0, 1e-5, lambda_max=2.0) == 3
         assert true_min_order(L, x, 1.0, 1e-10, lambda_max=2.0) == 6
 
     def test_never_exceeds_certified(self):
         L = build_laplacian(erdos_renyi(40, 0.15, seed=6), 40)
-        x = GraphSignal(np.random.default_rng(7).standard_normal(40))
-        stats = SignalStats.from_signal(x)
+        x = np.random.default_rng(7).standard_normal(40)
+        stats = SignalStats.from_signal(x, L)
         lam = 1.01 * float(np.linalg.eigvalsh(L.to_dense()).max())
         for tau in (0.05, 0.4, 2.0):
             k_true = true_min_order(L, x, tau, 1e-5, lambda_max=lam)
@@ -275,7 +305,7 @@ class TestTrueMinOrder:
 
     def test_cap_raises(self):
         L = build_laplacian([(0, 1)], 2)
-        x = GraphSignal([1.0, 0.0])
+        x = np.array([1.0, 0.0])
         with mock.patch.object(chebheat.bounds, "ORDER_CAP", 5):
             with pytest.raises(OrderCapError, match="no order up to 5"):
                 true_min_order(L, x, 1.0, 1e-10, lambda_max=2.0)
@@ -283,7 +313,7 @@ class TestTrueMinOrder:
 
     def test_tau_zero(self):
         L = build_laplacian([(0, 1)], 2)
-        assert true_min_order(L, GraphSignal([1.0, 2.0]), 0.0, 1e-12, lambda_max=2.0) == 0
+        assert true_min_order(L, np.array([1.0, 2.0]), 0.0, 1e-12, lambda_max=2.0) == 0
 
     def test_rejects_non_finite_signal_before_any_work(self, monkeypatch):
         # unchecked, a NaN entry ran all 20000 orders and raised OrderCapError

@@ -79,7 +79,7 @@ def test_basis_satisfies_recurrence():
 def test_combine_rejects_higher_order():
     L = build_laplacian([(0, 1)], 2).scaled(1.0)
     with pytest.raises(ValueError, match="basis of order 2 cannot serve coefficients of order 3"):
-        combine(build_basis(L, [1.0, 0.0], 2), cheb_coefficients(1.0, 3))
+        combine(build_basis(L, [1.0, 0.0], 2), cheb_coefficients(1.0, 3)[None])
     # a row stream that ends early, before or after its first row
     for rows in ([], [np.array([1.0, 0.0])]):
         with pytest.raises(ValueError, match="cannot serve"):
@@ -118,7 +118,7 @@ def test_combine_many_scales_matches_one_at_a_time():
         together = combine(basis, C)
         assert together.shape == (5, n)
         for c, y in zip(C, together):
-            assert y.tobytes() == combine(basis, c).tobytes()
+            assert y.tobytes() == combine(basis, c[None])[0].tobytes()
             assert y.tobytes() == series_sum(c, basis).tobytes()
 
 
@@ -130,7 +130,7 @@ def test_combine_matches_dense_exponential():
     x = np.random.default_rng(3).standard_normal(n)
     tau = 0.8
     op = L.scaled(2.0 / lam)
-    y = combine(build_basis(op, x, 40), cheb_coefficients(lam * tau / 2.0, 40))
+    [y] = combine(build_basis(op, x, 40), cheb_coefficients(lam * tau / 2.0, 40)[None])
     lam_e, u = np.linalg.eigh(dense)
     ref = u @ (np.exp(-tau * lam_e) * (u.T @ x))
     assert np.max(np.abs(y - ref)) <= 1e-12 * np.linalg.norm(x)
@@ -189,8 +189,6 @@ def test_combine_bitwise_equals_partial_sums(cpus, graph, m):
     for c, y in zip(C, together):
         # the serial reference: one scale, one partial sum at a time
         assert y.tobytes() == series_sum(c, build_basis(op, x, order)).tobytes()
-    if m == 1:
-        assert combine(build_basis(op, x, order), C[0]).tobytes() == together[0].tobytes()
 
 
 def test_terms_are_not_written_after_they_are_yielded():
@@ -263,6 +261,38 @@ def test_combine_reraises_addition_error_and_stops_drawing(cpus, error):
     # rows 0 to 3, the rows queued behind row 3, and one drawn before the
     # failure shows: no further matvecs once the helper has failed
     assert len(drawn) <= 4 + _IN_FLIGHT + 1
+
+
+class _FailingRow:
+    """A row whose every ufunc sets ``failed`` and raises ``ValueError``."""
+
+    def __init__(self, failed):
+        self.failed = failed
+
+    def __array_ufunc__(self, *args, **kwargs):
+        self.failed.set()
+        raise ValueError("row 3 cannot be added")
+
+
+def test_combine_reads_waiting_answers_before_drawing(monkeypatch):
+    # the helper's answer for row 3 is waiting before row 5 is drawn, with
+    # slots still free: combine must read it and re-raise, not draw row 5
+    force_combine_helper(monkeypatch)
+    op, x, C = _series_case()
+    failed = threading.Event()
+    drawn = []
+
+    def rows():
+        for k, t in enumerate(cheb_terms(op.matvec, x)):
+            if k == 4:
+                assert failed.wait(timeout=10.0)
+                time.sleep(0.05)  # time for the helper to answer row 3
+            drawn.append(k)
+            yield _FailingRow(failed) if k == 3 else t
+
+    with pytest.raises(ValueError, match="row 3 cannot be added"):
+        combine(rows(), C)
+    assert 5 not in drawn, drawn
 
 
 def test_combine_reraises_error_in_the_last_row(cpus):

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 import chebheat.graphs
 from chebheat.cli import main
 from chebheat.errors import ParseError
-from chebheat.graphs import (GraphSignal, SparseSymMatrix, build_laplacian, erdos_renyi,
-                             load_graph, load_signal, save_edge_list)
+from chebheat.bounds import SignalStats, true_min_order
+from chebheat.diffusion import expm_multiply, expm_multiscale, make_plan, measure_errors
+from chebheat.graphs import (SparseSymMatrix, build_laplacian, erdos_renyi, load_graph,
+                             load_signal, save_edge_list)
 
 from helpers import (complete_edges, path_edges, reference_csr_check, reference_laplacian,
                      reference_load_graph, reference_load_signal, reference_save_edge_list,
@@ -117,6 +119,23 @@ class TestBuildLaplacian:
         assert L.spectral_bound == 2.0
         assert L.scaled(0.5).spectral_bound == 1.0
         assert build_laplacian(complete_edges(4), 4).spectral_bound is None
+
+    def test_kernel_vector_read_only_and_scaled_keeps_it(self):
+        edges = [(0, 1, 2.0), (1, 2), (0, 2, 0.5), (2, 3, 3.0)]
+        deg = np.array([2.5, 3.0, 4.5, 3.0])
+        comb = build_laplacian(edges, 6)  # nodes 4 and 5 are isolated
+        norm = build_laplacian(edges, 4, kind="normalized")
+        np.testing.assert_array_equal(comb.kernel_vector, np.ones(6))
+        np.testing.assert_array_equal(norm.kernel_vector, np.sqrt(deg))
+        for L in (comb, norm):
+            k = L.kernel_vector
+            assert np.max(np.abs(L.matvec(k))) <= 1e-15 * np.max(np.abs(L.values)) * np.max(k)
+            with pytest.raises(ValueError):
+                k[0] = 2.0
+            with pytest.raises(AttributeError):
+                L.kernel_vector = np.zeros(L.n)
+            assert L.scaled(0.3).kernel_vector is k
+        assert SparseSymMatrix(2, [0, 2, 4], [0, 1, 0, 1], [1.0, -1.0, -1.0, 1.0]).kernel_vector is None
 
 
 class TestSparseSymMatrix:
@@ -236,21 +255,48 @@ class TestSparseSymMatrix:
         assert "matrix is not symmetric" in verdicts
 
 
-class TestGraphSignal:
-    def test_stats(self):
-        s = GraphSignal([3.0, 4.0])
-        assert s.n == 2
-        np.testing.assert_array_equal(s.values, [3.0, 4.0])
-        with pytest.raises(ValueError):
-            s.values[0] = 1.0
+P2 = build_laplacian([(0, 1)], 2)
+# every function that takes a signal, each checking it with chebheat.graphs._signal
+SIGNAL_TAKERS = {
+    "expm_multiply": lambda x: expm_multiply(P2, x, 1.0),
+    "expm_multiscale": lambda x: expm_multiscale(P2, x, [1.0]),
+    "make_plan": lambda x: make_plan(P2, x, [1.0], 1e-5),
+    "measure_errors": lambda x: measure_errors(P2, x, 1.0, 5),
+    "true_min_order": lambda x: true_min_order(P2, x, 1.0, 1e-5),
+    "SignalStats.from_signal": lambda x: SignalStats.from_signal(x, P2),
+}
 
-    def test_rejects_non_finite(self):
+
+class TestSignal:
+    def test_read_only_copy(self):
+        raw = np.array([3.0, 4.0])
+        s = chebheat.graphs._signal(raw)
+        np.testing.assert_array_equal(s, raw)
+        assert s.dtype == np.float64 and not np.shares_memory(s, raw)
         with pytest.raises(ValueError):
-            GraphSignal([1.0, np.nan])
+            s[0] = 1.0
+        with pytest.raises(ValueError):
+            load_signal("const:2.5", 2)[0] = 1.0
+
+    def test_rejects_non_finite(self, tmp_path):
+        for bad in ([1.0, np.nan], [np.inf, 0.0]):
+            for take in SIGNAL_TAKERS.values():
+                with pytest.raises(ValueError, match="non-finite"):
+                    take(bad)
+        path = tmp_path / "s.txt"
+        path.write_text("1.0\nnan\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_signal(path)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            GraphSignal([])
+        for take in SIGNAL_TAKERS.values():
+            with pytest.raises(ValueError, match="non-empty 1-d"):
+                take([])
+
+    def test_rejects_two_dimensional(self):
+        for take in SIGNAL_TAKERS.values():
+            with pytest.raises(ValueError, match="non-empty 1-d"):
+                take([[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestErdosRenyi:
@@ -420,7 +466,7 @@ class TestFileFormats:
 class TestLoadSignal:
     def test_dirac(self):
         s = load_signal("dirac:2", 4)
-        np.testing.assert_array_equal(s.values, [0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(s, [0.0, 0.0, 1.0, 0.0])
 
     def test_dirac_out_of_range(self):
         with pytest.raises(ValueError):
@@ -429,15 +475,15 @@ class TestLoadSignal:
     def test_normal_deterministic(self):
         a = load_signal("normal:9", 16)
         b = load_signal("normal:9", 16)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_const(self):
-        np.testing.assert_array_equal(load_signal("const:2.5", 3).values, [2.5, 2.5, 2.5])
+        np.testing.assert_array_equal(load_signal("const:2.5", 3), [2.5, 2.5, 2.5])
 
     def test_file(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("# comment\n1.0\n\n-2.0\n")
-        np.testing.assert_array_equal(load_signal(path, 2).values, [1.0, -2.0])
+        np.testing.assert_array_equal(load_signal(path, 2), [1.0, -2.0])
 
     def test_file_length_mismatch(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -510,7 +556,7 @@ class TestBulkPath:
         path = tmp_path / "s.txt"
         values = np.random.default_rng(4).standard_normal(500)
         path.write_text("# normal:4\n\n" + "".join(f"{v!r}\n" for v in values.tolist()))
-        np.testing.assert_array_equal(load_signal(path, 500).values, values)
+        np.testing.assert_array_equal(load_signal(path, 500), values)
 
     @pytest.mark.parametrize("text, n", [
         ("%%MatrixMarket matrix coordinate pattern symmetric\n14 14 0", 14),
@@ -702,7 +748,7 @@ def signal_texts(draw):
 
 def _signal_outcome(load, path):
     try:
-        return ("ok", GraphSignal(load(path)).values.tolist())
+        return ("ok", chebheat.graphs._signal(load(path)).tolist())
     except (ParseError, ValueError) as exc:
         return ("error", type(exc), str(exc), getattr(exc, "line_no", None))
 
@@ -717,7 +763,7 @@ def test_bulk_signal_reads_like_line_wise(text):
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(text.encode("utf-8"))
-        got = _signal_outcome(lambda p: load_signal(p).values, path)
+        got = _signal_outcome(load_signal, path)
         assert got == _signal_outcome(reference_load_signal, path)
     finally:
         os.remove(path)
