@@ -37,7 +37,7 @@ from itertools import islice
 import numpy as np
 
 from .bessel import bessel_ie_scaled
-from .graphs import SparseSymMatrix
+from .graphs import SparseSymMatrix, _helper_cpus
 
 __all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "build_basis", "combine"]
 
@@ -121,30 +121,6 @@ def build_basis(op: SparseSymMatrix, x, order: int):
     if x.shape != (op.n,):
         raise ValueError(f"signal of shape {x.shape} does not match operator size {op.n}")
     return islice(cheb_terms(op.matvec, x), order + 1)
-
-
-def _helper_cpus():
-    """Where a helper thread should run, or None to add on the calling thread.
-
-    None when the calling thread may use fewer than two CPUs. Otherwise
-    the CPUs it may use except the one it runs on now: a helper started
-    on the caller's CPU can share it for seconds before the scheduler
-    moves either thread (measured on a 2-vCPU Linux guest, where the
-    first jobs of a process then took as long as serial additions). An
-    empty set leaves the placement to the system.
-    """
-    if not hasattr(os, "sched_getaffinity"):  # no affinity interface on this platform
-        return set() if (os.cpu_count() or 1) >= 2 else None
-    allowed = os.sched_getaffinity(0)
-    if len(allowed) < 2:
-        return None
-    try:
-        with open("/proc/thread-self/stat", "rb") as fh:
-            # field 39, the CPU this thread last ran on; the name in field 2 may hold ")"
-            here = int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return set()
-    return allowed - {here}
 
 
 def combine(basis, c) -> np.ndarray:

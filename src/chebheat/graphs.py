@@ -17,13 +17,20 @@ three file readers share one record loop, :func:`_body`: it skips the
 head, tries one numpy read of every record at the first one, and
 otherwise parses the file line by line, so each ``ParseError`` names its
 line.
+
+Random graphs come from :func:`erdos_renyi`, which on a large graph
+draws its one random stream in two halves at once, the second on one
+helper thread. :func:`_helper_cpus` is the package's one rule for
+whether, and off which CPU, a helper thread runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -351,26 +358,117 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
     return op
 
 
-def erdos_renyi(n: int, p: float, seed: int):
-    """Sample a G(n, p) edge list with unit weights.
+_ER_BLOCK = 2 ** 16  # uniforms drawn per block: 512 KiB, cache-sized
+# pairs from which a helper thread draws half of them: on 2 vCPUs the split
+# broke even at about 2**17.5 pairs and took 26% off at 2**19
+_ER_SPLIT_MIN = 2 ** 19
+
+
+def _helper_cpus():
+    """Where a helper thread should run, or None to do its work on the calling thread.
+
+    None when the calling thread may use fewer than two CPUs. Otherwise
+    the CPUs it may use except the one it runs on now: a helper started
+    on the caller's CPU can share it for seconds before the scheduler
+    moves either thread (measured on a 2-vCPU Linux guest, where the
+    first jobs of a process then took as long as serial additions). An
+    empty set leaves the placement to the system. The one rule for every
+    helper thread of the package: :func:`erdos_renyi`'s and
+    :func:`chebheat.chebyshev.combine`'s.
+    """
+    if not hasattr(os, "sched_getaffinity"):  # no affinity interface on this platform
+        return set() if (os.cpu_count() or 1) >= 2 else None
+    allowed = os.sched_getaffinity(0)
+    if len(allowed) < 2:
+        return None
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            # field 39, the CPU this thread last ran on; the name in field 2 may hold ")"
+            here = int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return set()
+    return allowed - {here}
+
+
+def _er_hits(seed, p: float, start: int, stop: int) -> np.ndarray:
+    """The k in ``[start, stop)`` where draw k of ``default_rng(seed)`` is below ``p``.
+
+    A fresh generator jumps ahead by ``start`` draws, then draws the
+    range in blocks of ``_ER_BLOCK`` uniforms. Each uniform takes one
+    64-bit output, so any cut of a range gives the hits of one draw.
+    """
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start)
+    block = np.empty(min(_ER_BLOCK, stop - start))
+    hits = [np.zeros(0, dtype=np.int64)]
+    for lo in range(start, stop, _ER_BLOCK):
+        u = block[:min(_ER_BLOCK, stop - lo)]
+        rng.random(out=u)
+        hits.append(np.flatnonzero(u < p) + lo)
+    return np.concatenate(hits)
+
+
+def _er_hits_split(seed, p: float, total: int, cpus) -> np.ndarray:
+    """:func:`_er_hits` over ``[0, total)``, its second half on a helper thread off ``cpus``."""
+    half = total // 2
+    second = []
+
+    def helper():
+        if cpus:
+            try:
+                os.sched_setaffinity(0, cpus)
+            except OSError:  # placement is only a hint
+                pass
+        try:
+            second.append(_er_hits(seed, p, half, total))
+        except BaseException as exc:  # handed to the calling thread
+            second.append(exc)
+
+    # joined below on every path; daemon only so that a stuck helper cannot stall exit
+    thread = threading.Thread(target=helper, name="chebheat-erdos-renyi", daemon=True)
+    thread.start()
+    try:
+        first = _er_hits(seed, p, 0, half)
+    finally:
+        thread.join()
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    return np.concatenate([first, second[0]])
+
+
+def erdos_renyi(n: int, p: float, seed: int) -> np.ndarray:
+    """Sample a G(n, p) graph as an (m, 3) float array of edges ``i, j, 1.0``.
 
     Every unordered pair is included independently with probability
-    ``p``; the draw is deterministic for a given ``seed``. Disconnected
-    samples are returned as-is.
+    ``p``; the draw is deterministic for a given ``seed``, a non-negative
+    int (``None`` draws fresh entropy; a ``Generator`` raises
+    ``TypeError``). Pairs ``i < j`` are numbered row by row, ``(0, 1),
+    (0, 2), ..., (0, n-1), (1, 2), ...``, and pair k is an edge when draw
+    k of ``default_rng(seed).random`` is below ``p``; edges come back in
+    that order. Disconnected samples are returned as-is, and ``n = 1``
+    gives shape ``(0, 3)``.
+
+    From ``_ER_SPLIT_MIN`` pairs on, when the calling thread may use two
+    CPUs, one helper thread draws the second half of the pairs, jumping
+    the generator ahead to it, while the calling thread draws the first.
+    The edges are the same on any CPU count.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n - 1):
-        hits = np.nonzero(rng.random(n - 1 - i) < p)[0]
-        base = i + 1
-        for off in hits:
-            edges.append((i, base + int(off), 1.0))
-    return edges
+    # each half makes its generator from this one seed: None draws its entropy
+    # once, and a Generator, which both halves would share, is refused
+    seed = np.random.SeedSequence(seed)
+    total = n * (n - 1) // 2
+    cpus = _helper_cpus() if total >= _ER_SPLIT_MIN else None
+    k = _er_hits(seed, p, 0, total) if cpus is None else _er_hits_split(seed, p, total, cpus)
+    # row i holds the n - 1 - i pairs from flat index i (n - 1) - i (i - 1) / 2 on
+    rows = np.arange(n - 1, dtype=np.int64)
+    row_starts = rows * (n - 1) - rows * (rows - 1) // 2
+    i = np.searchsorted(row_starts, k, side="right") - 1
+    return np.column_stack([i, k - row_starts[i] + i + 1, np.ones(k.size)])
 
 
 _N_TOKEN = re.compile(r"(?:^|\s)n=(\d+)(?:\s|$)")

@@ -9,8 +9,8 @@ through its helper thread. ``coeff_integral`` (Simpson quadrature of the definin
 integral) and ``tail_sum`` (a windowed coefficient tail) are the
 coefficient oracles. The ``reference_*`` functions are the CSR
 validator, line-by-line graph and signal readers, edge assembly, edge
-writer and linear order scan that the array and bisection code must
-match exactly.
+writer, per-row ER sampler and linear order scan that the array,
+blocked-draw and bisection code must match exactly.
 """
 
 import math
@@ -57,6 +57,23 @@ def lattice_edges(*shape):
         lo = np.delete(idx, -1, axis=axis).ravel()
         hi = np.delete(idx, 0, axis=axis).ravel()
         edges += list(zip(lo.tolist(), hi.tolist()))
+    return edges
+
+
+def reference_erdos_renyi(n: int, p: float, seed: int):
+    """G(n, p) edges as ``(i, j, 1.0)`` tuples, one draw of ``rng.random`` per row."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must lie strictly between 0 and 1")
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(n - 1):
+        hits = np.nonzero(rng.random(n - 1 - i) < p)[0]
+        base = i + 1
+        for off in hits:
+            edges.append((i, base + int(off), 1.0))
     return edges
 
 

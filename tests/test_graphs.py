@@ -2,6 +2,8 @@
 
 import os
 import tempfile
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -17,9 +19,9 @@ from chebheat.diffusion import expm_multiply, expm_multiscale, make_plan, measur
 from chebheat.graphs import (SparseSymMatrix, build_laplacian, erdos_renyi, load_graph,
                              load_signal, save_edge_list)
 
-from helpers import (complete_edges, path_edges, reference_csr_check, reference_laplacian,
-                     reference_load_graph, reference_load_signal, reference_save_edge_list,
-                     same_operator, star_edges)
+from helpers import (complete_edges, path_edges, reference_csr_check, reference_erdos_renyi,
+                     reference_laplacian, reference_load_graph, reference_load_signal,
+                     reference_save_edge_list, same_operator, star_edges)
 
 
 class TestBuildLaplacian:
@@ -301,10 +303,10 @@ class TestSignal:
 
 class TestErdosRenyi:
     def test_deterministic(self):
-        assert erdos_renyi(50, 0.1, seed=3) == erdos_renyi(50, 0.1, seed=3)
+        assert np.array_equal(erdos_renyi(50, 0.1, seed=3), erdos_renyi(50, 0.1, seed=3))
 
     def test_seed_changes_graph(self):
-        assert erdos_renyi(50, 0.1, seed=3) != erdos_renyi(50, 0.1, seed=4)
+        assert not np.array_equal(erdos_renyi(50, 0.1, seed=3), erdos_renyi(50, 0.1, seed=4))
 
     def test_edge_count_near_expectation(self):
         # E = p * n(n-1)/2 = 995 for n=200, p=0.05; allow 5 sigma (~93)
@@ -321,6 +323,121 @@ class TestErdosRenyi:
         for p in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ValueError):
                 erdos_renyi(10, p, seed=0)
+
+
+def _reference_er(n, p, seed):
+    return np.array(reference_erdos_renyi(n, p, seed), dtype=np.float64).reshape(-1, 3)
+
+
+def _split_every_draw(monkeypatch):
+    """Send every ``erdos_renyi`` call through its helper thread, on any machine."""
+    monkeypatch.setattr(chebheat.graphs, "_ER_SPLIT_MIN", 1)
+    monkeypatch.setattr(chebheat.graphs, "_helper_cpus", lambda: set())
+
+
+class TestErdosRenyiEdges:
+    """The blocked, split draw gives the per-row loop's edges bit for bit."""
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("n, p, seed", [(1, 0.5, 0), (3, 0.5, 2), (7, 0.3, 1),
+                                            (50, 0.1, 3), (400, 0.02, 11), (3000, 0.001, 7)])
+    def test_same_edges_as_per_row_loop(self, monkeypatch, split, n, p, seed):
+        if split:
+            _split_every_draw(monkeypatch)
+        else:
+            monkeypatch.setattr(chebheat.graphs, "_helper_cpus", lambda: None)
+        got, expected = erdos_renyi(n, p, seed), _reference_er(n, p, seed)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_generator_seed_refused(self):
+        # both halves would draw from the one shared generator
+        with pytest.raises(TypeError):
+            erdos_renyi(1100, 0.01, np.random.default_rng(5))
+
+    def test_one_node_has_no_edges(self):
+        assert erdos_renyi(1, 0.5, seed=0).shape == (0, 3)
+
+    def test_dense_pair_matches_loop(self):
+        for seed in range(50):
+            got = erdos_renyi(2, 0.999999, seed)
+            assert got.tobytes() == _reference_er(2, 0.999999, seed).tobytes()
+
+    def test_gen_graph_bytes_above_split_threshold(self, tmp_path):
+        n, p, seed = 3000, 0.001, 7
+        assert n * (n - 1) // 2 >= chebheat.graphs._ER_SPLIT_MIN
+        ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+        assert main(["gen-graph", "--n", str(n), "--p", repr(p), "--seed", str(seed),
+                     "--out", str(ours)]) == 0
+        reference_save_edge_list(ref, reference_erdos_renyi(n, p, seed), n,
+                                 comment=f"p={p!r} seed={seed}")
+        assert ours.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
+    def test_any_cut_of_the_pairs_is_one_draw(self, seed):
+        # the split rests on numpy's PCG64: random() takes one 64-bit output
+        # per double and advance(k) skips exactly k of them
+        block = chebheat.graphs._ER_BLOCK
+        total = 3 * block + 12345
+        whole = np.flatnonzero(np.random.default_rng(seed).random(total) < 0.3)
+        rng = np.random.default_rng(seed + 1)
+        for trial in range(6):
+            cuts = rng.integers(0, total + 1, size=int(rng.integers(1, 5))).tolist()
+            cuts += [block - 1, block, 2 * block + 1] if trial == 0 else []
+            bounds = [0, *sorted(cuts), total]
+            parts = [chebheat.graphs._er_hits(seed, 0.3, a, b) for a, b in zip(bounds, bounds[1:])]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+
+class TestErdosRenyiHelper:
+    """At most one helper thread, joined on every path."""
+
+    def _spy_threads(self, monkeypatch):
+        made, real = [], threading.Thread
+
+        def spy(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(threading, "Thread", spy)
+        return made
+
+    def _slow_second_half(self, monkeypatch, error=None):
+        """The helper's half ends 0.2 s after the caller's, with ``error`` if given."""
+        draw = chebheat.graphs._er_hits
+
+        def hits(seed, p, start, stop):
+            if start > 0:
+                time.sleep(0.2)
+                if error is not None:
+                    raise error
+            return draw(seed, p, start, stop)
+
+        monkeypatch.setattr(chebheat.graphs, "_er_hits", hits)
+
+    def test_helper_error_reraises_after_join(self, monkeypatch):
+        _split_every_draw(monkeypatch)
+        made = self._spy_threads(monkeypatch)
+        self._slow_second_half(monkeypatch, RuntimeError("second half failed"))
+        with pytest.raises(RuntimeError, match="second half failed"):
+            erdos_renyi(300, 0.05, seed=1)
+        assert len(made) == 1 and not made[0].is_alive()
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        _split_every_draw(monkeypatch)
+        monkeypatch.setattr(chebheat.graphs, "_helper_cpus", lambda: None)
+        made = self._spy_threads(monkeypatch)
+        assert erdos_renyi(300, 0.05, seed=1).tobytes() == _reference_er(300, 0.05, 1).tobytes()
+        assert made == []
+
+    def test_no_thread_left_behind(self, monkeypatch):
+        _split_every_draw(monkeypatch)
+        made = self._spy_threads(monkeypatch)
+        self._slow_second_half(monkeypatch)
+        before = threading.active_count()
+        edges = erdos_renyi(300, 0.05, seed=1)
+        assert len(made) == 1 and threading.active_count() == before
+        assert edges.tobytes() == _reference_er(300, 0.05, 1).tobytes()
 
 
 class TestFileFormats:

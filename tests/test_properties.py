@@ -47,9 +47,9 @@ def test_truncation_within_certificate_pointwise(tau_eff, extra):
 @settings(max_examples=30, deadline=None)
 def test_erdos_renyi_deterministic_and_simple(n, seed, p):
     a = erdos_renyi(n, p, seed)
-    assert a == erdos_renyi(n, p, seed)
+    assert np.array_equal(a, erdos_renyi(n, p, seed))
     seen = set()
-    for i, j, w in a:
+    for i, j, w in a.tolist():
         assert 0 <= i < j < n and w == 1.0
         assert (i, j) not in seen
         seen.add((i, j))
