@@ -63,14 +63,17 @@ def _miller_vector(k_max: int, tau: float) -> np.ndarray:
     # point near tau, normalized with  Ie_0 + 2 * sum_k Ie_k = 1
     margin = int(math.ceil(10.0 + 2.0 * math.sqrt(k_max + tau)))
     start = max(k_max, int(math.ceil(tau))) + margin
-    f = np.zeros(start + 2)
+    # the recurrence runs on Python floats, the same IEEE doubles as numpy
+    # scalars at a fraction of the cost; the normalization stays in numpy
+    f = [0.0] * (start + 2)
     f[start] = 1e-30
     for k in range(start, 0, -1):
         nxt = f[k + 1] + (2.0 * k / tau) * f[k]
         if nxt > _RESCALE_LIMIT:
-            f[k - 1 :] *= _RESCALE
+            f[k - 1 :] = [v * _RESCALE for v in f[k - 1 :]]
             nxt = f[k + 1] + (2.0 * k / tau) * f[k]
         f[k - 1] = nxt
+    f = np.array(f)
     total = f[0] + 2.0 * float(np.sum(f[1 : start + 1]))
     return f[: k_max + 1] / total
 

@@ -14,21 +14,32 @@ output soon after the recurrence yields it, and none is stored.
 
 Recombination is two stages joined by two queues. The calling thread
 runs the recurrence, and so every matvec, and puts each row on the first
-queue; one helper thread per :func:`combine` call adds each row into
-every output, in ascending order, and answers each row on the second
-queue with ``None`` or the exception that ended it. numpy releases the
-GIL inside those array operations, so the two stages overlap. A row is
-drawn only once a slot is free, that is while fewer than ``_IN_FLIGHT``
-rows are unanswered, and every answer already waiting is read first, so
-a helper error re-raises at the next row and no matvec is spent after
-it. The helper starts off the CPU the calling thread is on. With a
-single CPU available, or on runs too small to repay a thread, the
-additions run inline, in the same order, so the output bits never depend
-on the thread count.
+queue; one helper thread per :func:`combine` call takes every row waiting
+there at once, adds them into one output after another, each in
+ascending order, and answers each row on the second queue with ``None``
+or the exception that ended it. numpy releases the GIL inside those
+array operations, so the two stages overlap; taking the rows in groups
+keeps each output in cache across them. A row is drawn only once a slot
+is free, that is while fewer than ``_IN_FLIGHT`` rows are unanswered,
+and every answer already waiting is read first, so a helper error
+re-raises at the next row and no matvec is spent after it. The helper
+starts off the CPU the calling thread is on. With a single CPU
+available, or on runs too small to repay a thread, the additions run
+inline, in the same order, so the output bits never depend on the
+thread count.
+
+A small scale's coefficients underflow to exact zeros well before the
+largest scale's order, and ``y + (+-0 * t)`` is ``y`` bit for bit unless
+``y`` holds ``-0.0`` or ``t`` is not finite. So each output stops adding
+after its last nonzero coefficient, unless it holds ``-0.0`` there; and
+once a row past a stop is not finite, every output adds every row from
+it on. The recurrence finishes each step in the array ``apply`` returns,
+in place, with the bits of the plain expression.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import threading
@@ -41,8 +52,10 @@ from .graphs import SparseSymMatrix, _helper_cpus
 
 __all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "build_basis", "combine"]
 
-# rows handed to the helper thread and not yet answered
-_IN_FLIGHT = 4
+# rows handed to the helper thread and not yet answered. On the 200x200
+# lattice at 32 scales (2 vCPUs), lib-grid-multiscale job_s read a median
+# of 0.311 s with 16 and 0.332 s with 8, over 7 runs each, at the same peak RSS
+_IN_FLIGHT = 16
 # The smallest runs that combine hands to a helper thread. Each row moves
 # once to the helper's core, which a few outputs' additions do not repay,
 # and numpy dispatches every addition under the GIL, which short rows do
@@ -80,15 +93,23 @@ def cheb_terms(apply, x):
     """Yield ``T_k(A - I) x`` for ``k = 0, 1, 2, ...``, where ``apply(v) = A v``.
 
     This is the one three-term recurrence of the package. It is lazy:
-    taking ``K + 1`` terms calls ``apply`` exactly ``K`` times. Every term
-    after ``x`` is a new array that is never written once yielded, so a
+    taking ``K + 1`` terms calls ``apply`` exactly ``K`` times. ``apply``
+    must return a new array on every call, as ``SparseSymMatrix.matvec``,
+    ``d * v`` and ``lam * v`` do: each step finishes ``2 (A t - t) -
+    t_prev`` in that array, in place, with the same bits. So every term
+    after ``x`` is a new array that is never written once yielded, and a
     consumer may still read it while later terms are computed.
     """
     yield x
-    t_prev, t_cur = x, apply(x) - x
+    t_prev, t_cur = x, apply(x)
+    t_cur -= x
     while True:
         yield t_cur
-        t_prev, t_cur = t_cur, 2.0 * (apply(t_cur) - t_cur) - t_prev
+        w = apply(t_cur)  # 2 (A t - t) - t_prev, in place: the same bits
+        w -= t_cur
+        w *= 2.0
+        w -= t_prev
+        t_prev, t_cur = t_cur, w
 
 
 def cheb_partial_sums(coefficients, terms):
@@ -131,41 +152,61 @@ def combine(basis, c) -> np.ndarray:
     vector per output, giving an ``(m, n)`` array. Row ``k`` is drawn
     only once column ``k`` exists, on the calling thread;
     each output gets ``c[0]/2 t_0``, then ``+= c[k] * t_k`` in ascending
-    ``k``, as :func:`cheb_partial_sums` sums them. With two CPUs or more,
+    ``k``, as :func:`cheb_partial_sums` sums them. An output stops after
+    its last nonzero coefficient when that changes no bit: when it holds
+    no ``-0.0`` there, since ``y + (+-0 * t) = y`` for any other ``y``
+    and finite ``t``, and while every row it skips is finite; otherwise
+    it adds every column. With two CPUs or more,
     at least ``_OVERLAP_MIN_SCALES`` outputs and rows of at least
     ``_OVERLAP_MIN_LENGTH`` entries, one helper thread does those
     additions while later rows are drawn; the rows must not change after
-    they are yielded. A row is drawn only once fewer than ``_IN_FLIGHT``
-    rows wait on the helper, and an error of the helper re-raises here
-    before the next row is drawn. Rows that run out before the
-    coefficients raise ``ValueError``; any error is raised here once the
-    helper has been joined.
+    they are yielded. The helper takes every row waiting for it at once
+    and adds them to one output before the next. A row is drawn only
+    once fewer than ``_IN_FLIGHT`` rows wait on the helper, and an error
+    of the helper re-raises here before the next row is drawn. Rows that
+    run out before the coefficients raise ``ValueError``; any error is
+    raised here once the helper has been joined.
     """
     c = np.asarray(c, dtype=np.float64)
-    columns = c.T.tolist()
+    width = c.shape[1]
+    coefficients = c.tolist()
+    # per output, the first column of its zero tail (one past its last nonzero
+    # coefficient; a NaN counts as nonzero); width when it has none, or once
+    # the output must add every column
+    stops = (width - np.argmax(c[:, ::-1] != 0.0, axis=1)).tolist()
     rows = iter(basis)
 
     def next_row(k):
         t = next(rows, None)
         if t is None:
             raise ValueError(f"basis of order {k - 1} cannot serve coefficients "
-                             f"of order {c.shape[1] - 1}")
+                             f"of order {width - 1}")
         return t
 
     t0 = next_row(0)
     out, scratch = np.multiply.outer(0.5 * c[:, 0], t0), np.empty_like(t0)
 
-    def add(t, column):
-        for y, ck in zip(out, column):
-            np.multiply(t, ck, out=scratch)
-            y += scratch
+    def add(batch):
+        """Add the rows ``(k, t_k)`` of ``batch``, in ascending ``k``, to each output in turn."""
+        if batch[-1][0] >= min(stops):  # a row some output may skip
+            for k, t in batch:
+                if not math.isfinite(np.add.reduce(t, axis=None)):  # 0 * inf is NaN
+                    stops[:] = [width] * len(stops)
+        for i, (y, ci) in enumerate(zip(out, coefficients)):
+            for k, t in batch:
+                if k >= stops[i]:
+                    if k > stops[i] or not np.signbit(y[y == 0.0]).any():
+                        break
+                    stops[i] = width  # -0.0 + (+0 * t) is +0.0
+                np.multiply(t, ci[k], out=scratch)
+                y += scratch
 
-    overlap = (len(columns) > 1 and len(c) >= _OVERLAP_MIN_SCALES
+    overlap = (width > 1 and len(c) >= _OVERLAP_MIN_SCALES
                and t0.size >= _OVERLAP_MIN_LENGTH)
     cpus = _helper_cpus() if overlap else None
     if cpus is None:
-        for k in range(1, len(columns)):
-            add(next_row(k), columns[k])
+        for k in range(1, width):
+            add([(k, next_row(k))])
         return out
 
     rows_out, done = queue.SimpleQueue(), queue.SimpleQueue()
@@ -176,14 +217,25 @@ def combine(basis, c) -> np.ndarray:
                 os.sched_setaffinity(0, cpus)
             except OSError:  # placement is only a hint
                 pass
-        for item in iter(rows_out.get, None):
-            try:
-                add(*item)
-                token = None
-            except BaseException as exc:  # handed to the calling thread
-                token = exc
-            del item  # a row settles only once the helper lets it go
-            done.put(token)
+        while True:
+            batch = [rows_out.get()]  # every row waiting, in the order put
+            while not rows_out.empty():
+                batch.append(rows_out.get())
+            closed = batch[-1] is None  # None is the last item ever put
+            if closed:
+                batch.pop()
+            if batch:
+                try:
+                    add(batch)
+                    token = None
+                except BaseException as exc:  # handed to the calling thread
+                    token = exc
+                answers = len(batch)
+                del batch  # a row settles only once the helper lets it go
+                for _ in range(answers):
+                    done.put(token)
+            if closed:
+                return
 
     def settle():
         token = done.get()
@@ -195,11 +247,11 @@ def combine(basis, c) -> np.ndarray:
     thread.start()
     unsettled = 0
     try:
-        for k in range(1, len(columns)):
+        for k in range(1, width):
             while unsettled == _IN_FLIGHT or (unsettled and not done.empty()):
                 settle()
                 unsettled -= 1
-            rows_out.put((next_row(k), columns[k]))
+            rows_out.put((k, next_row(k)))
             unsettled += 1
     finally:
         rows_out.put(None)

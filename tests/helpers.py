@@ -9,8 +9,9 @@ through its helper thread. ``coeff_integral`` (Simpson quadrature of the definin
 integral) and ``tail_sum`` (a windowed coefficient tail) are the
 coefficient oracles. The ``reference_*`` functions are the CSR
 validator, line-by-line graph and signal readers, edge assembly, edge
-writer, per-row ER sampler and linear order scan that the array,
-blocked-draw and bisection code must match exactly.
+writer, per-row ER sampler, numpy-scalar Bessel recurrence and linear
+order scan that the array, blocked-draw, Python-float and bisection code
+must match exactly.
 """
 
 import math
@@ -77,6 +78,28 @@ def reference_erdos_renyi(n: int, p: float, seed: int):
     return edges
 
 
+def reference_miller_vector(k_max: int, tau: float):
+    """``bessel._miller_vector`` run on numpy scalars, and how often it rescaled.
+
+    The same backward recurrence, start and normalization, stepped in
+    a numpy array: the library's Python-float loop must give its bits.
+    """
+    margin = int(math.ceil(10.0 + 2.0 * math.sqrt(k_max + tau)))
+    start = max(k_max, int(math.ceil(tau))) + margin
+    f = np.zeros(start + 2)
+    f[start] = 1e-30
+    rescales = 0
+    for k in range(start, 0, -1):
+        nxt = f[k + 1] + (2.0 * k / tau) * f[k]
+        if nxt > 1e250:
+            f[k - 1:] *= 1e-250
+            nxt = f[k + 1] + (2.0 * k / tau) * f[k]
+            rescales += 1
+        f[k - 1] = nxt
+    total = f[0] + 2.0 * float(np.sum(f[1:start + 1]))
+    return f[:k_max + 1] / total, rescales
+
+
 _DOMAIN_SLACK = 1e-12
 
 
@@ -84,7 +107,8 @@ def series_sum(coefficients, terms):
     """The last of :func:`cheb_partial_sums`: the whole series, summed term by term.
 
     The summation the true-order scan runs, one coefficient at a time,
-    so it shares no loop with ``combine``.
+    so it shares no loop with ``combine``. It adds every column, zero
+    coefficients included, where ``combine`` may stop early.
     """
     for y in cheb_partial_sums(coefficients, terms):
         pass

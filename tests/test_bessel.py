@@ -7,7 +7,7 @@ import pytest
 
 from chebheat.bessel import ORDER_CAP, bessel_ie_scaled, log_factorial
 
-from helpers import ie_reference
+from helpers import ie_reference, reference_miller_vector
 
 # 50-digit mpmath evaluations of exp(-tau) * I_k(tau)
 IE_0_AT_1 = 0.46575960759364044
@@ -23,6 +23,18 @@ def test_frozen_values():
     assert bessel_ie_scaled(5, 10.0)[5] == pytest.approx(IE_5_AT_10, rel=1e-13)
     # tau < 1 goes through the series path
     assert bessel_ie_scaled(0, 0.25)[0] == pytest.approx(IE_0_AT_QUARTER, rel=1e-14)
+
+
+def test_miller_bits_match_the_numpy_scalar_loop():
+    # the backward recurrence steps Python floats; numpy scalars give the
+    # same IEEE operations, so the same bits, through the rescaling too
+    rescaled = 0
+    for tau in (1.0, 1.5, 7.0, 40.0, 401.0, 3000.0):
+        for k_max in (0, 1, 30, 214, 2000):
+            ref, rescales = reference_miller_vector(k_max, tau)
+            assert bessel_ie_scaled(k_max, tau).tobytes() == ref.tobytes(), (k_max, tau)
+            rescaled += rescales > 0
+    assert rescaled  # some case goes through the _RESCALE_LIMIT branch
 
 
 def test_against_reference_grid():

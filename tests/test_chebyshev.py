@@ -203,10 +203,48 @@ def test_terms_are_not_written_after_they_are_yielded():
         assert t.tobytes() == copy.tobytes(), k
 
 
-def _series_case():
-    op = GRAPHS["er:200:0.05:1"]()
+def _series_case(graph="er:200:0.05:1"):
+    op = GRAPHS[graph]()
     x = np.random.default_rng(5).standard_normal(op.n)
     return op, x, np.stack([cheb_coefficients(t, 30) for t in (0.5, 2.0, 8.0)])
+
+
+# the inf row's NaNs warn, on the helper thread too
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", ["underflow", "negative-zero", "inf-row"])
+def test_zero_tail_stops_are_exact(cpus, case):
+    # an output stops after its last nonzero coefficient only where the
+    # columns it skips would change no bit; series_sum adds every column
+    op = GRAPHS["lattice-20x20"]()
+    order = 214
+    x = np.random.default_rng(11).standard_normal(op.n)
+    taus = (0.04, 0.3, 3.0, 400.0)
+    if case == "negative-zero":  # +0 * t turns -0.0 into +0.0
+        x = np.full(op.n, -0.0)
+        x[[5, 211]] = (1.0, -2.0)
+        taus = (0.0,) + taus
+    C = np.stack([cheb_coefficients(t, order) for t in taus])
+    assert not C[0, order // 2:].any()  # an underflowed tail: stops are taken
+
+    def rows():
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            w = op.matvec(v)
+            if case == "inf-row" and len(calls) == 150:  # NaN spreads from here
+                w[17] = np.inf
+            return w
+
+        return islice(cheb_terms(apply, x), order + 1)
+
+    together = combine(rows(), C)
+    for c, y in zip(C, together):
+        assert y.tobytes() == series_sum(c, rows()).tobytes()
+    if case == "negative-zero":
+        assert together[0].tobytes() != x.tobytes()
+    if case == "inf-row":
+        assert np.isnan(together).any(axis=1).all()
 
 
 class Abort(BaseException):
@@ -338,30 +376,34 @@ def test_combine_short_stream_leaves_no_thread(cpus):
 
 
 def test_concurrent_combines_keep_their_bits(cpus):
-    # more callers than cores, each with its own helper, switching often
-    op, x, C = _series_case()
-    signals = [np.roll(x, s) for s in range(6)]
-    expected = [combine(build_basis(op, v, 30), C).tobytes() for v in signals]
-    got = [None] * len(signals)
+    # more callers than cores, each with its own helper, switching often,
+    # sharing one operator: its matvec sums padded planes on the lattice
+    # and calls reduceat on the ER graph, and neither may share a buffer
+    for graph in sorted(GRAPHS):
+        op, x, C = _series_case(graph)
+        assert (op._cols is not None) == graph.startswith("lattice")
+        signals = [np.roll(x, s) for s in range(6)]
+        expected = [combine(build_basis(op, v, 30), C).tobytes() for v in signals]
+        got = [None] * len(signals)
 
-    def run(i):
-        for _ in range(5):
-            got[i] = combine(build_basis(op, signals[i], 30), C).tobytes()
+        def run(i):
+            for _ in range(5):
+                got[i] = combine(build_basis(op, signals[i], 30), C).tobytes()
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=run, args=(i,), daemon=True)
-                   for i in range(len(signals))]
-        for t in callers:
-            t.start()
-        deadline = time.monotonic() + 30.0
-        for t in callers:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in callers)
-    assert got == expected
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,), daemon=True)
+                       for i in range(len(signals))]
+            for t in callers:
+                t.start()
+            deadline = time.monotonic() + 30.0
+            for t in callers:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == expected, graph
 
 
 @pytest.mark.parametrize("n, m, helper", [

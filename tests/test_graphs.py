@@ -19,9 +19,9 @@ from chebheat.diffusion import expm_multiply, expm_multiscale, make_plan, measur
 from chebheat.graphs import (SparseSymMatrix, build_laplacian, erdos_renyi, load_graph,
                              load_signal, save_edge_list)
 
-from helpers import (complete_edges, path_edges, reference_csr_check, reference_erdos_renyi,
-                     reference_laplacian, reference_load_graph, reference_load_signal,
-                     reference_save_edge_list, same_operator, star_edges)
+from helpers import (complete_edges, lattice_edges, path_edges, reference_csr_check,
+                     reference_erdos_renyi, reference_laplacian, reference_load_graph,
+                     reference_load_signal, reference_save_edge_list, same_operator, star_edges)
 
 
 class TestBuildLaplacian:
@@ -149,23 +149,65 @@ class TestSparseSymMatrix:
             x = rng.standard_normal(40)
             np.testing.assert_allclose(L.matvec(x), dense @ x, rtol=1e-13, atol=1e-13)
 
-    @pytest.mark.parametrize("n_isolated", [0, 7])
-    def test_matvec_bits_match_masked_reduction(self, n_isolated):
-        # an isolated node has no diagonal entry in the combinatorial
-        # Laplacian, so its row is empty; every row is summed by one
-        # reduceat over the row's entries, whichever layout is kept
+    @staticmethod
+    def _matvec_operator(case):
+        """An ER Laplacian with ``case`` isolated nodes (wide rows), or a named narrow one."""
+        if case == "lattice-20x20":
+            return build_laplacian(lattice_edges(20, 20), 400)
+        if case == "lattice-20x20-normalized":
+            return build_laplacian(lattice_edges(20, 20), 400, kind="normalized")
+        if case == "grid-6x7x8":
+            return build_laplacian(lattice_edges(6, 7, 8), 336)
+        if case == "weighted.txt":  # node 12 is isolated: its row is empty
+            return build_laplacian(*load_graph(os.path.join(os.path.dirname(__file__),
+                                                            "data", "weighted.txt")))
         rng = np.random.default_rng(8)
         edges = np.array(erdos_renyi(60, 0.1, seed=8), dtype=np.float64)
         edges[:, 2] = rng.uniform(0.1, 3.0, len(edges))
-        L = build_laplacian(edges, 60 + n_isolated)
+        return build_laplacian(edges, 60 + case)
+
+    @pytest.mark.parametrize("case", [0, 7, "lattice-20x20", "lattice-20x20-normalized",
+                                      "grid-6x7x8", "weighted.txt"])
+    def test_matvec_bits_match_masked_reduction(self, case):
+        # an isolated node has no diagonal entry in the combinatorial
+        # Laplacian, so its row is empty and sums to +0.0; every other row
+        # sums as one reduceat over the row's entries, in either layout
+        L = self._matvec_operator(case)
         counts = np.diff(L.row_ptr)
-        assert int(np.sum(counts == 0)) == n_isolated
+        assert int(np.sum(counts == 0)) == (case if isinstance(case, int) else
+                                            case == "weighted.txt")
+        # rows of at most 8 entries take the padded planes, wider ones reduceat
+        assert (L._cols is not None) == isinstance(case, str)
+        rng = np.random.default_rng(8)
         for op in (L, L.scaled(0.37)):
-            x = rng.standard_normal(op.n)
-            ref = np.zeros(op.n)
-            ref[counts > 0] = np.add.reduceat(op.values * x[op.col_idx],
-                                              op.row_ptr[:-1][counts > 0])
-            assert op.matvec(x).tobytes() == ref.tobytes()
+            for _ in range(4):
+                x = rng.choice([-1.0, 1.0], op.n) * np.exp(rng.uniform(-30.0, 30.0, op.n))
+                zeros = rng.random(op.n) < 0.3
+                x[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+                ref = np.zeros(op.n)
+                ref[counts > 0] = np.add.reduceat(op.values * x[op.col_idx],
+                                                  op.row_ptr[:-1][counts > 0])
+                assert op.matvec(x).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_reduceat_sums_short_rows_in_the_plane_order(self, length):
+        # matvec's padded planes rest on numpy's order for a row of at most
+        # 8 entries: a_0 + (((a_1 + a_2) + a_3) + ...), padded with -0.0. A
+        # numpy that sums such rows in another order fails here.
+        assert chebheat.graphs._PLANE_MAX_WIDTH == 8
+        rng = np.random.default_rng(length)
+        rows = 20000
+        a = rng.choice([-1.0, 1.0], (rows, length)) * np.exp(rng.uniform(-20.0, 20.0,
+                                                                        (rows, length)))
+        zeros = rng.random((rows, length)) < 0.3
+        a[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+        planes = np.full((8, rows), -0.0)
+        planes[:length] = a.T
+        for j in range(2, 8):
+            planes[1] += planes[j]
+        padded = planes[0] + planes[1]
+        ref = np.add.reduceat(a.ravel(), np.arange(0, a.size, length))
+        assert padded.tobytes() == ref.tobytes()
 
     def test_scaled_shares_reduction_layout(self):
         L = build_laplacian([(0, 1), (1, 2)], 4)  # node 3 is isolated
@@ -174,6 +216,15 @@ class TestSparseSymMatrix:
         assert L._nonempty.tolist() == [True, True, True, False]
         assert build_laplacian([(0, 1)], 2)._nonempty is None
         np.testing.assert_array_equal(S.matvec(np.arange(4.0)), [-0.5, 0.0, 0.5, 0.0])
+        # rows of at most 8 entries keep their entries in padded planes only,
+        # and the column planes are structure; the CSR arrays are gathered
+        # from the planes, with the bits the constructor was given
+        assert S._cols is L._cols and S._col_idx is None and S._values is None
+        assert S.row_ptr.tolist() == [0, 2, 5, 7, 7]
+        assert S.col_idx.tolist() == [0, 1, 0, 1, 2, 1, 2]
+        assert S.values.tolist() == [0.5, -0.5, -0.5, 1.0, -0.5, -0.5, 0.5]
+        assert L.values.tolist() == [1.0, -1.0, -1.0, 2.0, -1.0, -1.0, 1.0]
+        assert not S.col_idx.flags.writeable and not S.values.flags.writeable
 
     def test_scaled(self):
         L = build_laplacian([(0, 1)], 2)

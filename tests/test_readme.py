@@ -3,13 +3,15 @@
 Every ``python`` block runs, in order, in one namespace; every
 ``chebheat`` line of the command-line block runs through ``cli.main`` in
 a scratch directory and must exit 0. A README that documents a command
-or name the package no longer has fails here.
+or name the package no longer has fails here, and so does one that
+quotes a limit of ``combine`` the code no longer has.
 """
 
 import re
 import shlex
 from pathlib import Path
 
+from chebheat import chebyshev
 from chebheat.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -35,3 +37,13 @@ def test_command_lines_exit_zero(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in commands:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_quoted_limits_are_the_code_limits():
+    text = " ".join(README.split())  # sentences wrap across lines
+    in_flight = (re.findall(r"fewer than (\d+) rows wait", text)
+                 + re.findall(r"at most (\d+) rows in flight", text))
+    assert len(in_flight) == 2 and {int(v) for v in in_flight} == {chebyshev._IN_FLIGHT}
+    limits = re.findall(r"fewer than (\d+) scales or fewer than (\d+) nodes", text)
+    assert [(int(a), int(b)) for a, b in limits] == [
+        (chebyshev._OVERLAP_MIN_SCALES, chebyshev._OVERLAP_MIN_LENGTH)]
