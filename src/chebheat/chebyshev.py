@@ -23,32 +23,35 @@ keeps each output in cache across them. A row is drawn only once a slot
 is free, that is while fewer than ``_IN_FLIGHT`` rows are unanswered,
 and every answer already waiting is read first, so a helper error
 re-raises at the next row and no matvec is spent after it. The helper
-starts off the CPU the calling thread is on. With a single CPU
-available, or on runs too small to repay a thread, the additions run
-inline, in the same order, so the output bits never depend on the
-thread count.
+thread holds only that queue loop: :class:`chebheat.graphs._helper_thread`
+starts it off the CPU the calling thread is on and joins it. With a
+single CPU available, or on runs too small to repay a thread, the
+additions run inline, in the same order, so the output bits never
+depend on the thread count.
 
 A small scale's coefficients underflow to exact zeros well before the
 largest scale's order, and ``y + (+-0 * t)`` is ``y`` bit for bit unless
-``y`` holds ``-0.0`` or ``t`` is not finite. So each output stops adding
-after its last nonzero coefficient, unless it holds ``-0.0`` there; and
-once a row past a stop is not finite, every output adds every row from
-it on. The recurrence finishes each step in the array ``apply`` returns,
-in place, with the bits of the plain expression.
+``y`` holds ``-0.0`` or ``t`` is not finite. Under IEEE round to nearest
+a sum is ``-0.0`` only when both terms are, so an output whose first
+term holds no ``-0.0`` never holds one; and the recurrence keeps a
+non-finite entry non-finite in every later row. So each output's stop,
+one past its last nonzero coefficient, is fixed before the first row:
+it skips the rows from its stop up to the last, adds the last, which
+carries any NaN a skipped row would have, and adds every row if its
+first term holds ``-0.0``. The recurrence finishes each step in the
+array ``apply`` returns, in place, with the bits of the plain
+expression.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import queue
-import threading
 from itertools import islice
 
 import numpy as np
 
 from .bessel import bessel_ie_scaled
-from .graphs import SparseSymMatrix, _helper_cpus
+from .graphs import SparseSymMatrix, _helper_cpus, _helper_thread
 
 __all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "build_basis", "combine"]
 
@@ -152,28 +155,29 @@ def combine(basis, c) -> np.ndarray:
     vector per output, giving an ``(m, n)`` array. Row ``k`` is drawn
     only once column ``k`` exists, on the calling thread;
     each output gets ``c[0]/2 t_0``, then ``+= c[k] * t_k`` in ascending
-    ``k``, as :func:`cheb_partial_sums` sums them. An output stops after
-    its last nonzero coefficient when that changes no bit: when it holds
-    no ``-0.0`` there, since ``y + (+-0 * t) = y`` for any other ``y``
-    and finite ``t``, and while every row it skips is finite; otherwise
-    it adds every column. With two CPUs or more,
-    at least ``_OVERLAP_MIN_SCALES`` outputs and rows of at least
-    ``_OVERLAP_MIN_LENGTH`` entries, one helper thread does those
-    additions while later rows are drawn; the rows must not change after
-    they are yielded. The helper takes every row waiting for it at once
-    and adds them to one output before the next. A row is drawn only
-    once fewer than ``_IN_FLIGHT`` rows wait on the helper, and an error
-    of the helper re-raises here before the next row is drawn. Rows that
-    run out before the coefficients raise ``ValueError``; any error is
-    raised here once the helper has been joined.
+    ``k``, as :func:`cheb_partial_sums` sums them, except that an output
+    skips the columns from its stop, one past its last nonzero
+    coefficient, up to the last column, which it adds; an output whose
+    first term holds ``-0.0`` adds every column. That gives the bits of
+    adding every column when the rows come from a recurrence in which a
+    non-finite entry stays non-finite in every later row, such as
+    :func:`cheb_terms` or :func:`build_basis`, and on numpy's default IEEE
+    arithmetic (round to nearest, no flush of subnormals to zero).
+
+    With two CPUs or more, at least ``_OVERLAP_MIN_SCALES`` outputs and
+    rows of at least ``_OVERLAP_MIN_LENGTH`` entries, one helper thread
+    does those additions while later rows are drawn; the rows must not
+    change after they are yielded. The helper takes every row waiting
+    for it at once and adds them to one output before the next. A row
+    is drawn only once fewer than ``_IN_FLIGHT`` rows wait on the
+    helper, and an error of the helper re-raises here before the next
+    row is drawn. Rows that run out before the coefficients raise
+    ``ValueError``; any error is raised here once the helper has been
+    joined.
     """
     c = np.asarray(c, dtype=np.float64)
     width = c.shape[1]
     coefficients = c.tolist()
-    # per output, the first column of its zero tail (one past its last nonzero
-    # coefficient; a NaN counts as nonzero); width when it has none, or once
-    # the output must add every column
-    stops = (width - np.argmax(c[:, ::-1] != 0.0, axis=1)).tolist()
     rows = iter(basis)
 
     def next_row(k):
@@ -185,21 +189,20 @@ def combine(basis, c) -> np.ndarray:
 
     t0 = next_row(0)
     out, scratch = np.multiply.outer(0.5 * c[:, 0], t0), np.empty_like(t0)
+    # per output, the first column of its zero tail: one past its last nonzero
+    # coefficient (a NaN counts as nonzero), or width when it has none or its
+    # first term holds -0.0. The columns from the stop to the one before the
+    # last are skipped; the last carries any NaN a skipped column would add.
+    stops = [width if np.signbit(y[y == 0.0]).any() else stop
+             for y, stop in zip(out, (width - np.argmax(c[:, ::-1] != 0.0, axis=1)).tolist())]
 
     def add(batch):
         """Add the rows ``(k, t_k)`` of ``batch``, in ascending ``k``, to each output in turn."""
-        if batch[-1][0] >= min(stops):  # a row some output may skip
+        for y, ci, stop in zip(out, coefficients, stops):
             for k, t in batch:
-                if not math.isfinite(np.add.reduce(t, axis=None)):  # 0 * inf is NaN
-                    stops[:] = [width] * len(stops)
-        for i, (y, ci) in enumerate(zip(out, coefficients)):
-            for k, t in batch:
-                if k >= stops[i]:
-                    if k > stops[i] or not np.signbit(y[y == 0.0]).any():
-                        break
-                    stops[i] = width  # -0.0 + (+0 * t) is +0.0
-                np.multiply(t, ci[k], out=scratch)
-                y += scratch
+                if not stop <= k < width - 1:
+                    np.multiply(t, ci[k], out=scratch)
+                    y += scratch
 
     overlap = (width > 1 and len(c) >= _OVERLAP_MIN_SCALES
                and t0.size >= _OVERLAP_MIN_LENGTH)
@@ -212,11 +215,6 @@ def combine(basis, c) -> np.ndarray:
     rows_out, done = queue.SimpleQueue(), queue.SimpleQueue()
 
     def helper():
-        if cpus:
-            try:
-                os.sched_setaffinity(0, cpus)
-            except OSError:  # placement is only a hint
-                pass
         while True:
             batch = [rows_out.get()]  # every row waiting, in the order put
             while not rows_out.empty():
@@ -242,20 +240,17 @@ def combine(basis, c) -> np.ndarray:
         if token is not None:
             raise token
 
-    # joined below on every path; daemon only so that a stuck helper cannot stall exit
-    thread = threading.Thread(target=helper, name="chebheat-combine", daemon=True)
-    thread.start()
     unsettled = 0
-    try:
-        for k in range(1, width):
-            while unsettled == _IN_FLIGHT or (unsettled and not done.empty()):
-                settle()
-                unsettled -= 1
-            rows_out.put((k, next_row(k)))
-            unsettled += 1
-    finally:
-        rows_out.put(None)
-        thread.join()
+    with _helper_thread(helper, cpus, "chebheat-combine"):
+        try:
+            for k in range(1, width):
+                while unsettled == _IN_FLIGHT or (unsettled and not done.empty()):
+                    settle()
+                    unsettled -= 1
+                rows_out.put((k, next_row(k)))
+                unsettled += 1
+        finally:
+            rows_out.put(None)
     while not done.empty():
         settle()
     return out

@@ -26,7 +26,11 @@ line.
 Random graphs come from :func:`erdos_renyi`, which on a large graph
 draws its one random stream in two halves at once, the second on one
 helper thread. :func:`_helper_cpus` is the package's one rule for
-whether, and off which CPU, a helper thread runs.
+whether, and off which CPU, a helper thread runs, and
+:class:`_helper_thread` its one runner: it starts, places and joins every
+helper thread, this one and :func:`chebheat.chebyshev.combine`'s, and
+hands its error to the calling thread, so the threads hold only their
+work.
 """
 
 from __future__ import annotations
@@ -152,28 +156,30 @@ class SparseSymMatrix:
         self._kernel = None
         self._facts = {}
         self._check_symmetry(rows)
-        # matvec's reduction layout: the start of every non-empty row, and
-        # which rows those are (None when no row is empty)
-        nonempty = counts > 0
-        self._nonempty = None if nonempty.all() else nonempty
-        self._row_starts = row_ptr[:-1] if self._nonempty is None else row_ptr[:-1][nonempty]
         # matvec's padded layout, for rows of at most _PLANE_MAX_WIDTH entries:
         # entry j of row i sits in plane j. A padding slot holds 1.0 and reads
         # x[n] = -0.0, the additive identity, except the first slot of an empty
         # row, which reads x[n + 1] = +0.0, so that the row sums to +0.0. Such
         # an operator keeps its entries in the planes only (see ``col_idx``).
-        self._cols = self._vals = None
+        # Otherwise the reduceat layout: the start of every non-empty row, and
+        # which rows those are (None when no row is empty).
+        self._cols = self._vals = self._row_starts = self._nonempty = None
         width = int(counts.max())
         if 0 < width <= _PLANE_MAX_WIDTH:
             slot = np.arange(values.size)
             slot -= row_ptr[rows]
             self._cols = np.full((width, n), n, dtype=np.int64)
             self._cols[slot, rows] = col_idx
-            self._cols[0, ~nonempty] = n + 1
+            self._cols[0, counts == 0] = n + 1
             self._vals = np.ones((width, n))
             self._vals[slot, rows] = values
             self._col_idx = self._values = None
-        for a in (row_ptr, col_idx, values, self._row_starts, nonempty, self._cols, self._vals):
+        else:
+            nonempty = counts > 0
+            self._nonempty = None if nonempty.all() else nonempty
+            self._row_starts = row_ptr[:-1] if self._nonempty is None else row_ptr[:-1][nonempty]
+        for a in (row_ptr, col_idx, values, self._row_starts, self._nonempty, self._cols,
+                  self._vals):
             if a is not None:
                 a.flags.writeable = False
 
@@ -458,6 +464,44 @@ def _helper_cpus():
     return allowed - {here}
 
 
+class _helper_thread:
+    """Run ``work()`` on one helper thread while the ``with`` body runs.
+
+    The thread, named ``name``, first asks to run on ``cpus`` (a set from
+    :func:`_helper_cpus`; an empty one leaves the placement to the
+    system, and an ``OSError`` is ignored, since placement is only a
+    hint). It is joined when the body ends, on every path, so the body
+    must make ``work`` return. After the join, an error of ``work`` is
+    raised here, unless the body raised first. The one place where the
+    package starts, places and joins a thread.
+    """
+
+    def __init__(self, work, cpus, name):
+        self._error = []
+
+        def run():
+            if cpus:
+                try:
+                    os.sched_setaffinity(0, cpus)
+                except OSError:  # placement is only a hint
+                    pass
+            try:
+                work()
+            except BaseException as exc:  # handed to the calling thread
+                self._error.append(exc)
+
+        # daemon only so that a stuck helper cannot stall exit: __exit__ joins it
+        self._thread = threading.Thread(target=run, name=name, daemon=True)
+
+    def __enter__(self):
+        self._thread.start()
+
+    def __exit__(self, kind, exc, tb):
+        self._thread.join()
+        if kind is None and self._error:
+            raise self._error[0]
+
+
 def _er_hits(seed, p: float, start: int, stop: int) -> np.ndarray:
     """The k in ``[start, stop)`` where draw k of ``default_rng(seed)`` is below ``p``.
 
@@ -480,27 +524,9 @@ def _er_hits_split(seed, p: float, total: int, cpus) -> np.ndarray:
     """:func:`_er_hits` over ``[0, total)``, its second half on a helper thread off ``cpus``."""
     half = total // 2
     second = []
-
-    def helper():
-        if cpus:
-            try:
-                os.sched_setaffinity(0, cpus)
-            except OSError:  # placement is only a hint
-                pass
-        try:
-            second.append(_er_hits(seed, p, half, total))
-        except BaseException as exc:  # handed to the calling thread
-            second.append(exc)
-
-    # joined below on every path; daemon only so that a stuck helper cannot stall exit
-    thread = threading.Thread(target=helper, name="chebheat-erdos-renyi", daemon=True)
-    thread.start()
-    try:
+    with _helper_thread(lambda: second.append(_er_hits(seed, p, half, total)), cpus,
+                        "chebheat-erdos-renyi"):
         first = _er_hits(seed, p, 0, half)
-    finally:
-        thread.join()
-    if isinstance(second[0], BaseException):
-        raise second[0]
     return np.concatenate([first, second[0]])
 
 

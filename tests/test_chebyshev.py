@@ -13,7 +13,7 @@ import pytest
 
 from chebheat.chebyshev import _IN_FLIGHT, build_basis, cheb_coefficients, cheb_terms, combine
 from chebheat.diffusion import estimate_lambda_max
-from chebheat.graphs import build_laplacian, erdos_renyi
+from chebheat.graphs import _helper_thread, build_laplacian, erdos_renyi
 
 from helpers import eval_scalar, force_combine_helper, lattice_edges, series_sum
 
@@ -245,6 +245,139 @@ def test_zero_tail_stops_are_exact(cpus, case):
         assert together[0].tobytes() != x.tobytes()
     if case == "inf-row":
         assert np.isnan(together).any(axis=1).all()
+
+
+def _random_stop_case(rng):
+    """An operator, a signal and coefficients that exercise every stop rule."""
+    if rng.random() < 0.5:
+        op = _rescaled(lattice_edges(5, 8), 40)  # padded planes
+    else:
+        op = _rescaled(erdos_renyi(60, 0.15, seed=int(rng.integers(100))), 60)
+    # signed zeros and the smallest subnormals beside normal entries, so
+    # that a first term holds -0.0 in some outputs, by sign or by underflow
+    x = rng.choice([-1.0, 1.0], op.n) * np.exp(rng.uniform(-5.0, 5.0, op.n))
+    special = rng.random(op.n) < rng.choice([0.0, 0.05, 0.4])
+    x[special] = rng.choice([-0.0, 0.0, -5e-324, 5e-324], int(special.sum()))
+    order = int(rng.integers(2, 60))
+    C = np.stack([cheb_coefficients(t, order) for t in
+                  rng.choice([0.0, 0.01, 0.05, 0.3, 2.0, 30.0], int(rng.integers(1, 9)))])
+    # random tails of exact zeros of either sign, subnormal coefficients,
+    # and first terms that underflow to +-0
+    for c in C:
+        tail = int(rng.integers(1, order + 1))
+        if rng.random() < 0.5:
+            c[tail:] = rng.choice([-0.0, 0.0], order + 1 - tail)
+        elif rng.random() < 0.5:
+            c[tail:] *= 1e-320
+        if rng.random() < 0.2:
+            c[0] = rng.choice([-5e-324, 5e-324, 0.0, -0.0])
+    return op, x, C
+
+
+# the injected inf and NaN warn, on the helper thread too
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_stops_give_the_bits_of_adding_every_column(cpus):
+    # series_sum adds every column; combine skips each output's zero tail
+    # but for its last column, or adds every column if it starts with -0.0
+    rng = np.random.default_rng(1801 if cpus == "helper" else 1802)
+    seen = {"skips": 0, "skips, NaN": 0, "-0.0 and a zero tail": 0}
+    for trial in range(120):
+        op, x, C = _random_stop_case(rng)
+        order = C.shape[1] - 1
+        bad_call = int(rng.integers(1, order + 1)) if rng.random() < 0.5 else None
+        bad_node, bad_value = int(rng.integers(op.n)), rng.choice([np.inf, -np.inf, np.nan])
+
+        def rows():
+            calls = []
+
+            def apply(v):
+                calls.append(1)
+                w = op.matvec(v)
+                if len(calls) == bad_call:
+                    w[bad_node] = bad_value
+                return w
+
+            return islice(cheb_terms(apply, x), order + 1)
+
+        together = combine(rows(), C)
+        for c, y in zip(C, together):
+            assert y.tobytes() == series_sum(c, rows()).tobytes(), trial
+            y0 = (0.5 * c[0]) * x
+            if np.flatnonzero(c)[-1:].tolist() < [order - 1]:  # a zero tail
+                if np.signbit(y0[y0 == 0.0]).any():
+                    seen["-0.0 and a zero tail"] += 1
+                else:
+                    seen["skips"] += 1
+                    seen["skips, NaN"] += bool(np.isnan(y).any())
+    assert min(seen.values()) >= 20, seen  # every rule was exercised
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad_value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("apply_kind", ["zeros", "random"])
+def test_a_non_finite_entry_stays_in_every_later_row(apply_kind, bad_value):
+    # the stop rule adds the last row only: it must carry any NaN that a
+    # skipped row would have made, whatever apply returns at that node
+    rng = np.random.default_rng(3)
+    n, node = 50, 17
+
+    def apply(v):
+        return np.zeros(n) if apply_kind == "zeros" else rng.uniform(-1e3, 1e3, n)
+
+    for k in range(6):
+        x = rng.standard_normal(n)
+        if k == 0:
+            x[node] = bad_value
+        terms = cheb_terms(apply, x)
+        rows = [next(terms) for _ in range(k + 1)]
+        rows[k][node] = bad_value  # placed in row k, before row k + 1 is made
+        rows += [next(terms) for _ in range(12)]
+        assert not any(np.isfinite(t[node]) for t in rows[k:]), (k, [t[node] for t in rows])
+        assert all(np.isfinite(t).all() for t in rows[:k])
+
+
+def test_arithmetic_keeps_subnormals():
+    # a sum is -0.0 only when both terms are, and products and sums of
+    # subnormals are exact where IEEE gradual underflow makes them so. A
+    # process that flushes subnormals to zero (FTZ) or reads them as zero
+    # (DAZ) breaks the stop rule; it fails here, on the calling thread or
+    # on a helper thread alike
+    tiny = 2.2250738585072014e-308  # the smallest normal double
+    failures = []
+
+    def check():
+        for size in (1, 1000):  # a scalar loop and a vector one
+            a = np.full(size, tiny)
+            sub = np.full(size, 5e-324)
+            got = {
+                "tiny / 2": a * 0.5,
+                "tiny - 0.75 tiny": a - 0.75 * a,
+                "-tiny + 0.75 tiny": -a + 0.75 * a,
+                "5e-324 + 5e-324": sub + sub,
+                "5e-324 * 3": sub * 3.0,
+            }
+            want = {
+                "tiny / 2": 1.1125369292536007e-308,
+                "tiny - 0.75 tiny": 5.562684646268003e-309,
+                "-tiny + 0.75 tiny": -5.562684646268003e-309,
+                "5e-324 + 5e-324": 1e-323,
+                "5e-324 * 3": 1.5e-323,
+            }
+            for name, value in got.items():
+                if value.tobytes() != np.full(size, want[name]).tobytes():
+                    failures.append((threading.current_thread().name, size, name, value[0]))
+            zeros = np.array([-0.0, 0.0, -5e-324, 5e-324, -tiny, tiny])
+            a, b = np.meshgrid(zeros, zeros)
+            total = a + b
+            neg_zero = (total == 0.0) & np.signbit(total)
+            both = np.signbit(a) & np.signbit(b) & (a == 0.0) & (b == 0.0)
+            if not np.array_equal(neg_zero, both):
+                failures.append((threading.current_thread().name, "-0.0 sums", total.tolist()))
+
+    check()
+    with _helper_thread(check, set(), "subnormal-check"):
+        pass
+    assert failures == []
 
 
 class Abort(BaseException):

@@ -210,11 +210,20 @@ class TestSparseSymMatrix:
         assert padded.tobytes() == ref.tobytes()
 
     def test_scaled_shares_reduction_layout(self):
+        # a 9-leaf star, hub row of 10 entries, calls reduceat; node 10 is isolated
+        W = build_laplacian(star_edges(10), 11)
+        V = W.scaled(0.5)
+        assert W._cols is None
+        assert V._row_starts is W._row_starts and V._nonempty is W._nonempty
+        assert W._nonempty.tolist() == [True] * 10 + [False]
+        assert W._row_starts.tolist() == [0] + list(range(10, 28, 2))
+        assert build_laplacian(star_edges(10), 10)._nonempty is None
+        np.testing.assert_array_equal(V.matvec(np.arange(11.0)),
+                                      [-22.5] + [0.5 * leaf for leaf in range(1, 10)] + [0.0])
+        # the padded planes take no reduceat layout
         L = build_laplacian([(0, 1), (1, 2)], 4)  # node 3 is isolated
         S = L.scaled(0.5)
-        assert S._row_starts is L._row_starts and S._nonempty is L._nonempty
-        assert L._nonempty.tolist() == [True, True, True, False]
-        assert build_laplacian([(0, 1)], 2)._nonempty is None
+        assert L._row_starts is L._nonempty is S._row_starts is S._nonempty is None
         np.testing.assert_array_equal(S.matvec(np.arange(4.0)), [-0.5, 0.0, 0.5, 0.0])
         # rows of at most 8 entries keep their entries in padded planes only,
         # and the column planes are structure; the CSR arrays are gathered
@@ -489,6 +498,83 @@ class TestErdosRenyiHelper:
         edges = erdos_renyi(300, 0.05, seed=1)
         assert len(made) == 1 and threading.active_count() == before
         assert edges.tobytes() == _reference_er(300, 0.05, 1).tobytes()
+
+
+class TestHelperThread:
+    """The one runner: it starts, places and joins a helper thread, and hands on its error."""
+
+    def _placements(self, monkeypatch, error=None):
+        """Record each ``sched_setaffinity`` call, raising ``error`` if given."""
+        calls = []
+
+        def place(pid, cpus):
+            calls.append((threading.current_thread().name, pid, set(cpus)))
+            if error is not None:
+                raise error
+
+        monkeypatch.setattr(os, "sched_setaffinity", place, raising=False)
+        return calls
+
+    def test_work_runs_on_a_placed_thread_joined_at_the_end(self, monkeypatch):
+        calls = self._placements(monkeypatch)
+        ran = []
+        before = threading.enumerate()
+        with chebheat.graphs._helper_thread(lambda: ran.append(threading.current_thread()),
+                                            {1}, "probe-helper"):
+            pass
+        assert threading.enumerate() == before
+        assert [t.name for t in ran] == ["probe-helper"] and ran[0].daemon
+        assert not ran[0].is_alive()
+        assert calls == [("probe-helper", 0, {1})]
+
+    def test_empty_cpus_leave_the_placement_to_the_system(self, monkeypatch):
+        calls = self._placements(monkeypatch)
+        ran = []
+        with chebheat.graphs._helper_thread(lambda: ran.append(1), set(), "probe-helper"):
+            pass
+        assert ran == [1] and calls == []
+
+    def test_placement_error_is_ignored(self, monkeypatch):
+        calls = self._placements(monkeypatch, OSError(22, "Invalid argument"))
+        ran = []
+        before = threading.enumerate()
+        with chebheat.graphs._helper_thread(lambda: ran.append(1), {7}, "probe-helper"):
+            pass
+        assert ran == [1] and len(calls) == 1
+        assert threading.enumerate() == before
+
+    def test_work_error_raises_after_the_join(self, monkeypatch):
+        self._placements(monkeypatch)
+        boom = RuntimeError("work failed")
+        ran = []
+
+        def work():
+            ran.append(threading.current_thread())
+            time.sleep(0.2)  # still running when the body ends
+            raise boom
+
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError) as info:
+            with chebheat.graphs._helper_thread(work, {1}, "probe-helper"):
+                pass
+        assert info.value is boom
+        assert not ran[0].is_alive() and threading.enumerate() == before
+
+    def test_body_error_wins_over_work_error(self, monkeypatch):
+        self._placements(monkeypatch)
+        finished = []
+
+        def work():
+            time.sleep(0.2)
+            finished.append(1)
+            raise RuntimeError("work failed")
+
+        before = threading.enumerate()
+        with pytest.raises(KeyError, match="body failed"):
+            with chebheat.graphs._helper_thread(work, {1}, "probe-helper"):
+                raise KeyError("body failed")
+        assert finished == [1]  # joined before the body's error went on
+        assert threading.enumerate() == before
 
 
 class TestFileFormats:

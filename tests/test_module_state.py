@@ -5,7 +5,8 @@ and die with it. A ``global`` statement or a ``functools`` cache
 decorator in a package module would hold such state for the whole
 process instead, under a policy of its own, and so would a thread,
 queue, lock or pool made when the module is imported and shared by
-every call.
+every call. Likewise one runner, ``graphs._helper_thread``, holds the
+thread policy: no other code starts or places a thread.
 """
 
 import ast
@@ -16,6 +17,7 @@ import chebheat
 MODULES = sorted(Path(chebheat.__file__).resolve().parent.glob("*.py"))
 CACHES = {"lru_cache", "cache"}
 SHARED = {"Thread", "SimpleQueue", "Queue", "Semaphore", "Lock", "ThreadPoolExecutor"}
+THREAD_POLICY = {"Thread", "sched_setaffinity"}
 
 
 def _name(node):
@@ -100,3 +102,57 @@ def test_no_global_statement_or_cache_decorator(tmp_path):
     ]
     assert {p.name for p in MODULES} >= {"chebyshev.py", "diffusion.py", "graphs.py", "oracle.py"}
     assert [hit for path in MODULES for hit in _module_state(path)] == []
+
+
+def _thread_policy(path):
+    """Calls that start or place a thread outside the one runner, ``graphs._helper_thread``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    runner = set()
+    if path.name == "graphs.py":
+        for node in tree.body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "_helper_thread":
+                runner.update(map(id, ast.walk(node)))
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _name(node) in THREAD_POLICY
+            and id(node) not in runner]
+
+
+POLICY_PROBE = '''\
+import os, threading
+from threading import Thread
+
+def _helper_thread(work, cpus, name):
+    def run():
+        os.sched_setaffinity(0, cpus)
+        work()
+    threading.Thread(target=run, name=name).start()
+
+def elsewhere(work):
+    Thread(target=work).start()
+    os.sched_setaffinity(0, {1})
+
+class Pool:
+    def _helper_thread(self, work):
+        return threading.Thread(target=work)
+'''
+
+
+def test_threads_are_started_and_placed_only_by_the_runner(tmp_path):
+    # the one runner in graphs.py starts, places and joins every helper
+    # thread; a call to either anywhere else in the package fails here
+    probe = tmp_path / "graphs.py"
+    probe.write_text(POLICY_PROBE, encoding="utf-8")
+    assert sorted(hit.split(": ", 1)[1] for hit in _thread_policy(probe)) == [
+        "Thread(target=work)",
+        "os.sched_setaffinity(0, {1})",
+        "threading.Thread(target=work)",
+    ]
+    elsewhere = tmp_path / "chebyshev.py"
+    elsewhere.write_text(POLICY_PROBE, encoding="utf-8")
+    assert len(_thread_policy(elsewhere)) == 5  # the runner counts only in graphs.py
+    assert [hit for path in MODULES for hit in _thread_policy(path)] == []
+    # and the runner makes each call once
+    graphs = ast.parse(next(p for p in MODULES if p.name == "graphs.py").read_text("utf-8"))
+    calls = sorted(_name(node) for node in ast.walk(graphs)
+                   if isinstance(node, ast.Call) and _name(node) in THREAD_POLICY)
+    assert calls == ["Thread", "sched_setaffinity"]
