@@ -7,7 +7,7 @@ diffusion scale at once, so m scales share one recurrence and no basis
 is stored.
 """
 
-from .bounds import BoundKind, SignalStats, min_order, true_min_order
+from .bounds import BoundKind, energy_ratio, min_order, true_min_order
 from .diffusion import expm_multiply, expm_multiscale, measure_errors
 from .errors import ConvergenceError, NumericalError, OrderCapError, ParseError
 from .graphs import build_laplacian, erdos_renyi, load_graph, save_edge_list
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "build_laplacian", "erdos_renyi", "load_graph", "save_edge_list",
     "expm_multiply", "expm_multiscale", "measure_errors",
-    "BoundKind", "SignalStats", "min_order", "true_min_order",
+    "BoundKind", "energy_ratio", "min_order", "true_min_order",
     "ConvergenceError", "NumericalError", "OrderCapError", "ParseError",
     "__version__",
 ]

@@ -20,7 +20,6 @@ exponentiated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,7 +29,7 @@ from .chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
 from .errors import OrderCapError
 from .graphs import _signal
 
-__all__ = ["BoundKind", "AUTO", "SignalStats", "sup_error_bound", "baseline_error_term",
+__all__ = ["BoundKind", "AUTO", "energy_ratio", "sup_error_bound", "baseline_error_term",
            "log_bound_value", "select_bound", "min_order", "true_min_order"]
 
 
@@ -55,37 +54,31 @@ _LOG_D = math.log(_D)
 _LOG_1MD = math.log1p(-_D)
 
 
-@dataclass(frozen=True)
-class SignalStats:
-    """The one number of a signal that the specific bounds consume.
+def energy_ratio(signal, op) -> float:
+    """The one number of a signal that the specific bounds read.
 
-    :meth:`from_signal` sets ``energy_ratio = ||k||^2 ||x||^2 / <x, k>^2``
-    for the operator's ``kernel_vector`` ``k``, at least 1 by
-    Cauchy-Schwarz; on the constant ``k`` of a combinatorial Laplacian
-    that is ``n ||x||^2 / (sum x)^2``, bit for bit. The sums are taken
-    on ``2^-e x`` with ``2^e`` just above ``max|x|``. The ratio does not
-    depend on scale, and a power-of-two scaling is exact, so it gets the
-    bits the plain sums would give wherever those are finite and normal,
-    and stays defined where they would overflow or underflow. It is
-    ``inf`` when the operator has no kernel vector, or when
-    ``<x, k>^2`` is zero: the inner product is exactly zero, or it
-    cancelled to below about 1e-154 of the largest entry.
+    ``||k||^2 ||x||^2 / <x, k>^2`` for the operator's ``kernel_vector``
+    ``k``, at least 1 by Cauchy-Schwarz; on the constant ``k`` of a
+    combinatorial Laplacian that is ``n ||x||^2 / (sum x)^2``, bit for
+    bit. The sums are taken on ``2^-e x`` with ``2^e`` just above
+    ``max|x|``. The ratio does not depend on scale, and a power-of-two
+    scaling is exact, so it gets the bits the plain sums would give
+    wherever those are finite and normal, and stays defined where they
+    would overflow or underflow. It is ``inf`` when the operator has no
+    kernel vector, or when ``<x, k>^2`` is zero: the inner product is
+    exactly zero, or it cancelled to below about 1e-154 of the largest
+    entry.
     """
-
-    energy_ratio: float
-
-    @classmethod
-    def from_signal(cls, signal, op) -> "SignalStats":
-        x = _signal(signal)
-        if x.size != op.n:
-            raise ValueError(f"signal length {x.size} does not match operator size {op.n}")
-        k = op.kernel_vector
-        if k is None:
-            return cls(math.inf)
-        x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
-        dot = float(np.sum(x * k))
-        dot_sq = dot * dot
-        return cls(float(np.sum(k * k)) * float(x @ x) / dot_sq if dot_sq > 0.0 else math.inf)
+    x = _signal(signal)
+    if x.size != op.n:
+        raise ValueError(f"signal length {x.size} does not match operator size {op.n}")
+    k = op.kernel_vector
+    if k is None:
+        return math.inf
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+    dot = float(np.sum(x * k))
+    dot_sq = dot * dot
+    return float(np.sum(k * k)) * float(x @ x) / dot_sq if dot_sq > 0.0 else math.inf
 
 
 def _check_order(order: int, tau_eff: float) -> int:
@@ -158,18 +151,18 @@ def baseline_error_term(order: int, tau_eff: float) -> float:
 _NEW_KINDS = (BoundKind.NEW_GENERIC, BoundKind.NEW_SPECIFIC)
 
 
-def _log_signal_term(kind: BoundKind, tau_eff: float, stats: SignalStats | None) -> float:
+def _log_signal_term(kind: BoundKind, tau_eff: float, ratio: float | None) -> float:
     # the factor a certificate pays for the signal: exp(4 tau) generic, the energy ratio specific
     if kind in (BoundKind.NEW_GENERIC, BoundKind.BASELINE_GENERIC):
         return 4.0 * tau_eff
-    if stats is None:
-        raise ValueError(f"{kind.value} bound needs signal statistics")
-    if stats.energy_ratio == math.inf:
+    if ratio is None:
+        raise ValueError(f"{kind.value} bound needs the signal's energy ratio")
+    if ratio == math.inf:
         raise ValueError(f"{kind.value} bound is undefined: the operator has no known kernel "
                          f"vector, or the signal has no component along it (its components "
                          f"sum to zero on a combinatorial Laplacian, or cancel past the "
                          f"float range)")
-    return math.log(stats.energy_ratio)
+    return math.log(ratio)
 
 
 def _log_sq(new: bool, order: int, tau_eff: float) -> float:
@@ -180,11 +173,13 @@ def _log_sq(new: bool, order: int, tau_eff: float) -> float:
 
 
 def log_bound_value(kind: BoundKind, order: int, tau_eff: float,
-                    stats: SignalStats | None = None) -> float:
+                    ratio: float | None = None) -> float:
     """Natural log of the output-relative error bound.
 
-    Stays finite where the plain value would overflow; returns ``-inf``
-    at ``tau_eff = 0``.
+    ``ratio`` is the signal's :func:`energy_ratio`, read by the specific
+    kinds only. Stays finite where the plain value would overflow;
+    returns ``-inf`` for every kind at a zero scale (``tau_eff / 2 ==
+    0``), where the truncation is exact, before the ratio is read.
     """
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
@@ -197,12 +192,12 @@ def log_bound_value(kind: BoundKind, order: int, tau_eff: float,
         order = int(order)
         if order < 0:
             raise ValueError("order must be non-negative")
-        if tau_eff / 2.0 == 0.0:
-            return -math.inf  # zero scale: truncation error is identically zero
-    return _log_sq(new, order, tau_eff) + _log_signal_term(kind, tau_eff, stats)
+    if tau_eff / 2.0 == 0.0:
+        return -math.inf
+    return _log_sq(new, order, tau_eff) + _log_signal_term(kind, tau_eff, ratio)
 
 
-def select_bound(tau_eff: float, stats: SignalStats) -> BoundKind:
+def select_bound(tau_eff: float, ratio: float) -> BoundKind:
     """Pick the sharper of the two new certificates for this signal.
 
     The specific variant wins exactly when ``tau_eff`` reaches a quarter
@@ -210,7 +205,7 @@ def select_bound(tau_eff: float, stats: SignalStats) -> BoundKind:
     an operator with no kernel vector or a signal with no component along
     it, forces the generic one.
     """
-    if float(tau_eff) >= 0.25 * math.log(stats.energy_ratio):
+    if float(tau_eff) >= 0.25 * math.log(ratio):
         return BoundKind.NEW_SPECIFIC
     return BoundKind.NEW_GENERIC
 
@@ -234,7 +229,7 @@ def _first_true(pred, start: int) -> int:
 
 
 def min_order(kind: BoundKind, tau_eff: float, tol: float,
-              stats: SignalStats | None = None) -> int:
+              ratio: float | None = None) -> int:
     """Smallest order whose certificate meets ``tol``.
 
     Raises ``OrderCapError`` when no order up to ``ORDER_CAP``, read at
@@ -272,8 +267,8 @@ def min_order(kind: BoundKind, tau_eff: float, tol: float,
     new = kind in _NEW_KINDS
     start = int(math.floor(tau_eff / 2.0)) + 1 if new else 0
     order = ORDER_CAP + 1
-    if start <= ORDER_CAP:  # with no valid order to try, the signal statistics are never read
-        signal = _log_signal_term(kind, tau_eff, stats)
+    if start <= ORDER_CAP:  # with no valid order to try, the energy ratio is never read
+        signal = _log_signal_term(kind, tau_eff, ratio)
         log_tol = math.log(tol)
         # orders past the cap count as certified so that the search ends there
         order = _first_true(

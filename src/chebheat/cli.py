@@ -15,7 +15,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .bounds import AUTO, BoundKind, SignalStats, min_order, true_min_order
+from .bounds import AUTO, BoundKind, energy_ratio, min_order, true_min_order
 from .diffusion import estimate_lambda_max, expm_multiscale
 from .errors import NumericalError
 from .graphs import (build_laplacian, erdos_renyi, load_graph, load_signal, save_edge_list,
@@ -91,11 +91,13 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
                      seed: int, with_true: bool):
     """Per-trial minimum orders for every certificate on ER graphs.
 
-    Returns a dict with the scale list, the per-trial effective scales
-    (trials x m), one (trials x m) integer array per bound kind, and the
-    measured-minimum array when ``with_true``. Trial t draws the graph
-    with ``seed + t`` and the standard-normal signal with
-    ``seed + t + 10000``.
+    Returns a dict with the scale list (``taus``), the per-trial
+    effective scales (``tau_effs``, trials x m), one (trials x m)
+    integer array per bound kind (``orders``), the measured-minimum
+    array when ``with_true``, else None (``true``), and each trial's
+    :func:`~chebheat.bounds.energy_ratio` (``ratios``, length trials).
+    Trial t draws the graph with ``seed + t`` and the standard-normal
+    signal with ``seed + t + 10000``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -109,14 +111,13 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
         edges = erdos_renyi(n, p, seed + t)
         op = build_laplacian(edges, n)
         sig = load_signal(f"normal:{seed + t + 10000}", n)
-        stats = SignalStats.from_signal(sig, op)
-        ratios[t] = stats.energy_ratio
+        ratios[t] = ratio = energy_ratio(sig, op)
         lam = estimate_lambda_max(op)
         for j, tau in enumerate(taus):
             te = lam * tau / 2.0
             tau_effs[t, j] = te
             for kind in BoundKind:
-                orders[kind][t, j] = min_order(kind, te, tol, stats=stats)
+                orders[kind][t, j] = min_order(kind, te, tol, ratio=ratio)
             if with_true:
                 true_orders[t, j] = true_min_order(op, sig, tau, tol)
     return {"taus": taus, "tau_effs": tau_effs, "orders": orders, "true": true_orders,

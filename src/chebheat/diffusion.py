@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import AUTO, BoundKind, SignalStats, log_bound_value, min_order, select_bound
+from .bounds import AUTO, BoundKind, energy_ratio, log_bound_value, min_order, select_bound
 from .chebyshev import build_basis, cheb_coefficients, combine
 from .errors import ConvergenceError
 from .graphs import SparseSymMatrix, _signal
@@ -41,7 +41,11 @@ _FLOOR_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class DiffusionPlan:
-    """Everything decided before the first matvec of a diffusion run."""
+    """Everything decided before the first matvec of a diffusion run.
+
+    ``bounds`` holds each scale's certified bound, in the order of
+    ``scales``: the certificate is a priori, so it is settled here.
+    """
 
     lambda_max: float
     scales: tuple[float, ...]
@@ -50,7 +54,7 @@ class DiffusionPlan:
     kind: BoundKind
     tol: float
     setup_matvecs: int
-    stats: SignalStats
+    bounds: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -193,17 +197,19 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[floa
 
 def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
               kind: BoundKind | str = AUTO, lambda_max: float | None = None) -> DiffusionPlan:
-    """Resolve order, bound kind and rescaling for a set of scales.
+    """Resolve order, bound kind, rescaling and bounds for a set of scales.
 
     The order is chosen once, at the largest effective scale, so a
     shared basis serves every scale. `kind=AUTO` resolves to whichever
     new-bound variant is sharper for this signal at that scale. The
     specific kinds read the signal's energy over its energy along the
-    operator's ``kernel_vector`` (:class:`~chebheat.bounds.SignalStats`).
+    operator's ``kernel_vector`` (:func:`~chebheat.bounds.energy_ratio`).
     When the operator has no kernel vector, or the signal has no
     component along it (its components sum to zero, on a combinatorial
     Laplacian) or one that cancels past the float range, a specific kind
-    raises ``ValueError`` and AUTO picks the generic one.
+    raises ``ValueError`` and AUTO picks the generic one. Each scale's
+    bound is that certificate at the chosen order, exactly 0 at a zero
+    scale.
 
     ``signal`` is any finite, non-empty 1-d array_like of length
     ``op.n``; like every function that takes a signal, this one checks
@@ -226,7 +232,7 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     operator must be diagonally dominant with a non-negative diagonal, or
     ``ValueError`` names its first row that is not.
     """
-    stats = SignalStats.from_signal(signal, op)
+    ratio = energy_ratio(signal, op)
     scales = tuple(float(t) for t in scales)
     if not scales:
         raise ValueError("need at least one scale")
@@ -240,16 +246,17 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     lam_hat, setup = _resolve_lambda(op, lambda_max)
     tau_effs = tuple(lam_hat * t / 2.0 for t in scales)
     tau_top = max(tau_effs)
-    resolved = select_bound(tau_top, stats) if kind == AUTO else BoundKind(kind)
+    resolved = select_bound(tau_top, ratio) if kind == AUTO else BoundKind(kind)
+    order = min_order(resolved, tau_top, tol, ratio=ratio)
     return DiffusionPlan(
         lambda_max=lam_hat,
         scales=scales,
         tau_effs=tau_effs,
-        order=min_order(resolved, tau_top, tol, stats=stats),
+        order=order,
         kind=resolved,
         tol=float(tol),
         setup_matvecs=setup,
-        stats=stats,
+        bounds=tuple(math.exp(log_bound_value(resolved, order, t, ratio)) for t in tau_effs),
     )
 
 
@@ -265,25 +272,6 @@ def _diffuse(op: SparseSymMatrix, lam_hat: float, x: np.ndarray, order: int,
     if lam_hat == 0.0:
         return np.tile(x, (len(tau_effs), 1))
     return combine(build_basis(op.scaled(2.0 / lam_hat), x, order), coeffs)
-
-
-def _report_for(plan: DiffusionPlan, idx: int) -> DiffusionReport:
-    tau_eff = plan.tau_effs[idx]
-    if tau_eff > 0.0:
-        bound = math.exp(log_bound_value(plan.kind, plan.order, tau_eff, plan.stats))
-    else:
-        bound = 0.0
-    return DiffusionReport(
-        tau=plan.scales[idx],
-        tau_eff=tau_eff,
-        order=plan.order,
-        lambda_max=plan.lambda_max,
-        kind=plan.kind,
-        bound=bound,
-        tol=plan.tol,
-        matvecs=plan.order,
-        setup_matvecs=plan.setup_matvecs,
-    )
 
 
 def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
@@ -333,7 +321,11 @@ def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
     x = _signal(x)
     plan = make_plan(op, x, scales, tol, kind=kind, lambda_max=lambda_max)
     ys = _diffuse(op, plan.lambda_max, x, plan.order, plan.tau_effs)
-    return [(y, _report_for(plan, i)) for i, y in enumerate(ys)]
+    return [(y, DiffusionReport(tau=tau, tau_eff=tau_eff, order=plan.order,
+                                lambda_max=plan.lambda_max, kind=plan.kind, bound=bound,
+                                tol=plan.tol, matvecs=plan.order,
+                                setup_matvecs=plan.setup_matvecs))
+            for y, tau, tau_eff, bound in zip(ys, plan.scales, plan.tau_effs, plan.bounds)]
 
 
 def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,

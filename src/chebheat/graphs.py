@@ -267,12 +267,12 @@ class SparseSymMatrix:
     def scaled(self, alpha: float) -> "SparseSymMatrix":
         """Return a copy with every stored value multiplied by ``alpha``.
 
-        ``alpha`` must be positive; structure and kernel vector are
-        shared with the parent, and a spectral bound is scaled with the
-        values.
+        ``alpha`` must be positive and finite; structure and kernel
+        vector are shared with the parent, and a spectral bound is
+        scaled with the values.
         """
-        if not alpha > 0.0:
-            raise ValueError("scale factor must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError("scale factor must be positive and finite")
         if alpha == 1.0:
             return self
         # same structure, new stored values: the invariants hold by construction,

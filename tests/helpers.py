@@ -416,7 +416,7 @@ def reference_load_signal(source):
 # ---------------------------------------------------------------------------
 # The linear order scan min_order ran before it bisected: one public
 # log_bound_value call per order from the first valid one.
-def reference_min_order(kind, tau_eff, tol, stats=None, cap=ORDER_CAP):
+def reference_min_order(kind, tau_eff, tol, ratio=None, cap=ORDER_CAP):
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
     if tau_eff < 0.0:
@@ -431,7 +431,7 @@ def reference_min_order(kind, tau_eff, tol, stats=None, cap=ORDER_CAP):
         start = 0
     log_tol = math.log(tol)
     for order in range(start, cap + 1):
-        if log_bound_value(kind, order, tau_eff, stats) <= log_tol:
+        if log_bound_value(kind, order, tau_eff, ratio) <= log_tol:
             return order
     raise OrderCapError(
         f"no order up to {cap} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"

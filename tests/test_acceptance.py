@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from chebheat.bessel import bessel_ie_scaled, log_factorial
-from chebheat.bounds import BoundKind, SignalStats, min_order, sup_error_bound
+from chebheat.bounds import BoundKind, energy_ratio, min_order, sup_error_bound
 from chebheat.chebyshev import cheb_coefficients
 from chebheat.cli import bound_table_data
 from chebheat.diffusion import (estimate_lambda_max, expm_multiply, expm_multiscale,
@@ -201,10 +201,10 @@ def test_8_order_robust_to_tolerance():
             n = 500
             op = build_laplacian(erdos_renyi(n, 0.02, BASE_SEED + t), n)
             tau_eff = estimate_lambda_max(op) * 4.5 / 2.0  # deep-diffusion regime
-            stats = SignalStats.from_signal(trial_signal(t, n), op)
+            ratio = energy_ratio(trial_signal(t, n), op)
             for kind in (BoundKind.NEW_SPECIFIC, BoundKind.NEW_GENERIC):
-                k_tight = min_order(kind, tau_eff, 2.0 ** -24, stats=stats)
-                k_loose = min_order(kind, tau_eff, 1e-3, stats=stats)
+                k_tight = min_order(kind, tau_eff, 2.0 ** -24, ratio=ratio)
+                k_loose = min_order(kind, tau_eff, 1e-3, ratio=ratio)
                 assert k_tight <= 1.25 * k_loose, (t, kind, k_tight, k_loose)
 
 

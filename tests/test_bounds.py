@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import chebheat.bounds
 import chebheat.oracle
 from chebheat.bessel import ORDER_CAP
-from chebheat.bounds import (AUTO, BoundKind, SignalStats, baseline_error_term,
+from chebheat.bounds import (AUTO, BoundKind, baseline_error_term, energy_ratio,
                              log_bound_value, min_order, select_bound, sup_error_bound,
                              true_min_order)
 from chebheat.errors import OrderCapError
@@ -31,13 +31,13 @@ G_10_20 = 0.47260466835715895
 # 1 / (1 - exp(b) / (2 + sqrt(5))) with b = 2 / (1 + sqrt(5))
 E_0_0 = 1.7792691352989108
 
-RATIO_200 = SignalStats(200.0)
-ZERO_SUM = SignalStats(math.inf)  # no energy ratio
+RATIO_200 = 200.0
+ZERO_SUM = math.inf  # no energy ratio
 
 
-def _stats(values) -> SignalStats:
+def _ratio(values) -> float:
     # on an edgeless combinatorial Laplacian, whose kernel vector is ones(n)
-    return SignalStats.from_signal(values, build_laplacian([], len(values)))
+    return energy_ratio(values, build_laplacian([], len(values)))
 
 
 class TestSupErrorBound:
@@ -85,20 +85,21 @@ class TestBaselineErrorTerm:
 
 
 class TestSignalStats:
+    """The one statistic of a signal that the specific bounds read, :func:`energy_ratio`."""
+
     def test_energy_ratio(self):
-        s = _stats([1.0, 1.0, 1.0, 1.0])
-        assert s.energy_ratio == pytest.approx(1.0)
+        assert _ratio([1.0, 1.0, 1.0, 1.0]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("values", [[1.0, -1.0], [1.0, -1.0, 1e-170]])
     def test_zero_sum_leaves_no_specific_certificate(self, values):
         # an exact zero sum and one whose square underflows follow one rule
-        s = _stats(values)
-        assert s.energy_ratio == math.inf
+        s = _ratio(values)
+        assert s == math.inf
         for kind in (BoundKind.NEW_SPECIFIC, BoundKind.BASELINE_SPECIFIC):
             with pytest.raises(ValueError, match="sum to zero"):
-                min_order(kind, 5.0, 1e-8, stats=s)
+                min_order(kind, 5.0, 1e-8, ratio=s)
             with pytest.raises(ValueError, match="sum to zero"):
-                log_bound_value(kind, 30, 5.0, stats=s)
+                log_bound_value(kind, 30, 5.0, ratio=s)
 
     def test_combinatorial_ratio_is_the_constant_kernel_expression(self):
         # n ||x||^2 / (sum x)^2 on the power-of-two scaled signal, bit for bit,
@@ -111,22 +112,22 @@ class TestSignalStats:
             xs = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
             s = float(np.sum(xs))
             expected = 64 * float(xs @ xs) / (s * s)
-            assert SignalStats.from_signal(x, L).energy_ratio.hex() == expected.hex()
+            assert energy_ratio(x, L).hex() == expected.hex()
 
     def test_unknown_kernel_leaves_no_specific_certificate(self):
         direct = SparseSymMatrix(2, [0, 2, 4], [0, 1, 0, 1], [1.0, -1.0, -1.0, 1.0])
-        s = SignalStats.from_signal([1.0, 0.0], direct)
-        assert s.energy_ratio == math.inf
+        s = energy_ratio([1.0, 0.0], direct)
+        assert s == math.inf
         assert select_bound(50.0, s) is BoundKind.NEW_GENERIC
         with pytest.raises(ValueError, match="no known kernel vector"):
-            min_order(BoundKind.NEW_SPECIFIC, 5.0, 1e-8, stats=s)
+            min_order(BoundKind.NEW_SPECIFIC, 5.0, 1e-8, ratio=s)
 
     def test_normalized_ratio_reads_the_degree_kernel(self):
         # a Dirac at node i: ||sqrt(d)||^2 / d_i = sum(d) / d_i, not n
         edges = [(0, 1), (0, 2), (0, 3), (3, 4)]
         L = build_laplacian(edges, 5, kind="normalized")
-        assert SignalStats.from_signal(np.eye(1, 5, 0)[0], L).energy_ratio == pytest.approx(8 / 3)
-        assert SignalStats.from_signal(np.eye(1, 5, 1)[0], L).energy_ratio == pytest.approx(8.0)
+        assert energy_ratio(np.eye(1, 5, 0)[0], L) == pytest.approx(8 / 3)
+        assert energy_ratio(np.eye(1, 5, 1)[0], L) == pytest.approx(8.0)
 
     def test_cauchy_schwarz_floor(self):
         rng = np.random.default_rng(12)
@@ -134,13 +135,13 @@ class TestSignalStats:
             v = rng.standard_normal(30)
             if abs(v.sum()) < 1e-9:
                 continue
-            assert _stats(v).energy_ratio >= 1.0
+            assert _ratio(v) >= 1.0
 
     @pytest.mark.parametrize("factor", [2.0 ** 600, 2.0 ** -600, 1e-200, 1e160, 1e300])
     def test_energy_ratio_ignores_magnitude(self, factor):
         x = np.random.default_rng(3).standard_normal(50)
-        ratio = _stats(x).energy_ratio
-        scaled = _stats(factor * x).energy_ratio
+        ratio = _ratio(x)
+        scaled = _ratio(factor * x)
         if math.frexp(factor)[0] == 0.5:  # a power of two scales exactly
             assert scaled == ratio
         else:
@@ -149,8 +150,8 @@ class TestSignalStats:
     def test_energy_ratio_past_float_range_is_infinite(self):
         # the sum cancels to 1e-170 of the largest entry; its square underflows
         x = [1.0, -1.0, 1e-170]
-        s = _stats(x)
-        assert sum(x) > 0.0 and s.energy_ratio == math.inf
+        s = _ratio(x)
+        assert sum(x) > 0.0 and s == math.inf
         assert select_bound(50.0, s) is BoundKind.NEW_GENERIC
 
 
@@ -163,11 +164,11 @@ class TestBoundValue:
         # tau' above ln(ratio)/4, so the signal factor beats exp(4 tau')
         tau = 3.0
         gen = log_bound_value(BoundKind.NEW_GENERIC, 8, tau)
-        spec = log_bound_value(BoundKind.NEW_SPECIFIC, 8, tau, stats=RATIO_200)
+        spec = log_bound_value(BoundKind.NEW_SPECIFIC, 8, tau, ratio=RATIO_200)
         assert spec < gen
 
     def test_baseline_kinds_finite_at_large_tau(self):
-        v = math.exp(log_bound_value(BoundKind.BASELINE_SPECIFIC, 300, 900.0, stats=RATIO_200))
+        v = math.exp(log_bound_value(BoundKind.BASELINE_SPECIFIC, 300, 900.0, ratio=RATIO_200))
         assert math.isfinite(v) and v > 0.0
 
 
@@ -180,7 +181,7 @@ class TestSelectBound:
         assert select_bound(thr + 1e-6, RATIO_200) is BoundKind.NEW_SPECIFIC
 
     def test_zero_sum_forces_generic(self):
-        s = _stats([1.0, -1.0])
+        s = _ratio([1.0, -1.0])
         assert select_bound(50.0, s) is BoundKind.NEW_GENERIC
 
 
@@ -193,34 +194,38 @@ class TestMinOrder:
             BoundKind.BASELINE_SPECIFIC: 21,
         }
         for kind, k in expected.items():
-            assert min_order(kind, 10.0, 1e-8, stats=RATIO_200) == k
+            assert min_order(kind, 10.0, 1e-8, ratio=RATIO_200) == k
 
     def test_certified_at_returned_order(self):
         for kind in BoundKind:
-            k = min_order(kind, 7.0, 1e-6, stats=RATIO_200)
-            assert log_bound_value(kind, k, 7.0, stats=RATIO_200) <= math.log(1e-6)
+            k = min_order(kind, 7.0, 1e-6, ratio=RATIO_200)
+            assert log_bound_value(kind, k, 7.0, ratio=RATIO_200) <= math.log(1e-6)
             if k > 0:
-                prev = log_bound_value(kind, k - 1, 7.0, stats=RATIO_200) \
+                prev = log_bound_value(kind, k - 1, 7.0, ratio=RATIO_200) \
                     if kind in (BoundKind.BASELINE_GENERIC, BoundKind.BASELINE_SPECIFIC) \
                     or k - 1 > 7.0 / 2.0 - 1.0 else math.inf
                 assert prev > math.log(1e-6)
 
     def test_tau_zero_is_order_zero(self):
         for kind in BoundKind:
-            assert min_order(kind, 0.0, 1e-12, stats=RATIO_200) == 0
+            assert min_order(kind, 0.0, 1e-12, ratio=RATIO_200) == 0
 
     def test_subnormal_tau_is_order_zero(self):
-        # tau_eff/2 underflows to zero; treated as the zero-scale case
-        for kind in BoundKind:
-            assert min_order(kind, 5e-324, 1e-12, stats=RATIO_200) == 0
-            assert log_bound_value(kind, 0, 5e-324, stats=RATIO_200) == -math.inf
+        # tau_eff/2 underflows to zero; treated as the zero-scale case. There
+        # the bound is -inf for every kind before the ratio is read: new-specific
+        # once raised for a missing or infinite ratio where base-specific did not
+        for tau_eff in (0.0, 5e-324):
+            for kind in BoundKind:
+                for ratio in (RATIO_200, None, ZERO_SUM):
+                    assert min_order(kind, tau_eff, 1e-12, ratio=ratio) == 0
+                    assert log_bound_value(kind, 0, tau_eff, ratio=ratio) == -math.inf
 
     def test_monotone_in_tol(self):
         ks = [min_order(BoundKind.NEW_GENERIC, 5.0, tol) for tol in (1e-2, 1e-6, 1e-10)]
         assert ks[0] <= ks[1] <= ks[2]
 
     def test_huge_scale_stays_in_log_domain(self):
-        assert min_order(BoundKind.NEW_SPECIFIC, 5000.0, 1e-6, stats=RATIO_200) == 2509
+        assert min_order(BoundKind.NEW_SPECIFIC, 5000.0, 1e-6, ratio=RATIO_200) == 2509
 
     def test_cap_raises(self):
         with pytest.raises(OrderCapError):
@@ -248,14 +253,14 @@ class TestMinOrderMatchesLinearScan:
         taus += np.logspace(-3.0, math.log10(2e3), 40).tolist()
         for tau in taus:
             for tol in np.logspace(-14.0, -1.0, 14).tolist():
-                got = _order_or_error(min_order, kind, tau, tol, stats=RATIO_200)
-                assert got == reference_min_order(kind, tau, tol, stats=RATIO_200), (tau, tol)
+                got = _order_or_error(min_order, kind, tau, tol, ratio=RATIO_200)
+                assert got == reference_min_order(kind, tau, tol, ratio=RATIO_200), (tau, tol)
 
-    @pytest.mark.parametrize("kind, tau_eff, tol, stats, cap, expected", [
+    @pytest.mark.parametrize("kind, tau_eff, tol, ratio, cap, expected", [
         # unreachable tolerances
         (BoundKind.NEW_GENERIC, 9.0, 1e-8, None, 10, OrderCapError),
         (BoundKind.BASELINE_SPECIFIC, 50.0, 1e-300, RATIO_200, 30, OrderCapError),
-        # floor(tau_eff / 2) + 1 > cap: no valid order, so the statistics are never read
+        # floor(tau_eff / 2) + 1 > cap: no valid order, so the energy ratio is never read
         (BoundKind.NEW_GENERIC, 45.0, 1e-5, None, 20, OrderCapError),
         (BoundKind.NEW_SPECIFIC, 1e5, 1e-5, None, ORDER_CAP, OrderCapError),
         (BoundKind.NEW_SPECIFIC, 1e5, 1e-5, ZERO_SUM, ORDER_CAP, OrderCapError),
@@ -268,22 +273,22 @@ class TestMinOrderMatchesLinearScan:
         (BoundKind.BASELINE_GENERIC, 1e-3, 0.1, None, 3, 3),
         (BoundKind.NEW_GENERIC, 1e-3, 0.1, None, 1, 1),
     ])
-    def test_edge_cases(self, kind, tau_eff, tol, stats, cap, expected):
+    def test_edge_cases(self, kind, tau_eff, tol, ratio, cap, expected):
         with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap):
-            got = _order_or_error(min_order, kind, tau_eff, tol, stats=stats)
-        assert got == _order_or_error(reference_min_order, kind, tau_eff, tol, stats=stats, cap=cap)
+            got = _order_or_error(min_order, kind, tau_eff, tol, ratio=ratio)
+        assert got == _order_or_error(reference_min_order, kind, tau_eff, tol, ratio=ratio, cap=cap)
         assert (got[0] if isinstance(got, tuple) else got) == expected
 
     @given(st.sampled_from(list(BoundKind)),
            st.one_of(st.floats(min_value=1e-3, max_value=2e3), st.sampled_from([0.0, 5e-324])),
            st.floats(min_value=1e-14, max_value=1e-1),
-           st.sampled_from([None, RATIO_200, ZERO_SUM, SignalStats(7 * 2.5 / (0.75 * 0.75))]),
+           st.sampled_from([None, RATIO_200, ZERO_SUM, 7 * 2.5 / (0.75 * 0.75)]),
            st.one_of(st.just(ORDER_CAP), st.integers(min_value=0, max_value=60)))
     @settings(max_examples=300, deadline=None)
-    def test_random(self, kind, tau_eff, tol, stats, cap):
+    def test_random(self, kind, tau_eff, tol, ratio, cap):
         with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap):
-            got = _order_or_error(min_order, kind, tau_eff, tol, stats=stats)
-        assert got == _order_or_error(reference_min_order, kind, tau_eff, tol, stats=stats, cap=cap)
+            got = _order_or_error(min_order, kind, tau_eff, tol, ratio=ratio)
+        assert got == _order_or_error(reference_min_order, kind, tau_eff, tol, ratio=ratio, cap=cap)
 
 
 class TestTrueMinOrder:
@@ -296,12 +301,12 @@ class TestTrueMinOrder:
     def test_never_exceeds_certified(self):
         L = build_laplacian(erdos_renyi(40, 0.15, seed=6), 40)
         x = np.random.default_rng(7).standard_normal(40)
-        stats = SignalStats.from_signal(x, L)
+        ratio = energy_ratio(x, L)
         lam = 1.01 * float(np.linalg.eigvalsh(L.to_dense()).max())
         for tau in (0.05, 0.4, 2.0):
             k_true = true_min_order(L, x, tau, 1e-5, lambda_max=lam)
             for kind in BoundKind:
-                assert k_true <= min_order(kind, lam * tau / 2.0, 1e-5, stats=stats)
+                assert k_true <= min_order(kind, lam * tau / 2.0, 1e-5, ratio=ratio)
 
     def test_cap_raises(self):
         L = build_laplacian([(0, 1)], 2)

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 import chebheat.diffusion
-from chebheat.bounds import BoundKind, true_min_order
+from chebheat.bounds import AUTO, BoundKind, energy_ratio, log_bound_value, true_min_order
 from chebheat.chebyshev import cheb_coefficients, cheb_terms
 from chebheat.diffusion import (_lambda_floor, estimate_lambda_max, expm_multiply,
                                 expm_multiscale, make_plan, measure_errors)
 from chebheat.errors import ConvergenceError
 from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi, load_graph
 
-from helpers import complete_edges, force_combine_helper, path_edges, series_sum
+from helpers import (complete_edges, force_combine_helper, lattice_edges, path_edges,
+                     series_sum)
 
 P2 = build_laplacian([(0, 1)], 2)
 SPECIFIC = (BoundKind.NEW_SPECIFIC, BoundKind.BASELINE_SPECIFIC)
@@ -470,6 +471,24 @@ class TestMultiscale:
             _, eta = measure_errors(L, x, tau, rep.order, lambda_max=rep.lambda_max)
             assert eta <= 1e-6
             assert rep.bound <= results[-1][1].bound + 1e-30  # largest scale dominates
+
+    @pytest.mark.parametrize("kind", [AUTO] + list(BoundKind))
+    def test_reports_carry_the_plan_bounds(self, kind):
+        # each report's bound is the plan's, fixed before the first matvec: the
+        # certificate at the plan's order, exactly 0 at a zero scale
+        lattice = build_laplacian(lattice_edges(12, 12), 144)
+        er = build_laplacian(erdos_renyi(150, 0.1, seed=5), 150, kind="normalized")
+        rng = np.random.default_rng(6)
+        for op, x in ((lattice, np.eye(1, 144, 40)[0]), (er, rng.standard_normal(150))):
+            scales = [0.3, 0.0, 4.0, 1e-3, 0.0, 12.0]
+            plan = make_plan(op, x, scales, 1e-8, kind=kind)
+            results = expm_multiscale(op, x, scales, tol=1e-8, kind=kind)
+            ratio = energy_ratio(x, op)
+            expected = [math.exp(log_bound_value(plan.kind, plan.order, t, ratio)).hex()
+                        for t in plan.tau_effs]
+            assert [rep.bound.hex() for _, rep in results] == [b.hex() for b in plan.bounds]
+            assert [b.hex() for b in plan.bounds] == expected
+            assert plan.bounds[1] == plan.bounds[4] == 0.0 < plan.bounds[5]
 
     def test_smoothing_monotone_in_scale(self):
         # diffusion only ever flattens a signal, so variance falls with tau

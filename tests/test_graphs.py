@@ -1,5 +1,6 @@
 """Sparse matrix layer: construction, validation, matvec, file formats."""
 
+import math
 import os
 import tempfile
 import threading
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import chebheat.graphs
 from chebheat.cli import main
 from chebheat.errors import ParseError
-from chebheat.bounds import SignalStats, true_min_order
+from chebheat.bounds import energy_ratio, true_min_order
 from chebheat.diffusion import expm_multiply, expm_multiscale, make_plan, measure_errors
 from chebheat.graphs import (SparseSymMatrix, build_laplacian, erdos_renyi, load_graph,
                              load_signal, save_edge_list)
@@ -241,6 +242,14 @@ class TestSparseSymMatrix:
         np.testing.assert_array_equal(S.to_dense(), 0.5 * L.to_dense())
         with pytest.raises(ValueError):
             L.scaled(-1.0)
+        # an infinite factor once gave +-inf entries and an all-NaN matvec;
+        # refused on a padded-plane operator and on a reduceat one alike
+        plane, wide = build_laplacian([(0, 1), (1, 2)], 3), build_laplacian(star_edges(10), 10)
+        assert plane._cols is not None and wide._cols is None
+        for op in (plane, wide):
+            for alpha in (0.0, -1.0, math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    op.scaled(alpha)
 
     def test_arrays_locked(self):
         L = build_laplacian([(0, 1)], 2)
@@ -325,7 +334,7 @@ SIGNAL_TAKERS = {
     "make_plan": lambda x: make_plan(P2, x, [1.0], 1e-5),
     "measure_errors": lambda x: measure_errors(P2, x, 1.0, 5),
     "true_min_order": lambda x: true_min_order(P2, x, 1.0, 1e-5),
-    "SignalStats.from_signal": lambda x: SignalStats.from_signal(x, P2),
+    "energy_ratio": lambda x: energy_ratio(x, P2),
 }
 
 
