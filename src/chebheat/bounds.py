@@ -203,7 +203,9 @@ def select_bound(tau_eff: float, ratio: float) -> BoundKind:
     The specific variant wins exactly when ``tau_eff`` reaches a quarter
     of the log energy ratio (ties go to specific); an infinite ratio, from
     an operator with no kernel vector or a signal with no component along
-    it, forces the generic one.
+    it, forces the generic one. Both families pay the same signal term,
+    so the same variant is the sharper baseline certificate too, at every
+    order; ``auto`` compares the two families on that variant.
     """
     if float(tau_eff) >= 0.25 * math.log(ratio):
         return BoundKind.NEW_SPECIFIC

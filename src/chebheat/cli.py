@@ -170,7 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="combinatorial")
     p.add_argument("--lambda-max", type=float, default=None,
                    help="known spectral radius; skips power iteration")
-    p.add_argument("--bound", choices=_KIND_CHOICES, default=AUTO)
+    p.add_argument("--bound", choices=_KIND_CHOICES, default=AUTO,
+                   help="certificate that sets the order (default auto: the smallest "
+                        "order either bound family certifies)")
     p.add_argument("--scales", required=True,
                    help="lin:a:b:m, log:a:b:m or comma-separated values")
     add_common(p)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import AUTO, BoundKind, energy_ratio, log_bound_value, min_order, select_bound
 from .chebyshev import build_basis, cheb_coefficients, combine
-from .errors import ConvergenceError
+from .errors import ConvergenceError, OrderCapError
 from .graphs import SparseSymMatrix, _signal
 
 __all__ = ["DiffusionPlan", "DiffusionReport", "estimate_lambda_max",
@@ -195,20 +195,53 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[floa
     return lam_hat, iters
 
 
+def _auto_order(tau_eff: float, tol: float, ratio: float) -> tuple[BoundKind, int]:
+    """The kind and order ``auto`` resolves to: the smallest certified order.
+
+    Both families pay the same signal term, so the new kind that
+    :func:`~chebheat.bounds.select_bound` picks and its baseline
+    counterpart are the sharper of their family at every order, and the
+    smaller of their two orders is the smallest over every defined kind.
+    The baseline kind is taken only when its order is strictly smaller.
+    When neither certifies up to the cap, the new kind's
+    ``OrderCapError`` is raised.
+    """
+    new = select_bound(tau_eff, ratio)
+    base = (BoundKind.BASELINE_SPECIFIC if new is BoundKind.NEW_SPECIFIC
+            else BoundKind.BASELINE_GENERIC)
+    try:
+        order = min_order(new, tau_eff, tol, ratio=ratio)
+    except OrderCapError as err:
+        try:
+            return base, min_order(base, tau_eff, tol, ratio=ratio)
+        except OrderCapError:
+            raise err from None
+    try:
+        base_order = min_order(base, tau_eff, tol, ratio=ratio)
+    except OrderCapError:
+        return new, order
+    return (base, base_order) if base_order < order else (new, order)
+
+
 def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
               kind: BoundKind | str = AUTO, lambda_max: float | None = None) -> DiffusionPlan:
     """Resolve order, bound kind, rescaling and bounds for a set of scales.
 
     The order is chosen once, at the largest effective scale, so a
-    shared basis serves every scale. `kind=AUTO` resolves to whichever
-    new-bound variant is sharper for this signal at that scale. The
-    specific kinds read the signal's energy over its energy along the
-    operator's ``kernel_vector`` (:func:`~chebheat.bounds.energy_ratio`).
-    When the operator has no kernel vector, or the signal has no
-    component along it (its components sum to zero, on a combinatorial
-    Laplacian) or one that cancels past the float range, a specific kind
-    raises ``ValueError`` and AUTO picks the generic one. Each scale's
-    bound is that certificate at the chosen order, exactly 0 at a zero
+    shared basis serves every scale. `kind=AUTO` resolves to the kind
+    with the smallest certified order at that scale: the new-bound
+    variant that :func:`~chebheat.bounds.select_bound` picks for this
+    signal, or its baseline counterpart when that certifies a strictly
+    smaller order (past a crossover, near ``tau_eff`` 131 to 178 at tol
+    1e-8 and energy ratios 1 to 4e4). When neither certifies, it raises
+    the new kind's ``OrderCapError``. The specific kinds read the
+    signal's energy over its energy along the operator's
+    ``kernel_vector`` (:func:`~chebheat.bounds.energy_ratio`). When the
+    operator has no kernel vector, or the signal has no component along
+    it (its components sum to zero, on a combinatorial Laplacian) or one
+    that cancels past the float range, a specific kind raises
+    ``ValueError`` and AUTO picks a generic one. Each scale's bound is
+    the chosen certificate at the chosen order, exactly 0 at a zero
     scale.
 
     ``signal`` is any finite, non-empty 1-d array_like of length
@@ -246,8 +279,11 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     lam_hat, setup = _resolve_lambda(op, lambda_max)
     tau_effs = tuple(lam_hat * t / 2.0 for t in scales)
     tau_top = max(tau_effs)
-    resolved = select_bound(tau_top, ratio) if kind == AUTO else BoundKind(kind)
-    order = min_order(resolved, tau_top, tol, ratio=ratio)
+    if kind == AUTO:
+        resolved, order = _auto_order(tau_top, tol, ratio)
+    else:
+        resolved = BoundKind(kind)
+        order = min_order(resolved, tau_top, tol, ratio=ratio)
     return DiffusionPlan(
         lambda_max=lam_hat,
         scales=scales,

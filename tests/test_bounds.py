@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 
 import chebheat.bounds
 import chebheat.oracle
-from chebheat.bessel import ORDER_CAP
-from chebheat.bounds import (AUTO, BoundKind, baseline_error_term, energy_ratio,
+from chebheat.bessel import ORDER_CAP, bessel_ie_scaled
+from chebheat.bounds import (AUTO, BoundKind, _log_sq, baseline_error_term, energy_ratio,
                              log_bound_value, min_order, select_bound, sup_error_bound,
                              true_min_order)
 from chebheat.errors import OrderCapError
 from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi
 
-from helpers import reference_min_order
+from helpers import eval_scalar, reference_min_order
 
 # mpmath: 2 exp(1/12 - 1) (1/2)^2 / (1! * 3/2)
 G_1_1 = 0.13328321811494912
@@ -82,6 +82,42 @@ class TestBaselineErrorTerm:
             baseline_error_term(-1, 1.0)
         with pytest.raises(ValueError):
             baseline_error_term(3, -1.0)
+
+
+class TestBaselineCertificate:
+    """The baseline remainder factor bounds the truncation's sup gap on [0, 2].
+
+    ``auto`` reports this certificate wherever it certifies a smaller
+    order, so it is held to the coefficient tail and to measured gaps, as
+    acceptance test 3 holds the new family.
+    """
+
+    def test_coefficient_tail_below_certificate(self):
+        # E_K = 2 sum_{k>K} Ie_k(tau) bounds the sup gap of the order-K
+        # truncation; summed smallest first, at every order until it drops
+        # below 1e-290
+        worst = -math.inf
+        for tau in np.logspace(-3.0, 3.3, 40):
+            tau = float(tau)
+            ie = bessel_ie_scaled(int(2.0 * tau + 60.0 * math.sqrt(tau)) + 100, tau)
+            assert ie[-1] < 1e-300  # the terms left out cannot move any tail checked
+            tails = 2.0 * np.cumsum(ie[::-1])[::-1]  # tails[k] = 2 sum_{j >= k} Ie_j
+            order = 0
+            while tails[order + 1] >= 1e-290:
+                gap = math.log(tails[order + 1]) - 0.5 * _log_sq(False, order, tau)
+                assert gap <= 0.0, (tau, order, gap)
+                worst = max(worst, gap)
+                order += 1
+        assert worst < -1.0  # with room to spare: rounding cannot close the gap
+
+    @pytest.mark.parametrize("tau, order", [(0.5, 6), (2.0, 10), (20.0, 25), (100.0, 60),
+                                            (400.0, 145), (1000.0, 201)])
+    def test_measured_sup_gap_below_certificate(self, tau, order):
+        lam = np.linspace(0.0, 2.0, 4001)
+        sup = float(np.max(np.abs(eval_scalar(tau, order, lam) - np.exp(-tau * lam))))
+        certificate = math.exp(0.5 * _log_sq(False, order, tau))
+        assert 1e-13 < certificate < 1.0  # a certificate that says something
+        assert sup <= certificate + 1e-13, (sup, certificate)
 
 
 class TestSignalStats:

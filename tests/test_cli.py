@@ -136,6 +136,20 @@ class TestDiffuse:
                            "--bound", "new-generic")
         assert code == 3 and err
 
+    def test_new_family_past_the_cap_runs_on_the_baseline(self, capsys):
+        # new-specific needs K >= 30506 at tau_eff 61012, past the cap of 20000
+        code, out, _ = run(capsys, "diffuse", "--graph", "er:300:0.05:1", "--signal", "normal:1",
+                           "--scales", "4000", "--tol", "1e-8")
+        assert code == 0
+        head = dict(field.split("=") for field in out.splitlines()[2][2:].split())
+        assert (head["K"], head["kind"]) == ("1889", "base-specific")
+        assert float(head["bound"]) <= 1e-8
+
+    def test_both_families_past_the_cap_exit_3_with_the_new_message(self, capsys):
+        code, _, err = run(capsys, "diffuse", "--graph", "er:20:0.3:1",
+                           "--signal", "dirac:0", "--scales", "1e7")
+        assert code == 3 and "no order up to 20000 certifies tol=1e-05 for new-specific" in err
+
     def test_bad_scales_spec_exit_2(self, capsys):
         code, _, err = run(capsys, "diffuse", "--graph", "er:20:0.3:1",
                            "--signal", "dirac:0", "--scales", "lin:1:2")
@@ -162,10 +176,14 @@ class TestDiffuse:
         ("diffuse_normalized.csv",
          ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--lambda-max", "2",
           "--signal", "dirac:0", "--scales", "lin:0:4:5", "--tol", "1e-10"]),
+        # past the crossover (tau_eff 212), where auto takes base-specific
+        ("diffuse_baseline.csv",
+         ["--graph", "er:50:0.15:4", "--signal", "normal:2", "--scales", "0,1,5,30",
+          "--tol", "1e-8"]),
     ])
     def test_bytes_match_golden_file(self, tmp_path, golden, argv):
-        # the golden files were written by the per-value writer that the
-        # block writer replaced
+        # the first two golden files were written by the per-value writer that
+        # the block writer replaced
         out = tmp_path / "out.csv"
         assert main(["diffuse", *argv, "--out", str(out)]) == 0
         with open(os.path.join(DATA, golden), "rb") as fh:

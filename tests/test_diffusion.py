@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import chebheat.diffusion
-from chebheat.bounds import AUTO, BoundKind, energy_ratio, log_bound_value, true_min_order
+from chebheat.bounds import (AUTO, BoundKind, energy_ratio, log_bound_value, min_order,
+                             true_min_order)
 from chebheat.chebyshev import cheb_coefficients, cheb_terms
-from chebheat.diffusion import (_lambda_floor, estimate_lambda_max, expm_multiply,
+from chebheat.diffusion import (_auto_order, _lambda_floor, estimate_lambda_max, expm_multiply,
                                 expm_multiscale, make_plan, measure_errors)
-from chebheat.errors import ConvergenceError
+from chebheat.errors import ConvergenceError, OrderCapError
 from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi, load_graph
 
 from helpers import (complete_edges, force_combine_helper, lattice_edges, path_edges,
@@ -365,6 +366,74 @@ class TestMakePlan:
                         make_plan(op, x, [1.0], 1e-8, kind=kind)
                 else:
                     make_plan(op, x, [1.0], 1e-8, kind=kind)
+
+
+# squared relative error that rounding alone leaves: an a-priori bound far
+# below it (the bound at a small scale of a run planned for a large one) is
+# met up to this dust
+ROUNDING = 1e-20
+
+
+class TestAutoOrder:
+    """``auto`` takes the smallest order either bound family certifies."""
+
+    def test_tie_keeps_the_new_kind(self):
+        # at ratio 1 and tol 1e-8 both specific kinds certify 72 at tau_eff 127;
+        # at 131 the baseline certifies one order fewer
+        assert min_order(BoundKind.BASELINE_SPECIFIC, 127.0, 1e-8, ratio=1.0) == 72
+        assert _auto_order(127.0, 1e-8, 1.0) == (BoundKind.NEW_SPECIFIC, 72)
+        kind, order = _auto_order(131.0, 1e-8, 1.0)
+        assert kind is BoundKind.BASELINE_SPECIFIC
+        assert order < min_order(BoundKind.NEW_SPECIFIC, 131.0, 1e-8, ratio=1.0)
+
+    def test_baseline_past_the_cap_keeps_the_new_kind(self):
+        # generic pair at tau_eff 8500: the new bound certifies 19001, the baseline none
+        with pytest.raises(OrderCapError):
+            min_order(BoundKind.BASELINE_GENERIC, 8500.0, 1e-8)
+        assert _auto_order(8500.0, 1e-8, math.inf) == (BoundKind.NEW_GENERIC, 19001)
+
+    @pytest.mark.parametrize("x, new, base", [
+        (DIRAC2, BoundKind.NEW_SPECIFIC, BoundKind.BASELINE_SPECIFIC),
+        (np.array([1.0, -1.0]), BoundKind.NEW_GENERIC, BoundKind.BASELINE_GENERIC),
+    ])
+    def test_both_families_past_the_cap_raise_the_new_message(self, x, new, base):
+        # tau_eff 1e7 on the two-node path with lambda_max 2
+        ratio = energy_ratio(x, P2)
+        with pytest.raises(OrderCapError):
+            min_order(base, 1e7, 1e-8, ratio=ratio)
+        with pytest.raises(OrderCapError) as expected:
+            min_order(new, 1e7, 1e-8, ratio=ratio)
+        with pytest.raises(OrderCapError) as err:
+            make_plan(P2, x, [1e7], 1e-8, lambda_max=2.0)
+        assert str(err.value) == str(expected.value)
+
+    def test_lattice_dirac_past_the_crossover_meets_its_bounds(self):
+        # tau_eff about 400: base-specific certifies 145 where new-specific needs 211
+        op = build_laplacian(lattice_edges(20, 20), 400)
+        x = np.eye(1, 400, 0)[0]
+        scales = [1.0, 10.0, 50.0, 100.0]
+        plan = make_plan(op, x, scales, 1e-8)
+        assert plan.kind is BoundKind.BASELINE_SPECIFIC
+        assert plan.order == 145
+        assert min_order(BoundKind.NEW_SPECIFIC, plan.tau_effs[-1], 1e-8,
+                         ratio=energy_ratio(x, op)) == 211
+        results = expm_multiscale(op, x, scales, tol=1e-8)
+        for (_, rep), tau in zip(results, scales):
+            _, eta = measure_errors(op, x, tau, rep.order, lambda_max=rep.lambda_max)
+            assert rep.kind is BoundKind.BASELINE_SPECIFIC and rep.order == 145
+            assert eta <= rep.bound + ROUNDING and rep.bound <= 1e-8, (tau, eta, rep.bound)
+        y, rep = expm_multiply(op, x, 100.0, tol=1e-8)
+        assert (rep.kind, rep.order) == (BoundKind.BASELINE_SPECIFIC, 145)
+        np.testing.assert_array_equal(y, results[-1][0])
+
+    @pytest.mark.parametrize("tau, order", [(10.0, 86), (100.0, 283)])
+    def test_er_normal_signal_past_the_crossover_meets_its_bound(self, tau, order):
+        op = build_laplacian(erdos_renyi(300, 0.05, seed=1), 300)
+        x = np.random.default_rng(1).standard_normal(300)
+        _, rep = expm_multiply(op, x, tau, tol=1e-8)
+        assert (rep.kind, rep.order) == (BoundKind.BASELINE_SPECIFIC, order)
+        _, eta = measure_errors(op, x, tau, rep.order, lambda_max=rep.lambda_max)
+        assert eta <= rep.bound <= 1e-8, (eta, rep.bound)
 
 
 def _degree_orthogonal_signals(edges, n):

@@ -1,11 +1,16 @@
 """Property checks over randomized inputs where a fixed table is too thin."""
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebheat.bessel import bessel_ie_scaled
-from chebheat.bounds import BoundKind, min_order, sup_error_bound
+from chebheat.bounds import BoundKind, min_order, select_bound, sup_error_bound
+from chebheat.diffusion import _auto_order
+from chebheat.errors import OrderCapError
 from chebheat.graphs import erdos_renyi
 
 from helpers import eval_scalar
@@ -40,6 +45,42 @@ def test_truncation_within_certificate_pointwise(tau_eff, extra):
     lam = np.linspace(0.0, 2.0, 257)
     gap = np.max(np.abs(eval_scalar(tau_eff, order, lam) - np.exp(-tau_eff * lam)))
     assert gap <= sup_error_bound(order, tau_eff) + 1e-13
+
+
+RATIOS = st.sampled_from([1.0, 200.0, 4e4, math.inf])
+
+
+@given(st.floats(min_value=-12.0, max_value=-2.0), RATIOS, st.floats(min_value=0.0, max_value=60.0))
+@example(-2.0, 1.0, 60.0)  # a tie: both specific kinds certify 32
+@settings(max_examples=200, deadline=None)
+def test_auto_below_the_crossover_is_the_new_family(log_tol, ratio, tau_eff):
+    # below the first scale where the baseline wins, auto picks what
+    # select_bound and min_order picked before it consulted the baseline
+    tol = 10.0 ** log_tol
+    kind = select_bound(tau_eff, ratio)
+    assert _auto_order(tau_eff, tol, ratio) == (kind, min_order(kind, tau_eff, tol, ratio=ratio))
+
+
+@given(st.floats(min_value=-14.0, max_value=-1.0), RATIOS,
+       st.floats(min_value=0.0, max_value=3000.0))
+@settings(max_examples=200, deadline=None)
+def test_auto_order_is_the_smallest_certified(log_tol, ratio, tau_eff):
+    tol = 10.0 ** log_tol
+    orders = {}
+    for kind in BoundKind:
+        try:
+            orders[kind] = min_order(kind, tau_eff, tol, ratio=ratio)
+        except (ValueError, OrderCapError):  # undefined for this signal, or past the cap
+            pass
+    new = select_bound(tau_eff, ratio)
+    if not orders:
+        with pytest.raises(OrderCapError, match=f"for {new.value} at"):
+            _auto_order(tau_eff, tol, ratio)
+        return
+    kind, order = _auto_order(tau_eff, tol, ratio)
+    assert order == min(orders.values()) == orders[kind]
+    if orders.get(new) == order:
+        assert kind is new
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2 ** 32),
