@@ -81,15 +81,30 @@ def energy_ratio(signal, op) -> float:
     return float(np.sum(k * k)) * float(x @ x) / dot_sq if dot_sq > 0.0 else math.inf
 
 
-def _check_order(order: int, tau_eff: float) -> int:
+def _first_order(new: bool, tau_eff: float) -> int | float:
+    """The first order at which a family's bound holds, after checking ``tau_eff``.
+
+    The baseline holds at every order. The new family holds where its
+    tail, a geometric series of ratio ``(tau_eff / 2) / (order + 1)``,
+    converges: ``order + 1 > tau_eff / 2``, so from ``floor(tau_eff / 2)``
+    on. When that is past ``ORDER_CAP``, read at each call, or the scale
+    is infinite, it is ``inf``: no order the package runs is valid, and
+    the scale is never converted to int.
+    """
+    if tau_eff < 0.0:
+        raise ValueError("tau_eff must be non-negative")
+    if not new:
+        return 0
+    half = tau_eff / 2.0
+    return math.floor(half) if half < ORDER_CAP + 1 else math.inf
+
+
+def _valid_order(new: bool, order: int, tau_eff: float) -> int:
     order = int(order)
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if order <= tau_eff / 2.0 - 1.0:
-        raise ValueError(
-            f"order {order} violates the validity condition order > tau_eff/2 - 1 "
-            f"(tau_eff={tau_eff})"
-        )
+    first = _first_order(new, tau_eff)
+    if order < first:
+        raise ValueError(f"order {order} is below {first}, the first order at which the "
+                         f"{'new' if new else 'baseline'} bound holds at tau_eff={tau_eff}")
     return order
 
 
@@ -110,13 +125,12 @@ def _log_sup_error_bound(order: int, tau_eff: float) -> float:
 def sup_error_bound(order: int, tau_eff: float) -> float:
     """Certified sup-norm gap between the kernel and its truncation.
 
-    Valid whenever ``order > tau_eff / 2 - 1``; raises otherwise. Returns
-    exactly 0 at ``tau_eff = 0`` where the truncation is the identity.
+    Valid from order ``floor(tau_eff / 2)`` on, where ``order + 1 >
+    tau_eff / 2``; raises below it. Returns exactly 0 at ``tau_eff = 0``
+    where the truncation is the identity.
     """
     tau_eff = float(tau_eff)
-    if tau_eff < 0.0:
-        raise ValueError("tau_eff must be non-negative")
-    order = _check_order(order, tau_eff)
+    order = _valid_order(True, order, tau_eff)
     return math.exp(_log_sup_error_bound(order, tau_eff))
 
 
@@ -140,11 +154,7 @@ def baseline_error_term(order: int, tau_eff: float) -> float:
     and including ``2 * tau_eff``, a pure geometric decay beyond.
     """
     tau_eff = float(tau_eff)
-    if tau_eff < 0.0:
-        raise ValueError("tau_eff must be non-negative")
-    order = int(order)
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    order = _valid_order(False, order, tau_eff)
     return math.exp(_log_baseline_error_term(order, tau_eff))
 
 
@@ -183,15 +193,8 @@ def log_bound_value(kind: BoundKind, order: int, tau_eff: float,
     """
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
-    if tau_eff < 0.0:
-        raise ValueError("tau_eff must be non-negative")
     new = kind in _NEW_KINDS
-    if new:
-        order = _check_order(order, tau_eff)
-    else:
-        order = int(order)
-        if order < 0:
-            raise ValueError("order must be non-negative")
+    order = _valid_order(new, order, tau_eff)
     if tau_eff / 2.0 == 0.0:
         return -math.inf
     return _log_sq(new, order, tau_eff) + _log_signal_term(kind, tau_eff, ratio)
@@ -239,8 +242,12 @@ def min_order(kind: BoundKind, tau_eff: float, tol: float,
 
     Zero scale short-circuits to 0 for every kind (the truncation is
     exact there, whatever the certificate says). Otherwise the search
-    starts at the first valid order and relies on each family being
-    non-increasing in the order ``k`` from there on:
+    starts at the first valid order: 0 for the baseline family, and
+    ``floor(tau_eff / 2)``, the first ``k`` with ``k + 1 > tau_eff / 2``,
+    for the new family. When that is past the cap, or the scale is
+    infinite, no order is tried and the energy ratio is never read. The
+    search relies on each family being non-increasing in the order ``k``
+    from its first valid order on:
 
     * new family, ``k + 1 > tau_eff / 2``: from ``k`` to ``k + 1`` every
       term of the log sup bound falls: ``half^2 / (k + 2)`` falls,
@@ -260,14 +267,12 @@ def min_order(kind: BoundKind, tau_eff: float, tol: float,
     """
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
-    if tau_eff < 0.0:
-        raise ValueError("tau_eff must be non-negative")
+    new = kind in _NEW_KINDS
+    start = _first_order(new, tau_eff)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if tau_eff / 2.0 == 0.0:
         return 0
-    new = kind in _NEW_KINDS
-    start = int(math.floor(tau_eff / 2.0)) + 1 if new else 0
     order = ORDER_CAP + 1
     if start <= ORDER_CAP:  # with no valid order to try, the energy ratio is never read
         signal = _log_signal_term(kind, tau_eff, ratio)

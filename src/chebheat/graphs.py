@@ -320,7 +320,7 @@ def _edge_array(edges) -> np.ndarray:
     if len(edges) == 0:
         return np.zeros((0, 3))
     try:
-        a = np.array(edges, dtype=np.float64)
+        a = np.asarray(edges, dtype=np.float64)  # a float64 array is used as it is
     except ValueError:  # ragged: (i, j) and (i, j, w) edges mixed, or other lengths
         a = None
     if a is None or a.ndim != 2 or a.shape[1] not in (2, 3):

@@ -414,8 +414,9 @@ def reference_load_signal(source):
 
 
 # ---------------------------------------------------------------------------
-# The linear order scan min_order ran before it bisected: one public
-# log_bound_value call per order from the first valid one.
+# min_order by a linear scan from order 0, one public log_bound_value call
+# per order. An order at which log_bound_value rejects the bound is not
+# certified; the scan does not restate where the bound holds.
 def reference_min_order(kind, tau_eff, tol, ratio=None, cap=ORDER_CAP):
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
@@ -423,16 +424,17 @@ def reference_min_order(kind, tau_eff, tol, ratio=None, cap=ORDER_CAP):
         raise ValueError("tau_eff must be non-negative")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if tau_eff / 2.0 == 0.0:
-        return 0
-    if kind in (BoundKind.NEW_GENERIC, BoundKind.NEW_SPECIFIC):
-        start = max(0, int(math.floor(tau_eff / 2.0)) + 1)
-    else:
-        start = 0
     log_tol = math.log(tol)
-    for order in range(start, cap + 1):
-        if log_bound_value(kind, order, tau_eff, ratio) <= log_tol:
-            return order
+    for order in range(cap + 1):
+        try:
+            if log_bound_value(kind, order, tau_eff, ratio) <= log_tol:
+                return order
+        except ValueError:
+            try:  # every kind accepts a ratio of 1, so only the order can fail here
+                log_bound_value(kind, order, tau_eff, 1.0)
+            except ValueError:
+                continue  # the bound does not hold at this order
+            raise  # it holds, but not with this ratio
     raise OrderCapError(
         f"no order up to {cap} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"
     )

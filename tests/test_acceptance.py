@@ -91,16 +91,14 @@ def test_3_sup_bound_validity():
         t = lam - 1.0
         for tau in TAU_GRID:
             h = np.exp(-tau * lam)
-            k_min = int(tau // 2) + 1
+            k_min = int(tau // 2)  # the first valid order, order + 1 > tau / 2, on
             k_max = k_min + 149
             c = cheb_coefficients(tau, k_max)
-            p = np.full_like(lam, 0.5 * c[0])
-            t_prev = np.ones_like(lam)
-            t_cur = t.copy()
-            p += c[1] * t_cur
-            for k in range(2, k_max + 1):
+            p = np.zeros_like(lam)
+            t_prev, t_cur = t, np.ones_like(lam)  # T_-1 = T_1 makes the step give T_1 = t
+            for k in range(k_max + 1):
+                p += (0.5 * c[0] if k == 0 else c[k]) * t_cur
                 t_prev, t_cur = t_cur, 2.0 * t * t_cur - t_prev
-                p += c[k] * t_cur
                 if k >= k_min:
                     g = sup_error_bound(k, tau)
                     sup = float(np.max(np.abs(h - p)))

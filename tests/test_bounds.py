@@ -46,10 +46,16 @@ class TestSupErrorBound:
         assert sup_error_bound(10, 20.0) == pytest.approx(G_10_20, rel=1e-13)
 
     def test_validity_condition(self):
-        # order must exceed tau/2 - 1; K = 9 at tau = 20 sits exactly on it
+        # order must exceed tau/2 - 1, so it holds from floor(tau/2) on; K = 9 at
+        # tau = 20 sits exactly on it
         with pytest.raises(ValueError):
             sup_error_bound(9, 20.0)
         sup_error_bound(10, 20.0)
+        with pytest.raises(ValueError):
+            sup_error_bound(4, 11.9)
+        sup_error_bound(5, 11.9)
+        with pytest.raises(ValueError, match="first order"):  # an overflowed scale
+            sup_error_bound(ORDER_CAP, math.inf)
 
     def test_tau_zero(self):
         assert sup_error_bound(0, 0.0) == 0.0
@@ -296,18 +302,25 @@ class TestMinOrderMatchesLinearScan:
         # unreachable tolerances
         (BoundKind.NEW_GENERIC, 9.0, 1e-8, None, 10, OrderCapError),
         (BoundKind.BASELINE_SPECIFIC, 50.0, 1e-300, RATIO_200, 30, OrderCapError),
-        # floor(tau_eff / 2) + 1 > cap: no valid order, so the energy ratio is never read
+        # floor(tau_eff / 2) > cap: no valid order, so the energy ratio is never read
         (BoundKind.NEW_GENERIC, 45.0, 1e-5, None, 20, OrderCapError),
         (BoundKind.NEW_SPECIFIC, 1e5, 1e-5, None, ORDER_CAP, OrderCapError),
         (BoundKind.NEW_SPECIFIC, 1e5, 1e-5, ZERO_SUM, ORDER_CAP, OrderCapError),
+        (BoundKind.NEW_SPECIFIC, math.inf, 1e-8, None, ORDER_CAP, OrderCapError),
+        # an overflowed scale certifies no baseline order either
+        (BoundKind.BASELINE_SPECIFIC, math.inf, 1e-8, RATIO_200, ORDER_CAP, OrderCapError),
         # a specific kind without a usable energy ratio
         (BoundKind.NEW_SPECIFIC, 5.0, 1e-5, ZERO_SUM, ORDER_CAP, ValueError),
         (BoundKind.BASELINE_SPECIFIC, 5.0, 1e-5, ZERO_SUM, ORDER_CAP, ValueError),
         (BoundKind.NEW_SPECIFIC, 5.0, 1e-5, None, ORDER_CAP, ValueError),
         (BoundKind.BASELINE_SPECIFIC, 5.0, 1e-5, None, ORDER_CAP, ValueError),
-        # the first order certifies, and the cap is that order
+        # the first certified order, at the cap and below it
         (BoundKind.BASELINE_GENERIC, 1e-3, 0.1, None, 3, 3),
-        (BoundKind.NEW_GENERIC, 1e-3, 0.1, None, 1, 1),
+        (BoundKind.NEW_GENERIC, 1e-3, 0.1, None, 1, 0),
+        (BoundKind.NEW_SPECIFIC, 10.0, 0.2, 1.0, ORDER_CAP, 5),
+        (BoundKind.NEW_GENERIC, 0.125, 0.0625, None, 0, 0),
+        # tau_eff / 2 lies between the cap and the cap + 1: the cap is the one valid order
+        (BoundKind.NEW_SPECIFIC, 41.0, 1e3, RATIO_200, 20, 20),
     ])
     def test_edge_cases(self, kind, tau_eff, tol, ratio, cap, expected):
         with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap):

@@ -150,6 +150,13 @@ class TestDiffuse:
                            "--signal", "dirac:0", "--scales", "1e7")
         assert code == 3 and "no order up to 20000 certifies tol=1e-05 for new-specific" in err
 
+    def test_overflowing_scale_exit_3(self, capsys):
+        # lambda_hat * 1e308 / 2 overflows to inf, where neither family certifies any order
+        code, out, err = run(capsys, "diffuse", "--graph", "er:30:0.2:1",
+                             "--signal", "normal:1", "--scales", "1e308")
+        assert (code, out) == (3, "")
+        assert "no order up to 20000 certifies" in err and "tau_eff=inf" in err
+
     def test_bad_scales_spec_exit_2(self, capsys):
         code, _, err = run(capsys, "diffuse", "--graph", "er:20:0.3:1",
                            "--signal", "dirac:0", "--scales", "lin:1:2")
@@ -260,6 +267,12 @@ class TestBoundTable:
                              "--trials", trials, "--scales", "1.0")
         assert (code, out) == (2, "")
         assert "trials must be >= 1" in err
+
+    def test_overflowing_scale_exit_3(self, capsys):
+        code, out, err = run(capsys, "bound-table", "--n", "20", "--p", "0.3", "--trials", "1",
+                             "--scales", "1e308", "--no-true")
+        assert (code, out) == (3, "")
+        assert "no order up to 20000 certifies" in err and "tau_eff=inf" in err
 
     def test_oracle_cap_exit_2(self, capsys):
         code, _, err = run(capsys, "bound-table", "--n", "501", "--p", "0.01",

@@ -278,6 +278,16 @@ class TestSingleScale:
             assert eta <= tol
             assert eta <= rep.bound or rep.bound == 0.0
 
+    def test_first_valid_order_runs_certified(self):
+        # tau_eff 9.3e-4: order 0 is the first valid order of the new bound, and it certifies
+        L = build_laplacian(erdos_renyi(60, 0.1, seed=3), 60)
+        x = np.ones(60)
+        x[0] = 1.5
+        _, rep = expm_multiply(L, x, 1e-4, tol=1e-6)
+        assert (rep.order, rep.kind, rep.matvecs) == (0, BoundKind.NEW_GENERIC, 0)
+        _, eta = measure_errors(L, x, 1e-4, rep.order, lambda_max=rep.lambda_max)
+        assert eta <= rep.bound <= 1e-6
+
     def test_mass_conserved(self):
         L = build_laplacian(erdos_renyi(70, 0.1, seed=9), 70)
         x = np.random.default_rng(5).standard_normal(70)

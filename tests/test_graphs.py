@@ -50,6 +50,16 @@ class TestBuildLaplacian:
         L = build_laplacian([(0, 1, 1.0), (1, 0, 0.5)], 2)
         assert L.to_dense()[0, 1] == -1.5
 
+    def test_edge_array_is_neither_copied_nor_modified(self, tmp_path):
+        a = erdos_renyi(50, 0.2, seed=1)
+        a[:, 2] = np.random.default_rng(2).uniform(0.5, 2.0, len(a))
+        before = a.copy()
+        a.flags.writeable = False  # a write anywhere downstream raises
+        assert chebheat.graphs._edge_array(a) is a
+        assert same_operator(build_laplacian(a, 50), build_laplacian(before, 50))
+        save_edge_list(tmp_path / "g.txt", a, 50)
+        assert np.array_equal(a, before)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             build_laplacian([(2, 2)], 3)

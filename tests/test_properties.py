@@ -41,7 +41,7 @@ def test_min_order_monotone_in_tolerance(tau_eff, log_tol, gap):
 def test_truncation_within_certificate_pointwise(tau_eff, extra):
     # |p_K - exp| on the spectral interval never exceeds the certificate,
     # modulo double-precision dust
-    order = int(tau_eff / 2.0) + 1 + extra
+    order = int(tau_eff / 2.0) + extra  # the first valid order, order + 1 > tau_eff / 2, on
     lam = np.linspace(0.0, 2.0, 257)
     gap = np.max(np.abs(eval_scalar(tau_eff, order, lam) - np.exp(-tau_eff * lam)))
     assert gap <= sup_error_bound(order, tau_eff) + 1e-13
