@@ -1,6 +1,6 @@
 """Heat-kernel diffusion drivers: single scale, many scales, error audit.
 
-The pipeline is: estimate the spectral radius, rescale the operator to
+The pipeline is: bound the spectral radius, rescale the operator to
 [0, 2], choose the truncation order from a certified bound at the
 largest effective scale, then run the three-term recurrence once. Every
 run takes one path: each recurrence vector goes into all m outputs soon
@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import AUTO, BoundKind, energy_ratio, log_bound_value, min_order, select_bound
+from .bounds import (_TAIL_KINDS, AUTO, BoundKind, energy_ratio, log_bound_value, min_order,
+                     select_bound)
 from .chebyshev import build_basis, cheb_coefficients, combine
-from .errors import ConvergenceError, OrderCapError
+from .errors import ConvergenceError
 from .graphs import SparseSymMatrix, _signal
 
 __all__ = ["DiffusionPlan", "DiffusionReport", "estimate_lambda_max",
@@ -100,7 +101,7 @@ def _power_iteration(op: SparseSymMatrix) -> tuple[float, int]:
 
 
 def estimate_lambda_max(op: SparseSymMatrix) -> float:
-    """The spectral-radius value a diffusion run on ``op`` rescales by.
+    """The spectral-radius value a run with one of the paper's four kinds rescales by.
 
     The operator's ``spectral_bound`` when it carries one (2 for a
     normalized Laplacian), otherwise the power-iteration Rayleigh
@@ -142,6 +143,29 @@ def _lambda_floor(op: SparseSymMatrix) -> float:
     return float(max(diag.max(), pair.max(initial=-math.inf)))
 
 
+def _spectral_ceiling(op: SparseSymMatrix) -> float:
+    """A certified upper bound on the largest eigenvalue, free of matvecs.
+
+    Collatz-Wielandt: every eigenvalue of ``op`` is at most the spectral
+    radius of its entrywise absolute value ``|A|``, and for every
+    positive ``v`` that is at most ``max_i (|A| v)_i / v_i``. With ``v``
+    the absolute row sums (1 on an empty row), twice the degrees on a
+    Laplacian, this is Merris's bound ``max_i (d_i + sum_j w_ij d_j /
+    d_i)`` (Linear Algebra Appl. 285, 1998): exactly 8 on a 2-D lattice,
+    about 1.4 to 1.6 times the top eigenvalue on ER graphs. The ratio is
+    inflated by twice the relative rounding of a sum as long as the
+    longest row. Two products with ``|A|`` and no matvec, kept on the
+    operator object like the power estimate.
+    """
+    if "ceiling" not in op._facts:
+        v = op._product(np.ones(op.n), absolute=True)
+        v[v == 0.0] = 1.0
+        terms = int(np.diff(op.row_ptr).max()) + 2
+        ratio = float(np.max(op._product(v, absolute=True) / v))
+        op._facts["ceiling"] = ratio * (1.0 + terms * 2.0 ** -52)
+    return op._facts["ceiling"]
+
+
 def _require_psd(op: SparseSymMatrix) -> None:
     """Raise ValueError unless ``op`` is known to be positive semidefinite.
 
@@ -165,16 +189,19 @@ def _require_psd(op: SparseSymMatrix) -> None:
             f"off-diagonal magnitudes (build_laplacian's Laplacians need no check)")
 
 
-def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[float, int]:
+def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None,
+                    certified: bool = False) -> tuple[float, int]:
     """The rescaling value lambda_hat and the matvecs spent choosing it.
 
     In order of preference: the given ``lambda_max``, checked against
-    :func:`_lambda_floor`; the operator's ``spectral_bound``; the inflated
+    :func:`_lambda_floor`; the operator's ``spectral_bound``; with
+    ``certified``, :func:`_spectral_ceiling`; else the inflated
     power-iteration estimate. Every path that rescales an operator gets
-    its value here. The estimate is a function of the (read-only)
-    operator alone, so it is kept on the operator object: every repeat
-    on that object returns the same bits at 0 matvecs, whatever other
-    operators were used in between. A failed iteration stores nothing.
+    its value here. The ceiling and the estimate are functions of the
+    (read-only) operator alone, so they are kept on the operator object:
+    every repeat on that object returns the same bits at 0 matvecs,
+    whatever other operators were used in between. A failed iteration
+    stores nothing.
     """
     if lambda_max is not None:
         lam_hat = float(lambda_max)
@@ -187,6 +214,8 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[floa
         return lam_hat, 0
     if op.spectral_bound is not None:
         return op.spectral_bound, 0
+    if certified:
+        return _spectral_ceiling(op), 0
     if "lambda_hat" in op._facts:
         return op._facts["lambda_hat"], 0
     rho, iters = _power_iteration(op)
@@ -195,46 +224,16 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None) -> tuple[floa
     return lam_hat, iters
 
 
-def _auto_order(tau_eff: float, tol: float, ratio: float) -> tuple[BoundKind, int]:
-    """The kind and order ``auto`` resolves to: the smallest certified order.
-
-    Both families pay the same signal term, so the new kind that
-    :func:`~chebheat.bounds.select_bound` picks and its baseline
-    counterpart are the sharper of their family at every order, and the
-    smaller of their two orders is the smallest over every defined kind.
-    The baseline kind is taken only when its order is strictly smaller.
-    When neither certifies up to the cap, the new kind's
-    ``OrderCapError`` is raised.
-    """
-    new = select_bound(tau_eff, ratio)
-    base = (BoundKind.BASELINE_SPECIFIC if new is BoundKind.NEW_SPECIFIC
-            else BoundKind.BASELINE_GENERIC)
-    try:
-        order = min_order(new, tau_eff, tol, ratio=ratio)
-    except OrderCapError as err:
-        try:
-            return base, min_order(base, tau_eff, tol, ratio=ratio)
-        except OrderCapError:
-            raise err from None
-    try:
-        base_order = min_order(base, tau_eff, tol, ratio=ratio)
-    except OrderCapError:
-        return new, order
-    return (base, base_order) if base_order < order else (new, order)
-
-
 def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
               kind: BoundKind | str = AUTO, lambda_max: float | None = None) -> DiffusionPlan:
     """Resolve order, bound kind, rescaling and bounds for a set of scales.
 
     The order is chosen once, at the largest effective scale, so a
-    shared basis serves every scale. `kind=AUTO` resolves to the kind
-    with the smallest certified order at that scale: the new-bound
-    variant that :func:`~chebheat.bounds.select_bound` picks for this
-    signal, or its baseline counterpart when that certifies a strictly
-    smaller order (past a crossover, near ``tau_eff`` 131 to 178 at tol
-    1e-8 and energy ratios 1 to 4e4). When neither certifies, it raises
-    the new kind's ``OrderCapError``. The specific kinds read the
+    shared basis serves every scale. `kind=AUTO` resolves to the tail
+    kind of the variant that :func:`~chebheat.bounds.select_bound` picks
+    for this signal: the summed coefficient tail, never looser than the
+    new or the baseline bound of that variant, so its order is the
+    smallest any kind certifies. The specific kinds read the
     signal's energy over its energy along the operator's
     ``kernel_vector`` (:func:`~chebheat.bounds.energy_ratio`). When the
     operator has no kernel vector, or the signal has no component along
@@ -250,10 +249,13 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
 
     The spectral radius is, in order of preference, the given
     ``lambda_max``, the operator's ``spectral_bound`` (2 for a normalized
-    Laplacian, at no matvec cost), or an inflated power-iteration
-    estimate from a fixed start vector, so it depends on nothing else.
-    That estimate is kept on the operator object: every later plan on the
-    same object reuses it and reports ``setup_matvecs = 0``.
+    Laplacian, at no matvec cost), or else a value from the operator
+    alone. AUTO and the tail kinds take a certified ceiling, free of
+    matvecs: their certificate is tight enough that a spectral radius
+    even 2% low breaks it. The paper's four kinds take an inflated
+    power-iteration estimate from a fixed start vector, which is not
+    certified. Either value is kept on the operator object: every later
+    plan on the same object reuses it and reports ``setup_matvecs = 0``.
     A given ``lambda_max`` below a free lower bound on the spectral
     radius (the largest diagonal entry, or the largest eigenvalue of a
     stored edge's 2x2 principal submatrix), or 0 for a nonzero
@@ -276,14 +278,15 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
         raise ValueError("tol must be positive")
 
     _require_psd(op)
-    lam_hat, setup = _resolve_lambda(op, lambda_max)
+    tail = kind == AUTO or BoundKind(kind) in _TAIL_KINDS
+    lam_hat, setup = _resolve_lambda(op, lambda_max, certified=tail)
     tau_effs = tuple(lam_hat * t / 2.0 for t in scales)
     tau_top = max(tau_effs)
     if kind == AUTO:
-        resolved, order = _auto_order(tau_top, tol, ratio)
-    else:
-        resolved = BoundKind(kind)
-        order = min_order(resolved, tau_top, tol, ratio=ratio)
+        kind = (BoundKind.TAIL_SPECIFIC if select_bound(tau_top, ratio) is BoundKind.NEW_SPECIFIC
+                else BoundKind.TAIL_GENERIC)
+    resolved = BoundKind(kind)
+    order = min_order(resolved, tau_top, tol, ratio=ratio)
     return DiffusionPlan(
         lambda_max=lam_hat,
         scales=scales,
@@ -330,7 +333,7 @@ def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
     kind : BoundKind or "auto", optional
         Which certificate selects the order.
     lambda_max : float, optional
-        Known spectral radius; skips power iteration when given. A value
+        Known spectral radius; skips the ceiling or estimate when given. A value
         provably below the spectral radius raises ValueError; otherwise
         chosen from the operator alone, as in :func:`make_plan`.
 

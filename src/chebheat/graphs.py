@@ -112,8 +112,9 @@ class SparseSymMatrix:
     certifies it with the generic bounds only (see
     :func:`chebheat.diffusion.make_plan`).
 
-    Facts derived from the operator alone (the power-iteration estimate
-    of its spectral radius, its dense eigendecomposition) are kept in a
+    Facts derived from the operator alone (the certified ceiling and the
+    power-iteration estimate of its spectral radius, its dense
+    eigendecomposition) are kept in a
     private per-object dict that starts empty, also on a :meth:`scaled`
     copy, and lives and dies with the operator. Only the function that
     computes a fact reads and fills its entry. Two threads that miss
@@ -243,6 +244,14 @@ class SparseSymMatrix:
         follow in one pass per plane; wider operators call ``reduceat``.
         No buffer outlives a call, so threads may share the operator.
         """
+        return self._product(x, absolute=False)
+
+    def _product(self, x, absolute: bool) -> np.ndarray:
+        """:meth:`matvec`, or with ``absolute`` the product with ``|A|``, entrywise.
+
+        Reads the layout that serves the operator, so neither gathers
+        CSR arrays that the padded planes hold.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
@@ -253,11 +262,12 @@ class SparseSymMatrix:
             padded[:-2] = x
             padded[-2:] = (-0.0, 0.0)
             p = np.take(padded, self._cols)
-            np.multiply(self._vals, p, out=p)
+            np.multiply(np.abs(self._vals) if absolute else self._vals, p, out=p)
             for j in range(2, len(p)):
                 p[1] += p[j]
             return p[0] + p[1] if len(p) > 1 else p[0]
-        sums = np.add.reduceat(self.values * x[self.col_idx], self._row_starts)
+        values = np.abs(self.values) if absolute else self.values
+        sums = np.add.reduceat(values * x[self.col_idx], self._row_starts)
         if self._nonempty is None:
             return sums
         out = np.zeros(self.n)

@@ -6,14 +6,15 @@ can be checked against an implementation it shares no code with.
 evaluates it at scalar points, ``same_operator`` compares operators
 bit for bit, and ``force_combine_helper`` sends every ``combine`` call
 through its helper thread. ``coeff_integral`` (Simpson quadrature of the defining
-integral) and ``tail_sum`` (a windowed coefficient tail) are the
-coefficient oracles. The ``reference_*`` functions are the CSR
+integral) is the coefficient oracle, and ``certified_tail`` reads the
+library's summed coefficient tail at one order. The ``reference_*`` functions are the CSR
 validator, line-by-line graph and signal readers, edge assembly, edge
 writer, per-row ER sampler, numpy-scalar Bessel recurrence and linear
 order scan that the array, blocked-draw, Python-float and bisection code
 must match exactly.
 """
 
+import functools
 import math
 import os
 import re
@@ -22,8 +23,9 @@ import mpmath as mp
 import numpy as np
 
 from chebheat import chebyshev
-from chebheat.bessel import ORDER_CAP, bessel_ie_scaled
-from chebheat.bounds import BoundKind, log_bound_value
+from chebheat.bessel import ORDER_CAP
+from chebheat.bounds import (_TAIL_KINDS, BoundKind, _log_signal_term, _log_sq_of,
+                             log_bound_value)
 from chebheat.chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
 from chebheat.errors import OrderCapError, ParseError
 from chebheat.graphs import SparseSymMatrix
@@ -144,7 +146,6 @@ def same_operator(a: SparseSymMatrix, b: SparseSymMatrix) -> bool:
 
 
 _SIMPSON_PANELS = 20000
-_TAIL_TERMS = 2000
 
 
 def coeff_integral(k: int, tau: float) -> float:
@@ -169,21 +170,9 @@ def coeff_integral(k: int, tau: float) -> float:
     return float((2.0 / np.pi) * (h / 3.0) * (w @ f))
 
 
-def tail_sum(order: int, tau_eff: float) -> float:
-    """Sum of coefficient magnitudes just past the truncation order.
-
-    Adds ``|c_k|`` for ``k = order+1 .. order+2000``; by coefficient
-    decay this is an effective stand-in for the full tail.
-    """
-    order = int(order)
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if order + _TAIL_TERMS > ORDER_CAP:
-        raise ValueError(f"order too large: tail window exceeds cap {ORDER_CAP}")
-    if tau_eff == 0.0:
-        return 0.0
-    ie = bessel_ie_scaled(order + _TAIL_TERMS, tau_eff)
-    return float(2.0 * np.sum(ie[order + 1 :]))
+def certified_tail(order: int, tau_eff: float) -> float:
+    """The tail family's certified sup gap at one order, from the library's summed tail."""
+    return math.exp(0.5 * _log_sq_of(BoundKind.TAIL_GENERIC, float(tau_eff))(order))
 
 
 def reference_csr_check(n, row_ptr, col_idx, values):
@@ -416,7 +405,9 @@ def reference_load_signal(source):
 # ---------------------------------------------------------------------------
 # min_order by a linear scan from order 0, one public log_bound_value call
 # per order. An order at which log_bound_value rejects the bound is not
-# certified; the scan does not restate where the bound holds.
+# certified; the scan does not restate where the bound holds. A tail kind
+# at a positive scale is scanned on one Bessel vector, through the values
+# min_order compares, rather than one vector per order.
 def reference_min_order(kind, tau_eff, tol, ratio=None, cap=ORDER_CAP):
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
@@ -425,9 +416,14 @@ def reference_min_order(kind, tau_eff, tol, ratio=None, cap=ORDER_CAP):
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     log_tol = math.log(tol)
+    value = functools.partial(log_bound_value, kind, tau_eff=tau_eff, ratio=ratio)
+    if kind in _TAIL_KINDS and tau_eff / 2.0 != 0.0:
+        signal = _log_signal_term(kind, tau_eff, ratio)
+        log_sq = _log_sq_of(kind, tau_eff)
+        value = lambda order: log_sq(order) + signal  # noqa: E731
     for order in range(cap + 1):
         try:
-            if log_bound_value(kind, order, tau_eff, ratio) <= log_tol:
+            if value(order) <= log_tol:
                 return order
         except ValueError:
             try:  # every kind accepts a ratio of 1, so only the order can fail here

@@ -52,9 +52,10 @@ def test_matvec_counter_counts_and_uninstalls():
     counter = tracing.MatvecCounter()
     counter.install()
     try:
-        results = expm_multiscale(op, x, [0.5, 2.0], tol=1e-8)
+        # one of the paper's kinds, whose plan runs power iteration
+        results = expm_multiscale(op, x, [0.5, 2.0], tol=1e-8, kind="new-specific")
         first = counter.count
-        repeat = expm_multiscale(op, x, [0.5, 2.0], tol=1e-8)
+        repeat = expm_multiscale(op, x, [0.5, 2.0], tol=1e-8, kind="new-specific")
     finally:
         counter.uninstall()
     assert SparseSymMatrix.matvec is original

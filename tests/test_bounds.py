@@ -8,6 +8,7 @@ formulas.
 import math
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 import chebheat.bounds
 import chebheat.oracle
 from chebheat.bessel import ORDER_CAP, bessel_ie_scaled
-from chebheat.bounds import (AUTO, BoundKind, _log_sq, baseline_error_term, energy_ratio,
+from chebheat.bounds import (_LOG_ZERO, _TAIL_MARGIN, AUTO, BoundKind, _first_order,
+                             _log_closed_sq, _log_signal_term, _log_sq, _log_sq_of,
+                             baseline_error_term, energy_ratio,
                              log_bound_value, min_order, select_bound, sup_error_bound,
                              true_min_order)
 from chebheat.errors import OrderCapError
@@ -124,6 +127,104 @@ class TestBaselineCertificate:
         certificate = math.exp(0.5 * _log_sq(False, order, tau))
         assert 1e-13 < certificate < 1.0  # a certificate that says something
         assert sup <= certificate + 1e-13, (sup, certificate)
+
+
+def _reference_tails(tau: float, start: int) -> list:
+    """``E_K = 2 sum_{k>K} Ie_k(tau)`` for ``K = 0 .. start - 1``, at 40 digits.
+
+    mpmath's backward recurrence from ``start``, normalized by its own
+    ``I_0``; past ``start`` the terms are below every tail compared.
+    """
+    with mp.workdps(40):
+        t = mp.mpf(tau)
+        f = [mp.mpf(0)] * (start + 2)
+        f[start] = mp.mpf(1)
+        for k in range(start, 0, -1):
+            f[k - 1] = f[k + 1] + (2 * k / t) * f[k]
+        ie0 = mp.besseli(0, t) * mp.exp(-t)
+        scale = ie0 / f[0]
+        tails, acc = [], mp.mpf(0)
+        for k in range(start, 0, -1):
+            acc += f[k]
+            tails.append(2 * acc * scale)
+        tails.reverse()
+        # the identity Ie_0 + 2 sum_{k>0} Ie_k = 1 checks the normalization and the start
+        assert abs(tails[0] + ie0 - 1) < mp.mpf(10) ** -35
+    return tails
+
+
+TAIL_TAUS = [float(t) for t in np.logspace(-3.0, math.log10(2e3), 12)]
+
+
+class TestTailCertificate:
+    """The tail kinds' summed coefficient tail ``E_K`` and what they build on it."""
+
+    def test_inflated_tail_brackets_the_mpmath_tail(self):
+        # at every order from 0 down to E_K = 1e-290: at least E_K, within twice
+        # the margin of it, and the sum without the margin never reads more than
+        # 1e-12 below, a thousandth of the margin
+        worst, checked = -math.inf, 0
+        for tau in TAIL_TAUS:
+            log_sq = _log_sq_of(BoundKind.TAIL_GENERIC, tau)
+            tails = _reference_tails(tau, int(tau + 40.0 * math.sqrt(tau) + 300.0))
+            order = 0
+            while tails[order] >= 1e-290:
+                got = 0.5 * log_sq(order)  # log of the certified sup gap
+                ref = float(mp.log(tails[order]))
+                assert ref <= got <= ref + math.log1p(2.0 * _TAIL_MARGIN), (tau, order, got, ref)
+                worst = max(worst, ref - got + math.log1p(_TAIL_MARGIN))
+                order += 1
+            checked += order
+        assert checked > 4000
+        assert worst < 1e-12, worst
+
+    def test_never_looser_than_either_closed_form(self):
+        for tau in TAIL_TAUS + [5000.0, 30000.0]:
+            log_sq = _log_sq_of(BoundKind.TAIL_GENERIC, tau)
+            first = _first_order(True, tau)
+            for order in range(0, int(2.0 * tau) + 200, max(1, int(tau) // 50)):
+                assert log_sq(order) <= _log_sq(False, order, tau)
+                if order >= first:
+                    assert log_sq(order) <= _log_sq(True, order, tau)
+
+    def test_non_increasing_in_the_order(self):
+        for tau in TAIL_TAUS:
+            log_sq = _log_sq_of(BoundKind.TAIL_SPECIFIC, tau)
+            values = [log_sq(k) for k in range(int(2.0 * tau) + 400)]
+            assert all(a >= b for a, b in zip(values, values[1:])), tau
+
+    @pytest.mark.parametrize("kind", [BoundKind.TAIL_GENERIC, BoundKind.TAIL_SPECIFIC])
+    def test_log_bound_value_is_the_searched_value(self, kind):
+        # log_bound_value sums the tail min_order compares, except below the
+        # float range, where both read 0.0 and meet every tol
+        for tau in TAIL_TAUS:
+            log_sq = _log_sq_of(kind, tau)
+            signal = _log_signal_term(kind, tau, RATIO_200)
+            for order in range(0, int(tau) + 200, 7):
+                got = log_bound_value(kind, order, tau, ratio=RATIO_200)
+                searched = log_sq(order) + signal
+                assert got == searched or max(got, searched) < _LOG_ZERO, (tau, order)
+
+    def test_past_the_vector_cap_the_closed_forms_remain(self):
+        # the cutoff passes a cap of 100 at both scales: from tau_eff 202 on
+        # the new bound is not even valid below the cap
+        with mock.patch.object(chebheat.bounds, "_VECTOR_CAP", 100):
+            for tau in (150.0, 300.0):
+                first = _first_order(True, tau, 100)
+                log_sq = _log_sq_of(BoundKind.TAIL_GENERIC, tau)
+                for order in range(0, 400, 13):
+                    assert log_sq(order) == _log_closed_sq(order, tau, first)
+
+    def test_frozen_lattice_orders(self):
+        # the three lattice signals' energy ratios at the top scale, tau_eff 401.1
+        # at the power estimate and 400 at the certified ceiling
+        for ratio, tail, new, base in [(40000.0, 101, 214, 155),
+                                       (88.41978544540146, 88, 211, 142),
+                                       (1.0625000074491837, 78, 209, 132)]:
+            for tau in (401.1, 400.0):
+                assert min_order(BoundKind.TAIL_SPECIFIC, tau, 1e-8, ratio=ratio) == tail
+            assert min_order(BoundKind.NEW_SPECIFIC, 401.1, 1e-8, ratio=ratio) == new
+            assert min_order(BoundKind.BASELINE_SPECIFIC, 401.1, 1e-8, ratio=ratio) == base
 
 
 class TestSignalStats:
@@ -234,6 +335,8 @@ class TestMinOrder:
             BoundKind.NEW_SPECIFIC: 15,
             BoundKind.BASELINE_GENERIC: 37,
             BoundKind.BASELINE_SPECIFIC: 21,
+            BoundKind.TAIL_GENERIC: 26,
+            BoundKind.TAIL_SPECIFIC: 15,
         }
         for kind, k in expected.items():
             assert min_order(kind, 10.0, 1e-8, ratio=RATIO_200) == k
@@ -244,7 +347,7 @@ class TestMinOrder:
             assert log_bound_value(kind, k, 7.0, ratio=RATIO_200) <= math.log(1e-6)
             if k > 0:
                 prev = log_bound_value(kind, k - 1, 7.0, ratio=RATIO_200) \
-                    if kind in (BoundKind.BASELINE_GENERIC, BoundKind.BASELINE_SPECIFIC) \
+                    if kind not in (BoundKind.NEW_GENERIC, BoundKind.NEW_SPECIFIC) \
                     or k - 1 > 7.0 / 2.0 - 1.0 else math.inf
                 assert prev > math.log(1e-6)
 

@@ -82,9 +82,9 @@ class TestDiffuse:
         assert len(header_cols) == 8  # node + 7 scales
 
     def test_deterministic(self, capsys):
-        # power iteration runs here, from a fixed start vector
+        # power iteration runs here, for one of the paper's kinds, from a fixed start vector
         args = ("diffuse", "--graph", "er:30:0.2:5", "--signal", "normal:8",
-                "--scales", "0.2,2.0")
+                "--scales", "0.2,2.0", "--bound", "new-specific")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2 and "setup_matvecs=0" not in out1
@@ -114,7 +114,7 @@ class TestDiffuse:
         code, _, err = run(capsys, *argv, "--bound", "new-specific")
         assert code == 2 and "sum to zero" in err
         code, out, _ = run(capsys, *argv)
-        assert code == 0 and "kind=new-generic" in out
+        assert code == 0 and "kind=tail-generic" in out
 
     def test_tiny_signal_certifies_like_unit_signal(self, capsys, tmp_path):
         # (sum x)^2 of a 1e-200 signal underflows in plain floats
@@ -137,18 +137,20 @@ class TestDiffuse:
         assert code == 3 and err
 
     def test_new_family_past_the_cap_runs_on_the_baseline(self, capsys):
-        # new-specific needs K >= 30506 at tau_eff 61012, past the cap of 20000
+        # at the certified ceiling 44.43, tau_eff is 88857: new-specific needs
+        # K >= 44428, past the cap of 20000, and so does the tail's cutoff, so
+        # tail-specific is the baseline's order
         code, out, _ = run(capsys, "diffuse", "--graph", "er:300:0.05:1", "--signal", "normal:1",
                            "--scales", "4000", "--tol", "1e-8")
         assert code == 0
         head = dict(field.split("=") for field in out.splitlines()[2][2:].split())
-        assert (head["K"], head["kind"]) == ("1889", "base-specific")
+        assert (head["K"], head["kind"]) == ("2292", "tail-specific")
         assert float(head["bound"]) <= 1e-8
 
-    def test_both_families_past_the_cap_exit_3_with_the_new_message(self, capsys):
+    def test_every_family_past_the_cap_exits_3_with_the_tail_message(self, capsys):
         code, _, err = run(capsys, "diffuse", "--graph", "er:20:0.3:1",
                            "--signal", "dirac:0", "--scales", "1e7")
-        assert code == 3 and "no order up to 20000 certifies tol=1e-05 for new-specific" in err
+        assert code == 3 and "no order up to 20000 certifies tol=1e-05 for tail-specific" in err
 
     def test_overflowing_scale_exit_3(self, capsys):
         # lambda_hat * 1e308 / 2 overflows to inf, where neither family certifies any order
@@ -177,16 +179,23 @@ class TestDiffuse:
         assert code == 2 and "lambda_max" in err
 
     @pytest.mark.parametrize("golden, argv", [
+        # the first three were written by auto before it ran the tail kinds;
+        # they name the kind it took then
         ("diffuse_combinatorial.csv",
          ["--graph", os.path.join(DATA, "weighted.txt"), "--signal", "normal:5",
-          "--scales", "log:1e-2:10:6", "--tol", "1e-8"]),
+          "--scales", "log:1e-2:10:6", "--tol", "1e-8", "--bound", "new-specific"]),
         ("diffuse_normalized.csv",
          ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--lambda-max", "2",
-          "--signal", "dirac:0", "--scales", "lin:0:4:5", "--tol", "1e-10"]),
-        # past the crossover (tau_eff 212), where auto takes base-specific
+          "--signal", "dirac:0", "--scales", "lin:0:4:5", "--tol", "1e-10",
+          "--bound", "new-specific"]),
+        # past the crossover (tau_eff 212), where the baseline beats the new bound
         ("diffuse_baseline.csv",
          ["--graph", "er:50:0.15:4", "--signal", "normal:2", "--scales", "0,1,5,30",
-          "--tol", "1e-8"]),
+          "--tol", "1e-8", "--bound", "base-specific"]),
+        # auto: tail-specific at K 55, where new-specific needs 67 and base-specific 81
+        ("diffuse_tail.csv",
+         ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--signal", "normal:3",
+          "--scales", "0,1,10,100", "--tol", "1e-10"]),
     ])
     def test_bytes_match_golden_file(self, tmp_path, golden, argv):
         # the first two golden files were written by the per-value writer that
@@ -229,6 +238,20 @@ class TestBoundTable:
             for name in ("k_new_generic_median", "k_new_specific_median",
                          "k_base_generic_median", "k_base_specific_median"):
                 assert k_true <= float(row[med[name]])
+
+    @pytest.mark.parametrize("true", ["--true", "--no-true"])
+    def test_columns_are_the_papers_four_kinds(self, capsys, true):
+        # the tail kinds are auto's, not the paper's table: bound-table leaves them out
+        code, out, _ = run(capsys, "bound-table", "--n", "20", "--p", "0.3", "--trials", "1",
+                           "--scales", "1.0", true)
+        assert code == 0
+        names = ["true"] * (true == "--true") + ["new_generic", "new_specific",
+                                                 "base_generic", "base_specific"]
+        assert data_lines(out)[0].split(",") == ["tau", "tau_eff_median"] + [
+            f"k_{name}_{q}" for name in names for q in ("q25", "median", "q75")]
+        data = bound_table_data(20, 0.3, 1, [1.0], 1e-5, 0, with_true=False)
+        assert [kind.value for kind in data["orders"]] == [
+            "new-generic", "new-specific", "base-generic", "base-specific"]
 
     def test_no_true_skips_oracle(self, capsys):
         code, out, _ = run(capsys, "bound-table", "--n", "30", "--p", "0.2",

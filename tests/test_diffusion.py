@@ -13,16 +13,18 @@ import chebheat.diffusion
 from chebheat.bounds import (AUTO, BoundKind, energy_ratio, log_bound_value, min_order,
                              true_min_order)
 from chebheat.chebyshev import cheb_coefficients, cheb_terms
-from chebheat.diffusion import (_auto_order, _lambda_floor, estimate_lambda_max, expm_multiply,
+from chebheat.diffusion import (_lambda_floor, estimate_lambda_max, expm_multiply,
                                 expm_multiscale, make_plan, measure_errors)
 from chebheat.errors import ConvergenceError, OrderCapError
-from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi, load_graph
+from chebheat.cli import main
+from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi, load_graph, load_signal
+from chebheat.oracle import exact_diffusion
 
 from helpers import (complete_edges, force_combine_helper, lattice_edges, path_edges,
                      series_sum)
 
 P2 = build_laplacian([(0, 1)], 2)
-SPECIFIC = (BoundKind.NEW_SPECIFIC, BoundKind.BASELINE_SPECIFIC)
+SPECIFIC = (BoundKind.NEW_SPECIFIC, BoundKind.BASELINE_SPECIFIC, BoundKind.TAIL_SPECIFIC)
 DIRAC2 = np.array([1.0, 0.0])
 
 
@@ -75,9 +77,14 @@ def weighted_er(n, p, seed):
 
 
 class TestPowerMemo:
-    """The power-iteration estimate is kept on each operator object."""
+    """The power-iteration estimate is kept on each operator object.
+
+    Only the paper's four kinds run power iteration; ``auto`` takes the
+    certified ceiling (``TestSpectralCeiling``).
+    """
 
     SCALES = [0.01, 0.3, 2.0, 9.0]
+    KIND = "new-specific"
 
     def _counted_multiscale(self, monkeypatch, op, x):
         counts = {"matvecs": 0}
@@ -89,7 +96,7 @@ class TestPowerMemo:
 
         with monkeypatch.context() as m:
             m.setattr(SparseSymMatrix, "matvec", counting_matvec)
-            results = expm_multiscale(op, x, self.SCALES, tol=1e-8)
+            results = expm_multiscale(op, x, self.SCALES, tol=1e-8, kind=self.KIND)
         return results, counts["matvecs"]
 
     def test_repeat_is_bitwise_equal_and_pays_only_the_basis(self, monkeypatch):
@@ -114,12 +121,12 @@ class TestPowerMemo:
         a = weighted_er(70, 0.1, seed=8)
         b = weighted_er(70, 0.1, seed=8)
         x = np.random.default_rng(9).standard_normal(70)
-        plan_a = make_plan(a, x, [1.0], 1e-6)
-        plan_b = make_plan(b, x, [1.0], 1e-6)
+        plan_a = make_plan(a, x, [1.0], 1e-6, kind=self.KIND)
+        plan_b = make_plan(b, x, [1.0], 1e-6, kind=self.KIND)
         assert plan_a.setup_matvecs == plan_b.setup_matvecs > 0
         assert plan_a.lambda_max.hex() == plan_b.lambda_max.hex()
         # a kept its estimate while b computed its own
-        assert make_plan(a, x, [1.0], 1e-6).setup_matvecs == 0
+        assert make_plan(a, x, [1.0], 1e-6, kind=self.KIND).setup_matvecs == 0
 
     def test_alternating_operators_keep_their_estimates(self, monkeypatch):
         a = weighted_er(80, 0.08, seed=11)
@@ -143,8 +150,8 @@ class TestPowerMemo:
             m.setattr(chebheat.diffusion, "_POWER_MAX_ITER", 10)
             for _ in range(2):
                 with pytest.raises(ConvergenceError):
-                    make_plan(op, x, [1.0], 1e-6)
-        plan = make_plan(op, x, [1.0], 1e-6)
+                    make_plan(op, x, [1.0], 1e-6, kind=self.KIND)
+        plan = make_plan(op, x, [1.0], 1e-6, kind=self.KIND)
         assert plan.setup_matvecs > 0
         fresh = build_laplacian(erdos_renyi(30, 0.2, seed=1), 30)
         assert plan.lambda_max == estimate_lambda_max(fresh)
@@ -181,7 +188,7 @@ class TestSpectralRadiusSource:
         op = SparseSymMatrix(*parts)
         assert op.spectral_bound is None
         [(_, rep)] = expm_multiscale(op, DIRAC2, [1.0], tol=1e-8)
-        assert rep.lambda_max >= 2.0 and rep.setup_matvecs > 0
+        assert rep.lambda_max >= 2.0  # the certified ceiling, not a trusted value
         _, eta = measure_errors(op, DIRAC2, 1.0, rep.order, lambda_max=rep.lambda_max)
         assert eta <= rep.bound <= 1e-8
 
@@ -231,6 +238,58 @@ class TestSpectralRadiusSource:
         np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
 
 
+class TestSpectralCeiling:
+    """``auto`` and the tail kinds rescale by a certified ceiling, free of matvecs."""
+
+    def _operators(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "weighted.txt")
+        n = 40
+        a = build_laplacian(path_edges(n), n).to_dense() + 0.5 * np.eye(n)
+        rows, cols = np.nonzero(a)
+        row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        ops = [build_laplacian(erdos_renyi(60, 0.1, seed=s), 60) for s in range(3)]
+        ops += [weighted_er(50, 0.15, seed=4), build_laplacian(*load_graph(path)),
+                build_laplacian(path_edges(30), 30), build_laplacian(lattice_edges(2, 250), 500),
+                build_laplacian([(0, j) for j in range(1, 20)], 20),
+                build_laplacian(lattice_3d_edges(4), 64),
+                build_laplacian(erdos_renyi(60, 0.3, seed=5), 60, kind="normalized"),
+                SparseSymMatrix(n, row_ptr, cols, a[rows, cols])]
+        return ops + [op.scaled(0.3) for op in ops[:2]]
+
+    def test_at_least_the_largest_eigenvalue(self):
+        for op in self._operators():
+            true = float(np.linalg.eigvalsh(op.to_dense()).max())
+            assert true <= chebheat.diffusion._spectral_ceiling(op), true
+
+    def test_merris_value_on_the_lattice(self):
+        # interior rows give 4 + 4 * 4 / 4 = 8 exactly; the rows hold 5 entries
+        op = build_laplacian(lattice_edges(12, 12), 144)
+        assert chebheat.diffusion._spectral_ceiling(op) == 8.0 * (1.0 + 7 * 2.0 ** -52)
+        assert chebheat.diffusion._spectral_ceiling(build_laplacian([], 3)) == 0.0
+
+    def test_auto_and_tail_kinds_take_it_and_keep_it(self, monkeypatch):
+        op = weighted_er(70, 0.1, seed=8)
+        x = np.random.default_rng(9).standard_normal(70)
+        counts = {"matvecs": 0}
+        inner = SparseSymMatrix.matvec
+
+        def counting_matvec(self, v):
+            counts["matvecs"] += 1
+            return inner(self, v)
+
+        monkeypatch.setattr(SparseSymMatrix, "matvec", counting_matvec)
+        ceiling = chebheat.diffusion._spectral_ceiling(weighted_er(70, 0.1, seed=8))
+        for kind in ("auto", "tail-generic", "tail-specific"):
+            [(_, rep)] = expm_multiscale(op, x, [2.0], tol=1e-8, kind=kind)
+            assert (rep.lambda_max, rep.setup_matvecs) == (ceiling, 0)
+            assert counts["matvecs"] == rep.order
+            counts["matvecs"] = 0
+        assert op._facts == {"ceiling": ceiling}
+        # the paper's kinds keep the power estimate, which is not certified
+        plan = make_plan(op, x, [2.0], 1e-8, kind="new-specific")
+        assert plan.setup_matvecs > 0 and plan.lambda_max == op._facts["lambda_hat"] < ceiling
+
+
 class TestSingleScale:
     def test_path_two_analytic(self):
         # tol certifies the squared relative error, so values are good
@@ -245,8 +304,9 @@ class TestSingleScale:
     def test_complete_graph_mixing(self):
         # K_3 at large tau spreads a dirac to the uniform vector
         L = build_laplacian(complete_edges(3), 3)
+        # tol 1e-20 certifies 1e-10 of the output norm, 5.8e-11, below atol
         y, _ = expm_multiply(L, np.array([1.0, 0.0, 0.0]), 50.0,
-                             tol=1e-12, lambda_max=3.0)
+                             tol=1e-20, lambda_max=3.0)
         np.testing.assert_allclose(y, [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
 
     def test_tau_zero_is_identity(self):
@@ -283,7 +343,7 @@ class TestSingleScale:
         L = build_laplacian(erdos_renyi(60, 0.1, seed=3), 60)
         x = np.ones(60)
         x[0] = 1.5
-        _, rep = expm_multiply(L, x, 1e-4, tol=1e-6)
+        _, rep = expm_multiply(L, x, 1e-4, tol=1e-6, kind="new-generic")
         assert (rep.order, rep.kind, rep.matvecs) == (0, BoundKind.NEW_GENERIC, 0)
         _, eta = measure_errors(L, x, 1e-4, rep.order, lambda_max=rep.lambda_max)
         assert eta <= rep.bound <= 1e-6
@@ -310,8 +370,8 @@ class TestMakePlan:
         x = np.random.default_rng(0).standard_normal(100)
         small = make_plan(L, x, [1e-4], 1e-5)
         large = make_plan(L, x, [5.0], 1e-5)
-        assert small.kind is BoundKind.NEW_GENERIC
-        assert large.kind is BoundKind.NEW_SPECIFIC
+        assert small.kind is BoundKind.TAIL_GENERIC
+        assert large.kind is BoundKind.TAIL_SPECIFIC
 
     def test_explicit_kind_respected(self):
         plan = make_plan(P2, DIRAC2, [1.0], 1e-5, kind="base-generic", lambda_max=2.0)
@@ -322,7 +382,7 @@ class TestMakePlan:
         with pytest.raises(ValueError, match="sum to zero"):
             make_plan(P2, x, [1.0], 1e-5, kind="new-specific", lambda_max=2.0)
         # auto quietly falls back to the generic certificate
-        assert make_plan(P2, x, [1.0], 1e-5, lambda_max=2.0).kind is BoundKind.NEW_GENERIC
+        assert make_plan(P2, x, [1.0], 1e-5, lambda_max=2.0).kind is BoundKind.TAIL_GENERIC
 
     def test_order_set_by_largest_scale(self):
         plan = make_plan(P2, DIRAC2, [0.01, 2.0], 1e-6, lambda_max=2.0)
@@ -340,7 +400,7 @@ class TestMakePlan:
         x = np.random.default_rng(0).standard_normal(50)
         ref = make_plan(L, x, [1.0, 3.0], 1e-8, kind=kind)
         plan = make_plan(L, factor * x, [1.0, 3.0], 1e-8, kind=kind)
-        assert ref.kind is BoundKind.NEW_SPECIFIC
+        assert ref.kind is (BoundKind.TAIL_SPECIFIC if kind == "auto" else BoundKind.NEW_SPECIFIC)
         assert (plan.order, plan.kind) == (ref.order, ref.kind)
         y, _ = expm_multiply(L, factor * x, 3.0, tol=1e-8, kind=kind)
         y_ref, _ = expm_multiply(L, x, 3.0, tol=1e-8, kind=kind)
@@ -385,65 +445,128 @@ ROUNDING = 1e-20
 
 
 class TestAutoOrder:
-    """``auto`` takes the smallest order either bound family certifies."""
+    """``auto`` runs the tail kind of the signal's variant: the smallest certified order."""
 
-    def test_tie_keeps_the_new_kind(self):
-        # at ratio 1 and tol 1e-8 both specific kinds certify 72 at tau_eff 127;
-        # at 131 the baseline certifies one order fewer
-        assert min_order(BoundKind.BASELINE_SPECIFIC, 127.0, 1e-8, ratio=1.0) == 72
-        assert _auto_order(127.0, 1e-8, 1.0) == (BoundKind.NEW_SPECIFIC, 72)
-        kind, order = _auto_order(131.0, 1e-8, 1.0)
-        assert kind is BoundKind.BASELINE_SPECIFIC
-        assert order < min_order(BoundKind.NEW_SPECIFIC, 131.0, 1e-8, ratio=1.0)
-
-    def test_baseline_past_the_cap_keeps_the_new_kind(self):
-        # generic pair at tau_eff 8500: the new bound certifies 19001, the baseline none
+    def test_baseline_past_the_cap_keeps_the_new_order(self):
+        # generic pair at tau_eff 8500: the new bound certifies 19001, the baseline
+        # none, and the summed tail no fewer: past its 1e-300 cutoff it adds nothing
         with pytest.raises(OrderCapError):
             min_order(BoundKind.BASELINE_GENERIC, 8500.0, 1e-8)
-        assert _auto_order(8500.0, 1e-8, math.inf) == (BoundKind.NEW_GENERIC, 19001)
+        assert min_order(BoundKind.NEW_GENERIC, 8500.0, 1e-8) == 19001
+        assert min_order(BoundKind.TAIL_GENERIC, 8500.0, 1e-8) == 19001
 
-    @pytest.mark.parametrize("x, new, base", [
-        (DIRAC2, BoundKind.NEW_SPECIFIC, BoundKind.BASELINE_SPECIFIC),
-        (np.array([1.0, -1.0]), BoundKind.NEW_GENERIC, BoundKind.BASELINE_GENERIC),
+    @pytest.mark.parametrize("x, tail", [
+        (DIRAC2, BoundKind.TAIL_SPECIFIC),
+        (np.array([1.0, -1.0]), BoundKind.TAIL_GENERIC),
     ])
-    def test_both_families_past_the_cap_raise_the_new_message(self, x, new, base):
+    def test_every_family_past_the_cap_raises_the_tail_message(self, x, tail):
         # tau_eff 1e7 on the two-node path with lambda_max 2
         ratio = energy_ratio(x, P2)
-        with pytest.raises(OrderCapError):
-            min_order(base, 1e7, 1e-8, ratio=ratio)
+        for kind in (BoundKind.NEW_GENERIC, BoundKind.BASELINE_GENERIC):
+            with pytest.raises(OrderCapError):
+                min_order(kind, 1e7, 1e-8, ratio=ratio)
         with pytest.raises(OrderCapError) as expected:
-            min_order(new, 1e7, 1e-8, ratio=ratio)
+            min_order(tail, 1e7, 1e-8, ratio=ratio)
         with pytest.raises(OrderCapError) as err:
             make_plan(P2, x, [1e7], 1e-8, lambda_max=2.0)
         assert str(err.value) == str(expected.value)
+        assert f"for {tail.value} at" in str(err.value)
 
     def test_lattice_dirac_past_the_crossover_meets_its_bounds(self):
-        # tau_eff about 400: base-specific certifies 145 where new-specific needs 211
+        # tau_eff 400: the tail certifies 91, where base-specific needs 145 and
+        # new-specific 211; lambda_max is the ceiling 8, the true value 7.95
         op = build_laplacian(lattice_edges(20, 20), 400)
         x = np.eye(1, 400, 0)[0]
         scales = [1.0, 10.0, 50.0, 100.0]
         plan = make_plan(op, x, scales, 1e-8)
-        assert plan.kind is BoundKind.BASELINE_SPECIFIC
-        assert plan.order == 145
-        assert min_order(BoundKind.NEW_SPECIFIC, plan.tau_effs[-1], 1e-8,
-                         ratio=energy_ratio(x, op)) == 211
+        assert plan.kind is BoundKind.TAIL_SPECIFIC
+        assert plan.order == 91
+        ratio = energy_ratio(x, op)
+        assert [min_order(kind, plan.tau_effs[-1], 1e-8, ratio=ratio)
+                for kind in SPECIFIC] == [211, 145, 91]
         results = expm_multiscale(op, x, scales, tol=1e-8)
         for (_, rep), tau in zip(results, scales):
             _, eta = measure_errors(op, x, tau, rep.order, lambda_max=rep.lambda_max)
-            assert rep.kind is BoundKind.BASELINE_SPECIFIC and rep.order == 145
+            assert rep.kind is BoundKind.TAIL_SPECIFIC and rep.order == 91
             assert eta <= rep.bound + ROUNDING and rep.bound <= 1e-8, (tau, eta, rep.bound)
         y, rep = expm_multiply(op, x, 100.0, tol=1e-8)
-        assert (rep.kind, rep.order) == (BoundKind.BASELINE_SPECIFIC, 145)
+        assert (rep.kind, rep.order) == (BoundKind.TAIL_SPECIFIC, 91)
         np.testing.assert_array_equal(y, results[-1][0])
 
     @pytest.mark.parametrize("tau, order", [(10.0, 86), (100.0, 283)])
     def test_er_normal_signal_past_the_crossover_meets_its_bound(self, tau, order):
+        # ``order`` is what auto ran before the tail kinds, base-specific at the
+        # power estimate; the tail at the larger certified ceiling needs fewer
         op = build_laplacian(erdos_renyi(300, 0.05, seed=1), 300)
         x = np.random.default_rng(1).standard_normal(300)
         _, rep = expm_multiply(op, x, tau, tol=1e-8)
-        assert (rep.kind, rep.order) == (BoundKind.BASELINE_SPECIFIC, order)
+        assert rep.kind is BoundKind.TAIL_SPECIFIC and rep.order < order
+        assert rep.order == min_order(rep.kind, rep.tau_eff, 1e-8, ratio=energy_ratio(x, op))
         _, eta = measure_errors(op, x, tau, rep.order, lambda_max=rep.lambda_max)
         assert eta <= rep.bound <= 1e-8, (eta, rep.bound)
+
+
+class TestTailAudit:
+    """Dense-oracle audits at the tail kinds' orders, on graphs of at most 60 nodes."""
+
+    @pytest.mark.parametrize("name", ["er", "lattice", "normalized"])
+    def test_measured_within_bound_within_tol(self, name):
+        op = {"er": lambda: build_laplacian(erdos_renyi(60, 0.1, seed=2), 60),
+              "lattice": lambda: build_laplacian(lattice_edges(7, 8), 56),
+              "normalized": lambda: build_laplacian(erdos_renyi(50, 0.2, seed=3), 50,
+                                                    kind="normalized")}[name]()
+        rng = np.random.default_rng(4)
+        signals = [rng.standard_normal(op.n), np.eye(1, op.n, 5)[0],
+                   1.0 + 0.1 * rng.standard_normal(op.n)]
+        checked = 0
+        for x in signals:
+            for tol in (1e-4, 1e-8, 1e-12):
+                scales = [0.01, 0.5, 5.0, 60.0]
+                results = expm_multiscale(op, x, scales, tol=tol)
+                for (_, rep), tau in zip(results, scales):
+                    assert rep.kind in (BoundKind.TAIL_GENERIC, BoundKind.TAIL_SPECIFIC)
+                    _, eta = measure_errors(op, x, tau, rep.order, lambda_max=rep.lambda_max)
+                    assert eta <= rep.bound + ROUNDING and rep.bound <= tol, (tau, tol, eta, rep)
+                    checked += 1
+        assert checked == 36
+
+    def test_given_lambda_max_on_the_command_line(self, tmp_path):
+        # a combinatorial graph with lambda_max given as 2 * max degree, a certified
+        # ceiling, past the crossover: every column within its bound
+        n, tau = 40, 25.0
+        edges = erdos_renyi(n, 0.15, seed=6)
+        op = build_laplacian(edges, n)
+        lam = 2.0 * float(np.max(op.to_dense().diagonal()))
+        out = tmp_path / "out.csv"
+        assert main(["diffuse", "--graph", "er:40:0.15:6", "--signal", "normal:7",
+                     "--scales", f"1,{tau}", "--tol", "1e-9", "--lambda-max", repr(lam),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        head = dict(field.split("=") for field in lines[2][2:].split())
+        assert head["kind"] == "tail-specific" and float(head["lambda_max"]) == lam
+        assert float(head["bound"]) <= 1e-9
+        cols = np.loadtxt(lines[4:], delimiter=",")
+        x = load_signal("normal:7", n)
+        ratio = energy_ratio(x, op)
+        for j, t in enumerate((1.0, tau)):
+            w = exact_diffusion(op, x, t)
+            eta = float((cols[:, j + 1] - w) @ (cols[:, j + 1] - w)) / float(w @ w)
+            bound = math.exp(log_bound_value("tail-specific", int(head["K"]), lam * t / 2.0, ratio))
+            assert eta <= bound + ROUNDING and bound <= 1e-9, (t, eta, bound)
+        assert int(head["K"]) < min(
+            min_order(kind, lam * tau / 2.0, 1e-9, ratio=ratio)
+            for kind in (BoundKind.NEW_SPECIFIC, BoundKind.BASELINE_SPECIFIC))
+
+    def test_golden_tail_run_meets_its_bounds(self):
+        # the run pinned by tests/data/diffuse_tail.csv
+        op = build_laplacian(erdos_renyi(50, 0.2, seed=3), 50, kind="normalized")
+        x = load_signal("normal:3", 50)
+        scales = [0.0, 1.0, 10.0, 100.0]
+        results = expm_multiscale(op, x, scales, tol=1e-10)
+        assert (results[0][1].kind, results[0][1].order) == (BoundKind.TAIL_SPECIFIC, 55)
+        for (_, rep), tau in zip(results, scales):
+            _, eta = measure_errors(op, x, tau, rep.order, lambda_max=rep.lambda_max)
+            assert eta <= rep.bound + ROUNDING and rep.bound <= 1e-10, (tau, eta, rep.bound)
 
 
 def _degree_orthogonal_signals(edges, n):
@@ -496,7 +619,7 @@ class TestKernelRule:
                 with pytest.raises(ValueError, match="no known kernel vector"):
                     expm_multiply(op, x, tau, tol=1e-8, kind=kind)
             _, rep = expm_multiply(op, x, tau, tol=1e-8)
-            assert rep.kind is BoundKind.NEW_GENERIC
+            assert rep.kind is BoundKind.TAIL_GENERIC
             _, eta = measure_errors(op, x, tau, rep.order, lambda_max=rep.lambda_max)
             assert eta <= rep.bound <= 1e-8, (tau, rep.order, rep.bound, eta)
 

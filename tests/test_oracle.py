@@ -10,8 +10,8 @@ from chebheat.errors import ConvergenceError
 from chebheat.graphs import build_laplacian, erdos_renyi
 from chebheat.oracle import DENSE_CAP, dense_spectrum, exact_diffusion, jacobi_eigh
 
-from helpers import (coeff_integral, complete_edges, dense_diffusion, lattice_edges, path_edges,
-                     tail_sum)
+from helpers import (certified_tail, coeff_integral, complete_edges, dense_diffusion,
+                     lattice_edges, path_edges)
 
 
 class TestJacobi:
@@ -134,12 +134,14 @@ class TestQuadrature:
 
 
 class TestTailSum:
+    """The certified coefficient tail that the tail kinds sum."""
+
     def test_tau_zero(self):
-        assert tail_sum(5, 0.0) == 0.0
+        assert certified_tail(5, 0.0) == 0.0
 
     def test_decreases_with_order(self):
-        vals = [tail_sum(k, 6.0) for k in (3, 6, 12, 24)]
+        vals = [certified_tail(k, 6.0) for k in (3, 6, 12, 24)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_positive(self):
-        assert tail_sum(10, 30.0) > 0.0
+        assert certified_tail(10, 30.0) > 0.0

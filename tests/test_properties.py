@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebheat.bessel import bessel_ie_scaled
-from chebheat.bounds import BoundKind, min_order, select_bound, sup_error_bound
-from chebheat.diffusion import _auto_order
+from chebheat.bounds import BoundKind, energy_ratio, min_order, select_bound, sup_error_bound
+from chebheat.diffusion import make_plan
 from chebheat.errors import OrderCapError
-from chebheat.graphs import erdos_renyi
+from chebheat.graphs import build_laplacian, erdos_renyi
 
 from helpers import eval_scalar
 
@@ -47,40 +47,41 @@ def test_truncation_within_certificate_pointwise(tau_eff, extra):
     assert gap <= sup_error_bound(order, tau_eff) + 1e-13
 
 
-RATIOS = st.sampled_from([1.0, 200.0, 4e4, math.inf])
+OLD_KINDS = (BoundKind.NEW_GENERIC, BoundKind.NEW_SPECIFIC,
+             BoundKind.BASELINE_GENERIC, BoundKind.BASELINE_SPECIFIC)
+# the two-node normalized path: lambda_max is 2, so tau_eff is the scale itself
+P2_NORMALIZED = build_laplacian([(0, 1)], 2, kind="normalized")
 
 
-@given(st.floats(min_value=-12.0, max_value=-2.0), RATIOS, st.floats(min_value=0.0, max_value=60.0))
-@example(-2.0, 1.0, 60.0)  # a tie: both specific kinds certify 32
-@settings(max_examples=200, deadline=None)
-def test_auto_below_the_crossover_is_the_new_family(log_tol, ratio, tau_eff):
-    # below the first scale where the baseline wins, auto picks what
-    # select_bound and min_order picked before it consulted the baseline
-    tol = 10.0 ** log_tol
-    kind = select_bound(tau_eff, ratio)
-    assert _auto_order(tau_eff, tol, ratio) == (kind, min_order(kind, tau_eff, tol, ratio=ratio))
-
-
-@given(st.floats(min_value=-14.0, max_value=-1.0), RATIOS,
+@given(st.floats(min_value=-14.0, max_value=-1.0),
+       st.one_of(st.floats(min_value=-0.99, max_value=100.0), st.just(-1.0)),
        st.floats(min_value=0.0, max_value=3000.0))
 @settings(max_examples=200, deadline=None)
-def test_auto_order_is_the_smallest_certified(log_tol, ratio, tau_eff):
+def test_auto_order_is_the_smallest_certified(log_tol, second, tau_eff):
+    # auto runs min_order of select_bound's variant's tail kind, and no other
+    # kind certifies a smaller order at that scale; a second entry of -1
+    # gives a signal with no component along the kernel vector
     tol = 10.0 ** log_tol
+    x = [1.0, second]
+    ratio = energy_ratio(x, P2_NORMALIZED)
+    tail = (BoundKind.TAIL_SPECIFIC if select_bound(tau_eff, ratio) is BoundKind.NEW_SPECIFIC
+            else BoundKind.TAIL_GENERIC)
     orders = {}
-    for kind in BoundKind:
+    for kind in OLD_KINDS:
         try:
             orders[kind] = min_order(kind, tau_eff, tol, ratio=ratio)
         except (ValueError, OrderCapError):  # undefined for this signal, or past the cap
             pass
-    new = select_bound(tau_eff, ratio)
-    if not orders:
-        with pytest.raises(OrderCapError, match=f"for {new.value} at"):
-            _auto_order(tau_eff, tol, ratio)
+    try:
+        order = min_order(tail, tau_eff, tol, ratio=ratio)
+    except OrderCapError:
+        assert not orders  # never looser than any old kind
+        with pytest.raises(OrderCapError, match=f"for {tail.value} at"):
+            make_plan(P2_NORMALIZED, x, [tau_eff], tol)
         return
-    kind, order = _auto_order(tau_eff, tol, ratio)
-    assert order == min(orders.values()) == orders[kind]
-    if orders.get(new) == order:
-        assert kind is new
+    assert all(order <= k for k in orders.values()), (order, orders)
+    plan = make_plan(P2_NORMALIZED, x, [tau_eff], tol)
+    assert (plan.kind, plan.order) == (tail, order)
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2 ** 32),
