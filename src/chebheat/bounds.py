@@ -365,13 +365,25 @@ def min_order(kind: BoundKind, tau_eff: float, tol: float,
     has the bits a linear scan would compare; the steps between orders
     dwarf rounding, and the tests hold the result to a linear scan.
     """
+    return _order_and_log_bound(kind, tau_eff, tol, ratio)[0]
+
+
+def _order_and_log_bound(kind: BoundKind, tau_eff: float, tol: float,
+                         ratio: float | None) -> tuple[int, float]:
+    """:func:`min_order` and the log of the certificate there, from one closure.
+
+    A tail kind builds its one Bessel vector once for both. The log is
+    ``log_bound_value(kind, order, tau_eff, ratio)`` bit for bit, except
+    where that function skips a tail whose closed forms already lie below
+    ``_LOG_ZERO``; there both are below it, so both bounds read 0.0.
+    """
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
     start = _first_order(kind in _NEW_KINDS, tau_eff)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if tau_eff / 2.0 == 0.0:
-        return 0
+        return 0, -math.inf
     order = ORDER_CAP + 1
     if start <= ORDER_CAP:  # with no valid order to try, the energy ratio is never read
         signal = _log_signal_term(kind, tau_eff, ratio)
@@ -383,7 +395,7 @@ def min_order(kind: BoundKind, tau_eff: float, tol: float,
         raise OrderCapError(
             f"no order up to {ORDER_CAP} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"
         )
-    return order
+    return order, log_sq(order) + signal
 
 
 def _growing_coefficients(tau_eff: float):

@@ -10,7 +10,8 @@ stores ``c[0]`` unhalved; the halving happens wherever the series is
 evaluated. Basis vectors ``T_k(op - I) x`` depend on the operator and the
 signal only, so one basis serves every diffusion scale. A scale needs
 only its coefficient vector, so each basis vector is added to every
-output soon after the recurrence yields it, and none is stored.
+output whose vector reaches it soon after the recurrence yields it, and
+none is stored.
 
 Recombination is two stages joined by two queues. The calling thread
 runs the recurrence, and so every matvec, and puts each row on the first
@@ -29,18 +30,19 @@ single CPU available, or on runs too small to repay a thread, the
 additions run inline, in the same order, so the output bits never
 depend on the thread count.
 
-A small scale's coefficients underflow to exact zeros well before the
-largest scale's order, and ``y + (+-0 * t)`` is ``y`` bit for bit unless
-``y`` holds ``-0.0`` or ``t`` is not finite. Under IEEE round to nearest
-a sum is ``-0.0`` only when both terms are, so an output whose first
-term holds no ``-0.0`` never holds one; and the recurrence keeps a
+Each output has its own coefficient vector, of its own length, and
+takes no row past it. Within that length a coefficient may still
+underflow to exact zero, and ``y + (+-0 * t)`` is ``y`` bit for bit
+unless ``y`` holds ``-0.0`` or ``t`` is not finite. Under IEEE round to
+nearest a sum is ``-0.0`` only when both terms are, so an output whose
+first term holds no ``-0.0`` never holds one; and the recurrence keeps a
 non-finite entry non-finite in every later row. So each output's stop,
 one past its last nonzero coefficient, is fixed before the first row:
-it skips the rows from its stop up to the last, adds the last, which
-carries any NaN a skipped row would have, and adds every row if its
-first term holds ``-0.0``. The recurrence finishes each step in the
-array ``apply`` returns, in place, with the bits of the plain
-expression.
+it skips the rows from its stop up to its own last column, adds that
+last one, which carries any NaN a skipped row would have, and adds
+every row up to it if its first term holds ``-0.0``. The recurrence
+finishes each step in the array ``apply`` returns, in place, with the
+bits of the plain expression.
 """
 
 from __future__ import annotations
@@ -56,8 +58,10 @@ from .graphs import SparseSymMatrix, _helper_cpus, _helper_thread
 __all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "build_basis", "combine"]
 
 # rows handed to the helper thread and not yet answered. On the 200x200
-# lattice at 32 scales (2 vCPUs), lib-grid-multiscale job_s read a median
-# of 0.311 s with 16 and 0.332 s with 8, over 7 runs each, at the same peak RSS
+# lattice at 32 scales (2 vCPUs, K 88, each scale to its own order),
+# lib-grid-multiscale job_s read medians of 0.101 s with 8 and 0.104 s with
+# 16 over 10 alternating pairs (8 lower in 4), and 0.104 s with 32 and
+# 0.100 s with 16 over 10 more (32 lower in 6), at the same peak RSS
 _IN_FLIGHT = 16
 # The smallest runs that combine hands to a helper thread. Each row moves
 # once to the helper's core, which a few outputs' additions do not repay,
@@ -151,18 +155,21 @@ def combine(basis, c) -> np.ndarray:
     """Contract coefficient vectors against basis rows in one pass.
 
     ``basis`` is any iterable of rows ``t_0, t_1, ...``, such as
-    :func:`build_basis`; ``c`` is an ``(m, K + 1)`` array, one coefficient
-    vector per output, giving an ``(m, n)`` array. Row ``k`` is drawn
-    only once column ``k`` exists, on the calling thread;
-    each output gets ``c[0]/2 t_0``, then ``+= c[k] * t_k`` in ascending
-    ``k``, as :func:`cheb_partial_sums` sums them, except that an output
-    skips the columns from its stop, one past its last nonzero
-    coefficient, up to the last column, which it adds; an output whose
-    first term holds ``-0.0`` adds every column. That gives the bits of
-    adding every column when the rows come from a recurrence in which a
-    non-finite entry stays non-finite in every later row, such as
-    :func:`cheb_terms` or :func:`build_basis`, and on numpy's default IEEE
-    arithmetic (round to nearest, no flush of subnormals to zero).
+    :func:`build_basis`; ``c`` holds one non-empty coefficient vector per
+    output, each of its own length (an ``(m, K + 1)`` array is m of
+    length ``K + 1``), giving an ``(m, n)`` array. Row ``k`` is drawn
+    only once some output has column ``k``, on the calling thread, so
+    the longest vector sets how many rows are drawn. Each output gets
+    ``c[0]/2 t_0``, then ``+= c[k] * t_k`` in ascending ``k`` through its
+    own last column, as :func:`cheb_partial_sums` sums them, except that
+    it skips the columns from its stop, one past its last nonzero
+    coefficient, up to its last column, which it adds; an output whose
+    first term holds ``-0.0`` adds every column of its own. That gives
+    the bits of adding every column of that output alone when the rows
+    come from a recurrence in which a non-finite entry stays non-finite
+    in every later row, such as :func:`cheb_terms` or
+    :func:`build_basis`, and on numpy's default IEEE arithmetic (round to
+    nearest, no flush of subnormals to zero).
 
     With two CPUs or more, at least ``_OVERLAP_MIN_SCALES`` outputs and
     rows of at least ``_OVERLAP_MIN_LENGTH`` entries, one helper thread
@@ -175,9 +182,9 @@ def combine(basis, c) -> np.ndarray:
     ``ValueError``; any error is raised here once the helper has been
     joined.
     """
-    c = np.asarray(c, dtype=np.float64)
-    width = c.shape[1]
-    coefficients = c.tolist()
+    c = [np.asarray(ci, dtype=np.float64) for ci in c]
+    coefficients = [ci.tolist() for ci in c]
+    width = max(len(ci) for ci in c)
     rows = iter(basis)
 
     def next_row(k):
@@ -188,19 +195,22 @@ def combine(basis, c) -> np.ndarray:
         return t
 
     t0 = next_row(0)
-    out, scratch = np.multiply.outer(0.5 * c[:, 0], t0), np.empty_like(t0)
-    # per output, the first column of its zero tail: one past its last nonzero
-    # coefficient (a NaN counts as nonzero), or width when it has none or its
-    # first term holds -0.0. The columns from the stop to the one before the
-    # last are skipped; the last carries any NaN a skipped column would add.
-    stops = [width if np.signbit(y[y == 0.0]).any() else stop
-             for y, stop in zip(out, (width - np.argmax(c[:, ::-1] != 0.0, axis=1)).tolist())]
+    out = np.multiply.outer([0.5 * ci[0] for ci in coefficients], t0)
+    scratch = np.empty_like(t0)
+    # per output, its last column and the first column of its zero tail: one
+    # past its last nonzero coefficient (a NaN counts as nonzero), or its
+    # length when it has none or its first term holds -0.0. The columns from
+    # the stop to the one before the last are skipped, and so is every column
+    # past the last; the last carries any NaN a skipped column would add.
+    lasts = [len(ci) - 1 for ci in c]
+    stops = [len(ci) - (0 if np.signbit(y[y == 0.0]).any() else int(np.argmax(ci[::-1] != 0.0)))
+             for y, ci in zip(out, c)]
 
     def add(batch):
         """Add the rows ``(k, t_k)`` of ``batch``, in ascending ``k``, to each output in turn."""
-        for y, ci, stop in zip(out, coefficients, stops):
+        for y, ci, stop, last in zip(out, coefficients, stops, lasts):
             for k, t in batch:
-                if not stop <= k < width - 1:
+                if k < stop or k == last:
                     np.multiply(t, ci[k], out=scratch)
                     y += scratch
 

@@ -1,14 +1,17 @@
 """Heat-kernel diffusion drivers: single scale, many scales, error audit.
 
 The pipeline is: bound the spectral radius, rescale the operator to
-[0, 2], choose the truncation order from a certified bound at the
-largest effective scale, then run the three-term recurrence once. Every
-run takes one path: each recurrence vector goes into all m outputs soon
-after it is drawn, so m scales cost the matvecs of the largest one and
-no basis is stored. A single scale is the case m = 1. On runs large
-enough to repay it, the additions run on one helper thread per run,
-overlapped with the recurrence, which stays on the calling thread with
-every matvec (see :mod:`chebheat.chebyshev`).
+[0, 2], choose each scale's truncation order from a certified bound
+(under ``auto`` the smallest the kind resolved at the largest effective
+scale certifies there; under an explicit kind the largest scale's
+order for all), then run the three-term recurrence once, to the
+largest order. Every run takes one path: each recurrence vector goes
+into the outputs whose order reaches it soon after it is drawn, so m
+scales cost the matvecs of the largest one and no basis is stored. A
+single scale is the case m = 1. On runs large enough to repay it, the
+additions run on one helper thread per run, overlapped with the
+recurrence, which stays on the calling thread with every matvec (see
+:mod:`chebheat.chebyshev`).
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (_TAIL_KINDS, AUTO, BoundKind, energy_ratio, log_bound_value, min_order,
-                     select_bound)
+from .bounds import (_TAIL_KINDS, AUTO, BoundKind, _order_and_log_bound, energy_ratio,
+                     log_bound_value, min_order, select_bound)
 from .chebyshev import build_basis, cheb_coefficients, combine
 from .errors import ConvergenceError
 from .graphs import SparseSymMatrix, _signal
@@ -44,8 +47,9 @@ _FLOOR_SLACK = 1e-12
 class DiffusionPlan:
     """Everything decided before the first matvec of a diffusion run.
 
-    ``bounds`` holds each scale's certified bound, in the order of
-    ``scales``: the certificate is a priori, so it is settled here.
+    ``scale_orders`` and ``bounds`` hold each scale's order and certified
+    bound, in the order of ``scales``: the certificate is a priori, so it
+    is settled here. ``order``, the largest of them, is the recurrence's.
     """
 
     lambda_max: float
@@ -56,11 +60,17 @@ class DiffusionPlan:
     tol: float
     setup_matvecs: int
     bounds: tuple[float, ...]
+    scale_orders: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class DiffusionReport:
-    """Per-scale record of what a diffusion run did and certified."""
+    """Per-scale record of what a diffusion run did and certified.
+
+    ``order`` and ``matvecs`` are the run's recurrence order, shared by
+    every scale; ``scale_order`` is the order this scale's series stops
+    at, and ``bound`` is its certificate there.
+    """
 
     tau: float
     tau_eff: float
@@ -71,6 +81,7 @@ class DiffusionReport:
     tol: float
     matvecs: int
     setup_matvecs: int
+    scale_order: int
 
 
 def _power_iteration(op: SparseSymMatrix) -> tuple[float, int]:
@@ -226,22 +237,23 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None,
 
 def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
               kind: BoundKind | str = AUTO, lambda_max: float | None = None) -> DiffusionPlan:
-    """Resolve order, bound kind, rescaling and bounds for a set of scales.
+    """Resolve orders, bound kind, rescaling and bounds for a set of scales.
 
-    The order is chosen once, at the largest effective scale, so a
-    shared basis serves every scale. `kind=AUTO` resolves to the tail
-    kind of the variant that :func:`~chebheat.bounds.select_bound` picks
-    for this signal: the summed coefficient tail, never looser than the
-    new or the baseline bound of that variant, so its order is the
-    smallest any kind certifies. The specific kinds read the
+    `kind=AUTO` resolves to the tail kind of the variant that
+    :func:`~chebheat.bounds.select_bound` picks for this signal at the
+    largest effective scale: the summed coefficient tail, never looser
+    than the new or the baseline bound of that variant, so its order is
+    the smallest any kind certifies. It gives every scale its own order,
+    the smallest that kind certifies there, and the recurrence runs to
+    the largest of them. An explicit kind gives every scale the order it
+    certifies at the largest effective scale. The specific kinds read the
     signal's energy over its energy along the operator's
     ``kernel_vector`` (:func:`~chebheat.bounds.energy_ratio`). When the
     operator has no kernel vector, or the signal has no component along
     it (its components sum to zero, on a combinatorial Laplacian) or one
     that cancels past the float range, a specific kind raises
     ``ValueError`` and AUTO picks a generic one. Each scale's bound is
-    the chosen certificate at the chosen order, exactly 0 at a zero
-    scale.
+    the chosen certificate at its order, exactly 0 at a zero scale.
 
     ``signal`` is any finite, non-empty 1-d array_like of length
     ``op.n``; like every function that takes a signal, this one checks
@@ -285,32 +297,38 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     if kind == AUTO:
         kind = (BoundKind.TAIL_SPECIFIC if select_bound(tau_top, ratio) is BoundKind.NEW_SPECIFIC
                 else BoundKind.TAIL_GENERIC)
-    resolved = BoundKind(kind)
-    order = min_order(resolved, tau_top, tol, ratio=ratio)
+        certified = [_order_and_log_bound(kind, t, tol, ratio) for t in tau_effs]
+    else:
+        order = min_order(kind, tau_top, tol, ratio=ratio)
+        certified = [(order, log_bound_value(kind, order, t, ratio)) for t in tau_effs]
+    orders, log_bounds = zip(*certified)
     return DiffusionPlan(
         lambda_max=lam_hat,
         scales=scales,
         tau_effs=tau_effs,
-        order=order,
-        kind=resolved,
+        order=max(orders),
+        kind=BoundKind(kind),
         tol=float(tol),
         setup_matvecs=setup,
-        bounds=tuple(math.exp(log_bound_value(resolved, order, t, ratio)) for t in tau_effs),
+        bounds=tuple(math.exp(b) for b in log_bounds),
+        scale_orders=orders,
     )
 
 
-def _diffuse(op: SparseSymMatrix, lam_hat: float, x: np.ndarray, order: int,
+def _diffuse(op: SparseSymMatrix, lam_hat: float, x: np.ndarray, orders,
              tau_effs) -> np.ndarray:
-    """The order-``order`` expansions of ``x``, one row per effective scale.
+    """The expansions of ``x``, one row per effective scale, each to its own order.
 
-    ``order`` matvecs on ``op`` rescaled by ``2 / lam_hat``, for every
-    scale together; ``lam_hat == 0`` (the zero operator) returns copies.
+    ``max(orders)`` matvecs on ``op`` rescaled by ``2 / lam_hat``, for
+    every scale together; ``lam_hat == 0`` (the zero operator) returns
+    copies. Each scale's coefficients are computed at its own order, so
+    its row has the bits of a run of that scale alone at that order.
     """
     # before the zero-operator shortcut, so a negative order raises on every operator
-    coeffs = np.stack([cheb_coefficients(t, order) for t in tau_effs])
+    coeffs = [cheb_coefficients(t, k) for t, k in zip(tau_effs, orders)]
     if lam_hat == 0.0:
         return np.tile(x, (len(tau_effs), 1))
-    return combine(build_basis(op.scaled(2.0 / lam_hat), x, order), coeffs)
+    return combine(build_basis(op.scaled(2.0 / lam_hat), x, max(orders)), coeffs)
 
 
 def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
@@ -350,21 +368,25 @@ def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
                     lambda_max: float | None = None) -> list[tuple[np.ndarray, DiffusionReport]]:
     """Apply the heat kernel at many scales off one shared basis.
 
-    The order is chosen for the largest effective scale; every scale
-    takes the same basis vectors with its own coefficient vector, adding
-    no matvecs, and each vector is dropped once it is in every output:
+    Each scale gets its order from :func:`make_plan`; one recurrence
+    runs to the largest, and every scale sums the same basis vectors
+    with its own coefficient vector up to its own order, adding no
+    matvecs. Under ``auto`` each output is then bitwise equal to
+    :func:`expm_multiply` at that scale with the plan's kind and
+    ``lambda_max``. Each vector is dropped once it is in every output:
     memory holds the m outputs and at most a few basis vectors, never the
     basis. Results come in input order; the outputs are the rows of one
     ``(m, n)`` array.
     """
     x = _signal(x)
     plan = make_plan(op, x, scales, tol, kind=kind, lambda_max=lambda_max)
-    ys = _diffuse(op, plan.lambda_max, x, plan.order, plan.tau_effs)
+    ys = _diffuse(op, plan.lambda_max, x, plan.scale_orders, plan.tau_effs)
     return [(y, DiffusionReport(tau=tau, tau_eff=tau_eff, order=plan.order,
                                 lambda_max=plan.lambda_max, kind=plan.kind, bound=bound,
                                 tol=plan.tol, matvecs=plan.order,
-                                setup_matvecs=plan.setup_matvecs))
-            for y, tau, tau_eff, bound in zip(ys, plan.scales, plan.tau_effs, plan.bounds)]
+                                setup_matvecs=plan.setup_matvecs, scale_order=k))
+            for y, tau, tau_eff, bound, k in zip(ys, plan.scales, plan.tau_effs, plan.bounds,
+                                                  plan.scale_orders)]
 
 
 def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
@@ -384,7 +406,7 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
     lam_hat, _ = _resolve_lambda(op, lambda_max)
-    [y] = _diffuse(op, lam_hat, x, int(order), [lam_hat * tau / 2.0])
+    [y] = _diffuse(op, lam_hat, x, [int(order)], [lam_hat * tau / 2.0])
     w = exact_diffusion(op, x, tau)
     diff = y - w
     err = float(diff @ diff)

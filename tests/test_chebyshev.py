@@ -312,6 +312,32 @@ def test_stops_give_the_bits_of_adding_every_column(cpus):
     assert min(seen.values()) >= 20, seen  # every rule was exercised
 
 
+def test_each_output_stops_at_its_own_length(cpus):
+    # coefficient vectors of their own lengths: each output has the bits of its
+    # series alone, and the longest sets how many rows are drawn
+    rng = np.random.default_rng(2301 if cpus == "helper" else 2302)
+    seen = {"shorter": 0, "shorter, from -0.0": 0}
+    for trial in range(60):
+        op, x, C = _random_stop_case(rng)
+        ragged = [c[:int(rng.integers(1, len(c) + 1))] for c in C]
+        width = max(len(c) for c in ragged)
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return op.matvec(v)
+
+        together = combine(cheb_terms(apply, x), ragged)
+        assert len(calls) == width - 1
+        for c, y in zip(ragged, together):
+            assert y.tobytes() == series_sum(c, cheb_terms(op.matvec, x)).tobytes(), trial
+            if len(c) < width:
+                y0 = (0.5 * c[0]) * x
+                seen["shorter"] += 1
+                seen["shorter, from -0.0"] += bool(np.signbit(y0[y0 == 0.0]).any())
+    assert min(seen.values()) >= 10, seen
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad_value", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("apply_kind", ["zeros", "random"])

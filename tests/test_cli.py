@@ -179,8 +179,8 @@ class TestDiffuse:
         assert code == 2 and "lambda_max" in err
 
     @pytest.mark.parametrize("golden, argv", [
-        # the first three were written by auto before it ran the tail kinds;
-        # they name the kind it took then
+        # the first four were written by auto before it ran the tail kinds or
+        # summed each scale to its own order; they name the kind it took then
         ("diffuse_combinatorial.csv",
          ["--graph", os.path.join(DATA, "weighted.txt"), "--signal", "normal:5",
           "--scales", "log:1e-2:10:6", "--tol", "1e-8", "--bound", "new-specific"]),
@@ -192,8 +192,13 @@ class TestDiffuse:
         ("diffuse_baseline.csv",
          ["--graph", "er:50:0.15:4", "--signal", "normal:2", "--scales", "0,1,5,30",
           "--tol", "1e-8", "--bound", "base-specific"]),
-        # auto: tail-specific at K 55, where new-specific needs 67 and base-specific 81
+        # tail-specific at K 55, where new-specific needs 67 and base-specific 81
         ("diffuse_tail.csv",
+         ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--signal", "normal:3",
+          "--scales", "0,1,10,100", "--tol", "1e-10", "--bound", "tail-specific"]),
+        # auto on the same run: tail-specific, each scale summed to its own order,
+        # so the columns at tau 1 and 10 move; K is still the recurrence's 55
+        ("diffuse_per_scale.csv",
          ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--signal", "normal:3",
           "--scales", "0,1,10,100", "--tol", "1e-10"]),
     ])

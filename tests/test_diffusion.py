@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import chebheat.diffusion
+from chebheat import chebyshev
 from chebheat.bounds import (AUTO, BoundKind, energy_ratio, log_bound_value, min_order,
                              true_min_order)
 from chebheat.chebyshev import cheb_coefficients, cheb_terms
@@ -486,8 +487,9 @@ class TestAutoOrder:
                 for kind in SPECIFIC] == [211, 145, 91]
         results = expm_multiscale(op, x, scales, tol=1e-8)
         for (_, rep), tau in zip(results, scales):
-            _, eta = measure_errors(op, x, tau, rep.order, lambda_max=rep.lambda_max)
+            _, eta = measure_errors(op, x, tau, rep.scale_order, lambda_max=rep.lambda_max)
             assert rep.kind is BoundKind.TAIL_SPECIFIC and rep.order == 91
+            assert rep.scale_order == min_order(rep.kind, rep.tau_eff, 1e-8, ratio=ratio)
             assert eta <= rep.bound + ROUNDING and rep.bound <= 1e-8, (tau, eta, rep.bound)
         y, rep = expm_multiply(op, x, 100.0, tol=1e-8)
         assert (rep.kind, rep.order) == (BoundKind.TAIL_SPECIFIC, 91)
@@ -525,14 +527,16 @@ class TestTailAudit:
                 results = expm_multiscale(op, x, scales, tol=tol)
                 for (_, rep), tau in zip(results, scales):
                     assert rep.kind in (BoundKind.TAIL_GENERIC, BoundKind.TAIL_SPECIFIC)
-                    _, eta = measure_errors(op, x, tau, rep.order, lambda_max=rep.lambda_max)
+                    _, eta = measure_errors(op, x, tau, rep.scale_order,
+                                            lambda_max=rep.lambda_max)
                     assert eta <= rep.bound + ROUNDING and rep.bound <= tol, (tau, tol, eta, rep)
                     checked += 1
         assert checked == 36
 
     def test_given_lambda_max_on_the_command_line(self, tmp_path):
         # a combinatorial graph with lambda_max given as 2 * max degree, a certified
-        # ceiling, past the crossover: every column within its bound
+        # ceiling, past the crossover: every column within the bound at its own
+        # order, and K the largest scale's order
         n, tau = 40, 25.0
         edges = erdos_renyi(n, 0.15, seed=6)
         op = build_laplacian(edges, n)
@@ -548,24 +552,28 @@ class TestTailAudit:
         cols = np.loadtxt(lines[4:], delimiter=",")
         x = load_signal("normal:7", n)
         ratio = energy_ratio(x, op)
-        for j, t in enumerate((1.0, tau)):
+        orders = [min_order(BoundKind.TAIL_SPECIFIC, lam * t / 2.0, 1e-9, ratio=ratio)
+                  for t in (1.0, tau)]
+        assert orders[0] < orders[1] == int(head["K"])
+        for j, (t, order) in enumerate(zip((1.0, tau), orders)):
             w = exact_diffusion(op, x, t)
             eta = float((cols[:, j + 1] - w) @ (cols[:, j + 1] - w)) / float(w @ w)
-            bound = math.exp(log_bound_value("tail-specific", int(head["K"]), lam * t / 2.0, ratio))
+            bound = math.exp(log_bound_value("tail-specific", order, lam * t / 2.0, ratio))
             assert eta <= bound + ROUNDING and bound <= 1e-9, (t, eta, bound)
         assert int(head["K"]) < min(
             min_order(kind, lam * tau / 2.0, 1e-9, ratio=ratio)
             for kind in (BoundKind.NEW_SPECIFIC, BoundKind.BASELINE_SPECIFIC))
 
     def test_golden_tail_run_meets_its_bounds(self):
-        # the run pinned by tests/data/diffuse_tail.csv
+        # the run pinned by tests/data/diffuse_per_scale.csv, each scale audited
+        # at its own order
         op = build_laplacian(erdos_renyi(50, 0.2, seed=3), 50, kind="normalized")
         x = load_signal("normal:3", 50)
         scales = [0.0, 1.0, 10.0, 100.0]
         results = expm_multiscale(op, x, scales, tol=1e-10)
         assert (results[0][1].kind, results[0][1].order) == (BoundKind.TAIL_SPECIFIC, 55)
         for (_, rep), tau in zip(results, scales):
-            _, eta = measure_errors(op, x, tau, rep.order, lambda_max=rep.lambda_max)
+            _, eta = measure_errors(op, x, tau, rep.scale_order, lambda_max=rep.lambda_max)
             assert eta <= rep.bound + ROUNDING and rep.bound <= 1e-10, (tau, eta, rep.bound)
 
 
@@ -626,15 +634,24 @@ class TestKernelRule:
 
 class TestMultiscale:
     def test_matches_single_scale_at_same_order(self):
+        # auto sums each scale to its own order, an explicit kind every scale
+        # to the largest scale's; either way the run's order is the recurrence's
         L = build_laplacian(erdos_renyi(120, 0.06, seed=3), 120)
         x = np.random.default_rng(11).standard_normal(120)
         scales = [0.01, 0.1, 0.7, 2.0]
-        results = expm_multiscale(L, x, scales, tol=1e-5)
-        plan = make_plan(L, x, scales, 1e-5)
-        for (y, rep), tau_eff in zip(results, plan.tau_effs):
-            ref = summed_term_by_term(L, plan.lambda_max, x, plan.order, tau_eff)
-            np.testing.assert_array_equal(y, ref)
-            assert rep.order == plan.order
+        ratio = energy_ratio(x, L)
+        for kind in (AUTO, BoundKind.TAIL_SPECIFIC):
+            results = expm_multiscale(L, x, scales, tol=1e-5, kind=kind)
+            plan = make_plan(L, x, scales, 1e-5, kind=kind)
+            top = min_order(plan.kind, max(plan.tau_effs), 1e-5, ratio=ratio)
+            expected = ([min_order(plan.kind, t, 1e-5, ratio=ratio) for t in plan.tau_effs]
+                        if kind == AUTO else [top] * len(scales))
+            assert list(plan.scale_orders) == expected and plan.order == top
+            assert (kind != AUTO) == (len(set(expected)) == 1)
+            for (y, rep), tau_eff, order in zip(results, plan.tau_effs, expected):
+                ref = summed_term_by_term(L, plan.lambda_max, x, order, tau_eff)
+                np.testing.assert_array_equal(y, ref)
+                assert (rep.order, rep.matvecs, rep.scale_order) == (top, top, order)
 
     def test_memory_holds_the_outputs_not_the_basis(self):
         # each basis row goes into every output as it is drawn: the peak is
@@ -670,14 +687,15 @@ class TestMultiscale:
         scales = [0.05, 0.3, 1.0]
         results = expm_multiscale(L, x, scales, tol=1e-6)
         for (y, rep), tau in zip(results, scales):
-            _, eta = measure_errors(L, x, tau, rep.order, lambda_max=rep.lambda_max)
+            _, eta = measure_errors(L, x, tau, rep.scale_order, lambda_max=rep.lambda_max)
             assert eta <= 1e-6
             assert rep.bound <= results[-1][1].bound + 1e-30  # largest scale dominates
 
     @pytest.mark.parametrize("kind", [AUTO] + list(BoundKind))
     def test_reports_carry_the_plan_bounds(self, kind):
         # each report's bound is the plan's, fixed before the first matvec: the
-        # certificate at the plan's order, exactly 0 at a zero scale
+        # certificate at the scale's order, exactly 0 at a zero scale. auto
+        # gives each scale its own order, an explicit kind the largest scale's
         lattice = build_laplacian(lattice_edges(12, 12), 144)
         er = build_laplacian(erdos_renyi(150, 0.1, seed=5), 150, kind="normalized")
         rng = np.random.default_rng(6)
@@ -686,8 +704,11 @@ class TestMultiscale:
             plan = make_plan(op, x, scales, 1e-8, kind=kind)
             results = expm_multiscale(op, x, scales, tol=1e-8, kind=kind)
             ratio = energy_ratio(x, op)
-            expected = [math.exp(log_bound_value(plan.kind, plan.order, t, ratio)).hex()
-                        for t in plan.tau_effs]
+            orders = [min_order(plan.kind, t, 1e-8, ratio=ratio) if kind == AUTO else plan.order
+                      for t in plan.tau_effs]
+            assert list(plan.scale_orders) == orders and plan.order == max(orders)
+            expected = [math.exp(log_bound_value(plan.kind, k, t, ratio)).hex()
+                        for k, t in zip(orders, plan.tau_effs)]
             assert [rep.bound.hex() for _, rep in results] == [b.hex() for b in plan.bounds]
             assert [b.hex() for b in plan.bounds] == expected
             assert plan.bounds[1] == plan.bounds[4] == 0.0 < plan.bounds[5]
@@ -699,6 +720,94 @@ class TestMultiscale:
         results = expm_multiscale(L, x, [0.1, 0.5, 2.0, 8.0], tol=1e-9)
         variances = [float(np.var(y)) for y, _ in results]
         assert all(a > b for a, b in zip(variances, variances[1:]))
+
+
+class TestPerScaleOrders:
+    """``auto`` sums each scale to its own order, in one recurrence to the largest."""
+
+    SCALES = [0.0, 1e-7, 1e-4, 1e-3, 1e-2, 0.05, 0.3, 2.0, 15.0, 3.0, 0.0, 40.0]
+
+    @staticmethod
+    def _signal(n):
+        # -0.0 beside positive entries: an output keeps a -0.0 only if it adds
+        # no column past its own order
+        x = np.zeros(n)
+        x[::5] = -0.0
+        x[1::5] = 1.0
+        x[3::7] = 0.25
+        return x
+
+    def _check_single_scale_bits(self, op, x, scales, tol=1e-8):
+        results = expm_multiscale(op, x, scales, tol=tol)
+        plan = make_plan(op, x, scales, tol)
+        ratio = energy_ratio(x, op)
+        orders = [min_order(plan.kind, t, tol, ratio=ratio) for t in plan.tau_effs]
+        assert list(plan.scale_orders) == orders
+        assert plan.order == max(orders) == min_order(plan.kind, max(plan.tau_effs), tol,
+                                                      ratio=ratio)
+        for (y, rep), tau, order in zip(results, scales, orders):
+            single, single_rep = expm_multiply(op, x, tau, tol=tol, kind=plan.kind,
+                                               lambda_max=plan.lambda_max)
+            assert y.tobytes() == single.tobytes(), (tau, order)
+            assert rep.scale_order == single_rep.order == order
+            assert (rep.order, rep.matvecs) == (plan.order, plan.order)
+        # a zero scale, positive scales at orders 0 and 1, and the -0.0 kept
+        assert {0, 1} <= set(orders) and orders[0] == 0 < plan.order
+        negative_zero = (x == 0.0) & np.signbit(x)
+        assert all(np.signbit(y[negative_zero]).all()
+                   for y, rep in results if rep.scale_order == 0)
+        return results
+
+    def test_inline_outputs_are_their_single_scale_runs(self, monkeypatch):
+        monkeypatch.setattr(chebyshev, "_helper_thread", None)  # any use would raise
+        op = build_laplacian(lattice_edges(6, 7), 42)
+        scales = self.SCALES[:6] + [40.0]
+        assert len(scales) < chebyshev._OVERLAP_MIN_SCALES
+        self._check_single_scale_bits(op, self._signal(42), scales)
+
+    def test_helper_outputs_are_their_single_scale_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        started = []
+        helper_thread = chebyshev._helper_thread
+
+        def counted(work, cpus, name):
+            started.append(name)
+            return helper_thread(work, cpus, name)
+
+        monkeypatch.setattr(chebyshev, "_helper_thread", counted)
+        n = 64 * 64
+        assert len(self.SCALES) >= chebyshev._OVERLAP_MIN_SCALES
+        assert n >= chebyshev._OVERLAP_MIN_LENGTH
+        op = build_laplacian(lattice_edges(64, 64), n)
+        self._check_single_scale_bits(op, self._signal(n), self.SCALES)
+        assert started == ["chebheat-combine"]  # the multiscale run; single scales add inline
+
+    def test_explicit_kind_keeps_one_order(self):
+        op = build_laplacian(lattice_edges(6, 7), 42)
+        x = self._signal(42)
+        plan = make_plan(op, x, self.SCALES, 1e-8, kind=BoundKind.TAIL_SPECIFIC)
+        assert plan.scale_orders == (plan.order,) * len(self.SCALES)
+        for (y, rep), tau_eff in zip(expm_multiscale(op, x, self.SCALES, tol=1e-8,
+                                                     kind=BoundKind.TAIL_SPECIFIC),
+                                     plan.tau_effs):
+            ref = summed_term_by_term(op, plan.lambda_max, x, plan.order, tau_eff)
+            assert y.tobytes() == ref.tobytes() and rep.scale_order == plan.order
+
+    def test_lattice_bounds_no_longer_underflow(self):
+        # 200x200 lattice, 32 scales from 1e-2 to 1e2, tol 1e-8: at one shared
+        # order 9 to 14 of the bounds read exactly 0.0; at each scale's own
+        # order every positive scale's bound is a certificate near tol
+        side = 200
+        op = build_laplacian(lattice_edges(side, side), side * side)
+        scales = [float(t) for t in np.logspace(-2.0, 2.0, 32)]
+        c = (np.arange(side) + 0.5) * math.pi / side
+        bump = np.exp(-((np.arange(side) - 90.0) ** 2) / 72.0)
+        for x in (np.eye(1, side * side, 20100)[0], np.outer(bump, bump).ravel(),
+                  (1.0 + 0.5 * np.outer(np.cos(3.0 * c), np.cos(2.0 * c))).ravel()):
+            plan = make_plan(op, x, scales, 1e-8)
+            assert all(1e-13 < b <= 1e-8 for b in plan.bounds), plan.bounds
+            shared = make_plan(op, x, scales, 1e-8, kind=plan.kind)
+            assert shared.order == plan.order and 0.0 in shared.bounds
 
 
 class TestThreads:
