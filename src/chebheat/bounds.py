@@ -96,8 +96,6 @@ _TAIL_UNDERFLOW = 2.0 ** -1021
 # the longest Bessel vector the tail sums, whatever cap min_order searches to:
 # a kind's value at an order does not depend on how far the search may go
 _VECTOR_CAP = ORDER_CAP
-# exp of a log bound below this is 0.0; log(tol) of every positive tol is above it
-_LOG_ZERO = -746.0
 
 
 def energy_ratio(signal, op) -> float:
@@ -209,20 +207,6 @@ _TAIL_KINDS = (BoundKind.TAIL_GENERIC, BoundKind.TAIL_SPECIFIC)
 _GENERIC_KINDS = (BoundKind.NEW_GENERIC, BoundKind.BASELINE_GENERIC, BoundKind.TAIL_GENERIC)
 
 
-def _log_signal_term(kind: BoundKind, tau_eff: float, ratio: float | None) -> float:
-    # the factor a certificate pays for the signal: exp(4 tau) generic, the energy ratio specific
-    if kind in _GENERIC_KINDS:
-        return 4.0 * tau_eff
-    if ratio is None:
-        raise ValueError(f"{kind.value} bound needs the signal's energy ratio")
-    if ratio == math.inf:
-        raise ValueError(f"{kind.value} bound is undefined: the operator has no known kernel "
-                         f"vector, or the signal has no component along it (its components "
-                         f"sum to zero on a combinatorial Laplacian, or cancel past the "
-                         f"float range)")
-    return math.log(ratio)
-
-
 def _log_sq(new: bool, order: int, tau_eff: float) -> float:
     # log of the squared remainder factor of the new (sup-norm) or the baseline family
     if new:
@@ -263,12 +247,30 @@ def _log_tail_sq(tau_eff: float):
     return log_sq
 
 
-def _log_sq_of(kind: BoundKind, tau_eff: float):
-    # order -> log squared remainder factor of the kind's family at a positive tau_eff
+def _log_bound_of(kind: BoundKind, tau_eff: float, ratio: float | None):
+    """``order -> log`` of the kind's output-relative bound, at a positive ``tau_eff``.
+
+    The family's squared factor plus the factor the certificate pays for
+    the signal: ``exp(4 tau_eff)`` generic, the energy ratio specific.
+    Reads the ratio once, on the call, and a tail kind builds its one
+    Bessel vector once; every order is then scalar work.
+    """
+    if kind in _GENERIC_KINDS:
+        signal = 4.0 * tau_eff
+    elif ratio is None:
+        raise ValueError(f"{kind.value} bound needs the signal's energy ratio")
+    elif ratio == math.inf:
+        raise ValueError(f"{kind.value} bound is undefined: the operator has no known kernel "
+                         f"vector, or the signal has no component along it (its components "
+                         f"sum to zero on a combinatorial Laplacian, or cancel past the "
+                         f"float range)")
+    else:
+        signal = math.log(ratio)
     if kind in _TAIL_KINDS:
-        return _log_tail_sq(tau_eff)
+        log_sq = _log_tail_sq(tau_eff)
+        return lambda k: log_sq(k) + signal
     new = kind in _NEW_KINDS
-    return lambda k: _log_sq(new, k, tau_eff)
+    return lambda k: _log_sq(new, k, tau_eff) + signal
 
 
 def log_bound_value(kind: BoundKind, order: int, tau_eff: float,
@@ -278,22 +280,16 @@ def log_bound_value(kind: BoundKind, order: int, tau_eff: float,
     ``ratio`` is the signal's :func:`energy_ratio`, read by the specific
     kinds only. Stays finite where the plain value would overflow;
     returns ``-inf`` for every kind at a zero scale (``tau_eff / 2 ==
-    0``), where the truncation is exact, before the ratio is read. A
-    tail kind whose closed forms already give a value below ``_LOG_ZERO``
-    returns that value without summing its tail: the bound reads 0.0
-    either way, and every ``tol`` is met either way.
+    0``), where the truncation is exact, before the ratio is read.
+    Everywhere else it is the value :func:`min_order` compares at that
+    order, bit for bit.
     """
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
     order = _valid_order(kind in _NEW_KINDS, order, tau_eff)
     if tau_eff / 2.0 == 0.0:
         return -math.inf
-    signal = _log_signal_term(kind, tau_eff, ratio)
-    if kind in _TAIL_KINDS:
-        closed = _log_closed_sq(order, tau_eff, _first_order(True, tau_eff, _VECTOR_CAP)) + signal
-        if closed < _LOG_ZERO:
-            return closed
-    return _log_sq_of(kind, tau_eff)(order) + signal
+    return _log_bound_of(kind, tau_eff, ratio)(order)
 
 
 def select_bound(tau_eff: float, ratio: float) -> BoundKind:
@@ -373,9 +369,7 @@ def _order_and_log_bound(kind: BoundKind, tau_eff: float, tol: float,
     """:func:`min_order` and the log of the certificate there, from one closure.
 
     A tail kind builds its one Bessel vector once for both. The log is
-    ``log_bound_value(kind, order, tau_eff, ratio)`` bit for bit, except
-    where that function skips a tail whose closed forms already lie below
-    ``_LOG_ZERO``; there both are below it, so both bounds read 0.0.
+    ``log_bound_value(kind, order, tau_eff, ratio)`` bit for bit.
     """
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
@@ -386,16 +380,15 @@ def _order_and_log_bound(kind: BoundKind, tau_eff: float, tol: float,
         return 0, -math.inf
     order = ORDER_CAP + 1
     if start <= ORDER_CAP:  # with no valid order to try, the energy ratio is never read
-        signal = _log_signal_term(kind, tau_eff, ratio)
         log_tol = math.log(tol)
-        log_sq = _log_sq_of(kind, tau_eff)
+        log_bound = _log_bound_of(kind, tau_eff, ratio)
         # orders past the cap count as certified so that the search ends there
-        order = _first_true(lambda k: k > ORDER_CAP or log_sq(k) + signal <= log_tol, start)
+        order = _first_true(lambda k: k > ORDER_CAP or log_bound(k) <= log_tol, start)
     if order > ORDER_CAP:
         raise OrderCapError(
             f"no order up to {ORDER_CAP} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"
         )
-    return order, log_sq(order) + signal
+    return order, log_bound(order)
 
 
 def _growing_coefficients(tau_eff: float):
@@ -417,10 +410,14 @@ def true_min_order(op, signal, tau: float, tol: float,
     Measured against the dense oracle in the spectral domain: the
     production recurrence and sum run with the rescaled operator applied
     as the diagonal ``clip(2 lambda / lambda_hat, 0, 2)`` in the
-    eigenbasis, and ``lambda_hat`` is chosen and checked by the same rule
-    as a diffusion run, so the result is directly comparable with
-    :func:`min_order` outputs. The signal is checked as a diffusion run
-    checks it, before any dense work. Limited to oracle-sized operators.
+    eigenbasis. ``lambda_hat`` is chosen as a run with one of the paper's
+    four kinds chooses it: the given ``lambda_max``, checked as a
+    diffusion run checks it, else
+    :func:`~chebheat.diffusion.estimate_lambda_max`. A default ``auto``
+    run rescales by the certified ceiling instead; pass its report's
+    ``lambda_max`` to compare with its orders. The signal is checked as
+    a diffusion run checks it, before any dense work. Limited to
+    oracle-sized operators.
     """
     from .diffusion import _resolve_lambda
     from .oracle import dense_spectrum

@@ -394,10 +394,12 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     """Measured squared relative errors of the rank-``order`` truncation.
 
     Computed against the dense spectral oracle, so only operators small
-    enough for it are accepted. ``lambda_max`` is chosen and checked by
-    the same rule as :func:`make_plan`, so the audit measures the
-    expansion a run with the same arguments computes. Returns the pair
-    (input-relative, output-relative).
+    enough for it are accepted. ``lambda_max`` is chosen as a run with
+    one of the paper's four kinds chooses it: the given value, checked
+    as :func:`make_plan` checks it, else :func:`estimate_lambda_max`.
+    A default ``auto`` run rescales by the certified ceiling instead; to
+    measure that run's own output, pass its report's ``lambda_max``.
+    Returns the pair (input-relative, output-relative).
     """
     from .oracle import exact_diffusion
 

@@ -24,8 +24,7 @@ import numpy as np
 
 from chebheat import chebyshev
 from chebheat.bessel import ORDER_CAP
-from chebheat.bounds import (_TAIL_KINDS, BoundKind, _log_signal_term, _log_sq_of,
-                             log_bound_value)
+from chebheat.bounds import _TAIL_KINDS, BoundKind, _log_bound_of, _log_tail_sq, log_bound_value
 from chebheat.chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
 from chebheat.errors import OrderCapError, ParseError
 from chebheat.graphs import SparseSymMatrix
@@ -172,7 +171,7 @@ def coeff_integral(k: int, tau: float) -> float:
 
 def certified_tail(order: int, tau_eff: float) -> float:
     """The tail family's certified sup gap at one order, from the library's summed tail."""
-    return math.exp(0.5 * _log_sq_of(BoundKind.TAIL_GENERIC, float(tau_eff))(order))
+    return math.exp(0.5 * _log_tail_sq(float(tau_eff))(order))
 
 
 def reference_csr_check(n, row_ptr, col_idx, values):
@@ -418,9 +417,7 @@ def reference_min_order(kind, tau_eff, tol, ratio=None, cap=ORDER_CAP):
     log_tol = math.log(tol)
     value = functools.partial(log_bound_value, kind, tau_eff=tau_eff, ratio=ratio)
     if kind in _TAIL_KINDS and tau_eff / 2.0 != 0.0:
-        signal = _log_signal_term(kind, tau_eff, ratio)
-        log_sq = _log_sq_of(kind, tau_eff)
-        value = lambda order: log_sq(order) + signal  # noqa: E731
+        value = _log_bound_of(kind, tau_eff, ratio)
     for order in range(cap + 1):
         try:
             if value(order) <= log_tol:

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import chebheat.bounds
 import chebheat.oracle
 from chebheat.bessel import ORDER_CAP, bessel_ie_scaled
-from chebheat.bounds import (_LOG_ZERO, _TAIL_MARGIN, AUTO, BoundKind, _first_order,
-                             _log_closed_sq, _log_signal_term, _log_sq, _log_sq_of,
+from chebheat.bounds import (_NEW_KINDS, _TAIL_MARGIN, AUTO, BoundKind, _first_order,
+                             _log_bound_of, _log_closed_sq, _log_sq, _log_tail_sq,
+                             _order_and_log_bound,
                              baseline_error_term, energy_ratio,
                              log_bound_value, min_order, select_bound, sup_error_bound,
                              true_min_order)
@@ -165,7 +166,7 @@ class TestTailCertificate:
         # 1e-12 below, a thousandth of the margin
         worst, checked = -math.inf, 0
         for tau in TAIL_TAUS:
-            log_sq = _log_sq_of(BoundKind.TAIL_GENERIC, tau)
+            log_sq = _log_tail_sq(tau)
             tails = _reference_tails(tau, int(tau + 40.0 * math.sqrt(tau) + 300.0))
             order = 0
             while tails[order] >= 1e-290:
@@ -180,7 +181,7 @@ class TestTailCertificate:
 
     def test_never_looser_than_either_closed_form(self):
         for tau in TAIL_TAUS + [5000.0, 30000.0]:
-            log_sq = _log_sq_of(BoundKind.TAIL_GENERIC, tau)
+            log_sq = _log_tail_sq(tau)
             first = _first_order(True, tau)
             for order in range(0, int(2.0 * tau) + 200, max(1, int(tau) // 50)):
                 assert log_sq(order) <= _log_sq(False, order, tau)
@@ -189,21 +190,24 @@ class TestTailCertificate:
 
     def test_non_increasing_in_the_order(self):
         for tau in TAIL_TAUS:
-            log_sq = _log_sq_of(BoundKind.TAIL_SPECIFIC, tau)
+            log_sq = _log_tail_sq(tau)
             values = [log_sq(k) for k in range(int(2.0 * tau) + 400)]
             assert all(a >= b for a, b in zip(values, values[1:])), tau
 
-    @pytest.mark.parametrize("kind", [BoundKind.TAIL_GENERIC, BoundKind.TAIL_SPECIFIC])
+    @pytest.mark.parametrize("kind", list(BoundKind))
     def test_log_bound_value_is_the_searched_value(self, kind):
-        # log_bound_value sums the tail min_order compares, except below the
-        # float range, where both read 0.0 and meet every tol
+        # bit for bit at every order, also far below the float range: the
+        # closure the search compares, and the value the search returns
         for tau in TAIL_TAUS:
-            log_sq = _log_sq_of(kind, tau)
-            signal = _log_signal_term(kind, tau, RATIO_200)
-            for order in range(0, int(tau) + 200, 7):
+            log_bound = _log_bound_of(kind, tau, RATIO_200)
+            for order in range(_first_order(kind in _NEW_KINDS, tau), int(tau) + 200):
                 got = log_bound_value(kind, order, tau, ratio=RATIO_200)
-                searched = log_sq(order) + signal
-                assert got == searched or max(got, searched) < _LOG_ZERO, (tau, order)
+                assert got == log_bound(order), (tau, order)
+                if order % 7 == 0:  # a tol that this order meets, down to the least float
+                    tol = math.exp(min(max(got, -745.0), 700.0))
+                    k, searched = _order_and_log_bound(kind, tau, tol, RATIO_200)
+                    assert searched == log_bound_value(kind, k, tau, ratio=RATIO_200)
+                    assert searched <= math.log(tol), (tau, order)
 
     def test_past_the_vector_cap_the_closed_forms_remain(self):
         # the cutoff passes a cap of 100 at both scales: from tau_eff 202 on
@@ -211,7 +215,7 @@ class TestTailCertificate:
         with mock.patch.object(chebheat.bounds, "_VECTOR_CAP", 100):
             for tau in (150.0, 300.0):
                 first = _first_order(True, tau, 100)
-                log_sq = _log_sq_of(BoundKind.TAIL_GENERIC, tau)
+                log_sq = _log_tail_sq(tau)
                 for order in range(0, 400, 13):
                     assert log_sq(order) == _log_closed_sq(order, tau, first)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import glob
 import os
 
 import numpy as np
@@ -13,6 +14,35 @@ from chebheat.graphs import build_laplacian, erdos_renyi, load_graph, load_signa
 from helpers import same_operator
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+# each golden diffuse file and the argv that writes it; TestGoldenFiles
+# holds every .csv under tests/data to this list or to TRUE_TABLE
+GOLDEN_DIFFUSE = [
+    # the first four were written by auto before it ran the tail kinds or
+    # summed each scale to its own order; they name the kind it took then
+    ("diffuse_combinatorial.csv",
+     ["--graph", os.path.join(DATA, "weighted.txt"), "--signal", "normal:5",
+      "--scales", "log:1e-2:10:6", "--tol", "1e-8", "--bound", "new-specific"]),
+    ("diffuse_normalized.csv",
+     ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--lambda-max", "2",
+      "--signal", "dirac:0", "--scales", "lin:0:4:5", "--tol", "1e-10",
+      "--bound", "new-specific"]),
+    # past the crossover (tau_eff 212), where the baseline beats the new bound
+    ("diffuse_baseline.csv",
+     ["--graph", "er:50:0.15:4", "--signal", "normal:2", "--scales", "0,1,5,30",
+      "--tol", "1e-8", "--bound", "base-specific"]),
+    # tail-specific at K 55, where new-specific needs 67 and base-specific 81
+    ("diffuse_tail.csv",
+     ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--signal", "normal:3",
+      "--scales", "0,1,10,100", "--tol", "1e-10", "--bound", "tail-specific"]),
+    # auto on the same run: tail-specific, each scale summed to its own order,
+    # so the columns at tau 1 and 10 move; K is still the recurrence's 55
+    ("diffuse_per_scale.csv",
+     ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--signal", "normal:3",
+      "--scales", "0,1,10,100", "--tol", "1e-10"]),
+]
+TRUE_TABLE = "bound_table_true.csv"
 
 
 def run(capsys, *argv):
@@ -178,30 +208,7 @@ class TestDiffuse:
                            "--scales", "5", "--tol", "1e-8", "--lambda-max", lam)
         assert code == 2 and "lambda_max" in err
 
-    @pytest.mark.parametrize("golden, argv", [
-        # the first four were written by auto before it ran the tail kinds or
-        # summed each scale to its own order; they name the kind it took then
-        ("diffuse_combinatorial.csv",
-         ["--graph", os.path.join(DATA, "weighted.txt"), "--signal", "normal:5",
-          "--scales", "log:1e-2:10:6", "--tol", "1e-8", "--bound", "new-specific"]),
-        ("diffuse_normalized.csv",
-         ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--lambda-max", "2",
-          "--signal", "dirac:0", "--scales", "lin:0:4:5", "--tol", "1e-10",
-          "--bound", "new-specific"]),
-        # past the crossover (tau_eff 212), where the baseline beats the new bound
-        ("diffuse_baseline.csv",
-         ["--graph", "er:50:0.15:4", "--signal", "normal:2", "--scales", "0,1,5,30",
-          "--tol", "1e-8", "--bound", "base-specific"]),
-        # tail-specific at K 55, where new-specific needs 67 and base-specific 81
-        ("diffuse_tail.csv",
-         ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--signal", "normal:3",
-          "--scales", "0,1,10,100", "--tol", "1e-10", "--bound", "tail-specific"]),
-        # auto on the same run: tail-specific, each scale summed to its own order,
-        # so the columns at tau 1 and 10 move; K is still the recurrence's 55
-        ("diffuse_per_scale.csv",
-         ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--signal", "normal:3",
-          "--scales", "0,1,10,100", "--tol", "1e-10"]),
-    ])
+    @pytest.mark.parametrize("golden, argv", GOLDEN_DIFFUSE)
     def test_bytes_match_golden_file(self, tmp_path, golden, argv):
         # the first two golden files were written by the per-value writer that
         # the block writer replaced
@@ -272,7 +279,7 @@ class TestBoundTable:
         assert main(["bound-table", "--n", "60", "--p", "0.1", "--trials", "2",
                      "--scales", "log:1e-2:1e2:9", "--tol", "1e-5", "--seed", "3", "--true",
                      "--out", str(out)]) == 0
-        with open(os.path.join(DATA, "bound_table_true.csv"), "rb") as fh:
+        with open(os.path.join(DATA, TRUE_TABLE), "rb") as fh:
             assert out.read_bytes() == fh.read()
 
     def test_trial_computes_no_lambda_floor_and_one_power_iteration(self, monkeypatch):
@@ -307,3 +314,11 @@ class TestBoundTable:
                            "--trials", "1", "--scales", "1.0")
         assert code == 2 and "dense oracle" in err
 
+
+
+class TestGoldenFiles:
+    def test_every_csv_is_byte_compared(self):
+        # a golden case dropped from GOLDEN_DIFFUSE would leave its file unread
+        found = {os.path.relpath(path, DATA)
+                 for path in glob.glob(os.path.join(DATA, "**", "*.csv"), recursive=True)}
+        assert found == {golden for golden, _ in GOLDEN_DIFFUSE} | {TRUE_TABLE}
