@@ -61,7 +61,11 @@ __all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "build_basis"
 # lattice at 32 scales (2 vCPUs, K 88, each scale to its own order),
 # lib-grid-multiscale job_s read medians of 0.101 s with 8 and 0.104 s with
 # 16 over 10 alternating pairs (8 lower in 4), and 0.104 s with 32 and
-# 0.100 s with 16 over 10 more (32 lower in 6), at the same peak RSS
+# 0.100 s with 16 over 10 more (32 lower in 6), at the same peak RSS. With
+# the matvec reading shifted planes, a cheaper recurrence beside the helper,
+# it read 0.073 s with 8 and 0.071 s with 16 over 8 pairs (8 lower in 2),
+# and 0.070 s with 32 and 0.073 s with 16 over 8 more (32 lower in 5,
+# inside 16's interquartile range of 0.010 s) at 1.1 MiB more peak RSS
 _IN_FLIGHT = 16
 # The smallest runs that combine hands to a helper thread. Each row moves
 # once to the helper's core, which a few outputs' additions do not repay,

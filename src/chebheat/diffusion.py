@@ -126,13 +126,24 @@ def estimate_lambda_max(op: SparseSymMatrix) -> float:
     return _resolve_lambda(op, None)[0]
 
 
-def _diagonal(op: SparseSymMatrix):
-    """Each stored entry's row, whether it is on the diagonal, and the diagonal."""
-    rows = np.repeat(np.arange(op.n), np.diff(op.row_ptr))
-    on_diag = rows == op.col_idx
+def _diagonal(op: SparseSymMatrix, planes: bool = False):
+    """Each stored entry's row, column and value, which are off the diagonal, and the diagonal.
+
+    The entries in CSR order, or with ``planes`` on a padded-plane
+    operator read from its planes in place, so that no CSR array is
+    gathered and kept; padding slots (column ``n`` or ``n + 1``) are
+    then neither on the diagonal nor off it.
+    """
+    if planes and op._cols is not None:
+        rows = np.broadcast_to(np.arange(op.n), op._cols.shape)
+        cols, vals = op._cols, op._vals
+    else:
+        rows = np.repeat(np.arange(op.n), np.diff(op.row_ptr))
+        cols, vals = op.col_idx, op.values
+    on_diag = rows == cols
     diag = np.zeros(op.n)
-    diag[rows[on_diag]] = op.values[on_diag]
-    return rows, on_diag, diag
+    diag[rows[on_diag]] = vals[on_diag]
+    return rows, cols, vals, ~on_diag & (cols < op.n), diag
 
 
 def _lambda_floor(op: SparseSymMatrix) -> float:
@@ -142,15 +153,16 @@ def _lambda_floor(op: SparseSymMatrix) -> float:
     diagonal entry and the largest eigenvalue of every 2x2 principal
     submatrix; this takes the maximum over the diagonal and over the
     submatrices of the stored off-diagonal entries. Computed afresh for
-    each given ``lambda_max``, one pass over the stored entries.
+    each given ``lambda_max``, one pass over the stored entries, read
+    from the padded planes where they hold them: a maximum takes its
+    operands in any order.
     """
     if op.nnz == 0:
         return 0.0
-    rows, on_diag, diag = _diagonal(op)
-    off = ~on_diag
+    rows, cols, vals, off, diag = _diagonal(op, planes=True)
     a = diag[rows[off]]
-    b = diag[op.col_idx[off]]
-    pair = 0.5 * (a + b) + np.hypot(0.5 * (a - b), op.values[off])
+    b = diag[cols[off]]
+    pair = 0.5 * (a + b) + np.hypot(0.5 * (a - b), vals[off])
     return float(max(diag.max(), pair.max(initial=-math.inf)))
 
 
@@ -189,8 +201,8 @@ def _require_psd(op: SparseSymMatrix) -> None:
     """
     if op.kernel_vector is not None:
         return
-    rows, on_diag, diag = _diagonal(op)
-    off = np.bincount(rows[~on_diag], weights=np.abs(op.values[~on_diag]), minlength=op.n)
+    rows, _, vals, off_diag, diag = _diagonal(op)  # in CSR order, which the row sums take
+    off = np.bincount(rows[off_diag], weights=np.abs(vals[off_diag]), minlength=op.n)
     bad = np.flatnonzero(diag < off)
     if bad.size:
         i = int(bad[0])

@@ -10,7 +10,13 @@ matvec sums each row in the order ``np.add.reduceat`` does. An operator
 whose rows hold at most ``_PLANE_MAX_WIDTH`` entries (a lattice, a path,
 a 3-D grid) keeps its entries in that many padded planes instead of the
 CSR arrays, and sums the planes one pass each in that order; a wider
-one calls ``reduceat``. Either way the bits are the same.
+one calls ``reduceat``. Either way the bits are the same. Most entries of
+such a plane sit on one diagonal, ``col = row + shift``, as in the DIA
+format: the plane multiplies a shifted slice of the input and gathers
+only its misses, the rows off that diagonal, as the HYB format splits
+off its exceptions (Bell and Garland, SC 2009). A plane that misses in
+more than a quarter of its rows, such as any plane of a relabelled
+lattice, is gathered whole.
 
 Graph files come in two flavours: a whitespace edge list (``i j [w]``,
 0-based, ``#`` comments) and Matrix Market coordinate format (symmetric,
@@ -58,12 +64,25 @@ __all__ = [
 
 # An operator whose rows all hold at most this many entries multiplies from
 # padded planes. numpy's reduceat adds a row of at most 8 entries as
-# a_0 + (((a_1 + a_2) + a_3) + ...), an order the test suite pins, and
-# longer rows in another. On 2 vCPUs (medians of 40 x 20 calls) a 200x200
-# lattice matvec, rows of 3 to 5, took 0.85 ms padded against 1.5 ms with
-# reduceat; a normalized ER n = 20000 one, rows of up to 44, took 5.3 ms
-# padded against 2.7 ms.
+# (((a_1 + a_2) + a_3) + ...) + a_0, an order the test suite pins, and
+# longer rows in another. On 2 vCPUs (medians of 40 x 20 calls, one BLAS
+# thread, four runs) a 200x200 lattice matvec, rows of 3 to 5, took 0.25 to
+# 0.41 ms padded against 0.80 to 1.7 ms with reduceat; a normalized ER
+# n = 20000 one, rows of up to 44, took 2.0 to 4.1 ms padded against 1.4 to
+# 2.8 ms, slower in every run.
 _PLANE_MAX_WIDTH = 8
+# A padded plane whose rows miss its shift in more than this share is
+# gathered whole: a miss costs three small gathers and a scatter, a row of a
+# whole-plane gather one gather. On 2 vCPUs (one BLAS thread, medians of 30
+# x 100 calls) one 40000-row plane whose misses read scattered columns took
+# 32, 47, 70 and 114 us shifted at 2%, 10%, 25% and 50% misses, against 43
+# to 46 us gathered whole. Real misses come in runs and cost less (timeit
+# minima of 60 x 10 matvecs, two runs): a 34x34x34 grid, whose planes miss
+# in 3% to 17% of their rows, took 0.40 to 0.45 ms at this share and 0.46
+# to 0.47 ms with its two 14% to 17% planes gathered; a 1000x3 lattice,
+# whose planes miss in 0.1%, 33% and 67% of their rows, took 0.037 to 0.042
+# ms here and 0.051 to 0.052 ms with its 33% planes shifted.
+_SHIFT_MAX_MISSES = 0.25
 
 
 class SparseSymMatrix:
@@ -85,9 +104,9 @@ class SparseSymMatrix:
     n, row_ptr, col_idx, values
         The arguments, read-only. An operator whose rows hold at most
         ``_PLANE_MAX_WIDTH`` entries keeps ``col_idx`` and ``values`` in
-        matvec's padded planes only, the column planes shared with its
-        :meth:`scaled` copies, and gathers each array, with the same
-        bits, on first use.
+        matvec's padded planes only, the column planes, with each plane's
+        shift and misses, shared with its :meth:`scaled` copies, and
+        gathers each array, with the same bits, on first use.
     spectral_bound : float or None
         A known upper bound on the largest eigenvalue, read-only. Only
         :func:`build_laplacian` sets it (2, normalized); :meth:`scaled`
@@ -103,6 +122,15 @@ class SparseSymMatrix:
     Symmetry is checked at construction by a transpose compare, so every
     stored ``(i, j)`` entry must have a mirror ``(j, i)`` with a bitwise
     equal value. The backing arrays are marked read-only afterwards.
+
+    Entry ``j`` of row ``i`` sits in padded plane ``j``. Construction
+    also keeps each plane's shift, its most common offset ``col - i``,
+    and its misses, the rows where the offset differs (rows at a
+    boundary, padding slots, empty rows) with their columns. A product
+    reads the rows on the shift as one slice of the input and gathers
+    the misses alone; a plane that misses in more than
+    ``_SHIFT_MAX_MISSES`` of its rows, such as every plane of a
+    relabelled lattice, is gathered whole.
 
     The certified bounds need a positive semidefinite operator, and the
     specific ones also a kernel vector. An operator with a kernel vector
@@ -122,7 +150,7 @@ class SparseSymMatrix:
     """
 
     __slots__ = ("_n", "_row_ptr", "_col_idx", "_values", "_spectral_bound", "_kernel",
-                 "_facts", "_row_starts", "_nonempty", "_cols", "_vals")
+                 "_facts", "_row_starts", "_nonempty", "_cols", "_vals", "_shifts", "_misses")
 
     def __init__(self, n, row_ptr, col_idx, values):
         n = int(n)
@@ -162,9 +190,11 @@ class SparseSymMatrix:
         # x[n] = -0.0, the additive identity, except the first slot of an empty
         # row, which reads x[n + 1] = +0.0, so that the row sums to +0.0. Such
         # an operator keeps its entries in the planes only (see ``col_idx``).
+        # Each plane also keeps its shift and misses (see _plane_shifts).
         # Otherwise the reduceat layout: the start of every non-empty row, and
         # which rows those are (None when no row is empty).
-        self._cols = self._vals = self._row_starts = self._nonempty = None
+        self._cols = self._vals = self._shifts = self._misses = None
+        self._row_starts = self._nonempty = None
         width = int(counts.max())
         if 0 < width <= _PLANE_MAX_WIDTH:
             slot = np.arange(values.size)
@@ -175,12 +205,13 @@ class SparseSymMatrix:
             self._vals = np.ones((width, n))
             self._vals[slot, rows] = values
             self._col_idx = self._values = None
+            self._shifts, self._misses = _plane_shifts(self._cols)
         else:
             nonempty = counts > 0
             self._nonempty = None if nonempty.all() else nonempty
             self._row_starts = row_ptr[:-1] if self._nonempty is None else row_ptr[:-1][nonempty]
         for a in (row_ptr, col_idx, values, self._row_starts, self._nonempty, self._cols,
-                  self._vals):
+                  self._vals, self._shifts, *(self._misses or ())):
             if a is not None:
                 a.flags.writeable = False
 
@@ -240,9 +271,11 @@ class SparseSymMatrix:
         ``np.add.reduceat`` gives it, so repeated calls with identical
         inputs are bit-identical, whichever layout serves the operator.
         For rows of at most ``_PLANE_MAX_WIDTH`` entries that order is
-        ``a_0 + (((a_1 + a_2) + a_3) + ...)``, which the padded planes
-        follow in one pass per plane; wider operators call ``reduceat``.
-        No buffer outlives a call, so threads may share the operator.
+        ``(((a_1 + a_2) + a_3) + ...) + a_0``, which the padded planes
+        follow in one pass per plane, each plane read from a shifted slice
+        of ``x`` with its misses gathered, or gathered whole, into two
+        work vectors; wider operators call ``reduceat``. No buffer
+        outlives a call, so threads may share the operator.
         """
         return self._product(x, absolute=False)
 
@@ -261,17 +294,40 @@ class SparseSymMatrix:
             padded = np.empty(self.n + 2)
             padded[:-2] = x
             padded[-2:] = (-0.0, 0.0)
-            p = np.take(padded, self._cols)
-            np.multiply(np.abs(self._vals) if absolute else self._vals, p, out=p)
-            for j in range(2, len(p)):
-                p[1] += p[j]
-            return p[0] + p[1] if len(p) > 1 else p[0]
+            out = np.empty(self.n)
+            if len(self._cols) == 1:
+                return self._plane(0, padded, absolute, out)
+            # (((a_1 + a_2) + a_3) + ...) + a_0, in two vectors
+            acc = self._plane(1, padded, absolute, np.empty(self.n))
+            for j in range(2, len(self._cols)):
+                acc += self._plane(j, padded, absolute, out)
+            return np.add(acc, self._plane(0, padded, absolute, out), out=out)
         values = np.abs(self.values) if absolute else self.values
         sums = np.add.reduceat(values * x[self.col_idx], self._row_starts)
         if self._nonempty is None:
             return sums
         out = np.zeros(self.n)
         out[self._nonempty] = sums
+        return out
+
+    def _plane(self, j, padded, absolute, out):
+        """Plane j's products ``vals[j] * padded[cols[j]]``, of ``|vals|`` with ``absolute``.
+
+        Written to ``out``, which is returned. The rows on the plane's
+        shift read one slice of ``padded``, and only its misses are
+        gathered, unless the plane is gathered whole.
+        """
+        vals = np.abs(self._vals[j]) if absolute else self._vals[j]
+        misses = self._misses[j]
+        if misses is None:
+            # every column is in range; the default mode would buffer ``out``
+            np.take(padded, self._cols[j], out=out, mode="clip")
+            return np.multiply(vals, out, out=out)
+        shift = int(self._shifts[j])
+        lo, hi = max(0, -shift), min(self.n, self.n + 2 - shift)
+        np.multiply(vals[lo:hi], padded[lo + shift:hi + shift], out=out[lo:hi])
+        rows, cols = misses
+        out[rows] = vals[rows] * padded[cols]
         return out
 
     def scaled(self, alpha: float) -> "SparseSymMatrix":
@@ -289,7 +345,7 @@ class SparseSymMatrix:
         # and alpha > 0 keeps the kernel and positive semidefiniteness
         m = object.__new__(type(self))
         for name in ("_n", "_row_ptr", "_col_idx", "_row_starts", "_nonempty", "_cols",
-                     "_kernel"):
+                     "_shifts", "_misses", "_kernel"):
             setattr(m, name, getattr(self, name))
         if m._cols is None:
             m._values, m._vals = self.values * alpha, None
@@ -310,6 +366,26 @@ class SparseSymMatrix:
 
     def __repr__(self):
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz})"
+
+
+def _plane_shifts(cols):
+    """Each padded plane's shift and misses: see :class:`SparseSymMatrix`.
+
+    The shift of plane j is its most common offset ``cols[j, i] - i``
+    (the smallest of any tie). Its misses are a (2, m) array: the rows
+    where the offset differs (boundary rows, padding slots, empty rows)
+    and their columns; None, to gather the plane whole, when they are
+    more than ``_SHIFT_MAX_MISSES`` of its rows.
+    """
+    n = cols.shape[1]
+    shifts, misses = [], []
+    for plane in cols:
+        offsets = plane - np.arange(n)
+        shift = int(np.argmax(np.bincount(offsets + n))) - n
+        rows = np.flatnonzero(offsets != shift)
+        shifts.append(shift)
+        misses.append(None if rows.size > _SHIFT_MAX_MISSES * n else np.stack([rows, plane[rows]]))
+    return np.array(shifts, dtype=np.int64), tuple(misses)
 
 
 def _signal(values) -> np.ndarray:

@@ -252,6 +252,32 @@ class TestSpectralRadiusSource:
         # sharp on a single edge: the 2x2 block is the whole matrix
         assert _lambda_floor(P2) == 2.0
 
+    def test_floor_reads_padded_planes_in_place(self):
+        # on a padded-plane operator the floor reads the planes, not CSR
+        # arrays gathered from them, and takes the maximum the CSR pass took
+        def csr_floor(op):
+            rows = np.repeat(np.arange(op.n), np.diff(op.row_ptr))
+            on_diag = rows == op.col_idx
+            diag = np.zeros(op.n)
+            diag[rows[on_diag]] = op.values[on_diag]
+            a, b = diag[rows[~on_diag]], diag[op.col_idx[~on_diag]]
+            pair = 0.5 * (a + b) + np.hypot(0.5 * (a - b), op.values[~on_diag])
+            return float(max(diag.max(), pair.max(initial=-math.inf)))
+
+        ops = [build_laplacian(lattice_edges(20, 20), 400),
+               build_laplacian(lattice_edges(20, 20), 400, kind="normalized"),
+               build_laplacian([(0, 1, 0.3), (1, 2, 2.0)], 4),  # node 3's row is empty
+               build_laplacian(path_edges(30), 30).scaled(0.37),
+               build_laplacian(erdos_renyi(60, 0.2, seed=3), 60)]  # reduceat layout
+        for op in ops:
+            floor = _lambda_floor(op)
+            assert (op._col_idx is None) == (op._cols is not None)
+            assert floor == csr_floor(op)
+        L = build_laplacian(lattice_edges(30, 30), 900)
+        x = np.random.default_rng(4).standard_normal(900)
+        expm_multiscale(L, x, [0.5, 2.0], 1e-6, lambda_max=8.0)
+        assert L._col_idx is None and L._values is None
+
     def test_zero_lambda_allowed_on_zero_operator(self):
         L = build_laplacian([], 3)
         y, rep = expm_multiply(L, np.array([1.0, 2.0, 3.0]), 1.0, lambda_max=0.0)

@@ -167,6 +167,11 @@ class TestSparseSymMatrix:
             return build_laplacian(lattice_edges(20, 20), 400)
         if case == "lattice-20x20-normalized":
             return build_laplacian(lattice_edges(20, 20), 400, kind="normalized")
+        if case == "lattice-20x20-relabelled":  # no plane has a dominant shift
+            perm = np.random.default_rng(3).permutation(400)
+            return build_laplacian(perm[np.array(lattice_edges(20, 20))], 400)
+        if case == "path-300":
+            return build_laplacian(path_edges(300), 300)
         if case == "grid-6x7x8":
             return build_laplacian(lattice_edges(6, 7, 8), 336)
         if case == "weighted.txt":  # node 12 is isolated: its row is empty
@@ -178,11 +183,15 @@ class TestSparseSymMatrix:
         return build_laplacian(edges, 60 + case)
 
     @pytest.mark.parametrize("case", [0, 7, "lattice-20x20", "lattice-20x20-normalized",
-                                      "grid-6x7x8", "weighted.txt"])
-    def test_matvec_bits_match_masked_reduction(self, case):
+                                      "lattice-20x20-relabelled", "path-300", "grid-6x7x8",
+                                      "weighted.txt"])
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_matvec_bits_match_masked_reduction(self, case, finite):
         # an isolated node has no diagonal entry in the combinatorial
         # Laplacian, so its row is empty and sums to +0.0; every other row
-        # sums as one reduceat over the row's entries, in either layout
+        # sums as one reduceat over the row's entries, in either layout, and
+        # the product with |A| likewise. Non-finite entries of x make rows
+        # of NaN and +-inf, whose bits (a NaN's sign too) follow as well.
         L = self._matvec_operator(case)
         counts = np.diff(L.row_ptr)
         assert int(np.sum(counts == 0)) == (case if isinstance(case, int) else
@@ -190,33 +199,80 @@ class TestSparseSymMatrix:
         # rows of at most 8 entries take the padded planes, wider ones reduceat
         assert (L._cols is not None) == isinstance(case, str)
         rng = np.random.default_rng(8)
+        sums = []
         for op in (L, L.scaled(0.37)):
             for _ in range(4):
                 x = rng.choice([-1.0, 1.0], op.n) * np.exp(rng.uniform(-30.0, 30.0, op.n))
-                zeros = rng.random(op.n) < 0.3
-                x[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
-                ref = np.zeros(op.n)
-                ref[counts > 0] = np.add.reduceat(op.values * x[op.col_idx],
-                                                  op.row_ptr[:-1][counts > 0])
-                assert op.matvec(x).tobytes() == ref.tobytes()
+                special = rng.random(op.n) < 0.3
+                x[special] = rng.choice([-0.0, 0.0] if finite else
+                                        [-0.0, 0.0, math.nan, math.inf, -math.inf],
+                                        int(special.sum()))
+                for absolute in (False, True):
+                    values = np.abs(op.values) if absolute else op.values
+                    ref = np.zeros(op.n)
+                    with np.errstate(invalid="ignore"):
+                        ref[counts > 0] = np.add.reduceat(values * x[op.col_idx],
+                                                          op.row_ptr[:-1][counts > 0])
+                        got = op._product(x, absolute=absolute)
+                    assert got.tobytes() == ref.tobytes()
+                    sums.append(ref)
+                    if not absolute:
+                        with np.errstate(invalid="ignore"):
+                            assert op.matvec(x).tobytes() == ref.tobytes()
+        sums = np.concatenate(sums)
+        assert np.isfinite(sums).all() == finite
+        assert finite or (np.isnan(sums).any() and np.isinf(sums).any())
+
+    def test_planes_read_shifted_slices(self):
+        # a padded plane keeps its most common offset cols[j, i] - i and the
+        # rows off it, and is gathered whole when those exceed a quarter of
+        # its rows. On a lattice, whose planes sit on fixed diagonals, the
+        # misses stay at 2% of the plane slots; a relabelled one, where no
+        # offset holds for half the rows, gathers every plane.
+        assert chebheat.graphs._SHIFT_MAX_MISSES == 0.25
+        L = build_laplacian(lattice_edges(200, 200), 40000)
+        assert L._shifts.tolist() == [-200, -1, 0, 1, 200]
+        assert all(m is not None for m in L._misses)
+        assert sum(m.shape[1] for m in L._misses) <= 0.02 * L._cols.size
+        perm = np.random.default_rng(5).permutation(40000)
+        R = build_laplacian(perm[np.array(lattice_edges(200, 200))], 40000)
+        for cols, shift, misses in zip(R._cols, R._shifts, R._misses):
+            off = int(np.sum(cols - np.arange(R.n) != shift))
+            assert off > 0.5 * R.n and misses is None
+        for op in (L, R, self._matvec_operator("grid-6x7x8"),
+                   self._matvec_operator("weighted.txt")):
+            for cols, shift, misses in zip(op._cols, op._shifts, op._misses):
+                offsets = cols - np.arange(op.n)
+                assert shift == np.argmax(np.bincount(offsets + op.n)) - op.n
+                rows = np.flatnonzero(offsets != shift)
+                if rows.size > 0.25 * op.n:
+                    assert misses is None
+                else:
+                    assert misses.tolist() == [rows.tolist(), cols[rows].tolist()]
+                    assert not misses.flags.writeable
 
     @pytest.mark.parametrize("length", range(1, 9))
     def test_reduceat_sums_short_rows_in_the_plane_order(self, length):
         # matvec's padded planes rest on numpy's order for a row of at most
-        # 8 entries: a_0 + (((a_1 + a_2) + a_3) + ...), padded with -0.0. A
-        # numpy that sums such rows in another order fails here.
+        # 8 entries: (((a_1 + a_2) + a_3) + ...) + a_0, padded with -0.0. A
+        # numpy that sums such rows in another order fails here, and one
+        # that swaps the operands of an addition fails on the NaN entries,
+        # whose payloads (0x1 to 0xfff) tell the operands apart.
         assert chebheat.graphs._PLANE_MAX_WIDTH == 8
         rng = np.random.default_rng(length)
         rows = 20000
         a = rng.choice([-1.0, 1.0], (rows, length)) * np.exp(rng.uniform(-20.0, 20.0,
                                                                         (rows, length)))
-        zeros = rng.random((rows, length)) < 0.3
-        a[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+        special = rng.random((rows, length)) < 0.3
+        a[special] = rng.choice([-0.0, 0.0], int(special.sum()))
+        nans = rng.random((rows, length)) < 0.1
+        sign = rng.choice(np.array([0x7ff8 << 48, 0xfff8 << 48], dtype=np.uint64), int(nans.sum()))
+        a[nans] = (sign | rng.integers(1, 0x1000, sign.size, dtype=np.uint64)).view(np.float64)
         planes = np.full((8, rows), -0.0)
         planes[:length] = a.T
         for j in range(2, 8):
             planes[1] += planes[j]
-        padded = planes[0] + planes[1]
+        padded = planes[1] + planes[0]
         ref = np.add.reduceat(a.ravel(), np.arange(0, a.size, length))
         assert padded.tobytes() == ref.tobytes()
 
@@ -240,6 +296,15 @@ class TestSparseSymMatrix:
         # and the column planes are structure; the CSR arrays are gathered
         # from the planes, with the bits the constructor was given
         assert S._cols is L._cols and S._col_idx is None and S._values is None
+        # and so are each plane's shift and misses: here two of four rows miss
+        # every plane's shift, so each plane is gathered whole; a lattice's
+        # planes read shifted slices
+        assert S._shifts is L._shifts and S._misses is L._misses
+        assert L._shifts.tolist() == [-1, 0, 1] and L._misses == (None, None, None)
+        Q = build_laplacian(lattice_edges(20, 20), 400)
+        R = Q.scaled(0.5)
+        assert R._shifts is Q._shifts and R._misses is Q._misses
+        assert all(m is not None for m in Q._misses) and not Q._shifts.flags.writeable
         assert S.row_ptr.tolist() == [0, 2, 5, 7, 7]
         assert S.col_idx.tolist() == [0, 1, 0, 1, 2, 1, 2]
         assert S.values.tolist() == [0.5, -0.5, -0.5, 1.0, -0.5, -0.5, 0.5]
