@@ -126,15 +126,16 @@ def estimate_lambda_max(op: SparseSymMatrix) -> float:
     return _resolve_lambda(op, None)[0]
 
 
-def _diagonal(op: SparseSymMatrix, planes: bool = False):
+def _diagonal(op: SparseSymMatrix):
     """Each stored entry's row, column and value, which are off the diagonal, and the diagonal.
 
-    The entries in CSR order, or with ``planes`` on a padded-plane
-    operator read from its planes in place, so that no CSR array is
-    gathered and kept; padding slots (column ``n`` or ``n + 1``) are
-    then neither on the diagonal nor off it.
+    A padded-plane operator's entries are read from its planes in place,
+    so that no CSR array is gathered and kept; its padding slots (column
+    ``n`` or ``n + 1``) are neither on the diagonal nor off it. Entry j
+    of row i sits in plane j, so a row's entries still come in CSR
+    order.
     """
-    if planes and op._cols is not None:
+    if op._cols is not None:
         rows = np.broadcast_to(np.arange(op.n), op._cols.shape)
         cols, vals = op._cols, op._vals
     else:
@@ -153,13 +154,11 @@ def _lambda_floor(op: SparseSymMatrix) -> float:
     diagonal entry and the largest eigenvalue of every 2x2 principal
     submatrix; this takes the maximum over the diagonal and over the
     submatrices of the stored off-diagonal entries. Computed afresh for
-    each given ``lambda_max``, one pass over the stored entries, read
-    from the padded planes where they hold them: a maximum takes its
-    operands in any order.
+    each given ``lambda_max``, one pass over the stored entries.
     """
     if op.nnz == 0:
         return 0.0
-    rows, cols, vals, off, diag = _diagonal(op, planes=True)
+    rows, cols, vals, off, diag = _diagonal(op)
     a = diag[rows[off]]
     b = diag[cols[off]]
     pair = 0.5 * (a + b) + np.hypot(0.5 * (a - b), vals[off])
@@ -197,11 +196,11 @@ def _require_psd(op: SparseSymMatrix) -> None:
     semidefinite. Any other operator must have ``a_ii >= sum_{j != i}
     |a_ij|`` on every row, compared with no slack: then every Gershgorin
     disc, and so every eigenvalue, lies in [0, inf). One pass over the
-    stored entries, no matvecs.
+    stored entries, each row's magnitudes added in CSR order, no matvecs.
     """
     if op.kernel_vector is not None:
         return
-    rows, _, vals, off_diag, diag = _diagonal(op)  # in CSR order, which the row sums take
+    rows, _, vals, off_diag, diag = _diagonal(op)
     off = np.bincount(rows[off_diag], weights=np.abs(vals[off_diag]), minlength=op.n)
     bad = np.flatnonzero(diag < off)
     if bad.size:

@@ -81,7 +81,10 @@ _PLANE_MAX_WIDTH = 8
 # in 3% to 17% of their rows, took 0.40 to 0.45 ms at this share and 0.46
 # to 0.47 ms with its two 14% to 17% planes gathered; a 1000x3 lattice,
 # whose planes miss in 0.1%, 33% and 67% of their rows, took 0.037 to 0.042
-# ms here and 0.051 to 0.052 ms with its 33% planes shifted.
+# ms here and 0.051 to 0.052 ms with its 33% planes shifted. These are
+# microbenchmarks only: no benchmark workload gathers a plane whole (the
+# lattice workload's planes miss in about 1% of their rows, the others'
+# operators are wider than _PLANE_MAX_WIDTH).
 _SHIFT_MAX_MISSES = 0.25
 
 

@@ -483,6 +483,37 @@ class TestMakePlan:
                 else:
                     make_plan(op, x, [1.0], 1e-8, kind=kind)
 
+    def test_psd_check_reads_padded_planes_in_place(self):
+        # a kernel-less operator with rows of at most 8 entries is checked
+        # from its planes, which hold each row's entries in CSR order, so
+        # every row sum has the bits of the CSR pass and no CSR array is
+        # gathered. Each diagonal is set to exactly that sum, which the
+        # check admits with no slack; one ulp below it, row 77 is refused.
+        rng = np.random.default_rng(6)
+        edges = [(i, j, w) for (i, j), w in zip(lattice_edges(12, 12),
+                                                 rng.uniform(0.1, 3.0, 264))]
+        csr = build_laplacian(edges, 144)
+        rows = np.repeat(np.arange(144), np.diff(csr.row_ptr))
+        on_diag = rows == csr.col_idx
+        sums = np.zeros(144)
+        for k in np.flatnonzero(~on_diag):  # one addition at a time, in CSR order
+            sums[rows[k]] += abs(csr.values[k])
+        for row, expected in ((None, None), (77, np.nextafter(sums[77], 0.0))):
+            vals = csr.values.copy()
+            vals[on_diag] = sums
+            if row is not None:
+                vals[on_diag.nonzero()[0][row]] = expected
+            op = SparseSymMatrix(144, csr.row_ptr, csr.col_idx, vals)
+            assert op.kernel_vector is None and op._cols is not None
+            if row is None:
+                chebheat.diffusion._require_psd(op)
+            else:
+                with pytest.raises(ValueError) as info:
+                    chebheat.diffusion._require_psd(op)
+                assert (f"row 77 has diagonal {float(expected)!r} below {float(sums[77])!r},"
+                        in str(info.value))
+            assert op._col_idx is None and op._values is None
+
 
 # squared relative error that rounding alone leaves: an a-priori bound far
 # below it (the bound at a small scale of a run planned for a large one) is

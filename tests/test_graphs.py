@@ -190,8 +190,9 @@ class TestSparseSymMatrix:
         # Laplacian, so its row is empty and sums to +0.0; every other row
         # sums as one reduceat over the row's entries, in either layout, and
         # the product with |A| likewise. NaN and +-inf entries of x (in the
-        # nonfinite case) make rows of NaN and +-inf, whose bits, a NaN's
-        # sign too, follow as well.
+        # nonfinite case) make rows of NaN and +-inf in the same places; a
+        # NaN's payload and sign are not compared, since which one an
+        # addition of two NaNs keeps depends on numpy's build and the CPU.
         finite = case != "lattice-20x20-nonfinite"
         L = self._matvec_operator(case)
         counts = np.diff(L.row_ptr)
@@ -215,11 +216,15 @@ class TestSparseSymMatrix:
                         ref[counts > 0] = np.add.reduceat(values * x[op.col_idx],
                                                           op.row_ptr[:-1][counts > 0])
                         got = op._product(x, absolute=absolute)
-                    assert got.tobytes() == ref.tobytes()
+                    nan = np.isnan(ref)
+                    assert np.array_equal(np.isnan(got), nan)
+                    assert got[~nan].tobytes() == ref[~nan].tobytes()
                     sums.append(ref)
                     if not absolute:
                         with np.errstate(invalid="ignore"):
-                            assert op.matvec(x).tobytes() == ref.tobytes()
+                            got = op.matvec(x)
+                        assert np.array_equal(np.isnan(got), nan)
+                        assert got[~nan].tobytes() == ref[~nan].tobytes()
         sums = np.concatenate(sums)
         assert np.isfinite(sums).all() == finite
         assert finite or (np.isnan(sums).any() and np.isinf(sums).any())
@@ -256,19 +261,14 @@ class TestSparseSymMatrix:
     def test_reduceat_sums_short_rows_in_the_plane_order(self, length):
         # matvec's padded planes rest on numpy's order for a row of at most
         # 8 entries: (((a_1 + a_2) + a_3) + ...) + a_0, padded with -0.0. A
-        # numpy that sums such rows in another order fails here, and one
-        # that swaps the operands of an addition fails on the NaN entries,
-        # whose payloads (0x1 to 0xfff) tell the operands apart.
+        # numpy that sums such rows in another order fails here.
         assert chebheat.graphs._PLANE_MAX_WIDTH == 8
         rng = np.random.default_rng(length)
         rows = 20000
         a = rng.choice([-1.0, 1.0], (rows, length)) * np.exp(rng.uniform(-20.0, 20.0,
                                                                         (rows, length)))
-        special = rng.random((rows, length)) < 0.3
-        a[special] = rng.choice([-0.0, 0.0], int(special.sum()))
-        nans = rng.random((rows, length)) < 0.1
-        sign = rng.choice(np.array([0x7ff8 << 48, 0xfff8 << 48], dtype=np.uint64), int(nans.sum()))
-        a[nans] = (sign | rng.integers(1, 0x1000, sign.size, dtype=np.uint64)).view(np.float64)
+        zeros = rng.random((rows, length)) < 0.3
+        a[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
         planes = np.full((8, rows), -0.0)
         planes[:length] = a.T
         for j in range(2, 8):
