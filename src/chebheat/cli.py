@@ -15,11 +15,11 @@ from contextlib import nullcontext
 
 import numpy as np
 
+from ._rows import write_rows
 from .bounds import AUTO, BoundKind, energy_ratio, min_order, true_min_order
 from .diffusion import estimate_lambda_max, expm_multiscale
 from .errors import NumericalError
-from .graphs import (build_laplacian, erdos_renyi, load_graph, load_signal, save_edge_list,
-                     write_rows)
+from .graphs import build_laplacian, erdos_renyi, load_graph, load_signal, save_edge_list
 
 __all__ = ["main", "entry"]
 
@@ -138,15 +138,12 @@ def cmd_bound_table(args) -> None:
         fh.write(f"# n={args.n} p={_fmt(args.p)} trials={args.trials}"
                  f" tol={_fmt(args.tol)} seed={args.seed}\n")
         cols = ["tau", "tau_eff_median"]
-        for name, _ in names:
+        values = [np.array(data["taus"]), np.median(data["tau_effs"], axis=0)]
+        for name, arr in names:
             cols += [f"k_{name}_q25", f"k_{name}_median", f"k_{name}_q75"]
+            values += list(np.percentile(arr, [25.0, 50.0, 75.0], axis=0))
         fh.write(",".join(cols) + "\n")
-        for j, tau in enumerate(data["taus"]):
-            row = [_fmt(tau), _fmt(float(np.median(data["tau_effs"][:, j])))]
-            for _, arr in names:
-                q25, q50, q75 = np.percentile(arr[:, j], [25.0, 50.0, 75.0])
-                row += [_fmt(q25), _fmt(q50), _fmt(q75)]
-            fh.write(",".join(row) + "\n")
+        write_rows(fh, ",".join(["%.17g"] * len(values)) + "\n", values)
 
 
 def cmd_gen_graph(args) -> None:

@@ -29,6 +29,17 @@ head, tries one numpy read of every record at the first one, and
 otherwise parses the file line by line, so each ``ParseError`` names its
 line.
 
+:func:`save_edge_list` writes through :func:`chebheat._rows.write_rows`,
+the package's one row writer, with the bytes ``%`` gives. numpy renders
+a block of rows at a time; a ``%.17g`` value gets its 17 digits exactly
+in float64 arrays. Dekker's exact product of ``|v|`` and a double-double
+power of ten gives ``|v| 10**(16 - X)`` as an integer-valued double and a
+remainder computed to within 4.6e-15 (two roundings and the table's last
+term; exactly where 10**s is a double). A value whose rounding that
+bound leaves undecided (an exact tie among them), a NaN, an infinity or
+a magnitude outside [1e-280, 1e280] falls back to ``'%.17g' % v``. The
+proof is in ``write_rows``.
+
 Random graphs come from :func:`erdos_renyi`, which on a large graph
 draws its one random stream in two halves at once, the second on one
 helper thread. :func:`_helper_cpus` is the package's one rule for
@@ -41,7 +52,6 @@ work.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import re
@@ -50,6 +60,7 @@ import warnings
 
 import numpy as np
 
+from ._rows import write_rows
 from .errors import ParseError
 
 __all__ = [
@@ -854,22 +865,6 @@ def load_graph(path):
     if first.lower().startswith("%%matrixmarket"):
         return _parse_matrix_market(path)
     return _parse_edge_list(path)
-
-
-_BLOCK_ROWS = 4096  # rows formatted per write; keeps the value lists small
-
-
-def write_rows(fh, row_format: str, columns) -> None:
-    """Write row r as ``row_format % tuple(c[r] for c in columns)``, in blocks.
-
-    ``columns`` are equal-length 1-d arrays. ``%d`` of an int and
-    ``%.17g`` of a float give the bytes ``str`` and ``format(v, ".17g")``
-    give; each block's values are formatted by one %-operation.
-    """
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        rows = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in columns))
-        block = tuple(itertools.chain.from_iterable(rows))
-        fh.write((row_format * (len(block) // len(columns))) % block)
 
 
 def save_edge_list(path, edges, n: int, comment: str | None = None):

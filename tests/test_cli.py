@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import chebheat._rows
 import chebheat.diffusion
 from chebheat.cli import bound_table_data, main
 from chebheat.diffusion import expm_multiscale
@@ -227,6 +228,24 @@ class TestDiffuse:
         expected = [str(i) + "," + ",".join(format(float(c[i]), ".17g") for c in cols)
                     for i in range(n)]
         assert data_lines(out.read_text())[1:] == expected
+
+    def test_negative_zero_prints_as_percent_does(self, tmp_path, capsys):
+        # scale 0 returns the signal, whose -0.0 entries print as -0; the
+        # rows span more than one block of the writer
+        n = 12000
+        x = np.random.default_rng(5).standard_normal(n)
+        x[::7] = -0.0
+        sig = tmp_path / "x.txt"
+        sig.write_text("".join(f"{v!r}\n" for v in x.tolist()), encoding="utf-8")
+        code, out, _ = run(capsys, "diffuse", "--graph", f"er:{n}:0.0005:1", "--signal", str(sig),
+                           "--scales", "0,1")
+        assert code == 0
+        rows = data_lines(out)[1:]
+        assert len(rows) > chebheat._rows._BLOCK_VALUES // 3
+        op = build_laplacian(erdos_renyi(n, 0.0005, seed=1), n)
+        (y0, _), (y1, _) = expm_multiscale(op, load_signal(str(sig), n), [0.0, 1.0], tol=1e-5)
+        assert rows == ["%d,%.17g,%.17g" % r for r in zip(range(n), y0.tolist(), y1.tolist())]
+        assert [r.split(",")[1] for r in rows[::7]] == ["-0"] * len(x[::7])
 
 
 class TestBoundTable:
