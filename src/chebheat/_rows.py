@@ -17,15 +17,11 @@ writer inside it the peak memory of compiling it rose from 2.3 to 3.1 MiB.
 
 from __future__ import annotations
 
-import itertools
-import re
-
 import numpy as np
 
 __all__ = ["write_rows"]
 
 _BLOCK_VALUES = 1 << 15  # fields formatted per write; bounds the temporaries
-_FIELD = re.compile(r"%(d|\.17g)")
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's factor for 26-bit halves
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # magnitudes whose digits numpy computes
 _TEN_MIN, _TEN_MAX = -265, 297  # the exponents s of the 10**s they need
@@ -207,20 +203,18 @@ def _float_cells(v):
     return np.signbit(v) & ~fallback, words, fallback
 
 
-_RENDER = {"d": (_int_cells, np.int64), ".17g": (_float_cells, np.float64)}
+def write_rows(fh, sep: str, ints, floats) -> None:
+    """Write row r as its ``%d`` fields, then its ``%.17g`` fields, each after ``sep``.
 
-
-def write_rows(fh, row_format: str, columns) -> None:
-    """Write row r as ``row_format % tuple(c[r] for c in columns)``, in blocks.
-
-    ``columns`` are equal-length 1-d arrays, one per field of
-    ``row_format``, whose only conversions are ``%d`` (of int64 values)
-    and ``%.17g`` (of float64 values). numpy makes the bytes ``%`` would:
+    Row r holds ``'%d' % q[r]`` for each ``q`` of ``ints`` (int64 values),
+    then ``'%.17g' % v[r]`` for each ``v`` of ``floats`` (float64 values),
+    joined by ``sep`` and ended by a newline; the columns are equal-length
+    1-d arrays. numpy makes those bytes a block of rows at a time:
 
     - Each field of a block of rows is a fixed run of 4-byte words from
       one table: 4-digit groups, the decimal point, the exponent and the
-      text around the fields. A character a value lacks is a NUL byte,
-      and ``bytes.translate`` drops them from the block.
+      separator before the field. A character a value lacks is a NUL
+      byte, and ``bytes.translate`` drops them from the block.
     - A ``%d`` field is its sign and 4-digit groups: ``//`` by 10000 and
       a table gather through a uint32 view. So is a ``%.17g`` field that
       holds an integer below 1e17, which ``%.17g`` prints as ``%d`` does,
@@ -255,46 +249,33 @@ def write_rows(fh, row_format: str, columns) -> None:
     prints ``D`` in fixed notation when ``-4 <= X < 17``, else as
     ``d.ddde+XX``, with trailing zeros dropped.
     """
-    text = _FIELD.split(row_format)
-    kinds = text[1::2]
-    if len(kinds) != len(columns) or "%" in "".join(text[0::2]):
-        raise ValueError(f"row format {row_format!r} needs one %d or %.17g per column")
-    # the k words of the text before each field, without and with a minus sign
-    lead_words, leads, size = [], [], len(_WORDS)
-    for t in text[0:-1:2]:
-        k = len(t) // 4 + 1
-        lead_words += [_pack([t], k), _pack([t + "-"], k)]
-        leads.append((size, k))
-        size += 2 * k
-    table = np.concatenate([_WORDS, *lead_words])
-    tail = _pack([text[-1]], max(1, -(-len(text[-1]) // 4)))
-    fields = {kind: [f for f, other in enumerate(kinds) if other == kind] for kind in kinds}
-    runs = [(kind, len(list(group))) for kind, group in itertools.groupby(kinds)]
-    step = max(1, _BLOCK_VALUES // len(columns))
-    for start in range(0, len(columns[0]), step):
-        cells = {}
-        for kind, fs in fields.items():
-            render, dtype = _RENDER[kind]
-            values = np.stack([columns[f][start:start + step] for f in fs], axis=1)
+    # the k words of the text before a field: nothing or sep, each without
+    # and with a minus sign; the row's first field takes nothing
+    k = len(sep) // 4 + 1
+    table = np.concatenate([_WORDS, _pack(["", "-", sep, sep + "-"], k)])
+    blocks = [(render, dtype, cols) for render, dtype, cols in
+              ((_int_cells, np.int64, ints), (_float_cells, np.float64, floats)) if len(cols)]
+    step = max(1, _BLOCK_VALUES // (len(ints) + len(floats)))
+    for start in range(0, len(blocks[0][2][0]), step):
+        row, first = [], True
+        for render, dtype, cols in blocks:
+            values = np.stack([c[start:start + step] for c in cols], axis=1)
             values = values.astype(dtype, copy=False)
             neg, words, fallback = render(values)
-            base, k = np.array([leads[f] for f in fs]).T
-            width = k.max()
-            cell = np.empty(neg.shape + (width + len(words),), dtype=np.uint32)
-            for i in range(width):
-                cell[..., i] = table.take(np.where(i < k, base + i + k * neg, _NUL))
+            after = np.arange(len(cols)) > 0 if first else True  # the fields after sep
+            lead = len(_WORDS) + k * (neg + 2 * after)
+            cell = np.empty(neg.shape + (k + len(words),), dtype=np.uint32)
+            for i in range(k):
+                cell[..., i] = table.take(lead + i)
             for w, word in enumerate(words):
-                cell[..., width + w] = table.take(word)
+                cell[..., k + w] = table.take(word)
             if fallback is not None and fallback.any():
                 # at most 24 bytes, as -1.2345678901234567e-308, in a body of
                 # at least 6 words: the integer part, the head, 4 groups
                 r, j = np.nonzero(fallback)
                 strings = ["%.17g" % v for v in values[r, j].tolist()]
-                cell[r, j, width:width + 6] = _pack(strings, 6).reshape(-1, 6)
-            cells[kind] = cell
-        row = []
-        for kind, count in runs:  # the next ``count`` fields of that kind
-            cell, cells[kind] = cells[kind][:, :count], cells[kind][:, count:]
+                cell[r, j, k:k + 6] = _pack(strings, 6).reshape(-1, 6)
             row.append(cell.reshape(len(cell), -1))
-        row.append(np.broadcast_to(tail, (len(row[0]), len(tail))))
+            first = False
+        row.append(np.broadcast_to(_pack(["\n"]), (len(row[0]), 1)))
         fh.write(np.concatenate(row, axis=1).tobytes().translate(None, b"\0").decode("ascii"))

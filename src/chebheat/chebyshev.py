@@ -13,22 +13,21 @@ only its coefficient vector, so each basis vector is added to every
 output whose vector reaches it soon after the recurrence yields it, and
 none is stored.
 
-Recombination is two stages joined by two queues. The calling thread
-runs the recurrence, and so every matvec, and puts each row on the first
-queue; one helper thread per :func:`combine` call takes every row waiting
-there at once, adds them into one output after another, each in
-ascending order, and answers each row on the second queue with ``None``
-or the exception that ended it. numpy releases the GIL inside those
-array operations, so the two stages overlap; taking the rows in groups
-keeps each output in cache across them. A row is drawn only once a slot
-is free, that is while fewer than ``_IN_FLIGHT`` rows are unanswered,
-and every answer already waiting is read first, so a helper error
-re-raises at the next row and no matvec is spent after it. The helper
-thread holds only that queue loop: :class:`chebheat.graphs._helper_thread`
-starts it off the CPU the calling thread is on and joins it. With a
-single CPU available, or on runs too small to repay a thread, the
-additions run inline, in the same order, so the output bits never
-depend on the thread count.
+Recombination is two stages joined by one queue. The calling thread
+runs the recurrence, and so every matvec, and puts each row on the
+queue; one helper thread per :func:`combine` call takes every row
+waiting there at once and adds them into one output after another, each
+in ascending order. numpy releases the GIL inside those array
+operations, so the two stages overlap; taking the rows in groups keeps
+each output in cache across them. A row is drawn only once it gets one
+of ``_IN_FLIGHT`` slots, which the helper gives back once it has let the
+row go, so few rows are alive at once. The helper holds only that loop:
+:class:`chebheat.graphs._helper_thread` starts it off the CPU the
+calling thread is on, joins it and raises its error, and the calling
+thread draws no row once that error is known. With a single CPU
+available, or on runs too small to repay a thread, the additions run
+inline, in the same order, so the output bits never depend on the
+thread count.
 
 Each output has its own coefficient vector, of its own length, and
 takes no row past it. Within that length a coefficient may still
@@ -48,6 +47,7 @@ bits of the plain expression.
 from __future__ import annotations
 
 import queue
+import threading
 from itertools import islice
 
 import numpy as np
@@ -57,7 +57,7 @@ from .graphs import SparseSymMatrix, _helper_cpus, _helper_thread
 
 __all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "build_basis", "combine"]
 
-# rows handed to the helper thread and not yet answered. On the 200x200
+# slots for rows handed to the helper thread and not yet let go. On the 200x200
 # lattice at 32 scales (2 vCPUs, K 88, each scale to its own order),
 # lib-grid-multiscale job_s read medians of 0.101 s with 8 and 0.104 s with
 # 16 over 10 alternating pairs (8 lower in 4), and 0.104 s with 32 and
@@ -181,10 +181,9 @@ def combine(basis, c) -> np.ndarray:
     change after they are yielded. The helper takes every row waiting
     for it at once and adds them to one output before the next. A row
     is drawn only once fewer than ``_IN_FLIGHT`` rows wait on the
-    helper, and an error of the helper re-raises here before the next
-    row is drawn. Rows that run out before the coefficients raise
-    ``ValueError``; any error is raised here once the helper has been
-    joined.
+    helper, and none is drawn once the helper has failed. Rows that run
+    out before the coefficients raise ``ValueError``; any error, the
+    helper's too, is raised here once the helper has been joined.
     """
     c = [np.asarray(ci, dtype=np.float64) for ci in c]
     coefficients = [ci.tolist() for ci in c]
@@ -226,45 +225,31 @@ def combine(basis, c) -> np.ndarray:
             add([(k, next_row(k))])
         return out
 
-    rows_out, done = queue.SimpleQueue(), queue.SimpleQueue()
+    rows_out, slots = queue.SimpleQueue(), threading.Semaphore(_IN_FLIGHT)
 
     def helper():
-        while True:
-            batch = [rows_out.get()]  # every row waiting, in the order put
-            while not rows_out.empty():
-                batch.append(rows_out.get())
-            closed = batch[-1] is None  # None is the last item ever put
-            if closed:
-                batch.pop()
-            if batch:
-                try:
-                    add(batch)
-                    token = None
-                except BaseException as exc:  # handed to the calling thread
-                    token = exc
-                answers = len(batch)
-                del batch  # a row settles only once the helper lets it go
-                for _ in range(answers):
-                    done.put(token)
-            if closed:
-                return
+        try:
+            while True:
+                batch = [rows_out.get()]  # every row waiting, in the order put
+                while not rows_out.empty():
+                    batch.append(rows_out.get())
+                if batch[-1] is None:  # None is the last item ever put
+                    add(batch[:-1])
+                    return
+                add(batch)
+                taken = len(batch)
+                del batch  # a slot frees only once the helper lets its row go
+                slots.release(taken)
+        finally:
+            slots.release(width)  # more than the caller can still take: it never waits again
 
-    def settle():
-        token = done.get()
-        if token is not None:
-            raise token
-
-    unsettled = 0
-    with _helper_thread(helper, cpus, "chebheat-combine"):
+    with _helper_thread(helper, cpus, "chebheat-combine") as failed:
         try:
             for k in range(1, width):
-                while unsettled == _IN_FLIGHT or (unsettled and not done.empty()):
-                    settle()
-                    unsettled -= 1
+                slots.acquire()
+                if failed:
+                    break
                 rows_out.put((k, next_row(k)))
-                unsettled += 1
         finally:
             rows_out.put(None)
-    while not done.empty():
-        settle()
     return out

@@ -19,7 +19,8 @@ from ._rows import write_rows
 from .bounds import AUTO, BoundKind, energy_ratio, min_order, true_min_order
 from .diffusion import estimate_lambda_max, expm_multiscale
 from .errors import NumericalError
-from .graphs import build_laplacian, erdos_renyi, load_graph, load_signal, save_edge_list
+from .graphs import (_spec_field, build_laplacian, erdos_renyi, load_graph, load_signal,
+                     save_edge_list)
 
 __all__ = ["main", "entry"]
 
@@ -39,7 +40,8 @@ def _parse_scales(spec: str) -> list[float]:
         parts = rest.split(":")
         if len(parts) != 3:
             raise ValueError(f"--scales grid must be {head}:start:stop:count, got {spec!r}")
-        a, b, m = float(parts[0]), float(parts[1]), int(parts[2])
+        a, b, m = (_spec_field(f"--scales {spec!r}", field, convert, text) for field, convert, text
+                   in zip(("start", "stop", "count"), (float, float, int), parts))
         if m < 1:
             raise ValueError("--scales grid count must be >= 1")
         if head == "lin":
@@ -59,7 +61,8 @@ def _resolve_graph(spec: str, laplacian: str):
         parts = spec.split(":")
         if len(parts) != 4:
             raise ValueError(f"--graph generator must be er:n:p:seed, got {spec!r}")
-        n, p, seed = int(parts[1]), float(parts[2]), int(parts[3])
+        n, p, seed = (_spec_field(f"--graph {spec!r}", field, convert, text) for field, convert, text
+                      in zip(("n", "p", "seed"), (int, float, int), parts[1:]))
         edges = erdos_renyi(n, p, seed)
     else:
         edges, n = load_graph(spec)
@@ -86,8 +89,7 @@ def cmd_diffuse(args) -> None:
                  f" bound={_fmt(max(r.bound for _, r in results))} tol={_fmt(rep.tol)}"
                  f" matvecs={rep.matvecs} setup_matvecs={rep.setup_matvecs}\n")
         fh.write("node," + ",".join(f"tau={_fmt(t)}" for t in scales) + "\n")
-        write_rows(fh, "%d," + ",".join(["%.17g"] * len(results)) + "\n",
-                   [np.arange(n)] + [y for y, _ in results])
+        write_rows(fh, ",", [np.arange(n)], [y for y, _ in results])
 
 
 def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
@@ -143,7 +145,7 @@ def cmd_bound_table(args) -> None:
             cols += [f"k_{name}_q25", f"k_{name}_median", f"k_{name}_q75"]
             values += list(np.percentile(arr, [25.0, 50.0, 75.0], axis=0))
         fh.write(",".join(cols) + "\n")
-        write_rows(fh, ",".join(["%.17g"] * len(values)) + "\n", values)
+        write_rows(fh, ",", [], values)
 
 
 def cmd_gen_graph(args) -> None:

@@ -30,15 +30,8 @@ otherwise parses the file line by line, so each ``ParseError`` names its
 line.
 
 :func:`save_edge_list` writes through :func:`chebheat._rows.write_rows`,
-the package's one row writer, with the bytes ``%`` gives. numpy renders
-a block of rows at a time; a ``%.17g`` value gets its 17 digits exactly
-in float64 arrays. Dekker's exact product of ``|v|`` and a double-double
-power of ten gives ``|v| 10**(16 - X)`` as an integer-valued double and a
-remainder computed to within 4.6e-15 (two roundings and the table's last
-term; exactly where 10**s is a double). A value whose rounding that
-bound leaves undecided (an exact tie among them), a NaN, an infinity or
-a magnitude outside [1e-280, 1e280] falls back to ``'%.17g' % v``. The
-proof is in ``write_rows``.
+the package's one row writer, with the bytes ``%`` gives; that module
+holds how numpy renders them and the proof.
 
 Random graphs come from :func:`erdos_renyi`, which on a large graph
 draws its one random stream in two halves at once, the second on one
@@ -46,8 +39,8 @@ helper thread. :func:`_helper_cpus` is the package's one rule for
 whether, and off which CPU, a helper thread runs, and
 :class:`_helper_thread` its one runner: it starts, places and joins every
 helper thread, this one and :func:`chebheat.chebyshev.combine`'s, and
-hands its error to the calling thread, so the threads hold only their
-work.
+relays the errors of both to the calling thread, so the threads hold
+only their work.
 """
 
 from __future__ import annotations
@@ -571,9 +564,13 @@ class _helper_thread:
     :func:`_helper_cpus`; an empty one leaves the placement to the
     system, and an ``OSError`` is ignored, since placement is only a
     hint). It is joined when the body ends, on every path, so the body
-    must make ``work`` return. After the join, an error of ``work`` is
-    raised here, unless the body raised first. The one place where the
-    package starts, places and joins a thread.
+    must make ``work`` return. ``with`` binds a list that stays empty
+    until ``work`` raises and then holds its error, so the body can stop
+    early. After the join that error is raised here, unless the body
+    raised first. The one place where the package starts, places and
+    joins a thread, and the one that catches every error: both helpers'
+    errors, :func:`erdos_renyi`'s and :func:`chebheat.chebyshev.combine`'s,
+    reach the calling thread only through it.
     """
 
     def __init__(self, work, cpus, name):
@@ -595,6 +592,7 @@ class _helper_thread:
 
     def __enter__(self):
         self._thread.start()
+        return self._error
 
     def __exit__(self, kind, exc, tb):
         self._thread.join()
@@ -879,8 +877,15 @@ def save_edge_list(path, edges, n: int, comment: str | None = None):
         fh.write(f"# n={int(n)}\n")
         if comment:
             fh.write(f"# {comment}\n")
-        write_rows(fh, "%d %d %.17g\n",
-                   [a[:, 0].astype(np.int64), a[:, 1].astype(np.int64), a[:, 2]])
+        write_rows(fh, " ", [a[:, 0].astype(np.int64), a[:, 1].astype(np.int64)], [a[:, 2]])
+
+
+def _spec_field(spec, field, convert, text):
+    """``convert(text)``, the ``field`` of ``spec``; a ``ValueError`` names both when it fails."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{spec}: {field} {text!r} is not a valid {convert.__name__}") from None
 
 
 def _signal_value(path, line_no, line):
@@ -910,17 +915,16 @@ def load_signal(source, n: int | None = None) -> np.ndarray:
         if head in ("dirac", "normal", "const"):
             if n is None:
                 raise ValueError(f"signal spec {source!r} needs the node count")
+            field = {"dirac": "node k", "normal": "seed"}.get(head, "value v")
+            value = _spec_field(f"signal spec {source!r}", field,
+                                float if head == "const" else int, arg)
             if head == "dirac":
-                k = int(arg)
-                if not (0 <= k < n):
-                    raise ValueError(f"dirac node {k} out of range for n={n}")
-                v = np.zeros(n)
-                v[k] = 1.0
-                return _signal(v)
+                if not (0 <= value < n):
+                    raise ValueError(f"dirac node {value} out of range for n={n}")
+                return _signal(np.eye(1, n, value)[0])
             if head == "normal":
-                rng = np.random.default_rng(int(arg))
-                return _signal(rng.standard_normal(n))
-            return _signal(np.full(n, float(arg)))
+                return _signal(np.random.default_rng(value).standard_normal(n))
+            return _signal(np.full(n, value))
     with open(source, "r", encoding="utf-8") as fh:
         # bulk rows have the one field "x", which _signal casts to floats
         values = _body(fh, source, 0, "#",

@@ -492,6 +492,56 @@ def test_combine_reads_waiting_answers_before_drawing(monkeypatch):
     assert 5 not in drawn, drawn
 
 
+class _LateFailingRow:
+    """A row whose addition waits until ``drawn`` holds ``rows`` rows, then raises."""
+
+    def __init__(self, started, drawn, rows):
+        self.started, self.drawn, self.rows = started, drawn, rows
+        self.seen = None
+
+    def __array_ufunc__(self, *args, **kwargs):
+        self.started.set()
+        deadline = time.monotonic() + 10.0
+        while len(self.drawn) < self.rows and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)  # a caller with a free slot would draw another row here
+        self.seen = len(self.drawn)
+        raise ValueError("row 1 failed late")
+
+
+def test_combine_wakes_when_the_helper_fails_during_a_wait(monkeypatch):
+    # the helper holds row 1 alone while the caller draws until every slot
+    # is taken, by row 1 and the _IN_FLIGHT - 1 rows queued behind it; then
+    # row 1 fails. The caller, waiting for a slot, must wake and raise
+    force_combine_helper(monkeypatch)
+    op, x, C = _series_case()
+    started, drawn = threading.Event(), []
+    late = _LateFailingRow(started, drawn, _IN_FLIGHT + 1)
+    raised = []
+
+    def rows():
+        for k, t in enumerate(cheb_terms(op.matvec, x)):
+            if k == 2:
+                assert started.wait(timeout=10.0)  # the helper took row 1 alone
+            drawn.append(k)
+            yield late if k == 1 else t
+
+    def call():
+        try:
+            combine(rows(), C)
+        except ValueError as exc:
+            raised.append(exc)
+
+    before = threading.enumerate()
+    caller = threading.Thread(target=call, name="combine-caller", daemon=True)
+    caller.start()
+    caller.join(timeout=30.0)
+    assert not caller.is_alive(), "combine still waits for a slot"
+    assert [str(exc) for exc in raised] == ["row 1 failed late"]
+    assert late.seen == _IN_FLIGHT + 1  # rows 0 to _IN_FLIGHT: no row drawn without a slot
+    assert threading.enumerate() == before
+
+
 def test_combine_reraises_error_in_the_last_row(cpus):
     # no row is drawn after the last one fails, so its error is read after the join
     op, x, C = _series_case()

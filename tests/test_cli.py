@@ -195,6 +195,19 @@ class TestDiffuse:
                            "--signal", "dirac:0", "--scales", "lin:1:2")
         assert code == 2 and "--scales" in err
 
+    @pytest.mark.parametrize("flag, spec, message", [
+        ("--scales", "lin:a:1:3", "--scales 'lin:a:1:3': start 'a' is not a valid float"),
+        ("--scales", "log:1:10:x", "--scales 'log:1:10:x': count 'x' is not a valid int"),
+        ("--signal", "normal:1.5", "signal spec 'normal:1.5': seed '1.5' is not a valid int"),
+        ("--signal", "dirac:x", "signal spec 'dirac:x': node k 'x' is not a valid int"),
+        ("--signal", "const:abc", "signal spec 'const:abc': value v 'abc' is not a valid float"),
+        ("--graph", "er:10:x:1", "--graph 'er:10:x:1': p 'x' is not a valid float"),
+    ])
+    def test_bad_spec_field_names_the_spec_and_field(self, capsys, flag, spec, message):
+        argv = {"--graph": "er:20:0.3:1", "--signal": "dirac:0", "--scales": "1"}
+        argv[flag] = spec
+        code, out, err = run(capsys, "diffuse", *(a for item in argv.items() for a in item))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_normalized_skips_power_iteration(self, capsys):
         code, out, _ = run(capsys, "diffuse", "--graph", "er:20:0.3:2",

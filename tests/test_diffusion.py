@@ -912,3 +912,46 @@ class TestThreads:
             # the helper was alive beside the basis matvecs, and is gone
             assert max(count for _, count in seen) == len(before) + 1
             assert threading.enumerate() == before
+
+
+def _two_star():
+    """The two-star graph on which power iteration stops on a plateau.
+
+    Hub 0 has leaves 1..20 at weight 1.0, hub 21 leaves 22..41 at 1.05,
+    and a chain 1, 42, ..., 51, 22 joins them at 1.0; node v is relabelled
+    ``default_rng(26).permutation(52)[v]``, which makes the heavier hub
+    node 20. The estimate stops at 21.22 against a spectral radius of
+    22.05, 3.8% low; the certified ceiling ``auto`` takes is 22.1.
+    """
+    edges = [(0, v, 1.0) for v in range(1, 21)] + [(21, v, 1.05) for v in range(22, 42)]
+    chain = [1, *range(42, 52), 22]
+    edges += [(a, b, 1.0) for a, b in zip(chain, chain[1:])]
+    label = np.random.default_rng(26).permutation(52)
+    return build_laplacian([(int(label[a]), int(label[b]), w) for a, b, w in edges], 52)
+
+
+# the paper kinds rescale by the power estimate, so on the two-star graph
+# their bounds are false: measured 1.5e-5, 0.73 and 2.2e10 for new-specific,
+# 1.3e-4 and 4.5e11 for base-specific, all against bounds below 1e-8. The
+# fix that refutes a low estimate from the recurrence's rows flips these
+PAPER_KIND_HOLE = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                    reason="the power estimate is 3.8% low on the two-star graph")
+
+
+@pytest.mark.parametrize("kind, tau", [
+    pytest.param("new-specific", 1.0, marks=PAPER_KIND_HOLE),
+    pytest.param("new-specific", 5.0, marks=PAPER_KIND_HOLE),
+    pytest.param("new-specific", 20.0, marks=PAPER_KIND_HOLE),
+    pytest.param("base-specific", 5.0, marks=PAPER_KIND_HOLE),
+    pytest.param("base-specific", 20.0, marks=PAPER_KIND_HOLE),
+    ("auto", 1.0),
+    ("auto", 5.0),
+    ("auto", 20.0),
+])
+def test_two_star_measures_within_the_reported_bound(kind, tau):
+    L = _two_star()
+    x = load_signal("dirac:20", 52)
+    _, rep = expm_multiply(L, x, tau, tol=1e-8, kind=kind)
+    _, measured = measure_errors(L, x, tau, rep.order, lambda_max=rep.lambda_max)
+    assert rep.bound <= 1e-8
+    assert measured <= rep.bound

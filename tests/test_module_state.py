@@ -6,7 +6,8 @@ decorator in a package module would hold such state for the whole
 process instead, under a policy of its own, and so would a thread,
 queue, lock or pool made when the module is imported and shared by
 every call. Likewise one runner, ``graphs._helper_thread``, holds the
-thread policy: no other code starts or places a thread.
+thread policy: no other code starts or places a thread, or catches
+every error as the runner does to hand a helper's error on.
 """
 
 import ast
@@ -104,14 +105,17 @@ def test_no_global_statement_or_cache_decorator(tmp_path):
     assert [hit for path in MODULES for hit in _module_state(path)] == []
 
 
+def _runner(path, tree):
+    """The ids of the nodes of the one runner, ``graphs._helper_thread``, in ``tree``."""
+    return {id(inner) for node in (tree.body if path.name == "graphs.py" else [])
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "_helper_thread"
+            for inner in ast.walk(node)}
+
+
 def _thread_policy(path):
     """Calls that start or place a thread outside the one runner, ``graphs._helper_thread``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    runner = set()
-    if path.name == "graphs.py":
-        for node in tree.body:
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "_helper_thread":
-                runner.update(map(id, ast.walk(node)))
+    runner = _runner(path, tree)
     return [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
             if isinstance(node, ast.Call) and _name(node) in THREAD_POLICY
             and id(node) not in runner]
@@ -156,3 +160,57 @@ def test_threads_are_started_and_placed_only_by_the_runner(tmp_path):
     calls = sorted(_name(node) for node in ast.walk(graphs)
                    if isinstance(node, ast.Call) and _name(node) in THREAD_POLICY)
     assert calls == ["Thread", "sched_setaffinity"]
+
+
+def _catch_all(path):
+    """``except BaseException`` and bare ``except:`` clauses outside the one runner."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    runner = _runner(path, tree)
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and id(node) not in runner:
+            caught = getattr(node.type, "elts", [node.type])  # a bare except: [None]
+            if node.type is None or "BaseException" in map(_name, caught):
+                hits.append(f"{path.name}:{node.lineno}: {ast.unparse(node).splitlines()[0]}")
+    return hits
+
+
+CATCH_PROBE = '''\
+import builtins
+
+
+class _helper_thread:
+    def run(self, work):
+        try:
+            work()
+        except BaseException as exc:
+            self.error = exc
+
+
+def elsewhere(work):
+    try:
+        work()
+    except:
+        pass
+    try:
+        work()
+    except (ValueError, builtins.BaseException):
+        pass
+    try:
+        work()
+    except Exception:
+        pass
+'''
+
+
+def test_only_the_runner_catches_every_error(tmp_path):
+    # a helper's error reaches the calling thread through the runner alone:
+    # nothing else in the package may swallow or hand on every error
+    probe = tmp_path / "graphs.py"
+    probe.write_text(CATCH_PROBE, encoding="utf-8")
+    assert [hit.split(": ", 1)[1] for hit in _catch_all(probe)] == [
+        "except:", "except (ValueError, builtins.BaseException):"]
+    elsewhere = tmp_path / "chebyshev.py"
+    elsewhere.write_text(CATCH_PROBE, encoding="utf-8")
+    assert len(_catch_all(elsewhere)) == 3  # the runner counts only in graphs.py
+    assert [hit for path in MODULES for hit in _catch_all(path)] == []

@@ -5,7 +5,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,20 +12,22 @@ import chebheat._rows
 from chebheat._rows import write_rows
 
 
-def _written(row_format, columns):
+def _written(sep, ints, floats):
     fh = io.StringIO()
-    write_rows(fh, row_format, columns)
+    write_rows(fh, sep, ints, floats)
     return fh.getvalue()
 
 
-def _formatted(row_format, columns):
+def _formatted(sep, ints, floats):
     """The rows as ``%`` writes them, one value at a time."""
-    return "".join(row_format % row for row in zip(*(c.tolist() for c in columns)))
+    rows = zip(*(c.tolist() for c in [*ints, *floats]))
+    return "".join(sep.join(["%d" % q for q in row[:len(ints)]]
+                            + ["%.17g" % v for v in row[len(ints):]]) + "\n" for row in rows)
 
 
 def _same_as_percent(values):
     values = np.asarray(values, dtype=np.float64)
-    assert _written("%.17g\n", [values]) == _formatted("%.17g\n", [values])
+    assert _written(",", [], [values]) == _formatted(",", [], [values])
 
 
 def _fallbacks(values):
@@ -85,24 +86,21 @@ class TestWriteRows:
     def test_pinned_ints(self):
         q = np.array([0, 1, -1, 9999, 10000, -10 ** 16, 2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63],
                      dtype=np.int64)
-        assert _written("%d\n", [q]) == _formatted("%d\n", [q])
-        assert _written("%d\n", [q]).splitlines()[-3:] == [
+        assert _written(",", [q], []) == _formatted(",", [q], [])
+        assert _written(",", [q], []).splitlines()[-3:] == [
             "9223372036854775807", "-9223372036854775807", "-9223372036854775808"]
 
     def test_formats_and_blocks(self):
-        # text of any length around the fields, mixed kinds, and several blocks
+        # the callers' separators and a longer one, int and float columns
+        # alone or together, and several blocks
         rng = np.random.default_rng(3)
         n = 3 * chebheat._rows._BLOCK_VALUES // 4 + 17
-        cols = [rng.integers(-10 ** 6, 10 ** 6, n), rng.standard_normal(n),
-                np.round(rng.standard_normal(n) * 4.0), rng.integers(0, 5, n)]
-        for row_format in ("%d,%.17g,%.17g,%d\n", "[%d] -> %.17g;%.17g%d", "%d%.17g%.17g%d\n"):
-            assert _written(row_format, cols) == _formatted(row_format, cols)
-        assert _written("%d\n", [np.arange(0)]) == ""
-
-    def test_rejects_other_conversions(self):
-        for row_format in ("%s\n", "%d %f\n", "%d\n"):
-            with pytest.raises(ValueError, match="needs one %d or %.17g per column"):
-                write_rows(io.StringIO(), row_format, [np.zeros(2), np.zeros(2)])
+        ints = [rng.integers(-10 ** 6, 10 ** 6, n), rng.integers(0, 5, n)]
+        floats = [rng.standard_normal(n), np.round(rng.standard_normal(n) * 4.0)]
+        for sep in (",", " ", " ; ; "):
+            for cols in ((ints, floats), (ints[:1], floats), ([], floats), (ints, [])):
+                assert _written(sep, *cols) == _formatted(sep, *cols)
+        assert _written(",", [np.arange(0)], []) == ""
 
 
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -125,4 +123,4 @@ def test_float_bit_patterns_match_percent(bits):
 def test_int_and_float_rows_match_percent(rows):
     q = np.array([i for i, _ in rows], dtype=np.int64)
     v = np.array([x for _, x in rows], dtype=np.float64)
-    assert _written("%d,%.17g\n", [q, v]) == _formatted("%d,%.17g\n", [q, v])
+    assert _written(",", [q], [v]) == _formatted(",", [q], [v])
