@@ -30,18 +30,11 @@ inline, in the same order, so the output bits never depend on the
 thread count.
 
 Each output has its own coefficient vector, of its own length, and
-takes no row past it. Within that length a coefficient may still
-underflow to exact zero, and ``y + (+-0 * t)`` is ``y`` bit for bit
-unless ``y`` holds ``-0.0`` or ``t`` is not finite. Under IEEE round to
-nearest a sum is ``-0.0`` only when both terms are, so an output whose
-first term holds no ``-0.0`` never holds one; and the recurrence keeps a
-non-finite entry non-finite in every later row. So each output's stop,
-one past its last nonzero coefficient, is fixed before the first row:
-it skips the rows from its stop up to its own last column, adds that
-last one, which carries any NaN a skipped row would have, and adds
-every row up to it if its first term holds ``-0.0``. The recurrence
-finishes each step in the array ``apply`` returns, in place, with the
-bits of the plain expression.
+adds every column of it and no row past it. A series ends where its
+coefficients are made: :func:`chebheat.diffusion._diffuse` cuts each
+vector after its last nonzero coefficient, so no output adds a term it
+knows to be zero. The recurrence finishes each step in the array
+``apply`` returns, in place, with the bits of the plain expression.
 """
 
 from __future__ import annotations
@@ -165,15 +158,8 @@ def combine(basis, c) -> np.ndarray:
     only once some output has column ``k``, on the calling thread, so
     the longest vector sets how many rows are drawn. Each output gets
     ``c[0]/2 t_0``, then ``+= c[k] * t_k`` in ascending ``k`` through its
-    own last column, as :func:`cheb_partial_sums` sums them, except that
-    it skips the columns from its stop, one past its last nonzero
-    coefficient, up to its last column, which it adds; an output whose
-    first term holds ``-0.0`` adds every column of its own. That gives
-    the bits of adding every column of that output alone when the rows
-    come from a recurrence in which a non-finite entry stays non-finite
-    in every later row, such as :func:`cheb_terms` or
-    :func:`build_basis`, and on numpy's default IEEE arithmetic (round to
-    nearest, no flush of subnormals to zero).
+    own last column, as :func:`cheb_partial_sums` sums them, so it has
+    the bits of that output's series alone, zero coefficients included.
 
     With two CPUs or more, at least ``_OVERLAP_MIN_SCALES`` outputs and
     rows of at least ``_OVERLAP_MIN_LENGTH`` entries, one helper thread
@@ -185,9 +171,8 @@ def combine(basis, c) -> np.ndarray:
     out before the coefficients raise ``ValueError``; any error, the
     helper's too, is raised here once the helper has been joined.
     """
-    c = [np.asarray(ci, dtype=np.float64) for ci in c]
-    coefficients = [ci.tolist() for ci in c]
-    width = max(len(ci) for ci in c)
+    c = [np.asarray(ci, dtype=np.float64).tolist() for ci in c]
+    width = max(map(len, c))
     rows = iter(basis)
 
     def next_row(k):
@@ -198,22 +183,14 @@ def combine(basis, c) -> np.ndarray:
         return t
 
     t0 = next_row(0)
-    out = np.multiply.outer([0.5 * ci[0] for ci in coefficients], t0)
+    out = np.multiply.outer([0.5 * ci[0] for ci in c], t0)
     scratch = np.empty_like(t0)
-    # per output, its last column and the first column of its zero tail: one
-    # past its last nonzero coefficient (a NaN counts as nonzero), or its
-    # length when it has none or its first term holds -0.0. The columns from
-    # the stop to the one before the last are skipped, and so is every column
-    # past the last; the last carries any NaN a skipped column would add.
-    lasts = [len(ci) - 1 for ci in c]
-    stops = [len(ci) - (0 if np.signbit(y[y == 0.0]).any() else int(np.argmax(ci[::-1] != 0.0)))
-             for y, ci in zip(out, c)]
 
     def add(batch):
         """Add the rows ``(k, t_k)`` of ``batch``, in ascending ``k``, to each output in turn."""
-        for y, ci, stop, last in zip(out, coefficients, stops, lasts):
+        for y, ci in zip(out, c):
             for k, t in batch:
-                if k < stop or k == last:
+                if k < len(ci):
                     np.multiply(t, ci[k], out=scratch)
                     y += scratch
 

@@ -69,6 +69,11 @@ def _resolve_graph(spec: str, laplacian: str):
     return build_laplacian(edges, n, kind=laplacian), n
 
 
+def _seed(text: str) -> int:
+    """``--seed``, checked as a spec's seed field is."""
+    return _spec_field(f"--seed {text!r}", "seed", int, text)
+
+
 def _out_stream(path: str | None):
     if path:
         return open(path, "w", encoding="utf-8")
@@ -131,14 +136,14 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
 
 def cmd_bound_table(args) -> None:
     taus = _parse_scales(args.scales)
-    data = bound_table_data(args.n, args.p, args.trials, taus, args.tol,
-                            args.seed, args.true)
+    seed = _seed(args.seed)
+    data = bound_table_data(args.n, args.p, args.trials, taus, args.tol, seed, args.true)
     names = [("true", data["true"])] if args.true else []
     names += [(kind.value.replace("-", "_"), data["orders"][kind]) for kind in _TABLE_KINDS]
     with _out_stream(args.out) as fh:
         fh.write("# command=bound-table\n")
         fh.write(f"# n={args.n} p={_fmt(args.p)} trials={args.trials}"
-                 f" tol={_fmt(args.tol)} seed={args.seed}\n")
+                 f" tol={_fmt(args.tol)} seed={seed}\n")
         cols = ["tau", "tau_eff_median"]
         values = [np.array(data["taus"]), np.median(data["tau_effs"], axis=0)]
         for name, arr in names:
@@ -149,9 +154,9 @@ def cmd_bound_table(args) -> None:
 
 
 def cmd_gen_graph(args) -> None:
-    edges = erdos_renyi(args.n, args.p, args.seed)
-    save_edge_list(args.out, edges, args.n,
-                   comment=f"p={_fmt(args.p)} seed={args.seed}")
+    seed = _seed(args.seed)
+    edges = erdos_renyi(args.n, args.p, seed)
+    save_edge_list(args.out, edges, args.n, comment=f"p={_fmt(args.p)} seed={seed}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,14 +194,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--true", action=argparse.BooleanOptionalAction, default=True,
                    help="include the measured minimum order (needs n small enough "
                         "for the dense oracle)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     add_common(p)
     p.set_defaults(func=cmd_bound_table)
 
     p = sub.add_parser("gen-graph", help="write a reproducible random graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_graph)
 

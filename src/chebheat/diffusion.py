@@ -5,13 +5,13 @@ The pipeline is: bound the spectral radius, rescale the operator to
 (under ``auto`` the smallest the kind resolved at the largest effective
 scale certifies there; under an explicit kind the largest scale's
 order for all), then run the three-term recurrence once, to the
-largest order. Every run takes one path: each recurrence vector goes
-into the outputs whose order reaches it soon after it is drawn, so m
-scales cost the matvecs of the largest one and no basis is stored. A
-single scale is the case m = 1. On runs large enough to repay it, the
-additions run on one helper thread per run, overlapped with the
-recurrence, which stays on the calling thread with every matvec (see
-:mod:`chebheat.chebyshev`).
+longest series; each ends at its last nonzero coefficient. Every run
+takes one path: each recurrence vector goes into the outputs whose
+series reaches it soon after it is drawn, so m scales cost the matvecs
+of the longest one and no basis is stored. A single scale is the case
+m = 1. On runs large enough to repay it, the additions run on one
+helper thread per run, overlapped with the recurrence, which stays on
+the calling thread with every matvec (see :mod:`chebheat.chebyshev`).
 """
 
 from __future__ import annotations
@@ -67,9 +67,12 @@ class DiffusionPlan:
 class DiffusionReport:
     """Per-scale record of what a diffusion run did and certified.
 
-    ``order`` and ``matvecs`` are the run's recurrence order, shared by
-    every scale; ``scale_order`` is the order this scale's series stops
-    at, and ``bound`` is its certificate there.
+    ``order`` is the run's largest certified order, shared by every
+    scale; ``scale_order`` is this scale's certified order, and
+    ``bound`` is its certificate there. The terms past a scale's last
+    nonzero coefficient are exact zeros and are not added, so
+    ``matvecs``, the recurrence's, is ``order`` unless every scale's
+    coefficients underflow to zero before it.
     """
 
     tau: float
@@ -126,27 +129,6 @@ def estimate_lambda_max(op: SparseSymMatrix) -> float:
     return _resolve_lambda(op, None)[0]
 
 
-def _diagonal(op: SparseSymMatrix):
-    """Each stored entry's row, column and value, which are off the diagonal, and the diagonal.
-
-    A padded-plane operator's entries are read from its planes in place,
-    so that no CSR array is gathered and kept; its padding slots (column
-    ``n`` or ``n + 1``) are neither on the diagonal nor off it. Entry j
-    of row i sits in plane j, so a row's entries still come in CSR
-    order.
-    """
-    if op._cols is not None:
-        rows = np.broadcast_to(np.arange(op.n), op._cols.shape)
-        cols, vals = op._cols, op._vals
-    else:
-        rows = np.repeat(np.arange(op.n), np.diff(op.row_ptr))
-        cols, vals = op.col_idx, op.values
-    on_diag = rows == cols
-    diag = np.zeros(op.n)
-    diag[rows[on_diag]] = vals[on_diag]
-    return rows, cols, vals, ~on_diag & (cols < op.n), diag
-
-
 def _lambda_floor(op: SparseSymMatrix) -> float:
     """A lower bound on the largest eigenvalue, free of matvecs.
 
@@ -158,7 +140,7 @@ def _lambda_floor(op: SparseSymMatrix) -> float:
     """
     if op.nnz == 0:
         return 0.0
-    rows, cols, vals, off, diag = _diagonal(op)
+    rows, cols, vals, off, diag = op._diagonal()
     a = diag[rows[off]]
     b = diag[cols[off]]
     pair = 0.5 * (a + b) + np.hypot(0.5 * (a - b), vals[off])
@@ -200,7 +182,7 @@ def _require_psd(op: SparseSymMatrix) -> None:
     """
     if op.kernel_vector is not None:
         return
-    rows, _, vals, off_diag, diag = _diagonal(op)
+    rows, _, vals, off_diag, diag = op._diagonal()
     off = np.bincount(rows[off_diag], weights=np.abs(vals[off_diag]), minlength=op.n)
     bad = np.flatnonzero(diag < off)
     if bad.size:
@@ -327,19 +309,23 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
 
 
 def _diffuse(op: SparseSymMatrix, lam_hat: float, x: np.ndarray, orders,
-             tau_effs) -> np.ndarray:
-    """The expansions of ``x``, one row per effective scale, each to its own order.
+             tau_effs) -> tuple[np.ndarray, int]:
+    """The expansions of ``x``, one row per effective scale, and the matvecs they took.
 
-    ``max(orders)`` matvecs on ``op`` rescaled by ``2 / lam_hat``, for
-    every scale together; ``lam_hat == 0`` (the zero operator) returns
-    copies. Each scale's coefficients are computed at its own order, so
-    its row has the bits of a run of that scale alone at that order.
+    Each scale's coefficients are computed at its own order and cut
+    after the last nonzero one (``c[0] > 0``): the terms past it are
+    exact zeros, so its series ends there. Its row has the bits of a run
+    of that scale alone. The recurrence runs on ``op`` rescaled by ``2 /
+    lam_hat`` to the longest series, for every scale together, at most
+    ``max(orders)`` matvecs; ``lam_hat == 0`` (the zero operator)
+    returns copies at none.
     """
     # before the zero-operator shortcut, so a negative order raises on every operator
-    coeffs = [cheb_coefficients(t, k) for t, k in zip(tau_effs, orders)]
+    coeffs = [c[:np.flatnonzero(c)[-1] + 1] for c in map(cheb_coefficients, tau_effs, orders)]
     if lam_hat == 0.0:
-        return np.tile(x, (len(tau_effs), 1))
-    return combine(build_basis(op.scaled(2.0 / lam_hat), x, max(orders)), coeffs)
+        return np.tile(x, (len(tau_effs), 1)), 0
+    matvecs = max(map(len, coeffs)) - 1
+    return combine(build_basis(op.scaled(2.0 / lam_hat), x, matvecs), coeffs), matvecs
 
 
 def expm_multiply(op: SparseSymMatrix, x, tau: float, tol: float = 1e-5,
@@ -391,10 +377,10 @@ def expm_multiscale(op: SparseSymMatrix, x, scales, tol: float = 1e-5,
     """
     x = _signal(x)
     plan = make_plan(op, x, scales, tol, kind=kind, lambda_max=lambda_max)
-    ys = _diffuse(op, plan.lambda_max, x, plan.scale_orders, plan.tau_effs)
+    ys, matvecs = _diffuse(op, plan.lambda_max, x, plan.scale_orders, plan.tau_effs)
     return [(y, DiffusionReport(tau=tau, tau_eff=tau_eff, order=plan.order,
                                 lambda_max=plan.lambda_max, kind=plan.kind, bound=bound,
-                                tol=plan.tol, matvecs=plan.order,
+                                tol=plan.tol, matvecs=matvecs,
                                 setup_matvecs=plan.setup_matvecs, scale_order=k))
             for y, tau, tau_eff, bound, k in zip(ys, plan.scales, plan.tau_effs, plan.bounds,
                                                   plan.scale_orders)]
@@ -419,7 +405,7 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
     lam_hat, _ = _resolve_lambda(op, lambda_max)
-    [y] = _diffuse(op, lam_hat, x, [int(order)], [lam_hat * tau / 2.0])
+    [y], _ = _diffuse(op, lam_hat, x, [int(order)], [lam_hat * tau / 2.0])
     w = exact_diffusion(op, x, tau)
     diff = y - w
     err = float(diff @ diff)

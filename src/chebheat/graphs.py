@@ -117,7 +117,10 @@ class SparseSymMatrix:
     spectral_bound : float or None
         A known upper bound on the largest eigenvalue, read-only. Only
         :func:`build_laplacian` sets it (2, normalized); :meth:`scaled`
-        carries it. Diffusion runs estimate the radius of any other matrix.
+        carries it. For any other matrix a diffusion run under ``auto`` or
+        a tail kind takes a certified ceiling, and one under the paper's
+        four kinds an inflated power-iteration estimate (see
+        :func:`chebheat.diffusion.make_plan`).
     kernel_vector : ndarray or None
         A known nonzero vector ``k`` with ``A k = 0``, read-only. Only
         :func:`build_laplacian` sets it: ``ones(n)`` for a combinatorial
@@ -227,6 +230,26 @@ class SparseSymMatrix:
         entries = planes.T[self._cols.T < self.n]  # row by row
         entries.flags.writeable = False
         return entries
+
+    def _diagonal(self):
+        """Each stored entry's row, column and value, which are off the diagonal, and the diagonal.
+
+        A padded-plane operator's entries are read from its planes in
+        place, so that no CSR array is gathered and kept; its padding
+        slots (column ``n`` or ``n + 1``) are neither on the diagonal nor
+        off it. Entry j of row i sits in plane j, so a row's entries still
+        come in CSR order.
+        """
+        if self._cols is not None:
+            rows = np.broadcast_to(np.arange(self.n), self._cols.shape)
+            cols, vals = self._cols, self._vals
+        else:
+            rows = np.repeat(np.arange(self.n), np.diff(self.row_ptr))
+            cols, vals = self.col_idx, self.values
+        on_diag = rows == cols
+        diag = np.zeros(self.n)
+        diag[rows[on_diag]] = vals[on_diag]
+        return rows, cols, vals, ~on_diag & (cols < self.n), diag
 
     def _check_symmetry(self, rows):
         order = _csr_order(self.col_idx, rows, self.n)  # the transpose's (row, col) order
@@ -427,12 +450,17 @@ def _edge_array(edges) -> np.ndarray:
     return a
 
 
-def _accumulate_edges(edges, n):
-    """Canonicalize, validate, and sum duplicate undirected edges.
+def _checked_edges(edges, n):
+    """The endpoints, as integers, and the weights of ``edges`` on ``n`` nodes, checked.
 
-    Endpoints are truncated to integers as ``int`` would. Errors name the
-    first offending edge; duplicates are summed in input order.
+    Endpoints are truncated to integers as ``int`` would. ``ValueError``
+    names ``n`` below 1, or the first edge with an endpoint out of range,
+    a self-loop or a weight that is not positive and finite: what
+    :func:`build_laplacian` refuses, and :func:`save_edge_list` does not
+    write.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     a = _edge_array(edges)
     i, j, w = a[:, 0], a[:, 1], a[:, 2]
     # 0 <= int(x) < n exactly when -1 < x < n; NaN fails both tests
@@ -450,6 +478,15 @@ def _accumulate_edges(edges, n):
         if self_loop[idx]:
             raise ValueError(f"edge #{idx}: self-loop at node {int(ii[idx])} is not allowed")
         raise ValueError(f"edge #{idx}: weight must be positive and finite, got {float(w[idx])}")
+    return ii, jj, w
+
+
+def _accumulate_edges(edges, n):
+    """Canonicalize, validate (:func:`_checked_edges`), and sum duplicate undirected edges.
+
+    Duplicates are summed in input order.
+    """
+    ii, jj, w = _checked_edges(edges, n)
     lo = np.minimum(ii, jj)
     hi = np.maximum(ii, jj)
     key = lo * n + hi
@@ -491,8 +528,6 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
     if kind not in ("combinatorial", "normalized"):
         raise ValueError(f"unknown laplacian kind: {kind!r}")
     n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     lo, hi, w = _accumulate_edges(edges, n)
     # one bincount over lo then hi adds in the order add.at(lo), add.at(hi) would
     deg = np.bincount(np.concatenate([lo, hi]), weights=np.concatenate([w, w]), minlength=n)
@@ -870,22 +905,32 @@ def save_edge_list(path, edges, n: int, comment: str | None = None):
 
     ``edges`` is a sequence of ``(i, j)`` / ``(i, j, w)`` or an (m, 2) /
     (m, 3) array; endpoints are truncated to integers and weights written
-    with 17 significant digits.
+    with 17 significant digits. Edges are checked as
+    :func:`build_laplacian` checks them, so that :func:`load_graph` reads
+    back every file written; ``ValueError`` names the first bad edge
+    before the file is opened.
     """
-    a = _edge_array(edges)
+    n = int(n)
+    i, j, w = _checked_edges(edges, n)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={int(n)}\n")
+        fh.write(f"# n={n}\n")
         if comment:
             fh.write(f"# {comment}\n")
-        write_rows(fh, " ", [a[:, 0].astype(np.int64), a[:, 1].astype(np.int64)], [a[:, 2]])
+        write_rows(fh, " ", [i, j], [w])
 
 
 def _spec_field(spec, field, convert, text):
-    """``convert(text)``, the ``field`` of ``spec``; a ``ValueError`` names both when it fails."""
+    """``convert(text)``, the ``field`` of ``spec``; a ``ValueError`` names both when it fails.
+
+    A ``seed`` fails below 0 too: numpy seeds a generator with no negative int.
+    """
     try:
-        return convert(text)
+        value = convert(text)
     except ValueError:
         raise ValueError(f"{spec}: {field} {text!r} is not a valid {convert.__name__}") from None
+    if field == "seed" and value < 0:
+        raise ValueError(f"{spec}: seed {text!r} is negative")
+    return value
 
 
 def _signal_value(path, line_no, line):

@@ -108,8 +108,8 @@ def series_sum(coefficients, terms):
     """The last of :func:`cheb_partial_sums`: the whole series, summed term by term.
 
     The summation the true-order scan runs, one coefficient at a time,
-    so it shares no loop with ``combine``. It adds every column, zero
-    coefficients included, where ``combine`` may stop early.
+    so it shares no loop with ``combine``. Like ``combine``, it adds
+    every column it is given, zero coefficients included.
     """
     for y in cheb_partial_sums(coefficients, terms):
         pass

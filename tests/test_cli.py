@@ -202,12 +202,22 @@ class TestDiffuse:
         ("--signal", "dirac:x", "signal spec 'dirac:x': node k 'x' is not a valid int"),
         ("--signal", "const:abc", "signal spec 'const:abc': value v 'abc' is not a valid float"),
         ("--graph", "er:10:x:1", "--graph 'er:10:x:1': p 'x' is not a valid float"),
+        # numpy seeds no generator with a negative int
+        ("--graph", "er:10:0.5:-1", "--graph 'er:10:0.5:-1': seed '-1' is negative"),
+        ("--signal", "normal:-1", "signal spec 'normal:-1': seed '-1' is negative"),
+        ("bound-table --seed", "-1", "--seed '-1': seed '-1' is negative"),
+        ("gen-graph --seed", "-1", "--seed '-1': seed '-1' is negative"),
     ])
-    def test_bad_spec_field_names_the_spec_and_field(self, capsys, flag, spec, message):
-        argv = {"--graph": "er:20:0.3:1", "--signal": "dirac:0", "--scales": "1"}
+    def test_bad_spec_field_names_the_spec_and_field(self, capsys, tmp_path, flag, spec, message):
+        command, _, flag = flag.rpartition(" ")  # a flag alone is one of diffuse
+        command = command or "diffuse"
+        argv = {"diffuse": {"--graph": "er:20:0.3:1", "--signal": "dirac:0", "--scales": "1"},
+                "bound-table": {"--trials": "1", "--scales": "1"},
+                "gen-graph": {"--n": "5", "--p": "0.5", "--out": str(tmp_path / "g.txt")}}[command]
         argv[flag] = spec
-        code, out, err = run(capsys, "diffuse", *(a for item in argv.items() for a in item))
+        code, out, err = run(capsys, command, *(a for item in argv.items() for a in item))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_normalized_skips_power_iteration(self, capsys):
         code, out, _ = run(capsys, "diffuse", "--graph", "er:20:0.3:2",

@@ -860,15 +860,56 @@ class TestPerScaleOrders:
         assert started == ["chebheat-combine"]  # the multiscale run; single scales add inline
 
     def test_explicit_kind_keeps_one_order(self):
+        # every scale is certified at the shared order, and its series is
+        # summed through its last nonzero coefficient there
         op = build_laplacian(lattice_edges(6, 7), 42)
         x = self._signal(42)
         plan = make_plan(op, x, self.SCALES, 1e-8, kind=BoundKind.TAIL_SPECIFIC)
         assert plan.scale_orders == (plan.order,) * len(self.SCALES)
+        terms = op.scaled(2.0 / plan.lambda_max).matvec
         for (y, rep), tau_eff in zip(expm_multiscale(op, x, self.SCALES, tol=1e-8,
                                                      kind=BoundKind.TAIL_SPECIFIC),
                                      plan.tau_effs):
-            ref = summed_term_by_term(op, plan.lambda_max, x, plan.order, tau_eff)
+            c = cheb_coefficients(tau_eff, plan.order)
+            ref = series_sum(c[:np.flatnonzero(c)[-1] + 1], cheb_terms(terms, x))
             assert y.tobytes() == ref.tobytes() and rep.scale_order == plan.order
+
+    @pytest.mark.parametrize("kind", [AUTO] + [k.value for k in BoundKind])
+    def test_zero_scale_returns_the_input_under_every_kind(self, kind):
+        # a zero scale's series is c[0]/2 x alone, whatever order the other
+        # scales take: its output keeps every -0.0 of x
+        op = build_laplacian(lattice_edges(6, 7), 42)
+        x = self._signal(42)
+        single, rep = expm_multiply(op, x, 0.0, tol=1e-8, kind=kind)
+        assert single.tobytes() == x.tobytes() and rep.order == 0
+        results = expm_multiscale(op, x, self.SCALES, tol=1e-8, kind=kind)
+        assert results[0][1].order > 0
+        for (y, _), tau in zip(results, self.SCALES):
+            if tau == 0.0:
+                assert y.tobytes() == single.tobytes()
+
+    def test_recurrence_ends_at_the_longest_series(self, monkeypatch):
+        # new-generic certifies order 2238 at tau_eff 1000, and every
+        # coefficient there past 1280 underflows to zero: the recurrence stops
+        # at 1280, the report says so, and the terms it leaves out are zeros
+        op = build_laplacian(path_edges(10), 10)
+        x = np.random.default_rng(12).standard_normal(10)
+        scales, tau_effs = [0.0, 1.0, 500.0], [0.0, 2.0, 1000.0]
+        counts = {"matvecs": 0}
+        inner = SparseSymMatrix.matvec
+
+        def counting_matvec(self, v):
+            counts["matvecs"] += 1
+            return inner(self, v)
+
+        monkeypatch.setattr(SparseSymMatrix, "matvec", counting_matvec)
+        results = expm_multiscale(op, x, scales, tol=1e-8, kind="new-generic", lambda_max=4.0)
+        monkeypatch.undo()
+        assert [rep.tau_eff for _, rep in results] == tau_effs
+        assert [(rep.order, rep.matvecs) for _, rep in results] == [(2238, 1280)] * 3
+        assert counts["matvecs"] == 1280
+        for (y, _), tau_eff in zip(results, tau_effs):
+            assert y.tobytes() == summed_term_by_term(op, 4.0, x, 2238, tau_eff).tobytes()
 
     def test_lattice_bounds_no_longer_underflow(self):
         # 200x200 lattice, 32 scales from 1e-2 to 1e2, tol 1e-8: at one shared

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 import threading
 import time
@@ -844,6 +845,28 @@ class TestSaveEdgeList:
         save_edge_list(ours, edges, 5, comment=comment)
         reference_save_edge_list(ref, edges, 5, comment=comment)
         assert ours.read_bytes() == ref.read_bytes()
+
+    def test_writes_only_what_load_graph_reads_back(self, tmp_path):
+        # an edge build_laplacian refuses raises its error before the file is
+        # opened; every file written loads back to the edges it was given
+        path = tmp_path / "g.txt"
+        for edges, n in [([(0, 5, 1.0), (1, 1, 2.0), (2, 3, -1.0)], 3),
+                         ([(0, 1), (1, 1, 2.0)], 3),
+                         ([(0, 1), (2, 1, -1.0)], 3),
+                         ([(0, 1, np.nan)], 3),
+                         ([(0, -1)], 3),
+                         ([], 0)]:
+            with pytest.raises(ValueError) as refused:
+                build_laplacian(edges, n)
+            with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+                save_edge_list(path, edges, n)
+            assert not path.exists()
+        edges = [(0.7, 2.9, 0.5), (4, 1), (3, 0, 1e-300), (1, 4, 2.0), (4, 1, 0.25)]
+        save_edge_list(path, edges, 6)
+        loaded, n = load_graph(path)
+        assert n == 6
+        assert loaded.tolist() == [[0, 2, 0.5], [4, 1, 1.0], [3, 0, 1e-300], [1, 4, 2.0],
+                                   [4, 1, 0.25]]
 
     def test_array_input_and_many_blocks(self, tmp_path):
         edges = erdos_renyi(400, 0.1, seed=3)  # about 8000 edges: several blocks

@@ -7,7 +7,8 @@ process instead, under a policy of its own, and so would a thread,
 queue, lock or pool made when the module is imported and shared by
 every call. Likewise one runner, ``graphs._helper_thread``, holds the
 thread policy: no other code starts or places a thread, or catches
-every error as the runner does to hand a helper's error on.
+every error as the runner does to hand a helper's error on. And only
+``graphs`` reads the layout an operator keeps for its matvec.
 """
 
 import ast
@@ -214,3 +215,36 @@ def test_only_the_runner_catches_every_error(tmp_path):
     elsewhere.write_text(CATCH_PROBE, encoding="utf-8")
     assert len(_catch_all(elsewhere)) == 3  # the runner counts only in graphs.py
     assert [hit for path in MODULES for hit in _catch_all(path)] == []
+
+
+LAYOUT = {"_cols", "_vals", "_shifts", "_misses", "_row_starts", "_nonempty"}
+
+
+def _layout_reads(path):
+    """Reads of a ``SparseSymMatrix`` layout attribute outside ``graphs.py``, by name or string."""
+    if path.name == "graphs.py":
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr in LAYOUT)
+            or (isinstance(node, ast.Constant) and node.value in LAYOUT)]
+
+
+LAYOUT_PROBE = '''\
+def floor(op):
+    rows = op._cols.shape[0]
+    return op._vals[rows], getattr(op, "_misses"), op.col_idx, op._facts, op._diagonal()
+'''
+
+
+def test_only_graphs_reads_the_operator_layout(tmp_path):
+    # the padded planes and the reduceat starts belong to graphs.py: every
+    # other module reads an operator through its methods and properties
+    probe = tmp_path / "diffusion.py"
+    probe.write_text(LAYOUT_PROBE, encoding="utf-8")
+    assert sorted(hit.split(": ", 1)[1] for hit in _layout_reads(probe)) == [
+        "'_misses'", "op._cols", "op._vals"]
+    inside = tmp_path / "graphs.py"
+    inside.write_text(LAYOUT_PROBE, encoding="utf-8")
+    assert _layout_reads(inside) == []
+    assert [hit for path in MODULES for hit in _layout_reads(path)] == []
