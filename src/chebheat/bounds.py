@@ -48,17 +48,24 @@ Laplacian ``k`` is the constant vector and the ratio is
 All bound arithmetic runs in the log domain so that extreme scales
 neither overflow nor collapse to NaN; only the final value is
 exponentiated.
+
+:func:`true_min_order` measures instead: the smallest order whose error
+against the dense oracle meets ``tol``. A trial of ``bound-table
+--true`` measures all its scales on one spectral basis, drawn once, and
+gets the orders one scale at a time gives; a scan to the cap keeps at
+most 4097 rows, 16 MB at the oracle's limit of 500 nodes.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
 from .bessel import ORDER_CAP, bessel_ie_scaled, log_factorial
-from .chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
+from .chebyshev import cheb_coefficients, cheb_terms
 from .errors import OrderCapError
 from .graphs import _signal
 
@@ -96,6 +103,13 @@ _TAIL_UNDERFLOW = 2.0 ** -1021
 # the longest Bessel vector the tail sums, whatever cap min_order searches to:
 # a kind's value at an order does not depend on how far the search may go
 _VECTOR_CAP = ORDER_CAP
+# the measured-order scan: the orders one array operation covers, the last
+# order whose basis row a trial keeps for all its scales, the unit roundoff
+# and twice the least subnormal (see _measured_orders)
+_CHUNK = 256
+_STORED_ORDER = 2 ** 12
+_UNIT = 2.0 ** -53
+_SUBNORMAL = 2.0 ** -1073
 
 
 def energy_ratio(signal, op) -> float:
@@ -135,7 +149,7 @@ def _first_order(new: bool, tau_eff: float, cap: int | None = None) -> int | flo
     call), or the scale is infinite, it is ``inf``: no order the package
     runs is valid, and the scale is never converted to int.
     """
-    if tau_eff < 0.0:
+    if not tau_eff >= 0.0:  # NaN too
         raise ValueError("tau_eff must be non-negative")
     if not new:
         return 0
@@ -392,15 +406,111 @@ def _order_and_log_bound(kind: BoundKind, tau_eff: float, tol: float,
 
 
 def _growing_coefficients(tau_eff: float):
-    # c[0], c[1], ... up to order ORDER_CAP; the vector is recomputed at
-    # double the length whenever the scan runs past it, and each order takes
-    # its coefficient from the first vector long enough to hold it
+    # (first order, coefficients) stages up to order ORDER_CAP, orders 0..64,
+    # 65..128, 129..256, ...: the vector is recomputed at double the length
+    # whenever the scan runs past it, and each order takes its coefficient
+    # from the first vector long enough to hold it
     done, size = 0, min(ORDER_CAP, 64)
     while True:
-        yield from cheb_coefficients(tau_eff, size)[done:]
+        yield done, cheb_coefficients(tau_eff, size)[done:]
         if size == ORDER_CAP:
             return
         done, size = size + 1, min(ORDER_CAP, 2 * size)
+
+
+def _measured_orders(op, signal, tol: float, lambda_max: float | None = None):
+    """``tau ->`` :func:`true_min_order` ``(op, signal, tau, tol, lambda_max)``, on one basis.
+
+    Checks ``tol`` and the signal, and resolves the dense spectrum,
+    ``lambda_hat`` and ``x_hat``, once; the rows ``T_k(D) x_hat`` are
+    drawn once and serve every scale. A scale scans its coefficient
+    stages in chunks of at most ``_CHUNK`` orders: the products
+    ``c_k t_k``, their running sum (``np.cumsum`` adds in ascending
+    ``k``, as :func:`~chebheat.chebyshev.cheb_partial_sums` does) and
+    the errors from the target are array operations with the bits of
+    the per-order loop. The ``einsum`` of the squared errors only picks
+    candidates: both it and the ``float(d @ d)`` the loop compares are
+    within ``gamma_n = n u / (1 - n u)`` of the exact sum of squares,
+    plus ``n`` half-units of the least subnormal (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 3.1). A row is a
+    candidate when its sum is at most ``tol * denom (1 + gamma_n) / (1 -
+    gamma_n)``, widened by four units for that product's own rounding,
+    plus ``n`` times twice the least subnormal, so no order that meets
+    ``tol`` is passed over. In ascending order, each candidate is then
+    decided by ``float(d @ d)`` on a fresh 1-d copy of its row: the
+    loop's own test, so every order is the loop's.
+
+    Rows of orders up to ``_STORED_ORDER`` are kept for the trial; a
+    scale that runs past them draws its own rows from there, a chunk at
+    a time. So a scan to the cap holds ``_STORED_ORDER + 1`` rows and a
+    few chunks, 16 MB at ``n = 500``, never ``ORDER_CAP + 1`` rows.
+    """
+    from .diffusion import _resolve_lambda
+    from .oracle import dense_spectrum
+
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    x = _signal(signal)
+    spec = dense_spectrum(op)
+    if x.shape != spec.eigenvalues.shape:
+        raise ValueError("signal length does not match operator size")
+    lam_hat, _ = _resolve_lambda(op, lambda_max)
+    xhat = spec.vectors.T @ x
+    scale = 2.0 / lam_hat if lam_hat > 0.0 else 0.0
+    d = np.clip(scale * spec.eigenvalues, 0.0, 2.0)
+    gamma = x.size * _UNIT / (1.0 - x.size * _UNIT)
+    widen = (1.0 + gamma) / (1.0 - gamma) * (1.0 + 4.0 * _UNIT)
+    slack = x.size * _SUBNORMAL
+    row = np.dtype((np.float64, x.size))  # np.fromiter reads whole rows
+
+    def rows_from(k):
+        """Rows ``T_k(D) x_hat``, ``T_{k+1}(D) x_hat``, ...: the recurrence from order 0."""
+        return islice(cheb_terms(lambda v: d * v, xhat), k, None)
+
+    shared = rows_from(0)
+    stored = []  # the row blocks of the first chunks, in order
+
+    def order_of(tau: float) -> int:
+        tau = float(tau)
+        if tau < 0.0:
+            raise ValueError("tau must be non-negative")
+        target = np.exp(-tau * spec.eigenvalues) * xhat
+        denom = float(target @ target)
+        if denom == 0.0:
+            raise ValueError("diffused signal underflowed to zero; relative error undefined")
+        limit = tol * denom
+        loose = limit * widen + slack
+        total, own = None, None
+        chunk = 0  # every scale walks the same chunks, in order
+        for first, c in _growing_coefficients(lam_hat * tau / 2.0):
+            for k in range(first, first + c.size, _CHUNK):
+                m = min(_CHUNK, first + c.size - k)
+                if chunk < len(stored):
+                    rows = stored[chunk]
+                elif k + m - 1 <= _STORED_ORDER:
+                    rows = np.fromiter(shared, row, m)
+                    stored.append(rows)
+                else:
+                    if own is None:  # past the stored rows: this scale's own
+                        own = rows_from(k)
+                    rows = np.fromiter(own, row, m)
+                chunk += 1
+                part = c[k - first:k - first + m, None] * rows
+                if total is None:
+                    part[0] = (0.5 * c[0]) * rows[0]
+                else:
+                    part[0] += total
+                np.cumsum(part, axis=0, out=part)
+                total = part[-1].copy()
+                np.subtract(target, part, out=part)
+                for i in np.flatnonzero(np.einsum("ij,ij->i", part, part) <= loose):
+                    diff = part[i].copy()
+                    if float(diff @ diff) <= limit:
+                        return k + int(i)
+        raise OrderCapError(
+            f"no order up to {ORDER_CAP} reaches measured tol={tol} at tau={tau}"
+        )
+    return order_of
 
 
 def true_min_order(op, signal, tau: float, tol: float,
@@ -418,33 +528,13 @@ def true_min_order(op, signal, tau: float, tol: float,
     ``lambda_max`` to compare with its orders. The signal is checked as
     a diffusion run checks it, before any dense work. Limited to
     oracle-sized operators.
-    """
-    from .diffusion import _resolve_lambda
-    from .oracle import dense_spectrum
 
+    The one-scale use of the scanner that ``bound-table --true`` runs on
+    all of a trial's scales, on one spectral basis: its order is the one
+    a loop over the orders finds, and a scan to the cap holds at most
+    4097 rows of ``n`` entries, 16 MB at ``n = 500``.
+    """
     tau = float(tau)
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    x = _signal(signal)
-    spec = dense_spectrum(op)
-    if x.shape != spec.eigenvalues.shape:
-        raise ValueError("signal length does not match operator size")
-    lam_hat, _ = _resolve_lambda(op, lambda_max)
-    xhat = spec.vectors.T @ x
-    target = np.exp(-tau * spec.eigenvalues) * xhat
-    denom = float(target @ target)
-    if denom == 0.0:
-        raise ValueError("diffused signal underflowed to zero; relative error undefined")
-    scale = 2.0 / lam_hat if lam_hat > 0.0 else 0.0
-    d = np.clip(scale * spec.eigenvalues, 0.0, 2.0)
-    sums = cheb_partial_sums(_growing_coefficients(lam_hat * tau / 2.0),
-                             cheb_terms(lambda v: d * v, xhat))
-    for order, approx in enumerate(sums):
-        diff = target - approx
-        if float(diff @ diff) <= tol * denom:
-            return order
-    raise OrderCapError(
-        f"no order up to {ORDER_CAP} reaches measured tol={tol} at tau={tau}"
-    )
+    return _measured_orders(op, signal, tol, lambda_max)(tau)

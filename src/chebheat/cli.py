@@ -16,8 +16,9 @@ from contextlib import nullcontext
 import numpy as np
 
 from ._rows import write_rows
-from .bounds import AUTO, BoundKind, energy_ratio, min_order, true_min_order
-from .diffusion import estimate_lambda_max, expm_multiscale
+from .bounds import _measured_orders, AUTO, BoundKind, energy_ratio, min_order
+from .bounds import true_min_order  # noqa: F401  perfbench spans the oracle under this name
+from .diffusion import _check_scales, estimate_lambda_max, expm_multiscale
 from .errors import NumericalError
 from .graphs import (_spec_field, build_laplacian, erdos_renyi, load_graph, load_signal,
                      save_edge_list)
@@ -107,11 +108,13 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
     array when ``with_true``, else None (``true``), and each trial's
     :func:`~chebheat.bounds.energy_ratio` (``ratios``, length trials).
     Trial t draws the graph with ``seed + t`` and the standard-normal
-    signal with ``seed + t + 10000``.
+    signal with ``seed + t + 10000``. A trial's measured orders share one
+    spectral basis (:func:`~chebheat.bounds.true_min_order`'s scanner).
+    Every scale must be finite and non-negative.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    taus = [float(t) for t in taus]
+    taus = list(_check_scales(taus))
     m = len(taus)
     tau_effs = np.zeros((trials, m))
     ratios = np.zeros(trials)
@@ -129,7 +132,9 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
             for kind in _TABLE_KINDS:
                 orders[kind][t, j] = min_order(kind, te, tol, ratio=ratio)
             if with_true:
-                true_orders[t, j] = true_min_order(op, sig, tau, tol)
+                if j == 0:
+                    true_order = _measured_orders(op, sig, tol)
+                true_orders[t, j] = true_order(tau)
     return {"taus": taus, "tau_effs": tau_effs, "orders": orders, "true": true_orders,
             "ratios": ratios}
 

@@ -228,6 +228,15 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None,
     return lam_hat, iters
 
 
+def _check_scales(scales) -> tuple[float, ...]:
+    """The scales as floats, each checked finite and non-negative."""
+    scales = tuple(float(t) for t in scales)
+    for t in scales:
+        if not math.isfinite(t) or t < 0.0:
+            raise ValueError(f"scales must be finite and non-negative, got {t}")
+    return scales
+
+
 def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
               kind: BoundKind | str = AUTO, lambda_max: float | None = None) -> DiffusionPlan:
     """Resolve orders, bound kind, rescaling and bounds for a set of scales.
@@ -273,12 +282,9 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     ``ValueError`` names its first row that is not.
     """
     ratio = energy_ratio(signal, op)
-    scales = tuple(float(t) for t in scales)
+    scales = _check_scales(scales)
     if not scales:
         raise ValueError("need at least one scale")
-    for t in scales:
-        if not math.isfinite(t) or t < 0.0:
-            raise ValueError(f"scales must be finite and non-negative, got {t}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 

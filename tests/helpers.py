@@ -9,9 +9,9 @@ through its helper thread. ``coeff_integral`` (Simpson quadrature of the definin
 integral) is the coefficient oracle, and ``certified_tail`` reads the
 library's summed coefficient tail at one order. The ``reference_*`` functions are the CSR
 validator, line-by-line graph and signal readers, edge assembly, edge
-writer, per-row ER sampler, numpy-scalar Bessel recurrence and linear
-order scan that the array, blocked-draw, Python-float and bisection code
-must match exactly.
+writer, per-row ER sampler, numpy-scalar Bessel recurrence, linear
+order scan and per-order measured scan that the array, blocked-draw,
+Python-float, bisection and shared-basis code must match exactly.
 """
 
 import functools
@@ -430,4 +430,51 @@ def reference_min_order(kind, tau_eff, tol, ratio=None, cap=ORDER_CAP):
             raise  # it holds, but not with this ratio
     raise OrderCapError(
         f"no order up to {cap} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# true_min_order as one scale's loop over the orders: the recurrence and
+# the series rerun from order 0 for each scale, and each order's error
+# taken by its own dot product. The shared-basis scanner must return its
+# orders and raise its errors.
+def _reference_growing_coefficients(tau_eff, cap):
+    done, size = 0, min(cap, 64)
+    while True:
+        yield from cheb_coefficients(tau_eff, size)[done:]
+        if size == cap:
+            return
+        done, size = size + 1, min(cap, 2 * size)
+
+
+def reference_true_min_order(op, signal, tau, tol, lambda_max=None, cap=ORDER_CAP):
+    from chebheat.diffusion import _resolve_lambda
+    from chebheat.graphs import _signal
+    from chebheat.oracle import dense_spectrum
+
+    tau = float(tau)
+    if tau < 0.0:
+        raise ValueError("tau must be non-negative")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    x = _signal(signal)
+    spec = dense_spectrum(op)
+    if x.shape != spec.eigenvalues.shape:
+        raise ValueError("signal length does not match operator size")
+    lam_hat, _ = _resolve_lambda(op, lambda_max)
+    xhat = spec.vectors.T @ x
+    target = np.exp(-tau * spec.eigenvalues) * xhat
+    denom = float(target @ target)
+    if denom == 0.0:
+        raise ValueError("diffused signal underflowed to zero; relative error undefined")
+    scale = 2.0 / lam_hat if lam_hat > 0.0 else 0.0
+    d = np.clip(scale * spec.eigenvalues, 0.0, 2.0)
+    sums = cheb_partial_sums(_reference_growing_coefficients(lam_hat * tau / 2.0, cap),
+                             cheb_terms(lambda v: d * v, xhat))
+    for order, approx in enumerate(sums):
+        diff = target - approx
+        if float(diff @ diff) <= tol * denom:
+            return order
+    raise OrderCapError(
+        f"no order up to {cap} reaches measured tol={tol} at tau={tau}"
     )

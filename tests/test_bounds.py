@@ -6,6 +6,7 @@ formulas.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import mpmath as mp
@@ -15,18 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chebheat.bounds
+import chebheat.diffusion
 import chebheat.oracle
 from chebheat.bessel import ORDER_CAP, bessel_ie_scaled
 from chebheat.bounds import (_NEW_KINDS, _TAIL_MARGIN, AUTO, BoundKind, _first_order,
                              _log_bound_of, _log_closed_sq, _log_sq, _log_tail_sq,
-                             _order_and_log_bound,
+                             _measured_orders, _order_and_log_bound,
                              baseline_error_term, energy_ratio,
                              log_bound_value, min_order, select_bound, sup_error_bound,
                              true_min_order)
 from chebheat.errors import OrderCapError
 from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi
 
-from helpers import eval_scalar, reference_min_order
+from helpers import eval_scalar, reference_min_order, reference_true_min_order
 
 # mpmath: 2 exp(1/12 - 1) (1/2)^2 / (1! * 3/2)
 G_1_1 = 0.13328321811494912
@@ -385,6 +387,13 @@ class TestMinOrder:
         with pytest.raises(ValueError):
             min_order(BoundKind.NEW_GENERIC, 1.0, 0.0)
 
+    @pytest.mark.parametrize("kind", list(BoundKind))
+    def test_rejects_nan_scale(self, kind):
+        # a NaN scale once searched to the cap and raised OrderCapError
+        for tau_eff in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="tau_eff must be non-negative"):
+                min_order(kind, tau_eff, 1e-8, ratio=RATIO_200)
+
 
 def _order_or_error(f, *args, **kwargs):
     try:
@@ -482,10 +491,99 @@ class TestTrueMinOrder:
             raise AssertionError("dense or recurrence work on an invalid signal")
 
         monkeypatch.setattr(chebheat.oracle, "dense_spectrum", no_work)
-        monkeypatch.setattr(chebheat.bounds, "cheb_partial_sums", no_work)
+        monkeypatch.setattr(chebheat.bounds, "cheb_terms", no_work)
         L = build_laplacian(erdos_renyi(50, 0.2, seed=3), 50)
         x = np.random.default_rng(0).standard_normal(50)
         for bad in (np.nan, np.inf):
             x[7] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 true_min_order(L, x, 1.0, 1e-8)
+
+    def test_scan_to_the_cap_keeps_few_rows(self, monkeypatch):
+        # a given lambda_max above the free floor (22.16) and below the top
+        # eigenvalue (23.91) passes the check, and no order ever reaches tol
+        n = chebheat.oracle.DENSE_CAP
+        L = build_laplacian(erdos_renyi(n, 0.02, seed=5), n)
+        lam = 1.001 * chebheat.diffusion._lambda_floor(L)
+        assert lam < float(np.linalg.eigvalsh(L.to_dense()).max())
+        x = np.random.default_rng(1).standard_normal(n)
+        # the Bessel vectors are made before tracing: the bound is on the rows
+        vectors = {}
+
+        def kept(tau_eff, order, inner=chebheat.bounds.cheb_coefficients):
+            if (tau_eff, order) not in vectors:
+                vectors[tau_eff, order] = inner(tau_eff, order)
+            return vectors[tau_eff, order]
+
+        monkeypatch.setattr(chebheat.bounds, "cheb_coefficients", kept)
+        with pytest.raises(OrderCapError):
+            _measured_orders(L, x, 1e-12, lam)(0.5)
+        order_of = _measured_orders(L, x, 1e-12, lam)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderCapError, match=f"no order up to {ORDER_CAP} reaches"):
+                order_of(0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the kept rows of orders 0..4096 and a few chunks of 256, not the
+        # 20001 rows of the whole scan (76 MiB)
+        bound = (chebheat.bounds._STORED_ORDER + 1 + 4 * chebheat.bounds._CHUNK) * n * 8
+        assert peak < bound < (ORDER_CAP + 1) * n * 8 / 3
+
+
+def _orders_or_error(order_of, taus):
+    """Each scale's order, or the error's type and message; one error for all on a set-up error."""
+    try:
+        order_of = order_of()
+    except (ValueError, OrderCapError) as exc:
+        return [(type(exc), str(exc))] * len(taus)
+    return [_order_or_error(order_of, tau) for tau in taus]
+
+
+class TestMeasuredOrdersMatchLoop:
+    """One trial's shared-basis scan returns each scale's per-order loop result, error for error."""
+
+    @given(st.integers(min_value=2, max_value=40), st.floats(min_value=0.05, max_value=0.7),
+           st.integers(min_value=0, max_value=10**6),
+           st.lists(st.floats(min_value=1e-3, max_value=60.0), max_size=5),
+           st.floats(min_value=1e-14, max_value=1e-2),
+           st.sampled_from([None, None, 0.9, 0.999, 1.0, 1.01, 1.5]),
+           st.sampled_from([1.0, 1.0, 1e-160]),
+           st.one_of(st.just(ORDER_CAP), st.integers(min_value=0, max_value=300)),
+           st.sampled_from([(256, 2 ** 12), (7, 2 ** 12), (64, 100), (256, 0)]))
+    @settings(max_examples=120, deadline=None)
+    def test_random(self, n, p, seed, taus, tol, factor, amplitude, cap, layout):
+        L = build_laplacian(erdos_renyi(n, p, seed), n)
+        top = float(np.linalg.eigvalsh(L.to_dense()).max())
+        lam = None if factor is None else factor * top
+        if lam is not None and lam < top:
+            cap = min(cap, 300)  # the loop runs every order to the cap there
+        x = amplitude * np.random.default_rng(seed).standard_normal(n)
+        taus = [0.0] + taus
+        chunk, stored = layout
+        with mock.patch.multiple(chebheat.bounds, ORDER_CAP=cap, _CHUNK=chunk,
+                                 _STORED_ORDER=stored):
+            got = _orders_or_error(lambda: _measured_orders(L, x, tol, lam), taus)
+        want = [_order_or_error(reference_true_min_order, L, x, tau, tol, lam, cap=cap)
+                for tau in taus]
+        assert got == want
+
+    @pytest.mark.parametrize("tau, tol, amplitude, lam, cap, expected", [
+        # the diffused signal underflows: its squared norm is 0
+        (1.0, 1e-8, 1e-170, None, ORDER_CAP, ValueError),
+        # a lambda_max below the top eigenvalue: no order reaches tol
+        (0.5, 1e-12, 1.0, 1.001, 300, OrderCapError),
+        # tol is met past the stored rows, on rows drawn again
+        (60.0, 1e-12, 1.0, None, ORDER_CAP, 113),
+    ])
+    def test_edge_cases(self, tau, tol, amplitude, lam, cap, expected, monkeypatch):
+        L = build_laplacian(erdos_renyi(30, 0.3, seed=2), 30)
+        if lam is not None:
+            lam *= chebheat.diffusion._lambda_floor(L)
+        x = amplitude * np.random.default_rng(4).standard_normal(30)
+        monkeypatch.setattr(chebheat.bounds, "_STORED_ORDER", 64)
+        monkeypatch.setattr(chebheat.bounds, "ORDER_CAP", cap)
+        got = _order_or_error(true_min_order, L, x, tau, tol, lam)
+        assert got == _order_or_error(reference_true_min_order, L, x, tau, tol, lam, cap=cap)
+        assert (got[0] if isinstance(got, tuple) else got) == expected

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import chebheat._rows
+import chebheat.bounds
+import chebheat.cli
 import chebheat.diffusion
 from chebheat.cli import bound_table_data, main
 from chebheat.diffusion import expm_multiscale
@@ -350,6 +352,46 @@ class TestBoundTable:
                              "--scales", "1e308", "--no-true")
         assert (code, out) == (3, "")
         assert "no order up to 20000 certifies" in err and "tau_eff=inf" in err
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_bad_scale_exit_2_before_output(self, capsys, scale):
+        # NaN and inf once exited 3 from the order search, -1 with a tau_eff message
+        code, out, err = run(capsys, "bound-table", "--n", "20", "--p", "0.3", "--trials", "1",
+                             "--scales", f"1.0,{scale}")
+        assert (code, out) == (2, "")
+        assert f"scales must be finite and non-negative, got {float(scale)}" in err
+
+    def test_trial_draws_one_basis(self, monkeypatch):
+        # the rows T_k(D) x_hat of a trial serve all its scales: it draws
+        # them to its largest measured order, rounded up to that order's
+        # coefficient stage, not once per scale
+        drawn = []
+
+        def counted(apply, x, inner=chebheat.bounds.cheb_terms):
+            for t in inner(apply, x):
+                drawn[-1] += 1
+                yield t
+
+        def trial_start(op, inner=chebheat.cli.estimate_lambda_max):
+            drawn.append(0)
+            return inner(op)
+
+        monkeypatch.setattr(chebheat.bounds, "cheb_terms", counted)
+        monkeypatch.setattr(chebheat.cli, "estimate_lambda_max", trial_start)
+        taus = [0.0, 0.1, 1.0, 10.0, 30.0]
+        data = bound_table_data(40, 0.5, 2, taus, 1e-12, 7, with_true=True)
+        tops = data["true"].max(axis=1)
+        assert 64 < tops.max() <= 256
+        assert drawn == [next(end for end in (64, 128, 256) if end >= k) + 1 for k in tops]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the inflated power estimate 21.858 lies 3.6% below the top "
+                              "eigenvalue 22.679, so no order reaches the measured tol "
+                              "(ROADMAP items 1 and 2)")
+    def test_power_estimate_below_the_spectrum_exit_3(self, capsys):
+        code, _, err = run(capsys, "bound-table", "--true", "--n", "100", "--p", "0.1",
+                           "--trials", "1", "--seed", "1351")
+        assert code == 0, err
 
     def test_oracle_cap_exit_2(self, capsys):
         code, _, err = run(capsys, "bound-table", "--n", "501", "--p", "0.01",
