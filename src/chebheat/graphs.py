@@ -18,6 +18,17 @@ off its exceptions (Bell and Garland, SC 2009). A plane that misses in
 more than a quarter of its rows, such as any plane of a relabelled
 lattice, is gathered whole.
 
+:func:`build_laplacian` sorts only what needs it. Edges already in
+(lo, hi) order with no duplicate skip the sort that groups duplicates,
+and the CSR arrays take one argsort of the edges, for the lower
+triangle, and passes linear in the entries: row i is its lower
+entries, its diagonal and its upper entries, and each entry's slot is
+its row's start plus a count, as in a CSR transpose by counting
+(Gustavson, ACM TOMS 4(3), 1978). The builder knows where
+each entry's transpose lands, and the operator's symmetry check reads
+those mirror positions in place of the sort that the public
+constructor makes.
+
 Graph files come in two flavours: a whitespace edge list (``i j [w]``,
 0-based, ``#`` comments) and Matrix Market coordinate format (symmetric,
 real). A signal is a plain array: every function that takes one checks
@@ -130,8 +141,11 @@ class SparseSymMatrix:
     Notes
     -----
     Symmetry is checked at construction by a transpose compare, so every
-    stored ``(i, j)`` entry must have a mirror ``(j, i)`` with a bitwise
-    equal value. The backing arrays are marked read-only afterwards.
+    stored ``(i, j)`` entry must have a mirror ``(j, i)`` with an equal
+    value; non-finite entries are refused before it. The constructor
+    finds the mirrors by sorting the entries; :func:`build_laplacian`
+    passes the mirror positions it placed them at instead. The backing
+    arrays are marked read-only afterwards.
 
     Entry ``j`` of row ``i`` sits in padded plane ``j``. Construction
     also keeps each plane's shift, its most common offset ``col - i``,
@@ -163,10 +177,17 @@ class SparseSymMatrix:
                  "_facts", "_row_starts", "_nonempty", "_cols", "_vals", "_shifts", "_misses")
 
     def __init__(self, n, row_ptr, col_idx, values):
-        n = int(n)
-        row_ptr = np.array(row_ptr, dtype=np.int64)
-        col_idx = np.array(col_idx, dtype=np.int64)
-        values = np.array(values, dtype=np.float64)
+        self._setup(int(n), np.array(row_ptr, dtype=np.int64), np.array(col_idx, dtype=np.int64),
+                    np.array(values, dtype=np.float64), None)
+
+    def _setup(self, n, row_ptr, col_idx, values, mirror):
+        """Check and lay out the int ``n`` and the new int64 and float64 arrays, which it keeps.
+
+        Every check of the constructor runs, and symmetry is checked from
+        ``mirror`` (see :meth:`_check_symmetry`): None, as the constructor
+        passes it, sorts the entries for it, and :func:`build_laplacian`
+        passes the mirror positions it placed.
+        """
         if n < 1:
             raise ValueError("matrix dimension must be >= 1")
         if row_ptr.shape != (n + 1,):
@@ -187,6 +208,8 @@ class SparseSymMatrix:
                 raise ValueError("column indices must be strictly increasing within a row")
             if np.any(values == 0.0):
                 raise ValueError("explicit zero entries are not allowed")
+            if not np.all(np.isfinite(values)):
+                raise ValueError("non-finite entries are not allowed")
         self._n = n
         self._row_ptr = row_ptr
         self._col_idx = col_idx
@@ -194,7 +217,7 @@ class SparseSymMatrix:
         self._spectral_bound = None
         self._kernel = None
         self._facts = {}
-        self._check_symmetry(rows)
+        self._check_symmetry(rows, mirror)
         # matvec's padded layout, for rows of at most _PLANE_MAX_WIDTH entries:
         # entry j of row i sits in plane j. A padding slot holds 1.0 and reads
         # x[n] = -0.0, the additive identity, except the first slot of an empty
@@ -251,12 +274,21 @@ class SparseSymMatrix:
         diag[rows[on_diag]] = vals[on_diag]
         return rows, cols, vals, ~on_diag & (cols < self.n), diag
 
-    def _check_symmetry(self, rows):
-        order = _csr_order(self.col_idx, rows, self.n)  # the transpose's (row, col) order
+    def _check_symmetry(self, rows, mirror):
+        """Raise ``ValueError`` unless entry ``mirror[p]`` is the transpose of entry p, for every p.
+
+        That is, it sits at ``(col_idx[p], rows[p])`` and holds an equal
+        value. Since no two entries share a position, that proves the
+        matrix symmetric, whatever ``mirror`` is given. None sorts the
+        entries into the transpose's (row, col) order, which on a symmetric
+        matrix puts each entry's mirror where the entry is.
+        """
+        if mirror is None:
+            mirror = np.argsort(self.col_idx * self.n + rows)
         if not (
-            np.array_equal(self.col_idx[order], rows)
-            and np.array_equal(rows[order], self.col_idx)
-            and np.array_equal(self.values[order], self.values)
+            np.array_equal(self.col_idx[mirror], rows)
+            and np.array_equal(rows[mirror], self.col_idx)
+            and np.array_equal(self.values[mirror], self.values)
         ):
             raise ValueError("matrix is not symmetric")
 
@@ -484,20 +516,52 @@ def _checked_edges(edges, n):
 def _accumulate_edges(edges, n):
     """Canonicalize, validate (:func:`_checked_edges`), and sum duplicate undirected edges.
 
-    Duplicates are summed in input order.
+    Duplicates are summed in input order. Edges come back in (lo, hi)
+    order; edges that are in that order already, with no duplicate, as
+    ``erdos_renyi`` and every written edge list give them, are not
+    grouped: each sum is its one weight.
     """
     ii, jj, w = _checked_edges(edges, n)
     lo = np.minimum(ii, jj)
     hi = np.maximum(ii, jj)
     key = lo * n + hi
+    if np.all(key[1:] > key[:-1]):
+        return lo, hi, w
     uniq, inverse = np.unique(key, return_inverse=True)
     wsum = np.bincount(inverse, weights=w, minlength=uniq.size)
     return uniq // n, uniq % n, wsum
 
 
-def _csr_order(rows, cols, n):
-    """Permutation sorting entries by (row, col); entries must be distinct."""
-    return np.argsort(rows * n + cols)
+def _normalized_off(lo, hi, w, deg):
+    """The off-diagonal entries ``-w / sqrt(deg[lo] * deg[hi])`` of a normalized Laplacian.
+
+    Where the product of the degrees is a normal double the expression
+    runs as written. Elsewhere (the product overflows or falls below the
+    normal range) both degrees are scaled by ``2**-j``, which brings their
+    product near 1, and the weight and the root by one more power of two
+    that keeps both exact, so the one rounding is of the value the
+    expression would round with an unbounded exponent. So every entry is
+    the same when all weights are scaled by a power of two. An entry that
+    rounds to zero raises ``ValueError`` naming its edge.
+    """
+    d_lo, d_hi = deg[lo], deg[hi]
+    with np.errstate(over="ignore", divide="ignore"):  # such products are done again below
+        prod = d_lo * d_hi
+        off = -w / np.sqrt(prod)
+    odd = np.flatnonzero(~((prod >= np.finfo(np.float64).smallest_normal) & (prod < np.inf)))
+    if odd.size:
+        d_lo, d_hi, w = d_lo[odd], d_hi[odd], w[odd]
+        j = (np.frexp(d_lo)[1] + np.frexp(d_hi)[1]) // 2
+        root = np.sqrt(np.ldexp(d_lo, -j) * np.ldexp(d_hi, -j))
+        a = np.minimum(j, np.frexp(w)[1] + 1021)  # w * 2**-a stays normal
+        with np.errstate(over="ignore"):  # a root past the range leaves -0.0, refused below
+            off[odd] = -np.ldexp(w, -a) / np.ldexp(root, j - a)
+    zero = np.flatnonzero(off == 0.0)
+    if zero.size:
+        k = int(zero[0])
+        raise ValueError(f"normalized laplacian entry of edge ({int(lo[k])}, {int(hi[k])}) "
+                         "underflows to zero")
+    return off
 
 
 def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatrix:
@@ -524,6 +588,26 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
         Rows of isolated nodes are empty under ``combinatorial`` (no
         explicit zeros are stored). The normalized operator carries
         ``spectral_bound = 2``: its spectrum lies in [0, 2].
+
+    Notes
+    -----
+    Assembly sorts only the edges that need it, in passes linear in the
+    entries otherwise. Edges already in (lo, hi) order with no duplicate
+    skip the grouping of :func:`_accumulate_edges`. Row i holds its
+    lower entries, its diagonal and its upper entries, each run in column
+    order: the upper entries are the edges in (lo, hi) order, and one
+    argsort of the ``m`` keys ``hi * n + lo`` orders the lower ones, so
+    every entry's slot is its row's start plus a count. The builder knows
+    where each entry's transpose lands, and hands those mirror positions
+    to the operator's symmetry check in place of the constructor's sort
+    of all the entries; the map is dropped after the check.
+
+    A degree that overflows to ``inf`` raises ``ValueError`` naming its
+    node. The normalized entries are ``-w / sqrt(deg[lo] * deg[hi])``,
+    rescaled by powers of two where that product leaves the normal range
+    (see :func:`_normalized_off`), so they do not change when every
+    weight is scaled by a power of two; an entry that rounds to zero
+    raises ``ValueError`` naming its edge.
     """
     if kind not in ("combinatorial", "normalized"):
         raise ValueError(f"unknown laplacian kind: {kind!r}")
@@ -531,29 +615,47 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
     lo, hi, w = _accumulate_edges(edges, n)
     # one bincount over lo then hi adds in the order add.at(lo), add.at(hi) would
     deg = np.bincount(np.concatenate([lo, hi]), weights=np.concatenate([w, w]), minlength=n)
+    overflow = np.flatnonzero(deg == np.inf)
+    if overflow.size:
+        raise ValueError(f"degree of node {int(overflow[0])} overflows to inf")
     if kind == "normalized":
         isolated = np.nonzero(deg == 0.0)[0]
         if isolated.size:
             raise ValueError(
                 f"normalized laplacian undefined: node {int(isolated[0])} is isolated"
             )
-        off = -w / np.sqrt(deg[lo] * deg[hi])
-        diag_vals = np.ones(n)
-        diag_idx = np.arange(n, dtype=np.int64)
+        off = _normalized_off(lo, hi, w, deg)
     else:
         off = -w
-        diag_idx = np.nonzero(deg > 0.0)[0].astype(np.int64)
-        diag_vals = deg[diag_idx]
-    rows = np.concatenate([lo, hi, diag_idx])
-    cols = np.concatenate([hi, lo, diag_idx])
-    vals = np.concatenate([off, off, diag_vals])
-    order = _csr_order(rows, cols, n)
-    rows = rows[order]
-    cols = cols[order]
-    vals = vals[order]
+    has_diag = deg > 0.0
+    # row i: its lower entries, the edges with hi == i, then its diagonal,
+    # then its upper entries, the edges with lo == i
+    lower = np.bincount(hi, minlength=n)
+    upper = np.bincount(lo, minlength=n)
     row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
-    op = SparseSymMatrix(n, row_ptr, cols, vals)
+    np.cumsum(lower + has_diag + upper, out=row_ptr[1:])
+    # the slot of edge k's upper entry, in (lo, hi) order, follows k upper entries
+    # and the lower and diagonal entries of rows up to lo[k]; the slot of the lower
+    # entry of edge order[k], in (hi, lo) order, follows k lower entries and the
+    # diagonal and upper entries of the rows above
+    up = np.repeat(np.cumsum(lower + has_diag), upper)
+    up += np.arange(lo.size)
+    order = np.argsort(hi * n + lo)
+    above = has_diag + upper
+    low = np.repeat(np.cumsum(above) - above, lower)
+    low += np.arange(lo.size)
+    diag = (row_ptr[:-1] + lower)[has_diag]
+    cols = np.empty(row_ptr[-1], dtype=np.int64)
+    vals = np.empty(row_ptr[-1])
+    cols[up], vals[up] = hi, off
+    cols[low], vals[low] = lo[order], off[order]
+    cols[diag] = np.flatnonzero(has_diag)
+    vals[diag] = 1.0 if kind == "normalized" else deg[has_diag]
+    up = up[order]  # the upper slot of the edge of each lower slot
+    mirror = np.empty(row_ptr[-1], dtype=np.int64)
+    mirror[up], mirror[low], mirror[diag] = low, up, diag
+    op = object.__new__(SparseSymMatrix)
+    op._setup(n, row_ptr, cols, vals, mirror)
     op._spectral_bound = 2.0 if kind == "normalized" else None
     op._kernel = np.sqrt(deg) if kind == "normalized" else np.ones(n)
     op._kernel.flags.writeable = False

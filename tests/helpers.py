@@ -208,6 +208,8 @@ def reference_csr_check(n, row_ptr, col_idx, values):
                 raise ValueError("column indices must be strictly increasing within a row")
         if np.any(values == 0.0):
             raise ValueError("explicit zero entries are not allowed")
+        if np.any(np.isnan(values) | np.isinf(values)):
+            raise ValueError("non-finite entries are not allowed")
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(row_ptr))
     order = np.lexsort((rows, col_idx))
     if not (np.array_equal(col_idx[order], rows) and np.array_equal(rows[order], col_idx)

@@ -137,6 +137,15 @@ class TestDiffuse:
                            "--scales", "1", "--bound", "new-specific")
         assert code == 2 and "sum to zero" in err
 
+    @pytest.mark.parametrize("bound", ["auto", "new-generic"])
+    def test_overflowing_degree_exit_2(self, capsys, tmp_path, bound):
+        # once "tau_eff must be non-negative" (auto) or 10000 power iterations
+        g = tmp_path / "g.txt"
+        g.write_text("0 1 1e308\n0 2 1e308\n")
+        code, _, err = run(capsys, "diffuse", "--graph", str(g), "--signal", "dirac:1",
+                           "--scales", "1", "--bound", bound)
+        assert code == 2 and "degree of node 0 overflows" in err
+
     def test_cancelled_sum_signal_with_specific_bound_exit_2(self, capsys, tmp_path):
         # the sum is 1e-170, whose square underflows: the same rule as an exact
         # zero sum, not "no order up to 20000 certifies" and exit 3

@@ -109,6 +109,105 @@ class TestBuildLaplacian:
             assert same_operator(build_laplacian(edges, n, kind), ref)
             assert same_operator(build_laplacian(np.array(edges), n, kind), ref)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12),
+           raw=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                                  st.floats(1e-3, 1e3)), max_size=40),
+           canonical=st.booleans(), kind=st.sampled_from(["combinatorial", "normalized"]),
+           as_array=st.booleans())
+    def test_matches_reference_assembly(self, n, raw, canonical, kind, as_array):
+        # drawn edges come shuffled, in both orientations and with duplicates;
+        # canonical ones in strictly increasing (lo, hi) order, each pair once
+        edges = [(i % n, j % n, w) for i, j, w in raw if i % n != j % n]
+        if canonical:
+            edges = sorted({(min(i, j), max(i, j)): w for i, j, w in edges}.items())
+            edges = [(i, j, w) for (i, j), w in edges]
+        arg = np.array(edges, dtype=np.float64).reshape(-1, 3) if as_array else edges
+        nodes = {v for i, j, _ in edges for v in (i, j)}
+        if kind == "normalized" and len(nodes) < n:
+            with pytest.raises(ValueError, match="is isolated"):
+                build_laplacian(arg, n, kind)
+            return
+        op = build_laplacian(arg, n, kind)
+        assert same_operator(op, reference_laplacian(edges, n, kind))
+        assert same_operator(SparseSymMatrix(n, op.row_ptr, op.col_idx, op.values), op)
+
+    def test_mirror_check_refuses_a_tampered_value_or_mirror(self):
+        # the builder's route checks symmetry from mirror positions, not a sort:
+        # a one-sided value, or any mirror but the transpose's, is refused
+        edges = [(0, 1, 0.5), (1, 2, 3.0), (0, 3, 1.25), (2, 3), (3, 4, 0.1)]
+        op = build_laplacian(edges, 5, kind="normalized")
+        rows = np.repeat(np.arange(5), np.diff(op.row_ptr))
+        mirror = np.argsort(op.col_idx * 5 + rows)
+
+        def setup(values, mirror):
+            m = object.__new__(SparseSymMatrix)
+            m._setup(5, op.row_ptr.copy(), op.col_idx.copy(), values, mirror)
+            return m
+
+        assert same_operator(setup(op.values.copy(), mirror), op)
+        for p in range(op.nnz):
+            if rows[p] != op.col_idx[p]:  # a diagonal value is its own mirror
+                values = op.values.copy()
+                values[p] *= 1.5
+                with pytest.raises(ValueError, match="matrix is not symmetric"):
+                    setup(values, mirror)
+            for q in {p, (mirror[p] + 1) % op.nnz} - {mirror[p]}:
+                bad = mirror.copy()
+                bad[p] = q
+                with pytest.raises(ValueError, match="matrix is not symmetric"):
+                    setup(op.values.copy(), bad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights=st.lists(st.tuples(st.floats(1.0, 2.0, exclude_max=True),
+                                      st.integers(-60, 60)), min_size=12, max_size=12),
+           extra=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
+           k=st.integers(-950, 950))
+    def test_normalized_is_unchanged_by_a_power_of_two_scale(self, weights, extra, k):
+        # past the normal range of deg[lo] * deg[hi] the entries are rescaled,
+        # so that scaling every weight by 2**k keeps the operator's bits
+        pairs = [(i, (i + 1) % 8) for i in range(8)] + [(i, j) for i, j in extra if i != j]
+        w = np.array([math.ldexp(f, e) for f, e in weights])[:len(pairs)]
+        edges = np.column_stack([np.array(pairs, dtype=np.float64), w])
+        scaled = edges.copy()
+        scaled[:, 2] = np.ldexp(w, k)
+        op = build_laplacian(edges, 8, kind="normalized")
+        assert same_operator(build_laplacian(scaled, 8, kind="normalized"), op)
+        assert same_operator(op, reference_laplacian(edges, 8, "normalized"))
+
+    @pytest.mark.parametrize("w", [1e-200, 1e-160, 1e200])
+    def test_normalized_path_at_extreme_weights(self, w):
+        # deg[lo] * deg[hi] underflows to zero (-inf entries), is subnormal
+        # (a wrong sixth digit) or overflows (entries of -0.0) without the rescaling
+        edges = [(0, 1, w), (1, 2, w), (2, 3, w)]
+        L = build_laplacian(edges, 4, kind="normalized")
+        k = 600 if w > 1.0 else -600
+        moved = [(i, j, math.ldexp(v, -k)) for i, j, v in edges]
+        assert same_operator(L, reference_laplacian(moved, 4, "normalized"))
+        unit = build_laplacian(path_edges(4), 4, kind="normalized")
+        np.testing.assert_allclose(L.values, unit.values, rtol=1e-15)
+        y = expm_multiply(L, np.array([1.0, 0.0, 0.0, 0.0]), 1.0)[0]
+        assert np.all(np.isfinite(y))
+
+    def test_normalized_subnormal_and_underflowing_entries(self):
+        # an entry below the normal range is rounded once, as the expression
+        # would round it with an unbounded exponent; one that rounds to zero
+        # raises, naming its edge
+        edges = [(0, 2, 1e300), (1, 3, 1e300), (0, 1, 1e-20)]
+        L = build_laplacian(edges, 4, kind="normalized")
+        moved = [(i, j, math.ldexp(w, -600)) for i, j, w in edges]
+        assert same_operator(L, reference_laplacian(moved, 4, "normalized"))
+        assert 0.0 < -L.to_dense()[0, 1] < np.finfo(np.float64).smallest_normal
+        for edges in ([(0, 2, 4.0), (1, 3, 4.0), (0, 1, 5e-324)],
+                      [(0, 2, 1e300), (1, 3, 1e300), (0, 1, 1e-30)]):
+            with pytest.raises(ValueError, match=r"entry of edge \(0, 1\) underflows to zero"):
+                build_laplacian(edges, 4, kind="normalized")
+
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    def test_overflowing_degree_names_its_node(self, kind):
+        with pytest.raises(ValueError, match="degree of node 1 overflows to inf"):
+            build_laplacian([(0, 2, 1.0), (1, 2, 1e308), (1, 3, 1e308)], 4, kind)
+
     def test_array_and_mixed_edges(self):
         ref = build_laplacian([(0, 1, 1.0), (1, 2, 0.5)], 3)
         for edges in ([(0, 1), (1, 2, 0.5)], np.array([[0, 1, 1.0], [1, 2, 0.5]])):
@@ -340,6 +439,12 @@ class TestSparseSymMatrix:
             with pytest.raises(AttributeError):
                 setattr(L, name, getattr(L, name))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entries_rejected(self, value):
+        # symmetric infinities once passed, and a NaN was called asymmetric
+        with pytest.raises(ValueError, match="non-finite entries are not allowed"):
+            SparseSymMatrix(2, [0, 1, 2], [1, 0], [value, value])
+
     def test_asymmetric_rejected(self):
         # hand-built CSR with a one-sided entry
         with pytest.raises(ValueError):
@@ -369,7 +474,7 @@ class TestSparseSymMatrix:
             row_ptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
             cols = cols.astype(np.int64)
-            mutation = int(rng.integers(0, 7)) if cols.size else 0
+            mutation = int(rng.integers(0, 8)) if cols.size else 0
             at = int(rng.integers(0, cols.size)) if cols.size else 0
             if mutation == 1:  # swap two neighbouring columns
                 k = min(at, cols.size - 2)
@@ -386,6 +491,10 @@ class TestSparseSymMatrix:
                 vals[at] = 0.0
             elif mutation == 6:  # a one-sided value change
                 vals[at] = 3.0
+            elif mutation == 7:  # a non-finite value, on one side or on both
+                vals[at] = rng.choice([np.inf, -np.inf, np.nan])
+                if rng.integers(0, 2):
+                    vals[np.flatnonzero((cols == rows[at]) & (rows == cols[at]))] = vals[at]
             try:
                 reference_csr_check(n, row_ptr, cols, vals)
                 expected = None
@@ -401,6 +510,7 @@ class TestSparseSymMatrix:
         assert None in verdicts
         assert "column indices must be strictly increasing within a row" in verdicts
         assert "matrix is not symmetric" in verdicts
+        assert "non-finite entries are not allowed" in verdicts
 
 
 P2 = build_laplacian([(0, 1)], 2)

@@ -19,6 +19,15 @@ are the benchmark's first job (``n=100``, ``p=0.1``, seed 1000, 4
 trials), ``n=60``, ``p=0.2`` at tol 1e-10, and seed 1351, whose power
 estimate lies below the top eigenvalue.
 
+A CSR case digests the bytes of ``row_ptr``, ``col_idx`` and ``values``
+of one ``build_laplacian`` call, or its error's type and message. The
+graphs are the file ``chebheat gen-graph --n 20000 --p 0.001 --seed 1``
+writes, a shuffled copy of its edges with every other one reversed and
+a tenth of them repeated at weight 0.5, the 200x200 lattice in the
+(hi, lo) orientation of the benchmark's Matrix Market file (its operator
+keeps padded planes), the path 0-1-2-3 at weights 1e-200, 1e-160 and
+1e200 (normalized), and two edges of weight 1e308 at one node.
+
 Run from the repository root of any checkout, which it imports from::
 
     python tools/bits_digest.py > digest.txt
@@ -28,6 +37,7 @@ and compare two checkouts with ``diff``. It prints ``case sha256`` lines.
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +45,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chebheat import (BoundKind, NumericalError, build_laplacian, erdos_renyi,  # noqa: E402
-                      expm_multiply, expm_multiscale)
-from chebheat.cli import bound_table_data  # noqa: E402
+                      expm_multiply, expm_multiscale, load_graph)
+from chebheat.cli import bound_table_data, main as cli_main  # noqa: E402
 
 SCALES = [0.0] + [float(t) for t in np.logspace(-2.0, 2.0, 11)]
 SINGLE = (0.0, 2.0)
@@ -102,6 +112,39 @@ def _table_digest(n, p, trials, taus, tol, seed) -> str:
     return h.hexdigest()
 
 
+def _csr_graphs():
+    """Each CSR case's edges, node count and kinds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "er.txt")
+        cli_main(["gen-graph", "--n", "20000", "--p", "0.001", "--seed", "1", "--out", path])
+        er, n = load_graph(path)
+    rng = np.random.default_rng(5)
+    shuffled = er[rng.permutation(len(er))]
+    shuffled[::2, :2] = shuffled[::2, 1::-1]
+    repeated = shuffled[:len(er) // 10] * [1.0, 1.0, 0.5]
+    lattice, side_n = _lattice(200)
+    both = ("combinatorial", "normalized")
+    graphs = {"er-20000": (er, n, both),
+              "er-20000-shuffled": (np.concatenate([shuffled, repeated]), n, both),
+              "lattice-200x200": (lattice[:, ::-1], side_n, ("combinatorial",))}
+    for w in (1e-200, 1e-160, 1e200):
+        graphs[f"path-4-w{w:g}"] = ([(0, 1, w), (1, 2, w), (2, 3, w)], 4, ("normalized",))
+    graphs["degree-overflow"] = ([(0, 1, 1e308), (0, 2, 1e308)], 3, both)
+    return graphs
+
+
+def _csr_digest(edges, n, kind) -> str:
+    h = hashlib.sha256()
+    try:
+        op = build_laplacian(edges, n, kind=kind)
+    except ValueError as exc:
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+    else:
+        for a in (op.row_ptr, op.col_idx, op.values):
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     for case, args in TABLES.items():
         print(f"{case} {_table_digest(*args)}", flush=True)
@@ -109,6 +152,9 @@ def main() -> int:
         for signal, x in _signals(op.n).items():
             for kind in KINDS:
                 print(f"{graph}/{signal}/{kind} {_digest(op, x, kind)}", flush=True)
+    for graph, (edges, n, kinds) in _csr_graphs().items():
+        for kind in kinds:
+            print(f"csr/{graph}/{kind} {_csr_digest(edges, n, kind)}", flush=True)
     return 0
 
 
