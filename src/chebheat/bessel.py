@@ -19,19 +19,22 @@ ORDER_CAP = 20000
 
 _RESCALE_LIMIT = 1e250
 _RESCALE = 1e-250
+# log(k!) of the exact integer factorial, k = 0..20
+_LOG_FACTORIALS = [math.log(math.factorial(k)) for k in range(21)]
 
 
 def log_factorial(k: int) -> float:
     """Natural log of ``k!``, exact through the integer range.
 
-    Uses the exact integer factorial for ``k <= 20`` and ``lgamma``
-    beyond, which keeps the relative error at a few ulps.
+    Reads the logs of the exact integer factorials for ``k <= 20`` from a
+    table and uses ``lgamma`` beyond, which keeps the relative error at a
+    few ulps.
     """
     k = int(k)
     if k < 0:
         raise ValueError("k must be non-negative")
     if k <= 20:
-        return math.log(math.factorial(k))
+        return _LOG_FACTORIALS[k]
     return math.lgamma(k + 1)
 
 
@@ -63,16 +66,30 @@ def _miller_vector(k_max: int, tau: float) -> np.ndarray:
     # point near tau, normalized with  Ie_0 + 2 * sum_k Ie_k = 1
     margin = int(math.ceil(10.0 + 2.0 * math.sqrt(k_max + tau)))
     start = max(k_max, int(math.ceil(tau))) + margin
-    # the recurrence runs on Python floats, the same IEEE doubles as numpy
-    # scalars at a fraction of the cost; the normalization stays in numpy
-    f = [0.0] * (start + 2)
-    f[start] = 1e-30
-    for k in range(start, 0, -1):
-        nxt = f[k + 1] + (2.0 * k / tau) * f[k]
+    # The recurrence runs on Python floats, the same IEEE doubles as numpy
+    # scalars at a fraction of the cost, with the two previous values in
+    # locals. Its ratios 2 k / tau come from one array pass: 2.0 * k is
+    # exact and the division is rounded once, as in the scalar expression,
+    # so each has its bits. f holds orders start, start - 1, ..., 0; the
+    # normalization stays in numpy, on the ascending vector. A rescale
+    # skips the leading entries that earlier ones took to 0.0, which it
+    # would keep at 0.0: it costs the entries still above underflow, not
+    # the whole list, so small scales at long lengths stay linear.
+    f = [1e-30]
+    zeros = 0  # f[:zeros] are 0.0
+    prev, cur = 0.0, 1e-30
+    for ratio in (np.arange(start, 0, -1) * 2.0 / tau).tolist():
+        nxt = prev + ratio * cur
         if nxt > _RESCALE_LIMIT:
-            f[k - 1 :] = [v * _RESCALE for v in f[k - 1 :]]
-            nxt = f[k + 1] + (2.0 * k / tau) * f[k]
-        f[k - 1] = nxt
+            f[zeros:] = [v * _RESCALE for v in f[zeros:]]
+            while f[zeros] == 0.0:
+                zeros += 1
+            prev, cur = prev * _RESCALE, cur * _RESCALE
+            nxt = prev + ratio * cur
+        f.append(nxt)
+        prev, cur = cur, nxt
+    f.reverse()
+    f.append(0.0)
     f = np.array(f)
     total = f[0] + 2.0 * float(np.sum(f[1 : start + 1]))
     return f[: k_max + 1] / total

@@ -49,18 +49,30 @@ All bound arithmetic runs in the log domain so that extreme scales
 neither overflow nor collapse to NaN; only the final value is
 exponentiated.
 
+:func:`min_order` finds the first certified order by a search that
+trusts each family to be non-increasing in the order. A caller that
+knows a nearby order, the previous scale's in a plan or the orders of
+the two scales before in ``bound-table``, starts the search there; the
+search then tries about ``2 log2`` of the distance to the answer, about
+five bounds where a start from the first valid order tried ten, and
+finds the same order, since it only ever brackets and bisects on orders
+it has evaluated.
+
 :func:`true_min_order` measures instead: the smallest order whose error
 against the dense oracle meets ``tol``. A trial of ``bound-table
---true`` measures all its scales on one spectral basis, drawn once, and
-gets the orders one scale at a time gives; a scan to the cap keeps at
-most 4097 rows, 16 MB at the oracle's limit of 500 nodes.
+--true`` measures all its scales in one scan of the orders on one
+spectral basis, drawn once a chunk at a time: the scales that share a
+chunk are stacked into one array product, one running sum and one sum
+of squares that only picks candidate orders, and each candidate is
+decided by the one-order test a loop over the orders makes, so every
+scale gets the loop's order. The scan holds one chunk and one stack of
+at most 256 rows each, 2 MB at the oracle's limit of 500 nodes.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import islice
 
 import numpy as np
 
@@ -103,11 +115,9 @@ _TAIL_UNDERFLOW = 2.0 ** -1021
 # the longest Bessel vector the tail sums, whatever cap min_order searches to:
 # a kind's value at an order does not depend on how far the search may go
 _VECTOR_CAP = ORDER_CAP
-# the measured-order scan: the orders one array operation covers, the last
-# order whose basis row a trial keeps for all its scales, the unit roundoff
-# and twice the least subnormal (see _measured_orders)
+# the measured-order scan: the most rows one array operation covers, the
+# unit roundoff and twice the least subnormal (see _measured_orders)
 _CHUNK = 256
-_STORED_ORDER = 2 ** 12
 _UNIT = 2.0 ** -53
 _SUBNORMAL = 2.0 ** -1073
 
@@ -321,15 +331,33 @@ def select_bound(tau_eff: float, ratio: float) -> BoundKind:
     return BoundKind.NEW_GENERIC
 
 
-def _first_true(pred, start: int) -> int:
+def _first_true(pred, start: int, guess: int | None = None) -> int:
     """Smallest ``k >= start`` with ``pred(k)``, for a ``pred`` that stays true once true.
 
-    Brackets the answer by doubling the step from ``start``, then
-    bisects: about ``2 log2(k - start)`` calls of ``pred``.
+    Without a guess, or with one at or below ``start``, it brackets the
+    answer by doubling the step from ``start`` and then bisects: about
+    ``2 log2(k - start)`` calls of ``pred``. With a guess above
+    ``start`` it tries the guess first and gallops from there, down by
+    steps 1, 2, 4, ... while ``pred`` holds (never below ``start``), up
+    by the same steps while it fails, and then bisects: about ``2
+    log2(|k - guess|)`` calls, two when the guess is the answer. Every
+    order it brackets or bisects on is one that ``pred`` was asked
+    about, and ``pred`` changes once, so any guess returns the same
+    order.
     """
-    lo, hi = start - 1, start  # pred fails at every order through lo
-    while not pred(hi):
-        lo, hi = hi, 2 * hi - start + 1
+    lo = start - 1  # pred fails at every order through lo
+    if guess is not None and guess > start and pred(guess):
+        hi, step = guess, 1
+        while guess - step > lo and pred(guess - step):
+            hi, step = guess - step, 2 * step
+        lo = max(lo, guess - step)
+    else:
+        if guess is not None and guess > start:
+            lo = guess
+        step = 1
+        while not pred(lo + step):
+            step *= 2
+        lo, hi = lo + step // 2, lo + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if pred(mid):
@@ -369,21 +397,30 @@ def min_order(kind: BoundKind, tau_eff: float, tol: float,
       whose partial sums only grow as ``k`` falls, and whose underflow
       allowance grows with the count of summed terms.
 
-    So the first certified order is bracketed by doubling and then
-    bisected. Each order is evaluated with the scalar operations of
-    :func:`log_bound_value`, so every value compared with ``log(tol)``
-    has the bits a linear scan would compare; the steps between orders
-    dwarf rounding, and the tests hold the result to a linear scan.
+    So the first certified order is bracketed by doubling from the first
+    valid order and then bisected (:func:`_first_true`). Each order is
+    evaluated with the scalar operations of :func:`log_bound_value`, so
+    every value compared with ``log(tol)`` has the bits a linear scan
+    would compare; the steps between orders dwarf rounding, and the
+    tests hold the result to a linear scan. Callers inside the package
+    may start the same search from a guess (``bound-table`` and the
+    ``auto`` plan do): since the values only fall with the order, the
+    first order whose value meets ``log(tol)`` is one order, wherever
+    the search starts, and the tests hold every guess to the plain
+    search, bit for bit.
     """
     return _order_and_log_bound(kind, tau_eff, tol, ratio)[0]
 
 
 def _order_and_log_bound(kind: BoundKind, tau_eff: float, tol: float,
-                         ratio: float | None) -> tuple[int, float]:
+                         ratio: float | None, guess: int | None = None) -> tuple[int, float]:
     """:func:`min_order` and the log of the certificate there, from one closure.
 
     A tail kind builds its one Bessel vector once for both. The log is
-    ``log_bound_value(kind, order, tau_eff, ratio)`` bit for bit.
+    ``log_bound_value(kind, order, tau_eff, ratio)`` bit for bit, the
+    value the search compared there. ``guess``, an order expected near
+    the answer, only sets where :func:`_first_true` starts: the order
+    and the log are the same whatever it is.
     """
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
@@ -396,54 +433,67 @@ def _order_and_log_bound(kind: BoundKind, tau_eff: float, tol: float,
     if start <= ORDER_CAP:  # with no valid order to try, the energy ratio is never read
         log_tol = math.log(tol)
         log_bound = _log_bound_of(kind, tau_eff, ratio)
-        # orders past the cap count as certified so that the search ends there
-        order = _first_true(lambda k: k > ORDER_CAP or log_bound(k) <= log_tol, start)
+        values = {}
+
+        def certified(k):
+            if k > ORDER_CAP:  # certified, so that the search ends at the cap
+                return True
+            values[k] = value = log_bound(k)
+            return value <= log_tol
+        order = _first_true(certified, start, guess)
     if order > ORDER_CAP:
         raise OrderCapError(
             f"no order up to {ORDER_CAP} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"
         )
-    return order, log_bound(order)
+    return order, values[order]
 
 
-def _growing_coefficients(tau_eff: float):
-    # (first order, coefficients) stages up to order ORDER_CAP, orders 0..64,
-    # 65..128, 129..256, ...: the vector is recomputed at double the length
-    # whenever the scan runs past it, and each order takes its coefficient
-    # from the first vector long enough to hold it
+def _stages():
+    # (first, last) orders of the coefficient stages up to ORDER_CAP: 0..64,
+    # 65..128, 129..256, ...: a scale's vector is recomputed at double the
+    # length whenever the scan runs past it, and each order takes its
+    # coefficient from the first vector long enough to hold it
     done, size = 0, min(ORDER_CAP, 64)
     while True:
-        yield done, cheb_coefficients(tau_eff, size)[done:]
+        yield done, size
         if size == ORDER_CAP:
             return
         done, size = size + 1, min(ORDER_CAP, 2 * size)
 
 
-def _measured_orders(op, signal, tol: float, lambda_max: float | None = None):
-    """``tau ->`` :func:`true_min_order` ``(op, signal, tau, tol, lambda_max)``, on one basis.
+def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = None) -> list:
+    """:func:`true_min_order` ``(op, signal, tau, tol, lambda_max)`` for each ``tau``, in one scan.
 
     Checks ``tol`` and the signal, and resolves the dense spectrum,
-    ``lambda_hat`` and ``x_hat``, once; the rows ``T_k(D) x_hat`` are
-    drawn once and serve every scale. A scale scans its coefficient
-    stages in chunks of at most ``_CHUNK`` orders: the products
-    ``c_k t_k``, their running sum (``np.cumsum`` adds in ascending
-    ``k``, as :func:`~chebheat.chebyshev.cheb_partial_sums` does) and
-    the errors from the target are array operations with the bits of
-    the per-order loop. The ``einsum`` of the squared errors only picks
-    candidates: both it and the ``float(d @ d)`` the loop compares are
-    within ``gamma_n = n u / (1 - n u)`` of the exact sum of squares,
-    plus ``n`` half-units of the least subnormal (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, section 3.1). A row is a
-    candidate when its sum is at most ``tol * denom (1 + gamma_n) / (1 -
-    gamma_n)``, widened by four units for that product's own rounding,
-    plus ``n`` times twice the least subnormal, so no order that meets
-    ``tol`` is passed over. In ascending order, each candidate is then
-    decided by ``float(d @ d)`` on a fresh 1-d copy of its row: the
-    loop's own test, so every order is the loop's.
+    ``lambda_hat`` and ``x_hat``, once, raising on any of them. Each
+    scale then gets its order, or the error it would raise, as a value
+    in the list: a negative scale, a diffused signal that underflows to
+    zero, or ``OrderCapError``.
 
-    Rows of orders up to ``_STORED_ORDER`` are kept for the trial; a
-    scale that runs past them draws its own rows from there, a chunk at
-    a time. So a scan to the cap holds ``_STORED_ORDER + 1`` rows and a
-    few chunks, 16 MB at ``n = 500``, never ``ORDER_CAP + 1`` rows.
+    One walk of the orders serves every scale: the rows ``T_k(D)
+    x_hat`` are drawn once, a chunk of at most ``_CHUNK`` orders at a
+    time inside each coefficient stage, and every scale still scanning
+    reads each chunk before the next is drawn, so no row is kept past
+    its chunk. Scales that share a chunk are stacked, as many as fit
+    in ``_CHUNK`` rows: the products ``c_k t_k``, their running sums
+    (``np.cumsum`` adds along the orders in ascending ``k``, as
+    :func:`~chebheat.chebyshev.cheb_partial_sums` does, each scale's row
+    apart) and the errors from the targets are array operations with
+    the bits of the per-order loop. The ``einsum`` of the squared errors
+    only picks candidates: both it and the ``float(d @ d)`` the loop
+    compares are within ``gamma_n = n u / (1 - n u)`` of the exact sum
+    of squares, plus ``n`` half-units of the least subnormal (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section
+    3.1). A row is a candidate when its sum is at most ``tol * denom (1
+    + gamma_n) / (1 - gamma_n)``, widened by four units for that
+    product's own rounding, plus ``n`` times twice the least subnormal,
+    so no order that meets ``tol`` is passed over. In ascending order,
+    each candidate is then decided by ``float(d @ d)`` on a fresh 1-d
+    copy of its row: the loop's own test, so every order is the loop's.
+    A scale leaves the walk at its order; the walk ends when none is
+    left, or at ``ORDER_CAP``. So it holds one chunk of rows, one stack
+    of at most ``_CHUNK`` rows, and per scale two rows and the current
+    stage's coefficients, never ``ORDER_CAP + 1`` rows.
     """
     from .diffusion import _resolve_lambda
     from .oracle import dense_spectrum
@@ -461,56 +511,73 @@ def _measured_orders(op, signal, tol: float, lambda_max: float | None = None):
     gamma = x.size * _UNIT / (1.0 - x.size * _UNIT)
     widen = (1.0 + gamma) / (1.0 - gamma) * (1.0 + 4.0 * _UNIT)
     slack = x.size * _SUBNORMAL
-    row = np.dtype((np.float64, x.size))  # np.fromiter reads whole rows
 
-    def rows_from(k):
-        """Rows ``T_k(D) x_hat``, ``T_{k+1}(D) x_hat``, ...: the recurrence from order 0."""
-        return islice(cheb_terms(lambda v: d * v, xhat), k, None)
-
-    shared = rows_from(0)
-    stored = []  # the row blocks of the first chunks, in order
-
-    def order_of(tau: float) -> int:
-        tau = float(tau)
+    taus = [float(tau) for tau in taus]
+    orders = [None] * len(taus)
+    live, targets, denoms = [], [], []  # the scales still scanning
+    for i, tau in enumerate(taus):
         if tau < 0.0:
-            raise ValueError("tau must be non-negative")
+            orders[i] = ValueError("tau must be non-negative")
+            continue
         target = np.exp(-tau * spec.eigenvalues) * xhat
         denom = float(target @ target)
         if denom == 0.0:
-            raise ValueError("diffused signal underflowed to zero; relative error undefined")
-        limit = tol * denom
-        loose = limit * widen + slack
-        total, own = None, None
-        chunk = 0  # every scale walks the same chunks, in order
-        for first, c in _growing_coefficients(lam_hat * tau / 2.0):
-            for k in range(first, first + c.size, _CHUNK):
-                m = min(_CHUNK, first + c.size - k)
-                if chunk < len(stored):
-                    rows = stored[chunk]
-                elif k + m - 1 <= _STORED_ORDER:
-                    rows = np.fromiter(shared, row, m)
-                    stored.append(rows)
+            orders[i] = ValueError("diffused signal underflowed to zero; "
+                                   "relative error undefined")
+            continue
+        live.append(i)
+        targets.append(target)
+        denoms.append(denom)
+    targets = np.array(targets).reshape(len(live), x.size)
+    totals = np.empty_like(targets)  # each scale's sum through the last chunk
+    limits = tol * np.array(denoms)
+    loose = limits * widen + slack
+    row = np.dtype((np.float64, x.size))  # np.fromiter reads whole rows
+    rows_of = cheb_terms(lambda v: d * v, xhat)
+    stacked = np.empty(_CHUNK * x.size)  # every stack's products, sums and errors
+    for first, last in _stages():
+        if not live:
+            break
+        coeffs = np.empty((len(live), last + 1 - first))
+        for w, i in enumerate(live):
+            coeffs[w] = cheb_coefficients(lam_hat * taus[i] / 2.0, last)[first:]
+        for k in range(first, last + 1, _CHUNK):
+            if not live:
+                break
+            m = min(_CHUNK, last + 1 - k)
+            rows = np.fromiter(rows_of, row, m)
+            per = max(1, _CHUNK // m)  # scales per stack
+            found = set()
+            for at in range(0, len(live), per):
+                stack = slice(at, at + per)
+                c = coeffs[stack, k - first:k - first + m]
+                part = stacked[:c.size * x.size].reshape(len(c), m, x.size)
+                np.multiply(c[:, :, None], rows, out=part)
+                if k == 0:
+                    part[:, 0] = (0.5 * c[:, :1]) * rows[0]
                 else:
-                    if own is None:  # past the stored rows: this scale's own
-                        own = rows_from(k)
-                    rows = np.fromiter(own, row, m)
-                chunk += 1
-                part = c[k - first:k - first + m, None] * rows
-                if total is None:
-                    part[0] = (0.5 * c[0]) * rows[0]
-                else:
-                    part[0] += total
-                np.cumsum(part, axis=0, out=part)
-                total = part[-1].copy()
-                np.subtract(target, part, out=part)
-                for i in np.flatnonzero(np.einsum("ij,ij->i", part, part) <= loose):
-                    diff = part[i].copy()
-                    if float(diff @ diff) <= limit:
-                        return k + int(i)
-        raise OrderCapError(
-            f"no order up to {ORDER_CAP} reaches measured tol={tol} at tau={tau}"
+                    part[:, 0] += totals[stack]
+                np.cumsum(part, axis=1, out=part)
+                totals[stack] = part[:, -1]
+                np.subtract(targets[stack, None], part, out=part)
+                sums = np.einsum("gij,gij->gi", part, part)
+                for g, w in enumerate(range(at, min(at + per, len(live)))):
+                    for j in np.flatnonzero(sums[g] <= loose[w]):
+                        diff = part[g, j].copy()
+                        if float(diff @ diff) <= limits[w]:
+                            orders[live[w]] = k + int(j)
+                            found.add(w)
+                            break
+            if found:
+                keep = [w for w in range(len(live)) if w not in found]
+                live = [live[w] for w in keep]
+                coeffs, targets, totals, limits, loose = (
+                    a[keep] for a in (coeffs, targets, totals, limits, loose))
+    for i in live:
+        orders[i] = OrderCapError(
+            f"no order up to {ORDER_CAP} reaches measured tol={tol} at tau={taus[i]}"
         )
-    return order_of
+    return orders
 
 
 def true_min_order(op, signal, tau: float, tol: float,
@@ -529,12 +596,17 @@ def true_min_order(op, signal, tau: float, tol: float,
     a diffusion run checks it, before any dense work. Limited to
     oracle-sized operators.
 
-    The one-scale use of the scanner that ``bound-table --true`` runs on
-    all of a trial's scales, on one spectral basis: its order is the one
-    a loop over the orders finds, and a scan to the cap holds at most
-    4097 rows of ``n`` entries, 16 MB at ``n = 500``.
+    This is the one-scale call of the scan that ``bound-table --true``
+    runs on all of a trial's scales at once: the scan walks the orders a
+    chunk at a time, picks candidates by array sums and decides each by
+    the loop's own test, so its order is the one a loop over the orders
+    finds. It holds one chunk of at most 256 rows of ``n`` entries and
+    the stack of their sums, 2 MB at ``n = 500``.
     """
     tau = float(tau)
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
-    return _measured_orders(op, signal, tol, lambda_max)(tau)
+    order = _measured_orders(op, signal, [tau], tol, lambda_max)[0]
+    if isinstance(order, Exception):
+        raise order
+    return order

@@ -16,8 +16,9 @@ from contextlib import nullcontext
 import numpy as np
 
 from ._rows import write_rows
-from .bounds import _measured_orders, AUTO, BoundKind, energy_ratio, min_order
-from .bounds import true_min_order  # noqa: F401  perfbench spans the oracle under this name
+from .bounds import _measured_orders, _order_and_log_bound, AUTO, BoundKind, energy_ratio
+# perfbench spans the searches and the oracle under these names
+from .bounds import min_order, true_min_order  # noqa: F401
 from .diffusion import _check_scales, estimate_lambda_max, expm_multiscale
 from .errors import NumericalError
 from .graphs import (_spec_field, build_laplacian, erdos_renyi, load_graph, load_signal,
@@ -98,6 +99,13 @@ def cmd_diffuse(args) -> None:
         write_rows(fh, ",", [np.arange(n)], [y for y, _ in results])
 
 
+def _guess(row, j: int) -> int | None:
+    """Where scale ``j``'s search starts: its kind's ``row`` extrapolated from scales j-1, j-2."""
+    if j == 0:
+        return None
+    return int(row[0] if j == 1 else 2 * row[j - 1] - row[j - 2])
+
+
 def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
                      seed: int, with_true: bool):
     """Per-trial minimum orders for the paper's four certificates on ER graphs.
@@ -108,9 +116,16 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
     array when ``with_true``, else None (``true``), and each trial's
     :func:`~chebheat.bounds.energy_ratio` (``ratios``, length trials).
     Trial t draws the graph with ``seed + t`` and the standard-normal
-    signal with ``seed + t + 10000``. A trial's measured orders share one
-    spectral basis (:func:`~chebheat.bounds.true_min_order`'s scanner).
-    Every scale must be finite and non-negative.
+    signal with ``seed + t + 10000``. Every scale must be finite and
+    non-negative.
+
+    Each search starts from the orders the kind took at the two scales
+    before, which changes no order (:func:`~chebheat.bounds.min_order`).
+    A trial's measured orders come from one scan of all its scales
+    (:func:`~chebheat.bounds.true_min_order`'s scanner), up to the first
+    scale whose certified orders fail. The first error is raised in the
+    order of a loop over the scales that, at each scale, finds the four
+    certified orders and then the measured one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -126,15 +141,24 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
         sig = load_signal(f"normal:{seed + t + 10000}", n)
         ratios[t] = ratio = energy_ratio(sig, op)
         lam = estimate_lambda_max(op)
+        failed, error = m, None  # the first scale whose certified orders fail, and why
         for j, tau in enumerate(taus):
             te = lam * tau / 2.0
             tau_effs[t, j] = te
-            for kind in _TABLE_KINDS:
-                orders[kind][t, j] = min_order(kind, te, tol, ratio=ratio)
-            if with_true:
-                if j == 0:
-                    true_order = _measured_orders(op, sig, tol)
-                true_orders[t, j] = true_order(tau)
+            try:
+                for kind in _TABLE_KINDS:
+                    row = orders[kind][t]
+                    row[j] = _order_and_log_bound(kind, te, tol, ratio, _guess(row, j))[0]
+            except (ValueError, NumericalError) as exc:  # raised after earlier scales' errors
+                failed, error = j, exc
+                break
+        if with_true and failed:
+            for j, order in enumerate(_measured_orders(op, sig, taus[:failed], tol)):
+                if isinstance(order, Exception):
+                    raise order
+                true_orders[t, j] = order
+        if error is not None:
+            raise error
     return {"taus": taus, "tau_effs": tau_effs, "orders": orders, "true": true_orders,
             "ratios": ratios}
 

@@ -296,7 +296,10 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     if kind == AUTO:
         kind = (BoundKind.TAIL_SPECIFIC if select_bound(tau_top, ratio) is BoundKind.NEW_SPECIFIC
                 else BoundKind.TAIL_GENERIC)
-        certified = [_order_and_log_bound(kind, t, tol, ratio) for t in tau_effs]
+        certified, guess = [], None
+        for t in tau_effs:  # each search starts from the scale before's order
+            certified.append(_order_and_log_bound(kind, t, tol, ratio, guess))
+            guess = certified[-1][0]
     else:
         order = min_order(kind, tau_top, tol, ratio=ratio)
         certified = [(order, log_bound_value(kind, order, t, ratio)) for t in tau_effs]

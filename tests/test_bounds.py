@@ -456,6 +456,56 @@ class TestMinOrderMatchesLinearScan:
         assert got == _order_or_error(reference_min_order, kind, tau_eff, tol, ratio=ratio, cap=cap)
 
 
+class TestGuessNeverChangesTheAnswer:
+    """A warm-started search returns the bits of the plain one, or raises as it does."""
+
+    @given(st.sampled_from(list(BoundKind)),
+           st.one_of(st.floats(min_value=1e-3, max_value=2e3), st.sampled_from([0.0, 5e-324])),
+           st.floats(min_value=1e-14, max_value=1e-1),
+           st.sampled_from([None, RATIO_200, ZERO_SUM, 7 * 2.5 / (0.75 * 0.75)]),
+           st.one_of(st.just(ORDER_CAP), st.integers(min_value=0, max_value=60)),
+           st.integers(min_value=2, max_value=10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_random(self, kind, tau_eff, tol, ratio, cap, far):
+        with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap):
+            plain = _order_or_error(_order_and_log_bound, kind, tau_eff, tol, ratio)
+            first = _first_order(kind in _NEW_KINDS, tau_eff)
+            answer = plain[0] if isinstance(plain[0], int) else cap + 1
+            below = [0, -far] + ([first - 1] if math.isfinite(first) else [])
+            near = [answer - 1, answer, answer + 1]
+            above = [answer + far, cap, cap + 1, cap + far]
+            for guess in below + near + above:
+                got = _order_or_error(_order_and_log_bound, kind, tau_eff, tol, ratio, guess)
+                assert got == plain, guess
+        if isinstance(plain[0], int):
+            assert plain[1] == log_bound_value(kind, plain[0], tau_eff, ratio=ratio)
+
+    def test_calls_fall_near_the_answer(self):
+        calls = []
+
+        def pred(k):
+            calls.append(k)
+            return k >= 1000
+
+        assert chebheat.bounds._first_true(pred, 0) == 1000
+        plain = len(calls)
+        for guess, most in [(1000, 2), (999, 2), (1001, 3), (990, 10), (1020, 12)]:
+            calls.clear()
+            assert chebheat.bounds._first_true(pred, 0, guess) == 1000
+            assert len(calls) <= most < plain, guess
+
+    @given(st.permutations([0.0, 0.01, 0.05, 0.3, 1.0, 2.0, 4.0, 7.5, 10.0, 25.0]),
+           st.sampled_from([1e-4, 1e-8, 1e-12]))
+    @settings(max_examples=20, deadline=None)
+    def test_plan_orders_do_not_depend_on_the_scale_order(self, scales, tol):
+        L = build_laplacian(erdos_renyi(30, 0.2, seed=4), 30)
+        x = np.random.default_rng(4).standard_normal(30)
+        plan = chebheat.diffusion.make_plan(L, x, scales, tol)
+        ratio = energy_ratio(x, L)
+        assert list(plan.scale_orders) == [
+            min_order(plan.kind, t, tol, ratio=ratio) for t in plan.tau_effs]
+
+
 class TestTrueMinOrder:
     def test_path_two_frozen(self):
         L = build_laplacian([(0, 1)], 2)
@@ -501,12 +551,14 @@ class TestTrueMinOrder:
 
     def test_scan_to_the_cap_keeps_few_rows(self, monkeypatch):
         # a given lambda_max above the free floor (22.16) and below the top
-        # eigenvalue (23.91) passes the check, and no order ever reaches tol
+        # eigenvalue (23.91) passes the check, and no order of any of the 25
+        # scales ever reaches tol
         n = chebheat.oracle.DENSE_CAP
         L = build_laplacian(erdos_renyi(n, 0.02, seed=5), n)
         lam = 1.001 * chebheat.diffusion._lambda_floor(L)
         assert lam < float(np.linalg.eigvalsh(L.to_dense()).max())
         x = np.random.default_rng(1).standard_normal(n)
+        taus = np.linspace(0.05, 0.5, 25).tolist()
         # the Bessel vectors are made before tracing: the bound is on the rows
         vectors = {}
 
@@ -516,29 +568,32 @@ class TestTrueMinOrder:
             return vectors[tau_eff, order]
 
         monkeypatch.setattr(chebheat.bounds, "cheb_coefficients", kept)
-        with pytest.raises(OrderCapError):
-            _measured_orders(L, x, 1e-12, lam)(0.5)
-        order_of = _measured_orders(L, x, 1e-12, lam)
+        for tau in taus:
+            for _, last in chebheat.bounds._stages():
+                kept(lam * tau / 2.0, last)
         tracemalloc.start()
         try:
-            with pytest.raises(OrderCapError, match=f"no order up to {ORDER_CAP} reaches"):
-                order_of(0.5)
+            got = _measured_orders(L, x, taus, 1e-12, lam)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the kept rows of orders 0..4096 and a few chunks of 256, not the
-        # 20001 rows of the whole scan (76 MiB)
-        bound = (chebheat.bounds._STORED_ORDER + 1 + 4 * chebheat.bounds._CHUNK) * n * 8
+        assert [(type(e), str(e)) for e in got] == [
+            (OrderCapError, f"no order up to {ORDER_CAP} reaches measured tol=1e-12 at tau={tau}")
+            for tau in taus]
+        # a few chunks of 256 rows, well under the 4097 kept rows and four
+        # chunks that one scale's scan once held, and the 20001 rows of the
+        # whole scan (76 MiB)
+        bound = (2 ** 12 + 1 + 4 * 256) * n * 8
         assert peak < bound < (ORDER_CAP + 1) * n * 8 / 3
 
 
-def _orders_or_error(order_of, taus):
+def _orders_or_error(op, x, taus, tol, lam):
     """Each scale's order, or the error's type and message; one error for all on a set-up error."""
     try:
-        order_of = order_of()
+        got = _measured_orders(op, x, taus, tol, lam)
     except (ValueError, OrderCapError) as exc:
         return [(type(exc), str(exc))] * len(taus)
-    return [_order_or_error(order_of, tau) for tau in taus]
+    return [(type(v), str(v)) if isinstance(v, Exception) else v for v in got]
 
 
 class TestMeasuredOrdersMatchLoop:
@@ -551,9 +606,9 @@ class TestMeasuredOrdersMatchLoop:
            st.sampled_from([None, None, 0.9, 0.999, 1.0, 1.01, 1.5]),
            st.sampled_from([1.0, 1.0, 1e-160]),
            st.one_of(st.just(ORDER_CAP), st.integers(min_value=0, max_value=300)),
-           st.sampled_from([(256, 2 ** 12), (7, 2 ** 12), (64, 100), (256, 0)]))
+           st.sampled_from([256, 256, 7, 64, 100, 1]))
     @settings(max_examples=120, deadline=None)
-    def test_random(self, n, p, seed, taus, tol, factor, amplitude, cap, layout):
+    def test_random(self, n, p, seed, taus, tol, factor, amplitude, cap, chunk):
         L = build_laplacian(erdos_renyi(n, p, seed), n)
         top = float(np.linalg.eigvalsh(L.to_dense()).max())
         lam = None if factor is None else factor * top
@@ -561,10 +616,8 @@ class TestMeasuredOrdersMatchLoop:
             cap = min(cap, 300)  # the loop runs every order to the cap there
         x = amplitude * np.random.default_rng(seed).standard_normal(n)
         taus = [0.0] + taus
-        chunk, stored = layout
-        with mock.patch.multiple(chebheat.bounds, ORDER_CAP=cap, _CHUNK=chunk,
-                                 _STORED_ORDER=stored):
-            got = _orders_or_error(lambda: _measured_orders(L, x, tol, lam), taus)
+        with mock.patch.multiple(chebheat.bounds, ORDER_CAP=cap, _CHUNK=chunk):
+            got = _orders_or_error(L, x, taus, tol, lam)
         want = [_order_or_error(reference_true_min_order, L, x, tau, tol, lam, cap=cap)
                 for tau in taus]
         assert got == want
@@ -574,7 +627,7 @@ class TestMeasuredOrdersMatchLoop:
         (1.0, 1e-8, 1e-170, None, ORDER_CAP, ValueError),
         # a lambda_max below the top eigenvalue: no order reaches tol
         (0.5, 1e-12, 1.0, 1.001, 300, OrderCapError),
-        # tol is met past the stored rows, on rows drawn again
+        # tol is met in the second coefficient stage, six chunks in
         (60.0, 1e-12, 1.0, None, ORDER_CAP, 113),
     ])
     def test_edge_cases(self, tau, tol, amplitude, lam, cap, expected, monkeypatch):
@@ -582,7 +635,7 @@ class TestMeasuredOrdersMatchLoop:
         if lam is not None:
             lam *= chebheat.diffusion._lambda_floor(L)
         x = amplitude * np.random.default_rng(4).standard_normal(30)
-        monkeypatch.setattr(chebheat.bounds, "_STORED_ORDER", 64)
+        monkeypatch.setattr(chebheat.bounds, "_CHUNK", 16)
         monkeypatch.setattr(chebheat.bounds, "ORDER_CAP", cap)
         got = _order_or_error(true_min_order, L, x, tau, tol, lam)
         assert got == _order_or_error(reference_true_min_order, L, x, tau, tol, lam, cap=cap)

@@ -3,6 +3,8 @@
 import glob
 import os
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ import chebheat._rows
 import chebheat.bounds
 import chebheat.cli
 import chebheat.diffusion
-from chebheat.cli import bound_table_data, main
-from chebheat.diffusion import expm_multiscale
+from chebheat.bounds import energy_ratio, min_order, true_min_order
+from chebheat.cli import _TABLE_KINDS, bound_table_data, main
+from chebheat.diffusion import estimate_lambda_max, expm_multiscale
+from chebheat.errors import NumericalError
 from chebheat.graphs import build_laplacian, erdos_renyi, load_graph, load_signal
 
 from helpers import same_operator
@@ -401,6 +405,37 @@ class TestBoundTable:
         code, _, err = run(capsys, "bound-table", "--true", "--n", "100", "--p", "0.1",
                            "--trials", "1", "--seed", "1351")
         assert code == 0, err
+
+    @pytest.mark.parametrize("seed, scales, cap", [
+        # scale 1's new-generic order passes the cap, and so would scale 2's
+        # measured one: the certified error comes first
+        (0, "0.1,2.0,50.0", 30),
+        # the power estimate lies below the spectrum, so scale 0's measured
+        # order never reaches tol; scale 1's certified orders pass the cap
+        (1351, "0.021544346900318832,1e4", 20000),
+    ])
+    def test_first_error_is_the_loops(self, capsys, seed, scales, cap):
+        n, p, trials, tol = (30, 0.2, 2, 1e-5) if seed == 0 else (100, 0.1, 1, 1e-5)
+        taus = [float(t) for t in scales.split(",")]
+        with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap):
+            # a loop over the trials and scales: the four kinds, then the measured order
+            with pytest.raises((ValueError, NumericalError)) as want:
+                for t in range(trials):
+                    op = build_laplacian(erdos_renyi(n, p, seed + t), n)
+                    sig = load_signal(f"normal:{seed + t + 10000}", n)
+                    ratio, lam = energy_ratio(sig, op), estimate_lambda_max(op)
+                    for tau in taus:
+                        for kind in _TABLE_KINDS:
+                            min_order(kind, lam * tau / 2.0, tol, ratio=ratio)
+                        true_min_order(op, sig, tau, tol)
+            with pytest.raises(want.type) as got:
+                bound_table_data(n, p, trials, taus, tol, seed, with_true=True)
+            code, out, err = run(capsys, "bound-table", "--n", str(n), "--p", str(p),
+                                 "--trials", str(trials), "--scales", scales,
+                                 "--tol", str(tol), "--seed", str(seed))
+        assert str(got.value) == str(want.value)
+        assert "certifies" in str(got.value) if seed == 0 else "measured" in str(got.value)
+        assert (code, out, err) == (3, "", f"error: {want.value}\n")
 
     def test_oracle_cap_exit_2(self, capsys):
         code, _, err = run(capsys, "bound-table", "--n", "501", "--p", "0.01",

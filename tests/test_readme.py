@@ -47,5 +47,5 @@ def test_quoted_limits_are_the_code_limits():
     limits = re.findall(r"fewer than (\d+) scales or fewer than (\d+) nodes", text)
     assert [(int(a), int(b)) for a, b in limits] == [
         (chebyshev._OVERLAP_MIN_SCALES, chebyshev._OVERLAP_MIN_LENGTH)]
-    stored = re.findall(r"keeps at most (\d+) rows of `n` entries", text)
-    assert [int(v) for v in stored] == [bounds._STORED_ORDER + 1]
+    chunk = re.findall(r"holds one chunk of at most (\d+) rows of `n` entries", text)
+    assert [int(v) for v in chunk] == [bounds._CHUNK]

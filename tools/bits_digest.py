@@ -28,6 +28,15 @@ a tenth of them repeated at weight 0.5, the 200x200 lattice in the
 keeps padded planes), the path 0-1-2-3 at weights 1e-200, 1e-160 and
 1e200 (normalized), and two edges of weight 1e308 at one node.
 
+A Bessel case digests ``bessel_ie_scaled(k_max, tau)`` at one ``k_max``
+of 0, 1, 64, 128, 256, 1024 and ``ORDER_CAP``, over scales on the power
+series path, on both sides of the switch at 1, where the backward
+recurrence rescales (small scales at long lengths), and up to 2e4. A
+``min_order`` case digests, for one kind, its order and the
+``log_bound_value`` there, or the error's type and message, over a grid
+of effective scales (0 and the least subnormal to 1e5), tolerances
+(1e-14 to 0.1) and energy ratios (none, 1, 200 and infinite).
+
 Run from the repository root of any checkout, which it imports from::
 
     python tools/bits_digest.py > digest.txt
@@ -46,6 +55,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chebheat import (BoundKind, NumericalError, build_laplacian, erdos_renyi,  # noqa: E402
                       expm_multiply, expm_multiscale, load_graph)
+from chebheat.bessel import ORDER_CAP, bessel_ie_scaled  # noqa: E402
+from chebheat.bounds import log_bound_value, min_order  # noqa: E402
 from chebheat.cli import bound_table_data, main as cli_main  # noqa: E402
 
 SCALES = [0.0] + [float(t) for t in np.logspace(-2.0, 2.0, 11)]
@@ -57,6 +68,14 @@ TABLE_SCALES = [float(t) for t in np.logspace(-2.0, 2.0, 25)]
 TABLES = {"bound-table/n100-p0.1-seed1000": (100, 0.1, 4, TABLE_SCALES, 1e-5, 1000),
           "bound-table/n60-p0.2-tol1e-10": (60, 0.2, 3, [0.0] + TABLE_SCALES, 1e-10, 3),
           "bound-table/n100-p0.1-seed1351": (100, 0.1, 1, TABLE_SCALES, 1e-5, 1351)}
+
+BESSEL_ORDERS = [0, 1, 64, 128, 256, 1024, ORDER_CAP]
+BESSEL_SCALES = ([0.0, 5e-324, 1e-300, 1e-6, 0.01, 0.5, float(np.nextafter(1.0, 0.0)), 1.0,
+                  float(np.nextafter(1.0, 2.0)), 1.5, 3.0, 10.0, 50.0, 100.0, 700.0, 1000.0,
+                  5000.0, 2e4])
+ORDER_SCALES = [0.0, 5e-324, 1e-3, 0.1, 1.0, 5.0, 20.0, 100.0, 1000.0, 5000.0, 1e5]
+ORDER_TOLS = [1e-14, 1e-8, 1e-5, 0.1]
+ORDER_RATIOS = [None, 1.0, 200.0, float("inf")]
 
 
 def _lattice(side):
@@ -112,6 +131,28 @@ def _table_digest(n, p, trials, taus, tol, seed) -> str:
     return h.hexdigest()
 
 
+def _bessel_digest(k_max) -> str:
+    h = hashlib.sha256()
+    for tau in BESSEL_SCALES:
+        h.update(bessel_ie_scaled(k_max, tau).tobytes())
+    return h.hexdigest()
+
+
+def _min_order_digest(kind) -> str:
+    h = hashlib.sha256()
+    for tau_eff in ORDER_SCALES:
+        for tol in ORDER_TOLS:
+            for ratio in ORDER_RATIOS:
+                try:
+                    order = min_order(kind, tau_eff, tol, ratio=ratio)
+                    value = log_bound_value(kind, order, tau_eff, ratio=ratio)
+                except (ValueError, NumericalError) as exc:
+                    h.update(f"{type(exc).__name__}: {exc}".encode())
+                else:
+                    h.update(f"{order} {value.hex()}".encode())
+    return h.hexdigest()
+
+
 def _csr_graphs():
     """Each CSR case's edges, node count and kinds."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -155,6 +196,10 @@ def main() -> int:
     for graph, (edges, n, kinds) in _csr_graphs().items():
         for kind in kinds:
             print(f"csr/{graph}/{kind} {_csr_digest(edges, n, kind)}", flush=True)
+    for k_max in BESSEL_ORDERS:
+        print(f"bessel/k_max={k_max} {_bessel_digest(k_max)}", flush=True)
+    for kind in BoundKind:
+        print(f"min_order/{kind.value} {_min_order_digest(kind)}", flush=True)
     return 0
 
 
