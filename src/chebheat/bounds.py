@@ -58,15 +58,12 @@ five bounds where a start from the first valid order tried ten, and
 finds the same order, since it only ever brackets and bisects on orders
 it has evaluated.
 
-:func:`true_min_order` measures instead: the smallest order whose error
-against the dense oracle meets ``tol``. A trial of ``bound-table
---true`` measures all its scales in one scan of the orders on one
-spectral basis, drawn once a chunk at a time: the scales that share a
-chunk are stacked into one array product, one running sum and one sum
-of squares that only picks candidate orders, and each candidate is
-decided by the one-order test a loop over the orders makes, so every
-scale gets the loop's order. The scan holds one chunk and one stack of
-at most 256 rows each, 2 MB at the oracle's limit of 500 nodes.
+:func:`true_min_order` is the measured counterpart the paper's order
+table sets these against: the smallest order whose error against the
+dense oracle meets ``tol``. It is the public one-scale call of the scan
+in :mod:`chebheat.oracle`, which owns every computation against a
+dense spectrum and the rules for ``lambda_hat``; this module only
+certifies.
 """
 
 from __future__ import annotations
@@ -77,9 +74,9 @@ from enum import Enum
 import numpy as np
 
 from .bessel import ORDER_CAP, bessel_ie_scaled, log_factorial
-from .chebyshev import cheb_coefficients, cheb_terms
 from .errors import OrderCapError
 from .graphs import _signal
+from .oracle import _check_tau, _measured_orders
 
 __all__ = ["BoundKind", "AUTO", "energy_ratio", "sup_error_bound", "baseline_error_term",
            "log_bound_value", "select_bound", "min_order", "true_min_order"]
@@ -115,11 +112,6 @@ _TAIL_UNDERFLOW = 2.0 ** -1021
 # the longest Bessel vector the tail sums, whatever cap min_order searches to:
 # a kind's value at an order does not depend on how far the search may go
 _VECTOR_CAP = ORDER_CAP
-# the measured-order scan: the most rows one array operation covers, the
-# unit roundoff and twice the least subnormal (see _measured_orders)
-_CHUNK = 256
-_UNIT = 2.0 ** -53
-_SUBNORMAL = 2.0 ** -1073
 
 
 def energy_ratio(signal, op) -> float:
@@ -448,138 +440,6 @@ def _order_and_log_bound(kind: BoundKind, tau_eff: float, tol: float,
     return order, values[order]
 
 
-def _stages():
-    # (first, last) orders of the coefficient stages up to ORDER_CAP: 0..64,
-    # 65..128, 129..256, ...: a scale's vector is recomputed at double the
-    # length whenever the scan runs past it, and each order takes its
-    # coefficient from the first vector long enough to hold it
-    done, size = 0, min(ORDER_CAP, 64)
-    while True:
-        yield done, size
-        if size == ORDER_CAP:
-            return
-        done, size = size + 1, min(ORDER_CAP, 2 * size)
-
-
-def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = None) -> list:
-    """:func:`true_min_order` ``(op, signal, tau, tol, lambda_max)`` for each ``tau``, in one scan.
-
-    Checks ``tol`` and the signal, and resolves the dense spectrum,
-    ``lambda_hat`` and ``x_hat``, once, raising on any of them. Each
-    scale then gets its order, or the error it would raise, as a value
-    in the list: a negative scale, a diffused signal that underflows to
-    zero, or ``OrderCapError``.
-
-    One walk of the orders serves every scale: the rows ``T_k(D)
-    x_hat`` are drawn once, a chunk of at most ``_CHUNK`` orders at a
-    time inside each coefficient stage, and every scale still scanning
-    reads each chunk before the next is drawn, so no row is kept past
-    its chunk. Scales that share a chunk are stacked, as many as fit
-    in ``_CHUNK`` rows: the products ``c_k t_k``, their running sums
-    (``np.cumsum`` adds along the orders in ascending ``k``, as
-    :func:`~chebheat.chebyshev.cheb_partial_sums` does, each scale's row
-    apart) and the errors from the targets are array operations with
-    the bits of the per-order loop. The ``einsum`` of the squared errors
-    only picks candidates: both it and the ``float(d @ d)`` the loop
-    compares are within ``gamma_n = n u / (1 - n u)`` of the exact sum
-    of squares, plus ``n`` half-units of the least subnormal (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, section
-    3.1). A row is a candidate when its sum is at most ``tol * denom (1
-    + gamma_n) / (1 - gamma_n)``, widened by four units for that
-    product's own rounding, plus ``n`` times twice the least subnormal,
-    so no order that meets ``tol`` is passed over. In ascending order,
-    each candidate is then decided by ``float(d @ d)`` on a fresh 1-d
-    copy of its row: the loop's own test, so every order is the loop's.
-    A scale leaves the walk at its order; the walk ends when none is
-    left, or at ``ORDER_CAP``. So it holds one chunk of rows, one stack
-    of at most ``_CHUNK`` rows, and per scale two rows and the current
-    stage's coefficients, never ``ORDER_CAP + 1`` rows.
-    """
-    from .diffusion import _resolve_lambda
-    from .oracle import dense_spectrum
-
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    x = _signal(signal)
-    spec = dense_spectrum(op)
-    if x.shape != spec.eigenvalues.shape:
-        raise ValueError("signal length does not match operator size")
-    lam_hat, _ = _resolve_lambda(op, lambda_max)
-    xhat = spec.vectors.T @ x
-    scale = 2.0 / lam_hat if lam_hat > 0.0 else 0.0
-    d = np.clip(scale * spec.eigenvalues, 0.0, 2.0)
-    gamma = x.size * _UNIT / (1.0 - x.size * _UNIT)
-    widen = (1.0 + gamma) / (1.0 - gamma) * (1.0 + 4.0 * _UNIT)
-    slack = x.size * _SUBNORMAL
-
-    taus = [float(tau) for tau in taus]
-    orders = [None] * len(taus)
-    live, targets, denoms = [], [], []  # the scales still scanning
-    for i, tau in enumerate(taus):
-        if tau < 0.0:
-            orders[i] = ValueError("tau must be non-negative")
-            continue
-        target = np.exp(-tau * spec.eigenvalues) * xhat
-        denom = float(target @ target)
-        if denom == 0.0:
-            orders[i] = ValueError("diffused signal underflowed to zero; "
-                                   "relative error undefined")
-            continue
-        live.append(i)
-        targets.append(target)
-        denoms.append(denom)
-    targets = np.array(targets).reshape(len(live), x.size)
-    totals = np.empty_like(targets)  # each scale's sum through the last chunk
-    limits = tol * np.array(denoms)
-    loose = limits * widen + slack
-    row = np.dtype((np.float64, x.size))  # np.fromiter reads whole rows
-    rows_of = cheb_terms(lambda v: d * v, xhat)
-    stacked = np.empty(_CHUNK * x.size)  # every stack's products, sums and errors
-    for first, last in _stages():
-        if not live:
-            break
-        coeffs = np.empty((len(live), last + 1 - first))
-        for w, i in enumerate(live):
-            coeffs[w] = cheb_coefficients(lam_hat * taus[i] / 2.0, last)[first:]
-        for k in range(first, last + 1, _CHUNK):
-            if not live:
-                break
-            m = min(_CHUNK, last + 1 - k)
-            rows = np.fromiter(rows_of, row, m)
-            per = max(1, _CHUNK // m)  # scales per stack
-            found = set()
-            for at in range(0, len(live), per):
-                stack = slice(at, at + per)
-                c = coeffs[stack, k - first:k - first + m]
-                part = stacked[:c.size * x.size].reshape(len(c), m, x.size)
-                np.multiply(c[:, :, None], rows, out=part)
-                if k == 0:
-                    part[:, 0] = (0.5 * c[:, :1]) * rows[0]
-                else:
-                    part[:, 0] += totals[stack]
-                np.cumsum(part, axis=1, out=part)
-                totals[stack] = part[:, -1]
-                np.subtract(targets[stack, None], part, out=part)
-                sums = np.einsum("gij,gij->gi", part, part)
-                for g, w in enumerate(range(at, min(at + per, len(live)))):
-                    for j in np.flatnonzero(sums[g] <= loose[w]):
-                        diff = part[g, j].copy()
-                        if float(diff @ diff) <= limits[w]:
-                            orders[live[w]] = k + int(j)
-                            found.add(w)
-                            break
-            if found:
-                keep = [w for w in range(len(live)) if w not in found]
-                live = [live[w] for w in keep]
-                coeffs, targets, totals, limits, loose = (
-                    a[keep] for a in (coeffs, targets, totals, limits, loose))
-    for i in live:
-        orders[i] = OrderCapError(
-            f"no order up to {ORDER_CAP} reaches measured tol={tol} at tau={taus[i]}"
-        )
-    return orders
-
-
 def true_min_order(op, signal, tau: float, tol: float,
                    lambda_max: float | None = None) -> int:
     """Smallest order whose *measured* error meets ``tol``.
@@ -593,20 +453,18 @@ def true_min_order(op, signal, tau: float, tol: float,
     :func:`~chebheat.diffusion.estimate_lambda_max`. A default ``auto``
     run rescales by the certified ceiling instead; pass its report's
     ``lambda_max`` to compare with its orders. The signal is checked as
-    a diffusion run checks it, before any dense work. Limited to
+    a diffusion run checks it, and ``tau`` must be finite and
+    non-negative; both are refused before any dense work. Limited to
     oracle-sized operators.
 
-    This is the one-scale call of the scan that ``bound-table --true``
-    runs on all of a trial's scales at once: the scan walks the orders a
-    chunk at a time, picks candidates by array sums and decides each by
-    the loop's own test, so its order is the one a loop over the orders
-    finds. It holds one chunk of at most 256 rows of ``n`` entries and
-    the stack of their sums, 2 MB at ``n = 500``.
+    This is the one-scale call of :mod:`chebheat.oracle`'s scan, which
+    ``bound-table --true`` runs on all of a trial's scales at once: it
+    walks the orders a chunk at a time, picks candidates by array sums
+    and decides each by the loop's own test, so its order is the one a
+    loop over the orders finds. It holds one chunk of at most 256 rows
+    of ``n`` entries and the stack of their sums, 2 MB at ``n = 500``.
     """
-    tau = float(tau)
-    if tau < 0.0:
-        raise ValueError("tau must be non-negative")
-    order = _measured_orders(op, signal, [tau], tol, lambda_max)[0]
+    order = _measured_orders(op, signal, [_check_tau(tau)], tol, lambda_max)[0]
     if isinstance(order, Exception):
         raise order
     return order

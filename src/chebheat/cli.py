@@ -16,13 +16,14 @@ from contextlib import nullcontext
 import numpy as np
 
 from ._rows import write_rows
-from .bounds import _measured_orders, _order_and_log_bound, AUTO, BoundKind, energy_ratio
+from .bounds import _order_and_log_bound, AUTO, BoundKind, energy_ratio
 # perfbench spans the searches and the oracle under these names
 from .bounds import min_order, true_min_order  # noqa: F401
 from .diffusion import _check_scales, estimate_lambda_max, expm_multiscale
 from .errors import NumericalError
 from .graphs import (_spec_field, build_laplacian, erdos_renyi, load_graph, load_signal,
                      save_edge_list)
+from .oracle import _measured_orders
 
 __all__ = ["main", "entry"]
 
@@ -121,9 +122,12 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
 
     Each search starts from the orders the kind took at the two scales
     before, which changes no order (:func:`~chebheat.bounds.min_order`).
-    A trial's measured orders come from one scan of all its scales
-    (:func:`~chebheat.bounds.true_min_order`'s scanner), up to the first
-    scale whose certified orders fail. The first error is raised in the
+    A trial's measured orders come from one scan of all its scales in
+    :mod:`chebheat.oracle`, the scan behind
+    :func:`~chebheat.bounds.true_min_order`, up to the first scale whose
+    certified orders fail. The scan resolves ``lambda_hat`` by the rule
+    :func:`~chebheat.diffusion.estimate_lambda_max` follows, so it reuses
+    the trial's estimate at no matvec. The first error is raised in the
     order of a loop over the scales that, at each scale, finds the four
     certified orders and then the measured one.
     """

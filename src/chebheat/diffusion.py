@@ -12,6 +12,13 @@ of the longest one and no basis is stored. A single scale is the case
 m = 1. On runs large enough to repay it, the additions run on one
 helper thread per run, overlapped with the recurrence, which stays on
 the calling thread with every matvec (see :mod:`chebheat.chebyshev`).
+
+This module only plans and runs. The spectral radius a run rescales by
+is chosen in :mod:`chebheat.oracle`, whose rule
+:func:`estimate_lambda_max` exposes, and the certified orders in
+:mod:`chebheat.bounds`. :func:`measure_errors` audits a run: it runs the
+same expansion and compares it with the oracle's
+:func:`~chebheat.oracle.exact_diffusion`.
 """
 
 from __future__ import annotations
@@ -24,23 +31,11 @@ import numpy as np
 from .bounds import (_TAIL_KINDS, AUTO, BoundKind, _order_and_log_bound, energy_ratio,
                      log_bound_value, min_order, select_bound)
 from .chebyshev import build_basis, cheb_coefficients, combine
-from .errors import ConvergenceError
 from .graphs import SparseSymMatrix, _signal
+from .oracle import _check_tau, _resolve_lambda, exact_diffusion
 
 __all__ = ["DiffusionPlan", "DiffusionReport", "estimate_lambda_max",
            "make_plan", "expm_multiply", "expm_multiscale", "measure_errors"]
-
-# power-iteration controls; a relative change of 1e-4 is plenty, the
-# estimate is inflated afterwards anyway. A fixed start vector makes it
-# a function of the operator alone.
-_POWER_SEED = 0
-_POWER_REL_TOL = 1e-4
-_POWER_MIN_ITER = 10
-_POWER_MAX_ITER = 10000
-_POWER_INFLATE = 1.01
-# relative rounding allowance of _lambda_floor: a given lambda_max
-# this close to it may be the exact spectral radius
-_FLOOR_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,33 +82,6 @@ class DiffusionReport:
     scale_order: int
 
 
-def _power_iteration(op: SparseSymMatrix) -> tuple[float, int]:
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(op.n)
-    v /= np.linalg.norm(v)
-    rho_prev = math.inf
-    hits = 0
-    for it in range(1, _POWER_MAX_ITER + 1):
-        w = op.matvec(v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            # v is (numerically) in the kernel and matvec count stays honest
-            return 0.0, it
-        rho = float(v @ w)
-        v = w / norm_w
-        if it >= _POWER_MIN_ITER and rho > 0.0:
-            if abs(rho - rho_prev) <= _POWER_REL_TOL * rho:
-                hits += 1
-                if hits >= 2:  # two consecutive passes; one can be a fluke
-                    return rho, it
-            else:
-                hits = 0
-        rho_prev = rho
-    raise ConvergenceError(
-        f"power iteration did not settle within {_POWER_MAX_ITER} iterations"
-    )
-
-
 def estimate_lambda_max(op: SparseSymMatrix) -> float:
     """The spectral-radius value a run with one of the paper's four kinds rescales by.
 
@@ -127,47 +95,6 @@ def estimate_lambda_max(op: SparseSymMatrix) -> float:
     matvecs. Raises ConvergenceError if the iteration does not settle.
     """
     return _resolve_lambda(op, None)[0]
-
-
-def _lambda_floor(op: SparseSymMatrix) -> float:
-    """A lower bound on the largest eigenvalue, free of matvecs.
-
-    By eigenvalue interlacing, the largest eigenvalue is at least every
-    diagonal entry and the largest eigenvalue of every 2x2 principal
-    submatrix; this takes the maximum over the diagonal and over the
-    submatrices of the stored off-diagonal entries. Computed afresh for
-    each given ``lambda_max``, one pass over the stored entries.
-    """
-    if op.nnz == 0:
-        return 0.0
-    rows, cols, vals, off, diag = op._diagonal()
-    a = diag[rows[off]]
-    b = diag[cols[off]]
-    pair = 0.5 * (a + b) + np.hypot(0.5 * (a - b), vals[off])
-    return float(max(diag.max(), pair.max(initial=-math.inf)))
-
-
-def _spectral_ceiling(op: SparseSymMatrix) -> float:
-    """A certified upper bound on the largest eigenvalue, free of matvecs.
-
-    Collatz-Wielandt: every eigenvalue of ``op`` is at most the spectral
-    radius of its entrywise absolute value ``|A|``, and for every
-    positive ``v`` that is at most ``max_i (|A| v)_i / v_i``. With ``v``
-    the absolute row sums (1 on an empty row), twice the degrees on a
-    Laplacian, this is Merris's bound ``max_i (d_i + sum_j w_ij d_j /
-    d_i)`` (Linear Algebra Appl. 285, 1998): exactly 8 on a 2-D lattice,
-    about 1.4 to 1.6 times the top eigenvalue on ER graphs. The ratio is
-    inflated by twice the relative rounding of a sum as long as the
-    longest row. Two products with ``|A|`` and no matvec, kept on the
-    operator object like the power estimate.
-    """
-    if "ceiling" not in op._facts:
-        v = op._product(np.ones(op.n), absolute=True)
-        v[v == 0.0] = 1.0
-        terms = int(np.diff(op.row_ptr).max()) + 2
-        ratio = float(np.max(op._product(v, absolute=True) / v))
-        op._facts["ceiling"] = ratio * (1.0 + terms * 2.0 ** -52)
-    return op._facts["ceiling"]
 
 
 def _require_psd(op: SparseSymMatrix) -> None:
@@ -191,41 +118,6 @@ def _require_psd(op: SparseSymMatrix) -> None:
             f"cannot certify a bound on an operator not known to be positive semidefinite: "
             f"row {i} has diagonal {float(diag[i])!r} below {float(off[i])!r}, the sum of its "
             f"off-diagonal magnitudes (build_laplacian's Laplacians need no check)")
-
-
-def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None,
-                    certified: bool = False) -> tuple[float, int]:
-    """The rescaling value lambda_hat and the matvecs spent choosing it.
-
-    In order of preference: the given ``lambda_max``, checked against
-    :func:`_lambda_floor`; the operator's ``spectral_bound``; with
-    ``certified``, :func:`_spectral_ceiling`; else the inflated
-    power-iteration estimate. Every path that rescales an operator gets
-    its value here. The ceiling and the estimate are functions of the
-    (read-only) operator alone, so they are kept on the operator object:
-    every repeat on that object returns the same bits at 0 matvecs,
-    whatever other operators were used in between. A failed iteration
-    stores nothing.
-    """
-    if lambda_max is not None:
-        lam_hat = float(lambda_max)
-        if not math.isfinite(lam_hat) or lam_hat < 0.0:
-            raise ValueError("lambda_max must be finite and non-negative")
-        floor = _lambda_floor(op)
-        if lam_hat < floor * (1.0 - _FLOOR_SLACK) or (lam_hat == 0.0 and op.nnz > 0):
-            raise ValueError(f"lambda_max={lam_hat!r} is below the spectral radius: an "
-                             f"eigenvalue of at least {floor!r} exists")
-        return lam_hat, 0
-    if op.spectral_bound is not None:
-        return op.spectral_bound, 0
-    if certified:
-        return _spectral_ceiling(op), 0
-    if "lambda_hat" in op._facts:
-        return op._facts["lambda_hat"], 0
-    rho, iters = _power_iteration(op)
-    lam_hat = rho * _POWER_INFLATE if rho > 0.0 else 0.0
-    op._facts["lambda_hat"] = lam_hat
-    return lam_hat, iters
 
 
 def _check_scales(scales) -> tuple[float, ...]:
@@ -405,14 +297,11 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     as :func:`make_plan` checks it, else :func:`estimate_lambda_max`.
     A default ``auto`` run rescales by the certified ceiling instead; to
     measure that run's own output, pass its report's ``lambda_max``.
-    Returns the pair (input-relative, output-relative).
+    ``tau`` must be finite and non-negative, and is refused before any
+    matvec. Returns the pair (input-relative, output-relative).
     """
-    from .oracle import exact_diffusion
-
     x = _signal(x)
-    tau = float(tau)
-    if tau < 0.0:
-        raise ValueError("tau must be non-negative")
+    tau = _check_tau(tau)
     lam_hat, _ = _resolve_lambda(op, lambda_max)
     [y], _ = _diffuse(op, lam_hat, x, [int(order)], [lam_hat * tau / 2.0])
     w = exact_diffusion(op, x, tau)

@@ -450,9 +450,8 @@ def _reference_growing_coefficients(tau_eff, cap):
 
 
 def reference_true_min_order(op, signal, tau, tol, lambda_max=None, cap=ORDER_CAP):
-    from chebheat.diffusion import _resolve_lambda
     from chebheat.graphs import _signal
-    from chebheat.oracle import dense_spectrum
+    from chebheat.oracle import _resolve_lambda, dense_spectrum
 
     tau = float(tau)
     if tau < 0.0:

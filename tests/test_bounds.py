@@ -21,12 +21,13 @@ import chebheat.oracle
 from chebheat.bessel import ORDER_CAP, bessel_ie_scaled
 from chebheat.bounds import (_NEW_KINDS, _TAIL_MARGIN, AUTO, BoundKind, _first_order,
                              _log_bound_of, _log_closed_sq, _log_sq, _log_tail_sq,
-                             _measured_orders, _order_and_log_bound,
+                             _order_and_log_bound,
                              baseline_error_term, energy_ratio,
                              log_bound_value, min_order, select_bound, sup_error_bound,
                              true_min_order)
 from chebheat.errors import OrderCapError
 from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi
+from chebheat.oracle import _measured_orders
 
 from helpers import eval_scalar, reference_min_order, reference_true_min_order
 
@@ -526,7 +527,7 @@ class TestTrueMinOrder:
     def test_cap_raises(self):
         L = build_laplacian([(0, 1)], 2)
         x = np.array([1.0, 0.0])
-        with mock.patch.object(chebheat.bounds, "ORDER_CAP", 5):
+        with mock.patch.object(chebheat.oracle, "ORDER_CAP", 5):
             with pytest.raises(OrderCapError, match="no order up to 5"):
                 true_min_order(L, x, 1.0, 1e-10, lambda_max=2.0)
         assert true_min_order(L, x, 1.0, 1e-10, lambda_max=2.0) == 6
@@ -535,13 +536,29 @@ class TestTrueMinOrder:
         L = build_laplacian([(0, 1)], 2)
         assert true_min_order(L, np.array([1.0, 2.0]), 0.0, 1e-12, lambda_max=2.0) == 0
 
+    def test_rejects_non_finite_tau_before_any_work(self, monkeypatch):
+        # unchecked, tau = inf blamed an underflowed signal and tau = nan the
+        # Bessel vector, both after the eigendecomposition had run
+        def no_work(*args):
+            raise AssertionError("dense work on an invalid scale")
+
+        monkeypatch.setattr(chebheat.oracle, "dense_spectrum", no_work)
+        L = build_laplacian([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
+        x = np.array([1.0, 2.0, 0.5, -1.0])
+        for tau in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^tau must be finite and non-negative$"):
+                true_min_order(L, x, tau, 1e-5)
+        for tau in (-math.inf, -1.0):  # a negative scale keeps its own message
+            with pytest.raises(ValueError, match="^tau must be non-negative$"):
+                true_min_order(L, x, tau, 1e-5)
+
     def test_rejects_non_finite_signal_before_any_work(self, monkeypatch):
         # unchecked, a NaN entry ran all 20000 orders and raised OrderCapError
         def no_work(*args):
             raise AssertionError("dense or recurrence work on an invalid signal")
 
         monkeypatch.setattr(chebheat.oracle, "dense_spectrum", no_work)
-        monkeypatch.setattr(chebheat.bounds, "cheb_terms", no_work)
+        monkeypatch.setattr(chebheat.oracle, "cheb_terms", no_work)
         L = build_laplacian(erdos_renyi(50, 0.2, seed=3), 50)
         x = np.random.default_rng(0).standard_normal(50)
         for bad in (np.nan, np.inf):
@@ -555,21 +572,21 @@ class TestTrueMinOrder:
         # scales ever reaches tol
         n = chebheat.oracle.DENSE_CAP
         L = build_laplacian(erdos_renyi(n, 0.02, seed=5), n)
-        lam = 1.001 * chebheat.diffusion._lambda_floor(L)
+        lam = 1.001 * chebheat.oracle._lambda_floor(L)
         assert lam < float(np.linalg.eigvalsh(L.to_dense()).max())
         x = np.random.default_rng(1).standard_normal(n)
         taus = np.linspace(0.05, 0.5, 25).tolist()
         # the Bessel vectors are made before tracing: the bound is on the rows
         vectors = {}
 
-        def kept(tau_eff, order, inner=chebheat.bounds.cheb_coefficients):
+        def kept(tau_eff, order, inner=chebheat.oracle.cheb_coefficients):
             if (tau_eff, order) not in vectors:
                 vectors[tau_eff, order] = inner(tau_eff, order)
             return vectors[tau_eff, order]
 
-        monkeypatch.setattr(chebheat.bounds, "cheb_coefficients", kept)
+        monkeypatch.setattr(chebheat.oracle, "cheb_coefficients", kept)
         for tau in taus:
-            for _, last in chebheat.bounds._stages():
+            for _, last in chebheat.oracle._stages():
                 kept(lam * tau / 2.0, last)
         tracemalloc.start()
         try:
@@ -616,7 +633,7 @@ class TestMeasuredOrdersMatchLoop:
             cap = min(cap, 300)  # the loop runs every order to the cap there
         x = amplitude * np.random.default_rng(seed).standard_normal(n)
         taus = [0.0] + taus
-        with mock.patch.multiple(chebheat.bounds, ORDER_CAP=cap, _CHUNK=chunk):
+        with mock.patch.multiple(chebheat.oracle, ORDER_CAP=cap, _CHUNK=chunk):
             got = _orders_or_error(L, x, taus, tol, lam)
         want = [_order_or_error(reference_true_min_order, L, x, tau, tol, lam, cap=cap)
                 for tau in taus]
@@ -633,10 +650,10 @@ class TestMeasuredOrdersMatchLoop:
     def test_edge_cases(self, tau, tol, amplitude, lam, cap, expected, monkeypatch):
         L = build_laplacian(erdos_renyi(30, 0.3, seed=2), 30)
         if lam is not None:
-            lam *= chebheat.diffusion._lambda_floor(L)
+            lam *= chebheat.oracle._lambda_floor(L)
         x = amplitude * np.random.default_rng(4).standard_normal(30)
-        monkeypatch.setattr(chebheat.bounds, "_CHUNK", 16)
-        monkeypatch.setattr(chebheat.bounds, "ORDER_CAP", cap)
+        monkeypatch.setattr(chebheat.oracle, "_CHUNK", 16)
+        monkeypatch.setattr(chebheat.oracle, "ORDER_CAP", cap)
         got = _order_or_error(true_min_order, L, x, tau, tol, lam)
         assert got == _order_or_error(reference_true_min_order, L, x, tau, tol, lam, cap=cap)
         assert (got[0] if isinstance(got, tuple) else got) == expected

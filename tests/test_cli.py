@@ -11,7 +11,7 @@ import pytest
 import chebheat._rows
 import chebheat.bounds
 import chebheat.cli
-import chebheat.diffusion
+import chebheat.oracle
 from chebheat.bounds import energy_ratio, min_order, true_min_order
 from chebheat.cli import _TABLE_KINDS, bound_table_data, main
 from chebheat.diffusion import estimate_lambda_max, expm_multiscale
@@ -345,10 +345,10 @@ class TestBoundTable:
         # as lambda_max once checked it at every scale
         calls = {"_lambda_floor": 0, "_power_iteration": 0}
         for name in calls:
-            def counted(op, inner=getattr(chebheat.diffusion, name), name=name):
+            def counted(op, inner=getattr(chebheat.oracle, name), name=name):
                 calls[name] += 1
                 return inner(op)
-            monkeypatch.setattr(chebheat.diffusion, name, counted)
+            monkeypatch.setattr(chebheat.oracle, name, counted)
         bound_table_data(30, 0.2, 2, [0.1, 1.0, 10.0], 1e-8, 0, with_true=True)
         assert calls == {"_lambda_floor": 0, "_power_iteration": 2}
 
@@ -380,7 +380,7 @@ class TestBoundTable:
         # coefficient stage, not once per scale
         drawn = []
 
-        def counted(apply, x, inner=chebheat.bounds.cheb_terms):
+        def counted(apply, x, inner=chebheat.oracle.cheb_terms):
             for t in inner(apply, x):
                 drawn[-1] += 1
                 yield t
@@ -389,7 +389,7 @@ class TestBoundTable:
             drawn.append(0)
             return inner(op)
 
-        monkeypatch.setattr(chebheat.bounds, "cheb_terms", counted)
+        monkeypatch.setattr(chebheat.oracle, "cheb_terms", counted)
         monkeypatch.setattr(chebheat.cli, "estimate_lambda_max", trial_start)
         taus = [0.0, 0.1, 1.0, 10.0, 30.0]
         data = bound_table_data(40, 0.5, 2, taus, 1e-12, 7, with_true=True)

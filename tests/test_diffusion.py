@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 
 import chebheat.diffusion
+import chebheat.oracle
 from chebheat import chebyshev
 from chebheat.bounds import (AUTO, BoundKind, energy_ratio, log_bound_value, min_order,
                              true_min_order)
 from chebheat.chebyshev import cheb_coefficients, cheb_terms
-from chebheat.diffusion import (_lambda_floor, estimate_lambda_max, expm_multiply,
+from chebheat.diffusion import (estimate_lambda_max, expm_multiply,
                                 expm_multiscale, make_plan, measure_errors)
 from chebheat.errors import ConvergenceError, OrderCapError
 from chebheat.cli import main
 from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi, load_graph, load_signal
-from chebheat.oracle import exact_diffusion
+from chebheat.oracle import _lambda_floor, exact_diffusion
 
 from helpers import (complete_edges, force_combine_helper, lattice_edges, path_edges,
                      series_sum)
@@ -65,7 +66,7 @@ class TestEstimateLambdaMax:
     def test_budget_raises(self, monkeypatch):
         # two settled passes are needed from iteration 10 on, so a budget
         # of 10 can never be met
-        monkeypatch.setattr(chebheat.diffusion, "_POWER_MAX_ITER", 10)
+        monkeypatch.setattr(chebheat.oracle, "_POWER_MAX_ITER", 10)
         L = build_laplacian(erdos_renyi(30, 0.2, seed=1), 30)
         with pytest.raises(ConvergenceError):
             estimate_lambda_max(L)
@@ -148,7 +149,7 @@ class TestPowerMemo:
         op = build_laplacian(erdos_renyi(30, 0.2, seed=1), 30)
         x = np.ones(30)
         with monkeypatch.context() as m:
-            m.setattr(chebheat.diffusion, "_POWER_MAX_ITER", 10)
+            m.setattr(chebheat.oracle, "_POWER_MAX_ITER", 10)
             for _ in range(2):
                 with pytest.raises(ConvergenceError):
                     make_plan(op, x, [1.0], 1e-6, kind=self.KIND)
@@ -305,13 +306,13 @@ class TestSpectralCeiling:
     def test_at_least_the_largest_eigenvalue(self):
         for op in self._operators():
             true = float(np.linalg.eigvalsh(op.to_dense()).max())
-            assert true <= chebheat.diffusion._spectral_ceiling(op), true
+            assert true <= chebheat.oracle._spectral_ceiling(op), true
 
     def test_merris_value_on_the_lattice(self):
         # interior rows give 4 + 4 * 4 / 4 = 8 exactly; the rows hold 5 entries
         op = build_laplacian(lattice_edges(12, 12), 144)
-        assert chebheat.diffusion._spectral_ceiling(op) == 8.0 * (1.0 + 7 * 2.0 ** -52)
-        assert chebheat.diffusion._spectral_ceiling(build_laplacian([], 3)) == 0.0
+        assert chebheat.oracle._spectral_ceiling(op) == 8.0 * (1.0 + 7 * 2.0 ** -52)
+        assert chebheat.oracle._spectral_ceiling(build_laplacian([], 3)) == 0.0
 
     def test_auto_and_tail_kinds_take_it_and_keep_it(self, monkeypatch):
         op = weighted_er(70, 0.1, seed=8)
@@ -324,7 +325,7 @@ class TestSpectralCeiling:
             return inner(self, v)
 
         monkeypatch.setattr(SparseSymMatrix, "matvec", counting_matvec)
-        ceiling = chebheat.diffusion._spectral_ceiling(weighted_er(70, 0.1, seed=8))
+        ceiling = chebheat.oracle._spectral_ceiling(weighted_er(70, 0.1, seed=8))
         for kind in ("auto", "tail-generic", "tail-specific"):
             [(_, rep)] = expm_multiscale(op, x, [2.0], tol=1e-8, kind=kind)
             assert (rep.lambda_max, rep.setup_matvecs) == (ceiling, 0)
@@ -370,6 +371,19 @@ class TestSingleScale:
         # a negative order once measured (0.0, 0.0) here and raised on any other operator
         with pytest.raises(ValueError, match="order"):
             measure_errors(L, x, 5.0, -1)
+
+    def test_measure_errors_refuses_non_finite_tau_before_any_work(self, monkeypatch):
+        # unchecked, a non-finite tau ran the power iteration before the
+        # Bessel vector refused it
+        def no_work(*args):
+            raise AssertionError("power iteration or dense work on an invalid scale")
+
+        monkeypatch.setattr(chebheat.oracle, "_power_iteration", no_work)
+        monkeypatch.setattr(chebheat.oracle, "dense_spectrum", no_work)
+        L = build_laplacian(erdos_renyi(20, 0.3, seed=1), 20)
+        for tau in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^tau must be finite and non-negative$"):
+                measure_errors(L, np.ones(20), tau, 5)
 
     def test_explicit_lambda_skips_estimation(self):
         y, rep = expm_multiply(P2, DIRAC2, 1.0, lambda_max=2.0)

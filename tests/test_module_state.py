@@ -9,9 +9,16 @@ every call. Likewise one runner, ``graphs._helper_thread``, holds the
 thread policy: no other code starts or places a thread, or catches
 every error as the runner does to hand a helper's error on. And only
 ``graphs`` reads the layout an operator keeps for its matvec.
+
+The modules import one another at the top of the module only, in one
+order with no cycle, and the certificates and the dense measurements
+stay apart: ``bounds`` certifies without ``chebyshev`` or
+``diffusion``, and ``oracle`` measures without ``bounds`` or
+``diffusion``.
 """
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import chebheat
@@ -248,3 +255,91 @@ def test_only_graphs_reads_the_operator_layout(tmp_path):
     inside.write_text(LAYOUT_PROBE, encoding="utf-8")
     assert _layout_reads(inside) == []
     assert [hit for path in MODULES for hit in _layout_reads(path)] == []
+
+
+# module -> package modules it must not import
+APART = {"bounds": {"chebyshev", "diffusion"}, "oracle": {"bounds", "diffusion"}}
+
+
+def _imports(path):
+    """Imports in a function body, as hits, and the package modules imported at the top.
+
+    A package module is reached as ``from . import x``, ``from .x import
+    y``, or through the absolute name ``chebheat.x``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    top = {id(node) for node in _run_at_import(tree)}
+    deferred, modules = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if id(node) not in top:
+            deferred.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names]
+        elif node.level:
+            names = [[node.module]] if node.module else [[a.name] for a in node.names]
+            names = [["chebheat"] + name for name in names]
+        else:
+            names = [node.module.split(".") + [a.name] for a in node.names]
+        modules |= {name[1] for name in names if name[0] == "chebheat" and len(name) > 1}
+    return deferred, modules
+
+
+def _structure(paths):
+    """The deferred imports, the import cycle and the imports ``APART`` forbids."""
+    graph, hits = {}, []
+    for path in paths:
+        deferred, graph[path.stem] = _imports(path)
+        hits += deferred
+    try:
+        TopologicalSorter({module: sorted(others) for module, others in graph.items()}).prepare()
+    except CycleError as exc:  # the cycle comes against the import direction
+        hits.append("cycle: " + " -> ".join(reversed(exc.args[1])))
+    hits += [f"{module} imports {other}" for module, banned in APART.items()
+             for other in sorted(graph.get(module, set()) & banned)]
+    return hits
+
+
+STRUCTURE_PROBE = {
+    "bounds.py": """\
+import math
+from . import oracle
+from .chebyshev import cheb_terms
+
+def true_min_order(op):
+    from .diffusion import _resolve_lambda
+    return _resolve_lambda(op)
+""",
+    "oracle.py": """\
+import chebheat.graphs
+from chebheat.diffusion import make_plan
+
+class Spectrum:
+    def of(self, op):
+        import chebheat.diffusion as d
+        return lambda: d
+""",
+    "graphs.py": "import numpy as np\nfrom chebheat import bounds\n",
+}
+
+
+def test_imports_are_top_level_and_acyclic(tmp_path):
+    # every package import runs when its module is imported, the modules
+    # form one import order, and the certificates and the measurements
+    # stay apart; a deferred import once hid the cycle bounds -> diffusion
+    for name, text in STRUCTURE_PROBE.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    probe = sorted(tmp_path.glob("*.py"))
+    assert [_imports(path)[1] for path in probe] == [
+        {"chebyshev", "oracle"}, {"bounds"}, {"diffusion", "graphs"}]
+    assert [hit.split(": ", 1)[-1] for hit in _structure(probe)] == [
+        "from .diffusion import _resolve_lambda",
+        "import chebheat.diffusion as d",
+        "bounds -> oracle -> graphs -> bounds",
+        "bounds imports chebyshev",
+        "oracle imports diffusion",
+    ]
+    assert {p.stem for p in MODULES} >= {"bounds", "chebyshev", "diffusion", "oracle"}
+    assert _structure(MODULES) == []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import chebheat.oracle
 from chebheat.chebyshev import cheb_coefficients
 from chebheat.errors import ConvergenceError
 from chebheat.graphs import build_laplacian, erdos_renyi
@@ -118,6 +119,29 @@ class TestExactDiffusion:
         x = np.random.default_rng(2).standard_normal(35)
         w = exact_diffusion(L, x, 3.0)
         assert w.sum() == pytest.approx(x.sum(), abs=1e-10)
+
+    def test_rejects_what_every_signal_and_scale_check_rejects(self, monkeypatch):
+        # unchecked, tau = inf returned zeros where the limit is the kernel
+        # projection (0.625 in every entry), and tau = nan or a NaN entry NaNs
+        def no_work(*args):
+            raise AssertionError("dense work on invalid input")
+
+        L = build_laplacian([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
+        x = np.array([1.0, 2.0, 0.5, -1.0])
+        np.testing.assert_allclose(exact_diffusion(L, x, 60.0), np.full(4, 0.625), atol=1e-14)
+        monkeypatch.setattr(chebheat.oracle, "dense_spectrum", no_work)
+        for tau in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^tau must be finite and non-negative$"):
+                exact_diffusion(L, x, tau)
+        for tau in (-math.inf, -1.0):  # a negative scale keeps its own message
+            with pytest.raises(ValueError, match="^tau must be non-negative$"):
+                exact_diffusion(L, x, tau)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                exact_diffusion(L, [1.0, bad, 0.5, -1.0], 1.0)
+        for bad in ([1.0, 2.0, 0.5], np.ones((4, 1)), []):
+            with pytest.raises(ValueError, match="signal"):
+                exact_diffusion(L, bad, 1.0)
 
 
 class TestQuadrature:

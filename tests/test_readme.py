@@ -11,7 +11,7 @@ import re
 import shlex
 from pathlib import Path
 
-from chebheat import bounds, chebyshev
+from chebheat import chebyshev, oracle
 from chebheat.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -48,4 +48,4 @@ def test_quoted_limits_are_the_code_limits():
     assert [(int(a), int(b)) for a, b in limits] == [
         (chebyshev._OVERLAP_MIN_SCALES, chebyshev._OVERLAP_MIN_LENGTH)]
     chunk = re.findall(r"holds one chunk of at most (\d+) rows of `n` entries", text)
-    assert [int(v) for v in chunk] == [bounds._CHUNK]
+    assert [int(v) for v in chunk] == [oracle._CHUNK]

@@ -37,6 +37,25 @@ recurrence rescales (small scales at long lengths), and up to 2e4. A
 of effective scales (0 and the least subnormal to 1e5), tolerances
 (1e-14 to 0.1) and energy ratios (none, 1, 200 and infinite).
 
+The spectral cases run on fresh copies of the diffusion graphs, so
+that no value kept on an operator object carries over. A ``lambda``
+case digests, for one graph, the power estimate and its matvecs, then
+the same again at 0 matvecs, ``estimate_lambda_max``, the certified
+ceiling, the free floor, and the value and matvecs of a given
+``lambda_max`` at twice the floor, at the floor and below it, at 0 and
+at NaN, or each error's type and message. A ``measure_errors`` case
+digests both errors over scales (0, 0.1, 1 and 10) and orders (0, 3, 20
+and 60), with no ``lambda_max`` and with the ceiling given, for the
+Dirac and the normal signal. A ``true_min_order`` case digests, for the
+same two signals, the order or the error at scales 0, 0.1, 1, 10 and 50
+and tolerances 1e-5 and 1e-10, with no ``lambda_max``, with the ceiling
+and with ``1.001`` times the floor, which lies below the top
+eigenvalue, so no order meets the tolerance. An ``exact_diffusion``
+case digests the bytes of every signal at scales 0, 0.5, 2 and 20. The
+lattice has too many nodes for the dense oracle, so only its ``lambda``
+case runs. The private rules are read from ``chebheat.oracle``, or from
+``chebheat.diffusion`` in a checkout that keeps them there.
+
 Run from the repository root of any checkout, which it imports from::
 
     python tools/bits_digest.py > digest.txt
@@ -54,10 +73,14 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chebheat import (BoundKind, NumericalError, build_laplacian, erdos_renyi,  # noqa: E402
-                      expm_multiply, expm_multiscale, load_graph)
+                      expm_multiply, expm_multiscale, load_graph, measure_errors,
+                      true_min_order)
+from chebheat import diffusion, oracle  # noqa: E402
 from chebheat.bessel import ORDER_CAP, bessel_ie_scaled  # noqa: E402
 from chebheat.bounds import log_bound_value, min_order  # noqa: E402
 from chebheat.cli import bound_table_data, main as cli_main  # noqa: E402
+from chebheat.diffusion import estimate_lambda_max  # noqa: E402
+from chebheat.oracle import DENSE_CAP, exact_diffusion  # noqa: E402
 
 SCALES = [0.0] + [float(t) for t in np.logspace(-2.0, 2.0, 11)]
 SINGLE = (0.0, 2.0)
@@ -76,6 +99,11 @@ BESSEL_SCALES = ([0.0, 5e-324, 1e-300, 1e-6, 0.01, 0.5, float(np.nextafter(1.0, 
 ORDER_SCALES = [0.0, 5e-324, 1e-3, 0.1, 1.0, 5.0, 20.0, 100.0, 1000.0, 5000.0, 1e5]
 ORDER_TOLS = [1e-14, 1e-8, 1e-5, 0.1]
 ORDER_RATIOS = [None, 1.0, 200.0, float("inf")]
+MEASURE_SCALES = [0.0, 0.1, 1.0, 10.0]
+MEASURE_ORDERS = [0, 3, 20, 60]
+TRUE_SCALES = [0.0, 0.1, 1.0, 10.0, 50.0]
+TRUE_TOLS = [1e-5, 1e-10]
+EXACT_SCALES = [0.0, 0.5, 2.0, 20.0]
 
 
 def _lattice(side):
@@ -153,6 +181,61 @@ def _min_order_digest(kind) -> str:
     return h.hexdigest()
 
 
+def _spectral(name):
+    """A private spectral-radius rule, from ``oracle`` or from ``diffusion`` before it moved."""
+    return getattr(oracle, name, None) or getattr(diffusion, name)
+
+
+def _update(h, call):
+    """Add the ``repr`` of ``call()``, exact for floats, to ``h``, or its error's type and message."""
+    try:
+        value = call()
+    except (ValueError, NumericalError) as exc:
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+    else:
+        h.update(repr(value).encode())
+
+
+def _lambda_digest(op) -> str:
+    h = hashlib.sha256()
+    resolve = _spectral("_resolve_lambda")
+    floor = _spectral("_lambda_floor")(op)
+    for call in (lambda: resolve(op, None), lambda: resolve(op, None),
+                 lambda: estimate_lambda_max(op), lambda: _spectral("_spectral_ceiling")(op),
+                 lambda: floor):
+        _update(h, call)
+    for given in (2.0 * floor, floor, 0.5 * floor, 0.0, float("nan")):
+        _update(h, lambda: resolve(op, given))
+    return h.hexdigest()
+
+
+def _measure_digest(op, x) -> str:
+    h = hashlib.sha256()
+    ceiling = _spectral("_spectral_ceiling")(op)
+    for lam in (None, ceiling):
+        for tau in MEASURE_SCALES:
+            for order in MEASURE_ORDERS:
+                _update(h, lambda: measure_errors(op, x, tau, order, lambda_max=lam))
+    return h.hexdigest()
+
+
+def _true_digest(op, x) -> str:
+    h = hashlib.sha256()
+    for lam in (None, _spectral("_spectral_ceiling")(op), 1.001 * _spectral("_lambda_floor")(op)):
+        for tau in TRUE_SCALES:
+            for tol in TRUE_TOLS:
+                _update(h, lambda: true_min_order(op, x, tau, tol, lambda_max=lam))
+    return h.hexdigest()
+
+
+def _exact_digest(op) -> str:
+    h = hashlib.sha256()
+    for x in _signals(op.n).values():
+        for tau in EXACT_SCALES:
+            h.update(exact_diffusion(op, x, tau).tobytes())
+    return h.hexdigest()
+
+
 def _csr_graphs():
     """Each CSR case's edges, node count and kinds."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -200,6 +283,15 @@ def main() -> int:
         print(f"bessel/k_max={k_max} {_bessel_digest(k_max)}", flush=True)
     for kind in BoundKind:
         print(f"min_order/{kind.value} {_min_order_digest(kind)}", flush=True)
+    for graph, op in _graphs().items():  # fresh operators: nothing kept on them yet
+        print(f"lambda/{graph} {_lambda_digest(op)}", flush=True)
+        if op.n > DENSE_CAP:
+            continue
+        for signal in ("dirac", "normal"):
+            x = _signals(op.n)[signal]
+            print(f"measure_errors/{graph}/{signal} {_measure_digest(op, x)}", flush=True)
+            print(f"true_min_order/{graph}/{signal} {_true_digest(op, x)}", flush=True)
+        print(f"exact_diffusion/{graph} {_exact_digest(op)}", flush=True)
     return 0
 
 
