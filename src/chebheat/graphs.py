@@ -201,12 +201,11 @@ class SparseSymMatrix:
         if col_idx.shape != values.shape or col_idx.ndim != 1:
             raise ValueError("col_idx and values must be 1-d and equal length")
         rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-        keys = rows * n + col_idx  # entry (i, j) as i*n + j, once its columns are in range
         if values.size:
             if col_idx.min() < 0 or col_idx.max() >= n:
                 raise ValueError("column index out of range")
             # with columns in range, a new row adds at least n to the entry key
-            if np.any(np.diff(keys) <= 0):
+            if np.any(np.diff(rows * n + col_idx) <= 0):
                 raise ValueError("column indices must be strictly increasing within a row")
             if np.any(values == 0.0):
                 raise ValueError("explicit zero entries are not allowed")
@@ -219,7 +218,7 @@ class SparseSymMatrix:
         self._spectral_bound = None
         self._kernel = None
         self._facts = {}
-        self._check_symmetry(keys, rows, mirror)
+        self._check_symmetry(rows, mirror)
         # matvec's padded layout, for rows of at most _PLANE_MAX_WIDTH entries:
         # entry j of row i sits in plane j. A padding slot holds 1.0 and reads
         # x[n] = -0.0, the additive identity, except the first slot of an empty
@@ -276,29 +275,22 @@ class SparseSymMatrix:
         diag[rows[on_diag]] = vals[on_diag]
         return rows, cols, vals, ~on_diag & (cols < self.n), diag
 
-    def _check_symmetry(self, keys, rows, mirror):
+    def _check_symmetry(self, rows, mirror):
         """Raise ``ValueError`` unless entry ``mirror[p]`` is the transpose of entry p, for every p.
 
         That is, it sits at ``(col_idx[p], rows[p])`` and holds an equal
-        value. ``keys`` holds each entry's position ``i*n + j``, one key
-        per position since every index is in ``[0, n)``, so the key
-        gathered through ``mirror`` equals the transposed key ``j*n + i``
-        exactly when both indices match. The values are compared first,
-        and the transposed keys are then formed in the buffer of ``keys``,
-        which is not read again, so the check never holds two gathered
-        arrays at once. Since no two
-        entries share a position, that proves the matrix symmetric,
-        whatever ``mirror`` is given. None sorts the entries into the
-        transpose's (row, col) order, which on a symmetric matrix puts
-        each entry's mirror where the entry is.
+        value. Since no two entries share a position, that proves the
+        matrix symmetric, whatever ``mirror`` is given. None sorts the
+        entries into the transpose's (row, col) order, which on a symmetric
+        matrix puts each entry's mirror where the entry is.
         """
         if mirror is None:
             mirror = np.argsort(self.col_idx * self.n + rows)
-        same = np.array_equal(self.values[mirror], self.values)
-        gathered = keys[mirror]
-        transposed = np.multiply(self.col_idx, self.n, out=keys)
-        transposed += rows
-        if not (same and np.array_equal(gathered, transposed)):
+        if not (
+            np.array_equal(self.col_idx[mirror], rows)
+            and np.array_equal(rows[mirror], self.col_idx)
+            and np.array_equal(self.values[mirror], self.values)
+        ):
             raise ValueError("matrix is not symmetric")
 
     @property

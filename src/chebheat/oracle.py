@@ -308,11 +308,13 @@ def _stages():
 def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = None) -> list:
     """:func:`~chebheat.bounds.true_min_order` for each of ``taus``, in one scan.
 
+    Every scale must be finite and non-negative; the callers check them
+    (:func:`_check_tau`, :func:`~chebheat.diffusion._check_scales`).
     Checks ``tol`` and the signal, and resolves the dense spectrum,
     ``x_hat`` and ``lambda_hat``, once, raising on any of them. Each
     scale then gets its order, or the error it would raise, as a value
-    in the list: a negative scale, a diffused signal that underflows to
-    zero, or ``OrderCapError``.
+    in the list: a diffused signal that underflows to zero, or
+    ``OrderCapError``.
 
     One walk of the orders serves every scale: the rows ``T_k(D)
     x_hat`` are drawn once, a chunk of at most ``_CHUNK`` orders at a
@@ -354,9 +356,6 @@ def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = No
     orders = [None] * len(taus)
     live, targets, denoms = [], [], []  # the scales still scanning
     for i, tau in enumerate(taus):
-        if tau < 0.0:
-            orders[i] = ValueError("tau must be non-negative")
-            continue
         target = np.exp(-tau * spec.eigenvalues) * xhat
         denom = float(target @ target)
         if denom == 0.0:

@@ -417,7 +417,8 @@ class TestBoundTable:
     def test_first_error_is_the_loops(self, capsys, seed, scales, cap):
         n, p, trials, tol = (30, 0.2, 2, 1e-5) if seed == 0 else (100, 0.1, 1, 1e-5)
         taus = [float(t) for t in scales.split(",")]
-        with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap):
+        with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap), \
+                mock.patch.object(chebheat.oracle, "ORDER_CAP", cap):
             # a loop over the trials and scales: the four kinds, then the measured order
             with pytest.raises((ValueError, NumericalError)) as want:
                 for t in range(trials):
