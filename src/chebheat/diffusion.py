@@ -292,9 +292,11 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     """Measured squared relative errors of the rank-``order`` truncation.
 
     Computed against the dense spectral oracle, so only operators small
-    enough for it are accepted. ``lambda_max`` is chosen as a run with
-    one of the paper's four kinds chooses it: the given value, checked
-    as :func:`make_plan` checks it, else :func:`estimate_lambda_max`.
+    enough for it are accepted; a larger one, like a signal of the wrong
+    length, is refused before any matvec. ``lambda_max`` is chosen as a
+    run with one of the paper's four kinds chooses it: the given value,
+    checked as :func:`make_plan` checks it, else
+    :func:`estimate_lambda_max`.
     A default ``auto`` run rescales by the certified ceiling instead; to
     measure that run's own output, pass its report's ``lambda_max``.
     ``tau`` must be finite and non-negative, and is refused before any
@@ -302,9 +304,9 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     """
     x = _signal(x)
     tau = _check_tau(tau)
+    w = exact_diffusion(op, x, tau)
     lam_hat, _ = _resolve_lambda(op, lambda_max)
     [y], _ = _diffuse(op, lam_hat, x, [int(order)], [lam_hat * tau / 2.0])
-    w = exact_diffusion(op, x, tau)
     diff = y - w
     err = float(diff @ diff)
     denom_in = float(x @ x)

@@ -385,6 +385,23 @@ class TestSingleScale:
             with pytest.raises(ValueError, match="^tau must be finite and non-negative$"):
                 measure_errors(L, np.ones(20), tau, 5)
 
+    def test_measure_errors_refuses_an_operator_past_the_dense_cap_before_any_matvec(
+            self, monkeypatch):
+        # it once ran the power iteration and the whole recurrence, 272
+        # matvecs on this lattice, before the dense oracle refused the size
+        matvec = SparseSymMatrix.matvec
+        calls = []
+
+        def counted(self, v):
+            calls.append(None)
+            return matvec(self, v)
+
+        monkeypatch.setattr(SparseSymMatrix, "matvec", counted)
+        L = build_laplacian(lattice_edges(64, 64), 4096)
+        with pytest.raises(ValueError, match=r"^dense oracle is limited to n <= 500, got 4096$"):
+            measure_errors(L, np.ones(4096), 1.0, 200)
+        assert calls == []
+
     def test_explicit_lambda_skips_estimation(self):
         y, rep = expm_multiply(P2, DIRAC2, 1.0, lambda_max=2.0)
         assert rep.setup_matvecs == 0

@@ -6,6 +6,7 @@ import re
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -132,9 +133,10 @@ class TestBuildLaplacian:
         assert same_operator(op, reference_laplacian(edges, n, kind))
         assert same_operator(SparseSymMatrix(n, op.row_ptr, op.col_idx, op.values), op)
 
-    def test_mirror_check_refuses_a_tampered_value_or_mirror(self):
+    def test_mirror_check_refuses_a_tampered_value_or_mirror(self, monkeypatch):
         # the builder's route checks symmetry from mirror positions, not a sort:
-        # a one-sided value, or any mirror but the transpose's, is refused
+        # a one-sided value, or any mirror but the transpose's, is refused, also
+        # at the first and last slot of a chunk of the check
         edges = [(0, 1, 0.5), (1, 2, 3.0), (0, 3, 1.25), (2, 3), (3, 4, 0.1)]
         op = build_laplacian(edges, 5, kind="normalized")
         rows = np.repeat(np.arange(5), np.diff(op.row_ptr))
@@ -145,18 +147,96 @@ class TestBuildLaplacian:
             m._setup(5, op.row_ptr.copy(), op.col_idx.copy(), values, mirror)
             return m
 
-        assert same_operator(setup(op.values.copy(), mirror), op)
-        for p in range(op.nnz):
-            if rows[p] != op.col_idx[p]:  # a diagonal value is its own mirror
-                values = op.values.copy()
-                values[p] *= 1.5
-                with pytest.raises(ValueError, match="matrix is not symmetric"):
-                    setup(values, mirror)
-            for q in {p, (mirror[p] + 1) % op.nnz} - {mirror[p]}:
-                bad = mirror.copy()
-                bad[p] = q
-                with pytest.raises(ValueError, match="matrix is not symmetric"):
-                    setup(op.values.copy(), bad)
+        for chunk in (chebheat.graphs._CHECK_CHUNK, 1, 3):
+            monkeypatch.setattr(chebheat.graphs, "_CHECK_CHUNK", chunk)
+            assert same_operator(setup(op.values.copy(), mirror), op)
+            for p in range(op.nnz):
+                if rows[p] != op.col_idx[p]:  # a diagonal value is its own mirror
+                    values = op.values.copy()
+                    values[p] *= 1.5
+                    with pytest.raises(ValueError, match="matrix is not symmetric"):
+                        setup(values, mirror)
+                for q in {p, (mirror[p] + 1) % op.nnz} - {mirror[p]}:
+                    bad = mirror.copy()
+                    bad[p] = q
+                    with pytest.raises(ValueError, match="matrix is not symmetric"):
+                        setup(op.values.copy(), bad)
+
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    def test_wide_positions_give_the_same_bytes(self, monkeypatch, kind):
+        # past int32, slots, mirrors and entry rows are int64; patching the
+        # threshold takes that path on a small graph with duplicates in both
+        # orientations and, when combinatorial, isolated nodes
+        n = 300 if kind == "normalized" else 320
+        rng = np.random.default_rng(11)
+        edges = [(i, (i + 1) % 300, 1.0) for i in range(300)]
+        edges += [(int(a), int(b), float(w)) for (a, b), w in
+                  zip(rng.integers(0, 300, size=(900, 2)), rng.uniform(0.1, 4.0, 900)) if a != b]
+        edges += [(j, i, 0.5 * w) for i, j, w in edges[::7]]
+        ref = reference_laplacian(edges, n, kind)
+        setup = SparseSymMatrix._setup
+        widths = []
+
+        def recorded(op, n, row_ptr, col_idx, values, mirror):
+            widths.append(mirror.dtype)
+            return setup(op, n, row_ptr, col_idx, values, mirror)
+
+        monkeypatch.setattr(SparseSymMatrix, "_setup", recorded)
+        narrow = build_laplacian(edges, n, kind)
+        monkeypatch.setattr(chebheat.graphs, "_INDEX32_MAX", 0)
+        wide = build_laplacian(edges, n, kind)
+        assert widths == [np.int32, np.int64]
+        assert same_operator(wide, narrow)
+        assert same_operator(narrow, ref)
+
+    def test_past_16_bit_nodes(self):
+        # n = 70000 sorts the lower entries by int64 keys, not by radix, and
+        # its ordering keys pass 2**31 from row 30679 on: the public
+        # constructor accepts the operator and still refuses unsorted
+        # columns and one-sided values in its last rows
+        n = 70000
+        rng = np.random.default_rng(4)
+        pairs = rng.integers(0, n, size=(3000, 2))
+        edges = [(int(a), int(b), float(w)) for (a, b), w in
+                 zip(pairs, rng.uniform(0.5, 2.0, len(pairs))) if a != b]
+        edges += [(n - 2, n - 1, 1.0), (n - 3, n - 1, 2.0)]
+        for kind in ("combinatorial", "normalized"):
+            canonical = sorted({(min(i, j), max(i, j)): w for i, j, w in edges}.items())
+            canonical = [(i, j, w) for (i, j), w in canonical]
+            if kind == "normalized":  # a cycle through every node: nobody isolated
+                canonical = [(i, i + 1, 1.0) for i in range(n - 1)] + canonical
+            ref = reference_laplacian(canonical, n, kind)
+            op = build_laplacian(canonical, n, kind)
+            assert same_operator(op, ref)
+            assert same_operator(SparseSymMatrix(n, op.row_ptr, op.col_idx, op.values), op)
+        last = slice(int(op.row_ptr[n - 1]), int(op.row_ptr[n]))
+        cols = op.col_idx.copy()
+        cols[last] = cols[last][::-1]
+        with pytest.raises(ValueError, match="strictly increasing within a row"):
+            SparseSymMatrix(n, op.row_ptr, cols, op.values)
+        values = op.values.copy()
+        values[last.start] *= 2.0
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            SparseSymMatrix(n, op.row_ptr, op.col_idx, values)
+
+    def test_build_holds_little_beside_the_operator(self):
+        # the traced peak above the input, per stored entry: the operator's
+        # columns and values (16 bytes), the edges' int64 endpoints (8, as an
+        # edge is two entries), their 32-bit slots (4) and the n-sized
+        # counts; all the assembly's arrays and the checks' full-size keys
+        # and gathers once held 74
+        n = 3000
+        edges = erdos_renyi(n, 0.004, seed=3)
+        for kind in ("combinatorial", "normalized"):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                op = build_laplacian(edges, n, kind)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert op.nnz > 35000
+            assert peak <= 40 * op.nnz, (kind, peak / op.nnz)
 
     @settings(max_examples=100, deadline=None)
     @given(weights=st.lists(st.tuples(st.floats(1.0, 2.0, exclude_max=True),
@@ -459,13 +539,16 @@ class TestSparseSymMatrix:
         with pytest.raises(ValueError, match="strictly increasing within a row"):
             SparseSymMatrix(2, [0, 2, 4], [1, 1, 0, 0], [1.0] * 4)
 
-    def test_validation_matches_row_boundary_mask(self):
+    def test_validation_matches_row_boundary_mask(self, monkeypatch):
         # the entry-key check accepts and rejects exactly what the
         # row-boundary mask did, with the same message, on small CSR inputs
-        # built from symmetric matrices and then perturbed
+        # built from symmetric matrices and then perturbed; every other input
+        # is checked in chunks of 2 entries, so pairs straddle a chunk's edge
+        chunks = (chebheat.graphs._CHECK_CHUNK, 2)
         rng = np.random.default_rng(21)
         verdicts = set()
-        for _ in range(3000):
+        for k in range(3000):
+            monkeypatch.setattr(chebheat.graphs, "_CHECK_CHUNK", chunks[k % 2])
             n = int(rng.integers(1, 6))
             dense = np.triu(rng.choice([0.0, 0.0, 1.0, -2.0], size=(n, n)))
             dense = dense + np.triu(dense, 1).T

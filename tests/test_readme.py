@@ -11,7 +11,7 @@ import re
 import shlex
 from pathlib import Path
 
-from chebheat import chebyshev, oracle
+from chebheat import chebyshev, graphs, oracle
 from chebheat.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -49,3 +49,5 @@ def test_quoted_limits_are_the_code_limits():
         (chebyshev._OVERLAP_MIN_SCALES, chebyshev._OVERLAP_MIN_LENGTH)]
     chunk = re.findall(r"holds one chunk of at most (\d+) rows of `n` entries", text)
     assert [int(v) for v in chunk] == [oracle._CHUNK]
+    checked = re.findall(r"checks read the entries (\d+) at a time", text)
+    assert [int(v) for v in checked] == [graphs._CHECK_CHUNK]

@@ -26,7 +26,12 @@ writes, a shuffled copy of its edges with every other one reversed and
 a tenth of them repeated at weight 0.5, the 200x200 lattice in the
 (hi, lo) orientation of the benchmark's Matrix Market file (its operator
 keeps padded planes), the path 0-1-2-3 at weights 1e-200, 1e-160 and
-1e200 (normalized), and two edges of weight 1e308 at one node.
+1e200 (normalized), two edges of weight 1e308 at one node, and on
+70000 nodes, past 16-bit node numbers, a path through every node with
+40000 random edges, in (lo, hi) order once each and as drawn (both
+orientations, some repeated). Each CSR case runs again with the
+private ``graphs._INDEX32_MAX`` patched to 0, which makes every slot,
+mirror and entry row int64; a checkout without it ignores the patch.
 
 A Bessel case digests ``bessel_ie_scaled(k_max, tau)`` at one ``k_max``
 of 0, 1, 64, 128, 256, 1024 and ``ORDER_CAP``, over scales on the power
@@ -67,6 +72,7 @@ import hashlib
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -254,6 +260,17 @@ def _csr_graphs():
     for w in (1e-200, 1e-160, 1e200):
         graphs[f"path-4-w{w:g}"] = ([(0, 1, w), (1, 2, w), (2, 3, w)], 4, ("normalized",))
     graphs["degree-overflow"] = ([(0, 1, 1e308), (0, 2, 1e308)], 3, both)
+    n = 70000
+    path = np.column_stack([np.arange(n - 1), np.arange(1, n), np.ones(n - 1)])
+    drawn = rng.integers(0, n, size=(40000, 2)).astype(np.float64)
+    drawn = drawn[drawn[:, 0] != drawn[:, 1]]
+    drawn = np.column_stack([drawn, rng.uniform(0.5, 2.0, len(drawn))])
+    drawn = np.concatenate([path, drawn, drawn[::9, [1, 0, 2]]])
+    lo, hi = np.minimum(drawn[:, 0], drawn[:, 1]), np.maximum(drawn[:, 0], drawn[:, 1])
+    _, first = np.unique(lo * n + hi, return_index=True)  # sorted by (lo, hi)
+    canonical = np.column_stack([lo[first], hi[first], drawn[first, 2]])
+    graphs[f"random-{n}"] = (canonical, n, both)
+    graphs[f"random-{n}-drawn"] = (drawn, n, both)
     return graphs
 
 
@@ -276,9 +293,14 @@ def main() -> int:
         for signal, x in _signals(op.n).items():
             for kind in KINDS:
                 print(f"{graph}/{signal}/{kind} {_digest(op, x, kind)}", flush=True)
-    for graph, (edges, n, kinds) in _csr_graphs().items():
+    csr = _csr_graphs()
+    for graph, (edges, n, kinds) in csr.items():
         for kind in kinds:
             print(f"csr/{graph}/{kind} {_csr_digest(edges, n, kind)}", flush=True)
+    with mock.patch("chebheat.graphs._INDEX32_MAX", 0, create=True):  # int64 positions
+        for graph, (edges, n, kinds) in csr.items():
+            for kind in kinds:
+                print(f"csr-wide/{graph}/{kind} {_csr_digest(edges, n, kind)}", flush=True)
     for k_max in BESSEL_ORDERS:
         print(f"bessel/k_max={k_max} {_bessel_digest(k_max)}", flush=True)
     for kind in BoundKind:
