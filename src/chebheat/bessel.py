@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .graphs import _check_scales
+
 __all__ = ["bessel_ie_scaled", "log_factorial", "ORDER_CAP"]
 
 # hard ceiling on any requested polynomial / Bessel order
@@ -103,8 +105,9 @@ def bessel_ie_scaled(k_max: int, tau: float) -> np.ndarray:
     k_max : int
         Largest order, at most ``ORDER_CAP``.
     tau : float
-        Non-negative argument; no overflow up to ``tau = 1e4`` and beyond
-        thanks to the exponential scaling.
+        Finite, non-negative argument, checked by the scale rule
+        (:func:`chebheat.graphs._check_scales`); no overflow up to ``tau =
+        1e4`` and beyond thanks to the exponential scaling.
 
     Returns
     -------
@@ -117,9 +120,7 @@ def bessel_ie_scaled(k_max: int, tau: float) -> np.ndarray:
         raise ValueError("k_max must be non-negative")
     if k_max > ORDER_CAP:
         raise ValueError(f"k_max={k_max} exceeds the internal cap {ORDER_CAP}")
-    tau = float(tau)
-    if not (tau >= 0.0) or not math.isfinite(tau):
-        raise ValueError("tau must be finite and non-negative")
+    [tau] = _check_scales([tau])
     if tau / 2.0 == 0.0:  # includes subnormals whose half underflows
         out = np.zeros(k_max + 1)
         out[0] = 1.0

@@ -75,8 +75,8 @@ import numpy as np
 
 from .bessel import ORDER_CAP, bessel_ie_scaled, log_factorial
 from .errors import OrderCapError
-from .graphs import _signal
-from .oracle import _check_tau, _measured_orders
+from .graphs import _check_scales, _signal
+from .oracle import _measured_orders
 
 __all__ = ["BoundKind", "AUTO", "energy_ratio", "sup_error_bound", "baseline_error_term",
            "log_bound_value", "select_bound", "min_order", "true_min_order"]
@@ -129,9 +129,7 @@ def energy_ratio(signal, op) -> float:
     exactly zero, or it cancelled to below about 1e-154 of the largest
     entry.
     """
-    x = _signal(signal)
-    if x.size != op.n:
-        raise ValueError(f"signal length {x.size} does not match operator size {op.n}")
+    x = _signal(signal, op.n)
     k = op.kernel_vector
     if k is None:
         return math.inf
@@ -464,7 +462,7 @@ def true_min_order(op, signal, tau: float, tol: float,
     loop over the orders finds. It holds one chunk of at most 256 rows
     of ``n`` entries and the stack of their sums, 2 MB at ``n = 500``.
     """
-    order = _measured_orders(op, signal, [_check_tau(tau)], tol, lambda_max)[0]
+    order = _measured_orders(op, signal, _check_scales([tau]), tol, lambda_max)[0]
     if isinstance(order, Exception):
         raise order
     return order

@@ -46,7 +46,7 @@ from itertools import islice
 import numpy as np
 
 from .bessel import bessel_ie_scaled
-from .graphs import SparseSymMatrix, _helper_cpus, _helper_thread
+from .graphs import SparseSymMatrix, _helper_cpus, _helper_thread, _signal
 
 __all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "build_basis", "combine"]
 
@@ -137,15 +137,15 @@ def build_basis(op: SparseSymMatrix, x, order: int):
 
     ``op`` must already be rescaled so its spectrum sits inside
     ``[0, 2]``. Drawing every row costs exactly ``order`` matrix-vector
-    products; the order and the signal shape are checked at the call.
+    products. The order and the signal are checked at the call, the
+    signal as every signal is, against ``op.n`` (see
+    :func:`chebheat.graphs._signal`): row 0 is its read-only copy, never
+    the caller's array.
     """
     order = int(order)
     if order < 0:
         raise ValueError("order must be non-negative")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.n,):
-        raise ValueError(f"signal of shape {x.shape} does not match operator size {op.n}")
-    return islice(cheb_terms(op.matvec, x), order + 1)
+    return islice(cheb_terms(op.matvec, _signal(x, op.n)), order + 1)
 
 
 def combine(basis, c) -> np.ndarray:

@@ -19,10 +19,10 @@ from ._rows import write_rows
 from .bounds import _order_and_log_bound, AUTO, BoundKind, energy_ratio
 # perfbench spans the searches and the oracle under these names
 from .bounds import min_order, true_min_order  # noqa: F401
-from .diffusion import _check_scales, estimate_lambda_max, expm_multiscale
+from .diffusion import estimate_lambda_max, expm_multiscale
 from .errors import NumericalError
-from .graphs import (_spec_field, build_laplacian, erdos_renyi, load_graph, load_signal,
-                     save_edge_list)
+from .graphs import (_check_scales, _spec_field, build_laplacian, erdos_renyi, load_graph,
+                     load_signal, save_edge_list)
 from .oracle import _measured_orders
 
 __all__ = ["main", "entry"]

@@ -31,8 +31,8 @@ import numpy as np
 from .bounds import (_TAIL_KINDS, AUTO, BoundKind, _order_and_log_bound, energy_ratio,
                      log_bound_value, min_order, select_bound)
 from .chebyshev import build_basis, cheb_coefficients, combine
-from .graphs import SparseSymMatrix, _signal
-from .oracle import _check_tau, _resolve_lambda, exact_diffusion
+from .graphs import SparseSymMatrix, _check_scales, _signal
+from .oracle import _resolve_lambda, exact_diffusion
 
 __all__ = ["DiffusionPlan", "DiffusionReport", "estimate_lambda_max",
            "make_plan", "expm_multiply", "expm_multiscale", "measure_errors"]
@@ -118,15 +118,6 @@ def _require_psd(op: SparseSymMatrix) -> None:
             f"cannot certify a bound on an operator not known to be positive semidefinite: "
             f"row {i} has diagonal {float(diag[i])!r} below {float(off[i])!r}, the sum of its "
             f"off-diagonal magnitudes (build_laplacian's Laplacians need no check)")
-
-
-def _check_scales(scales) -> tuple[float, ...]:
-    """The scales as floats, each checked finite and non-negative."""
-    scales = tuple(float(t) for t in scales)
-    for t in scales:
-        if not math.isfinite(t) or t < 0.0:
-            raise ValueError(f"scales must be finite and non-negative, got {t}")
-    return scales
 
 
 def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
@@ -303,7 +294,7 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     matvec. Returns the pair (input-relative, output-relative).
     """
     x = _signal(x)
-    tau = _check_tau(tau)
+    [tau] = _check_scales([tau])
     w = exact_diffusion(op, x, tau)
     lam_hat, _ = _resolve_lambda(op, lambda_max)
     [y], _ = _diffuse(op, lam_hat, x, [int(order)], [lam_hat * tau / 2.0])

@@ -37,12 +37,14 @@ Graph files come in two flavours: a whitespace edge list (``i j [w]``,
 0-based, ``#`` comments) and Matrix Market coordinate format (symmetric,
 real). A signal is a plain array: every function that takes one checks
 and copies it with :func:`_signal` into a read-only, finite, non-empty
-1-d float64 array. Signals come from one-value-per-line text files or
-generator specs such as ``dirac:3``, ``normal:42``, ``const:0.5``. All
-three file readers share one record loop, :func:`_body`: it skips the
-head, tries one numpy read of every record at the first one, and
-otherwise parses the file line by line, so each ``ParseError`` names its
-line.
+1-d float64 array, of the operator's size where there is one. Every
+scale goes through :func:`_check_scales`. These two are the package's
+only signal and scale rules, each with one message. Signals come from
+one-value-per-line text files or generator specs such as ``dirac:3``,
+``normal:42``, ``const:0.5``. All three file readers share one record
+loop, :func:`_body`: it skips the head, tries one numpy read of every
+record at the first one, and otherwise parses the file line by line, so
+each ``ParseError`` names its line.
 
 :func:`save_edge_list` writes through :func:`chebheat._rows.write_rows`,
 the package's one row writer, with the bytes ``%`` gives; that module
@@ -385,14 +387,13 @@ class SparseSymMatrix:
             padded = np.empty(self.n + 2)
             padded[:-2] = x
             padded[-2:] = (-0.0, 0.0)
+            # (((a_1 + a_2) + a_3) + ...) + a_0, in two vectors; a_0 alone at width 1
+            first, *rest = [*range(1, len(self._cols)), 0]
+            acc = self._plane(first, padded, absolute, np.empty(self.n))
             out = np.empty(self.n)
-            if len(self._cols) == 1:
-                return self._plane(0, padded, absolute, out)
-            # (((a_1 + a_2) + a_3) + ...) + a_0, in two vectors
-            acc = self._plane(1, padded, absolute, np.empty(self.n))
-            for j in range(2, len(self._cols)):
+            for j in rest:
                 acc += self._plane(j, padded, absolute, out)
-            return np.add(acc, self._plane(0, padded, absolute, out), out=out)
+            return acc
         values = np.abs(self.values) if absolute else self.values
         sums = np.add.reduceat(values * x[self.col_idx], self._row_starts)
         if self._nonempty is None:
@@ -479,15 +480,31 @@ def _plane_shifts(cols):
     return np.array(shifts, dtype=np.int64), tuple(misses)
 
 
-def _signal(values) -> np.ndarray:
-    """A signal: a read-only, finite, non-empty 1-d float64 copy of ``values``."""
+def _signal(values, n=None) -> np.ndarray:
+    """A signal: a read-only, finite, non-empty 1-d float64 copy of ``values``.
+
+    The one signal rule of the package: with ``n``, the operator or graph
+    size, its length must be ``n`` too. Checked in that order, shape,
+    length, then the values.
+    """
     v = np.array(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("signal must be a non-empty 1-d array")
+    if n is not None and v.size != n:
+        raise ValueError(f"signal length {v.size} does not match operator size {n}")
     if not np.all(np.isfinite(v)):
         raise ValueError("signal contains non-finite values")
     v.flags.writeable = False
     return v
+
+
+def _check_scales(scales) -> tuple[float, ...]:
+    """The scales as floats, each checked finite and non-negative: the one scale rule."""
+    scales = tuple(float(t) for t in scales)
+    for t in scales:
+        if not math.isfinite(t) or t < 0.0:
+            raise ValueError(f"scales must be finite and non-negative, got {t}")
+    return scales
 
 
 def _edge_array(edges) -> np.ndarray:
@@ -1156,6 +1173,4 @@ def load_signal(source, n: int | None = None) -> np.ndarray:
                        lambda head, line: _bulk_rows(source, head, _SIGNAL_DTYPE), _signal_value)
     if len(values) == 0:
         raise ParseError(source, 1, "signal file holds no values")
-    if n is not None and len(values) != n:
-        raise ValueError(f"signal length {len(values)} does not match graph size {n}")
-    return _signal(values)
+    return _signal(values, n)

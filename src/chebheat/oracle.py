@@ -43,7 +43,7 @@ import numpy as np
 from .bessel import ORDER_CAP
 from .chebyshev import cheb_coefficients, cheb_terms
 from .errors import ConvergenceError, OrderCapError
-from .graphs import SparseSymMatrix, _signal
+from .graphs import SparseSymMatrix, _check_scales, _signal
 
 __all__ = ["DenseSpectrum", "jacobi_eigh", "dense_spectrum", "exact_diffusion"]
 
@@ -261,24 +261,12 @@ def dense_spectrum(op: SparseSymMatrix) -> DenseSpectrum:
 def _coordinates(op: SparseSymMatrix, signal) -> tuple[DenseSpectrum, np.ndarray]:
     """The operator's dense spectrum and the signal's coordinates in its eigenbasis.
 
-    The signal is checked as every signal is, and its length against the
-    operator's, before any dense work.
+    The signal is checked as every signal is, against the operator's
+    size, before any dense work.
     """
-    x = _signal(signal)
-    if x.size != op.n:
-        raise ValueError("signal length does not match operator size")
+    x = _signal(signal, op.n)
     spec = dense_spectrum(op)
     return spec, spec.vectors.T @ x
-
-
-def _check_tau(tau) -> float:
-    """``tau`` as a float, refused unless it is finite and non-negative."""
-    tau = float(tau)
-    if tau < 0.0:
-        raise ValueError("tau must be non-negative")
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite and non-negative")
-    return tau
 
 
 def exact_diffusion(op: SparseSymMatrix, x: np.ndarray, tau: float) -> np.ndarray:
@@ -287,7 +275,7 @@ def exact_diffusion(op: SparseSymMatrix, x: np.ndarray, tau: float) -> np.ndarra
     ``x`` is a signal, checked as every signal is; ``tau`` must be finite
     and non-negative. Both are refused before any dense work.
     """
-    tau = _check_tau(tau)
+    [tau] = _check_scales([tau])
     spec, xhat = _coordinates(op, x)
     return spec.vectors @ (np.exp(-tau * spec.eigenvalues) * xhat)
 
@@ -309,7 +297,7 @@ def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = No
     """:func:`~chebheat.bounds.true_min_order` for each of ``taus``, in one scan.
 
     Every scale must be finite and non-negative; the callers check them
-    (:func:`_check_tau`, :func:`~chebheat.diffusion._check_scales`).
+    (:func:`~chebheat.graphs._check_scales`).
     Checks ``tol`` and the signal, and resolves the dense spectrum,
     ``x_hat`` and ``lambda_hat``, once, raising on any of them. Each
     scale then gets its order, or the error it would raise, as a value

@@ -5,7 +5,9 @@ can be checked against an implementation it shares no code with.
 ``series_sum`` sums a truncated series term by term, ``eval_scalar``
 evaluates it at scalar points, ``same_operator`` compares operators
 bit for bit, and ``force_combine_helper`` sends every ``combine`` call
-through its helper thread. ``coeff_integral`` (Simpson quadrature of the defining
+through its helper thread. ``order_cap`` lowers the order cap wherever an
+order search reads it, and ``scale_refusal`` and ``length_refusal`` are
+the anchored messages of the scale rule and the signal-length rule. ``coeff_integral`` (Simpson quadrature of the defining
 integral) is the coefficient oracle, and ``certified_tail`` reads the
 library's summed coefficient tail at one order. The ``reference_*`` functions are the CSR
 validator, line-by-line graph and signal readers, edge assembly, edge
@@ -14,15 +16,17 @@ order scan and per-order measured scan that the array, blocked-draw,
 Python-float, bisection and shared-basis code must match exactly.
 """
 
+import contextlib
 import functools
 import math
 import os
 import re
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 
-from chebheat import chebyshev
+from chebheat import bounds, chebyshev, oracle
 from chebheat.bessel import ORDER_CAP
 from chebheat.bounds import _TAIL_KINDS, BoundKind, _log_bound_of, _log_tail_sq, log_bound_value
 from chebheat.chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
@@ -121,6 +125,28 @@ def force_combine_helper(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(chebyshev, "_OVERLAP_MIN_SCALES", 1)
     monkeypatch.setattr(chebyshev, "_OVERLAP_MIN_LENGTH", 1)
+
+
+@contextlib.contextmanager
+def order_cap(cap):
+    """Lower ``ORDER_CAP`` in ``chebheat.bounds`` and ``chebheat.oracle`` together.
+
+    The certified search reads the one and the measured scan the other,
+    so a test that patches only one of them runs the other path at the
+    full cap.
+    """
+    with mock.patch.object(bounds, "ORDER_CAP", cap), mock.patch.object(oracle, "ORDER_CAP", cap):
+        yield
+
+
+def scale_refusal(tau) -> str:
+    """The whole message, as a ``match`` pattern, that the scale rule raises for ``tau``."""
+    return f"^{re.escape(f'scales must be finite and non-negative, got {float(tau)}')}$"
+
+
+def length_refusal(size, n) -> str:
+    """The whole message, as a ``match`` pattern, of a signal of ``size`` entries on ``n`` nodes."""
+    return f"^signal length {size} does not match operator size {n}$"
 
 
 def eval_scalar(tau_eff: float, order: int, lam):

@@ -29,7 +29,8 @@ from chebheat.errors import OrderCapError
 from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi
 from chebheat.oracle import _measured_orders
 
-from helpers import eval_scalar, reference_min_order, reference_true_min_order
+from helpers import (eval_scalar, order_cap, reference_min_order, reference_true_min_order,
+                     scale_refusal)
 
 # mpmath: 2 exp(1/12 - 1) (1/2)^2 / (1! * 3/2)
 G_1_1 = 0.13328321811494912
@@ -381,7 +382,7 @@ class TestMinOrder:
 
     def test_cap_raises(self):
         with pytest.raises(OrderCapError):
-            with mock.patch.object(chebheat.bounds, "ORDER_CAP", 10):
+            with order_cap(10):
                 min_order(BoundKind.NEW_GENERIC, 9.0, 1e-8)
 
     def test_rejects_bad_tol(self):
@@ -440,7 +441,7 @@ class TestMinOrderMatchesLinearScan:
         (BoundKind.NEW_SPECIFIC, 41.0, 1e3, RATIO_200, 20, 20),
     ])
     def test_edge_cases(self, kind, tau_eff, tol, ratio, cap, expected):
-        with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap):
+        with order_cap(cap):
             got = _order_or_error(min_order, kind, tau_eff, tol, ratio=ratio)
         assert got == _order_or_error(reference_min_order, kind, tau_eff, tol, ratio=ratio, cap=cap)
         assert (got[0] if isinstance(got, tuple) else got) == expected
@@ -452,7 +453,7 @@ class TestMinOrderMatchesLinearScan:
            st.one_of(st.just(ORDER_CAP), st.integers(min_value=0, max_value=60)))
     @settings(max_examples=300, deadline=None)
     def test_random(self, kind, tau_eff, tol, ratio, cap):
-        with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap):
+        with order_cap(cap):
             got = _order_or_error(min_order, kind, tau_eff, tol, ratio=ratio)
         assert got == _order_or_error(reference_min_order, kind, tau_eff, tol, ratio=ratio, cap=cap)
 
@@ -468,7 +469,7 @@ class TestGuessNeverChangesTheAnswer:
            st.integers(min_value=2, max_value=10**6))
     @settings(max_examples=200, deadline=None)
     def test_random(self, kind, tau_eff, tol, ratio, cap, far):
-        with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap):
+        with order_cap(cap):
             plain = _order_or_error(_order_and_log_bound, kind, tau_eff, tol, ratio)
             first = _first_order(kind in _NEW_KINDS, tau_eff)
             answer = plain[0] if isinstance(plain[0], int) else cap + 1
@@ -527,7 +528,7 @@ class TestTrueMinOrder:
     def test_cap_raises(self):
         L = build_laplacian([(0, 1)], 2)
         x = np.array([1.0, 0.0])
-        with mock.patch.object(chebheat.oracle, "ORDER_CAP", 5):
+        with order_cap(5):
             with pytest.raises(OrderCapError, match="no order up to 5"):
                 true_min_order(L, x, 1.0, 1e-10, lambda_max=2.0)
         assert true_min_order(L, x, 1.0, 1e-10, lambda_max=2.0) == 6
@@ -545,11 +546,8 @@ class TestTrueMinOrder:
         monkeypatch.setattr(chebheat.oracle, "dense_spectrum", no_work)
         L = build_laplacian([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
         x = np.array([1.0, 2.0, 0.5, -1.0])
-        for tau in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="^tau must be finite and non-negative$"):
-                true_min_order(L, x, tau, 1e-5)
-        for tau in (-math.inf, -1.0):  # a negative scale keeps its own message
-            with pytest.raises(ValueError, match="^tau must be non-negative$"):
+        for tau in (math.inf, math.nan, -math.inf, -1.0):
+            with pytest.raises(ValueError, match=scale_refusal(tau)):
                 true_min_order(L, x, tau, 1e-5)
 
     def test_rejects_non_finite_signal_before_any_work(self, monkeypatch):
@@ -633,7 +631,7 @@ class TestMeasuredOrdersMatchLoop:
             cap = min(cap, 300)  # the loop runs every order to the cap there
         x = amplitude * np.random.default_rng(seed).standard_normal(n)
         taus = [0.0] + taus
-        with mock.patch.multiple(chebheat.oracle, ORDER_CAP=cap, _CHUNK=chunk):
+        with order_cap(cap), mock.patch.object(chebheat.oracle, "_CHUNK", chunk):
             got = _orders_or_error(L, x, taus, tol, lam)
         want = [_order_or_error(reference_true_min_order, L, x, tau, tol, lam, cap=cap)
                 for tau in taus]
@@ -653,7 +651,7 @@ class TestMeasuredOrdersMatchLoop:
             lam *= chebheat.oracle._lambda_floor(L)
         x = amplitude * np.random.default_rng(4).standard_normal(30)
         monkeypatch.setattr(chebheat.oracle, "_CHUNK", 16)
-        monkeypatch.setattr(chebheat.oracle, "ORDER_CAP", cap)
-        got = _order_or_error(true_min_order, L, x, tau, tol, lam)
+        with order_cap(cap):
+            got = _order_or_error(true_min_order, L, x, tau, tol, lam)
         assert got == _order_or_error(reference_true_min_order, L, x, tau, tol, lam, cap=cap)
         assert (got[0] if isinstance(got, tuple) else got) == expected

@@ -13,9 +13,9 @@ import pytest
 
 from chebheat.chebyshev import _IN_FLIGHT, build_basis, cheb_coefficients, cheb_terms, combine
 from chebheat.diffusion import estimate_lambda_max
-from chebheat.graphs import build_laplacian, erdos_renyi
+from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi
 
-from helpers import eval_scalar, force_combine_helper, lattice_edges, series_sum
+from helpers import eval_scalar, force_combine_helper, lattice_edges, length_refusal, series_sum
 
 # mpmath at 50 digits: +-2 exp(-tau) I_k(tau)
 C0_TAU1 = 0.93151921518728087
@@ -59,6 +59,26 @@ def test_invalid_arguments():
         build_basis(L, [1.0, 0.0, 0.0], 2)
     with pytest.raises(ValueError):
         build_basis(L, [[1.0, 0.0]], 2)
+
+
+def test_basis_checks_and_copies_its_signal(monkeypatch):
+    # row 0 was the caller's array, and a NaN signal gave NaN rows
+    L = build_laplacian([(0, 1), (1, 2)], 3)
+    x = np.array([1.0, -2.0, 0.5])
+    rows = list(build_basis(L, x, 2))
+    assert rows[0].tobytes() == x.tobytes()
+    assert not np.shares_memory(rows[0], x) and not rows[0].flags.writeable
+
+    def no_matvec(*args):
+        raise AssertionError("a matvec on a refused signal")
+
+    monkeypatch.setattr(SparseSymMatrix, "matvec", no_matvec)
+    for bad in ([1.0, np.nan, 0.5], [np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf]):
+        with pytest.raises(ValueError, match="^signal contains non-finite values$"):
+            build_basis(L, bad, 2)
+    for bad in ([1.0, 0.0], np.ones(4)):
+        with pytest.raises(ValueError, match=length_refusal(len(bad), 3)):
+            build_basis(L, bad, 2)
 
 
 def test_basis_satisfies_recurrence():

@@ -3,13 +3,10 @@
 import glob
 import os
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
 import chebheat._rows
-import chebheat.bounds
 import chebheat.cli
 import chebheat.oracle
 from chebheat.bounds import energy_ratio, min_order, true_min_order
@@ -18,7 +15,7 @@ from chebheat.diffusion import estimate_lambda_max, expm_multiscale
 from chebheat.errors import NumericalError
 from chebheat.graphs import build_laplacian, erdos_renyi, load_graph, load_signal
 
-from helpers import same_operator
+from helpers import order_cap, same_operator
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -417,8 +414,7 @@ class TestBoundTable:
     def test_first_error_is_the_loops(self, capsys, seed, scales, cap):
         n, p, trials, tol = (30, 0.2, 2, 1e-5) if seed == 0 else (100, 0.1, 1, 1e-5)
         taus = [float(t) for t in scales.split(",")]
-        with mock.patch.object(chebheat.bounds, "ORDER_CAP", cap), \
-                mock.patch.object(chebheat.oracle, "ORDER_CAP", cap):
+        with order_cap(cap):
             # a loop over the trials and scales: the four kinds, then the measured order
             with pytest.raises((ValueError, NumericalError)) as want:
                 for t in range(trials):

@@ -23,7 +23,7 @@ from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi, load_
 from chebheat.oracle import _lambda_floor, exact_diffusion
 
 from helpers import (complete_edges, force_combine_helper, lattice_edges, path_edges,
-                     series_sum)
+                     scale_refusal, series_sum)
 
 P2 = build_laplacian([(0, 1)], 2)
 SPECIFIC = (BoundKind.NEW_SPECIFIC, BoundKind.BASELINE_SPECIFIC, BoundKind.TAIL_SPECIFIC)
@@ -381,8 +381,8 @@ class TestSingleScale:
         monkeypatch.setattr(chebheat.oracle, "_power_iteration", no_work)
         monkeypatch.setattr(chebheat.oracle, "dense_spectrum", no_work)
         L = build_laplacian(erdos_renyi(20, 0.3, seed=1), 20)
-        for tau in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="^tau must be finite and non-negative$"):
+        for tau in (math.inf, math.nan, -math.inf, -1.0):
+            with pytest.raises(ValueError, match=scale_refusal(tau)):
                 measure_errors(L, np.ones(20), tau, 5)
 
     def test_measure_errors_refuses_an_operator_past_the_dense_cap_before_any_matvec(

@@ -1,5 +1,6 @@
 """Sparse matrix layer: construction, validation, matvec, file formats."""
 
+import io
 import math
 import os
 import re
@@ -15,16 +16,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chebheat.graphs
-from chebheat.cli import main
+import chebheat.oracle
+from chebheat.bessel import bessel_ie_scaled
+from chebheat.chebyshev import build_basis
+from chebheat.cli import bound_table_data, main
 from chebheat.errors import ParseError
 from chebheat.bounds import energy_ratio, true_min_order
 from chebheat.diffusion import expm_multiply, expm_multiscale, make_plan, measure_errors
+from chebheat.oracle import exact_diffusion
 from chebheat.graphs import (SparseSymMatrix, build_laplacian, erdos_renyi, load_graph,
                              load_signal, save_edge_list)
 
-from helpers import (complete_edges, lattice_edges, path_edges, reference_csr_check,
-                     reference_erdos_renyi, reference_laplacian, reference_load_graph,
-                     reference_load_signal, reference_save_edge_list, same_operator, star_edges)
+from helpers import (complete_edges, lattice_edges, length_refusal, path_edges,
+                     reference_csr_check, reference_erdos_renyi, reference_laplacian,
+                     reference_load_graph, reference_load_signal, reference_save_edge_list,
+                     same_operator, scale_refusal, star_edges)
 
 
 class TestBuildLaplacian:
@@ -437,6 +443,19 @@ class TestSparseSymMatrix:
                     assert misses.tolist() == [rows.tolist(), cols[rows].tolist()]
                     assert not misses.flags.writeable
 
+    def test_one_plane_is_the_products(self):
+        # a diagonal operator keeps one padded plane, summed alone: each row
+        # is its one product, -0.0 and an underflow included, and the empty
+        # last row reads +0.0
+        diag = np.array([2.0, -3.0, 0.5, 1e-300, -1.0])
+        op = SparseSymMatrix(6, [0, 1, 2, 3, 4, 5, 5], np.arange(5), diag)
+        assert op._cols.shape == (1, 6)
+        x = np.array([-0.0, 0.0, -4.0, 1e-300, np.inf, 7.0])
+        for absolute, vals in ((False, diag), (True, np.abs(diag))):
+            got = op._product(x, absolute)
+            assert got.tobytes() == np.append(vals * x[:5], 0.0).tobytes()
+        assert np.signbit(op.matvec(x)).tolist() == [True, True, True, False, True, False]
+
     @pytest.mark.parametrize("length", range(1, 9))
     def test_reduceat_sums_short_rows_in_the_plane_order(self, length):
         # matvec's padded planes rest on numpy's order for a row of at most
@@ -605,7 +624,29 @@ SIGNAL_TAKERS = {
     "measure_errors": lambda x: measure_errors(P2, x, 1.0, 5),
     "true_min_order": lambda x: true_min_order(P2, x, 1.0, 1e-5),
     "energy_ratio": lambda x: energy_ratio(x, P2),
+    "exact_diffusion": lambda x: exact_diffusion(P2, x, 1.0),
+    "build_basis": lambda x: list(build_basis(P2, x, 3)),
 }
+SCALE_TAKERS = {
+    "expm_multiply": lambda tau: expm_multiply(P2, [1.0, 0.0], tau),
+    "expm_multiscale": lambda tau: expm_multiscale(P2, [1.0, 0.0], [1.0, tau]),
+    "make_plan": lambda tau: make_plan(P2, [1.0, 0.0], [tau], 1e-5),
+    "measure_errors": lambda tau: measure_errors(P2, [1.0, 0.0], tau, 5),
+    "true_min_order": lambda tau: true_min_order(P2, [1.0, 0.0], tau, 1e-5),
+    "exact_diffusion": lambda tau: exact_diffusion(P2, [1.0, 0.0], tau),
+    "bound_table_data": lambda tau: bound_table_data(10, 0.5, 1, [1.0, tau], 1e-5, 0, True),
+    "bessel_ie_scaled": lambda tau: bessel_ie_scaled(3, tau),
+}
+
+
+def _no_work(monkeypatch):
+    """Fail the test on any matvec, power iteration or dense eigendecomposition."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a matvec or dense work before the refusal")
+
+    monkeypatch.setattr(SparseSymMatrix, "_product", no_work)
+    monkeypatch.setattr(chebheat.oracle, "_power_iteration", no_work)
+    monkeypatch.setattr(chebheat.oracle, "dense_spectrum", no_work)
 
 
 class TestSignal:
@@ -619,7 +660,8 @@ class TestSignal:
         with pytest.raises(ValueError):
             load_signal("const:2.5", 2)[0] = 1.0
 
-    def test_rejects_non_finite(self, tmp_path):
+    def test_rejects_non_finite(self, tmp_path, monkeypatch):
+        _no_work(monkeypatch)
         for bad in ([1.0, np.nan], [np.inf, 0.0]):
             for take in SIGNAL_TAKERS.values():
                 with pytest.raises(ValueError, match="non-finite"):
@@ -638,6 +680,28 @@ class TestSignal:
         for take in SIGNAL_TAKERS.values():
             with pytest.raises(ValueError, match="non-empty 1-d"):
                 take([[1.0, 0.0], [0.0, 1.0]])
+
+    def test_wrong_length_is_one_refusal_before_any_work(self, tmp_path, monkeypatch):
+        # four checks once gave three texts, and build_basis named a shape
+        _no_work(monkeypatch)
+        for size in (1, 3):
+            for take in SIGNAL_TAKERS.values():
+                with pytest.raises(ValueError, match=length_refusal(size, 2)):
+                    take(np.ones(size))
+        path = tmp_path / "s.txt"
+        path.write_text("1.0\nnan\n3.0\n")  # the length is checked before the values
+        with pytest.raises(ValueError, match=length_refusal(3, 2)):
+            load_signal(path, 2)
+
+
+class TestScales:
+    @pytest.mark.parametrize("tau", [-1.0, -math.inf, math.nan, math.inf])
+    def test_one_refusal_before_any_work(self, monkeypatch, tau):
+        # the oracle's scale check once gave two texts of its own
+        _no_work(monkeypatch)
+        for take in SCALE_TAKERS.values():
+            with pytest.raises(ValueError, match=scale_refusal(tau)):
+                take(tau)
 
 
 class TestErdosRenyi:
@@ -777,6 +841,39 @@ class TestErdosRenyiHelper:
         edges = erdos_renyi(300, 0.05, seed=1)
         assert len(made) == 1 and threading.active_count() == before
         assert edges.tobytes() == _reference_er(300, 0.05, 1).tobytes()
+
+
+class TestHelperCpus:
+    """The one rule for whether, and off which CPU, a helper thread runs."""
+
+    def test_without_an_affinity_interface_it_counts_the_cpus(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, want in ((None, None), (1, None), (2, set()), (8, set())):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert chebheat.graphs._helper_cpus() == want
+
+    def test_one_allowed_cpu_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert chebheat.graphs._helper_cpus() is None
+
+    @pytest.mark.parametrize("stat, want", [
+        # field 39 is 1, read past a name that holds ")"
+        (b"12 (a) b) S " + b"0 " * 35 + b"1\n", {0}),
+        (b"12 (a) S 0 0\n", set()),  # too few fields
+        (b"12 (a) S " + b"0 " * 35 + b"x\n", set()),  # not a CPU number
+        (None, set()),  # unreadable
+    ])
+    def test_off_the_callers_cpu_or_anywhere(self, monkeypatch, stat, want):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def read(path, mode):
+            assert (path, mode) == ("/proc/thread-self/stat", "rb")
+            if stat is None:
+                raise PermissionError(13, "Permission denied", path)
+            return io.BytesIO(stat)
+
+        monkeypatch.setattr(chebheat.graphs, "open", read, raising=False)
+        assert chebheat.graphs._helper_cpus() == want
 
 
 class TestHelperThread:

@@ -10,6 +10,10 @@ thread policy: no other code starts or places a thread, or catches
 every error as the runner does to hand a helper's error on. And only
 ``graphs`` reads the layout an operator keeps for its matvec.
 
+Each input rule has one home: the signal-length rule is raised from
+``graphs._signal`` alone and the scale rule from ``graphs._check_scales``
+alone.
+
 The modules import one another at the top of the module only, in one
 order with no cycle, and the certificates and the dense measurements
 stay apart: ``bounds`` certifies without ``chebyshev`` or
@@ -18,6 +22,7 @@ stay apart: ``bounds`` certifies without ``chebyshev`` or
 """
 
 import ast
+import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -343,3 +348,54 @@ def test_imports_are_top_level_and_acyclic(tmp_path):
     ]
     assert {p.stem for p in MODULES} >= {"bounds", "chebyshev", "diffusion", "oracle"}
     assert _structure(MODULES) == []
+
+
+# input rule -> a pattern that the source of each of its raises matches
+RULES = {"signal length": re.compile(r"\bsignal\b.*\b(length|shape|size)\b|does not match"),
+         "scale range": re.compile(r"\b(tau|scales?)\b.*\bnon-negative\b")}
+
+
+def _rule_homes(paths):
+    """For each of ``RULES``, the ``module.function`` of every raise whose source matches it."""
+    homes = {rule: set() for rule in RULES}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        owner = {}  # each raise's innermost function: ast.walk meets the outer one first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                for rule, pattern in RULES.items():
+                    if pattern.search(ast.unparse(node)):
+                        homes[rule].add(f"{path.stem}.{owner.get(id(node), '<module>')}")
+    return {rule: sorted(found) for rule, found in homes.items()}
+
+
+RULE_PROBE = """\
+def energy_ratio(x, op):
+    def check():
+        if x.size != op.n:
+            raise ValueError(f"signal of shape {x.shape} does not match operator size {op.n}")
+    check()
+    if op.matvec(x).size != op.n:
+        raise ValueError(f"expected vector of length {op.n}")
+
+
+def _check_tau(tau):
+    if tau < 0.0:
+        raise ValueError("tau must be non-negative")
+    if not tau_eff >= 0.0:
+        raise ValueError("tau_eff must be non-negative")
+"""
+
+
+def test_each_input_rule_has_one_home(tmp_path):
+    # the length rule was written four times with three texts, and the
+    # scale rule twice; a second home of either fails here
+    probe = tmp_path / "oracle.py"
+    probe.write_text(RULE_PROBE, encoding="utf-8")
+    assert _rule_homes([probe]) == {"signal length": ["oracle.check"],
+                                    "scale range": ["oracle._check_tau"]}
+    assert _rule_homes(MODULES) == {"signal length": ["graphs._signal"],
+                                    "scale range": ["graphs._check_scales"]}

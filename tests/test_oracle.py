@@ -12,7 +12,7 @@ from chebheat.graphs import build_laplacian, erdos_renyi
 from chebheat.oracle import DENSE_CAP, dense_spectrum, exact_diffusion, jacobi_eigh
 
 from helpers import (certified_tail, coeff_integral, complete_edges, dense_diffusion,
-                     lattice_edges, path_edges)
+                     lattice_edges, path_edges, scale_refusal)
 
 
 class TestJacobi:
@@ -44,6 +44,13 @@ class TestJacobi:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             jacobi_eigh(np.zeros((2, 3)))
+
+    def test_one_by_one_needs_no_sweep(self):
+        a = np.array([[-2.5]])
+        eig, vec = jacobi_eigh(a, max_sweeps=0)
+        assert eig.tolist() == [-2.5] and vec.tolist() == [[1.0]]
+        eig[0] = 1.0
+        assert a[0, 0] == -2.5  # the eigenvalues are the solver's own
 
     def test_sweep_budget_raises(self):
         L = build_laplacian(erdos_renyi(40, 0.2, seed=1), 40).to_dense()
@@ -130,11 +137,8 @@ class TestExactDiffusion:
         x = np.array([1.0, 2.0, 0.5, -1.0])
         np.testing.assert_allclose(exact_diffusion(L, x, 60.0), np.full(4, 0.625), atol=1e-14)
         monkeypatch.setattr(chebheat.oracle, "dense_spectrum", no_work)
-        for tau in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="^tau must be finite and non-negative$"):
-                exact_diffusion(L, x, tau)
-        for tau in (-math.inf, -1.0):  # a negative scale keeps its own message
-            with pytest.raises(ValueError, match="^tau must be non-negative$"):
+        for tau in (math.inf, math.nan, -math.inf, -1.0):
+            with pytest.raises(ValueError, match=scale_refusal(tau)):
                 exact_diffusion(L, x, tau)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite"):

@@ -61,14 +61,28 @@ lattice has too many nodes for the dense oracle, so only its ``lambda``
 case runs. The private rules are read from ``chebheat.oracle``, or from
 ``chebheat.diffusion`` in a checkout that keeps them there.
 
+A ``refusals`` line gives, in place of a digest, the type and message
+of one bad input to one entry point that takes a signal or a scale, or
+``returned`` when the call raises nothing. The inputs are a signal with
+a NaN, a signal one entry short, and a scale of -1, NaN and inf, on
+``er:30:0.2:1``. The entry points are ``expm_multiply``,
+``expm_multiscale``, ``make_plan``, ``energy_ratio``,
+``exact_diffusion``, ``measure_errors``, ``true_min_order``,
+``build_basis`` (every row drawn) and ``load_signal`` (a file), and
+``diffuse`` and ``bound-table`` through ``cli.main``, whose exit code
+and error line it gives.
+
 Run from the repository root of any checkout, which it imports from::
 
     python tools/bits_digest.py > digest.txt
 
-and compare two checkouts with ``diff``. It prints ``case sha256`` lines.
+and compare two checkouts with ``diff``. It prints ``case sha256`` and
+``refusals/... type: message`` lines.
 """
 
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -83,9 +97,11 @@ from chebheat import (BoundKind, NumericalError, build_laplacian, erdos_renyi,  
                       true_min_order)
 from chebheat import diffusion, oracle  # noqa: E402
 from chebheat.bessel import ORDER_CAP, bessel_ie_scaled  # noqa: E402
-from chebheat.bounds import log_bound_value, min_order  # noqa: E402
+from chebheat.bounds import energy_ratio, log_bound_value, min_order  # noqa: E402
+from chebheat.chebyshev import build_basis  # noqa: E402
 from chebheat.cli import bound_table_data, main as cli_main  # noqa: E402
-from chebheat.diffusion import estimate_lambda_max  # noqa: E402
+from chebheat.diffusion import estimate_lambda_max, make_plan  # noqa: E402
+from chebheat.graphs import load_signal  # noqa: E402
 from chebheat.oracle import DENSE_CAP, exact_diffusion  # noqa: E402
 
 SCALES = [0.0] + [float(t) for t in np.logspace(-2.0, 2.0, 11)]
@@ -110,6 +126,7 @@ MEASURE_ORDERS = [0, 3, 20, 60]
 TRUE_SCALES = [0.0, 0.1, 1.0, 10.0, 50.0]
 TRUE_TOLS = [1e-5, 1e-10]
 EXACT_SCALES = [0.0, 0.5, 2.0, 20.0]
+REFUSED_SCALES = ["-1", "nan", "inf"]
 
 
 def _lattice(side):
@@ -286,6 +303,68 @@ def _csr_digest(edges, n, kind) -> str:
     return h.hexdigest()
 
 
+def _refusal(call) -> str:
+    """The type and message of the error ``call()`` raises, or ``returned``."""
+    try:
+        call()
+    except (ValueError, NumericalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "returned"
+
+
+def _cli_refusal(argv) -> str:
+    """The exit code and error line of ``cli.main(argv)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return f"exit {code}: {err.getvalue().strip()}"
+
+
+def _refusals(tmp):
+    """Each ``refusals`` case and its outcome, in order."""
+    n = 30
+    op = build_laplacian(erdos_renyi(n, 0.2, seed=1), n)
+    x = np.random.default_rng(3).standard_normal(n)
+    nan = x.copy()
+    nan[7] = np.nan
+    signals = {"nan-signal": nan, "short-signal": x[:-1]}
+    files = {}
+    for name, values in signals.items():
+        files[name] = str(Path(tmp) / f"{name}.txt")
+        Path(files[name]).write_text("".join(f"{float(v)!r}\n" for v in values), encoding="utf-8")
+    by_signal = {"expm_multiply": lambda s: expm_multiply(op, s, 1.0, tol=TOL),
+                 "expm_multiscale": lambda s: expm_multiscale(op, s, [1.0], tol=TOL),
+                 "make_plan": lambda s: make_plan(op, s, [1.0], TOL),
+                 "energy_ratio": lambda s: energy_ratio(s, op),
+                 "exact_diffusion": lambda s: exact_diffusion(op, s, 1.0),
+                 "measure_errors": lambda s: measure_errors(op, s, 1.0, 5),
+                 "true_min_order": lambda s: true_min_order(op, s, 1.0, 1e-5),
+                 "build_basis": lambda s: list(build_basis(op, s, 3))}
+    by_scale = {"expm_multiply": lambda t: expm_multiply(op, x, t, tol=TOL),
+                "expm_multiscale": lambda t: expm_multiscale(op, x, [1.0, t], tol=TOL),
+                "make_plan": lambda t: make_plan(op, x, [1.0, t], TOL),
+                "exact_diffusion": lambda t: exact_diffusion(op, x, t),
+                "measure_errors": lambda t: measure_errors(op, x, t, 5),
+                "true_min_order": lambda t: true_min_order(op, x, t, 1e-5)}
+    for entry, call in by_signal.items():
+        for name, s in signals.items():
+            yield f"{entry}/{name}", _refusal(lambda: call(s))
+    for entry, call in by_scale.items():
+        for tau in REFUSED_SCALES:
+            yield f"{entry}/tau={tau}", _refusal(lambda: call(float(tau)))
+    for name, path in files.items():
+        yield f"load_signal/{name}", _refusal(lambda: load_signal(path, n))
+    diffuse = ["diffuse", "--graph", f"er:{n}:0.2:1", "--tol", "1e-8"]
+    for name, path in files.items():
+        yield f"cli-diffuse/{name}", _cli_refusal(diffuse + ["--signal", path, "--scales", "1"])
+    for tau in REFUSED_SCALES:
+        argv = diffuse + ["--signal", "normal:3", "--scales", f"1,{tau}"]
+        yield f"cli-diffuse/tau={tau}", _cli_refusal(argv)
+    for tau in REFUSED_SCALES:
+        argv = ["bound-table", "--n", str(n), "--p", "0.2", "--trials", "1", "--scales", f"1,{tau}"]
+        yield f"cli-bound-table/tau={tau}", _cli_refusal(argv)
+
+
 def main() -> int:
     for case, args in TABLES.items():
         print(f"{case} {_table_digest(*args)}", flush=True)
@@ -314,6 +393,9 @@ def main() -> int:
             print(f"measure_errors/{graph}/{signal} {_measure_digest(op, x)}", flush=True)
             print(f"true_min_order/{graph}/{signal} {_true_digest(op, x)}", flush=True)
         print(f"exact_diffusion/{graph} {_exact_digest(op)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, outcome in _refusals(tmp):
+            print(f"refusals/{case} {outcome}", flush=True)
     return 0
 
 
