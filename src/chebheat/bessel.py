@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .graphs import _check_scales
+from .graphs import _check_scales, _count
 
 __all__ = ["bessel_ie_scaled", "log_factorial", "ORDER_CAP"]
 
@@ -30,11 +30,12 @@ def log_factorial(k: int) -> float:
 
     Reads the logs of the exact integer factorials for ``k <= 20`` from a
     table and uses ``lgamma`` beyond, which keeps the relative error at a
-    few ulps.
+    few ulps. ``k`` is a count (:func:`chebheat.graphs._count`); a
+    non-negative int, what every caller in the package passes, skips the
+    call.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    if type(k) is not int or k < 0:
+        k = _count(k, "k")
     if k <= 20:
         return _LOG_FACTORIALS[k]
     return math.lgamma(k + 1)
@@ -103,7 +104,8 @@ def bessel_ie_scaled(k_max: int, tau: float) -> np.ndarray:
     Parameters
     ----------
     k_max : int
-        Largest order, at most ``ORDER_CAP``.
+        Largest order, a count (:func:`chebheat.graphs._count`) at most
+        ``ORDER_CAP``.
     tau : float
         Finite, non-negative argument, checked by the scale rule
         (:func:`chebheat.graphs._check_scales`); no overflow up to ``tau =
@@ -115,9 +117,7 @@ def bessel_ie_scaled(k_max: int, tau: float) -> np.ndarray:
         ``k_max + 1`` values in ``(0, 1]``, strictly decreasing in ``k``
         (down to underflow level for extreme orders).
     """
-    k_max = int(k_max)
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
+    k_max = _count(k_max, "k_max")
     if k_max > ORDER_CAP:
         raise ValueError(f"k_max={k_max} exceeds the internal cap {ORDER_CAP}")
     [tau] = _check_scales([tau])

@@ -75,7 +75,7 @@ import numpy as np
 
 from .bessel import ORDER_CAP, bessel_ie_scaled, log_factorial
 from .errors import OrderCapError
-from .graphs import _check_scales, _signal
+from .graphs import _check_scales, _check_tol, _count, _signal
 from .oracle import _measured_orders
 
 __all__ = ["BoundKind", "AUTO", "energy_ratio", "sup_error_bound", "baseline_error_term",
@@ -158,7 +158,7 @@ def _first_order(new: bool, tau_eff: float, cap: int | None = None) -> int | flo
 
 
 def _valid_order(new: bool, order: int, tau_eff: float) -> int:
-    order = int(order)
+    order = _count(order, "order")
     first = _first_order(new, tau_eff)
     if order < first:
         raise ValueError(f"order {order} is below {first}, the first order at which the "
@@ -415,8 +415,7 @@ def _order_and_log_bound(kind: BoundKind, tau_eff: float, tol: float,
     kind = BoundKind(kind)
     tau_eff = float(tau_eff)
     start = _first_order(kind in _NEW_KINDS, tau_eff)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    tol = _check_tol(tol)
     if tau_eff / 2.0 == 0.0:
         return 0, -math.inf
     order = ORDER_CAP + 1
@@ -450,10 +449,9 @@ def true_min_order(op, signal, tau: float, tol: float,
     diffusion run checks it, else
     :func:`~chebheat.diffusion.estimate_lambda_max`. A default ``auto``
     run rescales by the certified ceiling instead; pass its report's
-    ``lambda_max`` to compare with its orders. The signal is checked as
-    a diffusion run checks it, and ``tau`` must be finite and
-    non-negative; both are refused before any dense work. Limited to
-    oracle-sized operators.
+    ``lambda_max`` to compare with its orders. ``tau``, ``tol`` and the
+    signal are checked as a diffusion run checks them, and refused before
+    any dense work. Limited to oracle-sized operators.
 
     This is the one-scale call of :mod:`chebheat.oracle`'s scan, which
     ``bound-table --true`` runs on all of a trial's scales at once: it
@@ -462,7 +460,7 @@ def true_min_order(op, signal, tau: float, tol: float,
     loop over the orders finds. It holds one chunk of at most 256 rows
     of ``n`` entries and the stack of their sums, 2 MB at ``n = 500``.
     """
-    order = _measured_orders(op, signal, _check_scales([tau]), tol, lambda_max)[0]
+    order = _measured_orders(op, signal, _check_scales([tau]), _check_tol(tol), lambda_max)[0]
     if isinstance(order, Exception):
         raise order
     return order

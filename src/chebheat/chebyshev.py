@@ -46,9 +46,9 @@ from itertools import islice
 import numpy as np
 
 from .bessel import bessel_ie_scaled
-from .graphs import SparseSymMatrix, _helper_cpus, _helper_thread, _signal
+from .graphs import SparseSymMatrix, _count, _helper_cpus, _helper_thread, _signal
 
-__all__ = ["cheb_coefficients", "cheb_terms", "cheb_partial_sums", "build_basis", "combine"]
+__all__ = ["cheb_coefficients", "cheb_terms", "build_basis", "combine"]
 
 # slots for rows handed to the helper thread and not yet let go. On the 200x200
 # lattice at 32 scales (2 vCPUs, K 88, each scale to its own order),
@@ -82,11 +82,9 @@ def cheb_coefficients(tau_eff: float, order: int) -> np.ndarray:
     tau_eff : float
         Effective (rescaled) diffusion scale, non-negative.
     order : int
-        Truncation order.
+        Truncation order, a count (:func:`chebheat.graphs._count`).
     """
-    order = int(order)
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    order = _count(order, "order")
     c = 2.0 * bessel_ie_scaled(order, tau_eff)
     c[1::2] *= -1.0
     c.flags.writeable = False
@@ -116,35 +114,17 @@ def cheb_terms(apply, x):
         t_prev, t_cur = t_cur, w
 
 
-def cheb_partial_sums(coefficients, terms):
-    """Yield ``c[0]/2 t_0 + c[1] t_1 + ... + c[k] t_k`` for ``k = 0, 1, ...``.
-
-    Terms are added in ascending ``k``, one per coefficient, so every
-    path that sums a series gives the same bits for the same terms. The
-    running sum is updated in place; a caller that keeps one must copy it.
-    """
-    c = iter(coefficients)
-    terms = iter(terms)
-    y = (0.5 * next(c)) * next(terms)
-    yield y
-    for ck, t in zip(c, terms):  # c first: no term is drawn past the last coefficient
-        y += ck * t
-        yield y
-
-
 def build_basis(op: SparseSymMatrix, x, order: int):
     """The ``order + 1`` basis rows ``T_k(op - I) x``, drawn lazily.
 
     ``op`` must already be rescaled so its spectrum sits inside
     ``[0, 2]``. Drawing every row costs exactly ``order`` matrix-vector
     products. The order and the signal are checked at the call, the
-    signal as every signal is, against ``op.n`` (see
-    :func:`chebheat.graphs._signal`): row 0 is its read-only copy, never
-    the caller's array.
+    order as every count is and the signal as every signal is, against
+    ``op.n`` (see :func:`chebheat.graphs._signal`): row 0 is its
+    read-only copy, never a writable array of the caller's.
     """
-    order = int(order)
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    order = _count(order, "order")
     return islice(cheb_terms(op.matvec, _signal(x, op.n)), order + 1)
 
 
@@ -157,9 +137,10 @@ def combine(basis, c) -> np.ndarray:
     length ``K + 1``), giving an ``(m, n)`` array. Row ``k`` is drawn
     only once some output has column ``k``, on the calling thread, so
     the longest vector sets how many rows are drawn. Each output gets
-    ``c[0]/2 t_0``, then ``+= c[k] * t_k`` in ascending ``k`` through its
-    own last column, as :func:`cheb_partial_sums` sums them, so it has
-    the bits of that output's series alone, zero coefficients included.
+    ``(0.5 c[0]) * t_0``, then ``+= c[k] * t_k``, one term at a time in
+    ascending ``k`` through its own last column, so it has the bits of
+    that output's series summed term by term alone, zero coefficients
+    included.
 
     With two CPUs or more, at least ``_OVERLAP_MIN_SCALES`` outputs and
     rows of at least ``_OVERLAP_MIN_LENGTH`` entries, one helper thread

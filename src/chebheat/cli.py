@@ -21,9 +21,9 @@ from .bounds import _order_and_log_bound, AUTO, BoundKind, energy_ratio
 from .bounds import min_order, true_min_order  # noqa: F401
 from .diffusion import estimate_lambda_max, expm_multiscale
 from .errors import NumericalError
-from .graphs import (_check_scales, _spec_field, build_laplacian, erdos_renyi, load_graph,
-                     load_signal, save_edge_list)
-from .oracle import _measured_orders
+from .graphs import (_check_scales, _check_tol, _count, _spec_field, build_laplacian,
+                     erdos_renyi, load_graph, load_signal, save_edge_list)
+from .oracle import _check_dense, _measured_orders
 
 __all__ = ["main", "entry"]
 
@@ -45,8 +45,7 @@ def _parse_scales(spec: str) -> list[float]:
             raise ValueError(f"--scales grid must be {head}:start:stop:count, got {spec!r}")
         a, b, m = (_spec_field(f"--scales {spec!r}", field, convert, text) for field, convert, text
                    in zip(("start", "stop", "count"), (float, float, int), parts))
-        if m < 1:
-            raise ValueError("--scales grid count must be >= 1")
+        m = _count(m, "--scales grid count", 1)
         if head == "lin":
             return [float(t) for t in np.linspace(a, b, m)]
         if a <= 0.0 or b <= 0.0:
@@ -84,9 +83,10 @@ def _out_stream(path: str | None):
 
 
 def cmd_diffuse(args) -> None:
+    scales = _check_scales(_parse_scales(args.scales))
+    _check_tol(args.tol)  # both refused before the graph is drawn or read
     op, n = _resolve_graph(args.graph, args.laplacian)
     sig = load_signal(args.signal, n)
-    scales = _parse_scales(args.scales)
     results = expm_multiscale(op, sig, scales, tol=args.tol, kind=args.bound,
                               lambda_max=args.lambda_max)
     rep = results[0][1]
@@ -117,8 +117,10 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
     array when ``with_true``, else None (``true``), and each trial's
     :func:`~chebheat.bounds.energy_ratio` (``ratios``, length trials).
     Trial t draws the graph with ``seed + t`` and the standard-normal
-    signal with ``seed + t + 10000``. Every scale must be finite and
-    non-negative.
+    signal with ``seed + t + 10000``. ``trials`` and ``n`` are counts of
+    at least 1, every scale is finite and non-negative, ``tol`` is
+    positive and, ``with_true``, ``n`` is at most the dense oracle's cap:
+    each is refused before the first draw.
 
     Each search starts from the orders the kind took at the two scales
     before, which changes no order (:func:`~chebheat.bounds.min_order`).
@@ -131,9 +133,10 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
     order of a loop over the scales that, at each scale, finds the four
     certified orders and then the measured one.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials, n, tol = _count(trials, "trials", 1), _count(n, "n", 1), _check_tol(tol)
     taus = list(_check_scales(taus))
+    if with_true:
+        _check_dense(n)
     m = len(taus)
     tau_effs = np.zeros((trials, m))
     ratios = np.zeros(trials)

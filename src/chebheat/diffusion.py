@@ -31,7 +31,7 @@ import numpy as np
 from .bounds import (_TAIL_KINDS, AUTO, BoundKind, _order_and_log_bound, energy_ratio,
                      log_bound_value, min_order, select_bound)
 from .chebyshev import build_basis, cheb_coefficients, combine
-from .graphs import SparseSymMatrix, _check_scales, _signal
+from .graphs import SparseSymMatrix, _check_scales, _check_tol, _count, _signal
 from .oracle import _resolve_lambda, exact_diffusion
 
 __all__ = ["DiffusionPlan", "DiffusionReport", "estimate_lambda_max",
@@ -142,7 +142,8 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
 
     ``signal`` is any finite, non-empty 1-d array_like of length
     ``op.n``; like every function that takes a signal, this one checks
-    it and works on a read-only float64 copy.
+    it and works on a read-only float64 copy, which it makes only when
+    the signal is not already one. ``tol`` must be positive.
 
     The spectral radius is, in order of preference, the given
     ``lambda_max``, the operator's ``spectral_bound`` (2 for a normalized
@@ -168,8 +169,7 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     scales = _check_scales(scales)
     if not scales:
         raise ValueError("need at least one scale")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    tol = _check_tol(tol)
 
     _require_psd(op)
     tail = kind == AUTO or BoundKind(kind) in _TAIL_KINDS
@@ -193,7 +193,7 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
         tau_effs=tau_effs,
         order=max(orders),
         kind=BoundKind(kind),
-        tol=float(tol),
+        tol=tol,
         setup_matvecs=setup,
         bounds=tuple(math.exp(b) for b in log_bounds),
         scale_orders=orders,
@@ -212,7 +212,6 @@ def _diffuse(op: SparseSymMatrix, lam_hat: float, x: np.ndarray, orders,
     ``max(orders)`` matvecs; ``lam_hat == 0`` (the zero operator)
     returns copies at none.
     """
-    # before the zero-operator shortcut, so a negative order raises on every operator
     coeffs = [c[:np.flatnonzero(c)[-1] + 1] for c in map(cheb_coefficients, tau_effs, orders)]
     if lam_hat == 0.0:
         return np.tile(x, (len(tau_effs), 1)), 0
@@ -291,13 +290,15 @@ def measure_errors(op: SparseSymMatrix, x, tau: float, order: int,
     A default ``auto`` run rescales by the certified ceiling instead; to
     measure that run's own output, pass its report's ``lambda_max``.
     ``tau`` must be finite and non-negative, and is refused before any
-    matvec. Returns the pair (input-relative, output-relative).
+    matvec, and so is an ``order`` that is no count. Returns the pair
+    (input-relative, output-relative).
     """
     x = _signal(x)
     [tau] = _check_scales([tau])
+    order = _count(order, "order")
     w = exact_diffusion(op, x, tau)
     lam_hat, _ = _resolve_lambda(op, lambda_max)
-    [y], _ = _diffuse(op, lam_hat, x, [int(order)], [lam_hat * tau / 2.0])
+    [y], _ = _diffuse(op, lam_hat, x, [order], [lam_hat * tau / 2.0])
     diff = y - w
     err = float(diff @ diff)
     denom_in = float(x @ x)

@@ -18,33 +18,24 @@ off its exceptions (Bell and Garland, SC 2009). A plane that misses in
 more than a quarter of its rows, such as any plane of a relabelled
 lattice, is gathered whole.
 
-:func:`build_laplacian` sorts only what needs it. Edges already in
-(lo, hi) order with no duplicate skip the sort that groups duplicates,
-and the CSR arrays take one stable argsort of the edges by their upper
-end, for the lower triangle, and passes linear in the entries: row i
-is its lower entries, its diagonal and its upper entries, and each
-entry's slot is its row's start plus a count, as in a CSR transpose by
-counting (Gustavson, ACM TOMS 4(3), 1978). The assembly knows where
-each entry's transpose lands, and the operator's symmetry check reads
-those mirror positions in place of the sort that the public
-constructor makes. Its slot positions, mirror map and entry rows are
-32-bit where they fit, each array dies after its last read, and
-construction checks the entries a chunk at a time, so a build's
-transient memory is about 13 bytes per stored entry beside the
-operator's 16.
+:func:`build_laplacian` sorts only what needs it: one stable argsort of
+the edges by their upper end, then passes linear in the entries, as in a
+CSR transpose by counting (Gustavson, ACM TOMS 4(3), 1978). Its notes
+give the layout, the mirror map and the memory a build holds.
 
 Graph files come in two flavours: a whitespace edge list (``i j [w]``,
 0-based, ``#`` comments) and Matrix Market coordinate format (symmetric,
 real). A signal is a plain array: every function that takes one checks
-and copies it with :func:`_signal` into a read-only, finite, non-empty
-1-d float64 array, of the operator's size where there is one. Every
-scale goes through :func:`_check_scales`. These two are the package's
-only signal and scale rules, each with one message. Signals come from
-one-value-per-line text files or generator specs such as ``dirac:3``,
-``normal:42``, ``const:0.5``. All three file readers share one record
-loop, :func:`_body`: it skips the head, tries one numpy read of every
-record at the first one, and otherwise parses the file line by line, so
-each ``ParseError`` names its line.
+it with :func:`_signal`, which copies it once into a read-only, finite,
+non-empty 1-d float64 array, of the operator's size where there is one.
+Every scale goes through :func:`_check_scales`, every ``tol`` through
+:func:`_check_tol` and every count, an order or a node count, through
+:func:`_count`: the package's only rules for these inputs, each with one
+message. Signals come from one-value-per-line text files or generator
+specs such as ``dirac:3``, ``normal:42``, ``const:0.5``. All three file
+readers share one record loop, :func:`_body`: it skips the head, tries
+one numpy read of every record at the first one, and otherwise parses
+the file line by line, so each ``ParseError`` names its line.
 
 :func:`save_edge_list` writes through :func:`chebheat._rows.write_rows`,
 the package's one row writer, with the bytes ``%`` gives; that module
@@ -165,14 +156,8 @@ class SparseSymMatrix:
     passes the mirror positions it placed them at instead. The backing
     arrays are marked read-only afterwards.
 
-    Entry ``j`` of row ``i`` sits in padded plane ``j``. Construction
-    also keeps each plane's shift, its most common offset ``col - i``,
-    and its misses, the rows where the offset differs (rows at a
-    boundary, padding slots, empty rows) with their columns. A product
-    reads the rows on the shift as one slice of the input and gathers
-    the misses alone; a plane that misses in more than
-    ``_SHIFT_MAX_MISSES`` of its rows, such as every plane of a
-    relabelled lattice, is gathered whole.
+    Entry ``j`` of row ``i`` sits in padded plane ``j``, whose shift and
+    misses (:func:`_plane_shifts`) the module docstring describes.
 
     The certified bounds need a positive semidefinite operator, and the
     specific ones also a kernel vector. An operator with a kernel vector
@@ -196,19 +181,17 @@ class SparseSymMatrix:
                  "_facts", "_row_starts", "_nonempty", "_cols", "_vals", "_shifts", "_misses")
 
     def __init__(self, n, row_ptr, col_idx, values):
-        self._setup(int(n), np.array(row_ptr, dtype=np.int64), np.array(col_idx, dtype=np.int64),
-                    np.array(values, dtype=np.float64), None)
+        self._setup(_count(n, "n", 1), np.array(row_ptr, dtype=np.int64),
+                    np.array(col_idx, dtype=np.int64), np.array(values, dtype=np.float64), None)
 
     def _setup(self, n, row_ptr, col_idx, values, mirror):
-        """Check and lay out the int ``n`` and the new int64 and float64 arrays, which it keeps.
+        """Check and lay out the int ``n``, counted, and the new arrays, which it keeps.
 
         Every check of the constructor runs, and symmetry is checked from
         ``mirror`` (see :meth:`_check_symmetry`): None, as the constructor
         passes it, sorts the entries for it, and :func:`build_laplacian`
         passes the mirror positions it placed.
         """
-        if n < 1:
-            raise ValueError("matrix dimension must be >= 1")
         if row_ptr.shape != (n + 1,):
             raise ValueError("row_ptr must have length n + 1")
         if row_ptr[0] != 0 or row_ptr[-1] != values.size:
@@ -461,7 +444,7 @@ class SparseSymMatrix:
 
 
 def _plane_shifts(cols):
-    """Each padded plane's shift and misses: see :class:`SparseSymMatrix`.
+    """Each padded plane's shift and misses, which a product reads.
 
     The shift of plane j is its most common offset ``cols[j, i] - i``
     (the smallest of any tie). Its misses are a (2, m) array: the rows
@@ -485,9 +468,11 @@ def _signal(values, n=None) -> np.ndarray:
 
     The one signal rule of the package: with ``n``, the operator or graph
     size, its length must be ``n`` too. Checked in that order, shape,
-    length, then the values.
+    length, then the values. A signal this function made, a read-only
+    float64 array that owns its data, is checked and returned as it is.
     """
-    v = np.array(values, dtype=np.float64)
+    made = type(values) is np.ndarray and values.base is None and not values.flags.writeable
+    v = values if made and values.dtype == np.float64 else np.array(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("signal must be a non-empty 1-d array")
     if n is not None and v.size != n:
@@ -505,6 +490,22 @@ def _check_scales(scales) -> tuple[float, ...]:
         if not math.isfinite(t) or t < 0.0:
             raise ValueError(f"scales must be finite and non-negative, got {t}")
     return scales
+
+
+def _check_tol(tol) -> float:
+    """``tol`` as a float, checked positive: the one tol rule."""
+    tol = float(tol)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    return tol
+
+
+def _count(value, name: str, least: int = 0) -> int:
+    """``value``, the argument ``name``, as an int at least ``least``: the one count rule."""
+    k = int(value) if abs(value) < math.inf else None  # NaN and the infinities have none
+    if k != value or k < least:  # 2.5 is no count
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    return k
 
 
 def _edge_array(edges) -> np.ndarray:
@@ -532,13 +533,11 @@ def _checked_edges(edges, n):
     """The endpoints, as integers, and the weights of ``edges`` on ``n`` nodes, checked.
 
     Endpoints are truncated to integers as ``int`` would. ``ValueError``
-    names ``n`` below 1, or the first edge with an endpoint out of range,
-    a self-loop or a weight that is not positive and finite: what
-    :func:`build_laplacian` refuses, and :func:`save_edge_list` does not
-    write.
+    names the first edge with an endpoint out of range, a self-loop or a
+    weight that is not positive and finite: what :func:`build_laplacian`
+    refuses, and :func:`save_edge_list` does not write. Both count ``n``
+    first.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     a = _edge_array(edges)
     i, j, w = a[:, 0], a[:, 1], a[:, 2]
     # 0 <= int(x) < n exactly when -1 < x < n; NaN fails both tests
@@ -673,7 +672,7 @@ def build_laplacian(edges, n: int, kind: str = "combinatorial") -> SparseSymMatr
     """
     if kind not in ("combinatorial", "normalized"):
         raise ValueError(f"unknown laplacian kind: {kind!r}")
-    n = int(n)
+    n = _count(n, "n", 1)
     row_ptr, cols, vals, mirror, deg = _assemble(edges, n, kind)
     op = object.__new__(SparseSymMatrix)
     op._setup(n, row_ptr, cols, vals, mirror)
@@ -872,9 +871,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> np.ndarray:
     the generator ahead to it, while the calling thread draws the first.
     The edges are the same on any CPU count.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _count(n, "n", 1)
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie strictly between 0 and 1")
     # each half makes its generator from this one seed: None draws its entropy
@@ -1107,7 +1104,7 @@ def save_edge_list(path, edges, n: int, comment: str | None = None):
     back every file written; ``ValueError`` names the first bad edge
     before the file is opened.
     """
-    n = int(n)
+    n = _count(n, "n", 1)
     i, j, w = _checked_edges(edges, n)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={n}\n")
@@ -1152,6 +1149,7 @@ def load_signal(source, n: int | None = None) -> np.ndarray:
     signal comes back as :func:`_signal` makes every signal: a read-only,
     finite, non-empty 1-d float64 array.
     """
+    n = None if n is None else _count(n, "n", 1)
     if isinstance(source, str) and ":" in source:
         head, _, arg = source.partition(":")
         if head in ("dirac", "normal", "const"):

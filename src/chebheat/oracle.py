@@ -15,7 +15,8 @@ kept on the operator object.
 (``numpy.linalg.eigh``), kept on the operator object; :func:`jacobi_eigh`,
 a cyclic Jacobi eigensolver kept as a second, in-house witness of that
 spectrum; and :func:`exact_diffusion`, ``exp(-tau L) x`` through it.
-Sizes are capped at ``DENSE_CAP`` nodes so the dense work stays cheap.
+Sizes are capped at ``DENSE_CAP`` nodes so the dense work stays cheap,
+by the one size rule :func:`_check_dense`, which needs only the size.
 
 *The measurement* of the production series against them.
 :func:`_measured_orders` runs :mod:`chebheat.chebyshev`'s coefficients
@@ -241,6 +242,12 @@ def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = 30):
     return eig[order], np.ascontiguousarray(ut[order].T)
 
 
+def _check_dense(n: int) -> None:
+    """Refuse a size past ``DENSE_CAP``: the dense oracle's one size rule."""
+    if n > DENSE_CAP:
+        raise ValueError(f"dense oracle is limited to n <= {DENSE_CAP}, got {n}")
+
+
 def dense_spectrum(op: SparseSymMatrix) -> DenseSpectrum:
     """Eigendecomposition of a sparse operator, kept on the operator object.
 
@@ -248,8 +255,7 @@ def dense_spectrum(op: SparseSymMatrix) -> DenseSpectrum:
     callers share the read-only arrays. The spectrum lives as long as
     its operator, and no longer.
     """
-    if op.n > DENSE_CAP:
-        raise ValueError(f"dense oracle is limited to n <= {DENSE_CAP}, got {op.n}")
+    _check_dense(op.n)
     if "dense_spectrum" not in op._facts:
         eig, vec = np.linalg.eigh(op.to_dense())  # eigenvalues ascending
         for a in (eig, vec):
@@ -296,10 +302,11 @@ def _stages():
 def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = None) -> list:
     """:func:`~chebheat.bounds.true_min_order` for each of ``taus``, in one scan.
 
-    Every scale must be finite and non-negative; the callers check them
-    (:func:`~chebheat.graphs._check_scales`).
-    Checks ``tol`` and the signal, and resolves the dense spectrum,
-    ``x_hat`` and ``lambda_hat``, once, raising on any of them. Each
+    Every scale must be finite and non-negative and ``tol`` positive; the
+    callers check them (:func:`~chebheat.graphs._check_scales`,
+    :func:`~chebheat.graphs._check_tol`). Checks the signal, and
+    resolves the dense spectrum, ``x_hat`` and ``lambda_hat``, once,
+    raising on any of them. Each
     scale then gets its order, or the error it would raise, as a value
     in the list: a diffused signal that underflows to zero, or
     ``OrderCapError``.
@@ -310,10 +317,10 @@ def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = No
     reads each chunk before the next is drawn, so no row is kept past
     its chunk. Scales that share a chunk are stacked, as many as fit
     in ``_CHUNK`` rows: the products ``c_k t_k``, their running sums
-    (``np.cumsum`` adds along the orders in ascending ``k``, as
-    :func:`~chebheat.chebyshev.cheb_partial_sums` does, each scale's row
-    apart) and the errors from the targets are array operations with
-    the bits of the per-order loop. The ``einsum`` of the squared errors
+    (``np.cumsum`` adds along the orders one term at a time in ascending
+    ``k``, ``(0.5 c_0) t_0`` first, each scale's row apart) and the
+    errors from the targets are array operations with the bits of the
+    per-order loop. The ``einsum`` of the squared errors
     only picks candidates: both it and the ``float(d @ d)`` the loop
     compares are within ``gamma_n = n u / (1 - n u)`` of the exact sum
     of squares, plus ``n`` half-units of the least subnormal (Higham,
@@ -329,8 +336,6 @@ def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = No
     of at most ``_CHUNK`` rows, and per scale two rows and the current
     stage's coefficients, never ``ORDER_CAP + 1`` rows.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     spec, xhat = _coordinates(op, signal)
     lam_hat, _ = _resolve_lambda(op, lambda_max)
     n = xhat.size

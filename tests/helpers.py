@@ -2,12 +2,16 @@
 
 The Bessel oracle goes through mpmath at 50 digits so library output
 can be checked against an implementation it shares no code with.
-``series_sum`` sums a truncated series term by term, ``eval_scalar``
-evaluates it at scalar points, ``same_operator`` compares operators
-bit for bit, and ``force_combine_helper`` sends every ``combine`` call
-through its helper thread. ``order_cap`` lowers the order cap wherever an
-order search reads it, and ``scale_refusal`` and ``length_refusal`` are
-the anchored messages of the scale rule and the signal-length rule. ``coeff_integral`` (Simpson quadrature of the defining
+``cheb_partial_sums`` yields the running sums of a truncated series,
+added term by term, the reference that ``combine`` and the measured
+scan are held to; ``series_sum`` is its last, ``eval_scalar``
+evaluates the series at scalar points, ``same_operator`` compares
+operators bit for bit, and ``force_combine_helper`` sends every
+``combine`` call through its helper thread. ``order_cap`` lowers the
+order cap wherever an order search reads it, ``no_work`` fails a test
+on any matvec or dense work, and ``scale_refusal`` and
+``length_refusal`` are the anchored messages of the scale rule and the
+signal-length rule. ``coeff_integral`` (Simpson quadrature of the defining
 integral) is the coefficient oracle, and ``certified_tail`` reads the
 library's summed coefficient tail at one order. The ``reference_*`` functions are the CSR
 validator, line-by-line graph and signal readers, edge assembly, edge
@@ -29,7 +33,7 @@ import numpy as np
 from chebheat import bounds, chebyshev, oracle
 from chebheat.bessel import ORDER_CAP
 from chebheat.bounds import _TAIL_KINDS, BoundKind, _log_bound_of, _log_tail_sq, log_bound_value
-from chebheat.chebyshev import cheb_coefficients, cheb_partial_sums, cheb_terms
+from chebheat.chebyshev import cheb_coefficients, cheb_terms
 from chebheat.errors import OrderCapError, ParseError
 from chebheat.graphs import SparseSymMatrix
 
@@ -108,6 +112,23 @@ def reference_miller_vector(k_max: int, tau: float):
 _DOMAIN_SLACK = 1e-12
 
 
+def cheb_partial_sums(coefficients, terms):
+    """Yield ``c[0]/2 t_0 + c[1] t_1 + ... + c[k] t_k`` for ``k = 0, 1, ...``.
+
+    Terms are added in ascending ``k``, one per coefficient, ``(0.5 *
+    c[0]) * t_0`` first: the order in which every path of the package
+    sums a series, so each gives these bits for the same terms. The
+    running sum is updated in place; a caller that keeps one must copy it.
+    """
+    c = iter(coefficients)
+    terms = iter(terms)
+    y = (0.5 * next(c)) * next(terms)
+    yield y
+    for ck, t in zip(c, terms):  # c first: no term is drawn past the last coefficient
+        y += ck * t
+        yield y
+
+
 def series_sum(coefficients, terms):
     """The last of :func:`cheb_partial_sums`: the whole series, summed term by term.
 
@@ -137,6 +158,16 @@ def order_cap(cap):
     """
     with mock.patch.object(bounds, "ORDER_CAP", cap), mock.patch.object(oracle, "ORDER_CAP", cap):
         yield
+
+
+def no_work(monkeypatch):
+    """Fail the test on any matvec, power iteration or dense eigendecomposition."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matvec or dense work before the refusal")
+
+    monkeypatch.setattr(SparseSymMatrix, "_product", refuse)
+    monkeypatch.setattr(oracle, "_power_iteration", refuse)
+    monkeypatch.setattr(oracle, "dense_spectrum", refuse)
 
 
 def scale_refusal(tau) -> str:

@@ -355,7 +355,7 @@ class TestBoundTable:
         code, out, err = run(capsys, "bound-table", "--n", "20", "--p", "0.3",
                              "--trials", trials, "--scales", "1.0")
         assert (code, out) == (2, "")
-        assert "trials must be >= 1" in err
+        assert f"trials must be an integer >= 1, got {trials}" in err
 
     def test_overflowing_scale_exit_3(self, capsys):
         code, out, err = run(capsys, "bound-table", "--n", "20", "--p", "0.3", "--trials", "1",

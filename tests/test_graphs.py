@@ -15,6 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chebheat.bounds
+import chebheat.chebyshev
+import chebheat.diffusion
 import chebheat.graphs
 import chebheat.oracle
 from chebheat.bessel import bessel_ie_scaled
@@ -27,7 +30,7 @@ from chebheat.oracle import exact_diffusion
 from chebheat.graphs import (SparseSymMatrix, build_laplacian, erdos_renyi, load_graph,
                              load_signal, save_edge_list)
 
-from helpers import (complete_edges, lattice_edges, length_refusal, path_edges,
+from helpers import (complete_edges, lattice_edges, length_refusal, no_work, path_edges,
                      reference_csr_check, reference_erdos_renyi, reference_laplacian,
                      reference_load_graph, reference_load_signal, reference_save_edge_list,
                      same_operator, scale_refusal, star_edges)
@@ -639,16 +642,6 @@ SCALE_TAKERS = {
 }
 
 
-def _no_work(monkeypatch):
-    """Fail the test on any matvec, power iteration or dense eigendecomposition."""
-    def no_work(*args, **kwargs):
-        raise AssertionError("a matvec or dense work before the refusal")
-
-    monkeypatch.setattr(SparseSymMatrix, "_product", no_work)
-    monkeypatch.setattr(chebheat.oracle, "_power_iteration", no_work)
-    monkeypatch.setattr(chebheat.oracle, "dense_spectrum", no_work)
-
-
 class TestSignal:
     def test_read_only_copy(self):
         raw = np.array([3.0, 4.0])
@@ -660,8 +653,44 @@ class TestSignal:
         with pytest.raises(ValueError):
             load_signal("const:2.5", 2)[0] = 1.0
 
+    def test_a_signal_it_made_is_checked_but_not_copied(self):
+        s = chebheat.graphs._signal([3.0, 4.0])
+        assert chebheat.graphs._signal(s, 2) is s
+        narrow = s.astype(np.float32)
+        narrow.flags.writeable = False
+        for other in (s[:1], s.copy(), narrow):  # a view, a writable array, float32
+            assert chebheat.graphs._signal(other) is not other
+        with pytest.raises(ValueError, match=length_refusal(2, 3)):
+            chebheat.graphs._signal(s, 3)
+
+    def test_a_run_copies_its_signal_once(self, monkeypatch, tmp_path):
+        # a run once checked and copied its signal three times, and the CLI
+        # four times: load_signal, expm_multiscale, energy_ratio, build_basis
+        copies = []
+        real = chebheat.graphs._signal
+
+        def spy(values, n=None):
+            out = real(values, n)
+            copies.append(out is not values)
+            return out
+
+        for module in (chebheat.graphs, chebheat.bounds, chebheat.chebyshev, chebheat.oracle,
+                       chebheat.diffusion):
+            monkeypatch.setattr(module, "_signal", spy)
+        op = build_laplacian(erdos_renyi(30, 0.2, seed=1), 30)
+        x = np.random.default_rng(3).standard_normal(30)
+        for run in (lambda: expm_multiscale(op, x, [0.5, 1.0]),
+                    lambda: measure_errors(op, x, 1.0, 5)):
+            copies.clear()
+            run()
+            assert copies == [True, False, False]  # checked three times, copied once
+        copies.clear()
+        assert main(["diffuse", "--graph", "er:30:0.2:1", "--signal", "normal:3",
+                     "--scales", "0.5,1", "--out", str(tmp_path / "y.csv")]) == 0
+        assert copies == [True, False, False, False]
+
     def test_rejects_non_finite(self, tmp_path, monkeypatch):
-        _no_work(monkeypatch)
+        no_work(monkeypatch)
         for bad in ([1.0, np.nan], [np.inf, 0.0]):
             for take in SIGNAL_TAKERS.values():
                 with pytest.raises(ValueError, match="non-finite"):
@@ -683,7 +712,7 @@ class TestSignal:
 
     def test_wrong_length_is_one_refusal_before_any_work(self, tmp_path, monkeypatch):
         # four checks once gave three texts, and build_basis named a shape
-        _no_work(monkeypatch)
+        no_work(monkeypatch)
         for size in (1, 3):
             for take in SIGNAL_TAKERS.values():
                 with pytest.raises(ValueError, match=length_refusal(size, 2)):
@@ -698,7 +727,7 @@ class TestScales:
     @pytest.mark.parametrize("tau", [-1.0, -math.inf, math.nan, math.inf])
     def test_one_refusal_before_any_work(self, monkeypatch, tau):
         # the oracle's scale check once gave two texts of its own
-        _no_work(monkeypatch)
+        no_work(monkeypatch)
         for take in SCALE_TAKERS.values():
             with pytest.raises(ValueError, match=scale_refusal(tau)):
                 take(tau)

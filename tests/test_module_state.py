@@ -350,9 +350,17 @@ def test_imports_are_top_level_and_acyclic(tmp_path):
     assert _structure(MODULES) == []
 
 
-# input rule -> a pattern that the source of each of its raises matches
+# input rule -> a pattern that the source of each of its raises matches. The
+# effective scale's rule is its own: it lets an infinite tau_eff through to
+# OrderCapError, where the scale rule refuses an infinite scale. A count is an
+# order, k_max, k, n, trials or the --scales grid count, each once with its
+# own text.
 RULES = {"signal length": re.compile(r"\bsignal\b.*\b(length|shape|size)\b|does not match"),
-         "scale range": re.compile(r"\b(tau|scales?)\b.*\bnon-negative\b")}
+         "scale range": re.compile(r"\b(tau|scales?)\b.*\bnon-negative\b"),
+         "tau_eff range": re.compile(r"\btau_eff\b.*\bnon-negative\b"),
+         "tol": re.compile(r"\btol\b.*\bmust be\b"),
+         "count": re.compile(r"\b(order|k_max|k|n|trials|count|dimension)\b.*\bmust be\b"
+                             r"|\bmust be an integer\b")}
 
 
 def _rule_homes(paths):
@@ -387,15 +395,41 @@ def _check_tau(tau):
         raise ValueError("tau must be non-negative")
     if not tau_eff >= 0.0:
         raise ValueError("tau_eff must be non-negative")
+
+
+def _measured_orders(tol, order, n):
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+    if n < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    if n > 500:
+        raise ValueError(f"dense oracle is limited to n <= 500, got {n}")
+
+
+def _parse_scales(m, trials):
+    if m < 1:
+        raise ValueError("--scales grid count must be >= 1")
+    if trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials}")
+    raise OrderCapError(f"no order up to 5 certifies tol={m} at tau_eff={trials}")
 """
 
 
 def test_each_input_rule_has_one_home(tmp_path):
-    # the length rule was written four times with three texts, and the
-    # scale rule twice; a second home of either fails here
+    # the length rule was written four times with three texts, the scale
+    # rule twice, tol three times and the counts ten times with eight
+    # texts; a second home of any of them fails here
     probe = tmp_path / "oracle.py"
     probe.write_text(RULE_PROBE, encoding="utf-8")
     assert _rule_homes([probe]) == {"signal length": ["oracle.check"],
-                                    "scale range": ["oracle._check_tau"]}
+                                    "scale range": ["oracle._check_tau"],
+                                    "tau_eff range": ["oracle._check_tau"],
+                                    "tol": ["oracle._measured_orders"],
+                                    "count": ["oracle._measured_orders", "oracle._parse_scales"]}
     assert _rule_homes(MODULES) == {"signal length": ["graphs._signal"],
-                                    "scale range": ["graphs._check_scales"]}
+                                    "scale range": ["graphs._check_scales"],
+                                    "tau_eff range": ["bounds._first_order"],
+                                    "tol": ["graphs._check_tol"],
+                                    "count": ["graphs._count"]}

@@ -62,15 +62,25 @@ case runs. The private rules are read from ``chebheat.oracle``, or from
 ``chebheat.diffusion`` in a checkout that keeps them there.
 
 A ``refusals`` line gives, in place of a digest, the type and message
-of one bad input to one entry point that takes a signal or a scale, or
-``returned`` when the call raises nothing. The inputs are a signal with
-a NaN, a signal one entry short, and a scale of -1, NaN and inf, on
-``er:30:0.2:1``. The entry points are ``expm_multiply``,
-``expm_multiscale``, ``make_plan``, ``energy_ratio``,
-``exact_diffusion``, ``measure_errors``, ``true_min_order``,
-``build_basis`` (every row drawn) and ``load_signal`` (a file), and
-``diffuse`` and ``bound-table`` through ``cli.main``, whose exit code
-and error line it gives.
+of one bad input to one entry point that takes a signal, a scale, a
+``tol`` or a count, or ``returned`` when the call raises nothing. The
+inputs are a signal with a NaN, a signal one entry short, and a scale
+of -1, NaN and inf, on ``er:30:0.2:1``. The entry points are
+``expm_multiply``, ``expm_multiscale``, ``make_plan``,
+``energy_ratio``, ``exact_diffusion``, ``measure_errors``,
+``true_min_order``, ``build_basis`` (every row drawn) and
+``load_signal`` (a file), and ``diffuse`` and ``bound-table`` through
+``cli.main``, whose exit code and error line it gives. Then a ``tol``
+of 0, -1 and NaN to ``min_order``, ``true_min_order`` and ``make_plan``;
+an order of -1, 2.5, NaN and inf to ``cheb_coefficients``,
+``build_basis``, ``bessel_ie_scaled`` (as ``k_max``), ``log_factorial``
+(as ``k``), ``log_bound_value`` and ``measure_errors``; a node count
+of 0, 2.7 and inf to ``build_laplacian``, ``erdos_renyi``,
+``save_edge_list`` (whether it wrote the file, too) and
+``SparseSymMatrix``; and ``bound-table`` at ``--tol`` 0, -1 and NaN,
+``--trials 0``, ``--n 0``, ``--scales lin:0:1:0`` and ``--true --n
+600``. An ``ArithmeticError`` is given as a refusal too, so a checkout
+that lets an ``OverflowError`` escape prints it.
 
 Run from the repository root of any checkout, which it imports from::
 
@@ -94,14 +104,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chebheat import (BoundKind, NumericalError, build_laplacian, erdos_renyi,  # noqa: E402
                       expm_multiply, expm_multiscale, load_graph, measure_errors,
-                      true_min_order)
+                      save_edge_list, true_min_order)
 from chebheat import diffusion, oracle  # noqa: E402
-from chebheat.bessel import ORDER_CAP, bessel_ie_scaled  # noqa: E402
+from chebheat.bessel import ORDER_CAP, bessel_ie_scaled, log_factorial  # noqa: E402
 from chebheat.bounds import energy_ratio, log_bound_value, min_order  # noqa: E402
-from chebheat.chebyshev import build_basis  # noqa: E402
+from chebheat.chebyshev import build_basis, cheb_coefficients  # noqa: E402
 from chebheat.cli import bound_table_data, main as cli_main  # noqa: E402
 from chebheat.diffusion import estimate_lambda_max, make_plan  # noqa: E402
-from chebheat.graphs import load_signal  # noqa: E402
+from chebheat.graphs import SparseSymMatrix, load_signal  # noqa: E402
 from chebheat.oracle import DENSE_CAP, exact_diffusion  # noqa: E402
 
 SCALES = [0.0] + [float(t) for t in np.logspace(-2.0, 2.0, 11)]
@@ -127,6 +137,9 @@ TRUE_SCALES = [0.0, 0.1, 1.0, 10.0, 50.0]
 TRUE_TOLS = [1e-5, 1e-10]
 EXACT_SCALES = [0.0, 0.5, 2.0, 20.0]
 REFUSED_SCALES = ["-1", "nan", "inf"]
+REFUSED_TOLS = ["0", "-1", "nan"]
+REFUSED_ORDERS = [-1, 2.5, float("nan"), float("inf")]
+REFUSED_NODES = [0, 2.7, float("inf")]
 
 
 def _lattice(side):
@@ -307,7 +320,7 @@ def _refusal(call) -> str:
     """The type and message of the error ``call()`` raises, or ``returned``."""
     try:
         call()
-    except (ValueError, NumericalError) as exc:
+    except (ValueError, ArithmeticError, NumericalError) as exc:  # OverflowError too
         return f"{type(exc).__name__}: {exc}"
     return "returned"
 
@@ -363,6 +376,37 @@ def _refusals(tmp):
     for tau in REFUSED_SCALES:
         argv = ["bound-table", "--n", str(n), "--p", "0.2", "--trials", "1", "--scales", f"1,{tau}"]
         yield f"cli-bound-table/tau={tau}", _cli_refusal(argv)
+    by_tol = {"min_order": lambda tol: min_order(BoundKind.TAIL_GENERIC, 1.0, tol),
+              "true_min_order": lambda tol: true_min_order(op, x, 1.0, tol),
+              "make_plan": lambda tol: make_plan(op, x, [1.0], tol)}
+    for entry, call in by_tol.items():
+        for tol in REFUSED_TOLS:
+            yield f"{entry}/tol={tol}", _refusal(lambda: call(float(tol)))
+    by_order = {"cheb_coefficients": lambda k: cheb_coefficients(1.0, k),
+                "build_basis": lambda k: list(build_basis(op, x, k)),
+                "bessel_ie_scaled": lambda k: bessel_ie_scaled(k, 1.0),
+                "log_factorial": log_factorial,
+                "log_bound_value": lambda k: log_bound_value(BoundKind.BASELINE_GENERIC, k, 1.0),
+                "measure_errors": lambda k: measure_errors(op, x, 1.0, k)}
+    for entry, call in by_order.items():
+        for k in REFUSED_ORDERS:
+            yield f"{entry}/order={k}", _refusal(lambda: call(k))
+    path = Path(tmp) / "edges.txt"
+    by_nodes = {"build_laplacian": lambda m: build_laplacian([(0, 1)], m),
+                "erdos_renyi": lambda m: erdos_renyi(m, 0.5, 1),
+                "save_edge_list": lambda m: save_edge_list(path, [(0, 1)], m),
+                "SparseSymMatrix": lambda m: SparseSymMatrix(m, [0, 0, 0], [], [])}
+    for entry, call in by_nodes.items():
+        for m in REFUSED_NODES:
+            outcome = _refusal(lambda: call(m))
+            if entry == "save_edge_list":
+                outcome += f" (file written: {path.exists()})"
+                path.unlink(missing_ok=True)
+            yield f"{entry}/n={m}", outcome
+    table = ["bound-table", "--n", str(n), "--p", "0.2", "--trials", "1", "--scales", "1"]
+    for extra in [["--tol", tol] for tol in REFUSED_TOLS] + [
+            ["--trials", "0"], ["--n", "0"], ["--scales", "lin:0:1:0"], ["--n", "600", "--true"]]:
+        yield f"cli-bound-table/{' '.join(extra)}", _cli_refusal(table + extra)
 
 
 def main() -> int:
