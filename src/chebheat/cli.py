@@ -19,11 +19,11 @@ from ._rows import write_rows
 from .bounds import _order_and_log_bound, AUTO, BoundKind, energy_ratio
 # perfbench spans the searches and the oracle under these names
 from .bounds import min_order, true_min_order  # noqa: F401
-from .diffusion import estimate_lambda_max, expm_multiscale
+from .diffusion import expm_multiscale
 from .errors import NumericalError
 from .graphs import (_check_scales, _check_tol, _count, _spec_field, build_laplacian,
                      erdos_renyi, load_graph, load_signal, save_edge_list)
-from .oracle import _check_dense, _measured_orders
+from .oracle import _check_dense, _measured_orders, _resolve_lambda
 
 __all__ = ["main", "entry"]
 
@@ -57,18 +57,25 @@ def _parse_scales(spec: str) -> list[float]:
         raise ValueError(f"--scales expects lin:a:b:m, log:a:b:m or a comma list, got {spec!r}") from None
 
 
-def _resolve_graph(spec: str, laplacian: str):
-    """Graph spec -> (operator, n). Accepts er:n:p:seed or a file path."""
+def _resolve_graph(spec: str, laplacian: str, signal: str):
+    """Graph spec and signal spec -> (operator, signal). Accepts er:n:p:seed or a file path.
+
+    The signal is read and checked as soon as the node count is known:
+    before an ``er:`` graph is drawn, and after a file is read but before
+    its operator is built.
+    """
     if spec.startswith("er:"):
         parts = spec.split(":")
         if len(parts) != 4:
             raise ValueError(f"--graph generator must be er:n:p:seed, got {spec!r}")
         n, p, seed = (_spec_field(f"--graph {spec!r}", field, convert, text) for field, convert, text
                       in zip(("n", "p", "seed"), (int, float, int), parts[1:]))
+        sig = load_signal(signal, n)
         edges = erdos_renyi(n, p, seed)
     else:
         edges, n = load_graph(spec)
-    return build_laplacian(edges, n, kind=laplacian), n
+        sig = load_signal(signal, n)
+    return build_laplacian(edges, n, kind=laplacian), sig
 
 
 def _seed(text: str) -> int:
@@ -85,8 +92,8 @@ def _out_stream(path: str | None):
 def cmd_diffuse(args) -> None:
     scales = _check_scales(_parse_scales(args.scales))
     _check_tol(args.tol)  # both refused before the graph is drawn or read
-    op, n = _resolve_graph(args.graph, args.laplacian)
-    sig = load_signal(args.signal, n)
+    op, sig = _resolve_graph(args.graph, args.laplacian, args.signal)
+    n = op.n
     results = expm_multiscale(op, sig, scales, tol=args.tol, kind=args.bound,
                               lambda_max=args.lambda_max)
     rep = results[0][1]
@@ -122,16 +129,21 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
     positive and, ``with_true``, ``n`` is at most the dense oracle's cap:
     each is refused before the first draw.
 
+    A trial's ``lambda_hat``, which sets its effective scales and so
+    every order in the table, is the power estimate
+    :func:`~chebheat.diffusion.estimate_lambda_max` gives, or, with
+    ``with_true``, the top eigenvalue of the dense spectrum the measured
+    orders need anyway, plus LAPACK's rounding margin
+    (:func:`~chebheat.oracle._dense_lambda`): an upper bound on the
+    spectrum at no matvec, where the power estimate may lie below it.
     Each search starts from the orders the kind took at the two scales
     before, which changes no order (:func:`~chebheat.bounds.min_order`).
     A trial's measured orders come from one scan of all its scales in
     :mod:`chebheat.oracle`, the scan behind
     :func:`~chebheat.bounds.true_min_order`, up to the first scale whose
-    certified orders fail. The scan resolves ``lambda_hat`` by the rule
-    :func:`~chebheat.diffusion.estimate_lambda_max` follows, so it reuses
-    the trial's estimate at no matvec. The first error is raised in the
-    order of a loop over the scales that, at each scale, finds the four
-    certified orders and then the measured one.
+    certified orders fail, at the trial's own ``lambda_hat``. The first
+    error is raised in the order of a loop over the scales that, at each
+    scale, finds the four certified orders and then the measured one.
     """
     trials, n, tol = _count(trials, "trials", 1), _count(n, "n", 1), _check_tol(tol)
     taus = list(_check_scales(taus))
@@ -147,7 +159,7 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
         op = build_laplacian(edges, n)
         sig = load_signal(f"normal:{seed + t + 10000}", n)
         ratios[t] = ratio = energy_ratio(sig, op)
-        lam = estimate_lambda_max(op)
+        lam = _resolve_lambda(op, None, dense=with_true)[0]
         failed, error = m, None  # the first scale whose certified orders fail, and why
         for j, tau in enumerate(taus):
             te = lam * tau / 2.0
@@ -160,7 +172,7 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
                 failed, error = j, exc
                 break
         if with_true and failed:
-            for j, order in enumerate(_measured_orders(op, sig, taus[:failed], tol)):
+            for j, order in enumerate(_measured_orders(op, sig, taus[:failed], tol, dense=True)):
                 if isinstance(order, Exception):
                     raise order
                 true_orders[t, j] = order

@@ -6,9 +6,11 @@ Every decision about the spectrum of one operator is made here.
 for every path that rescales an operator, a diffusion run and a
 measurement alike: a given ``lambda_max``, checked against the free
 floor :func:`_lambda_floor`; else the operator's ``spectral_bound``;
+else, where the dense spectrum is at hand, :func:`_dense_lambda`, its
+top eigenvalue plus LAPACK's rounding margin (``bound-table --true``);
 else, for a certified run, the ceiling :func:`_spectral_ceiling`; else
-the inflated power-iteration estimate. The ceiling and the estimate are
-kept on the operator object.
+the inflated power-iteration estimate. The ceiling, the dense value and
+the estimate are kept on the operator object.
 
 *The dense references*, which share no code with the Chebyshev path:
 :func:`dense_spectrum`, LAPACK's eigendecomposition
@@ -29,7 +31,9 @@ orders on one spectral basis, drawn once a chunk at a time: the scales
 that share a chunk are stacked into one array product, one running sum
 and one sum of squares that only picks candidate orders, and each
 candidate is decided by the one-order test a loop over the orders
-makes, so every scale gets the loop's order. The scan holds one chunk
+makes, so every scale gets the loop's order. That trial rescales by
+:func:`_dense_lambda`, taken from the spectrum the scan diagonalizes
+anyway, so it spends no matvec on ``lambda_hat``. The scan holds one chunk
 and one stack of at most 256 rows each, 2 MB at the oracle's limit of
 500 nodes.
 """
@@ -66,6 +70,8 @@ _FLOOR_SLACK = 1e-12
 _CHUNK = 256
 _UNIT = 2.0 ** -53
 _SUBNORMAL = 2.0 ** -1073
+# c in _dense_lambda's rounding margin c n u ||L||: LAPACK's p(n) taken as 2n
+_EIGH_MARGIN = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,15 +150,40 @@ def _spectral_ceiling(op: SparseSymMatrix) -> float:
     return op._facts["ceiling"]
 
 
+def _dense_lambda(op: SparseSymMatrix) -> float:
+    """An upper bound on the largest eigenvalue, from the dense spectrum.
+
+    The top eigenvalue of :func:`dense_spectrum` plus a rounding margin
+    ``c n u ||L||``, clamped to :func:`_spectral_ceiling`. LAPACK bounds
+    the error of every eigenvalue its symmetric solvers compute by
+    ``p(n) eps ||A||_2``, with ``eps = u = 2^-53`` and ``p(n)`` "a
+    modestly growing function of n" (Anderson et al., *LAPACK Users'
+    Guide*, 3rd ed., SIAM 1999, section 4.7). This takes ``p(n) <= c n``
+    with ``c = 2`` (``_EIGH_MARGIN``), and the ceiling in place of
+    ``||A||_2``, which the ceiling bounds on a symmetric operator; that
+    assumption on ``p(n)`` is all it rests on. The ceiling is certified,
+    so the value never exceeds a certified bound. It is 0 on an edgeless
+    graph, and it lies above the computed top eigenvalue by at most
+    ``2 n u`` times the ceiling, 1.1e-13 of it at the oracle's limit of
+    500 nodes. No matvec; kept on the operator object like the ceiling.
+    """
+    if "lambda_dense" not in op._facts:
+        ceiling = _spectral_ceiling(op)
+        top = float(dense_spectrum(op).eigenvalues[-1])
+        op._facts["lambda_dense"] = min(ceiling, top + _EIGH_MARGIN * op.n * _UNIT * ceiling)
+    return op._facts["lambda_dense"]
+
+
 def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None,
-                    certified: bool = False) -> tuple[float, int]:
+                    certified: bool = False, dense: bool = False) -> tuple[float, int]:
     """The rescaling value lambda_hat and the matvecs spent choosing it.
 
     In order of preference: the given ``lambda_max``, checked against
     :func:`_lambda_floor`; the operator's ``spectral_bound``; with
-    ``certified``, :func:`_spectral_ceiling`; else the inflated
-    power-iteration estimate. Every path that rescales an operator gets
-    its value here. The ceiling and the estimate are functions of the
+    ``dense``, :func:`_dense_lambda`; with ``certified``,
+    :func:`_spectral_ceiling`; else the inflated power-iteration
+    estimate. Every path that rescales an operator gets its value here.
+    The ceiling, the dense value and the estimate are functions of the
     (read-only) operator alone, so they are kept on the operator object:
     every repeat on that object returns the same bits at 0 matvecs,
     whatever other operators were used in between. A failed iteration
@@ -169,6 +200,8 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None,
         return lam_hat, 0
     if op.spectral_bound is not None:
         return op.spectral_bound, 0
+    if dense:
+        return _dense_lambda(op), 0
     if certified:
         return _spectral_ceiling(op), 0
     if "lambda_hat" in op._facts:
@@ -299,14 +332,16 @@ def _stages():
         done, size = size + 1, min(ORDER_CAP, 2 * size)
 
 
-def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = None) -> list:
+def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = None,
+                     dense: bool = False) -> list:
     """:func:`~chebheat.bounds.true_min_order` for each of ``taus``, in one scan.
 
     Every scale must be finite and non-negative and ``tol`` positive; the
     callers check them (:func:`~chebheat.graphs._check_scales`,
     :func:`~chebheat.graphs._check_tol`). Checks the signal, and
     resolves the dense spectrum, ``x_hat`` and ``lambda_hat``, once,
-    raising on any of them. Each
+    raising on any of them; ``dense`` takes ``lambda_hat`` from
+    :func:`_dense_lambda` (see :func:`_resolve_lambda`). Each
     scale then gets its order, or the error it would raise, as a value
     in the list: a diffused signal that underflows to zero, or
     ``OrderCapError``.
@@ -337,7 +372,7 @@ def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = No
     stage's coefficients, never ``ORDER_CAP + 1`` rows.
     """
     spec, xhat = _coordinates(op, signal)
-    lam_hat, _ = _resolve_lambda(op, lambda_max)
+    lam_hat, _ = _resolve_lambda(op, lambda_max, dense=dense)
     n = xhat.size
     scale = 2.0 / lam_hat if lam_hat > 0.0 else 0.0
     d = np.clip(scale * spec.eigenvalues, 0.0, 2.0)

@@ -11,9 +11,10 @@ import chebheat.cli
 import chebheat.oracle
 from chebheat.bounds import energy_ratio, min_order, true_min_order
 from chebheat.cli import _TABLE_KINDS, bound_table_data, main
-from chebheat.diffusion import estimate_lambda_max, expm_multiscale
+from chebheat.diffusion import expm_multiscale
 from chebheat.errors import NumericalError
 from chebheat.graphs import build_laplacian, erdos_renyi, load_graph, load_signal
+from chebheat.oracle import _dense_lambda
 
 from helpers import order_cap, same_operator
 
@@ -21,7 +22,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 # each golden diffuse file and the argv that writes it; TestGoldenFiles
-# holds every .csv under tests/data to this list or to TRUE_TABLE
+# holds every .csv under tests/data to this list or to the two tables below
 GOLDEN_DIFFUSE = [
     # the first four were written by auto before it ran the tail kinds or
     # summed each scale to its own order; they name the kind it took then
@@ -46,7 +47,14 @@ GOLDEN_DIFFUSE = [
      ["--graph", "er:50:0.2:3", "--laplacian", "normalized", "--signal", "normal:3",
       "--scales", "0,1,10,100", "--tol", "1e-10"]),
 ]
-TRUE_TABLE = "bound_table_true.csv"
+# the bound-table argv of both golden tables. bound_table_true.csv was written
+# when --true rescaled by the power estimate: it keeps passing through a
+# --no-true run and true_min_order, which still take that estimate. --true
+# now rescales by the dense spectrum's top eigenvalue and writes
+# bound_table_dense.csv
+TABLE_ARGV = ["--n", "60", "--p", "0.1", "--trials", "2", "--scales", "log:1e-2:1e2:9",
+              "--tol", "1e-5", "--seed", "3"]
+TRUE_TABLE, DENSE_TABLE = "bound_table_true.csv", "bound_table_dense.csv"
 
 
 def run(capsys, *argv):
@@ -125,6 +133,29 @@ class TestDiffuse:
         # --seed seeds graphs only: gen-graph and bound-table take it, diffuse does not
         with pytest.raises(SystemExit):
             main([*args, "--seed", "3"])
+
+    @pytest.mark.parametrize("form", ["er", "file"])
+    def test_bad_signal_exit_2_before_the_graph_is_drawn_or_built(self, capsys, monkeypatch,
+                                                                  tmp_path, form):
+        # the signal was once checked after the draw and the build: 0.39 s on
+        # er:20000:0.001:1 before this refusal
+        graph = "er:200:0.05:1"
+        if form == "file":
+            graph = str(tmp_path / "g.txt")
+            assert main(["gen-graph", "--n", "200", "--p", "0.05", "--seed", "1",
+                         "--out", graph]) == 0
+        calls = {"erdos_renyi": 0, "build_laplacian": 0}
+        for name in calls:
+            def counted(*args, inner=getattr(chebheat.cli, name), name=name, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(chebheat.cli, name, counted)
+        argv = ("diffuse", "--graph", graph, "--scales", "1")
+        code, out, err = run(capsys, *argv, "--signal", "dirac:200")
+        assert (code, out, err) == (2, "", "error: dirac node 200 out of range for n=200\n")
+        assert calls == {"erdos_renyi": 0, "build_laplacian": 0}
+        assert run(capsys, *argv, "--signal", "dirac:199")[0] == 0
+        assert calls == {"erdos_renyi": int(form == "er"), "build_laplacian": 1}
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "diffuse", "--graph", "nope.txt",
@@ -326,28 +357,50 @@ class TestBoundTable:
         assert "k_true" not in out
 
     def test_true_table_bytes_match_golden_file(self, tmp_path):
-        # the golden file was written when the oracle diagonalized by cyclic
-        # Jacobi and min_order scanned every order: LAPACK and the
-        # bracketing search must give the same orders, byte for byte
+        # the golden file was written by --true when it rescaled by the power
+        # estimate, when the oracle diagonalized by cyclic Jacobi and min_order
+        # scanned every order. Its certified columns are --no-true's, byte for
+        # byte, and its k_true columns the quartiles of true_min_order at the
+        # power estimate, as the command writes them
         out = tmp_path / "table.csv"
-        assert main(["bound-table", "--n", "60", "--p", "0.1", "--trials", "2",
-                     "--scales", "log:1e-2:1e2:9", "--tol", "1e-5", "--seed", "3", "--true",
-                     "--out", str(out)]) == 0
-        with open(os.path.join(DATA, TRUE_TABLE), "rb") as fh:
+        assert main(["bound-table", *TABLE_ARGV, "--no-true", "--out", str(out)]) == 0
+        with open(os.path.join(DATA, TRUE_TABLE), encoding="utf-8") as fh:
+            golden = fh.read().splitlines()
+        ours = out.read_text(encoding="utf-8").splitlines()
+        assert golden[:2] == ours[:2]  # the command and argv lines
+        golden = [line.split(",") for line in golden[2:]]
+        ours = [line.split(",") for line in ours[2:]]
+        assert [row[:2] + row[5:] for row in golden] == ours
+        assert golden[0][2:5] == ["k_true_q25", "k_true_median", "k_true_q75"]
+        taus = [float(row[0]) for row in golden[1:]]
+        measured = [[true_min_order(build_laplacian(erdos_renyi(60, 0.1, 3 + t), 60),
+                                    load_signal(f"normal:{3 + t + 10000}", 60), tau, 1e-5)
+                     for tau in taus] for t in range(2)]
+        quartiles = np.percentile(measured, [25.0, 50.0, 75.0], axis=0)
+        assert [row[2:5] for row in golden[1:]] == [
+            [format(float(q), ".17g") for q in column] for column in quartiles.T]
+
+    def test_dense_table_bytes_match_golden_file(self, tmp_path):
+        out = tmp_path / "table.csv"
+        assert main(["bound-table", *TABLE_ARGV, "--true", "--out", str(out)]) == 0
+        with open(os.path.join(DATA, DENSE_TABLE), "rb") as fh:
             assert out.read_bytes() == fh.read()
 
-    def test_trial_computes_no_lambda_floor_and_one_power_iteration(self, monkeypatch):
-        # the true orders take the trial's estimate from its operator, so no
-        # given value is checked against the floor; passing the estimate back
-        # as lambda_max once checked it at every scale
+    @pytest.mark.parametrize("with_true", [True, False])
+    def test_trial_computes_no_lambda_floor_and_one_power_iteration(self, monkeypatch,
+                                                                   with_true):
+        # with the true orders a trial takes lambda_hat from the dense spectrum
+        # they diagonalize anyway: no power iteration, and no given value
+        # checked against the floor (passing an estimate back as lambda_max
+        # once checked it at every scale). Without them, one power iteration
         calls = {"_lambda_floor": 0, "_power_iteration": 0}
         for name in calls:
             def counted(op, inner=getattr(chebheat.oracle, name), name=name):
                 calls[name] += 1
                 return inner(op)
             monkeypatch.setattr(chebheat.oracle, name, counted)
-        bound_table_data(30, 0.2, 2, [0.1, 1.0, 10.0], 1e-8, 0, with_true=True)
-        assert calls == {"_lambda_floor": 0, "_power_iteration": 2}
+        bound_table_data(30, 0.2, 2, [0.1, 1.0, 10.0], 1e-8, 0, with_true=with_true)
+        assert calls == {"_lambda_floor": 0, "_power_iteration": 0 if with_true else 2}
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_no_trials_exit_2_before_output(self, capsys, trials):
@@ -382,56 +435,56 @@ class TestBoundTable:
                 drawn[-1] += 1
                 yield t
 
-        def trial_start(op, inner=chebheat.cli.estimate_lambda_max):
+        def trial_start(*args, inner=chebheat.cli.erdos_renyi):
             drawn.append(0)
-            return inner(op)
+            return inner(*args)
 
         monkeypatch.setattr(chebheat.oracle, "cheb_terms", counted)
-        monkeypatch.setattr(chebheat.cli, "estimate_lambda_max", trial_start)
+        monkeypatch.setattr(chebheat.cli, "erdos_renyi", trial_start)
         taus = [0.0, 0.1, 1.0, 10.0, 30.0]
         data = bound_table_data(40, 0.5, 2, taus, 1e-12, 7, with_true=True)
         tops = data["true"].max(axis=1)
         assert 64 < tops.max() <= 256
         assert drawn == [next(end for end in (64, 128, 256) if end >= k) + 1 for k in tops]
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the inflated power estimate 21.858 lies 3.6% below the top "
-                              "eigenvalue 22.679, so no order reaches the measured tol "
-                              "(ROADMAP items 1 and 2)")
     def test_power_estimate_below_the_spectrum_exit_3(self, capsys):
+        # the inflated power estimate 21.858 lies 3.6% below the top eigenvalue
+        # 22.679, so at that estimate no order reaches the measured tol and the
+        # command exited 3; it now rescales by the top eigenvalue itself
         code, _, err = run(capsys, "bound-table", "--true", "--n", "100", "--p", "0.1",
                            "--trials", "1", "--seed", "1351")
         assert code == 0, err
 
-    @pytest.mark.parametrize("seed, scales, cap", [
+    @pytest.mark.parametrize("n, p, trials, seed, scales, tol, cap, first", [
         # scale 1's new-generic order passes the cap, and so would scale 2's
         # measured one: the certified error comes first
-        (0, "0.1,2.0,50.0", 30),
-        # the power estimate lies below the spectrum, so scale 0's measured
-        # order never reaches tol; scale 1's certified orders pass the cap
-        (1351, "0.021544346900318832,1e4", 20000),
+        (30, 0.2, 2, 0, "0.1,2.0,50.0", 1e-5, 30, "certifies"),
+        # tol 1e-32 lies below the measurement's rounding floor, so scale 0's
+        # measured order never reaches it; scale 1's certified orders pass the cap
+        (100, 0.1, 1, 1351, "0.021544346900318832,1e4", 1e-32, 128, "measured"),
     ])
-    def test_first_error_is_the_loops(self, capsys, seed, scales, cap):
-        n, p, trials, tol = (30, 0.2, 2, 1e-5) if seed == 0 else (100, 0.1, 1, 1e-5)
+    def test_first_error_is_the_loops(self, capsys, n, p, trials, seed, scales, tol, cap,
+                                      first):
         taus = [float(t) for t in scales.split(",")]
         with order_cap(cap):
-            # a loop over the trials and scales: the four kinds, then the measured order
+            # a loop over the trials and scales: the four kinds, then the
+            # measured order, each at the dense spectrum's lambda_hat
             with pytest.raises((ValueError, NumericalError)) as want:
                 for t in range(trials):
                     op = build_laplacian(erdos_renyi(n, p, seed + t), n)
                     sig = load_signal(f"normal:{seed + t + 10000}", n)
-                    ratio, lam = energy_ratio(sig, op), estimate_lambda_max(op)
+                    ratio, lam = energy_ratio(sig, op), _dense_lambda(op)
                     for tau in taus:
                         for kind in _TABLE_KINDS:
                             min_order(kind, lam * tau / 2.0, tol, ratio=ratio)
-                        true_min_order(op, sig, tau, tol)
+                        true_min_order(op, sig, tau, tol, lambda_max=lam)
             with pytest.raises(want.type) as got:
                 bound_table_data(n, p, trials, taus, tol, seed, with_true=True)
             code, out, err = run(capsys, "bound-table", "--n", str(n), "--p", str(p),
                                  "--trials", str(trials), "--scales", scales,
                                  "--tol", str(tol), "--seed", str(seed))
         assert str(got.value) == str(want.value)
-        assert "certifies" in str(got.value) if seed == 0 else "measured" in str(got.value)
+        assert first in str(got.value)
         assert (code, out, err) == (3, "", f"error: {want.value}\n")
 
     def test_oracle_cap_exit_2(self, capsys):
@@ -446,4 +499,4 @@ class TestGoldenFiles:
         # a golden case dropped from GOLDEN_DIFFUSE would leave its file unread
         found = {os.path.relpath(path, DATA)
                  for path in glob.glob(os.path.join(DATA, "**", "*.csv"), recursive=True)}
-        assert found == {golden for golden, _ in GOLDEN_DIFFUSE} | {TRUE_TABLE}
+        assert found == {golden for golden, _ in GOLDEN_DIFFUSE} | {TRUE_TABLE, DENSE_TABLE}

@@ -337,6 +337,33 @@ class TestSpectralCeiling:
         assert plan.setup_matvecs > 0 and plan.lambda_max == op._facts["lambda_hat"] < ceiling
 
 
+class TestDenseLambda:
+    """``bound-table --true`` rescales by the dense top eigenvalue plus eigh's margin."""
+
+    GRAPHS = {
+        "two-star": lambda: _two_star(),
+        "er-200-0.05-14": lambda: build_laplacian(erdos_renyi(200, 0.05, 14), 200),
+        "er-100-0.1-1351": lambda: build_laplacian(erdos_renyi(100, 0.1, 1351), 100),
+        "path": lambda: build_laplacian(path_edges(40), 40),
+        "cycle": lambda: build_laplacian(path_edges(40) + [(39, 0)], 40),
+        "grid": lambda: build_laplacian(lattice_edges(12, 15), 180),
+        "weighted": lambda: build_laplacian(*load_graph(
+            os.path.join(os.path.dirname(__file__), "data", "weighted.txt"))),
+    }
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_between_the_top_eigenvalue_and_the_ceiling(self, monkeypatch, graph):
+        op = self.GRAPHS[graph]()
+        top = float(np.linalg.eigvalsh(op.to_dense())[-1])
+        monkeypatch.setattr(SparseSymMatrix, "matvec", None)  # no matvec is spent
+        lam = chebheat.oracle._dense_lambda(op)
+        assert top <= lam <= min(chebheat.oracle._spectral_ceiling(op), 1.02 * top)
+        assert op._facts["lambda_dense"] == lam
+
+    def test_zero_on_an_edgeless_graph(self):
+        assert chebheat.oracle._dense_lambda(build_laplacian([], 5)) == 0.0
+
+
 class TestSingleScale:
     def test_path_two_analytic(self):
         # tol certifies the squared relative error, so values are good
