@@ -76,7 +76,7 @@ import numpy as np
 from .bessel import ORDER_CAP, bessel_ie_scaled, log_factorial
 from .errors import OrderCapError
 from .graphs import _check_scales, _check_tol, _count, _signal
-from .oracle import _measured_orders
+from .oracle import _check_dense, _measured_orders, _resolve_lambda
 
 __all__ = ["BoundKind", "AUTO", "energy_ratio", "sup_error_bound", "baseline_error_term",
            "log_bound_value", "select_bound", "min_order", "true_min_order"]
@@ -93,7 +93,9 @@ class BoundKind(str, Enum):
     TAIL_SPECIFIC = "tail-specific"
 
 
-# sentinel accepted wherever a BoundKind is expected; resolves per signal
+# sentinel that make_plan, expm_multiply, expm_multiscale and diffuse --bound
+# take in place of a BoundKind, resolved per signal; min_order and
+# log_bound_value take a BoundKind only
 AUTO = "auto"
 
 _LN2 = math.log(2.0)
@@ -450,8 +452,11 @@ def true_min_order(op, signal, tau: float, tol: float,
     :func:`~chebheat.diffusion.estimate_lambda_max`. A default ``auto``
     run rescales by the certified ceiling instead; pass its report's
     ``lambda_max`` to compare with its orders. ``tau``, ``tol`` and the
-    signal are checked as a diffusion run checks them, and refused before
-    any dense work. Limited to oracle-sized operators.
+    signal are checked as a diffusion run checks them, and then the
+    operator's size against the dense oracle's cap; each is refused
+    before ``lambda_hat`` is resolved, as in
+    :func:`~chebheat.diffusion.measure_errors`, and before any dense
+    work. The scan then measures at that one value.
 
     This is the one-scale call of :mod:`chebheat.oracle`'s scan, which
     ``bound-table --true`` runs on all of a trial's scales at once: it
@@ -460,7 +465,9 @@ def true_min_order(op, signal, tau: float, tol: float,
     loop over the orders finds. It holds one chunk of at most 256 rows
     of ``n`` entries and the stack of their sums, 2 MB at ``n = 500``.
     """
-    order = _measured_orders(op, signal, _check_scales([tau]), _check_tol(tol), lambda_max)[0]
+    taus, tol, x = _check_scales([tau]), _check_tol(tol), _signal(signal, op.n)
+    _check_dense(op.n)
+    order = _measured_orders(op, x, taus, tol, _resolve_lambda(op, lambda_max)[0])[0]
     if isinstance(order, Exception):
         raise order
     return order

@@ -21,9 +21,9 @@ from .bounds import _order_and_log_bound, AUTO, BoundKind, energy_ratio
 from .bounds import min_order, true_min_order  # noqa: F401
 from .diffusion import expm_multiscale
 from .errors import NumericalError
-from .graphs import (_check_scales, _check_tol, _count, _spec_field, build_laplacian,
-                     erdos_renyi, load_graph, load_signal, save_edge_list)
-from .oracle import _check_dense, _measured_orders, _resolve_lambda
+from .graphs import (_check_lambda_max, _check_scales, _check_tol, _count, _spec_field,
+                     build_laplacian, erdos_renyi, load_graph, load_signal, save_edge_list)
+from .oracle import _check_dense, _dense_lambda, _measured_orders, _resolve_lambda
 
 __all__ = ["main", "entry"]
 
@@ -46,10 +46,11 @@ def _parse_scales(spec: str) -> list[float]:
         a, b, m = (_spec_field(f"--scales {spec!r}", field, convert, text) for field, convert, text
                    in zip(("start", "stop", "count"), (float, float, int), parts))
         m = _count(m, "--scales grid count", 1)
+        if head == "log" and (a <= 0.0 or b <= 0.0):
+            raise ValueError("--scales log grid endpoints must be positive")
+        a, b = _check_scales([a, b])  # before numpy spans them: inf gives NaN and a warning
         if head == "lin":
             return [float(t) for t in np.linspace(a, b, m)]
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError("--scales log grid endpoints must be positive")
         return [float(t) for t in np.logspace(math.log10(a), math.log10(b), m)]
     try:
         return [float(tok) for tok in spec.split(",")]
@@ -91,7 +92,9 @@ def _out_stream(path: str | None):
 
 def cmd_diffuse(args) -> None:
     scales = _check_scales(_parse_scales(args.scales))
-    _check_tol(args.tol)  # both refused before the graph is drawn or read
+    _check_tol(args.tol)  # all three refused before the graph is drawn or read
+    if args.lambda_max is not None:
+        _check_lambda_max(args.lambda_max)
     op, sig = _resolve_graph(args.graph, args.laplacian, args.signal)
     n = op.n
     results = expm_multiscale(op, sig, scales, tol=args.tol, kind=args.bound,
@@ -129,8 +132,9 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
     positive and, ``with_true``, ``n`` is at most the dense oracle's cap:
     each is refused before the first draw.
 
-    A trial's ``lambda_hat``, which sets its effective scales and so
-    every order in the table, is the power estimate
+    A trial resolves its ``lambda_hat`` once, and that one number sets
+    its effective scales and so every order in the table, certified and
+    measured. It is the power estimate
     :func:`~chebheat.diffusion.estimate_lambda_max` gives, or, with
     ``with_true``, the top eigenvalue of the dense spectrum the measured
     orders need anyway, plus LAPACK's rounding margin
@@ -141,9 +145,9 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
     A trial's measured orders come from one scan of all its scales in
     :mod:`chebheat.oracle`, the scan behind
     :func:`~chebheat.bounds.true_min_order`, up to the first scale whose
-    certified orders fail, at the trial's own ``lambda_hat``. The first
-    error is raised in the order of a loop over the scales that, at each
-    scale, finds the four certified orders and then the measured one.
+    certified orders fail, at that ``lambda_hat``. The first error is
+    raised in the order of a loop over the scales that, at each scale,
+    finds the four certified orders and then the measured one.
     """
     trials, n, tol = _count(trials, "trials", 1), _count(n, "n", 1), _check_tol(tol)
     taus = list(_check_scales(taus))
@@ -159,7 +163,7 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
         op = build_laplacian(edges, n)
         sig = load_signal(f"normal:{seed + t + 10000}", n)
         ratios[t] = ratio = energy_ratio(sig, op)
-        lam = _resolve_lambda(op, None, dense=with_true)[0]
+        lam = _resolve_lambda(op, None, _dense_lambda if with_true else None)[0]
         failed, error = m, None  # the first scale whose certified orders fail, and why
         for j, tau in enumerate(taus):
             te = lam * tau / 2.0
@@ -172,7 +176,7 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
                 failed, error = j, exc
                 break
         if with_true and failed:
-            for j, order in enumerate(_measured_orders(op, sig, taus[:failed], tol, dense=True)):
+            for j, order in enumerate(_measured_orders(op, sig, taus[:failed], tol, lam)):
                 if isinstance(order, Exception):
                     raise order
                 true_orders[t, j] = order

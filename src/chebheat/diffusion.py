@@ -32,7 +32,7 @@ from .bounds import (_TAIL_KINDS, AUTO, BoundKind, _order_and_log_bound, energy_
                      log_bound_value, min_order, select_bound)
 from .chebyshev import build_basis, cheb_coefficients, combine
 from .graphs import SparseSymMatrix, _check_scales, _check_tol, _count, _signal
-from .oracle import _resolve_lambda, exact_diffusion
+from .oracle import _resolve_lambda, _spectral_ceiling, exact_diffusion
 
 __all__ = ["DiffusionPlan", "DiffusionReport", "estimate_lambda_max",
            "make_plan", "expm_multiply", "expm_multiscale", "measure_errors"]
@@ -173,7 +173,7 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
 
     _require_psd(op)
     tail = kind == AUTO or BoundKind(kind) in _TAIL_KINDS
-    lam_hat, setup = _resolve_lambda(op, lambda_max, certified=tail)
+    lam_hat, setup = _resolve_lambda(op, lambda_max, _spectral_ceiling if tail else None)
     tau_effs = tuple(lam_hat * t / 2.0 for t in scales)
     tau_top = max(tau_effs)
     if kind == AUTO:

@@ -29,13 +29,15 @@ real). A signal is a plain array: every function that takes one checks
 it with :func:`_signal`, which copies it once into a read-only, finite,
 non-empty 1-d float64 array, of the operator's size where there is one.
 Every scale goes through :func:`_check_scales`, every ``tol`` through
-:func:`_check_tol` and every count, an order or a node count, through
-:func:`_count`: the package's only rules for these inputs, each with one
-message. Signals come from one-value-per-line text files or generator
-specs such as ``dirac:3``, ``normal:42``, ``const:0.5``. All three file
-readers share one record loop, :func:`_body`: it skips the head, tries
-one numpy read of every record at the first one, and otherwise parses
-the file line by line, so each ``ParseError`` names its line.
+:func:`_check_tol`, every given ``lambda_max`` through
+:func:`_check_lambda_max` and every count, an order or a node count,
+through :func:`_count`: the package's only rules for these inputs, each
+with one message. Signals come from one-value-per-line text files or
+generator specs such as ``dirac:3``, ``normal:42``, ``const:0.5``. All
+three file readers share one record loop, :func:`_body`: it skips the
+head, tries one numpy read of every record at the first one, and
+otherwise parses the file line by line, so each ``ParseError`` names
+its line.
 
 :func:`save_edge_list` writes through :func:`chebheat._rows.write_rows`,
 the package's one row writer, with the bytes ``%`` gives; that module
@@ -492,6 +494,14 @@ def _check_scales(scales) -> tuple[float, ...]:
     return scales
 
 
+def _check_lambda_max(lambda_max) -> float:
+    """A given ``lambda_max`` as a float, checked finite and non-negative: its one value rule."""
+    lam = float(lambda_max)
+    if not math.isfinite(lam) or lam < 0.0:
+        raise ValueError("lambda_max must be finite and non-negative")
+    return lam
+
+
 def _check_tol(tol) -> float:
     """``tol`` as a float, checked positive: the one tol rule."""
     tol = float(tol)
@@ -533,15 +543,18 @@ def _checked_edges(edges, n):
     """The endpoints, as integers, and the weights of ``edges`` on ``n`` nodes, checked.
 
     Endpoints are truncated to integers as ``int`` would. ``ValueError``
-    names the first edge with an endpoint out of range, a self-loop or a
-    weight that is not positive and finite: what :func:`build_laplacian`
-    refuses, and :func:`save_edge_list` does not write. Both count ``n``
-    first.
+    names the first edge with an endpoint out of range, or at or past
+    2**53, where the float64 edge array no longer holds every integer; a
+    self-loop; or a weight that is not positive and finite: what
+    :func:`build_laplacian` refuses, and :func:`save_edge_list` does not
+    write. Both count ``n`` first.
     """
     a = _edge_array(edges)
     i, j, w = a[:, 0], a[:, 1], a[:, 2]
-    # 0 <= int(x) < n exactly when -1 < x < n; NaN fails both tests
-    out_of_range = ~((i > -1.0) & (i < n) & (j > -1.0) & (j < n))
+    # 0 <= int(x) < top exactly when -1 < x < top; NaN fails both tests. Past
+    # 2**53 a float64 may hold another integer than it was given
+    top = min(n, 2 ** 53)
+    out_of_range = ~((i > -1.0) & (i < top) & (j > -1.0) & (j < top))
     ii = np.where(out_of_range, 0.0, i).astype(np.int64)
     jj = np.where(out_of_range, 0.0, j).astype(np.int64)
     self_loop = ~out_of_range & (ii == jj)
@@ -549,6 +562,8 @@ def _checked_edges(edges, n):
     bad = np.flatnonzero(out_of_range | self_loop | bad_weight)
     if bad.size:
         idx = int(bad[0])
+        if out_of_range[idx] and top < n and a[idx, :2].max() >= top:
+            raise ValueError(f"edge #{idx}: endpoint >= 2**53, where float64 skips integers")
         if out_of_range[idx]:
             ends = ", ".join(str(int(v)) if math.isfinite(v) else str(v) for v in a[idx, :2])
             raise ValueError(f"edge #{idx}: endpoint out of range for n={n}: ({ends})")
@@ -708,10 +723,7 @@ def _assemble(edges, n, kind):
     # the lower entries in (hi, lo) order: the edges come in (lo, hi) order, so
     # a stable sort by hi alone keeps lo ascending within each hi, the one
     # permutation argsort(hi * n + lo) gives; numpy radix-sorts 16-bit keys
-    if n <= 1 << 16:
-        order = np.argsort(hi.astype(np.uint16), kind="stable")
-    else:
-        order = np.argsort(hi * n + lo)
+    order = np.argsort(hi.astype(np.uint16) if n <= 1 << 16 else hi, kind="stable")
     has_diag = deg > 0.0
     # row i: its lower entries, the edges with hi == i, then its diagonal,
     # then its upper entries, the edges with lo == i

@@ -4,53 +4,57 @@ Every decision about the spectrum of one operator is made here.
 
 *The rescaling value* ``lambda_hat``. :func:`_resolve_lambda` picks it
 for every path that rescales an operator, a diffusion run and a
-measurement alike: a given ``lambda_max``, checked against the free
-floor :func:`_lambda_floor`; else the operator's ``spectral_bound``;
-else, where the dense spectrum is at hand, :func:`_dense_lambda`, its
-top eigenvalue plus LAPACK's rounding margin (``bound-table --true``);
-else, for a certified run, the ceiling :func:`_spectral_ceiling`; else
-the inflated power-iteration estimate. The ceiling, the dense value and
+measurement alike: a given ``lambda_max``, checked by the package's
+value rule :func:`~chebheat.graphs._check_lambda_max` and against the
+free floor :func:`_lambda_floor`, which needs the operator; else the
+operator's ``spectral_bound``; else the rule its caller names, the
+certified ceiling :func:`_spectral_ceiling` (``auto`` and the tail
+kinds) or :func:`_dense_lambda`, the dense spectrum's top eigenvalue
+plus LAPACK's rounding margin (``bound-table --true``); else the
+inflated power-iteration estimate. The ceiling, the dense value and
 the estimate are kept on the operator object.
 
 *The dense references*, which share no code with the Chebyshev path:
 :func:`dense_spectrum`, LAPACK's eigendecomposition
-(``numpy.linalg.eigh``), kept on the operator object; :func:`jacobi_eigh`,
-a cyclic Jacobi eigensolver kept as a second, in-house witness of that
-spectrum; and :func:`exact_diffusion`, ``exp(-tau L) x`` through it.
-Sizes are capped at ``DENSE_CAP`` nodes so the dense work stays cheap,
-by the one size rule :func:`_check_dense`, which needs only the size.
+(``numpy.linalg.eigh``) as its ``(eigenvalues, vectors)`` pair, kept on
+the operator object; :func:`jacobi_eigh`, a cyclic Jacobi eigensolver
+kept as a second, in-house witness of that spectrum; and
+:func:`exact_diffusion`, ``exp(-tau L) x`` through it. Sizes are capped
+at ``DENSE_CAP`` nodes so the dense work stays cheap, by the one size
+rule :func:`_check_dense`, which needs only the size.
 
 *The measurement* of the production series against them.
 :func:`_measured_orders` runs :mod:`chebheat.chebyshev`'s coefficients
-and recurrence in the eigenbasis and finds the smallest order whose
-error meets ``tol``; :func:`~chebheat.bounds.true_min_order` is its
-one-scale call. (:func:`~chebheat.diffusion.measure_errors` measures a
+and recurrence in the eigenbasis, rescaled by the ``lambda_hat`` its
+caller resolved and hands it, and finds the smallest order whose error
+meets ``tol``; :func:`~chebheat.bounds.true_min_order` is its one-scale
+call. (:func:`~chebheat.diffusion.measure_errors` measures a
 diffusion run's own output against :func:`exact_diffusion`.) A trial of
 ``bound-table --true`` measures all its scales in one scan of the
 orders on one spectral basis, drawn once a chunk at a time: the scales
 that share a chunk are stacked into one array product, one running sum
 and one sum of squares that only picks candidate orders, and each
 candidate is decided by the one-order test a loop over the orders
-makes, so every scale gets the loop's order. That trial rescales by
-:func:`_dense_lambda`, taken from the spectrum the scan diagonalizes
-anyway, so it spends no matvec on ``lambda_hat``. The scan holds one chunk
-and one stack of at most 256 rows each, 2 MB at the oracle's limit of
-500 nodes.
+makes, so every scale gets the loop's order. That trial resolves
+:func:`_dense_lambda` once, taken from the spectrum the scan
+diagonalizes anyway, and hands the one number to its certified orders
+and to the scan, so it spends no matvec on ``lambda_hat``. The scan
+holds one chunk and one stack of at most 256 rows each, 2 MB at the
+oracle's limit of 500 nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import ORDER_CAP
 from .chebyshev import cheb_coefficients, cheb_terms
 from .errors import ConvergenceError, OrderCapError
-from .graphs import SparseSymMatrix, _check_scales, _signal
+from .graphs import SparseSymMatrix, _check_lambda_max, _check_scales, _signal
 
-__all__ = ["DenseSpectrum", "jacobi_eigh", "dense_spectrum", "exact_diffusion"]
+__all__ = ["jacobi_eigh", "dense_spectrum", "exact_diffusion"]
 
 DENSE_CAP = 500
 
@@ -72,14 +76,6 @@ _UNIT = 2.0 ** -53
 _SUBNORMAL = 2.0 ** -1073
 # c in _dense_lambda's rounding margin c n u ||L||: LAPACK's p(n) taken as 2n
 _EIGH_MARGIN = 2.0
-
-
-@dataclass(frozen=True, eq=False)
-class DenseSpectrum:
-    """Full eigendecomposition of a small symmetric operator."""
-
-    eigenvalues: np.ndarray  # ascending
-    vectors: np.ndarray  # orthonormal columns, one per eigenvalue
 
 
 def _power_iteration(op: SparseSymMatrix) -> tuple[float, int]:
@@ -169,30 +165,30 @@ def _dense_lambda(op: SparseSymMatrix) -> float:
     """
     if "lambda_dense" not in op._facts:
         ceiling = _spectral_ceiling(op)
-        top = float(dense_spectrum(op).eigenvalues[-1])
+        top = float(dense_spectrum(op)[0][-1])
         op._facts["lambda_dense"] = min(ceiling, top + _EIGH_MARGIN * op.n * _UNIT * ceiling)
     return op._facts["lambda_dense"]
 
 
 def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None,
-                    certified: bool = False, dense: bool = False) -> tuple[float, int]:
+                    rule=None) -> tuple[float, int]:
     """The rescaling value lambda_hat and the matvecs spent choosing it.
 
-    In order of preference: the given ``lambda_max``, checked against
-    :func:`_lambda_floor`; the operator's ``spectral_bound``; with
-    ``dense``, :func:`_dense_lambda`; with ``certified``,
-    :func:`_spectral_ceiling`; else the inflated power-iteration
-    estimate. Every path that rescales an operator gets its value here.
-    The ceiling, the dense value and the estimate are functions of the
+    In order of preference: the given ``lambda_max``, checked by the
+    value rule :func:`~chebheat.graphs._check_lambda_max` and against
+    :func:`_lambda_floor`; the operator's ``spectral_bound``; the
+    caller's ``rule`` of the operator, :func:`_spectral_ceiling` for
+    ``auto`` and the tail kinds, :func:`_dense_lambda` for
+    ``bound-table --true``; else the inflated power-iteration estimate.
+    Every path that rescales an operator gets its value here. The
+    ceiling, the dense value and the estimate are functions of the
     (read-only) operator alone, so they are kept on the operator object:
     every repeat on that object returns the same bits at 0 matvecs,
     whatever other operators were used in between. A failed iteration
     stores nothing.
     """
     if lambda_max is not None:
-        lam_hat = float(lambda_max)
-        if not math.isfinite(lam_hat) or lam_hat < 0.0:
-            raise ValueError("lambda_max must be finite and non-negative")
+        lam_hat = _check_lambda_max(lambda_max)
         floor = _lambda_floor(op)
         if lam_hat < floor * (1.0 - _FLOOR_SLACK) or (lam_hat == 0.0 and op.nnz > 0):
             raise ValueError(f"lambda_max={lam_hat!r} is below the spectral radius: an "
@@ -200,10 +196,8 @@ def _resolve_lambda(op: SparseSymMatrix, lambda_max: float | None,
         return lam_hat, 0
     if op.spectral_bound is not None:
         return op.spectral_bound, 0
-    if dense:
-        return _dense_lambda(op), 0
-    if certified:
-        return _spectral_ceiling(op), 0
+    if rule is not None:
+        return rule(op), 0
     if "lambda_hat" in op._facts:
         return op._facts["lambda_hat"], 0
     rho, iters = _power_iteration(op)
@@ -281,9 +275,11 @@ def _check_dense(n: int) -> None:
         raise ValueError(f"dense oracle is limited to n <= {DENSE_CAP}, got {n}")
 
 
-def dense_spectrum(op: SparseSymMatrix) -> DenseSpectrum:
-    """Eigendecomposition of a sparse operator, kept on the operator object.
+def dense_spectrum(op: SparseSymMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(eigenvalues, vectors)`` of a sparse operator, kept on the operator.
 
+    LAPACK's pair, the shape :func:`jacobi_eigh` returns: the eigenvalues
+    ascending and one orthonormal column of ``vectors`` per eigenvalue.
     Operators are immutable, so an object's spectrum never goes stale;
     callers share the read-only arrays. The spectrum lives as long as
     its operator, and no longer.
@@ -293,19 +289,19 @@ def dense_spectrum(op: SparseSymMatrix) -> DenseSpectrum:
         eig, vec = np.linalg.eigh(op.to_dense())  # eigenvalues ascending
         for a in (eig, vec):
             a.flags.writeable = False
-        op._facts["dense_spectrum"] = DenseSpectrum(eigenvalues=eig, vectors=vec)
+        op._facts["dense_spectrum"] = eig, vec
     return op._facts["dense_spectrum"]
 
 
-def _coordinates(op: SparseSymMatrix, signal) -> tuple[DenseSpectrum, np.ndarray]:
-    """The operator's dense spectrum and the signal's coordinates in its eigenbasis.
+def _coordinates(op: SparseSymMatrix, signal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operator's eigenvalues and eigenvectors and the signal's coordinates in them.
 
     The signal is checked as every signal is, against the operator's
     size, before any dense work.
     """
     x = _signal(signal, op.n)
-    spec = dense_spectrum(op)
-    return spec, spec.vectors.T @ x
+    eig, vec = dense_spectrum(op)
+    return eig, vec, vec.T @ x
 
 
 def exact_diffusion(op: SparseSymMatrix, x: np.ndarray, tau: float) -> np.ndarray:
@@ -315,8 +311,8 @@ def exact_diffusion(op: SparseSymMatrix, x: np.ndarray, tau: float) -> np.ndarra
     and non-negative. Both are refused before any dense work.
     """
     [tau] = _check_scales([tau])
-    spec, xhat = _coordinates(op, x)
-    return spec.vectors @ (np.exp(-tau * spec.eigenvalues) * xhat)
+    eig, vec, xhat = _coordinates(op, x)
+    return vec @ (np.exp(-tau * eig) * xhat)
 
 
 def _stages():
@@ -332,19 +328,18 @@ def _stages():
         done, size = size + 1, min(ORDER_CAP, 2 * size)
 
 
-def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = None,
-                     dense: bool = False) -> list:
-    """:func:`~chebheat.bounds.true_min_order` for each of ``taus``, in one scan.
+def _measured_orders(op, signal, taus, tol: float, lam_hat: float) -> list:
+    """:func:`~chebheat.bounds.true_min_order` for each of ``taus``, in one scan, at ``lam_hat``.
 
     Every scale must be finite and non-negative and ``tol`` positive; the
     callers check them (:func:`~chebheat.graphs._check_scales`,
-    :func:`~chebheat.graphs._check_tol`). Checks the signal, and
-    resolves the dense spectrum, ``x_hat`` and ``lambda_hat``, once,
-    raising on any of them; ``dense`` takes ``lambda_hat`` from
-    :func:`_dense_lambda` (see :func:`_resolve_lambda`). Each
-    scale then gets its order, or the error it would raise, as a value
-    in the list: a diffused signal that underflows to zero, or
-    ``OrderCapError``.
+    :func:`~chebheat.graphs._check_tol`), and resolve ``lam_hat``, the
+    rescaling value, by :func:`_resolve_lambda`: the scan measures at
+    the number it is handed, so a caller that also certifies at it
+    gives both the same bits. Checks the signal, and computes the dense
+    spectrum and ``x_hat`` once, raising on either. Each scale then gets
+    its order, or the error it would raise, as a value in the list: a
+    diffused signal that underflows to zero, or ``OrderCapError``.
 
     One walk of the orders serves every scale: the rows ``T_k(D)
     x_hat`` are drawn once, a chunk of at most ``_CHUNK`` orders at a
@@ -371,11 +366,10 @@ def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = No
     of at most ``_CHUNK`` rows, and per scale two rows and the current
     stage's coefficients, never ``ORDER_CAP + 1`` rows.
     """
-    spec, xhat = _coordinates(op, signal)
-    lam_hat, _ = _resolve_lambda(op, lambda_max, dense=dense)
+    eig, _, xhat = _coordinates(op, signal)
     n = xhat.size
     scale = 2.0 / lam_hat if lam_hat > 0.0 else 0.0
-    d = np.clip(scale * spec.eigenvalues, 0.0, 2.0)
+    d = np.clip(scale * eig, 0.0, 2.0)
     gamma = n * _UNIT / (1.0 - n * _UNIT)
     widen = (1.0 + gamma) / (1.0 - gamma) * (1.0 + 4.0 * _UNIT)
     slack = n * _SUBNORMAL
@@ -384,7 +378,7 @@ def _measured_orders(op, signal, taus, tol: float, lambda_max: float | None = No
     orders = [None] * len(taus)
     live, targets, denoms = [], [], []  # the scales still scanning
     for i, tau in enumerate(taus):
-        target = np.exp(-tau * spec.eigenvalues) * xhat
+        target = np.exp(-tau * eig) * xhat
         denom = float(target @ target)
         if denom == 0.0:
             orders[i] = ValueError("diffused signal underflowed to zero; "

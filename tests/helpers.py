@@ -516,17 +516,17 @@ def reference_true_min_order(op, signal, tau, tol, lambda_max=None, cap=ORDER_CA
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     x = _signal(signal)
-    spec = dense_spectrum(op)
-    if x.shape != spec.eigenvalues.shape:
+    eig, vec = dense_spectrum(op)
+    if x.shape != eig.shape:
         raise ValueError("signal length does not match operator size")
     lam_hat, _ = _resolve_lambda(op, lambda_max)
-    xhat = spec.vectors.T @ x
-    target = np.exp(-tau * spec.eigenvalues) * xhat
+    xhat = vec.T @ x
+    target = np.exp(-tau * eig) * xhat
     denom = float(target @ target)
     if denom == 0.0:
         raise ValueError("diffused signal underflowed to zero; relative error undefined")
     scale = 2.0 / lam_hat if lam_hat > 0.0 else 0.0
-    d = np.clip(scale * spec.eigenvalues, 0.0, 2.0)
+    d = np.clip(scale * eig, 0.0, 2.0)
     sums = cheb_partial_sums(_reference_growing_coefficients(lam_hat * tau / 2.0, cap),
                              cheb_terms(lambda v: d * v, xhat))
     for order, approx in enumerate(sums):

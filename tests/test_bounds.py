@@ -27,7 +27,7 @@ from chebheat.bounds import (_NEW_KINDS, _TAIL_MARGIN, AUTO, BoundKind, _first_o
                              true_min_order)
 from chebheat.errors import OrderCapError
 from chebheat.graphs import SparseSymMatrix, build_laplacian, erdos_renyi
-from chebheat.oracle import _measured_orders
+from chebheat.oracle import _measured_orders, _resolve_lambda
 
 from helpers import (eval_scalar, order_cap, reference_min_order, reference_true_min_order,
                      scale_refusal)
@@ -603,9 +603,12 @@ class TestTrueMinOrder:
 
 
 def _orders_or_error(op, x, taus, tol, lam):
-    """Each scale's order, or the error's type and message; one error for all on a set-up error."""
+    """Each scale's order, or the error's type and message; one error for all on a set-up error.
+
+    ``lam`` is resolved once, as :func:`true_min_order` resolves it, and the scan measures at it.
+    """
     try:
-        got = _measured_orders(op, x, taus, tol, lam)
+        got = _measured_orders(op, x, taus, tol, _resolve_lambda(op, lam)[0])
     except (ValueError, OrderCapError) as exc:
         return [(type(exc), str(exc))] * len(taus)
     return [(type(v), str(v)) if isinstance(v, Exception) else v for v in got]

@@ -2,6 +2,8 @@
 
 import glob
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from chebheat.oracle import _dense_lambda
 from helpers import order_cap, same_operator
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # each golden diffuse file and the argv that writes it; TestGoldenFiles
@@ -65,6 +68,46 @@ def run(capsys, *argv):
 
 def data_lines(out):
     return [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
+
+
+def count_graph_work(monkeypatch):
+    """Count the command line's ER draws and Laplacian builds, in a dict that stays live."""
+    calls = {"erdos_renyi": 0, "build_laplacian": 0}
+    for name in calls:
+        def counted(*args, inner=getattr(chebheat.cli, name), name=name, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(chebheat.cli, name, counted)
+    return calls
+
+
+# a diffuse and a bound-table argv that take --scales; stderr must hold the one error line
+GRID_TAKERS = [["diffuse", "--graph", "er:20:0.3:1", "--signal", "dirac:0"],
+               ["bound-table", "--n", "20", "--p", "0.3", "--trials", "1"]]
+
+
+@pytest.mark.parametrize("argv", GRID_TAKERS, ids=["diffuse", "bound-table"])
+@pytest.mark.parametrize("grid, bad", [("lin:1:inf:2", "inf"), ("lin:-1e308:1e308:3", "-1e+308"),
+                                       ("log:1:inf:3", "inf")])
+def test_grid_endpoints_refused_before_numpy_spans_them(capsys, argv, grid, bad):
+    # numpy's spans once turned these into NaN, with a RuntimeWarning on
+    # stderr, and the refusal said "got nan"
+    code, out, err = run(capsys, *argv, "--scales", grid)
+    assert (code, out) == (2, "")
+    assert err == f"error: scales must be finite and non-negative, got {bad}\n"
+
+
+@pytest.mark.parametrize("launch", [["-m", "chebheat.cli"],
+                                    ["-c", "from chebheat.cli import entry; entry()"]],
+                         ids=["python -m", "entry"])
+def test_process_exit_code_is_mains(launch):
+    # the installed script and python -m both exit with main's code
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, *launch, "diffuse", "--graph", "er:10:0.5:1",
+                           "--signal", "dirac:0", "--scales", "1", "--tol", "0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: tol must be positive, got 0.0\n"
 
 
 class TestGenGraph:
@@ -144,18 +187,23 @@ class TestDiffuse:
             graph = str(tmp_path / "g.txt")
             assert main(["gen-graph", "--n", "200", "--p", "0.05", "--seed", "1",
                          "--out", graph]) == 0
-        calls = {"erdos_renyi": 0, "build_laplacian": 0}
-        for name in calls:
-            def counted(*args, inner=getattr(chebheat.cli, name), name=name, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-            monkeypatch.setattr(chebheat.cli, name, counted)
+        calls = count_graph_work(monkeypatch)
         argv = ("diffuse", "--graph", graph, "--scales", "1")
         code, out, err = run(capsys, *argv, "--signal", "dirac:200")
         assert (code, out, err) == (2, "", "error: dirac node 200 out of range for n=200\n")
         assert calls == {"erdos_renyi": 0, "build_laplacian": 0}
         assert run(capsys, *argv, "--signal", "dirac:199")[0] == 0
         assert calls == {"erdos_renyi": int(form == "er"), "build_laplacian": 1}
+
+    @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+    def test_bad_lambda_max_exit_2_before_the_graph_is_drawn(self, capsys, monkeypatch, lam):
+        # refused by its value rule beside --scales and --tol: -1 once came
+        # after er:20000:0.001:1 was drawn and built, 0.68 s
+        calls = count_graph_work(monkeypatch)
+        code, out, err = run(capsys, "diffuse", "--graph", "er:20000:0.001:1", "--signal",
+                             "dirac:0", "--scales", "1", "--lambda-max", lam)
+        assert (code, out, err) == (2, "", "error: lambda_max must be finite and non-negative\n")
+        assert calls == {"erdos_renyi": 0, "build_laplacian": 0}
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "diffuse", "--graph", "nope.txt",

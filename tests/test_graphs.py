@@ -316,6 +316,18 @@ class TestBuildLaplacian:
         with pytest.raises(ValueError, match=message):
             build_laplacian(edges, 3)
 
+    @pytest.mark.parametrize("edges, n", [
+        # 10**17 + 3 rounds to 10**17 in the float64 edge array, which once
+        # read as "endpoint out of range"
+        ([(0, 10 ** 17 + 3)], 10 ** 17 + 4),
+        ([(0, 10 ** 19)], 10 ** 20),
+        ([(2 ** 53 + 1, 0, 0.5)], 2 ** 53 + 2),
+    ])
+    def test_endpoint_past_2_53_is_named_as_such(self, edges, n):
+        message = r"^edge #0: endpoint >= 2\*\*53, where float64 skips integers$"
+        with pytest.raises(ValueError, match=message):
+            build_laplacian(edges, n)
+
     def test_normalized_carries_spectral_bound(self):
         L = build_laplacian(complete_edges(4), 4, kind="normalized")
         assert L.spectral_bound == 2.0
@@ -341,6 +353,9 @@ class TestBuildLaplacian:
 
 
 class TestSparseSymMatrix:
+    def test_repr_gives_size_and_stored_entries(self):
+        assert repr(build_laplacian([(0, 1), (1, 2)], 4)) == "SparseSymMatrix(n=4, nnz=7)"
+
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(5)
         L = build_laplacian(erdos_renyi(40, 0.2, seed=1), 40)
@@ -1174,6 +1189,10 @@ class TestSaveEdgeList:
                          ([(0, 1), (2, 1, -1.0)], 3),
                          ([(0, 1, np.nan)], 3),
                          ([(0, -1)], 3),
+                         # past 2**53: numpy's cast to int64 warned and wrote node
+                         # -9223372036854775808, and 2**53 + 1 was written as 2**53
+                         ([(0, 1), (0, 10 ** 19)], 10 ** 20),
+                         ([(0, 1), (0, 2 ** 53 + 1)], 2 ** 53 + 2),
                          ([], 0)]:
             with pytest.raises(ValueError) as refused:
                 build_laplacian(edges, n)
@@ -1186,6 +1205,12 @@ class TestSaveEdgeList:
         assert n == 6
         assert loaded.tolist() == [[0, 2, 0.5], [4, 1, 1.0], [3, 0, 1e-300], [1, 4, 2.0],
                                    [4, 1, 0.25]]
+
+    def test_largest_exact_endpoint_round_trips(self, tmp_path):
+        path = tmp_path / "g.txt"
+        save_edge_list(path, [(0, 2 ** 53 - 1, 0.5)], 2 ** 53)
+        loaded, n = load_graph(path)
+        assert (n, loaded.tolist()) == (2 ** 53, [[0, 2 ** 53 - 1, 0.5]])
 
     def test_array_input_and_many_blocks(self, tmp_path):
         edges = erdos_renyi(400, 0.1, seed=3)  # about 8000 edges: several blocks

@@ -11,8 +11,9 @@ every error as the runner does to hand a helper's error on. And only
 ``graphs`` reads the layout an operator keeps for its matvec.
 
 Each input rule has one home: the signal-length rule is raised from
-``graphs._signal`` alone and the scale rule from ``graphs._check_scales``
-alone.
+``graphs._signal`` alone, the scale rule from ``graphs._check_scales``
+alone and the rule for a given ``lambda_max`` from
+``graphs._check_lambda_max`` alone.
 
 The modules import one another at the top of the module only, in one
 order with no cycle, and the certificates and the dense measurements
@@ -359,6 +360,7 @@ RULES = {"signal length": re.compile(r"\bsignal\b.*\b(length|shape|size)\b|does 
          "scale range": re.compile(r"\b(tau|scales?)\b.*\bnon-negative\b"),
          "tau_eff range": re.compile(r"\btau_eff\b.*\bnon-negative\b"),
          "tol": re.compile(r"\btol\b.*\bmust be\b"),
+         "lambda_max value": re.compile(r"\blambda_max\b.*\bnon-negative\b"),
          "count": re.compile(r"\b(order|k_max|k|n|trials|count|dimension)\b.*\bmust be\b"
                              r"|\bmust be an integer\b")}
 
@@ -397,9 +399,13 @@ def _check_tau(tau):
         raise ValueError("tau_eff must be non-negative")
 
 
-def _measured_orders(tol, order, n):
+def _measured_orders(tol, order, n, lambda_max):
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if lambda_max < 0.0:
+        raise ValueError("lambda_max must be finite and non-negative")
+    if lambda_max < 1.0:
+        raise ValueError(f"lambda_max={lambda_max!r} is below the spectral radius")
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     if n < 1:
@@ -420,16 +426,19 @@ def _parse_scales(m, trials):
 def test_each_input_rule_has_one_home(tmp_path):
     # the length rule was written four times with three texts, the scale
     # rule twice, tol three times and the counts ten times with eight
-    # texts; a second home of any of them fails here
+    # texts; a second home of any of them fails here. The lambda_max value
+    # rule is its own; the floor check beside it needs the operator
     probe = tmp_path / "oracle.py"
     probe.write_text(RULE_PROBE, encoding="utf-8")
     assert _rule_homes([probe]) == {"signal length": ["oracle.check"],
                                     "scale range": ["oracle._check_tau"],
                                     "tau_eff range": ["oracle._check_tau"],
                                     "tol": ["oracle._measured_orders"],
+                                    "lambda_max value": ["oracle._measured_orders"],
                                     "count": ["oracle._measured_orders", "oracle._parse_scales"]}
     assert _rule_homes(MODULES) == {"signal length": ["graphs._signal"],
                                     "scale range": ["graphs._check_scales"],
                                     "tau_eff range": ["bounds._first_order"],
                                     "tol": ["graphs._check_tol"],
+                                    "lambda_max value": ["graphs._check_lambda_max"],
                                     "count": ["graphs._count"]}

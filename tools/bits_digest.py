@@ -61,8 +61,7 @@ and with ``1.001`` times the floor, which lies below the top
 eigenvalue, so no order meets the tolerance. An ``exact_diffusion``
 case digests the bytes of every signal at scales 0, 0.5, 2 and 20. The
 lattice has too many nodes for the dense oracle, so only its ``lambda``
-case runs. The private rules are read from ``chebheat.oracle``, or from
-``chebheat.diffusion`` in a checkout that keeps them there.
+case runs. The private rules are read from ``chebheat.oracle``.
 
 A ``refusals`` line gives, in place of a digest, the type and message
 of one bad input to one entry point that takes a signal, a scale, a
@@ -80,10 +79,14 @@ an order of -1, 2.5, NaN and inf to ``cheb_coefficients``,
 (as ``k``), ``log_bound_value`` and ``measure_errors``; a node count
 of 0, 2.7 and inf to ``build_laplacian``, ``erdos_renyi``,
 ``save_edge_list`` (whether it wrote the file, too) and
-``SparseSymMatrix``; and ``bound-table`` at ``--tol`` 0, -1 and NaN,
+``SparseSymMatrix``; ``bound-table`` at ``--tol`` 0, -1 and NaN,
 ``--trials 0``, ``--n 0``, ``--scales lin:0:1:0`` and ``--true --n
-600``. An ``ArithmeticError`` is given as a refusal too, so a checkout
-that lets an ``OverflowError`` escape prints it.
+600``; ``diffuse`` at ``--lambda-max -1`` and at ``--scales lin:1:inf:2``;
+and ``save_edge_list`` with an endpoint of ``2**53 + 1`` on ``2**53 +
+2`` nodes (whether it wrote the file, too). An ``ArithmeticError`` is
+given as a refusal too, so a checkout that lets an ``OverflowError``
+escape prints it. The ``diffuse`` lines run with numpy's warnings
+turned into errors, so a warning shows as a refusal of its own.
 
 Run from the repository root of any checkout, which it imports from::
 
@@ -98,6 +101,7 @@ import hashlib
 import io
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -108,7 +112,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from chebheat import (BoundKind, NumericalError, build_laplacian, erdos_renyi,  # noqa: E402
                       expm_multiply, expm_multiscale, load_graph, measure_errors,
                       save_edge_list, true_min_order)
-from chebheat import diffusion, oracle  # noqa: E402
+from chebheat import oracle  # noqa: E402
 from chebheat.bessel import ORDER_CAP, bessel_ie_scaled, log_factorial  # noqa: E402
 from chebheat.bounds import energy_ratio, log_bound_value, min_order  # noqa: E402
 from chebheat.chebyshev import build_basis, cheb_coefficients  # noqa: E402
@@ -223,11 +227,6 @@ def _min_order_digest(kind) -> str:
     return h.hexdigest()
 
 
-def _spectral(name):
-    """A private spectral-radius rule, from ``oracle`` or from ``diffusion`` before it moved."""
-    return getattr(oracle, name, None) or getattr(diffusion, name)
-
-
 def _update(h, call):
     """Add the ``repr`` of ``call()``, exact for floats, to ``h``, or its error's type and message."""
     try:
@@ -240,10 +239,10 @@ def _update(h, call):
 
 def _lambda_digest(op) -> str:
     h = hashlib.sha256()
-    resolve = _spectral("_resolve_lambda")
-    floor = _spectral("_lambda_floor")(op)
+    resolve = oracle._resolve_lambda
+    floor = oracle._lambda_floor(op)
     for call in (lambda: resolve(op, None), lambda: resolve(op, None),
-                 lambda: estimate_lambda_max(op), lambda: _spectral("_spectral_ceiling")(op),
+                 lambda: estimate_lambda_max(op), lambda: oracle._spectral_ceiling(op),
                  lambda: floor):
         _update(h, call)
     for given in (2.0 * floor, floor, 0.5 * floor, 0.0, float("nan")):
@@ -253,7 +252,7 @@ def _lambda_digest(op) -> str:
 
 def _measure_digest(op, x) -> str:
     h = hashlib.sha256()
-    ceiling = _spectral("_spectral_ceiling")(op)
+    ceiling = oracle._spectral_ceiling(op)
     for lam in (None, ceiling):
         for tau in MEASURE_SCALES:
             for order in MEASURE_ORDERS:
@@ -263,7 +262,7 @@ def _measure_digest(op, x) -> str:
 
 def _true_digest(op, x) -> str:
     h = hashlib.sha256()
-    for lam in (None, _spectral("_spectral_ceiling")(op), 1.001 * _spectral("_lambda_floor")(op)):
+    for lam in (None, oracle._spectral_ceiling(op), 1.001 * oracle._lambda_floor(op)):
         for tau in TRUE_SCALES:
             for tol in TRUE_TOLS:
                 _update(h, lambda: true_min_order(op, x, tau, tol, lambda_max=lam))
@@ -413,6 +412,18 @@ def _refusals(tmp):
     for extra in [["--tol", tol] for tol in REFUSED_TOLS] + [
             ["--trials", "0"], ["--n", "0"], ["--scales", "lin:0:1:0"], ["--n", "600", "--true"]]:
         yield f"cli-bound-table/{' '.join(extra)}", _cli_refusal(table + extra)
+    for extra in (["--scales", "1", "--lambda-max", "-1"], ["--scales", "lin:1:inf:2"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning is a refusal of its own
+            try:
+                outcome = _cli_refusal(diffuse + ["--signal", "normal:3"] + extra)
+            except Warning as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+        yield f"cli-diffuse/{' '.join(extra)}", outcome
+    big = 2 ** 53 + 2
+    outcome = _refusal(lambda: save_edge_list(path, [(0, big - 1)], big))
+    yield "save_edge_list/endpoint=2**53+1", f"{outcome} (file written: {path.exists()})"
+    path.unlink(missing_ok=True)
 
 
 def main() -> int:
