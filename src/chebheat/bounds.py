@@ -50,13 +50,13 @@ neither overflow nor collapse to NaN; only the final value is
 exponentiated.
 
 :func:`min_order` finds the first certified order by a search that
-trusts each family to be non-increasing in the order. A caller that
-knows a nearby order, the previous scale's in a plan or the orders of
-the two scales before in ``bound-table``, starts the search there; the
-search then tries about ``2 log2`` of the distance to the answer, about
-five bounds where a start from the first valid order tried ten, and
-finds the same order, since it only ever brackets and bisects on orders
-it has evaluated.
+trusts each family to be non-increasing in the order. A sweep of
+scales, the ``auto`` plan's or ``bound-table``'s, starts each search
+from the orders of the two scales before, extrapolated (``_sweep``);
+the search then tries about ``2 log2`` of the distance to the answer,
+about five bounds where a start from the first valid order tried ten,
+and finds the same order, since it only ever brackets and bisects on
+orders it has evaluated.
 
 :func:`true_min_order` is the measured counterpart the paper's order
 table sets these against: the smallest order whose error against the
@@ -394,12 +394,13 @@ def min_order(kind: BoundKind, tau_eff: float, tol: float,
     evaluated with the scalar operations of :func:`log_bound_value`, so
     every value compared with ``log(tol)`` has the bits a linear scan
     would compare; the steps between orders dwarf rounding, and the
-    tests hold the result to a linear scan. Callers inside the package
-    may start the same search from a guess (``bound-table`` and the
-    ``auto`` plan do): since the values only fall with the order, the
-    first order whose value meets ``log(tol)`` is one order, wherever
-    the search starts, and the tests hold every guess to the plain
-    search, bit for bit.
+    tests hold the result to a linear scan. A sweep of scales inside the
+    package, the ``auto`` plan's or ``bound-table``'s, starts the same
+    search from a guess, the orders of the two scales before
+    extrapolated (``_sweep``): since the values only fall with the
+    order, the first order whose value meets ``log(tol)`` is one order,
+    wherever the search starts, and the tests hold every guess and every
+    sweep to the plain search, bit for bit.
     """
     return _order_and_log_bound(kind, tau_eff, tol, ratio)[0]
 
@@ -437,6 +438,25 @@ def _order_and_log_bound(kind: BoundKind, tau_eff: float, tol: float,
             f"no order up to {ORDER_CAP} certifies tol={tol} for {kind.value} at tau_eff={tau_eff}"
         )
     return order, values[order]
+
+
+def _sweep(kind: BoundKind, tau_effs, tol: float, ratio: float | None):
+    """Yield :func:`_order_and_log_bound` at each effective scale, in order.
+
+    The one warm-start rule of every sweep of scales, the ``auto`` plan's
+    and ``bound-table``'s: the first search has no guess, the second
+    starts from the first order, and each later one from ``2 o[-1] -
+    o[-2]``, the last two orders extrapolated. A guess only sets where
+    the search starts, so every order and log has the bits of the plain
+    search, whatever the order of the scales. An error is raised at the
+    scale where it arises.
+    """
+    guess = previous = None
+    for tau_eff in tau_effs:
+        found = _order_and_log_bound(kind, tau_eff, tol, ratio, guess)
+        guess = found[0] if previous is None else 2 * found[0] - previous
+        previous = found[0]
+        yield found
 
 
 def true_min_order(op, signal, tau: float, tol: float,

@@ -16,7 +16,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from ._rows import write_rows
-from .bounds import _order_and_log_bound, AUTO, BoundKind, energy_ratio
+from .bounds import AUTO, BoundKind, _sweep, energy_ratio
 # perfbench spans the searches and the oracle under these names
 from .bounds import min_order, true_min_order  # noqa: F401
 from .diffusion import expm_multiscale
@@ -51,7 +51,11 @@ def _parse_scales(spec: str) -> list[float]:
         a, b = _check_scales([a, b])  # before numpy spans them: inf gives NaN and a warning
         if head == "lin":
             return [float(t) for t in np.linspace(a, b, m)]
-        return [float(t) for t in np.logspace(math.log10(a), math.log10(b), m)]
+        with np.errstate(over="ignore"):  # 10 ** log10(b) may round past the float maximum
+            grid = np.logspace(math.log10(a), math.log10(b), m)
+        if not np.isfinite(grid).all():
+            raise ValueError(f"--scales grid {spec!r} has a scale past the float range")
+        return [float(t) for t in grid]
     try:
         return [float(tok) for tok in spec.split(",")]
     except ValueError:
@@ -110,13 +114,6 @@ def cmd_diffuse(args) -> None:
         write_rows(fh, ",", [np.arange(n)], [y for y, _ in results])
 
 
-def _guess(row, j: int) -> int | None:
-    """Where scale ``j``'s search starts: its kind's ``row`` extrapolated from scales j-1, j-2."""
-    if j == 0:
-        return None
-    return int(row[0] if j == 1 else 2 * row[j - 1] - row[j - 2])
-
-
 def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
                      seed: int, with_true: bool):
     """Per-trial minimum orders for the paper's four certificates on ER graphs.
@@ -140,8 +137,10 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
     orders need anyway, plus LAPACK's rounding margin
     (:func:`~chebheat.oracle._dense_lambda`): an upper bound on the
     spectrum at no matvec, where the power estimate may lie below it.
-    Each search starts from the orders the kind took at the two scales
-    before, which changes no order (:func:`~chebheat.bounds.min_order`).
+    Each kind's orders come from one sweep of the trial's effective
+    scales, the one the ``auto`` plan runs, which starts each search from
+    the orders the kind took at the two scales before and changes no
+    order (:func:`~chebheat.bounds.min_order`).
     A trial's measured orders come from one scan of all its scales in
     :mod:`chebheat.oracle`, the scan behind
     :func:`~chebheat.bounds.true_min_order`, up to the first scale whose
@@ -164,14 +163,13 @@ def bound_table_data(n: int, p: float, trials: int, taus, tol: float,
         sig = load_signal(f"normal:{seed + t + 10000}", n)
         ratios[t] = ratio = energy_ratio(sig, op)
         lam = _resolve_lambda(op, None, _dense_lambda if with_true else None)[0]
+        tau_effs[t] = [lam * tau / 2.0 for tau in taus]
+        sweeps = [_sweep(kind, tau_effs[t], tol, ratio) for kind in _TABLE_KINDS]
         failed, error = m, None  # the first scale whose certified orders fail, and why
-        for j, tau in enumerate(taus):
-            te = lam * tau / 2.0
-            tau_effs[t, j] = te
+        for j in range(m):  # drawn scale by scale, kinds in table order
             try:
-                for kind in _TABLE_KINDS:
-                    row = orders[kind][t]
-                    row[j] = _order_and_log_bound(kind, te, tol, ratio, _guess(row, j))[0]
+                for kind, sweep in zip(_TABLE_KINDS, sweeps):
+                    orders[kind][t, j] = next(sweep)[0]
             except (ValueError, NumericalError) as exc:  # raised after earlier scales' errors
                 failed, error = j, exc
                 break

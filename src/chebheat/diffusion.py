@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (_TAIL_KINDS, AUTO, BoundKind, _order_and_log_bound, energy_ratio,
-                     log_bound_value, min_order, select_bound)
+from .bounds import (_TAIL_KINDS, AUTO, BoundKind, _sweep, energy_ratio, log_bound_value,
+                     min_order, select_bound)
 from .chebyshev import build_basis, cheb_coefficients, combine
 from .graphs import SparseSymMatrix, _check_scales, _check_tol, _count, _signal
 from .oracle import _resolve_lambda, _spectral_ceiling, exact_diffusion
@@ -129,15 +129,17 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     largest effective scale: the summed coefficient tail, never looser
     than the new or the baseline bound of that variant, so its order is
     the smallest any kind certifies. It gives every scale its own order,
-    the smallest that kind certifies there, and the recurrence runs to
-    the largest of them. An explicit kind gives every scale the order it
-    certifies at the largest effective scale. The specific kinds read the
-    signal's energy over its energy along the operator's
-    ``kernel_vector`` (:func:`~chebheat.bounds.energy_ratio`). When the
-    operator has no kernel vector, or the signal has no component along
-    it (its components sum to zero, on a combinatorial Laplacian) or one
-    that cancels past the float range, a specific kind raises
-    ``ValueError`` and AUTO picks a generic one. Each scale's bound is
+    the smallest that kind certifies there, found by the sweep
+    ``bound-table`` runs too, each search started from the orders of the
+    two scales before (the same orders as plain searches), and the
+    recurrence runs to the largest of them. An explicit kind gives every
+    scale the order it certifies at the largest effective scale. The
+    specific kinds read the signal's energy over its energy along the
+    operator's ``kernel_vector`` (:func:`~chebheat.bounds.energy_ratio`).
+    When the operator has no kernel vector, or the signal has no
+    component along it (its components sum to zero, on a combinatorial
+    Laplacian) or one that cancels past the float range, a specific kind
+    raises ``ValueError`` and AUTO picks a generic one. Each scale's bound is
     the chosen certificate at its order, exactly 0 at a zero scale.
 
     ``signal`` is any finite, non-empty 1-d array_like of length
@@ -179,10 +181,7 @@ def make_plan(op: SparseSymMatrix, signal, scales, tol: float,
     if kind == AUTO:
         kind = (BoundKind.TAIL_SPECIFIC if select_bound(tau_top, ratio) is BoundKind.NEW_SPECIFIC
                 else BoundKind.TAIL_GENERIC)
-        certified, guess = [], None
-        for t in tau_effs:  # each search starts from the scale before's order
-            certified.append(_order_and_log_bound(kind, t, tol, ratio, guess))
-            guess = certified[-1][0]
+        certified = list(_sweep(kind, tau_effs, tol, ratio))  # warm-started, same bits
     else:
         order = min_order(kind, tau_top, tol, ratio=ratio)
         certified = [(order, log_bound_value(kind, order, t, ratio)) for t in tau_effs]

@@ -21,7 +21,7 @@ import chebheat.oracle
 from chebheat.bessel import ORDER_CAP, bessel_ie_scaled
 from chebheat.bounds import (_NEW_KINDS, _TAIL_MARGIN, AUTO, BoundKind, _first_order,
                              _log_bound_of, _log_closed_sq, _log_sq, _log_tail_sq,
-                             _order_and_log_bound,
+                             _order_and_log_bound, _sweep,
                              baseline_error_term, energy_ratio,
                              log_bound_value, min_order, select_bound, sup_error_bound,
                              true_min_order)
@@ -481,6 +481,43 @@ class TestGuessNeverChangesTheAnswer:
                 assert got == plain, guess
         if isinstance(plain[0], int):
             assert plain[1] == log_bound_value(kind, plain[0], tau_eff, ratio=ratio)
+
+    @given(st.sampled_from(list(BoundKind)),
+           st.lists(st.floats(min_value=1e-3, max_value=2e3), max_size=10),
+           st.sampled_from(["ascending", "descending", "shuffled", "repeated"]),
+           st.randoms(use_true_random=False),
+           st.floats(min_value=1e-14, max_value=1e-1),
+           st.sampled_from([None, RATIO_200, ZERO_SUM, 7 * 2.5 / (0.75 * 0.75)]),
+           st.one_of(st.just(ORDER_CAP), st.integers(min_value=0, max_value=60)))
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_gives_the_plain_searches(self, kind, drawn, arrange, rnd, tol, ratio, cap):
+        # whatever the order of the scales, the sweep's guesses change no
+        # bit, and it raises what the plain search raises, at that scale
+        taus = drawn + [0.0, 5e-324, 2.0 * (cap + 1)]  # the last is past the cap
+        if arrange == "ascending":
+            taus.sort()
+        elif arrange == "descending":
+            taus.sort(reverse=True)
+        elif arrange == "shuffled":
+            rnd.shuffle(taus)
+        else:
+            taus = [t for t in taus for _ in range(rnd.randint(1, 3))]
+
+        def bits(found):
+            return found if isinstance(found[0], type) else (found[0], found[1].hex())
+
+        with order_cap(cap):
+            plain = []
+            for tau_eff in taus:
+                plain.append(bits(_order_or_error(_order_and_log_bound, kind, tau_eff, tol, ratio)))
+                if isinstance(plain[-1][0], type):
+                    break
+            swept = []
+            try:
+                swept.extend(bits(found) for found in _sweep(kind, taus, tol, ratio))
+            except (ValueError, OrderCapError) as exc:
+                swept.append((type(exc), str(exc)))
+        assert swept == plain
 
     def test_calls_fall_near_the_answer(self):
         calls = []

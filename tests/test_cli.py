@@ -86,15 +86,25 @@ GRID_TAKERS = [["diffuse", "--graph", "er:20:0.3:1", "--signal", "dirac:0"],
                ["bound-table", "--n", "20", "--p", "0.3", "--trials", "1"]]
 
 
+BIG_LOG_GRID = "log:1:1.7976931348623157e308:3"
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", GRID_TAKERS, ids=["diffuse", "bound-table"])
-@pytest.mark.parametrize("grid, bad", [("lin:1:inf:2", "inf"), ("lin:-1e308:1e308:3", "-1e+308"),
-                                       ("log:1:inf:3", "inf")])
-def test_grid_endpoints_refused_before_numpy_spans_them(capsys, argv, grid, bad):
-    # numpy's spans once turned these into NaN, with a RuntimeWarning on
-    # stderr, and the refusal said "got nan"
+@pytest.mark.parametrize("grid, message", [
+    ("lin:1:inf:2", "scales must be finite and non-negative, got inf"),
+    ("lin:-1e308:1e308:3", "scales must be finite and non-negative, got -1e+308"),
+    ("log:1:inf:3", "scales must be finite and non-negative, got inf"),
+    # a finite endpoint whose 10 ** log10 rounds past the float maximum
+    (BIG_LOG_GRID, f"--scales grid {BIG_LOG_GRID!r} has a scale past the float range")],
+    ids=["lin:1:inf:2-inf", "lin:-1e308:1e308:3--1e+308", "log:1:inf:3-inf",
+         f"{BIG_LOG_GRID}-overflow"])
+def test_grid_endpoints_refused_before_numpy_spans_them(capsys, argv, grid, message):
+    # numpy's spans once turned these into NaN or inf, with a RuntimeWarning
+    # on stderr, and the refusal named a value the grid did not hold
     code, out, err = run(capsys, *argv, "--scales", grid)
     assert (code, out) == (2, "")
-    assert err == f"error: scales must be finite and non-negative, got {bad}\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("launch", [["-m", "chebheat.cli"],

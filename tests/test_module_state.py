@@ -13,7 +13,9 @@ every error as the runner does to hand a helper's error on. And only
 Each input rule has one home: the signal-length rule is raised from
 ``graphs._signal`` alone, the scale rule from ``graphs._check_scales``
 alone and the rule for a given ``lambda_max`` from
-``graphs._check_lambda_max`` alone.
+``graphs._check_lambda_max`` alone. The warm start of a sweep of scales
+has one home too: only ``bounds._sweep`` hands the certified search a
+guess, and ``cli`` reaches the search through it alone.
 
 The modules import one another at the top of the module only, in one
 order with no cycle, and the certificates and the dense measurements
@@ -365,15 +367,21 @@ RULES = {"signal length": re.compile(r"\bsignal\b.*\b(length|shape|size)\b|does 
                              r"|\bmust be an integer\b")}
 
 
+def _owners(tree):
+    """Node id -> the name of its innermost function; ``ast.walk`` meets the outer one first."""
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    return owner
+
+
 def _rule_homes(paths):
     """For each of ``RULES``, the ``module.function`` of every raise whose source matches it."""
     homes = {rule: set() for rule in RULES}
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        owner = {}  # each raise's innermost function: ast.walk meets the outer one first
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((id(node), func.name) for node in ast.walk(func))
+        owner = _owners(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Raise):
                 for rule, pattern in RULES.items():
@@ -442,3 +450,74 @@ def test_each_input_rule_has_one_home(tmp_path):
                                     "tol": ["graphs._check_tol"],
                                     "lambda_max value": ["graphs._check_lambda_max"],
                                     "count": ["graphs._count"]}
+
+
+# the certified search's private names that the command line must not reach
+SEARCH = {"_order_and_log_bound", "_first_true"}
+
+
+def _warm_starts(paths):
+    """Every ``module.function`` that passes ``_order_and_log_bound`` a guess, and ``cli``'s
+    reads of the search's private names.
+
+    A guess is a fifth argument, a ``guess`` keyword, or an unpacked
+    ``*args`` or ``**kwargs`` that may hold one.
+    """
+    hits = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node) == "_order_and_log_bound" and (
+                    len(node.args) > 4 or any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg in ("guess", None) for k in node.keywords)):
+                hits.append(f"{path.stem}.{owner.get(id(node), '<module>')}")
+            name = getattr(node, "name", None) if isinstance(node, ast.alias) else _name(node)
+            if path.stem == "cli" and name in SEARCH:
+                hits.append(f"cli reads {name}")
+    return sorted(set(hits))
+
+
+WARM_START_PROBE = {
+    "bounds.py": """\
+def _sweep(kind, tau_effs, tol, ratio):
+    guess = None
+    for t in tau_effs:
+        guess = _order_and_log_bound(kind, t, tol, ratio, guess)[0]
+        yield guess
+
+
+def min_order(kind, tau_eff, tol, ratio=None):
+    return _order_and_log_bound(kind, tau_eff, tol, ratio)[0]
+""",
+    "diffusion.py": """\
+from . import bounds
+
+
+def make_plan(kind, taus, tol, ratio):
+    found = [bounds._order_and_log_bound(kind, taus[0], tol, ratio)]
+    for t in taus[1:]:
+        found.append(bounds._order_and_log_bound(kind, t, tol, ratio, guess=found[-1][0]))
+    return found
+""",
+    "cli.py": """\
+from .bounds import _sweep, _first_true
+from . import bounds
+
+
+def bound_table_data(kind, taus, tol, ratio, args):
+    return [bounds._order_and_log_bound(*args) for t in taus], list(_sweep(kind, taus, tol, ratio))
+""",
+}
+
+
+def test_one_home_for_the_warm_start(tmp_path):
+    # the auto plan and bound-table once started their searches by two
+    # rules of their own; only bounds._sweep guesses, and the command line
+    # reaches the search through it alone
+    for name, text in WARM_START_PROBE.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert _warm_starts(sorted(tmp_path.glob("*.py"))) == [
+        "bounds._sweep", "cli reads _first_true", "cli reads _order_and_log_bound",
+        "cli.bound_table_data", "diffusion.make_plan"]
+    assert _warm_starts(MODULES) == ["bounds._sweep"]

@@ -11,6 +11,14 @@ normalized. The signals are a Dirac, a standard normal, an alternating
 +-1 that sums to exactly zero, and one that holds ``-0.0`` beside
 positive entries. Every kind runs, ``auto`` first.
 
+A ``plan`` case digests ``make_plan``'s ``scale_orders``, ``bounds``
+and ``order``, or its error's type and message, for one graph, signal
+and kind (``auto`` or ``tail-generic``), at tol 1e-8 and 1e-3 over
+three scale lists: unsorted with repeats and a zero, descending with a
+zero in the middle, and two small scales before 1e6, where some kinds
+certify no order up to the cap. It runs on fresh copies of the
+diffusion graphs, with the same signals.
+
 A bound-table case digests every array ``bound_table_data`` returns
 (scales, effective scales, each kind's orders, the measured orders and
 the energy ratios), or its error's type and message, at the 25 scales
@@ -123,6 +131,11 @@ from chebheat.oracle import DENSE_CAP, exact_diffusion  # noqa: E402
 
 SCALES = [0.0] + [float(t) for t in np.logspace(-2.0, 2.0, 11)]
 SINGLE = (0.0, 2.0)
+PLAN_KINDS = ["auto", BoundKind.TAIL_GENERIC.value]
+PLAN_TOLS = [1e-8, 1e-3]
+PLAN_SCALES = [[5.0, 0.0, 0.3, 5.0, 40.0, 0.01, 40.0, 2.0, 0.3],
+               [100.0, 20.0, 3.0, 0.0, 1.0, 0.5, 0.05],
+               [0.5, 2.0, 1e6]]
 TOL = 1e-8
 KINDS = ["auto"] + [kind.value for kind in BoundKind]
 TABLE_SCALES = [float(t) for t in np.logspace(-2.0, 2.0, 25)]
@@ -188,6 +201,19 @@ def _digest(op, x, kind) -> str:
                 h.update(repr(rep).encode())
         except (ValueError, NumericalError) as exc:
             h.update(f"{type(exc).__name__}: {exc}".encode())
+    return h.hexdigest()
+
+
+def _plan_digest(op, x, kind) -> str:
+    h = hashlib.sha256()
+    for tol in PLAN_TOLS:
+        for scales in PLAN_SCALES:
+            try:
+                plan = make_plan(op, x, scales, tol, kind=kind)
+            except (ValueError, NumericalError) as exc:
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+            else:
+                h.update(repr((plan.scale_orders, plan.bounds, plan.order)).encode())
     return h.hexdigest()
 
 
@@ -433,6 +459,10 @@ def main() -> int:
         for signal, x in _signals(op.n).items():
             for kind in KINDS:
                 print(f"{graph}/{signal}/{kind} {_digest(op, x, kind)}", flush=True)
+    for graph, op in _graphs().items():  # fresh operators: nothing kept on them yet
+        for signal, x in _signals(op.n).items():
+            for kind in PLAN_KINDS:
+                print(f"plan/{graph}/{signal}/{kind} {_plan_digest(op, x, kind)}", flush=True)
     csr = _csr_graphs()
     for graph, (edges, n, kinds) in csr.items():
         for kind in kinds:
